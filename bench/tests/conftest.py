@@ -1,0 +1,8 @@
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from worker import import_stochflow  # noqa: E402
+
+import_stochflow()
