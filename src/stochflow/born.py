@@ -11,6 +11,10 @@ all later times, where ``q(t) = integral F F*`` (constant under the
 unitary evolution).  No quadratic form is assumed by the transport step;
 the modulus-squared rule is an output, not an input.
 
+The pipeline streams the evolution through plain arrays in chunks of K =
+:data:`CHUNK_STEPS` steps (evolve, extract the velocities with one batched
+FFT, transport, compare), so memory is O(K n) on n points, not O(steps n).
+
 Supporting pieces:
 
 * node-aware extraction of ``V`` with a relative floor on ``|F|`` and a
@@ -29,13 +33,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Norms, ScalarField, antiderivative, derivative, integrate, norms
+from .fields import Norms, ScalarField, antiderivative, derivative, integrate, spectral_multiplier
 from .fokker_planck import (
     complex_fp_residual,
     continuity_residual,
     osmotic_constraint_residual,
 )
-from .schrodinger import SchrodingerProblem, SchrodingerResult, evolve
+# unused ``evolve`` kept: bench/spans.py traces it as ``stochflow.born.evolve``
+from .schrodinger import SchrodingerProblem, _stepper, evolve  # noqa: F401
 
 __all__ = [
     "VelocityDecomposition",
@@ -50,6 +55,9 @@ __all__ = [
 ]
 
 NODE_FLOOR_REL = 1e-12
+
+#: steps per chunk of the streamed pipeline; a chunk buffer of 128 points is 2 MB
+CHUNK_STEPS = 1024
 
 
 @dataclass(frozen=True)
@@ -68,6 +76,32 @@ class VelocityDecomposition:
     coverage: float
 
 
+def _log_derivative(values: np.ndarray, dvalues: np.ndarray, coef: complex, floor_rel: float):
+    """``coef * dvalues / values`` for ``(rows, n)`` arrays, zero at the nodes, and the
+    mask of non-nodes: points where ``|values|`` clears ``floor_rel`` times its row maximum."""
+    mag = np.abs(values)
+    mask = mag > floor_rel * mag.max(axis=1, keepdims=True)
+    out = np.zeros(values.shape, dtype=np.complex128)
+    out[mask] = coef * dvalues[mask] / values[mask]
+    return out, mask
+
+
+def _decomposition(
+    f: ScalarField, coef: complex, scheme: str, floor_rel: float
+) -> VelocityDecomposition:
+    grid = f.grid
+    df = derivative(f, 0, scheme).values
+    v, mask = _log_derivative(f.values.reshape(1, -1), df.reshape(1, -1), coef, floor_rel)
+    v, mask = v.reshape(grid.shape), mask.reshape(grid.shape)
+    return VelocityDecomposition(
+        complex_velocity=ScalarField(grid, v),
+        current=ScalarField(grid, np.real(v)),
+        osmotic=ScalarField(grid, -np.imag(v)),
+        mask=mask,
+        coverage=float(mask.mean()),
+    )
+
+
 def velocity_from_wavefunction(
     psi: ScalarField,
     b: float,
@@ -75,19 +109,7 @@ def velocity_from_wavefunction(
     floor_rel: float = NODE_FLOOR_REL,
 ) -> VelocityDecomposition:
     """Extract ``V = -i b^2 (grad psi)/psi`` with node masking."""
-    grid = psi.grid
-    mag = np.abs(psi.values)
-    mask = mag > floor_rel * mag.max()
-    dpsi = derivative(psi, 0, scheme).values
-    v_complex = np.zeros(grid.shape, dtype=np.complex128)
-    v_complex[mask] = -1j * b**2 * dpsi[mask] / psi.values[mask]
-    return VelocityDecomposition(
-        complex_velocity=ScalarField(grid, v_complex),
-        current=ScalarField(grid, np.real(v_complex)),
-        osmotic=ScalarField(grid, -np.imag(v_complex)),
-        mask=mask,
-        coverage=float(mask.mean()),
-    )
+    return _decomposition(psi, -1j * b**2, scheme, floor_rel)
 
 
 def density_from_wavefunction(psi: ScalarField) -> ScalarField:
@@ -108,19 +130,7 @@ def conjugate_velocity_from_wavefunction(
     extraction while the osmotic part flips sign.  The decomposition keeps
     the forward conventions: ``current = Re U``, ``osmotic = -Im U``.
     """
-    grid = g.grid
-    mag = np.abs(g.values)
-    mask = mag > floor_rel * mag.max()
-    dg = derivative(g, 0, scheme).values
-    u_complex = np.zeros(grid.shape, dtype=np.complex128)
-    u_complex[mask] = 1j * b**2 * dg[mask] / g.values[mask]
-    return VelocityDecomposition(
-        complex_velocity=ScalarField(grid, u_complex),
-        current=ScalarField(grid, np.real(u_complex)),
-        osmotic=ScalarField(grid, -np.imag(u_complex)),
-        mask=mask,
-        coverage=float(mask.mean()),
-    )
+    return _decomposition(g, 1j * b**2, scheme, floor_rel)
 
 
 def normalize_wavefunction(psi: ScalarField, h: complex = 1.0) -> tuple[ScalarField, float]:
@@ -174,7 +184,6 @@ def evolve_density_continuity(
     rho0: ScalarField,
     velocity_snapshots: np.ndarray,
     dt: float,
-    scheme: str = "spectral",
 ) -> np.ndarray:
     """Transport a density by ``rho_t = -(v rho)_x`` with Heun time stepping.
 
@@ -183,22 +192,19 @@ def evolve_density_continuity(
     same shape.  The flux derivative is spectral, so the discrete mass
     ``sum(rho) dx`` is conserved to round-off.
     """
-    grid = rho0.grid
-    n_steps = velocity_snapshots.shape[0] - 1
-    history = np.empty((n_steps + 1, grid.n))
-    rho = np.real(rho0.values).copy()
-    history[0] = rho
+    mult = spectral_multiplier(rho0.grid)
+    history = np.empty(velocity_snapshots.shape)
+    rho = history[0] = np.real(rho0.values)
 
     def flux_div(v_vals: np.ndarray, rho_vals: np.ndarray) -> np.ndarray:
-        f = ScalarField(grid, v_vals * rho_vals)
-        return np.real(derivative(f, 0, scheme).values)
+        flux = (v_vals * rho_vals).astype(np.complex128)
+        return np.real(np.fft.ifft(np.fft.fft(flux) * mult))
 
-    for k in range(n_steps):
+    for k in range(velocity_snapshots.shape[0] - 1):
         d1 = flux_div(velocity_snapshots[k], rho)
         predictor = rho - dt * d1
         d2 = flux_div(velocity_snapshots[k + 1], predictor)
-        rho = rho - 0.5 * dt * (d1 + d2)
-        history[k + 1] = rho
+        rho = history[k + 1] = rho - 0.5 * dt * (d1 + d2)
     return history
 
 
@@ -237,86 +243,74 @@ def born_pipeline(
     t_final: float,
     dt: float,
     method: str = "splitstep",
-    scheme: str = "spectral",
 ) -> BornReport:
-    """Run the full verification loop on one wave-equation problem.
+    """Run the full verification loop on one one-dimensional wave-equation problem.
 
-    The wave function is evolved with every step stored; the current
-    velocity is extracted at each step and drives an independent
-    continuity transport of the initial density.  The report compares the
-    transported density against ``F F* / q`` at every step and evaluates
-    the complex density-transport residuals at the midpoint snapshot
-    triple.
+    The evolution is streamed in chunks of K = :data:`CHUNK_STEPS` steps,
+    so memory is O(K n), not O(steps n).  Per chunk the current velocity of
+    every state is extracted, the density carried over from the chunk before
+    is transported by the continuity equation alone, and every step is
+    compared against ``F F* / q``; non-finite states or densities raise
+    ``ValueError``.  The complex density-transport residuals are evaluated
+    at the midpoint snapshot triple, the only states kept beyond a chunk.
     """
-    result: SchrodingerResult = evolve(problem, t_final, dt, method=method, store_every=1)
-    n_steps = result.times.size - 1
-    dt_eff = float(result.times[1] - result.times[0])
-    grid = problem.grid
-
-    q0 = float(np.real(integrate(result.states[0].abs2())))
-    velocities = np.empty((n_steps + 1, grid.n))
-    coverage = 1.0
-    for k, state in enumerate(result.states):
-        dec = velocity_from_wavefunction(state, problem.b, scheme)
-        velocities[k] = np.real(dec.current.values)
-        coverage = min(coverage, dec.coverage)
-
-    rho0 = ScalarField(grid, np.real(result.states[0].abs2().values) / q0)
-    history = evolve_density_continuity(rho0, velocities, dt_eff, scheme)
-
-    sup_err = 0.0
-    sup_rel = 0.0
-    series = np.empty((len(result.states), 3))
-    for k, state in enumerate(result.states):
-        qk = float(np.real(integrate(state.abs2())))
-        target = np.real(state.abs2().values) / qk
-        gap = float(np.max(np.abs(history[k] - target)))
-        sup_err = max(sup_err, gap)
-        sup_rel = max(sup_rel, gap / float(target.max()))
-        series[k] = (result.times[k], gap, gap / float(target.max()))
-    q_final = float(np.real(integrate(result.final().abs2())))
-    target_final = np.real(result.final().abs2().values) / q_final
-    final_err = float(np.max(np.abs(history[-1] - target_final)))
-    final_l2 = float(np.sqrt(np.sum((history[-1] - target_final) ** 2) * grid.dx))
-
-    mass0 = float(history[0].sum() * grid.dx)
-    mass_drift = float(np.max(np.abs(history.sum(axis=1) * grid.dx - mass0)))
-
+    key, n_steps, dt, step = _stepper(problem, t_final, dt, method)
     mid = n_steps // 2
-    if mid == 0 or mid == n_steps:
+    if mid == 0:
         raise ValueError("need at least three stored snapshots for the residual checks")
-    rho_tri = [
-        ScalarField(grid, np.real(result.states[k].abs2().values) / q0)
-        for k in (mid - 1, mid, mid + 1)
-    ]
-    dec_mid = velocity_from_wavefunction(result.states[mid], problem.b, scheme)
-    fp_f = complex_fp_residual(
-        rho_tri[0], rho_tri[1], rho_tri[2], dec_mid.complex_velocity,
-        problem.b, dt_eff, variant="forward", scheme=scheme,
-    )
-    fp_c = complex_fp_residual(
-        rho_tri[0], rho_tri[1], rho_tri[2], dec_mid.complex_velocity,
-        problem.b, dt_eff, variant="conjugate", scheme=scheme,
-    )
-    cont = continuity_residual(rho_tri[0], rho_tri[1], rho_tri[2], dec_mid.current, dt_eff, scheme)
-    osm = osmotic_constraint_residual(rho_tri[1], dec_mid.osmotic, problem.b, scheme)
+    grid, b = problem.grid, problem.b
+    mult = spectral_multiplier(grid)
+    q0 = float(np.real(integrate(problem.psi0.abs2())))
+    rho = np.real(problem.psi0.abs2().values) / q0
+    # per step: t, gap, relative gap, transported mass, norm, node coverage
+    stats = np.empty((n_steps + 1, 6))
+    kept = {}
+    buf = np.empty((CHUNK_STEPS + 1, grid.n), dtype=np.complex128)
+    buf[0] = problem.psi0.values
 
+    for i0 in range(0, n_steps, CHUNK_STEPS):
+        m = min(CHUNK_STEPS, n_steps - i0)
+        for r in range(1, m + 1):
+            buf[r] = step(buf[r - 1])
+        states = buf[: m + 1]  # steps i0 .. i0 + m
+        dpsi = np.fft.ifft(np.fft.fft(states, axis=1) * mult, axis=1)
+        velocity, mask = _log_derivative(states, dpsi, -1j * b**2, NODE_FLOOR_REL)
+        history = evolve_density_continuity(ScalarField(grid, rho), np.real(velocity), dt)
+        if not (np.isfinite(states).all() and np.isfinite(history).all()):
+            raise ValueError("field contains non-finite entries")
+
+        abs2 = np.real(states * np.conj(states))
+        q = np.real(np.sum(abs2.astype(np.complex128), axis=1) * grid.cell_volume)
+        target = abs2 / q[:, None]
+        gap = np.max(np.abs(history - target), axis=1)
+        stats[i0 : i0 + m + 1] = np.column_stack([
+            dt * np.arange(i0, i0 + m + 1, dtype=float), gap, gap / target.max(axis=1),
+            history.sum(axis=1) * grid.dx, np.sqrt(q), mask.mean(axis=1),
+        ])
+        for k in range(max(i0, mid - 1), min(i0 + m, mid + 1) + 1):
+            kept[k] = ScalarField(grid, states[k - i0].copy())
+        rho, buf[0] = history[-1], buf[m]
+
+    rho_tri = [
+        ScalarField(grid, np.real(kept[k].abs2().values) / q0) for k in (mid - 1, mid, mid + 1)
+    ]
+    dec = velocity_from_wavefunction(kept[mid], b)
     return BornReport(
-        t_final=float(result.times[-1]),
-        dt=dt_eff,
-        method=result.method,
+        t_final=dt * n_steps,
+        dt=dt,
+        method=key,
         q_initial=q0,
-        sup_density_error=sup_err,
-        sup_relative_error=sup_rel,
-        final_density_error=final_err,
-        final_density_l2=final_l2,
-        mass_drift=mass_drift,
-        norm_drift=result.norm_drift(),
-        min_coverage=coverage,
-        fp_forward=fp_f,
-        fp_conjugate=fp_c,
-        continuity=cont,
-        osmotic=osm,
-        discrepancy_series=series,
-        final_profiles=np.stack([history[-1], target_final]),
+        sup_density_error=float(stats[:, 1].max()),
+        sup_relative_error=float(stats[:, 2].max()),
+        final_density_error=float(gap[-1]),
+        final_density_l2=float(np.sqrt(np.sum((rho - target[-1]) ** 2) * grid.dx)),
+        mass_drift=float(np.max(np.abs(stats[:, 3] - stats[0, 3]))),
+        norm_drift=float(np.max(np.abs(stats[:, 4] - stats[0, 4]))),
+        min_coverage=float(stats[:, 5].min()),
+        fp_forward=complex_fp_residual(*rho_tri, dec.complex_velocity, b, dt, variant="forward"),
+        fp_conjugate=complex_fp_residual(*rho_tri, dec.complex_velocity, b, dt, variant="conjugate"),
+        continuity=continuity_residual(*rho_tri, dec.current, dt),
+        osmotic=osmotic_constraint_residual(rho_tri[1], dec.osmotic, b),
+        discrepancy_series=stats[:, :3].copy(),
+        final_profiles=np.stack([rho, target[-1]]),
     )

@@ -51,7 +51,9 @@ def _load_config(path: str | None) -> dict:
 
 
 def _merge_params(defaults: dict, config: dict, name: str) -> tuple[dict, dict]:
-    """Overlay config values on the defaults; unknown keys are an error."""
+    """Overlay config values on the defaults; unknown keys and values whose
+    type differs from the default's (an int may stand for a float, a bool
+    for nothing) are an error."""
     reserved = {}
     params = dict(defaults)
     for key, value in config.items():
@@ -62,6 +64,13 @@ def _merge_params(defaults: dict, config: dict, name: str) -> tuple[dict, dict]:
             _fail_config(
                 f"unknown parameter {key!r} for experiment {name!r} "
                 f"(known: {', '.join(sorted(defaults))})"
+            )
+        expected = type(defaults[key])
+        accepted = (int, float) if expected is float else expected
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            _fail_config(
+                f"parameter {key!r} of experiment {name!r} must be of type "
+                f"{expected.__name__}, got {json.dumps(value)}"
             )
         params[key] = value
     return params, reserved

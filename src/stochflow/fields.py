@@ -37,6 +37,7 @@ __all__ = [
     "norms",
     "residual_norm",
     "antiderivative",
+    "spectral_multiplier",
     "field_from_function",
     "require_same_grid",
 ]
@@ -200,16 +201,20 @@ def _check_scheme(scheme: str) -> None:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
 
 
-def _spectral_derivative(values: np.ndarray, grid: GridSpec, axis: int, order: int) -> np.ndarray:
-    k = grid.wavenumbers()
-    mult = (1j * k) ** order
+def spectral_multiplier(grid: GridSpec, order: int = 1) -> np.ndarray:
+    """Fourier multiplier ``(i k)^order`` of the spectral derivative, in FFT order."""
+    mult = (1j * grid.wavenumbers()) ** order
     if order % 2 == 1 and grid.n % 2 == 0:
         # the Nyquist mode has no well-defined odd derivative on a real grid
         mult[grid.n // 2] = 0.0
+    return mult
+
+
+def _spectral_derivative(values: np.ndarray, grid: GridSpec, axis: int, order: int) -> np.ndarray:
     shape = [1] * values.ndim
     shape[axis] = grid.n
     fk = np.fft.fft(values, axis=axis)
-    return np.fft.ifft(fk * mult.reshape(shape), axis=axis)
+    return np.fft.ifft(fk * spectral_multiplier(grid, order).reshape(shape), axis=axis)
 
 
 def _central_derivative(values: np.ndarray, grid: GridSpec, axis: int, order: int) -> np.ndarray:

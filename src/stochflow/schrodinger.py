@@ -22,7 +22,7 @@ the L2 norm to round-off.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -116,22 +116,6 @@ def _kinetic_phase(grid: GridSpec, b: float, dt: float) -> np.ndarray:
     return np.exp(-0.5j * b**2 * k_sq * dt)
 
 
-def _evolve_splitstep(problem, dt, n_steps, store_every):
-    u = problem.potential_values()
-    half_pot = np.exp(-0.5j * u * dt / problem.b**2)
-    kin = _kinetic_phase(problem.grid, problem.b, dt)
-    axes = tuple(range(problem.grid.dim))
-    psi = problem.psi0.values.copy()
-    out = [psi.copy()]
-    for k in range(n_steps):
-        psi = half_pot * psi
-        psi = np.fft.ifftn(kin * np.fft.fftn(psi, axes=axes), axes=axes)
-        psi = half_pot * psi
-        if (k + 1) % store_every == 0 or k == n_steps - 1:
-            out.append(psi.copy())
-    return out
-
-
 def _cn_matrices(problem: SchrodingerProblem, dt: float):
     grid = problem.grid
     if grid.dim != 1:
@@ -150,15 +134,31 @@ def _cn_matrices(problem: SchrodingerProblem, dt: float):
     return spla.splu(a), b_mat
 
 
-def _evolve_cn(problem, dt, n_steps, store_every):
-    solver, b_mat = _cn_matrices(problem, dt)
-    psi = problem.psi0.values.astype(np.complex128).copy()
-    out = [psi.copy()]
-    for k in range(n_steps):
-        psi = solver.solve(b_mat @ psi)
-        if (k + 1) % store_every == 0 or k == n_steps - 1:
-            out.append(psi.copy())
-    return out
+def _stepper(problem: SchrodingerProblem, t_final: float, dt: float, method: str):
+    """``(method, n_steps, dt, step)`` of a run: the method as one of :data:`METHODS`,
+    ``round(t_final/dt)`` steps (at least one) of a ``dt`` adjusted to land on ``t_final``,
+    and the map from a state array to the state one step later (the argument is kept)."""
+    key = method.replace("-", "").replace("_", "").lower()
+    key = {"splitstep": "splitstep", "strang": "splitstep", "cn": "cn", "cranknicolson": "cn"}.get(key)
+    if key is None:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    n_steps = max(1, int(round(t_final / dt)))
+    dt = t_final / n_steps
+    if key == "splitstep":
+        half_pot = np.exp(-0.5j * problem.potential_values() * dt / problem.b**2)
+        kin = _kinetic_phase(problem.grid, problem.b, dt)
+        axes = tuple(range(problem.grid.dim))
+
+        def step(psi: np.ndarray) -> np.ndarray:
+            return half_pot * np.fft.ifftn(kin * np.fft.fftn(half_pot * psi, axes=axes), axes=axes)
+
+    else:
+        solver, b_mat = _cn_matrices(problem, dt)
+
+        def step(psi: np.ndarray) -> np.ndarray:
+            return solver.solve(b_mat @ psi)
+
+    return key, n_steps, dt, step
 
 
 def evolve(
@@ -174,24 +174,13 @@ def evolve(
     final time is always included; the step count is ``round(t_final/dt)``
     with ``dt`` adjusted to land on ``t_final`` exactly.
     """
-    key = method.replace("-", "").replace("_", "").lower()
-    key = {"splitstep": "splitstep", "strang": "splitstep", "cn": "cn", "cranknicolson": "cn"}.get(key)
-    if key is None:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    n_steps = max(1, int(round(t_final / dt)))
-    dt = t_final / n_steps
+    key, n_steps, dt, step = _stepper(problem, t_final, dt, method)
     stride = n_steps if store_every is None else max(1, int(store_every))
-
-    if key == "splitstep":
-        raw = _evolve_splitstep(problem, dt, n_steps, stride)
-    else:
-        raw = _evolve_cn(problem, dt, n_steps, stride)
-
-    stored = [0] + [k for k in range(stride, n_steps + 1, stride)]
-    if stored[-1] != n_steps:
-        stored.append(n_steps)
-    times = dt * np.asarray(stored, dtype=float)
-    states = tuple(ScalarField(problem.grid, vals) for vals in raw)
-    if len(states) != times.size:
-        raise AssertionError("snapshot bookkeeping mismatch")
-    return SchrodingerResult(times=times, states=states, method=key)
+    psi = problem.psi0.values
+    stored, states = [0], [ScalarField(problem.grid, psi.copy())]
+    for k in range(1, n_steps + 1):
+        psi = step(psi)
+        if k % stride == 0 or k == n_steps:
+            stored.append(k)
+            states.append(ScalarField(problem.grid, psi))
+    return SchrodingerResult(times=dt * np.asarray(stored, dtype=float), states=tuple(states), method=key)

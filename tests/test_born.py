@@ -1,11 +1,15 @@
 """Quadratic-density pipeline: velocity extraction, gauge and conjugate
 symmetries, phase reconstruction, and continuity-only transport."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from stochflow.analytic import FreePacket
 from stochflow.born import (
+    CHUNK_STEPS,
+    BornReport,
     born_pipeline,
     conjugate_velocity_from_wavefunction,
     density_from_wavefunction,
@@ -15,7 +19,12 @@ from stochflow.born import (
     velocity_from_wavefunction,
 )
 from stochflow.fields import GridSpec, ScalarField, integrate
-from stochflow.schrodinger import SchrodingerProblem
+from stochflow.fokker_planck import (
+    complex_fp_residual,
+    continuity_residual,
+    osmotic_constraint_residual,
+)
+from stochflow.schrodinger import SchrodingerProblem, evolve
 
 
 @pytest.fixture(scope="module")
@@ -139,3 +148,81 @@ def test_density_from_wavefunction_is_squared_modulus(packet_setup):
     rho = density_from_wavefunction(psi)
     assert np.max(np.abs(rho.values - np.abs(psi.values) ** 2)) < 1e-15
     assert rho.is_real()
+
+
+def _reference_report(problem, t_final, dt, method):
+    """The Born pipeline as a per-snapshot loop over a fully stored evolution."""
+    result = evolve(problem, t_final, dt, method=method, store_every=1)
+    dt_eff = float(result.times[1] - result.times[0])
+    grid = problem.grid
+    q0 = float(np.real(integrate(result.states[0].abs2())))
+    decs = [velocity_from_wavefunction(state, problem.b) for state in result.states]
+    velocities = np.array([np.real(dec.current.values) for dec in decs])
+    rho0 = ScalarField(grid, np.real(result.states[0].abs2().values) / q0)
+    history = evolve_density_continuity(rho0, velocities, dt_eff)
+    series = np.empty((len(result.states), 3))
+    for k, state in enumerate(result.states):
+        target = np.real(state.abs2().values) / float(np.real(integrate(state.abs2())))
+        gap = float(np.max(np.abs(history[k] - target)))
+        series[k] = (result.times[k], gap, gap / float(target.max()))
+    final = result.final()
+    target_final = np.real(final.abs2().values) / float(np.real(integrate(final.abs2())))
+    mid = (len(result.states) - 1) // 2
+    tri = [
+        ScalarField(grid, np.real(result.states[k].abs2().values) / q0)
+        for k in (mid - 1, mid, mid + 1)
+    ]
+    dec = decs[mid]
+    mass = history.sum(axis=1) * grid.dx
+    return BornReport(
+        t_final=float(result.times[-1]),
+        dt=dt_eff,
+        method=result.method,
+        q_initial=q0,
+        sup_density_error=float(series[:, 1].max()),
+        sup_relative_error=float(series[:, 2].max()),
+        final_density_error=float(np.max(np.abs(history[-1] - target_final))),
+        final_density_l2=float(np.sqrt(np.sum((history[-1] - target_final) ** 2) * grid.dx)),
+        mass_drift=float(np.max(np.abs(mass - float(history[0].sum() * grid.dx)))),
+        norm_drift=result.norm_drift(),
+        min_coverage=min(d.coverage for d in decs),
+        fp_forward=complex_fp_residual(*tri, dec.complex_velocity, problem.b, dt_eff, variant="forward"),
+        fp_conjugate=complex_fp_residual(
+            *tri, dec.complex_velocity, problem.b, dt_eff, variant="conjugate"
+        ),
+        continuity=continuity_residual(*tri, dec.current, dt_eff),
+        osmotic=osmotic_constraint_residual(tri[1], dec.osmotic, problem.b),
+        discrepancy_series=series,
+        final_profiles=np.stack([history[-1], target_final]),
+    )
+
+
+@pytest.mark.parametrize("method", ["splitstep", "cn"])
+def test_born_pipeline_matches_per_snapshot_reference(packet_setup, method):
+    # the step count crosses two chunk boundaries and ends inside a third
+    # chunk, which pins the density and velocity carried across chunks
+    grid, pk = packet_setup
+    psi0 = ScalarField(grid, pk.psi(grid.axis, 0.0))
+    prob = SchrodingerProblem(grid=grid, b=pk.b, psi0=psi0)
+    dt = 1 / 1024
+    t_final = (2 * CHUNK_STEPS + 37) * dt
+    rep = born_pipeline(prob, t_final, dt, method=method)
+    ref = _reference_report(prob, t_final, dt, method)
+    assert rep.discrepancy_series.shape == (2 * CHUNK_STEPS + 38, 3)
+    for f in dataclasses.fields(BornReport):
+        got, want = getattr(rep, f.name), getattr(ref, f.name)
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(got, want), f.name
+        else:
+            assert got == want, f.name
+
+
+def test_born_pipeline_rejects_non_finite_evolution(packet_setup):
+    # an infinite wall turns the split-step state into NaN on its support
+    grid, pk = packet_setup
+    psi0 = ScalarField(grid, pk.psi(grid.axis, 0.0))
+    prob = SchrodingerProblem(
+        grid=grid, b=pk.b, psi0=psi0, potential=lambda x: np.where(x > 20.0, np.inf, 0.0)
+    )
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+        born_pipeline(prob, 0.25, 1 / 1024)

@@ -67,6 +67,40 @@ def test_unknown_config_key_exits_two_and_names_it(runner, tmp_path):
     assert "not_a_real_knob" in result.output
 
 
+@pytest.mark.parametrize(
+    "experiment, overrides, key, expected",
+    [
+        ("colehopf-3d", {"n": "abc"}, "n", "int"),
+        ("ga-identities", {"n": 24.5}, "n", "int"),
+        ("ga-identities", {"n": True}, "n", "int"),
+        ("colehopf-1d", {"eps": "0.2"}, "eps", "float"),
+        ("colehopf-1d", {"eps": False}, "eps", "float"),
+        ("born-free", {"method": 1}, "method", "str"),
+        ("complex-increments", {"pairs": 3}, "pairs", "list"),
+    ],
+)
+def test_config_value_of_wrong_type_exits_two_and_names_it(
+    runner, tmp_path, experiment, overrides, key, expected
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides))
+    result = runner.invoke(
+        main, ["run", experiment, "--config", str(cfg), "--out", str(tmp_path / "o")]
+    )
+    assert result.exit_code == 2, result.output
+    assert repr(key) in result.output
+    assert f"type {expected}" in result.output
+
+
+def test_config_int_accepted_for_float_parameter(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"b": 1}))
+    out = tmp_path / "o"
+    result = runner.invoke(main, ["run", "ga-identities", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert json.loads((out / "summary.json").read_text())["params"]["b"] == 1
+
+
 def test_malformed_config_exits_two(runner, tmp_path):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{nope")
