@@ -6,8 +6,8 @@ same inputs), ``manifest.json`` (environment and timing, allowed to
 vary), and one CSV per result table into the output directory.
 
 Exit codes: 0 when every check passes, 1 when any check fails, and 2 for
-configuration or I/O errors (bad JSON, unknown parameter, unwritable
-output directory).
+configuration or I/O errors (bad JSON, unknown parameter, a value of the
+wrong type or one the experiment rejects, unwritable output directory).
 """
 
 from __future__ import annotations
@@ -53,11 +53,13 @@ def _load_config(path: str | None) -> dict:
 def _merge_params(defaults: dict, config: dict, name: str) -> tuple[dict, dict]:
     """Overlay config values on the defaults; unknown keys and values whose
     type differs from the default's (an int may stand for a float, a bool
-    for nothing) are an error."""
+    for nothing) are an error.  ``seed`` and ``threads`` must be ints."""
     reserved = {}
     params = dict(defaults)
     for key, value in config.items():
         if key in ("seed", "threads"):
+            if isinstance(value, bool) or not isinstance(value, int):
+                _fail_config(f"{key!r} in the config file must be of type int, got {json.dumps(value)}")
             reserved[key] = value
             continue
         if key not in defaults:
@@ -80,7 +82,7 @@ def _resolve_threads(cli_value: int | None, config_value) -> int:
     if cli_value is not None:
         return cli_value
     if config_value is not None:
-        return int(config_value)
+        return config_value
     env = os.environ.get("STOCHFLOW_THREADS")
     if env is not None:
         try:
@@ -88,6 +90,11 @@ def _resolve_threads(cli_value: int | None, config_value) -> int:
         except ValueError:
             _fail_config(f"STOCHFLOW_THREADS={env!r} is not an integer")
     return 1
+
+
+def _number(value) -> str:
+    """A check value as echoed; non-finite ones arrive as "nan", "inf", "-inf"."""
+    return format(value, ".6g") if isinstance(value, (int, float)) else str(value)
 
 
 @click.group()
@@ -134,7 +141,9 @@ def run(experiment: str, config_path: str | None, seed: int | None,
     config = _load_config(config_path)
     params, reserved = _merge_params(spec.defaults, config, experiment)
     if seed is None:
-        seed = int(reserved.get("seed", _DEFAULT_SEED))
+        seed = reserved.get("seed", _DEFAULT_SEED)
+    if seed < 0:
+        _fail_config(f"'seed' must be non-negative, got {seed}")
     n_threads = _resolve_threads(threads, reserved.get("threads"))
 
     target = Path(out_dir) if out_dir is not None else Path("runs") / experiment
@@ -144,7 +153,16 @@ def run(experiment: str, config_path: str | None, seed: int | None,
         _fail_config(f"cannot create output directory {target}: {exc}")
 
     t0 = time.perf_counter()
-    result = run_experiment(experiment, params, seed)
+    try:
+        result = run_experiment(experiment, params, seed)
+    except ValueError as exc:
+        overridden = sorted(set(config) & set(spec.defaults))
+        if not overridden:  # the defaults must always run: a program error
+            raise
+        _fail_config(
+            f"experiment {experiment!r} rejects the configured value of "
+            f"{', '.join(map(repr, overridden))}: {exc}"
+        )
     elapsed = time.perf_counter() - t0
 
     summary = result["summary"]
@@ -169,8 +187,8 @@ def run(experiment: str, config_path: str | None, seed: int | None,
     for chk in summary["checks"]:
         status = "PASS" if chk["pass"] else "FAIL"
         click.echo(
-            f"[{status}] {chk['name']}: {chk['value']:.6g} "
-            f"{chk['comparison']} {chk['threshold']:.6g}"
+            f"[{status}] {chk['name']}: {_number(chk['value'])} "
+            f"{chk['comparison']} {_number(chk['threshold'])}"
         )
     overall = "PASS" if summary["pass"] else "FAIL"
     click.echo(f"{experiment}: {overall} ({elapsed:.2f} s, results in {target})")

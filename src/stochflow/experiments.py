@@ -437,6 +437,13 @@ def _run_burgers_direct_vs_ch(p: dict, seed: int):
 # sde-estimators
 # ---------------------------------------------------------------------------
 
+def _velocity_window(t_final: float, dt: float, half_window: int) -> tuple[int, int]:
+    """The time columns ``estimate_velocities`` reads at its default
+    ``t_index``: the middle step ``+- (half_window + 1)``."""
+    t_index = int(round(t_final / dt)) // 2
+    return max(0, t_index - half_window - 1), t_index + half_window + 2
+
+
 def _run_sde_estimators(p: dict, seed: int):
     theta, b = p["theta"], p["b"]
     model = DiffusionModel(drift=lambda x, t: -theta * x, b=b, name="ou")
@@ -449,6 +456,7 @@ def _run_sde_estimators(p: dict, seed: int):
         p["dt_short"],
         p["n_paths_short"],
         seed,
+        window=_velocity_window(p["t_short"], p["dt_short"], p["half_window_short"]),
     )
     est_a = estimate_velocities(ens_a, half_window=p["half_window_short"], min_count=500)
     ok = est_a.counts >= 500
@@ -472,6 +480,7 @@ def _run_sde_estimators(p: dict, seed: int):
         p["dt_long"],
         p["n_paths_long"],
         seed + 1,
+        window=_velocity_window(p["t_long"], p["dt_long"], p["half_window_long"]),
     )
     est_b = estimate_velocities(ens_b, half_window=p["half_window_long"], min_count=500)
     okb = (est_b.counts >= 500) & est_b.valid()
@@ -559,23 +568,14 @@ def _run_complex_increments(p: dict, seed: int):
 def _run_variational(p: dict, seed: int):
     b = p["b"]
     thetas = np.linspace(-1.0, 1.0, p["n_theta"])
-    values = np.empty(thetas.size)
-    errors = np.empty(thetas.size)
-    for i, theta in enumerate(thetas):
-        model = DiffusionModel(
-            drift=lambda x, t, th=theta: th * np.sin(x), b=b, name="family"
-        )
-        ens = simulate_forward(
-            model,
-            ("gaussian", np.pi, 1.0),
-            p["t_final"],
-            p["dt"],
-            p["n_paths"],
-            seed,  # common random numbers across the sweep
-        )
-        act = discretized_action(ens, alpha=1)
-        values[i] = act.value.real if isinstance(act.value, complex) else act.value
-        errors[i] = act.stderr
+    # the whole sweep as one batch: every theta sees the same initial samples
+    # and per-step draws (common random numbers); only running sums are kept
+    family = DiffusionModel(drift=lambda x, t: thetas[:, None] * np.sin(x), b=b, name="family")
+    sweep = simulate_forward(
+        family, ("gaussian", np.pi, 1.0), p["t_final"], p["dt"], p["n_paths"], seed, window=(0, 0)
+    )
+    act = discretized_action(sweep, alpha=1)
+    values, errors = act.value, act.stderr
 
     zero_idx = int(np.argmin(np.abs(thetas)))
     argmin_idx = int(np.argmin(values))
@@ -586,10 +586,10 @@ def _run_variational(p: dict, seed: int):
     # spot value: constant drift a = 1 gives S ~= a^2 T = 1
     const_model = DiffusionModel(drift=lambda x, t: np.ones_like(x), b=b, name="const")
     const_ens = simulate_forward(
-        const_model, 0.0, p["t_final"], p["dt"], p["n_paths"], seed + 1
+        const_model, 0.0, p["t_final"], p["dt"], p["n_paths"], seed + 1, window=(0, 0)
     )
     const_act = discretized_action(const_ens, alpha=1)
-    const_value = const_act.value.real if isinstance(const_act.value, complex) else const_act.value
+    const_value = const_act.value
     z_const = abs(const_value - p["t_final"]) / const_act.stderr
 
     # path-sum moment of the balanced complex noise: E (sum dZ)^2 ~ 0

@@ -7,12 +7,16 @@ timestamps, runtimes, paths, or environment echoes -- those go into
 
 Floats are serialized with Python's shortest-round-trip ``repr`` (the json
 module's default), which is deterministic for identical IEEE-754 values.
+Non-finite floats are written as the strings ``"nan"``, ``"inf"`` and
+``"-inf"``, so that every file is valid JSON, and a check whose value is
+not finite fails.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +41,8 @@ def check(name: str, value, threshold, comparison: str = "<=") -> dict:
     """One acceptance check: measured value vs threshold."""
     if comparison not in _COMPARATORS:
         raise ValueError(f"unknown comparison {comparison!r}")
-    passed = bool(_COMPARATORS[comparison](value, threshold))
+    # explicit, because -inf <= threshold and inf >= threshold hold
+    passed = bool(np.isfinite(value)) and bool(_COMPARATORS[comparison](value, threshold))
     return {
         "name": name,
         "value": jsonable(value),
@@ -64,24 +69,30 @@ def jsonable(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return float(obj)
+        return _json_float(obj)
     if isinstance(obj, (complex, np.complexfloating)):
-        return {"re": float(obj.real), "im": float(obj.imag)}
+        return {"re": _json_float(obj.real), "im": _json_float(obj.imag)}
     if isinstance(obj, np.ndarray):
         return jsonable(obj.tolist())
     return obj
 
 
-def write_summary(out_dir: Path, summary: dict) -> Path:
-    path = Path(out_dir) / "summary.json"
-    path.write_text(json.dumps(jsonable(summary), sort_keys=True, indent=2) + "\n")
+def _json_float(x) -> float | str:
+    x = float(x)
+    return x if math.isfinite(x) else repr(x)
+
+
+def _write_json(path: Path, data: dict) -> Path:
+    path.write_text(json.dumps(jsonable(data), sort_keys=True, indent=2, allow_nan=False) + "\n")
     return path
+
+
+def write_summary(out_dir: Path, summary: dict) -> Path:
+    return _write_json(Path(out_dir) / "summary.json", summary)
 
 
 def write_manifest(out_dir: Path, manifest: dict) -> Path:
-    path = Path(out_dir) / "manifest.json"
-    path.write_text(json.dumps(jsonable(manifest), sort_keys=True, indent=2) + "\n")
-    return path
+    return _write_json(Path(out_dir) / "manifest.json", manifest)
 
 
 def write_csv(out_dir: Path, filename: str, header: list[str], rows) -> Path:

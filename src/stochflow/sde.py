@@ -1,10 +1,18 @@
 """Path sampling and pathwise statistics for real and complex diffusions.
 
 Real processes follow ``dX = a(X, t) dt + b dW`` and are integrated with
-Euler-Maruyama.  Time-reversed ensembles are generated by integrating the
-reflected process and flipping the time axis, so their increments satisfy
-the *backward* difference equation ``X(t) - X(t - dt) = a_b(X(t), t) dt + b dW``
-with the drift evaluated at the later endpoint.
+Euler-Maruyama in one loop, ``simulate_forward``.  It streams: it stores
+only the window of time columns the caller asks for (by default all of
+them), and keeps per-path running sums of ``q = (dX)^2 / dt`` and ``q^2``
+over every step, which is all the quadratic-variation and action
+estimators read.  A drift may broadcast the state to a leading batch axis,
+such as one member per parameter of a sweep; the members share the initial
+samples and every per-step draw, so each trajectory is bit-identical to a
+separate run.  Time-reversed ensembles are generated by integrating the
+reflected process with the same loop and flipping the time axis, so their
+increments satisfy the *backward* difference equation
+``X(t) - X(t - dt) = a_b(X(t), t) dt + b dW`` with the drift evaluated at
+the later endpoint.
 
 Complex processes follow ``dX = V dt + sqrt(-i) sigma dZ`` where the
 complex noise ``dZ = (b dW + i bhat dW') / (sqrt(2) sigma)`` mixes two
@@ -69,26 +77,37 @@ class DiffusionModel:
 class PathEnsemble:
     """A bundle of sample paths on a shared uniform time mesh.
 
-    ``paths[p, k]`` is path ``p`` at ``times[k]``; times ascend regardless of
-    the simulation direction.  ``direction`` records which difference
-    equation the increments satisfy ("forward" or "backward").
+    ``times`` is the whole mesh and ascends regardless of the simulation
+    direction.  ``paths[..., p, j]`` is path ``p`` at ``times[first + j]``:
+    only the columns the simulation was asked to keep are stored.  Any
+    leading axes are batch axes (one per drift of a batched sweep).
+    ``q_sum[..., p]`` and ``q2_sum[..., p]`` are the sums over *every* step
+    of ``q = (dX)^2 / dt`` and of ``q^2`` along path ``p``.  ``direction``
+    records which difference equation the increments satisfy ("forward" or
+    "backward").
     """
 
     times: np.ndarray = field(repr=False)
     paths: np.ndarray = field(repr=False)
+    q_sum: np.ndarray = field(repr=False)
+    q2_sum: np.ndarray = field(repr=False)
     b: float = 1.0
     seed: int = 0
     direction: str = "forward"
+    first: int = 0
 
     def __post_init__(self):
-        if self.paths.ndim != 2 or self.paths.shape[1] != self.times.shape[0]:
-            raise ValueError("paths must be (n_paths, n_times)")
+        n_stored = self.paths.shape[-1]
+        if self.paths.ndim < 2 or not 0 <= self.first <= self.first + n_stored <= self.times.size:
+            raise ValueError("paths must be (..., n_paths, n_stored) within the time mesh")
+        if self.q_sum.shape != self.paths.shape[:-1] or self.q2_sum.shape != self.q_sum.shape:
+            raise ValueError("running sums must be (..., n_paths)")
         if self.direction not in ("forward", "backward"):
             raise ValueError("direction must be 'forward' or 'backward'")
 
     @property
     def n_paths(self) -> int:
-        return self.paths.shape[0]
+        return self.paths.shape[-2]
 
     @property
     def n_steps(self) -> int:
@@ -146,18 +165,44 @@ def simulate_forward(
     dt: float,
     n_paths: int,
     seed: int,
+    window: tuple[int, int] | None = None,
 ) -> PathEnsemble:
-    """Euler-Maruyama ensemble of the forward process."""
+    """Euler-Maruyama ensemble of the forward process.
+
+    Only the time columns with mesh indices in ``window = (first, stop)``
+    (half open; default all) are stored, while the running sums of
+    ``(dX)^2 / dt`` and its square cover every step.  The drift may
+    broadcast the state to leading batch axes, e.g. ``theta[:, None] *
+    sin(x)``: every batch member then sees the same initial samples and the
+    same per-step draws, so its trajectory is bit-identical to a separate
+    run with that member's drift.
+    """
     rng = make_rng(seed)
     times = _time_mesh(t_final, dt)
-    paths = np.empty((n_paths, times.size))
+    first, stop = (0, times.size) if window is None else window
+    if not 0 <= first <= stop <= times.size:
+        raise ValueError(f"window {window} is not within the {times.size} mesh columns")
     x = _initial_samples(x0, n_paths, rng)
-    paths[:, 0] = x
     root_dt = np.sqrt(dt)
-    for k in range(times.size - 1):
-        x = x + model.drift(x, float(times[k])) * dt + model.b * root_dt * rng.standard_normal(n_paths)
-        paths[:, k + 1] = x
-    return PathEnsemble(times=times, paths=paths, b=model.b, seed=seed, direction="forward")
+    m = times.size - 1
+    for k in range(m):
+        x_next = x + model.drift(x, float(times[k])) * dt + model.b * root_dt * rng.standard_normal(n_paths)
+        if k == 0:  # the first step fixes the batch shape
+            paths = np.empty(x_next.shape + (stop - first,))
+            q_sum = np.zeros(x_next.shape)
+            q2_sum = np.zeros(x_next.shape)
+        if first <= k < stop:
+            paths[..., k - first] = x
+        q = (x_next - x) ** 2 / dt
+        q_sum += q
+        q2_sum += q * q
+        x = x_next
+    if first <= m < stop:
+        paths[..., m - first] = x
+    return PathEnsemble(
+        times=times, paths=paths, q_sum=q_sum, q2_sum=q2_sum,
+        b=model.b, seed=seed, direction="forward", first=first,
+    )
 
 
 def simulate_backward(
@@ -172,21 +217,20 @@ def simulate_backward(
 
     ``backward_model.drift`` is the backward drift: the returned paths
     satisfy ``X(t) - X(t-dt) = drift(X(t), t) dt + b dW`` with the drift at
-    the later endpoint.  Internally this is a plain forward integration of
-    the reflected process ``dY = -drift(Y, T - tau) dtau + b dW``.
+    the later endpoint.  This is a forward integration of the reflected
+    process ``dY = -drift(Y, T - tau) dtau + b dW`` with its time axis
+    flipped; squared increments, and so the running sums, are unchanged.
     """
-    rng = make_rng(seed)
-    times = _time_mesh(t_final, dt)
-    paths = np.empty((n_paths, times.size))
-    y = _initial_samples(x_final, n_paths, rng)
-    paths[:, -1] = y
-    root_dt = np.sqrt(dt)
-    for j in range(times.size - 1):
-        t_here = float(t_final - times[j])
-        y = y - backward_model.drift(y, t_here) * dt + backward_model.b * root_dt * rng.standard_normal(n_paths)
-        paths[:, times.size - 2 - j] = y
+    def reflected(y: np.ndarray, tau: float) -> np.ndarray:
+        return -backward_model.drift(y, t_final - tau)
+
+    ens = simulate_forward(
+        DiffusionModel(drift=reflected, b=backward_model.b, name=backward_model.name + "-reflected"),
+        x_final, t_final, dt, n_paths, seed,
+    )
     return PathEnsemble(
-        times=times, paths=paths, b=backward_model.b, seed=seed, direction="backward"
+        times=ens.times, paths=ens.paths[..., ::-1], q_sum=ens.q_sum, q2_sum=ens.q2_sum,
+        b=backward_model.b, seed=seed, direction="backward",
     )
 
 
@@ -225,11 +269,16 @@ def sample_complex_increments(
     xi = rng.standard_normal(n_samples)
     xi_hat = rng.standard_normal(n_samples)
     dz = (b * xi + 1j * bhat * xi_hat) * np.sqrt(dt) / (np.sqrt(2) * sigma)
-    dz2 = dz * dz
-    dzdzbar = dz * np.conj(dz)
-    mean_dz = complex(dz.mean())
-    mean_dz2 = complex(dz2.mean())
-    mean_dzdzbar = complex(dzdzbar.mean())
+    del xi, xi_hat
+
+    def moment(samples: np.ndarray) -> tuple[complex, float]:
+        mean = complex(samples.mean())
+        return mean, float(np.abs(samples - mean).std() / np.sqrt(n_samples))
+
+    # each product of dz is formed only after the previous one is reduced
+    mean_dz, stderr_dz = moment(dz)
+    mean_dz2, stderr_dz2 = moment(dz * dz)
+    mean_dzdzbar, stderr_dzdzbar = moment(dz * np.conj(dz))
     return ComplexIncrementStats(
         n_samples=n_samples,
         dt=dt,
@@ -241,9 +290,9 @@ def sample_complex_increments(
         mean_dzdzbar=mean_dzdzbar,
         expected_dz2=complex(dt * (b**2 - bhat**2) / (b**2 + bhat**2)),
         expected_dzdzbar=complex(dt),
-        stderr_dz=float(np.abs(dz - mean_dz).std() / np.sqrt(n_samples)),
-        stderr_dz2=float(np.abs(dz2 - mean_dz2).std() / np.sqrt(n_samples)),
-        stderr_dzdzbar=float(np.abs(dzdzbar - mean_dzdzbar).std() / np.sqrt(n_samples)),
+        stderr_dz=stderr_dz,
+        stderr_dz2=stderr_dz2,
+        stderr_dzdzbar=stderr_dzdzbar,
     )
 
 
@@ -319,9 +368,10 @@ def estimate_velocities(
     Both differences are conditioned on the position at the *same* step
     ``k``: forward uses ``X(k+1) - X(k)``, backward uses ``X(k) - X(k-1)``.
     Steps ``k`` in ``t_index +- half_window`` are pooled, which is valid
-    whenever the velocity fields are steady over the window.  The default
-    bin width ``2 b sqrt(dt)`` keeps the single-step diffusive blur below
-    the bin scale.
+    whenever the velocity fields are steady over the window; the ensemble
+    must have stored the columns ``k_lo - 1 .. k_hi + 1`` this needs.  The
+    default bin width ``2 b sqrt(dt)`` keeps the single-step diffusive blur
+    below the bin scale.
     """
     dt = ens.dt
     m = ens.n_steps
@@ -331,12 +381,16 @@ def estimate_velocities(
     k_hi = min(m - 1, t_index + half_window)
     if k_lo > k_hi:
         raise ValueError("time window has no interior steps")
-    ks = np.arange(k_lo, k_hi + 1)
+    c = k_lo - ens.first  # stored column of step k_lo
+    w = k_hi - k_lo + 1
+    if c < 1 or c + w >= ens.paths.shape[-1]:
+        stored = (ens.first, ens.first + ens.paths.shape[-1] - 1)
+        raise ValueError(
+            f"steps {k_lo - 1}..{k_hi + 1} are needed but only {stored[0]}..{stored[1]} are stored"
+        )
 
-    x_here = ens.paths[:, ks].ravel()
-    fwd = ((ens.paths[:, ks + 1] - ens.paths[:, ks]) / dt).ravel()
-    bwd = ((ens.paths[:, ks] - ens.paths[:, ks - 1]) / dt).ravel()
-
+    here = ens.paths[:, c : c + w]
+    x_here = here.ravel()
     if x_range is None:
         lo, hi = np.quantile(x_here, [0.005, 0.995])
     else:
@@ -347,17 +401,20 @@ def estimate_velocities(
     edges = np.linspace(lo, hi, n_bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
 
-    idx = np.digitize(x_here, edges) - 1
-    inside = (idx >= 0) & (idx < n_bins)
-    idx = idx[inside]
-    fwd = fwd[inside]
-    bwd = bwd[inside]
+    # bins 0 and n_bins + 1 collect the samples outside [lo, hi) and are dropped
+    idx = np.digitize(x_here, edges)
+    del x_here
 
-    counts = np.bincount(idx, minlength=n_bins)
-    sums_f = np.bincount(idx, weights=fwd, minlength=n_bins)
-    sums_b = np.bincount(idx, weights=bwd, minlength=n_bins)
-    sq_f = np.bincount(idx, weights=fwd**2, minlength=n_bins)
-    sq_b = np.bincount(idx, weights=bwd**2, minlength=n_bins)
+    def binned(weights=None) -> np.ndarray:
+        return np.bincount(idx, weights=weights, minlength=n_bins + 2)[1:-1]
+
+    counts = binned()
+    fwd = ((ens.paths[:, c + 1 : c + 1 + w] - here) / dt).ravel()
+    sums_f, sq_f = binned(fwd), binned(fwd**2)
+    del fwd
+    bwd = ((here - ens.paths[:, c - 1 : c - 1 + w]) / dt).ravel()
+    sums_b, sq_b = binned(bwd), binned(bwd**2)
+    del bwd
 
     with np.errstate(invalid="ignore", divide="ignore"):
         mean_f = sums_f / counts
@@ -385,10 +442,10 @@ def estimate_velocities(
 
 @dataclass(frozen=True)
 class ActionEstimate:
-    """Monte-Carlo action value with its standard error."""
+    """Monte-Carlo action value with its standard error (arrays for a batch)."""
 
-    value: complex
-    stderr: float
+    value: complex | np.ndarray
+    stderr: float | np.ndarray
     n_paths: int
 
 
@@ -397,13 +454,14 @@ def estimate_diffusion(ens: PathEnsemble) -> tuple[float, float]:
 
     Averages ``(dX)^2 / dt`` over every step of every path.  The estimator
     carries an ``E[a^2] dt`` bias from the drift contribution, which is far
-    below one standard error at the step sizes used here.
+    below one standard error at the step sizes used here.  Reads the
+    ensemble's running sums, so it needs no stored columns.
     """
-    dt = ens.dt
-    samples = (np.diff(ens.paths, axis=1) ** 2 / dt).ravel()
-    mean = float(samples.mean())
-    stderr = float(samples.std(ddof=1) / np.sqrt(samples.size))
-    return mean, stderr
+    n = ens.n_paths * ens.n_steps
+    total = ens.q_sum.sum()
+    mean = total / n
+    var = (ens.q2_sum.sum() - mean * total) / (n - 1)
+    return float(mean), float(np.sqrt(var) / np.sqrt(n))
 
 
 def discretized_action(ens: PathEnsemble, alpha: int = 1) -> ActionEstimate:
@@ -414,22 +472,21 @@ def discretized_action(ens: PathEnsemble, alpha: int = 1) -> ActionEstimate:
     quadratic-variation contribution ``b^2`` per step is subtracted exactly.
     ``alpha`` selects the difference convention (1 forward, 0 backward);
     the compensated sum is the same telescoping expression for both, so the
-    parameter only asserts that the ensemble direction matches.
+    parameter only asserts that the ensemble direction matches.  Reads the
+    running sums; a batched ensemble gives arrays with one value and one
+    stderr per batch member.
     """
     if alpha not in (0, 1):
         raise ValueError("alpha must be 0 (backward) or 1 (forward)")
     want = "forward" if alpha == 1 else "backward"
     if ens.direction != want:
         raise ValueError(f"alpha={alpha} expects a {want} ensemble, got {ens.direction}")
-    dt = ens.dt
-    incr = np.diff(ens.paths, axis=1)
-    per_path = (incr**2 / dt - ens.b**2).sum(axis=1)
-    value = per_path.mean()
-    return ActionEstimate(
-        value=float(value),
-        stderr=float(per_path.std(ddof=1) / np.sqrt(ens.n_paths)),
-        n_paths=ens.n_paths,
-    )
+    per_path = ens.q_sum - ens.n_steps * ens.b**2
+    value = per_path.mean(axis=-1)
+    stderr = per_path.std(axis=-1, ddof=1) / np.sqrt(ens.n_paths)
+    if per_path.ndim == 1:
+        value, stderr = float(value), float(stderr)
+    return ActionEstimate(value=value, stderr=stderr, n_paths=ens.n_paths)
 
 
 def complex_action(ens: ComplexPathEnsemble) -> ActionEstimate:

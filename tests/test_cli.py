@@ -92,6 +92,64 @@ def test_config_value_of_wrong_type_exits_two_and_names_it(
     assert f"type {expected}" in result.output
 
 
+@pytest.mark.parametrize(
+    "overrides, key",
+    [({"seed": "x"}, "seed"), ({"seed": True}, "seed"), ({"seed": 1.5}, "seed"),
+     ({"threads": "x"}, "threads"), ({"threads": False}, "threads")],
+)
+def test_config_seed_and_threads_must_be_int(runner, tmp_path, overrides, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides))
+    result = runner.invoke(
+        main, ["run", "ga-identities", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    )
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert repr(key) in result.output
+    assert "type int" in result.output
+
+
+@pytest.mark.parametrize(
+    "experiment, overrides, flags, key",
+    [
+        ("colehopf-1d", {"n": 4}, [], "'n'"),
+        ("ga-identities", {"seed": -3}, [], "'seed'"),
+        ("ga-identities", {}, ["--seed", "-1"], "'seed'"),
+    ],
+)
+def test_value_the_experiment_rejects_exits_two_and_names_it(
+    runner, tmp_path, experiment, overrides, flags, key
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides))
+    result = runner.invoke(
+        main, ["run", experiment, "--config", str(cfg), "--out", str(tmp_path / "o"), *flags]
+    )
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert key in result.output
+
+
+def test_non_finite_check_value_is_echoed_and_fails(runner, tmp_path, monkeypatch):
+    from stochflow import cli
+    from stochflow.output import check
+
+    def fake_run(name, params, seed):
+        checks = [check("residual", float("nan"), 1e-3), check("floor", float("-inf"), 0.0)]
+        summary = {"experiment": name, "seed": seed, "params": params, "checks": checks,
+                   "metrics": {"peak": float("inf")}, "pass": False}
+        return {"summary": summary, "csvs": {}}
+
+    monkeypatch.setattr(cli, "run_experiment", fake_run)
+    out = tmp_path / "o"
+    result = runner.invoke(main, ["run", "ga-identities", "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert "[FAIL] residual: nan <= 0.001" in result.output
+    assert "[FAIL] floor: -inf <= 0" in result.output
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["metrics"]["peak"] == "inf"
+
+
 def test_config_int_accepted_for_float_parameter(runner, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"b": 1}))

@@ -188,3 +188,92 @@ def test_backward_drift_from_forward_at_stationarity():
     rho = ScalarField(grid, np.exp(kappa * np.cos(x)) / (2 * np.pi))
     back = backward_drift_from_forward(model, rho)
     assert np.max(np.abs(back.drift(x, 0.0) - c * np.sin(x))) < 1e-10
+
+
+# -- streaming against full-path references -----------------------------------
+
+def _reference_diffusion(paths, dt):
+    samples = (np.diff(paths, axis=1) ** 2 / dt).ravel()
+    return samples.mean(), samples.std(ddof=1) / np.sqrt(samples.size)
+
+
+def _reference_action(paths, dt, b):
+    per_path = (np.diff(paths, axis=1) ** 2 / dt - b**2).sum(axis=1)
+    return per_path.mean(), per_path.std(ddof=1) / np.sqrt(per_path.size)
+
+
+def _reference_velocities(paths, dt, b, t_index, half_window):
+    """Binned means on the full path array, with fancy indexing and masks."""
+    ks = np.arange(t_index - half_window, t_index + half_window + 1)
+    x_here = paths[:, ks].ravel()
+    fwd = ((paths[:, ks + 1] - paths[:, ks]) / dt).ravel()
+    bwd = ((paths[:, ks] - paths[:, ks - 1]) / dt).ravel()
+    lo, hi = np.quantile(x_here, [0.005, 0.995])
+    n_bins = max(4, int(np.ceil((hi - lo) / (2 * b * np.sqrt(dt)))))
+    idx = np.digitize(x_here, np.linspace(lo, hi, n_bins + 1)) - 1
+    inside = (idx >= 0) & (idx < n_bins)
+    idx, fwd, bwd = idx[inside], fwd[inside], bwd[inside]
+    counts = np.bincount(idx, minlength=n_bins)
+    out = {"counts": counts}
+    for name, diffs in (("forward", fwd), ("backward", bwd)):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            mean = np.bincount(idx, weights=diffs, minlength=n_bins) / counts
+            var = np.maximum(np.bincount(idx, weights=diffs**2, minlength=n_bins) / counts - mean**2, 0.0)
+        out[name] = mean
+        out[name + "_stderr"] = np.sqrt(var / counts)
+    return out
+
+
+def test_streaming_estimators_match_full_path_references():
+    t_final, dt, n_paths, seed = 0.4, 1e-2, 3_001, 19
+    t_index, half_window = 20, 4
+    full = simulate_forward(OU, ("gaussian", 0.3, 0.5), t_final, dt, n_paths, seed)
+    window = (t_index - half_window - 1, t_index + half_window + 2)
+    ens = simulate_forward(OU, ("gaussian", 0.3, 0.5), t_final, dt, n_paths, seed, window=window)
+    assert ens.first == window[0]
+    assert np.array_equal(ens.paths, full.paths[:, window[0] : window[1]])
+
+    ref = _reference_velocities(full.paths, dt, OU.b, t_index, half_window)
+    est = estimate_velocities(ens, t_index=t_index, half_window=half_window, min_count=0)
+    assert np.array_equal(est.counts, ref["counts"])
+    for name in ("forward", "backward"):
+        assert np.array_equal(getattr(est, name + "_drift"), ref[name], equal_nan=True)
+        assert np.array_equal(getattr(est, name + "_stderr"), ref[name + "_stderr"], equal_nan=True)
+
+    # the running sums add in another order than np.diff + sum
+    act = discretized_action(ens)
+    want = _reference_action(full.paths, dt, OU.b)
+    assert (act.value, act.stderr) == pytest.approx(want, rel=1e-12, abs=0)
+    want = _reference_diffusion(full.paths, dt)
+    assert estimate_diffusion(ens) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_batched_sweep_equals_separate_runs_bit_for_bit():
+    thetas = np.linspace(-1.0, 1.0, 5)
+    family = DiffusionModel(drift=lambda x, t: thetas[:, None] * np.sin(x), b=1.0, name="family")
+    args = (("gaussian", np.pi, 1.0), 0.3, 1e-2, 1_001, 8)
+    full = simulate_forward(family, *args)
+    windowed = simulate_forward(family, *args, window=(7, 12))
+    sweep = discretized_action(windowed)
+    assert full.paths.shape == (5, 1_001, 31) and windowed.paths.shape == (5, 1_001, 5)
+    for i, theta in enumerate(thetas):
+        single = simulate_forward(
+            DiffusionModel(drift=lambda x, t: theta * np.sin(x), b=1.0, name="one"), *args
+        )
+        assert np.array_equal(full.paths[i], single.paths)
+        assert np.array_equal(windowed.paths[i], single.paths[:, 7:12])
+        assert np.array_equal(windowed.q_sum[i], single.q_sum)
+        assert np.array_equal(windowed.q2_sum[i], single.q2_sum)
+        act = discretized_action(single)
+        assert (sweep.value[i], sweep.stderr[i]) == (act.value, act.stderr)
+
+
+def test_window_must_cover_the_estimate():
+    ens = simulate_forward(OU, 0.0, 0.2, 1e-2, 200, 4, window=(5, 16))
+    estimate_velocities(ens, t_index=10, half_window=4)  # needs columns 5..15
+    for t_index, half_window in ((10, 5), (11, 4), (9, 4)):
+        with pytest.raises(ValueError, match="stored"):
+            estimate_velocities(ens, t_index=t_index, half_window=half_window)
+    for window in ((-1, 3), (4, 3), (0, 22)):
+        with pytest.raises(ValueError, match="window"):
+            simulate_forward(OU, 0.0, 0.2, 1e-2, 10, 4, window=window)
