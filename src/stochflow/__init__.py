@@ -3,7 +3,7 @@
 The package connects three descriptions of the same dynamics and checks
 them against each other numerically:
 
-* paired forward/backward Ito diffusions and their mean (current/osmotic)
+* forward Ito diffusions and their mean forward/backward (current/osmotic)
   velocities, sampled by Monte Carlo;
 * the nonlinear velocity equations (viscous, antidiffusive, and complex
   Burgers variants) those velocities satisfy, solved directly;
@@ -23,11 +23,10 @@ from .fields import (
     antiderivative,
     derivative,
     field_from_function,
-    gradient_components,
     integrate,
     laplacian,
+    log_derivative,
     norms,
-    residual_norm,
 )
 from .clifford import (
     BLADE_NAMES,
@@ -36,9 +35,7 @@ from .clifford import (
     StretchSpec,
     check_prop_identities,
     contraction,
-    divergence,
     geometric_product,
-    grade,
     grad_wedge,
     gradient,
     linearization_cancellation,
@@ -49,20 +46,16 @@ from .clifford import (
 from .sde import (
     ActionEstimate,
     ComplexIncrementStats,
-    ComplexPathEnsemble,
     DiffusionModel,
     PathEnsemble,
     VelocityEstimate,
     backward_drift_from_forward,
-    complex_action,
     discretized_action,
     estimate_diffusion,
     estimate_velocities,
     make_rng,
     osmotic_velocity_from_density,
     sample_complex_increments,
-    simulate_backward,
-    simulate_complex,
     simulate_forward,
 )
 from .fokker_planck import (
@@ -101,8 +94,6 @@ from .born import (
     BornReport,
     VelocityDecomposition,
     born_pipeline,
-    conjugate_velocity_from_wavefunction,
-    density_from_wavefunction,
     evolve_density_continuity,
     madelung_wavefunction,
     normalize_wavefunction,

@@ -1,8 +1,8 @@
 """Closed-form reference solutions used as independent oracles.
 
 Every solver in this package is checked against at least one expression
-from this module.  The formulas are all classical: Gaussian heat kernels,
-Ornstein-Uhlenbeck densities, free and harmonically trapped wave packets,
+from this module.  The formulas are all classical: Gaussian densities,
+Ornstein-Uhlenbeck moments, free and harmonically trapped wave packets,
 and viscous Burgers profiles generated by the Cole-Hopf substitution.
 
 Conventions
@@ -23,13 +23,9 @@ import numpy as np
 
 __all__ = [
     "gaussian_density",
-    "wrapped_gaussian_density",
-    "heat_kernel_evolution",
     "ou_mean_variance",
-    "ou_stationary_density",
     "FreePacket",
     "HarmonicState",
-    "harmonic_superposition",
     "burgers_single_mode",
     "burgers_tanh_wave",
     "dispersion_omega",
@@ -41,27 +37,6 @@ def gaussian_density(x: np.ndarray, mean: float, var: float) -> np.ndarray:
     return np.exp(-((x - mean) ** 2) / (2 * var)) / np.sqrt(2 * np.pi * var)
 
 
-def wrapped_gaussian_density(
-    x: np.ndarray, mean: float, var: float, length: float, images: int = 3
-) -> np.ndarray:
-    """Gaussian density wrapped onto a circle of circumference ``length``.
-
-    Sums ``2 * images + 1`` periodic images, plenty for
-    ``sqrt(var) << length``.
-    """
-    total = np.zeros_like(np.asarray(x, dtype=float))
-    for m in range(-images, images + 1):
-        total += gaussian_density(x, mean + m * length, var)
-    return total
-
-
-def heat_kernel_evolution(
-    x: np.ndarray, t: float, b: float, mean0: float, var0: float
-) -> np.ndarray:
-    """Gaussian initial density spread by ``rho_t = (b^2/2) rho_xx``."""
-    return gaussian_density(x, mean0, var0 + b**2 * t)
-
-
 def ou_mean_variance(
     t: float, theta: float, b: float, mean0: float, var0: float
 ) -> tuple[float, float]:
@@ -70,11 +45,6 @@ def ou_mean_variance(
     mean = mean0 * decay
     var = var0 * decay**2 + (b**2 / (2 * theta)) * (1 - decay**2)
     return float(mean), float(var)
-
-
-def ou_stationary_density(x: np.ndarray, theta: float, b: float) -> np.ndarray:
-    """Invariant density of ``dX = -theta X dt + b dW``: normal with variance ``b^2/(2 theta)``."""
-    return gaussian_density(x, 0.0, b**2 / (2 * theta))
 
 
 @dataclass(frozen=True)
@@ -170,19 +140,6 @@ class HarmonicState:
 
     def psi(self, x: np.ndarray, t: float, n: int = 0) -> np.ndarray:
         return self.eigenfunction(x, n) * np.exp(-1j * self.omega * (n + 0.5) * t)
-
-
-def harmonic_superposition(
-    state: HarmonicState,
-    x: np.ndarray,
-    t: float,
-    amplitudes: dict[int, complex],
-) -> np.ndarray:
-    """Superposition of harmonic eigenstates with the exact phase of each level."""
-    total = np.zeros_like(np.asarray(x, dtype=float), dtype=np.complex128)
-    for n, c in amplitudes.items():
-        total = total + c * state.psi(x, t, n)
-    return total
 
 
 def burgers_single_mode(

@@ -33,7 +33,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Norms, ScalarField, antiderivative, derivative, integrate, spectral_multiplier
+from .fields import (
+    NODE_FLOOR_REL,
+    Norms,
+    ScalarField,
+    antiderivative,
+    derivative,
+    integrate,
+    log_derivative,
+    spectral_multiplier,
+)
 from .fokker_planck import (
     complex_fp_residual,
     continuity_residual,
@@ -46,15 +55,11 @@ __all__ = [
     "VelocityDecomposition",
     "BornReport",
     "velocity_from_wavefunction",
-    "conjugate_velocity_from_wavefunction",
-    "density_from_wavefunction",
     "normalize_wavefunction",
     "madelung_wavefunction",
     "evolve_density_continuity",
     "born_pipeline",
 ]
-
-NODE_FLOOR_REL = 1e-12
 
 #: steps per chunk of the streamed pipeline; a chunk buffer of 128 points is 2 MB
 CHUNK_STEPS = 1024
@@ -76,22 +81,15 @@ class VelocityDecomposition:
     coverage: float
 
 
-def _log_derivative(values: np.ndarray, dvalues: np.ndarray, coef: complex, floor_rel: float):
-    """``coef * dvalues / values`` for ``(rows, n)`` arrays, zero at the nodes, and the
-    mask of non-nodes: points where ``|values|`` clears ``floor_rel`` times its row maximum."""
-    mag = np.abs(values)
-    mask = mag > floor_rel * mag.max(axis=1, keepdims=True)
-    out = np.zeros(values.shape, dtype=np.complex128)
-    out[mask] = coef * dvalues[mask] / values[mask]
-    return out, mask
-
-
-def _decomposition(
-    f: ScalarField, coef: complex, scheme: str, floor_rel: float
+def velocity_from_wavefunction(
+    psi: ScalarField, b: float, floor_rel: float = NODE_FLOOR_REL
 ) -> VelocityDecomposition:
-    grid = f.grid
-    df = derivative(f, 0, scheme).values
-    v, mask = _log_derivative(f.values.reshape(1, -1), df.reshape(1, -1), coef, floor_rel)
+    """Extract ``V = -i b^2 (grad psi)/psi`` with node masking."""
+    grid = psi.grid
+    dpsi = derivative(psi, 0).values
+    v, mask = log_derivative(
+        psi.values.reshape(1, -1), dpsi.reshape(1, -1), -1j * b**2, floor_rel
+    )
     v, mask = v.reshape(grid.shape), mask.reshape(grid.shape)
     return VelocityDecomposition(
         complex_velocity=ScalarField(grid, v),
@@ -100,37 +98,6 @@ def _decomposition(
         mask=mask,
         coverage=float(mask.mean()),
     )
-
-
-def velocity_from_wavefunction(
-    psi: ScalarField,
-    b: float,
-    scheme: str = "spectral",
-    floor_rel: float = NODE_FLOOR_REL,
-) -> VelocityDecomposition:
-    """Extract ``V = -i b^2 (grad psi)/psi`` with node masking."""
-    return _decomposition(psi, -1j * b**2, scheme, floor_rel)
-
-
-def density_from_wavefunction(psi: ScalarField) -> ScalarField:
-    """Quadratic density ``F F*`` (not normalized)."""
-    return psi.abs2()
-
-
-def conjugate_velocity_from_wavefunction(
-    g: ScalarField,
-    b: float,
-    scheme: str = "spectral",
-    floor_rel: float = NODE_FLOOR_REL,
-) -> VelocityDecomposition:
-    """Extract ``U = +i b^2 (grad G)/G`` from the conjugated wave function.
-
-    For ``G = F*`` this gives ``U = V*``, so the current velocity (and with
-    it the transported density series) is *identical* to the forward
-    extraction while the osmotic part flips sign.  The decomposition keeps
-    the forward conventions: ``current = Re U``, ``osmotic = -Im U``.
-    """
-    return _decomposition(g, 1j * b**2, scheme, floor_rel)
 
 
 def normalize_wavefunction(psi: ScalarField, h: complex = 1.0) -> tuple[ScalarField, float]:
@@ -274,7 +241,7 @@ def born_pipeline(
             buf[r] = step(buf[r - 1])
         states = buf[: m + 1]  # steps i0 .. i0 + m
         dpsi = np.fft.ifft(np.fft.fft(states, axis=1) * mult, axis=1)
-        velocity, mask = _log_derivative(states, dpsi, -1j * b**2, NODE_FLOOR_REL)
+        velocity, mask = log_derivative(states, dpsi, -1j * b**2)
         history = evolve_density_continuity(ScalarField(grid, rho), np.real(velocity), dt)
         if not (np.isfinite(states).all() and np.isfinite(history).all()):
             raise ValueError("field contains non-finite entries")

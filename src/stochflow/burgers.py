@@ -46,6 +46,7 @@ from .fields import (
     ScalarField,
     antiderivative,
     derivative,
+    log_derivative,
     norms,
 )
 
@@ -119,7 +120,7 @@ class BurgersProblem:
         if self.potential is None:
             return None
         u_vals = np.asarray(self.potential(*self.grid.coords()), dtype=np.complex128)
-        du = derivative(ScalarField(self.grid, u_vals), 0, "spectral").values
+        du = derivative(ScalarField(self.grid, u_vals), 0).values
         return -du
 
 
@@ -128,7 +129,8 @@ class ColeHopfMap:
     """The substitution ``a = lam (grad F) / F`` for one variant.
 
     ``to_velocity`` uses the ratio form (no logarithm), so complex ``F``
-    needs no branch tracking.  ``from_velocity`` integrates the zero-mean
+    needs no branch tracking; both velocity maps raise ``ValueError`` at a
+    node of ``F``.  ``from_velocity`` integrates the zero-mean
     part of the velocity; the mean is returned as a Galilean boost that the
     caller must account for (a nonzero-mean periodic velocity has no
     single-valued ``F``).
@@ -141,29 +143,26 @@ class ColeHopfMap:
     def lam(self) -> complex:
         return solve_linearization_condition(self.variant, self.b)
 
-    def to_velocity(self, F: ScalarField, scheme: str = "spectral") -> ScalarField:
-        self._check_nodes(F)
-        dF = derivative(F, 0, scheme)
-        return ScalarField(F.grid, self.lam * dF.values / F.values)
+    def to_velocity(self, F: ScalarField) -> ScalarField:
+        return ScalarField(F.grid, self._ratio(F, derivative(F, 0).values))
 
-    def to_velocity_vector(self, F: ScalarField, scheme: str = "spectral") -> MultivectorField:
+    def to_velocity_vector(self, F: ScalarField) -> MultivectorField:
         """Vector form ``lam (grad F)/F`` on grids of any dimension."""
-        self._check_nodes(F)
-        g = gradient(F, scheme)
-        comps = [self.lam * c / F.values for c in g.vector_components()]
+        comps = [self._ratio(F, c) for c in gradient(F).vector_components()]
         return MultivectorField.from_vector_components(F.grid, comps)
 
-    def from_velocity(self, a: ScalarField, scheme: str = "spectral") -> tuple[ScalarField, complex]:
+    def from_velocity(self, a: ScalarField) -> tuple[ScalarField, complex]:
         mean = complex(np.mean(a.values))
         fluct = ScalarField(a.grid, a.values - mean)
         log_f = antiderivative(fluct, 0) * (1.0 / self.lam)
         return ScalarField(a.grid, np.exp(log_f.values)), mean
 
-    @staticmethod
-    def _check_nodes(F: ScalarField, floor_rel: float = 1e-12) -> None:
-        mag = np.abs(F.values)
-        if mag.min() < floor_rel * mag.max():
+    def _ratio(self, F: ScalarField, dF: np.ndarray) -> np.ndarray:
+        """``lam dF / F`` on the grid shape; a node of ``F`` is an error."""
+        ratio, mask = log_derivative(F.values.reshape(1, -1), dF.reshape(1, -1), self.lam)
+        if not mask.all():
             raise ValueError("F has a node; the velocity ratio is undefined there")
+        return ratio.reshape(F.grid.shape)
 
 
 # -- direct nonlinear solver --------------------------------------------------
@@ -204,7 +203,7 @@ def solve_burgers(
     ik = 1j * k
     n_steps = max(1, int(round(t_final / dt)))
     dt = t_final / n_steps
-    decay = np.exp(-nu * k**2 * dt)
+    decay = np.exp(-nu * grid.k_squared() * dt)
     # dealiasing by the 2/3 rule keeps the quadratic term clean
     keep = np.abs(k) <= (2.0 / 3.0) * np.max(np.abs(k))
 
@@ -258,13 +257,7 @@ def heat_evolve_spectral(F0: ScalarField, kappa: complex, t: float) -> ScalarFie
     """
     grid = F0.grid
     axes = tuple(range(grid.dim))
-    k_sq = np.zeros(grid.shape)
-    for axis in range(grid.dim):
-        k = grid.wavenumbers()
-        shape = [1] * grid.dim
-        shape[axis] = grid.n
-        k_sq = k_sq + k.reshape(shape) ** 2
-    factor = np.exp(-kappa * k_sq * t)
+    factor = np.exp(-kappa * grid.k_squared() * t)
     return ScalarField(grid, np.fft.ifftn(factor * np.fft.fftn(F0.values, axes=axes), axes=axes))
 
 
@@ -276,7 +269,6 @@ def geodesic_residual(
     a_center: ScalarField,
     a_plus: ScalarField,
     dt: float,
-    scheme: str = "spectral",
 ) -> ScalarField:
     """Pointwise residual ``a_t + a a_x - nu a_xx + U_x`` on a snapshot triple.
 
@@ -288,8 +280,8 @@ def geodesic_residual(
     """
     grid = a_center.grid
     da_dt = (a_plus.values - a_minus.values) / (2 * dt)
-    da_dx = derivative(a_center, 0, scheme).values
-    d2a = derivative(a_center, 0, scheme, order=2).values
+    da_dx = derivative(a_center, 0).values
+    d2a = derivative(a_center, 0, order=2).values
     res = da_dt + a_center.values * da_dx - problem.nu * d2a
     forcing = problem.forcing_values()
     if forcing is not None:
@@ -303,7 +295,6 @@ def real_chain_residual(
     u_plus: ScalarField,
     b: float,
     dt: float,
-    scheme: str = "spectral",
 ) -> dict[str, Norms]:
     r"""Two sides of the real substitution chain, evaluated independently.
 
@@ -327,16 +318,16 @@ def real_chain_residual(
 
     def drift_of(u: ScalarField) -> ScalarField:
         log_u = ScalarField(grid, np.log(np.real(u.values)))
-        return ScalarField(grid, b**2 * derivative(log_u, 0, scheme).values)
+        return ScalarField(grid, b**2 * derivative(log_u, 0).values)
 
     a_m, a_c, a_p = drift_of(u_minus), drift_of(u_center), drift_of(u_plus)
     problem = BurgersProblem(grid=grid, b=b, variant="forward")
-    lhs = geodesic_residual(problem, a_m, a_c, a_p, dt, scheme)
+    lhs = geodesic_residual(problem, a_m, a_c, a_p, dt)
 
     u_t = (u_plus.values - u_minus.values) / (2 * dt)
-    u_xx = derivative(u_center, 0, scheme, order=2).values
+    u_xx = derivative(u_center, 0, order=2).values
     inner = (u_t + 0.5 * b**2 * u_xx) / u_center.values
-    rhs_vals = b**2 * derivative(ScalarField(grid, inner), 0, scheme).values
+    rhs_vals = b**2 * derivative(ScalarField(grid, inner), 0).values
     rhs = ScalarField(grid, rhs_vals)
 
     return {
@@ -346,9 +337,7 @@ def real_chain_residual(
     }
 
 
-def inversion_diagnostic(
-    a: ScalarField, scheme: str = "spectral", floor_rel: float = 1e-10
-) -> dict:
+def inversion_diagnostic(a: ScalarField, floor_rel: float = 1e-10) -> dict:
     """Evaluate the literal inversion ``u = (log a)_x`` of the substitution.
 
     The substitution maps ``u`` to ``a = b^2 (log u)_x``; reading the map
@@ -359,7 +348,7 @@ def inversion_diagnostic(
     the degeneracy visible instead of hiding it.
     """
     vals = np.real(a.values)
-    da = np.real(derivative(a, 0, scheme).values)
+    da = np.real(derivative(a, 0).values)
     scale = max(np.max(np.abs(vals)), 1e-300)
     ok = (vals > floor_rel * scale) & (np.abs(da) > floor_rel * scale)
     u_literal = np.full(a.grid.shape, np.nan)

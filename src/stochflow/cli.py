@@ -13,7 +13,6 @@ wrong type or one the experiment rejects, unwritable output directory).
 from __future__ import annotations
 
 import json
-import os
 import platform
 import sys
 import time
@@ -50,17 +49,18 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
-def _merge_params(defaults: dict, config: dict, name: str) -> tuple[dict, dict]:
-    """Overlay config values on the defaults; unknown keys and values whose
-    type differs from the default's (an int may stand for a float, a bool
-    for nothing) are an error.  ``seed`` and ``threads`` must be ints."""
-    reserved = {}
+def _merge_params(defaults: dict, config: dict, name: str) -> tuple[dict, int | None]:
+    """Overlay config values on the defaults and return them with the config's
+    ``seed`` (None if absent); unknown keys and values whose type differs from
+    the default's (an int may stand for a float, a bool for nothing) are an
+    error.  A ``seed`` must be an int."""
+    seed = None
     params = dict(defaults)
     for key, value in config.items():
-        if key in ("seed", "threads"):
+        if key == "seed":
             if isinstance(value, bool) or not isinstance(value, int):
                 _fail_config(f"{key!r} in the config file must be of type int, got {json.dumps(value)}")
-            reserved[key] = value
+            seed = value
             continue
         if key not in defaults:
             _fail_config(
@@ -75,21 +75,7 @@ def _merge_params(defaults: dict, config: dict, name: str) -> tuple[dict, dict]:
                 f"{expected.__name__}, got {json.dumps(value)}"
             )
         params[key] = value
-    return params, reserved
-
-
-def _resolve_threads(cli_value: int | None, config_value) -> int:
-    if cli_value is not None:
-        return cli_value
-    if config_value is not None:
-        return config_value
-    env = os.environ.get("STOCHFLOW_THREADS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            _fail_config(f"STOCHFLOW_THREADS={env!r} is not an integer")
-    return 1
+    return params, seed
 
 
 def _number(value) -> str:
@@ -132,19 +118,16 @@ def describe(experiment: str) -> None:
 @click.option("--seed", type=int, default=None, help="RNG seed (default 1234).")
 @click.option("--out", "out_dir", type=str, default=None,
               help="Output directory (default ./runs/<experiment>).")
-@click.option("--threads", type=int, default=None,
-              help="Worker threads; falls back to STOCHFLOW_THREADS, then 1.")
 def run(experiment: str, config_path: str | None, seed: int | None,
-        out_dir: str | None, threads: int | None) -> None:
+        out_dir: str | None) -> None:
     """Run one experiment and write summary.json, manifest.json, and CSVs."""
     spec = EXPERIMENTS[experiment]
     config = _load_config(config_path)
-    params, reserved = _merge_params(spec.defaults, config, experiment)
+    params, config_seed = _merge_params(spec.defaults, config, experiment)
     if seed is None:
-        seed = reserved.get("seed", _DEFAULT_SEED)
+        seed = _DEFAULT_SEED if config_seed is None else config_seed
     if seed < 0:
         _fail_config(f"'seed' must be non-negative, got {seed}")
-    n_threads = _resolve_threads(threads, reserved.get("threads"))
 
     target = Path(out_dir) if out_dir is not None else Path("runs") / experiment
     try:
@@ -154,7 +137,9 @@ def run(experiment: str, config_path: str | None, seed: int | None,
 
     t0 = time.perf_counter()
     try:
-        result = run_experiment(experiment, params, seed)
+        # a non-finite value is caught by the checks or by ScalarField, not warned about
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            result = run_experiment(experiment, params, seed)
     except ValueError as exc:
         overridden = sorted(set(config) & set(spec.defaults))
         if not overridden:  # the defaults must always run: a program error
@@ -175,7 +160,6 @@ def run(experiment: str, config_path: str | None, seed: int | None,
             {
                 "experiment": experiment,
                 "runtime_seconds": elapsed,
-                "threads": n_threads,
                 "package_version": __version__,
                 "python_version": platform.python_version(),
                 "numpy_version": np.__version__,

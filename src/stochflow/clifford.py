@@ -34,9 +34,7 @@ __all__ = [
     "scalar_product",
     "wedge",
     "contraction",
-    "grade",
     "gradient",
-    "divergence",
     "grad_wedge",
     "stretched_gradient",
     "check_prop_identities",
@@ -156,15 +154,6 @@ def geometric_product(A: Multivector, B: Multivector) -> Multivector:
     return Multivector(_product(A.coeffs, B.coeffs))
 
 
-def grade(A: Multivector, k: int) -> Multivector:
-    """Grade projection ``<A>_k``."""
-    c = A.coeffs.copy()
-    for idx, g in enumerate(GRADES):
-        if g != k:
-            c[idx] = 0.0
-    return Multivector(c)
-
-
 def scalar_product(A: Multivector, B: Multivector) -> complex:
     """Symmetric scalar product ``A * B = <AB>_0``."""
     return complex(_product(A.coeffs, B.coeffs)[0])
@@ -252,24 +241,16 @@ class MultivectorField:
 
 # -- geometric calculus on grids -------------------------------------------
 
-def gradient(f: ScalarField, scheme: str = "spectral") -> MultivectorField:
+def gradient(f: ScalarField) -> MultivectorField:
     r"""Geometric gradient :math:`\nabla f = e^j \partial_{x_j} f`.
 
     On a 1-D grid only the ``e1`` component is populated.
     """
-    comps = [derivative(f, axis, scheme).values for axis in range(f.grid.dim)]
+    comps = [derivative(f, axis).values for axis in range(f.grid.dim)]
     return MultivectorField.from_vector_components(f.grid, comps)
 
 
-def divergence(w: MultivectorField, scheme: str = "spectral") -> ScalarField:
-    r"""Contraction part of the geometric derivative of a vector field."""
-    total = np.zeros(w.grid.shape, dtype=np.complex128)
-    for axis, comp in enumerate(w.vector_components()):
-        total += derivative(ScalarField(w.grid, comp), axis, scheme).values
-    return ScalarField(w.grid, total)
-
-
-def grad_wedge(w: MultivectorField, scheme: str = "spectral") -> MultivectorField:
+def grad_wedge(w: MultivectorField) -> MultivectorField:
     r"""Wedge part :math:`\nabla \wedge w` of the derivative of a vector field.
 
     Returns a bivector field with ``e_ij`` coefficient
@@ -283,8 +264,8 @@ def grad_wedge(w: MultivectorField, scheme: str = "spectral") -> MultivectorFiel
     for (i, j), blade in pair_to_blade.items():
         if max(i, j) >= grid.dim:
             continue
-        di_wj = derivative(ScalarField(grid, comps[j]), i, scheme).values
-        dj_wi = derivative(ScalarField(grid, comps[i]), j, scheme).values
+        di_wj = derivative(ScalarField(grid, comps[j]), i).values
+        dj_wi = derivative(ScalarField(grid, comps[i]), j).values
         out[blade] = di_wj - dj_wi
     return MultivectorField(grid, out)
 
@@ -305,15 +286,13 @@ class StretchSpec:
         return cls((lam, lam, lam))
 
 
-def stretched_gradient(f: ScalarField, s: StretchSpec, scheme: str = "spectral") -> MultivectorField:
+def stretched_gradient(f: ScalarField, s: StretchSpec) -> MultivectorField:
     r"""Stretched gradient :math:`C(\nabla) f = c_k e^k \partial_{x_k} f`.
 
     Only constant stretch vectors are supported; the commutation identities
     below are false otherwise.
     """
-    comps = [
-        s.c[axis] * derivative(f, axis, scheme).values for axis in range(f.grid.dim)
-    ]
+    comps = [s.c[axis] * derivative(f, axis).values for axis in range(f.grid.dim)]
     return MultivectorField.from_vector_components(f.grid, comps)
 
 
@@ -331,7 +310,6 @@ def _vector_norms(coeff_stack: np.ndarray, grid: GridSpec) -> Norms:
 def check_prop_identities(
     f: ScalarField,
     s: StretchSpec,
-    scheme: str = "spectral",
     aux: ScalarField | None = None,
 ) -> dict[str, Norms]:
     r"""Discrete residuals of the stretched-gradient identities.
@@ -369,21 +347,21 @@ def check_prop_identities(
     h = 0.1
     g_vals = [np.cos(m * h) for m in range(3)]
     dt_then_stretch = stretched_gradient(
-        ScalarField(grid, f.values * ((g_vals[2] - g_vals[0]) / (2 * h))), s, scheme
+        ScalarField(grid, f.values * ((g_vals[2] - g_vals[0]) / (2 * h))), s
     )
-    series = [stretched_gradient(ScalarField(grid, f.values * g), s, scheme) for g in g_vals]
+    series = [stretched_gradient(ScalarField(grid, f.values * g), s) for g in g_vals]
     stretch_then_dt = MultivectorField(
         grid, (series[2].coeffs - series[0].coeffs) / (2 * h)
     )
     r_time = _vector_norms((dt_then_stretch - stretch_then_dt).coeffs[1:4], grid)
 
     # 2. commutation with the Laplacian
-    lap_then_stretch = stretched_gradient(laplacian(f, scheme), s, scheme)
-    w = stretched_gradient(f, s, scheme)
+    lap_then_stretch = stretched_gradient(laplacian(f), s)
+    w = stretched_gradient(f, s)
     stretch_then_lap = MultivectorField(
         grid,
         np.stack(
-            [laplacian(ScalarField(grid, comp), scheme).values for comp in w.coeffs]
+            [laplacian(ScalarField(grid, comp)).values for comp in w.coeffs]
         ),
     )
     r_lap = _vector_norms((lap_then_stretch - stretch_then_lap).coeffs[1:4], grid)
@@ -394,8 +372,8 @@ def check_prop_identities(
     lhs = np.zeros(grid.shape, dtype=np.complex128)
     rhs = np.zeros(grid.shape, dtype=np.complex128)
     for axis in range(grid.dim):
-        df = derivative(f, axis, scheme).values
-        dg = derivative(aux, axis, scheme).values
+        df = derivative(f, axis).values
+        dg = derivative(aux, axis).values
         lhs += (c[axis] * df) * dg
         rhs += df * (c[axis] * dg)
     r_sym = norms(ScalarField(grid, lhs - rhs))
@@ -406,14 +384,14 @@ def check_prop_identities(
     for comp in wc:
         w_sq += comp * comp
     half_grad = [
-        0.5 * derivative(ScalarField(grid, w_sq), axis, scheme).values
+        0.5 * derivative(ScalarField(grid, w_sq), axis).values
         for axis in range(grid.dim)
     ]
     convective = []
     for j in range(grid.dim):
         acc = np.zeros(grid.shape, dtype=np.complex128)
         for k in range(grid.dim):
-            acc += wc[k] * derivative(ScalarField(grid, wc[j]), k, scheme).values
+            acc += wc[k] * derivative(ScalarField(grid, wc[j]), k).values
         convective.append(acc)
     r_conv = _vector_norms(
         np.stack([convective[j] - half_grad[j] for j in range(grid.dim)]), grid
@@ -428,7 +406,7 @@ def check_prop_identities(
 
 
 def linearization_cancellation(
-    F: ScalarField, b: float, lam: complex | None = None, scheme: str = "spectral"
+    F: ScalarField, b: float, lam: complex | None = None
 ) -> Norms:
     r"""Residual of the exact-linearization identity of the Cole-Hopf proof.
 
@@ -451,7 +429,7 @@ def linearization_cancellation(
         raise ValueError("log F undefined: F has a zero node")
     logF = ScalarField(grid, np.log(F.values.astype(np.complex128)))
 
-    grads = [derivative(logF, axis, scheme).values for axis in range(grid.dim)]
+    grads = [derivative(logF, axis).values for axis in range(grid.dim)]
     stretched_sq = np.zeros(grid.shape, dtype=np.complex128)
     plain_sq = np.zeros(grid.shape, dtype=np.complex128)
     for g in grads:
@@ -461,7 +439,7 @@ def linearization_cancellation(
 
     residual_comps = []
     for axis in range(grid.dim):
-        term1 = derivative(ScalarField(grid, stretched_sq), axis, scheme).values
-        term2 = 1j * b**2 * lam * derivative(ScalarField(grid, plain_sq), axis, scheme).values
+        term1 = derivative(ScalarField(grid, stretched_sq), axis).values
+        term2 = 1j * b**2 * lam * derivative(ScalarField(grid, plain_sq), axis).values
         residual_comps.append(term1 + term2)
     return _vector_norms(np.stack(residual_comps), grid)

@@ -38,11 +38,10 @@ from .analytic import (
     gaussian_density,
     ou_mean_variance,
 )
-from .born import born_pipeline, velocity_from_wavefunction, conjugate_velocity_from_wavefunction
+from .born import born_pipeline
 from .burgers import (
     BurgersProblem,
     ColeHopfMap,
-    geodesic_residual,
     heat_evolve_spectral,
     inversion_diagnostic,
     real_chain_residual,
@@ -574,7 +573,7 @@ def _run_variational(p: dict, seed: int):
     sweep = simulate_forward(
         family, ("gaussian", np.pi, 1.0), p["t_final"], p["dt"], p["n_paths"], seed, window=(0, 0)
     )
-    act = discretized_action(sweep, alpha=1)
+    act = discretized_action(sweep)
     values, errors = act.value, act.stderr
 
     zero_idx = int(np.argmin(np.abs(thetas)))
@@ -588,7 +587,7 @@ def _run_variational(p: dict, seed: int):
     const_ens = simulate_forward(
         const_model, 0.0, p["t_final"], p["dt"], p["n_paths"], seed + 1, window=(0, 0)
     )
-    const_act = discretized_action(const_ens, alpha=1)
+    const_act = discretized_action(const_ens)
     const_value = const_act.value
     z_const = abs(const_value - p["t_final"]) / const_act.stderr
 
@@ -876,7 +875,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         },
         describe=(
             "Complex-viscosity velocity equation (nu = +i b^2/2): integrate it\n"
-            "directly with a pseudo-spectral scheme and, independently, evolve the\n"
+            "directly with a pseudo-spectral method and, independently, evolve the\n"
             "linearizing field F by the wave equation and apply V = -i b^2 F'/F.\n"
             "Thresholds: the two routes agree to L_inf <= 1e-2 (expected ~1e-7);\n"
             "transform route vs closed form <= 1e-8; lambda root residual == 0."

@@ -2,14 +2,12 @@
 
 Everything downstream (Fokker-Planck, Burgers, Schrodinger, the Born
 pipeline) works on fields sampled on a uniform periodic grid ``[0, L)^dim``
-with ``dim`` equal to 1 or 3.  Two derivative schemes are provided:
-
-``spectral``
-    FFT-based differentiation, exact (to round-off) for band-limited data.
-    The Nyquist mode is zeroed for odd derivative orders so that the
-    derivative of a real field stays real.
-``central2``
-    Second-order centred finite differences with periodic wrap-around.
+with ``dim`` equal to 1 or 3.  Derivatives are spectral: FFT-based,
+exact (to round-off) for band-limited data.  The Nyquist mode is zeroed
+for odd derivative orders so that the derivative of a real field stays
+real.  The grid supplies ``|k|^2`` (:meth:`GridSpec.k_squared`) for the
+exact Fourier propagators, and :func:`log_derivative` is the one kernel
+for the Cole-Hopf ratio ``lam (grad F) / F`` with node masking.
 
 Fields store complex values uniformly; a "real" field is simply one whose
 imaginary part is negligible.  All operations are pure: they return new
@@ -19,11 +17,12 @@ objects and never mutate their inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
-SCHEMES = ("central2", "spectral")
+#: relative floor on ``|F|`` below which :func:`log_derivative` treats a point as a node
+NODE_FLOOR_REL = 1e-12
 
 __all__ = [
     "GridSpec",
@@ -32,11 +31,10 @@ __all__ = [
     "GridMismatchError",
     "derivative",
     "laplacian",
-    "gradient_components",
     "integrate",
     "norms",
-    "residual_norm",
     "antiderivative",
+    "log_derivative",
     "spectral_multiplier",
     "field_from_function",
     "require_same_grid",
@@ -49,7 +47,7 @@ class GridMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform periodic grid on ``[0, L)^dim`` plus time-step metadata.
+    """Uniform periodic grid on ``[0, L)^dim``.
 
     Parameters
     ----------
@@ -61,17 +59,11 @@ class GridSpec:
     n : int
         Number of points per axis (``n >= 8``; powers of two keep the
         FFTs fast).
-    dt : float
-        Default time step used by solvers constructed on this grid.
-    t_final : float
-        Default time horizon.
     """
 
     dim: int
     length: float
     n: int
-    dt: float = 1e-3
-    t_final: float = 1.0
 
     def __post_init__(self):
         if self.dim not in (1, 3):
@@ -80,8 +72,6 @@ class GridSpec:
             raise ValueError(f"need at least 8 points per axis, got {self.n}")
         if self.length <= 0:
             raise ValueError("domain length must be positive")
-        if self.dt <= 0 or self.t_final <= 0:
-            raise ValueError("dt and t_final must be positive")
 
     @property
     def dx(self) -> float:
@@ -107,6 +97,16 @@ class GridSpec:
     def wavenumbers(self) -> np.ndarray:
         """Angular wavenumbers ``k_j = 2*pi*m/L`` along one axis (FFT order)."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
+
+    def k_squared(self) -> np.ndarray:
+        """``|k|^2`` on the grid shape (FFT order): the Fourier symbol of ``-lap``."""
+        k = self.wavenumbers()
+        k_sq = np.zeros(self.shape)
+        for axis in range(self.dim):
+            shape = [1] * self.dim
+            shape[axis] = self.n
+            k_sq = k_sq + k.reshape(shape) ** 2
+        return k_sq
 
 
 @dataclass(frozen=True)
@@ -196,11 +196,6 @@ def field_from_function(grid: GridSpec, fn: Callable[..., np.ndarray]) -> Scalar
     return ScalarField(grid, np.asarray(fn(*grid.coords()), dtype=np.complex128))
 
 
-def _check_scheme(scheme: str) -> None:
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
-
-
 def spectral_multiplier(grid: GridSpec, order: int = 1) -> np.ndarray:
     """Fourier multiplier ``(i k)^order`` of the spectral derivative, in FFT order."""
     mult = (1j * grid.wavenumbers()) ** order
@@ -217,42 +212,18 @@ def _spectral_derivative(values: np.ndarray, grid: GridSpec, axis: int, order: i
     return np.fft.ifft(fk * spectral_multiplier(grid, order).reshape(shape), axis=axis)
 
 
-def _central_derivative(values: np.ndarray, grid: GridSpec, axis: int, order: int) -> np.ndarray:
-    up = np.roll(values, -1, axis=axis)
-    down = np.roll(values, 1, axis=axis)
-    if order == 1:
-        return (up - down) / (2.0 * grid.dx)
-    if order == 2:
-        return (up - 2.0 * values + down) / grid.dx**2
-    raise ValueError("central2 supports derivative orders 1 and 2 only")
-
-
-def derivative(f: ScalarField, axis: int = 0, scheme: str = "spectral", order: int = 1) -> ScalarField:
+def derivative(f: ScalarField, axis: int = 0, order: int = 1) -> ScalarField:
     """Partial derivative ``d^order f / dx_axis^order`` on the periodic grid."""
-    _check_scheme(scheme)
     if not 0 <= axis < f.grid.dim:
         raise ValueError(f"axis {axis} out of range for dim {f.grid.dim}")
-    if scheme == "spectral":
-        out = _spectral_derivative(f.values, f.grid, axis, order)
-    else:
-        out = _central_derivative(f.values, f.grid, axis, order)
-    return ScalarField(f.grid, out)
+    return ScalarField(f.grid, _spectral_derivative(f.values, f.grid, axis, order))
 
 
-def gradient_components(f: ScalarField, scheme: str = "spectral") -> tuple[ScalarField, ...]:
-    """All first partial derivatives of ``f``, one ScalarField per axis."""
-    return tuple(derivative(f, axis, scheme) for axis in range(f.grid.dim))
-
-
-def laplacian(f: ScalarField, scheme: str = "spectral") -> ScalarField:
+def laplacian(f: ScalarField) -> ScalarField:
     r"""Laplacian :math:`\sum_j \partial^2_{x_j} f`."""
-    _check_scheme(scheme)
     total = np.zeros_like(f.values)
     for axis in range(f.grid.dim):
-        if scheme == "spectral":
-            total += _spectral_derivative(f.values, f.grid, axis, 2)
-        else:
-            total += _central_derivative(f.values, f.grid, axis, 2)
+        total += _spectral_derivative(f.values, f.grid, axis, 2)
     return ScalarField(f.grid, total)
 
 
@@ -267,12 +238,6 @@ def norms(f: ScalarField) -> Norms:
         l_inf=float(mag.max()),
         l2=float(np.sqrt(np.sum(mag**2) * f.grid.cell_volume)),
     )
-
-
-def residual_norm(lhs: ScalarField, rhs: ScalarField) -> Norms:
-    """Norms of ``lhs - rhs``; the fields must share a grid."""
-    require_same_grid(lhs, rhs)
-    return norms(lhs - rhs)
 
 
 def antiderivative(f: ScalarField, axis: int = 0, mean_tol: float = 1e-9) -> ScalarField:
@@ -296,3 +261,15 @@ def antiderivative(f: ScalarField, axis: int = 0, mean_tol: float = 1e-9) -> Sca
     inv[1:] = 1.0 / (1j * k[1:])
     out = np.fft.ifft(fk * inv.reshape(shape), axis=axis)
     return ScalarField(f.grid, out)
+
+
+def log_derivative(values: np.ndarray, dvalues: np.ndarray, coef: complex,
+                   floor_rel: float = NODE_FLOOR_REL) -> tuple[np.ndarray, np.ndarray]:
+    """``coef * dvalues / values`` for ``(rows, points)`` arrays, zero at the nodes, and
+    the mask of non-nodes: points where ``|values|`` clears ``floor_rel`` times its row
+    maximum.  With ``values = F`` and ``dvalues = grad F`` this is the Cole-Hopf ratio."""
+    mag = np.abs(values)
+    mask = mag > floor_rel * mag.max(axis=1, keepdims=True)
+    out = np.zeros(values.shape, dtype=np.complex128)
+    out[mask] = coef * dvalues[mask] / values[mask]
+    return out, mask

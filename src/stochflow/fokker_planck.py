@@ -10,9 +10,9 @@ well-posed forward diffusion in the reflected time variable with advection
 ``-a_b``, which is how ``solve_backward`` treats it.
 
 ``discrete_stationary_density`` builds the *exact* stationary point of the
-discrete update by zeroing every interface flux of the same scheme; this
+discrete update by zeroing every interface flux of the same update; this
 is the right object to test fixed-point claims against, since the analytic
-stationary density is only an O(dx) stationary point of an upwind scheme.
+stationary density is only an O(dx) stationary point of an upwind update.
 
 The complex-velocity density equations
 
@@ -171,7 +171,6 @@ def complex_fp_residual(
     b: float,
     dt: float,
     variant: str = "forward",
-    scheme: str = "spectral",
 ) -> Norms:
     """Residual of the complex density equation on three consecutive snapshots.
 
@@ -185,8 +184,8 @@ def complex_fp_residual(
     grid = rho_center.grid
     d_rho_dt = (rho_plus.values - rho_minus.values) / (2 * dt)
     vel = velocity.values if variant == "forward" else np.conj(velocity.values)
-    transport = derivative(ScalarField(grid, vel * rho_center.values), 0, scheme).values
-    diff = derivative(ScalarField(grid, b**2 * rho_center.values), 0, scheme, order=2).values
+    transport = derivative(ScalarField(grid, vel * rho_center.values), 0).values
+    diff = derivative(ScalarField(grid, b**2 * rho_center.values), 0, order=2).values
     sign = 1j / 2 if variant == "forward" else -1j / 2
     return norms(ScalarField(grid, d_rho_dt + transport + sign * diff))
 
@@ -197,22 +196,21 @@ def continuity_residual(
     rho_plus: ScalarField,
     current_velocity: ScalarField,
     dt: float,
-    scheme: str = "spectral",
 ) -> Norms:
     """Residual of ``rho_t + (v rho)_x = 0`` with a centred time difference."""
     grid = rho_center.grid
     d_rho_dt = (rho_plus.values - rho_minus.values) / (2 * dt)
     transport = derivative(
-        ScalarField(grid, current_velocity.values * rho_center.values), 0, scheme
+        ScalarField(grid, current_velocity.values * rho_center.values), 0
     ).values
     return norms(ScalarField(grid, d_rho_dt + transport))
 
 
 def osmotic_constraint_residual(
-    rho: ScalarField, osmotic_velocity: ScalarField, b: float, scheme: str = "spectral"
+    rho: ScalarField, osmotic_velocity: ScalarField, b: float
 ) -> Norms:
     """Residual of the instantaneous constraint ``(u rho)_x = (b^2/2) rho_xx``."""
     grid = rho.grid
-    lhs = derivative(ScalarField(grid, osmotic_velocity.values * rho.values), 0, scheme).values
-    rhs = 0.5 * derivative(ScalarField(grid, b**2 * rho.values), 0, scheme, order=2).values
+    lhs = derivative(ScalarField(grid, osmotic_velocity.values * rho.values), 0).values
+    rhs = 0.5 * derivative(ScalarField(grid, b**2 * rho.values), 0, order=2).values
     return norms(ScalarField(grid, lhs - rhs))

@@ -12,7 +12,7 @@ other:
 ``cn``
     Crank-Nicolson with a second-order periodic finite-difference
     Laplacian, solved by a sparse LU factorization computed once.  The
-    scheme is unitary because the discrete Hamiltonian is Hermitian.
+    method is unitary because the discrete Hamiltonian is Hermitian.
 
 Dividing the equation by ``b^2`` shows the effective propagator is
 ``exp(-i t H / b^2)`` with ``H = -(b^4/2) lap + U``; both methods preserve
@@ -107,13 +107,7 @@ def energy(psi: ScalarField, b: float, potential_values: np.ndarray | None = Non
 
 
 def _kinetic_phase(grid: GridSpec, b: float, dt: float) -> np.ndarray:
-    k_sq = np.zeros(grid.shape)
-    for axis in range(grid.dim):
-        k = grid.wavenumbers()
-        shape = [1] * grid.dim
-        shape[axis] = grid.n
-        k_sq = k_sq + k.reshape(shape) ** 2
-    return np.exp(-0.5j * b**2 * k_sq * dt)
+    return np.exp(-0.5j * b**2 * grid.k_squared() * dt)
 
 
 def _cn_matrices(problem: SchrodingerProblem, dt: float):

@@ -1,25 +1,21 @@
-"""Path sampling and pathwise statistics for real and complex diffusions.
+"""Path sampling and pathwise statistics for real diffusions and complex noise.
 
 Real processes follow ``dX = a(X, t) dt + b dW`` and are integrated with
-Euler-Maruyama in one loop, ``simulate_forward``.  It streams: it stores
-only the window of time columns the caller asks for (by default all of
-them), and keeps per-path running sums of ``q = (dX)^2 / dt`` and ``q^2``
-over every step, which is all the quadratic-variation and action
+forward Euler-Maruyama in one loop, ``simulate_forward``.  It streams: it
+stores only the window of time columns the caller asks for (by default all
+of them), and keeps per-path running sums of ``q = (dX)^2 / dt`` and
+``q^2`` over every step, which is all the quadratic-variation and action
 estimators read.  A drift may broadcast the state to a leading batch axis,
 such as one member per parameter of a sweep; the members share the initial
 samples and every per-step draw, so each trajectory is bit-identical to a
-separate run.  Time-reversed ensembles are generated by integrating the
-reflected process with the same loop and flipping the time axis, so their
-increments satisfy the *backward* difference equation
-``X(t) - X(t - dt) = a_b(X(t), t) dt + b dW`` with the drift evaluated at
-the later endpoint.
+separate run.  The backward velocity is estimated from the same forward
+paths, by the backward difference ``X(t) - X(t - dt)``.
 
-Complex processes follow ``dX = V dt + sqrt(-i) sigma dZ`` where the
-complex noise ``dZ = (b dW + i bhat dW') / (sqrt(2) sigma)`` mixes two
-independent Wiener processes and ``sigma^2 = (b^2 + bhat^2) / 2``.  Its
+The complex noise ``dZ = (b dW + i bhat dW') / (sqrt(2) sigma)`` mixes two
+independent Wiener processes, with ``sigma^2 = (b^2 + bhat^2) / 2``.  Its
 defining moments are ``E[dZ dZ*] = dt`` and
 ``E[dZ^2] = dt (b^2 - bhat^2) / (b^2 + bhat^2)``, which vanishes in the
-balanced case ``b = bhat``.
+balanced case ``b = bhat``; ``sample_complex_increments`` checks them.
 
 All randomness flows through a counter-based Philox generator keyed by an
 explicit integer seed; repeated runs are bit-identical.
@@ -37,19 +33,15 @@ from .fields import ScalarField, derivative
 __all__ = [
     "DiffusionModel",
     "PathEnsemble",
-    "ComplexPathEnsemble",
     "ComplexIncrementStats",
     "VelocityEstimate",
     "ActionEstimate",
     "make_rng",
     "simulate_forward",
-    "simulate_backward",
     "sample_complex_increments",
-    "simulate_complex",
     "estimate_velocities",
     "estimate_diffusion",
     "discretized_action",
-    "complex_action",
     "osmotic_velocity_from_density",
     "backward_drift_from_forward",
 ]
@@ -75,16 +67,13 @@ class DiffusionModel:
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """A bundle of sample paths on a shared uniform time mesh.
+    """A bundle of forward sample paths on a shared uniform time mesh.
 
-    ``times`` is the whole mesh and ascends regardless of the simulation
-    direction.  ``paths[..., p, j]`` is path ``p`` at ``times[first + j]``:
-    only the columns the simulation was asked to keep are stored.  Any
-    leading axes are batch axes (one per drift of a batched sweep).
-    ``q_sum[..., p]`` and ``q2_sum[..., p]`` are the sums over *every* step
-    of ``q = (dX)^2 / dt`` and of ``q^2`` along path ``p``.  ``direction``
-    records which difference equation the increments satisfy ("forward" or
-    "backward").
+    ``times`` is the whole mesh.  ``paths[..., p, j]`` is path ``p`` at
+    ``times[first + j]``: only the columns the simulation was asked to keep
+    are stored.  Any leading axes are batch axes (one per drift of a batched
+    sweep).  ``q_sum[..., p]`` and ``q2_sum[..., p]`` are the sums over
+    *every* step of ``q = (dX)^2 / dt`` and of ``q^2`` along path ``p``.
     """
 
     times: np.ndarray = field(repr=False)
@@ -93,7 +82,6 @@ class PathEnsemble:
     q2_sum: np.ndarray = field(repr=False)
     b: float = 1.0
     seed: int = 0
-    direction: str = "forward"
     first: int = 0
 
     def __post_init__(self):
@@ -102,8 +90,6 @@ class PathEnsemble:
             raise ValueError("paths must be (..., n_paths, n_stored) within the time mesh")
         if self.q_sum.shape != self.paths.shape[:-1] or self.q2_sum.shape != self.q_sum.shape:
             raise ValueError("running sums must be (..., n_paths)")
-        if self.direction not in ("forward", "backward"):
-            raise ValueError("direction must be 'forward' or 'backward'")
 
     @property
     def n_paths(self) -> int:
@@ -112,25 +98,6 @@ class PathEnsemble:
     @property
     def n_steps(self) -> int:
         return self.times.shape[0] - 1
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-
-@dataclass(frozen=True)
-class ComplexPathEnsemble:
-    """Sample paths of the complex process; see the module docstring."""
-
-    times: np.ndarray = field(repr=False)
-    paths: np.ndarray = field(repr=False)
-    b: float = 1.0
-    bhat: float = 1.0
-    seed: int = 0
-
-    @property
-    def n_paths(self) -> int:
-        return self.paths.shape[0]
 
     @property
     def dt(self) -> float:
@@ -201,43 +168,11 @@ def simulate_forward(
         paths[..., m - first] = x
     return PathEnsemble(
         times=times, paths=paths, q_sum=q_sum, q2_sum=q2_sum,
-        b=model.b, seed=seed, direction="forward", first=first,
-    )
-
-
-def simulate_backward(
-    backward_model: DiffusionModel,
-    x_final,
-    t_final: float,
-    dt: float,
-    n_paths: int,
-    seed: int,
-) -> PathEnsemble:
-    """Ensemble of the time-reversed process, pinned at ``t = t_final``.
-
-    ``backward_model.drift`` is the backward drift: the returned paths
-    satisfy ``X(t) - X(t-dt) = drift(X(t), t) dt + b dW`` with the drift at
-    the later endpoint.  This is a forward integration of the reflected
-    process ``dY = -drift(Y, T - tau) dtau + b dW`` with its time axis
-    flipped; squared increments, and so the running sums, are unchanged.
-    """
-    def reflected(y: np.ndarray, tau: float) -> np.ndarray:
-        return -backward_model.drift(y, t_final - tau)
-
-    ens = simulate_forward(
-        DiffusionModel(drift=reflected, b=backward_model.b, name=backward_model.name + "-reflected"),
-        x_final, t_final, dt, n_paths, seed,
-    )
-    return PathEnsemble(
-        times=ens.times, paths=ens.paths[..., ::-1], q_sum=ens.q_sum, q2_sum=ens.q2_sum,
-        b=backward_model.b, seed=seed, direction="backward",
+        b=model.b, seed=seed, first=first,
     )
 
 
 # -- complex noise -----------------------------------------------------------
-
-_ROOT_MINUS_I = np.exp(-0.25j * np.pi)
-
 
 @dataclass(frozen=True)
 class ComplexIncrementStats:
@@ -296,38 +231,6 @@ def sample_complex_increments(
     )
 
 
-def simulate_complex(
-    velocity: Callable[[np.ndarray, float], np.ndarray],
-    b: float,
-    bhat: float,
-    x0,
-    t_final: float,
-    dt: float,
-    n_paths: int,
-    seed: int,
-) -> ComplexPathEnsemble:
-    """Euler ensemble of ``dX = V dt + sqrt(-i) sigma dZ`` in the complex plane.
-
-    The noise term reduces to ``exp(-i pi/4) (b xi + i bhat xi') sqrt(dt/2)``
-    per step; the mixing amplitude ``sigma`` cancels.
-    """
-    rng = make_rng(seed)
-    times = _time_mesh(t_final, dt)
-    paths = np.empty((n_paths, times.size), dtype=np.complex128)
-    x0_arr = np.asarray(x0, dtype=np.complex128)
-    x = np.full(n_paths, complex(x0_arr)) if x0_arr.ndim == 0 else x0_arr.copy()
-    if x.shape != (n_paths,):
-        raise ValueError("x0 array must have one entry per path")
-    paths[:, 0] = x
-    amp = np.sqrt(dt / 2)
-    for k in range(times.size - 1):
-        xi = rng.standard_normal(n_paths)
-        xi_hat = rng.standard_normal(n_paths)
-        x = x + velocity(x, float(times[k])) * dt + _ROOT_MINUS_I * (b * xi + 1j * bhat * xi_hat) * amp
-        paths[:, k + 1] = x
-    return ComplexPathEnsemble(times=times, paths=paths, b=b, bhat=bhat, seed=seed)
-
-
 # -- pathwise estimators ------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -355,6 +258,15 @@ class VelocityEstimate:
         return np.isfinite(self.forward_drift) & np.isfinite(self.backward_drift)
 
 
+def _require_unbatched(ens: PathEnsemble) -> None:
+    """The estimators pool the paths of one ensemble; a batch has no single answer."""
+    if ens.paths.ndim != 2:
+        raise ValueError(
+            f"paths of shape {ens.paths.shape} are batched; the estimator needs "
+            "(n_paths, n_stored): estimate each batch member separately"
+        )
+
+
 def estimate_velocities(
     ens: PathEnsemble,
     t_index: int | None = None,
@@ -369,10 +281,11 @@ def estimate_velocities(
     ``k``: forward uses ``X(k+1) - X(k)``, backward uses ``X(k) - X(k-1)``.
     Steps ``k`` in ``t_index +- half_window`` are pooled, which is valid
     whenever the velocity fields are steady over the window; the ensemble
-    must have stored the columns ``k_lo - 1 .. k_hi + 1`` this needs.  The
-    default bin width ``2 b sqrt(dt)`` keeps the single-step diffusive blur
-    below the bin scale.
+    must have stored the columns ``k_lo - 1 .. k_hi + 1`` this needs, and
+    must not be batched.  The default bin width ``2 b sqrt(dt)`` keeps the
+    single-step diffusive blur below the bin scale.
     """
+    _require_unbatched(ens)
     dt = ens.dt
     m = ens.n_steps
     if t_index is None:
@@ -444,7 +357,7 @@ def estimate_velocities(
 class ActionEstimate:
     """Monte-Carlo action value with its standard error (arrays for a batch)."""
 
-    value: complex | np.ndarray
+    value: float | np.ndarray
     stderr: float | np.ndarray
     n_paths: int
 
@@ -455,8 +368,10 @@ def estimate_diffusion(ens: PathEnsemble) -> tuple[float, float]:
     Averages ``(dX)^2 / dt`` over every step of every path.  The estimator
     carries an ``E[a^2] dt`` bias from the drift contribution, which is far
     below one standard error at the step sizes used here.  Reads the
-    ensemble's running sums, so it needs no stored columns.
+    ensemble's running sums, so it needs no stored columns.  A batched
+    ensemble is an error.
     """
+    _require_unbatched(ens)
     n = ens.n_paths * ens.n_steps
     total = ens.q_sum.sum()
     mean = total / n
@@ -464,23 +379,15 @@ def estimate_diffusion(ens: PathEnsemble) -> tuple[float, float]:
     return float(mean), float(np.sqrt(var) / np.sqrt(n))
 
 
-def discretized_action(ens: PathEnsemble, alpha: int = 1) -> ActionEstimate:
+def discretized_action(ens: PathEnsemble) -> ActionEstimate:
     r"""Discretized kinetic action of a real ensemble.
 
     Computes :math:`E \sum_k [ (\Delta X_k)^2 / \Delta t - b^2 ]`, whose
     expectation is :math:`E \int a^2 dt` for Euler-Maruyama paths: the
     quadratic-variation contribution ``b^2`` per step is subtracted exactly.
-    ``alpha`` selects the difference convention (1 forward, 0 backward);
-    the compensated sum is the same telescoping expression for both, so the
-    parameter only asserts that the ensemble direction matches.  Reads the
-    running sums; a batched ensemble gives arrays with one value and one
-    stderr per batch member.
+    Reads the running sums; a batched ensemble gives arrays with one value
+    and one stderr per batch member.
     """
-    if alpha not in (0, 1):
-        raise ValueError("alpha must be 0 (backward) or 1 (forward)")
-    want = "forward" if alpha == 1 else "backward"
-    if ens.direction != want:
-        raise ValueError(f"alpha={alpha} expects a {want} ensemble, got {ens.direction}")
     per_path = ens.q_sum - ens.n_steps * ens.b**2
     value = per_path.mean(axis=-1)
     stderr = per_path.std(axis=-1, ddof=1) / np.sqrt(ens.n_paths)
@@ -489,38 +396,20 @@ def discretized_action(ens: PathEnsemble, alpha: int = 1) -> ActionEstimate:
     return ActionEstimate(value=value, stderr=stderr, n_paths=ens.n_paths)
 
 
-def complex_action(ens: ComplexPathEnsemble) -> ActionEstimate:
-    r"""Discretized complex action :math:`E \sum_k (\Delta X_k)^2 / \Delta t`.
-
-    No compensator is needed: the balanced complex noise has
-    ``E[dZ^2] = 0`` when ``b = bhat``, so the quadratic variation cancels
-    in expectation and the value approximates :math:`E \int V^2 dt`.
-    """
-    dt = ens.dt
-    incr = np.diff(ens.paths, axis=1)
-    per_path = (incr**2 / dt).sum(axis=1)
-    value = complex(per_path.mean())
-    return ActionEstimate(
-        value=value,
-        stderr=float(np.abs(per_path - value).std(ddof=1) / np.sqrt(ens.n_paths)),
-        n_paths=ens.n_paths,
-    )
-
-
 # -- density-based velocity constructions ------------------------------------
 
-def osmotic_velocity_from_density(rho: ScalarField, b: float, scheme: str = "spectral") -> ScalarField:
+def osmotic_velocity_from_density(rho: ScalarField, b: float) -> ScalarField:
     r"""Osmotic velocity ``u = (b^2/2) d/dx log rho`` of a positive density."""
     vals = np.real(rho.values)
     if vals.min() <= 0:
         raise ValueError("density must be strictly positive to take log")
     log_rho = ScalarField(rho.grid, np.log(vals))
-    d = derivative(log_rho, 0, scheme)
+    d = derivative(log_rho, 0)
     return ScalarField(rho.grid, 0.5 * b**2 * d.values)
 
 
 def backward_drift_from_forward(
-    model: DiffusionModel, rho: ScalarField, scheme: str = "spectral"
+    model: DiffusionModel, rho: ScalarField
 ) -> DiffusionModel:
     """Backward-drift model ``a_b = a - 2u`` built from the forward model and density.
 
@@ -530,7 +419,7 @@ def backward_drift_from_forward(
     """
     grid = rho.grid
     x = grid.axis
-    u = np.real(osmotic_velocity_from_density(rho, model.b, scheme).values)
+    u = np.real(osmotic_velocity_from_density(rho, model.b).values)
     a_fwd = np.real(np.asarray(model.drift(x, 0.0), dtype=np.complex128))
     table = a_fwd - 2 * u
     period = grid.length

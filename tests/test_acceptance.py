@@ -4,17 +4,25 @@ Every criterion drives the corresponding packaged experiment at its
 default parameters (seed 1234) and asserts the relevant checks.  Each test
 emits one ``[PASS]``/``[FAIL]`` line with the measured values and their
 thresholds; the lines bypass output capture so they are always visible.
+The same runs are compared against the stored default summaries.
 """
 
+import json
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from stochflow.cli import main as cli_main
 from stochflow.experiments import EXPERIMENTS, run_experiment
+from stochflow.output import jsonable
 
 _SEED = 1234
+#: the default ``summary.json`` of every experiment at seed 1234
+_FIXTURES = Path(__file__).parent / "fixtures" / "summaries"
+#: a stored value matches within this relative or absolute gap, whichever is looser
+_REL_TOL, _ABS_TOL = 1e-12, 1e-15
 _CACHE: dict = {}
 _CAPSYS = None
 
@@ -192,3 +200,38 @@ def test_criterion_10_reruns_byte_identical(tmp_path):
     note = "summary.json and CSVs byte-identical across re-runs"
     _emit(f"[{'PASS' if identical else 'FAIL'}] criterion 10 (determinism): {note}")
     assert identical
+
+
+def _mismatches(got, want, path="summary") -> list[str]:
+    """Where ``got`` differs from ``want``: verdicts and text exactly, numbers
+    within ``_REL_TOL`` relative or ``_ABS_TOL`` absolute."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        if got.keys() != want.keys():
+            return [f"{path}: keys {sorted(got)} != {sorted(want)}"]
+        return [m for k in want for m in _mismatches(got[k], want[k], f"{path}.{k}")]
+    if isinstance(want, list) and isinstance(got, list):
+        if len(got) != len(want):
+            return [f"{path}: length {len(got)} != {len(want)}"]
+        return [m for i, (g, w) in enumerate(zip(got, want)) for m in _mismatches(g, w, f"{path}[{i}]")]
+    numbers = (isinstance(want, (int, float)) and isinstance(got, (int, float))
+               and not isinstance(want, bool) and not isinstance(got, bool))
+    if numbers:
+        if abs(got - want) <= max(_REL_TOL * abs(want), _ABS_TOL):
+            return []
+    elif got == want and type(got) is type(want):
+        return []
+    return [f"{path}: {got!r} != stored {want!r}"]
+
+
+def test_stored_summaries_cover_every_experiment():
+    assert sorted(p.stem for p in _FIXTURES.glob("*.json")) == sorted(EXPERIMENTS)
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_default_summary_matches_stored(name):
+    out, _ = _run(name)
+    got = json.loads(json.dumps(jsonable(out["summary"])))
+    want = json.loads((_FIXTURES / f"{name}.json").read_text())
+    assert [c["pass"] for c in got["checks"]] == [c["pass"] for c in want["checks"]]
+    assert got["pass"] is want["pass"]
+    assert _mismatches(got, want) == []

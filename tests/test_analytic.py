@@ -3,6 +3,7 @@ into the equations they claim to solve (symbolically where practical,
 numerically otherwise).  Everything else in the suite leans on these
 oracles, so they are checked first and independently."""
 
+
 import math
 
 import numpy as np
@@ -16,12 +17,10 @@ from stochflow.analytic import (
     burgers_tanh_wave,
     dispersion_omega,
     gaussian_density,
-    harmonic_superposition,
-    heat_kernel_evolution,
     ou_mean_variance,
-    ou_stationary_density,
-    wrapped_gaussian_density,
 )
+from stochflow.burgers import heat_evolve_spectral
+from stochflow.fields import GridSpec, ScalarField
 
 X, T = sp.symbols("x t", real=True)
 NU, C, K, EPS, B, THETA = sp.symbols("nu c k epsilon b theta", positive=True)
@@ -189,14 +188,14 @@ def test_energy_ladder(trap):
 def test_superposition_phases(trap):
     # the two-level superposition density oscillates at the level spacing
     x = np.linspace(2.0, 14.0, 1501)
-    amps = {0: 1 / math.sqrt(2), 1: 1 / math.sqrt(2)}
     period = 2 * np.pi * trap.b**2 / (trap.energy(1) - trap.energy(0))
-    rho0 = np.abs(harmonic_superposition(trap, x, 0.0, amps)) ** 2
-    rho_half = np.abs(harmonic_superposition(trap, x, period / 2, amps)) ** 2
-    rho_full = np.abs(harmonic_superposition(trap, x, period, amps)) ** 2
-    assert np.max(np.abs(rho_full - rho0)) < 1e-10
+
+    def rho(t: float) -> np.ndarray:
+        return np.abs((trap.psi(x, t, 0) + trap.psi(x, t, 1)) / math.sqrt(2)) ** 2
+
+    assert np.max(np.abs(rho(period) - rho(0.0))) < 1e-10
     # half a period mirrors the density about the centre
-    assert np.max(np.abs(rho_half - rho0[::-1])) < 1e-10
+    assert np.max(np.abs(rho(period / 2) - rho(0.0)[::-1])) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -209,23 +208,22 @@ def test_gaussian_density_normalization():
     assert np.trapezoid(rho, x) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_wrapped_gaussian_periodic_and_normalized():
-    L = 5.0
-    x = np.linspace(0, L, 2001)
-    rho = wrapped_gaussian_density(x, 4.8, 0.3, L)  # mean near the seam
-    assert rho[0] == pytest.approx(rho[-1], rel=1e-12)
-    assert np.trapezoid(rho, x) == pytest.approx(1.0, abs=1e-8)
-
-
 def test_heat_kernel_spreads_variance():
-    x = np.linspace(-30, 30, 30001)
-    rho = heat_kernel_evolution(x, 2.0, 1.1, 0.0, 0.5)
-    var = np.trapezoid(x**2 * rho, x)
-    assert var == pytest.approx(0.5 + 1.1**2 * 2.0, rel=1e-10)
+    # the exact Fourier heat propagator turns a Gaussian of variance v0 into
+    # the heat kernel of variance v0 + b^2 t
+    grid = GridSpec(dim=1, length=60.0, n=1024)
+    x = grid.axis
+    b, t, var0 = 1.1, 2.0, 0.5
+    rho0 = ScalarField(grid, gaussian_density(x, 30.0, var0))
+    rho = np.real(heat_evolve_spectral(rho0, b**2 / 2, t).values)
+    assert np.max(np.abs(rho - gaussian_density(x, 30.0, var0 + b**2 * t))) < 1e-12
+    var = np.sum((x - 30.0) ** 2 * rho) * grid.dx
+    assert var == pytest.approx(var0 + b**2 * t, rel=1e-10)
 
 
 def test_ou_stationary_density_matches_moment_limit():
+    # long after the start the OU law is the normal of variance b^2 / (2 theta)
+    mean, var = ou_mean_variance(50.0, 2.0, 1.5, 0.7, 0.1)
     x = np.linspace(-10, 10, 10001)
-    rho = ou_stationary_density(x, 2.0, 1.5)
-    var = np.trapezoid(x**2 * rho, x)
-    assert var == pytest.approx(1.5**2 / (2 * 2.0), rel=1e-10)
+    rho = gaussian_density(x, mean, var)
+    assert np.trapezoid(x**2 * rho, x) == pytest.approx(1.5**2 / (2 * 2.0), rel=1e-10)

@@ -1,5 +1,5 @@
-"""Quadratic-density pipeline: velocity extraction, gauge and conjugate
-symmetries, phase reconstruction, and continuity-only transport."""
+"""Quadratic-density pipeline: velocity extraction, the gauge symmetry,
+phase reconstruction, and continuity-only transport."""
 
 import dataclasses
 
@@ -11,8 +11,6 @@ from stochflow.born import (
     CHUNK_STEPS,
     BornReport,
     born_pipeline,
-    conjugate_velocity_from_wavefunction,
-    density_from_wavefunction,
     evolve_density_continuity,
     madelung_wavefunction,
     normalize_wavefunction,
@@ -48,21 +46,6 @@ def test_velocity_extraction_matches_analytic(packet_setup):
     assert np.max(np.abs(dec.osmotic.values[safe] - pk.osmotic_velocity(grid.axis, t)[safe])) < 1e-9
     # masked-out points carry zero velocity by policy
     assert np.all(dec.complex_velocity.values[~m] == 0)
-
-
-def test_conjugate_extraction_mirrors_forward(packet_setup):
-    grid, pk = packet_setup
-    t = 0.4
-    psi = ScalarField(grid, pk.psi(grid.axis, t))
-    fwd = velocity_from_wavefunction(psi, pk.b)
-    bwd = conjugate_velocity_from_wavefunction(psi.conj(), pk.b)
-    safe = np.abs(psi.values) > 1e-4 * np.abs(psi.values).max()
-    # U = V*: identical current velocity, opposite osmotic sign convention
-    assert np.max(np.abs(
-        bwd.complex_velocity.values[safe] - np.conj(fwd.complex_velocity.values[safe])
-    )) < 1e-10
-    assert np.max(np.abs(bwd.current.values[safe] - fwd.current.values[safe])) < 1e-10
-    assert np.max(np.abs(bwd.osmotic.values[safe] + fwd.osmotic.values[safe])) < 1e-10
 
 
 def test_normalization_gauge_branch(packet_setup):
@@ -140,14 +123,6 @@ def test_born_pipeline_requires_enough_snapshots(packet_setup):
     prob = SchrodingerProblem(grid=grid, b=pk.b, psi0=psi0)
     with pytest.raises(ValueError):
         born_pipeline(prob, 1e-3, 1e-3)  # a single step cannot be analysed
-
-
-def test_density_from_wavefunction_is_squared_modulus(packet_setup):
-    grid, pk = packet_setup
-    psi = ScalarField(grid, pk.psi(grid.axis, 0.2))
-    rho = density_from_wavefunction(psi)
-    assert np.max(np.abs(rho.values - np.abs(psi.values) ** 2)) < 1e-15
-    assert rho.is_real()
 
 
 def _reference_report(problem, t_final, dt, method):

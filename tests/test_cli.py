@@ -1,10 +1,15 @@
 """Command-line contract: exit codes, config handling, deterministic output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import stochflow
 from stochflow.cli import main
 from stochflow.experiments import EXPERIMENTS
 
@@ -67,6 +72,19 @@ def test_unknown_config_key_exits_two_and_names_it(runner, tmp_path):
     assert "not_a_real_knob" in result.output
 
 
+def test_threads_is_an_unknown_parameter(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": 4}))
+    result = runner.invoke(
+        main, ["run", "ga-identities", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    )
+    assert result.exit_code == 2
+    assert "unknown parameter 'threads'" in result.output
+    result = runner.invoke(main, ["run", "ga-identities", "--threads", "4"])
+    assert result.exit_code == 2
+    assert "--threads" in result.output
+
+
 @pytest.mark.parametrize(
     "experiment, overrides, key, expected",
     [
@@ -94,10 +112,9 @@ def test_config_value_of_wrong_type_exits_two_and_names_it(
 
 @pytest.mark.parametrize(
     "overrides, key",
-    [({"seed": "x"}, "seed"), ({"seed": True}, "seed"), ({"seed": 1.5}, "seed"),
-     ({"threads": "x"}, "threads"), ({"threads": False}, "threads")],
+    [({"seed": "x"}, "seed"), ({"seed": True}, "seed"), ({"seed": 1.5}, "seed")],
 )
-def test_config_seed_and_threads_must_be_int(runner, tmp_path, overrides, key):
+def test_config_seed_must_be_int(runner, tmp_path, overrides, key):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(overrides))
     result = runner.invoke(
@@ -200,15 +217,22 @@ def test_config_seed_used_when_no_flag(runner, tmp_path):
     assert json.loads((out / "summary.json").read_text())["seed"] == 99
 
 
-def test_threads_env_fallback(runner, tmp_path, monkeypatch):
-    monkeypatch.setenv("STOCHFLOW_THREADS", "4")
-    out = tmp_path / "o"
-    result = runner.invoke(main, ["run", "ga-identities", "--out", str(out)])
-    assert result.exit_code == 0
-    assert json.loads((out / "manifest.json").read_text())["threads"] == 4
-    monkeypatch.setenv("STOCHFLOW_THREADS", "many")
-    result = runner.invoke(main, ["run", "ga-identities", "--out", str(tmp_path / "p")])
-    assert result.exit_code == 2
+def test_solver_breakdown_prints_only_the_error_line(tmp_path):
+    # eps = 1.2 drives the direct Burgers solve to overflow; the user sees the
+    # exit-2 message alone, not NumPy's RuntimeWarning lines before it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eps": 1.2}))
+    env = dict(os.environ, PYTHONPATH=str(Path(stochflow.__file__).parents[1]))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "stochflow.cli", "run", "burgers-direct-vs-ch",
+         "--config", str(cfg), "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: ") and "'eps'" in lines[0]
 
 
 def test_failing_check_exits_one(runner, tmp_path):

@@ -12,10 +12,8 @@ from stochflow.clifford import (
     StretchSpec,
     check_prop_identities,
     contraction,
-    divergence,
     geometric_product,
     grad_wedge,
-    grade,
     gradient,
     linearization_cancellation,
     scalar_product,
@@ -85,16 +83,6 @@ def test_scalar_product_signature():
     assert scalar_product(Multivector.basis("e1"), Multivector.basis("e2")) == 0
 
 
-def test_grade_projection_bookkeeping():
-    A = mv([1, 2, 0, 0, 3, 0, 0, 4])
-    assert grade(A, 0)["1"] == 1
-    assert grade(A, 1)["e1"] == 2
-    assert grade(A, 2)["e12"] == 3
-    assert grade(A, 3)["e123"] == 4
-    total = grade(A, 0) + grade(A, 1) + grade(A, 2) + grade(A, 3)
-    assert is_zero(total - A)
-
-
 # ---------------------------------------------------------------------------
 # ring axioms, exact on small integer coefficients
 # ---------------------------------------------------------------------------
@@ -160,14 +148,6 @@ def test_gradient_of_gradient_has_no_bivector_part(grid):
     # the curl of a gradient vanishes: grad ^ grad f = 0
     f = field_from_function(grid, lambda x, y, z: np.sin(x + 2 * y) * np.cos(z))
     assert grad_wedge(gradient(f)).max_abs() < 1e-10
-
-
-def test_divergence_of_gradient_is_laplacian(grid):
-    f = field_from_function(grid, lambda x, y, z: np.cos(2 * x) + np.sin(y) * np.sin(z))
-    xs = grid.coords()
-    div = divergence(gradient(f))
-    exact = -4 * np.cos(2 * xs[0]) - 2 * np.sin(xs[1]) * np.sin(xs[2])
-    assert np.max(np.abs(div.values - exact)) < 1e-10
 
 
 def test_stretched_gradient_scales_components(grid):

@@ -12,11 +12,10 @@ from stochflow.fields import (
     antiderivative,
     derivative,
     field_from_function,
-    gradient_components,
     integrate,
     laplacian,
+    log_derivative,
     norms,
-    residual_norm,
 )
 
 
@@ -66,7 +65,7 @@ def test_spectral_derivative_exact_on_trig():
     grid = GridSpec(dim=1, length=2 * np.pi, n=64)
     x = grid.axis
     f = ScalarField(grid, np.sin(3 * x) + 0.5 * np.cos(5 * x))
-    df = derivative(f, 0, "spectral")
+    df = derivative(f, 0)
     exact = 3 * np.cos(3 * x) - 2.5 * np.sin(5 * x)
     assert np.max(np.abs(df.values - exact)) < 1e-12
 
@@ -75,21 +74,8 @@ def test_second_derivative_exact_on_trig():
     grid = GridSpec(dim=1, length=2 * np.pi, n=64)
     x = grid.axis
     f = ScalarField(grid, np.cos(4 * x))
-    d2 = derivative(f, 0, "spectral", order=2)
+    d2 = derivative(f, 0, order=2)
     assert np.max(np.abs(d2.values + 16 * np.cos(4 * x))) < 1e-11
-
-
-def test_central2_is_second_order():
-    # halving dx must cut the error by ~4
-    errs = []
-    for n in (64, 128):
-        grid = GridSpec(dim=1, length=2 * np.pi, n=n)
-        x = grid.axis
-        f = ScalarField(grid, np.sin(x))
-        df = derivative(f, 0, "central2")
-        errs.append(np.max(np.abs(df.values - np.cos(x))))
-    ratio = errs[0] / errs[1]
-    assert 3.5 < ratio < 4.5
 
 
 @settings(max_examples=25, deadline=None)
@@ -101,18 +87,35 @@ def test_spectral_derivative_single_mode_property(k, amp):
     grid = GridSpec(dim=1, length=2 * np.pi, n=64)
     x = grid.axis
     f = ScalarField(grid, amp * np.sin(k * x))
-    df = derivative(f, 0, "spectral")
+    df = derivative(f, 0)
     assert np.max(np.abs(df.values - amp * k * np.cos(k * x))) < 1e-10 * amp * k
 
 
 def test_gradient_components_3d():
     grid = GridSpec(dim=3, length=2 * np.pi, n=16)
     f = field_from_function(grid, lambda x, y, z: np.sin(x) * np.cos(y) + z * 0)
-    gx, gy, gz = gradient_components(f)
+    gx, gy, gz = (derivative(f, axis).values for axis in range(3))
     xs = grid.coords()
-    assert np.max(np.abs(gx.values - np.cos(xs[0]) * np.cos(xs[1]))) < 1e-12
-    assert np.max(np.abs(gy.values + np.sin(xs[0]) * np.sin(xs[1]))) < 1e-12
-    assert np.max(np.abs(gz.values)) < 1e-13
+    assert np.max(np.abs(gx - np.cos(xs[0]) * np.cos(xs[1]))) < 1e-12
+    assert np.max(np.abs(gy + np.sin(xs[0]) * np.sin(xs[1]))) < 1e-12
+    assert np.max(np.abs(gz)) < 1e-13
+
+
+def test_k_squared_is_the_laplacian_symbol():
+    grid = GridSpec(dim=3, length=2 * np.pi, n=16)
+    f = field_from_function(grid, lambda x, y, z: np.sin(x) + np.cos(2 * y) + np.sin(3 * z))
+    lap = np.fft.ifftn(-grid.k_squared() * np.fft.fftn(f.values))
+    assert np.max(np.abs(lap - laplacian(f).values)) < 1e-11
+    k = grid.wavenumbers()
+    assert grid.k_squared()[1, 2, 3] == k[1] ** 2 + k[2] ** 2 + k[3] ** 2
+
+
+def test_log_derivative_masks_nodes_per_row():
+    values = np.array([[2.0, 1e-14, 4.0], [1.0, 1.0, 0.0]], dtype=np.complex128)
+    dvalues = np.ones_like(values)
+    ratio, mask = log_derivative(values, dvalues, 3.0)
+    assert mask.tolist() == [[True, False, True], [True, True, False]]
+    assert ratio.tolist() == [[1.5, 0.0, 0.75], [3.0, 3.0, 0.0]]
 
 
 def test_laplacian_matches_mode_eigenvalue():
@@ -139,7 +142,7 @@ def test_antiderivative_roundtrip():
     x = grid.axis
     f = ScalarField(grid, np.cos(2 * x) - 0.3 * np.sin(5 * x))
     F = antiderivative(f)
-    back = derivative(F, 0, "spectral")
+    back = derivative(F, 0)
     assert np.max(np.abs(back.values - f.values)) < 1e-12
 
 
@@ -157,7 +160,7 @@ def test_norms_and_residual():
     assert nm.l_inf == pytest.approx(2.0)
     assert nm.l2 == pytest.approx(2.0)  # rms-style norm of a constant
     g = ScalarField(grid, np.full(16, 2.5))
-    assert residual_norm(f, g).l_inf == pytest.approx(0.5)
+    assert norms(g - f).l_inf == pytest.approx(0.5)
 
 
 def test_nyquist_mode_removed_in_odd_derivative():
@@ -166,5 +169,5 @@ def test_nyquist_mode_removed_in_odd_derivative():
     grid = GridSpec(dim=1, length=2 * np.pi, n=16)
     x = grid.axis
     f = ScalarField(grid, np.cos(8 * x))  # k = n/2
-    df = derivative(f, 0, "spectral")
+    df = derivative(f, 0)
     assert np.max(np.abs(df.values)) < 1e-13

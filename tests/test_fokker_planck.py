@@ -151,13 +151,13 @@ def test_complex_residual_halves_recover_continuity(packet_triple):
     d_rho_dt = (rp.values - rm.values) / (2 * dt)
 
     def transport(vel):
-        return derivative(ScalarField(grid, vel * rc.values), 0, "spectral").values
+        return derivative(ScalarField(grid, vel * rc.values), 0).values
 
     res_f = d_rho_dt + transport(vc.values) + 0.5j * derivative(
-        ScalarField(grid, pk.b**2 * rc.values), 0, "spectral", order=2
+        ScalarField(grid, pk.b**2 * rc.values), 0, order=2
     ).values
     res_c = d_rho_dt + transport(np.conj(vc.values)) - 0.5j * derivative(
-        ScalarField(grid, pk.b**2 * rc.values), 0, "spectral", order=2
+        ScalarField(grid, pk.b**2 * rc.values), 0, order=2
     ).values
     half_sum = (res_f + res_c) / 2
     cont = d_rho_dt + transport(v.values)

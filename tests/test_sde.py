@@ -8,15 +8,12 @@ from stochflow.fields import GridSpec, ScalarField
 from stochflow.sde import (
     DiffusionModel,
     backward_drift_from_forward,
-    complex_action,
     discretized_action,
     estimate_diffusion,
     estimate_velocities,
     make_rng,
     osmotic_velocity_from_density,
     sample_complex_increments,
-    simulate_backward,
-    simulate_complex,
     simulate_forward,
 )
 
@@ -56,27 +53,6 @@ def test_ou_transient_moments():
     assert abs(xT.var() - var_exact) < 5 * var_exact * np.sqrt(2 / xT.size) + 2 * dt
 
 
-def test_backward_difference_sits_at_later_endpoint():
-    # with vanishing noise the defining property is deterministic:
-    # X(t) - X(t-dt) = a_b(X(t), t) dt + O(dt^2)
-    model = DiffusionModel(drift=lambda x, t: -0.8 * x, b=1e-9, name="quiet")
-    dt = 1e-3
-    ens = simulate_backward(model, 2.0, 0.5, dt, 4, 5)
-    paths, times = ens.paths, ens.times
-    incr = paths[:, 1:] - paths[:, :-1]
-    predicted = -0.8 * paths[:, 1:] * dt
-    assert np.max(np.abs(incr - predicted)) < 5 * dt**2
-    assert ens.direction == "backward"
-
-
-def test_backward_of_zero_drift_is_brownian():
-    flat = DiffusionModel(drift=lambda x, t: 0.0 * x, b=1.0, name="flat")
-    ens = simulate_backward(flat, 0.0, 0.25, 1 / 128, 30_000, 31)
-    x0 = ens.paths[:, 0]  # earliest time, reached by reflected integration
-    z = abs(x0.var() - 0.25) / (0.25 * np.sqrt(2 / x0.size))
-    assert z < 5
-
-
 def test_estimate_diffusion_recovers_b2():
     model = DiffusionModel(drift=lambda x, t: -x, b=1.7, name="ou")
     ens = simulate_forward(model, 0.0, 0.2, 1e-3, 5_000, 77)
@@ -108,26 +84,29 @@ def test_velocity_estimate_time_window_bounds():
         estimate_velocities(ens, t_index=0)  # no backward difference there
 
 
-def test_action_direction_guard():
-    ens = simulate_forward(OU, 0.0, 0.1, 1e-2, 100, 6)
-    with pytest.raises(ValueError):
-        discretized_action(ens, alpha=0)
-    with pytest.raises(ValueError):
-        discretized_action(ens, alpha=2)
+def test_estimators_reject_a_batched_ensemble():
+    # a batch of three drifts has no single b^2 or velocity profile to pool
+    rates = np.array([0.5, 1.0, 2.0])
+    batch = DiffusionModel(drift=lambda x, t: -rates[:, None] * x, b=1.0, name="batch")
+    ens = simulate_forward(batch, 0.0, 0.1, 1e-2, 200, 8)
+    assert ens.paths.shape == (3, 200, 11)
+    for estimate in (estimate_diffusion, estimate_velocities):
+        with pytest.raises(ValueError, match=r"\(3, 200, 11\)"):
+            estimate(ens)
 
 
 def test_action_constant_drift_value():
     # S = E sum[(dX)^2/dt - b^2] estimates integral a^2 dt = c^2 T
     model = DiffusionModel(drift=lambda x, t: np.full_like(x, 1.5), b=1.0, name="const")
     ens = simulate_forward(model, 0.0, 1.0, 1e-2, 20_000, 13)
-    act = discretized_action(ens, alpha=1)
+    act = discretized_action(ens)
     assert abs(act.value - 1.5**2 * 1.0) < 5 * act.stderr
 
 
 def test_action_zero_drift_centers_at_zero():
     flat = DiffusionModel(drift=lambda x, t: 0.0 * x, b=1.0, name="flat")
     ens = simulate_forward(flat, 0.0, 1.0, 1e-2, 20_000, 17)
-    act = discretized_action(ens, alpha=1)
+    act = discretized_action(ens)
     assert abs(act.value) < 5 * act.stderr
 
 
@@ -148,23 +127,6 @@ def test_complex_increment_unbalanced_second_moment():
     expected = 0.02 * (4 - 1) / (4 + 1)
     assert stats.expected_dz2 == pytest.approx(expected)
     assert abs(stats.mean_dz2 - expected) < 3 / np.sqrt(stats.n_samples)
-
-
-def test_complex_action_drift_free_is_small():
-    ens = simulate_complex(
-        lambda x, t: np.zeros_like(x), 1.0, 1.0, 0.0, 0.5, 1e-2, 20_000, 37
-    )
-    act = complex_action(ens)
-    assert abs(act.value) < 5 * act.stderr
-
-
-def test_complex_paths_variance_growth():
-    # E X X* grows like sigma^2 t = t for b = bhat = 1
-    ens = simulate_complex(
-        lambda x, t: np.zeros_like(x), 1.0, 1.0, 0.0, 0.5, 1e-2, 50_000, 41
-    )
-    second = np.mean(np.abs(ens.paths[:, -1]) ** 2)
-    assert abs(second - 0.5) < 5 * 0.5 * np.sqrt(2 / ens.n_paths)
 
 
 def test_osmotic_velocity_from_density_von_mises():
