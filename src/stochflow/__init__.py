@@ -31,7 +31,6 @@ from .fields import (
 from .clifford import (
     BLADE_NAMES,
     Multivector,
-    MultivectorField,
     StretchSpec,
     check_prop_identities,
     contraction,

@@ -14,12 +14,15 @@ the modulus-squared rule is an output, not an input.
 The pipeline streams the evolution through plain arrays in chunks of K =
 :data:`CHUNK_STEPS` steps (evolve, extract the velocities with one batched
 FFT, transport, compare), so memory is O(K n) on n points, not O(steps n).
+It takes ``round(t_final/dt)`` steps of the ``splitstep`` or ``cn``
+integrator of :mod:`stochflow.schrodinger`, the same as ``evolve``.
 
 Supporting pieces:
 
-* node-aware extraction of ``V`` with a relative floor on ``|F|`` and a
-  coverage report, so near-zeros of ``F`` are masked instead of silently
-  amplified;
+* node-aware extraction of ``V`` with the fixed relative floor
+  ``NODE_FLOOR_REL`` on ``|F|`` (:func:`stochflow.fields.log_derivative`)
+  and a coverage report, so near-zeros of ``F`` are masked instead of
+  silently amplified;
 * the inverse (Madelung) construction ``F = sqrt(rho) exp(i theta)`` with
   ``theta' = v / b^2``, including the winding number of a nonzero mean
   velocity on the circle;
@@ -34,7 +37,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import (
-    NODE_FLOOR_REL,
     Norms,
     ScalarField,
     antiderivative,
@@ -81,15 +83,12 @@ class VelocityDecomposition:
     coverage: float
 
 
-def velocity_from_wavefunction(
-    psi: ScalarField, b: float, floor_rel: float = NODE_FLOOR_REL
-) -> VelocityDecomposition:
-    """Extract ``V = -i b^2 (grad psi)/psi`` with node masking."""
+def velocity_from_wavefunction(psi: ScalarField, b: float) -> VelocityDecomposition:
+    """Extract ``V = -i b^2 (grad psi)/psi``, masking the nodes of ``psi``
+    (:data:`~stochflow.fields.NODE_FLOOR_REL`)."""
     grid = psi.grid
     dpsi = derivative(psi, 0).values
-    v, mask = log_derivative(
-        psi.values.reshape(1, -1), dpsi.reshape(1, -1), -1j * b**2, floor_rel
-    )
+    v, mask = log_derivative(psi.values.reshape(1, -1), dpsi.reshape(1, -1), -1j * b**2)
     v, mask = v.reshape(grid.shape), mask.reshape(grid.shape)
     return VelocityDecomposition(
         complex_velocity=ScalarField(grid, v),
@@ -221,7 +220,7 @@ def born_pipeline(
     ``ValueError``.  The complex density-transport residuals are evaluated
     at the midpoint snapshot triple, the only states kept beyond a chunk.
     """
-    key, n_steps, dt, step = _stepper(problem, t_final, dt, method)
+    n_steps, dt, step = _stepper(problem, t_final, dt, method)
     mid = n_steps // 2
     if mid == 0:
         raise ValueError("need at least three stored snapshots for the residual checks")
@@ -265,7 +264,7 @@ def born_pipeline(
     return BornReport(
         t_final=dt * n_steps,
         dt=dt,
-        method=key,
+        method=method,
         q_initial=q0,
         sup_density_error=float(stats[:, 1].max()),
         sup_relative_error=float(stats[:, 2].max()),

@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .clifford import MultivectorField, gradient
+from .clifford import gradient
 from .fields import (
     GridSpec,
     Norms,
@@ -48,6 +48,7 @@ from .fields import (
     derivative,
     log_derivative,
     norms,
+    time_steps,
 )
 
 __all__ = [
@@ -146,10 +147,10 @@ class ColeHopfMap:
     def to_velocity(self, F: ScalarField) -> ScalarField:
         return ScalarField(F.grid, self._ratio(F, derivative(F, 0).values))
 
-    def to_velocity_vector(self, F: ScalarField) -> MultivectorField:
-        """Vector form ``lam (grad F)/F`` on grids of any dimension."""
-        comps = [self._ratio(F, c) for c in gradient(F).vector_components()]
-        return MultivectorField.from_vector_components(F.grid, comps)
+    def to_velocity_vector(self, F: ScalarField) -> np.ndarray:
+        """Vector form ``lam (grad F)/F`` on grids of any dimension, as its
+        ``(dim,) + grid.shape`` component stack."""
+        return np.stack([self._ratio(F, c) for c in gradient(F)])
 
     def from_velocity(self, a: ScalarField) -> tuple[ScalarField, complex]:
         mean = complex(np.mean(a.values))
@@ -184,9 +185,10 @@ def solve_burgers(
     a0: ScalarField,
     t_final: float,
     dt: float,
-    store_every: int | None = None,
-) -> list[tuple[float, ScalarField]]:
-    """Pseudo-spectral integrating-factor Heun solve of the problem variant.
+) -> ScalarField:
+    """Pseudo-spectral integrating-factor Heun solve of the problem variant;
+    returns the field at ``t_final``, reached in ``round(t_final/dt)`` equal
+    steps (see :func:`stochflow.fields.time_steps`).
 
     Stable forward in time for the ``reversed`` and both complex variants
     (the integrating factor of the imaginary viscosities is a pure phase).
@@ -201,8 +203,7 @@ def solve_burgers(
     nu = problem.nu
     k = grid.wavenumbers()
     ik = 1j * k
-    n_steps = max(1, int(round(t_final / dt)))
-    dt = t_final / n_steps
+    n_steps, dt = time_steps(t_final, dt)
     decay = np.exp(-nu * grid.k_squared() * dt)
     # dealiasing by the 2/3 rule keeps the quadratic term clean
     keep = np.abs(k) <= (2.0 / 3.0) * np.max(np.abs(k))
@@ -215,15 +216,9 @@ def solve_burgers(
         return -0.5 * ik * np.fft.fft(a_vals * a_vals) * keep
 
     a_hat = np.fft.fft(a0.values)
-    out = [(0.0, a0)]
-    stride = n_steps if store_every is None else max(1, int(store_every))
-    for step in range(n_steps):
+    for _ in range(n_steps):
         a_hat = _if_heun_step(a_hat, nonlin_hat, decay, forcing_hat, dt)
-        if (step + 1) % stride == 0 or step == n_steps - 1:
-            t = dt * (step + 1)
-            if not out or out[-1][0] != t:
-                out.append((t, ScalarField(grid, np.fft.ifft(a_hat))))
-    return out
+    return ScalarField(grid, np.fft.ifft(a_hat))
 
 
 def solve_final_value(
@@ -240,7 +235,7 @@ def solve_final_value(
         raise ValueError("solve_final_value applies to the forward variant")
     mirrored = ScalarField(problem.grid, _mirror(a_final.values))
     companion = BurgersProblem(grid=problem.grid, b=problem.b, variant="reversed")
-    result = solve_burgers(companion, mirrored, t_final, dt)[-1][1]
+    result = solve_burgers(companion, mirrored, t_final, dt)
     return ScalarField(problem.grid, _mirror(result.values))
 
 
@@ -337,20 +332,21 @@ def real_chain_residual(
     }
 
 
-def inversion_diagnostic(a: ScalarField, floor_rel: float = 1e-10) -> dict:
+def inversion_diagnostic(a: ScalarField) -> dict:
     """Evaluate the literal inversion ``u = (log a)_x`` of the substitution.
 
     The substitution maps ``u`` to ``a = b^2 (log u)_x``; reading the map
     backwards as ``u = (log a)_x`` only makes sense where ``a`` is positive
     and non-constant, and it degenerates wherever ``a_x`` vanishes.  The
     diagnostic reports the fraction of the grid where the literal inverse
-    is defined and the reconstructed values elsewhere set to NaN, making
-    the degeneracy visible instead of hiding it.
+    is defined (``a`` and ``|a_x|`` above ``1e-10 max|a|``) and the
+    reconstructed values, set to NaN elsewhere, making the degeneracy
+    visible instead of hiding it.
     """
     vals = np.real(a.values)
     da = np.real(derivative(a, 0).values)
-    scale = max(np.max(np.abs(vals)), 1e-300)
-    ok = (vals > floor_rel * scale) & (np.abs(da) > floor_rel * scale)
+    floor = 1e-10 * max(np.max(np.abs(vals)), 1e-300)
+    ok = (vals > floor) & (np.abs(da) > floor)
     u_literal = np.full(a.grid.shape, np.nan)
     u_literal[ok] = da[ok] / vals[ok]
     return {

@@ -49,11 +49,27 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
+def _matches(value, default) -> bool:
+    """Whether ``value`` has the type of ``default``: an int may stand for a float,
+    a bool for nothing, and every element of a list must match the default's first."""
+    expected = (int, float) if isinstance(default, float) else type(default)
+    if isinstance(value, bool) or not isinstance(value, expected):
+        return False
+    if isinstance(default, list) and default:
+        return all(_matches(v, default[0]) for v in value)
+    return True
+
+
+def _type_name(default) -> str:
+    if isinstance(default, list) and default:
+        return f"list of {_type_name(default[0])}"
+    return type(default).__name__
+
+
 def _merge_params(defaults: dict, config: dict, name: str) -> tuple[dict, int | None]:
     """Overlay config values on the defaults and return them with the config's
-    ``seed`` (None if absent); unknown keys and values whose type differs from
-    the default's (an int may stand for a float, a bool for nothing) are an
-    error.  A ``seed`` must be an int."""
+    ``seed`` (None if absent); unknown keys and values that do not match the
+    default's type (:func:`_matches`) are an error.  A ``seed`` must be an int."""
     seed = None
     params = dict(defaults)
     for key, value in config.items():
@@ -67,12 +83,10 @@ def _merge_params(defaults: dict, config: dict, name: str) -> tuple[dict, int | 
                 f"unknown parameter {key!r} for experiment {name!r} "
                 f"(known: {', '.join(sorted(defaults))})"
             )
-        expected = type(defaults[key])
-        accepted = (int, float) if expected is float else expected
-        if isinstance(value, bool) or not isinstance(value, accepted):
+        if not _matches(value, defaults[key]):
             _fail_config(
                 f"parameter {key!r} of experiment {name!r} must be of type "
-                f"{expected.__name__}, got {json.dumps(value)}"
+                f"{_type_name(defaults[key])}, got {json.dumps(value)}"
             )
         params[key] = value
     return params, seed

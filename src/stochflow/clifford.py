@@ -1,25 +1,28 @@
 """Dense Cl(3) multivector arithmetic and grid-based geometric calculus.
 
 The algebra is generated by three orthonormal Euclidean vectors
-``e1, e2, e3`` with ``e_i e_i = 1`` and ``e_i e_j = -e_j e_i``.  Elements
-are stored densely as 8 complex coefficients over the blade basis
+``e1, e2, e3`` with ``e_i e_i = 1`` and ``e_i e_j = -e_j e_i``.  A single
+element, :class:`Multivector`, is stored densely as 8 complex coefficients
+over the blade basis
 
     ``{1, e1, e2, e3, e12, e13, e23, e123}``
 
 (the reciprocal basis coincides with the basis, so index placement never
-matters here).  Coefficients are complex throughout: the vectorized
-Cole-Hopf transform stretches gradients by the imaginary constant
-``-i b^2``.
+matters here).  Blades are encoded as bitmasks (bit ``j`` set means
+``e_{j+1}`` is a factor); the geometric product of blades is then an XOR
+of masks with a sign from counting transpositions.
 
-Blades are encoded as bitmasks (bit ``j`` set means ``e_{j+1}`` is a
-factor); the geometric product of blades is then an XOR of masks with a
-sign from counting transpositions.
+The calculus on grids needs vector fields only (gradients, velocities), so
+a vector field is a plain complex array of its components, shaped
+``(dim,) + grid.shape``; ``grad_wedge`` returns the three bivector
+components of a derivative.  Coefficients are complex throughout: the
+vectorized Cole-Hopf transform stretches gradients by the imaginary
+constant ``-i b^2``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +31,6 @@ from .fields import GridSpec, Norms, ScalarField, derivative, laplacian, norms
 __all__ = [
     "BLADE_NAMES",
     "Multivector",
-    "MultivectorField",
     "StretchSpec",
     "geometric_product",
     "scalar_product",
@@ -104,19 +106,9 @@ class Multivector:
         object.__setattr__(self, "coeffs", c)
 
     @classmethod
-    def zero(cls) -> "Multivector":
-        return cls(np.zeros(8))
-
-    @classmethod
     def scalar(cls, value: complex) -> "Multivector":
         c = np.zeros(8, dtype=np.complex128)
         c[0] = value
-        return cls(c)
-
-    @classmethod
-    def vector(cls, components: Sequence[complex]) -> "Multivector":
-        c = np.zeros(8, dtype=np.complex128)
-        c[1:4] = components
         return cls(c)
 
     @classmethod
@@ -130,23 +122,6 @@ class Multivector:
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         return Multivector(self.coeffs - other.coeffs)
-
-    def __neg__(self) -> "Multivector":
-        return Multivector(-self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, Multivector):
-            return geometric_product(self, other)
-        return Multivector(self.coeffs * other)
-
-    def __rmul__(self, other):
-        return Multivector(self.coeffs * other)
-
-    def __getitem__(self, blade: str) -> complex:
-        return complex(self.coeffs[BLADE_NAMES.index(blade)])
-
-    def is_close(self, other: "Multivector", tol: float = 0.0) -> bool:
-        return bool(np.max(np.abs(self.coeffs - other.coeffs)) <= tol)
 
 
 def geometric_product(A: Multivector, B: Multivector) -> Multivector:
@@ -169,105 +144,30 @@ def contraction(A: Multivector, B: Multivector) -> Multivector:
     return Multivector(_product(A.coeffs, B.coeffs, _CONTRACT_KEEP))
 
 
-@dataclass(frozen=True)
-class MultivectorField:
-    """A multivector attached to every point of a grid.
-
-    ``coeffs`` is shaped ``(8,) + grid.shape``; entry ``coeffs[i]`` holds the
-    blade-``i`` coefficient field.  Vector fields (velocities, gradients)
-    populate indices 1..3 only.
-    """
-
-    grid: GridSpec
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != (8,) + self.grid.shape:
-            raise ValueError(
-                f"coefficient stack shape {c.shape} does not match (8,) + {self.grid.shape}"
-            )
-        if not np.all(np.isfinite(c.view(np.float64))):
-            raise ValueError("multivector field contains non-finite entries")
-        object.__setattr__(self, "coeffs", c)
-
-    @classmethod
-    def zero(cls, grid: GridSpec) -> "MultivectorField":
-        return cls(grid, np.zeros((8,) + grid.shape))
-
-    @classmethod
-    def from_vector_components(cls, grid: GridSpec, components: Sequence[np.ndarray]) -> "MultivectorField":
-        """Build a vector field from per-axis component arrays.
-
-        In one dimension a single component is accepted and placed on ``e1``.
-        """
-        c = np.zeros((8,) + grid.shape, dtype=np.complex128)
-        for axis, comp in enumerate(components):
-            c[1 + axis] = comp
-        return cls(grid, c)
-
-    def component(self, blade: str) -> ScalarField:
-        return ScalarField(self.grid, self.coeffs[BLADE_NAMES.index(blade)])
-
-    def vector_components(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.coeffs[1 + axis] for axis in range(self.grid.dim))
-
-    def at(self, *index: int) -> Multivector:
-        return Multivector(self.coeffs[(slice(None),) + index])
-
-    def __add__(self, other: "MultivectorField") -> "MultivectorField":
-        if self.grid != other.grid:
-            raise ValueError("grid mismatch")
-        return MultivectorField(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "MultivectorField") -> "MultivectorField":
-        if self.grid != other.grid:
-            raise ValueError("grid mismatch")
-        return MultivectorField(self.grid, self.coeffs - other.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, MultivectorField):
-            return MultivectorField(self.grid, _product(self.coeffs, other.coeffs))
-        return MultivectorField(self.grid, self.coeffs * other)
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "MultivectorField":
-        return MultivectorField(self.grid, np.conj(self.coeffs))
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
-
-
 # -- geometric calculus on grids -------------------------------------------
 
-def gradient(f: ScalarField) -> MultivectorField:
-    r"""Geometric gradient :math:`\nabla f = e^j \partial_{x_j} f`.
-
-    On a 1-D grid only the ``e1`` component is populated.
-    """
-    comps = [derivative(f, axis).values for axis in range(f.grid.dim)]
-    return MultivectorField.from_vector_components(f.grid, comps)
+def gradient(f: ScalarField) -> np.ndarray:
+    r"""Geometric gradient :math:`\nabla f = e^j \partial_{x_j} f` as its
+    ``(dim,) + grid.shape`` component stack."""
+    return np.stack([derivative(f, axis).values for axis in range(f.grid.dim)])
 
 
-def grad_wedge(w: MultivectorField) -> MultivectorField:
+def grad_wedge(grid: GridSpec, w: np.ndarray) -> np.ndarray:
     r"""Wedge part :math:`\nabla \wedge w` of the derivative of a vector field.
 
-    Returns a bivector field with ``e_ij`` coefficient
-    :math:`\partial_{x_i} w_j - \partial_{x_j} w_i`; it vanishes exactly when
-    the field is irrotational.
+    ``w`` is a ``(dim,) + grid.shape`` component stack.  Returns the
+    ``e12, e13, e23`` coefficients, shaped ``(3,) + grid.shape``: the ``e_ij``
+    one is :math:`\partial_{x_i} w_j - \partial_{x_j} w_i` (zero for an axis
+    the grid lacks).  They vanish exactly when the field is irrotational.
     """
-    grid = w.grid
-    out = np.zeros((8,) + grid.shape, dtype=np.complex128)
-    pair_to_blade = {(0, 1): 4, (0, 2): 5, (1, 2): 6}
-    comps = w.vector_components()
-    for (i, j), blade in pair_to_blade.items():
+    out = np.zeros((3,) + grid.shape, dtype=np.complex128)
+    for blade, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
         if max(i, j) >= grid.dim:
             continue
-        di_wj = derivative(ScalarField(grid, comps[j]), i).values
-        dj_wi = derivative(ScalarField(grid, comps[i]), j).values
+        di_wj = derivative(ScalarField(grid, w[j]), i).values
+        dj_wi = derivative(ScalarField(grid, w[i]), j).values
         out[blade] = di_wj - dj_wi
-    return MultivectorField(grid, out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -286,32 +186,23 @@ class StretchSpec:
         return cls((lam, lam, lam))
 
 
-def stretched_gradient(f: ScalarField, s: StretchSpec) -> MultivectorField:
-    r"""Stretched gradient :math:`C(\nabla) f = c_k e^k \partial_{x_k} f`.
+def stretched_gradient(f: ScalarField, s: StretchSpec) -> np.ndarray:
+    r"""Stretched gradient :math:`C(\nabla) f = c_k e^k \partial_{x_k} f` as its
+    component stack.
 
     Only constant stretch vectors are supported; the commutation identities
     below are false otherwise.
     """
-    comps = [s.c[axis] * derivative(f, axis).values for axis in range(f.grid.dim)]
-    return MultivectorField.from_vector_components(f.grid, comps)
+    return np.stack([s.c[axis] * derivative(f, axis).values for axis in range(f.grid.dim)])
 
 
-def _vector_norms(coeff_stack: np.ndarray, grid: GridSpec) -> Norms:
-    worst = Norms(0.0, 0.0)
-    for comp in coeff_stack:
-        n = norms(ScalarField(grid, comp))
-        if n.l_inf > worst.l_inf:
-            worst = Norms(n.l_inf, max(n.l2, worst.l2))
-        else:
-            worst = Norms(worst.l_inf, max(n.l2, worst.l2))
-    return worst
+def _vector_norms(stack: np.ndarray, grid: GridSpec) -> Norms:
+    """The largest ``l_inf`` and the largest ``l2`` over the components of a stack."""
+    per_component = [norms(ScalarField(grid, comp)) for comp in stack]
+    return Norms(max(n.l_inf for n in per_component), max(n.l2 for n in per_component))
 
 
-def check_prop_identities(
-    f: ScalarField,
-    s: StretchSpec,
-    aux: ScalarField | None = None,
-) -> dict[str, Norms]:
+def check_prop_identities(f: ScalarField, s: StretchSpec) -> dict[str, Norms]:
     r"""Discrete residuals of the stretched-gradient identities.
 
     Four identities are evaluated on the test field ``f``:
@@ -323,8 +214,7 @@ def check_prop_identities(
         :math:`[\nabla^2, C(\nabla)] f = 0`, componentwise.
     ``directional_symmetry``
         :math:`(C(\nabla)f \cdot \nabla) g = (\nabla f \cdot C(\nabla)) g`
-        for an auxiliary field ``g`` (a third-of-period translate of ``f``
-        unless supplied).
+        for the auxiliary field ``g``, a third-of-period translate of ``f``.
     ``convective_gradient``
         :math:`(w \cdot \nabla) w = \tfrac12 \nabla (w \cdot w)` with
         ``w = C(\nabla) f``.
@@ -350,38 +240,29 @@ def check_prop_identities(
         ScalarField(grid, f.values * ((g_vals[2] - g_vals[0]) / (2 * h))), s
     )
     series = [stretched_gradient(ScalarField(grid, f.values * g), s) for g in g_vals]
-    stretch_then_dt = MultivectorField(
-        grid, (series[2].coeffs - series[0].coeffs) / (2 * h)
-    )
-    r_time = _vector_norms((dt_then_stretch - stretch_then_dt).coeffs[1:4], grid)
+    stretch_then_dt = (series[2] - series[0]) / (2 * h)
+    r_time = _vector_norms(dt_then_stretch - stretch_then_dt, grid)
 
     # 2. commutation with the Laplacian
     lap_then_stretch = stretched_gradient(laplacian(f), s)
     w = stretched_gradient(f, s)
-    stretch_then_lap = MultivectorField(
-        grid,
-        np.stack(
-            [laplacian(ScalarField(grid, comp)).values for comp in w.coeffs]
-        ),
-    )
-    r_lap = _vector_norms((lap_then_stretch - stretch_then_lap).coeffs[1:4], grid)
+    stretch_then_lap = np.stack([laplacian(ScalarField(grid, comp)).values for comp in w])
+    r_lap = _vector_norms(lap_then_stretch - stretch_then_lap, grid)
 
     # 3. directional-derivative symmetry on an auxiliary field
-    if aux is None:
-        aux = ScalarField(grid, np.roll(f.values, grid.n // 3, axis=0))
+    shifted = ScalarField(grid, np.roll(f.values, grid.n // 3, axis=0))
     lhs = np.zeros(grid.shape, dtype=np.complex128)
     rhs = np.zeros(grid.shape, dtype=np.complex128)
     for axis in range(grid.dim):
         df = derivative(f, axis).values
-        dg = derivative(aux, axis).values
+        dg = derivative(shifted, axis).values
         lhs += (c[axis] * df) * dg
         rhs += df * (c[axis] * dg)
     r_sym = norms(ScalarField(grid, lhs - rhs))
 
     # 4. convective identity (w . grad) w = 1/2 grad(w . w)
-    wc = w.vector_components()
     w_sq = np.zeros(grid.shape, dtype=np.complex128)
-    for comp in wc:
+    for comp in w:
         w_sq += comp * comp
     half_grad = [
         0.5 * derivative(ScalarField(grid, w_sq), axis).values
@@ -391,7 +272,7 @@ def check_prop_identities(
     for j in range(grid.dim):
         acc = np.zeros(grid.shape, dtype=np.complex128)
         for k in range(grid.dim):
-            acc += wc[k] * derivative(ScalarField(grid, wc[j]), k).values
+            acc += w[k] * derivative(ScalarField(grid, w[j]), k).values
         convective.append(acc)
     r_conv = _vector_norms(
         np.stack([convective[j] - half_grad[j] for j in range(grid.dim)]), grid

@@ -6,8 +6,9 @@ with ``dim`` equal to 1 or 3.  Derivatives are spectral: FFT-based,
 exact (to round-off) for band-limited data.  The Nyquist mode is zeroed
 for odd derivative orders so that the derivative of a real field stays
 real.  The grid supplies ``|k|^2`` (:meth:`GridSpec.k_squared`) for the
-exact Fourier propagators, and :func:`log_derivative` is the one kernel
-for the Cole-Hopf ratio ``lam (grad F) / F`` with node masking.
+exact Fourier propagators, :func:`log_derivative` is the one kernel for
+the Cole-Hopf ratio ``lam (grad F) / F`` with node masking, and
+:func:`time_steps` is the step rule of the wave and Burgers integrators.
 
 Fields store complex values uniformly; a "real" field is simply one whose
 imaginary part is negligible.  All operations are pure: they return new
@@ -38,6 +39,7 @@ __all__ = [
     "spectral_multiplier",
     "field_from_function",
     "require_same_grid",
+    "time_steps",
 ]
 
 
@@ -240,12 +242,13 @@ def norms(f: ScalarField) -> Norms:
     )
 
 
-def antiderivative(f: ScalarField, axis: int = 0, mean_tol: float = 1e-9) -> ScalarField:
+def antiderivative(f: ScalarField, axis: int = 0) -> ScalarField:
     """Periodic spectral antiderivative along ``axis`` (zero-mean input).
 
     A periodic antiderivative exists only when the line average of ``f``
-    along the axis vanishes; otherwise the primitive would grow secularly.
-    The returned primitive has zero mean along the axis.
+    along the axis vanishes (to ``1e-9`` of ``max(1, max|f|)``); otherwise
+    the primitive would grow secularly.  The returned primitive has zero
+    mean along the axis.
     """
     k = f.grid.wavenumbers()
     fk = np.fft.fft(f.values, axis=axis)
@@ -253,7 +256,7 @@ def antiderivative(f: ScalarField, axis: int = 0, mean_tol: float = 1e-9) -> Sca
     shape[axis] = f.grid.n
     mean_amp = np.max(np.abs(np.take(fk, 0, axis=axis))) / f.grid.n
     scale = np.max(np.abs(f.values)) or 1.0
-    if mean_amp > mean_tol * max(scale, 1.0):
+    if mean_amp > 1e-9 * max(scale, 1.0):
         raise ValueError(
             "field has a non-zero mean along the axis; no periodic antiderivative exists"
         )
@@ -263,13 +266,24 @@ def antiderivative(f: ScalarField, axis: int = 0, mean_tol: float = 1e-9) -> Sca
     return ScalarField(f.grid, out)
 
 
-def log_derivative(values: np.ndarray, dvalues: np.ndarray, coef: complex,
-                   floor_rel: float = NODE_FLOOR_REL) -> tuple[np.ndarray, np.ndarray]:
+def log_derivative(values: np.ndarray, dvalues: np.ndarray,
+                   coef: complex) -> tuple[np.ndarray, np.ndarray]:
     """``coef * dvalues / values`` for ``(rows, points)`` arrays, zero at the nodes, and
-    the mask of non-nodes: points where ``|values|`` clears ``floor_rel`` times its row
-    maximum.  With ``values = F`` and ``dvalues = grad F`` this is the Cole-Hopf ratio."""
+    the mask of non-nodes: points where ``|values|`` clears :data:`NODE_FLOOR_REL` times
+    its row maximum.  With ``values = F`` and ``dvalues = grad F`` this is the Cole-Hopf
+    ratio."""
     mag = np.abs(values)
-    mask = mag > floor_rel * mag.max(axis=1, keepdims=True)
+    mask = mag > NODE_FLOOR_REL * mag.max(axis=1, keepdims=True)
     out = np.zeros(values.shape, dtype=np.complex128)
     out[mask] = coef * dvalues[mask] / values[mask]
     return out, mask
+
+
+def time_steps(t_final: float, dt: float) -> tuple[int, float]:
+    """The step rule of the wave and Burgers integrators: ``n = max(1, round(t_final/dt))``
+    steps of ``t_final / n``, so that the last lands on ``t_final``.  ``t_final``,
+    ``dt`` and their ratio must be positive and finite."""
+    if not (0 < t_final < np.inf and 0 < dt < np.inf and t_final / dt < np.inf):
+        raise ValueError(f"t_final and dt must be positive and finite, got {t_final} and {dt}")
+    n = max(1, int(round(t_final / dt)))
+    return n, t_final / n

@@ -29,6 +29,7 @@ as residual evaluators over density/velocity snapshots.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -65,19 +66,16 @@ class DensityState:
     def mass(self) -> float:
         return float(np.real(integrate(self.field)))
 
-    def values(self) -> np.ndarray:
-        return np.real(self.field.values)
 
-
-def cfl_timestep(model: DiffusionModel, grid: GridSpec, t: float = 0.0, safety: float = 0.4) -> float:
-    """Stable explicit step: ``safety * min(dx / max|a|, dx^2 / b^2)``."""
-    a = np.abs(np.asarray(model.drift(grid.axis, t), dtype=float))
+def cfl_timestep(model: DiffusionModel, grid: GridSpec) -> float:
+    """Stable explicit step for the drift at ``t = 0``: ``0.4 min(dx / max|a|, dx^2 / b^2)``."""
+    a = np.abs(np.asarray(model.drift(grid.axis, 0.0), dtype=float))
     a_max = float(a.max()) if a.size else 0.0
     dx = grid.dx
     limits = [dx**2 / model.b**2]
     if a_max > 0:
         limits.append(dx / a_max)
-    return safety * min(limits)
+    return 0.4 * min(limits)
 
 
 def step_density(rho: np.ndarray, a: np.ndarray, b: float, dt: float, dx: float) -> np.ndarray:
@@ -94,7 +92,7 @@ def step_density(rho: np.ndarray, a: np.ndarray, b: float, dt: float, dx: float)
 
 
 def _run(model: DiffusionModel, rho0: ScalarField, t_final: float, dt: float | None,
-         drift_sign: float, time_of_step) -> ScalarField:
+         drift_sign: float, time_of_step: Callable[[float], float]) -> ScalarField:
     grid = rho0.grid
     if dt is None:
         dt = cfl_timestep(model, grid)
@@ -103,7 +101,7 @@ def _run(model: DiffusionModel, rho0: ScalarField, t_final: float, dt: float | N
     x = grid.axis
     rho = np.real(rho0.values).copy()
     for k in range(n_steps):
-        a = drift_sign * np.asarray(model.drift(x, time_of_step(k * dt, dt, t_final)), dtype=float)
+        a = drift_sign * np.asarray(model.drift(x, time_of_step(k * dt)), dtype=float)
         rho = step_density(rho, a, model.b, dt, grid.dx)
     return ScalarField(grid, rho)
 
@@ -112,7 +110,7 @@ def solve_forward(
     model: DiffusionModel, rho0: DensityState, t_final: float, dt: float | None = None
 ) -> DensityState:
     """Integrate the forward equation from ``rho0.t`` for ``t_final`` time units."""
-    out = _run(model, rho0.field, t_final, dt, +1.0, lambda s, dt_, T: rho0.t + s)
+    out = _run(model, rho0.field, t_final, dt, +1.0, lambda s: rho0.t + s)
     return DensityState(field=out, t=rho0.t + t_final)
 
 
@@ -128,13 +126,13 @@ def solve_backward(
     t_end = rho_final.t
     out = _run(
         backward_model, rho_final.field, t_final, dt, -1.0,
-        lambda s, dt_, T: t_end - s,
+        lambda s: t_end - s,
     )
     return DensityState(field=out, t=t_end - t_final)
 
 
-def discrete_stationary_density(model: DiffusionModel, grid: GridSpec, t: float = 0.0) -> ScalarField:
-    """Exact zero-flux fixed point of :func:`step_density` for a steady drift.
+def discrete_stationary_density(model: DiffusionModel, grid: GridSpec) -> ScalarField:
+    """Exact zero-flux fixed point of :func:`step_density` for a steady drift (read at ``t = 0``).
 
     Zeroing the upwind/central interface flux gives the two-term recurrence
 
@@ -150,7 +148,7 @@ def discrete_stationary_density(model: DiffusionModel, grid: GridSpec, t: float 
     if grid.dim != 1:
         raise ValueError("stationary construction is one-dimensional")
     x = grid.axis
-    a = np.real(np.asarray(model.drift(x, t), dtype=np.complex128))
+    a = np.real(np.asarray(model.drift(x, 0.0), dtype=np.complex128))
     a_face = 0.5 * (a + np.roll(a, -1))
     d_over_dx = (model.b**2 / 2) / grid.dx
     ratio = a_face / d_over_dx

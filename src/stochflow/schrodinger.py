@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fields import GridSpec, ScalarField, integrate
+from .fields import GridSpec, ScalarField, integrate, time_steps
 
 __all__ = [
     "SchrodingerProblem",
@@ -129,16 +129,13 @@ def _cn_matrices(problem: SchrodingerProblem, dt: float):
 
 
 def _stepper(problem: SchrodingerProblem, t_final: float, dt: float, method: str):
-    """``(method, n_steps, dt, step)`` of a run: the method as one of :data:`METHODS`,
-    ``round(t_final/dt)`` steps (at least one) of a ``dt`` adjusted to land on ``t_final``,
-    and the map from a state array to the state one step later (the argument is kept)."""
-    key = method.replace("-", "").replace("_", "").lower()
-    key = {"splitstep": "splitstep", "strang": "splitstep", "cn": "cn", "cranknicolson": "cn"}.get(key)
-    if key is None:
+    """``(n_steps, dt, step)`` of a run of ``method``, one of :data:`METHODS`: the steps of
+    :func:`~stochflow.fields.time_steps` and the map from a state array to the state one
+    step later (the argument is kept)."""
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    n_steps = max(1, int(round(t_final / dt)))
-    dt = t_final / n_steps
-    if key == "splitstep":
+    n_steps, dt = time_steps(t_final, dt)
+    if method == "splitstep":
         half_pot = np.exp(-0.5j * problem.potential_values() * dt / problem.b**2)
         kin = _kinetic_phase(problem.grid, problem.b, dt)
         axes = tuple(range(problem.grid.dim))
@@ -152,7 +149,7 @@ def _stepper(problem: SchrodingerProblem, t_final: float, dt: float, method: str
         def step(psi: np.ndarray) -> np.ndarray:
             return solver.solve(b_mat @ psi)
 
-    return key, n_steps, dt, step
+    return n_steps, dt, step
 
 
 def evolve(
@@ -168,7 +165,7 @@ def evolve(
     final time is always included; the step count is ``round(t_final/dt)``
     with ``dt`` adjusted to land on ``t_final`` exactly.
     """
-    key, n_steps, dt, step = _stepper(problem, t_final, dt, method)
+    n_steps, dt, step = _stepper(problem, t_final, dt, method)
     stride = n_steps if store_every is None else max(1, int(store_every))
     psi = problem.psi0.values
     stored, states = [0], [ScalarField(problem.grid, psi.copy())]
@@ -177,4 +174,4 @@ def evolve(
         if k % stride == 0 or k == n_steps:
             stored.append(k)
             states.append(ScalarField(problem.grid, psi))
-    return SchrodingerResult(times=dt * np.asarray(stored, dtype=float), states=tuple(states), method=key)
+    return SchrodingerResult(times=dt * np.asarray(stored, dtype=float), states=tuple(states), method=method)

@@ -85,7 +85,7 @@ def test_solver_matches_single_mode():
     x = grid.axis
     a0 = ScalarField(grid, burgers_single_mode(x, 0.0, nu, 1.0, 0.5))
     problem = BurgersProblem(grid=grid, b=b, variant="reversed")
-    out = solve_burgers(problem, a0, 1.0, 1e-3)[-1][1]
+    out = solve_burgers(problem, a0, 1.0, 1e-3)
     exact = burgers_single_mode(x, 1.0, nu, 1.0, 0.5)
     assert np.max(np.abs(out.values - exact)) < 1e-6
 
@@ -132,7 +132,7 @@ def test_complex_variant_with_potential_matches_wave_route():
 
     problem = BurgersProblem(grid=grid, b=b, variant="complex", potential=potential)
     v0 = ch.to_velocity(f0)
-    v_direct = solve_burgers(problem, v0, T, dt)[-1][1].values
+    v_direct = solve_burgers(problem, v0, T, dt).values
     assert np.max(np.abs(v_direct - v_route)) < 1e-5
 
 
@@ -225,14 +225,3 @@ def test_inversion_diagnostic_flags_degeneracy():
     good = ~diag2["degenerate"]
     exact = np.cos(x) / (2 + np.sin(x))
     assert np.max(np.abs(diag2["values"][good] - exact[good])) < 1e-9
-
-
-def test_solver_stores_requested_times():
-    grid = GridSpec(dim=1, length=2 * np.pi, n=64)
-    a0 = ScalarField(grid, 0.1 * np.sin(grid.axis))
-    problem = BurgersProblem(grid=grid, b=1.0, variant="reversed")
-    endpoints = solve_burgers(problem, a0, 0.1, 1e-2)
-    assert [t for t, _ in endpoints] == pytest.approx([0.0, 0.1])
-    series = solve_burgers(problem, a0, 0.1, 1e-2, store_every=1)
-    times = [t for t, _ in series]
-    assert times == pytest.approx([0.01 * i for i in range(11)])

@@ -95,6 +95,8 @@ def test_threads_is_an_unknown_parameter(runner, tmp_path):
         ("colehopf-1d", {"eps": False}, "eps", "float"),
         ("born-free", {"method": 1}, "method", "str"),
         ("complex-increments", {"pairs": 3}, "pairs", "list"),
+        ("complex-increments", {"pairs": [[1.0, "a"]]}, "pairs", "list of list of float"),
+        ("complex-increments", {"pairs": [1.0]}, "pairs", "list of list of float"),
     ],
 )
 def test_config_value_of_wrong_type_exits_two_and_names_it(
@@ -145,6 +147,36 @@ def test_value_the_experiment_rejects_exits_two_and_names_it(
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)  # no traceback
     assert key in result.output
+
+
+@pytest.mark.parametrize(
+    "experiment, overrides, key",
+    [
+        ("born-harmonic", {"dt": 0.0}, "dt"),
+        ("born-free", {"steps_per_point": 0}, "steps_per_point"),
+        ("born-free", {"t_final": -1.0}, "t_final"),
+        ("colehopf-1d", {"dt": 0.0}, "dt"),
+        ("colehopf-1d", {"t_final": 0.0}, "t_final"),
+        ("burgers-direct-vs-ch", {"dt": 0.0}, "dt"),
+        ("sde-estimators", {"dt_short": 0.0}, "dt_short"),
+        ("complex-increments", {"pairs": [["a", 1.0]]}, "pairs"),
+        ("complex-increments", {"dt": 0.0}, "dt"),
+    ],
+)
+def test_meaningless_value_exits_two_with_one_error_line(runner, tmp_path, experiment, overrides, key):
+    # no step count, a list of the wrong element type or a zero time step:
+    # each is a configuration error, never a traceback or a PASS
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides))
+    result = runner.invoke(
+        main, ["run", experiment, "--config", str(cfg), "--out", str(tmp_path / "o")]
+    )
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert lines[0].startswith("error: ") and repr(key) in lines[0]
 
 
 def test_non_finite_check_value_is_echoed_and_fails(runner, tmp_path, monkeypatch):

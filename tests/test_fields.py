@@ -16,6 +16,7 @@ from stochflow.fields import (
     laplacian,
     log_derivative,
     norms,
+    time_steps,
 )
 
 
@@ -171,3 +172,12 @@ def test_nyquist_mode_removed_in_odd_derivative():
     f = ScalarField(grid, np.cos(8 * x))  # k = n/2
     df = derivative(f, 0)
     assert np.max(np.abs(df.values)) < 1e-13
+
+
+def test_time_steps_land_on_the_final_time():
+    assert time_steps(1.0, 0.3) == (3, 1.0 / 3)
+    assert time_steps(0.01, 1.0) == (1, 0.01)  # at least one step
+    for t_final, dt in [(1.0, 0.0), (0.0, 0.1), (-1.0, 0.1), (1.0, -0.1),
+                        (float("nan"), 0.1), (1.0, float("inf")), (1.0, 5e-324)]:
+        with pytest.raises(ValueError, match="positive and finite"):
+            time_steps(t_final, dt)

@@ -1,9 +1,18 @@
-"""Every public name of a module is used by the package itself.
+"""Every public name of a module, and every public method of a class, is used
+by the package itself.
 
 A name listed in a module's ``__all__`` must be loaded somewhere in
 ``src/stochflow`` outside its own definition; an import or an ``__all__``
-entry does not count.  A name reached only by its own unit tests is dead
-code: delete it, or name it in ``ALLOWED`` with the reason it stays.
+entry does not count.  A public method, property or classmethod of a class
+(dunders and ``_``-names do not count) must be loaded as an attribute
+somewhere in ``src/stochflow`` outside its own body.  A name reached only by
+its own unit tests is dead code: delete it, or name it in ``ALLOWED`` or
+``ALLOWED_METHODS`` with the reason it stays.
+
+The method check goes by attribute name alone, since it cannot tell the
+type of the object an attribute is read from.  So a method whose name is
+shared with another attribute cannot be seen: a ``values()`` method would
+pass as soon as anything reads ``ScalarField.values``.
 """
 
 import ast
@@ -22,6 +31,12 @@ ALLOWED = {
     ("analytic", "dispersion_omega"): "oracle of the plane-wave tests",
 }
 
+#: public methods kept although nothing in the package loads them
+ALLOWED_METHODS = {
+    ("analytic", "HarmonicState", "energy"): "oracle of the eigenstate energy tests",
+    ("fields", "ScalarField", "real_values"): "part of the kept ScalarField API",
+}
+
 
 def _modules() -> dict[str, ast.Module]:
     return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
@@ -38,17 +53,19 @@ def _public(tree: ast.Module) -> list[str]:
     return []
 
 
-def _loads(tree: ast.Module, name: str, skip: ast.AST | None) -> bool:
-    """Whether ``tree`` loads ``name`` (as a bare name or an attribute) outside ``skip``."""
+def _loads(tree: ast.Module, name: str, skip: ast.AST | None, attribute_only: bool = False) -> bool:
+    """Whether ``tree`` loads ``name`` (as an attribute, or also as a bare name)
+    outside ``skip``."""
     stack = [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
-        if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
-            return True
-        if isinstance(node, ast.Attribute) and node.attr == name and isinstance(node.ctx, ast.Load):
-            return True
+        if isinstance(getattr(node, "ctx", None), ast.Load):
+            if isinstance(node, ast.Attribute) and node.attr == name:
+                return True
+            if isinstance(node, ast.Name) and node.id == name and not attribute_only:
+                return True
         stack.extend(ast.iter_child_nodes(node))
     return False
 
@@ -73,6 +90,25 @@ def _unused() -> list[tuple[str, str]]:
     return unused
 
 
+def _methods(tree: ast.Module) -> list[tuple[str, ast.FunctionDef]]:
+    """``(class name, method)`` for the public methods of the module's classes."""
+    return [
+        (cls.name, fn)
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for fn in cls.body if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+    ]
+
+
+def _unused_methods() -> list[tuple[str, str, str]]:
+    modules = _modules()
+    return [
+        (module, cls, fn.name)
+        for module, tree in modules.items()
+        for cls, fn in _methods(tree)
+        if not any(_loads(other, fn.name, fn, attribute_only=True) for other in modules.values())
+    ]
+
+
 def test_every_public_name_is_used_or_allowed():
     assert sorted(set(_unused()) - set(ALLOWED)) == []
 
@@ -87,3 +123,29 @@ def test_guard_sees_a_name_used_only_inside_its_own_definition():
     assert not _loads(tree, "f", _definition(tree, "f"))
     assert _loads(tree, "g", _definition(tree, "g"))
     assert not _loads(ast.parse("from m import f\n__all__ = ['f']\n"), "f", None)
+
+
+def test_every_public_method_is_used_or_allowed():
+    assert sorted(set(_unused_methods()) - set(ALLOWED_METHODS)) == []
+
+
+def test_method_allowlist_has_no_stale_entries():
+    assert sorted(set(ALLOWED_METHODS) - set(_unused_methods())) == []
+
+
+def test_guard_sees_a_method_used_only_inside_its_own_body():
+    tree = ast.parse(
+        "class A:\n"
+        "    def f(self):\n        return self.f()\n"
+        "    @property\n    def g(self):\n        return 1\n"
+        "    def __len__(self):\n        return 0\n"
+        "    def _h(self):\n        return 0\n"
+        "\ndef g():\n    return g\n"
+        "\nx = A().g\n"
+    )
+    (_, f), (_, g) = _methods(tree)
+    assert (f.name, g.name) == ("f", "g")  # dunders and _-names do not count
+    assert not _loads(tree, "f", f, attribute_only=True)
+    assert _loads(tree, "g", g, attribute_only=True)
+    # a bare name is a function, not the method
+    assert not _loads(ast.parse("def g():\n    return g()\n"), "g", None, attribute_only=True)

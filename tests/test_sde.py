@@ -120,6 +120,8 @@ def test_complex_increment_moments_and_guards():
     assert abs(stats.mean_dzdzbar - 0.01) < tol
     with pytest.raises(ValueError):
         sample_complex_increments(1.0, 0.0, 0.01, 100, 0)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        sample_complex_increments(1.0, 1.0, 0.0, 100, 0)
 
 
 def test_complex_increment_unbalanced_second_moment():
