@@ -12,10 +12,10 @@ unitary evolution).  No quadratic form is assumed by the transport step;
 the modulus-squared rule is an output, not an input.
 
 The pipeline streams the evolution through plain arrays in chunks of K =
-:data:`CHUNK_STEPS` steps (evolve, extract the velocities with one batched
-FFT, transport, compare), so memory is O(K n) on n points, not O(steps n).
-It takes ``round(t_final/dt)`` steps of the ``splitstep`` or ``cn``
-integrator of :mod:`stochflow.schrodinger`, the same as ``evolve``.
+``max(1, CHUNK_POINTS // n)`` steps on n points (:func:`born_pipeline`), so
+memory is O(K n), not O(steps n).  It takes ``round(t_final/dt)`` steps of
+the ``splitstep`` or ``cn`` integrator of :mod:`stochflow.schrodinger`, the
+same as ``evolve``.
 
 Supporting pieces:
 
@@ -51,7 +51,7 @@ from .fokker_planck import (
     osmotic_constraint_residual,
 )
 # unused ``evolve`` kept: bench/spans.py traces it as ``stochflow.born.evolve``
-from .schrodinger import SchrodingerProblem, _stepper, evolve  # noqa: F401
+from .schrodinger import SchrodingerProblem, _split_factors, _stepper, evolve  # noqa: F401
 
 __all__ = [
     "VelocityDecomposition",
@@ -63,8 +63,8 @@ __all__ = [
     "born_pipeline",
 ]
 
-#: steps per chunk of the streamed pipeline; a chunk buffer of 128 points is 2 MB
-CHUNK_STEPS = 1024
+#: points per chunk of the pipeline: K = max(1, CHUNK_POINTS // n) steps, 1 MB per state buffer
+CHUNK_POINTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -146,6 +146,19 @@ def madelung_wavefunction(rho: ScalarField, current: ScalarField, b: float) -> S
     return ScalarField(grid, np.sqrt(rho_vals) * np.exp(1j * theta) * carrier)
 
 
+def _flux_div(v: np.ndarray, rho: np.ndarray, mult: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """The spectral ``(v rho)_x`` in ``work[2]``: complex rows for the flux, spectrum and inverse."""
+    np.multiply(v, rho, out=work[0])
+    np.multiply(np.fft.fft(work[0], out=work[1]), mult, out=work[1])
+    return np.fft.ifft(work[1], out=work[2]).real
+
+
+def _heun(rho, d1, v_next, dt, mult, work) -> np.ndarray:
+    """One Heun step of ``rho_t = -(v rho)_x``, given ``d1 = (v rho)_x`` and ``v_next`` at its end."""
+    d2 = _flux_div(v_next, rho - dt * d1, mult, work)
+    return rho - 0.5 * dt * (d1 + d2)
+
+
 def evolve_density_continuity(
     rho0: ScalarField,
     velocity_snapshots: np.ndarray,
@@ -159,18 +172,12 @@ def evolve_density_continuity(
     ``sum(rho) dx`` is conserved to round-off.
     """
     mult = spectral_multiplier(rho0.grid)
+    work = np.empty((3, 2, rho0.grid.n), dtype=np.complex128)  # column 1 holds d1
     history = np.empty(velocity_snapshots.shape)
-    rho = history[0] = np.real(rho0.values)
-
-    def flux_div(v_vals: np.ndarray, rho_vals: np.ndarray) -> np.ndarray:
-        flux = (v_vals * rho_vals).astype(np.complex128)
-        return np.real(np.fft.ifft(np.fft.fft(flux) * mult))
-
-    for k in range(velocity_snapshots.shape[0] - 1):
-        d1 = flux_div(velocity_snapshots[k], rho)
-        predictor = rho - dt * d1
-        d2 = flux_div(velocity_snapshots[k + 1], predictor)
-        rho = history[k + 1] = rho - 0.5 * dt * (d1 + d2)
+    history[0] = np.real(rho0.values)
+    for k in range(len(history) - 1):
+        d1 = _flux_div(velocity_snapshots[k], history[k], mult, work[:, 1])
+        history[k + 1] = _heun(history[k], d1, velocity_snapshots[k + 1], dt, mult, work[:, 0])
     return history
 
 
@@ -212,13 +219,15 @@ def born_pipeline(
 ) -> BornReport:
     """Run the full verification loop on one one-dimensional wave-equation problem.
 
-    The evolution is streamed in chunks of K = :data:`CHUNK_STEPS` steps,
-    so memory is O(K n), not O(steps n).  Per chunk the current velocity of
-    every state is extracted, the density carried over from the chunk before
-    is transported by the continuity equation alone, and every step is
-    compared against ``F F* / q``; non-finite states or densities raise
-    ``ValueError``.  The complex density-transport residuals are evaluated
-    at the midpoint snapshot triple, the only states kept beyond a chunk.
+    The evolution is streamed in chunks of K = ``max(1, CHUNK_POINTS // n)``
+    steps, so memory is O(K n), not O(steps n).  One loop evolves chunk c
+    while it transports the density through chunk c - 1 by the continuity
+    equation alone, with the velocities of that chunk's states extracted by
+    one batched FFT; on ``splitstep`` the evolution step and the first flux
+    share one two-row FFT pair.  Every step is compared against ``F F* / q``;
+    non-finite states or densities raise ``ValueError``.  The complex
+    density-transport residuals are evaluated at the midpoint snapshot
+    triple, the only states kept beyond a chunk.
     """
     n_steps, dt, step = _stepper(problem, t_final, dt, method)
     mid = n_steps // 2
@@ -226,36 +235,61 @@ def born_pipeline(
         raise ValueError("need at least three stored snapshots for the residual checks")
     grid, b = problem.grid, problem.b
     mult = spectral_multiplier(grid)
+    half_pot, kin = _split_factors(problem, dt) if method == "splitstep" else (None, None)
     q0 = float(np.real(integrate(problem.psi0.abs2())))
-    rho = np.real(problem.psi0.abs2().values) / q0
     # per step: t, gap, relative gap, transported mass, norm, node coverage
     stats = np.empty((n_steps + 1, 6))
     kept = {}
-    buf = np.empty((CHUNK_STEPS + 1, grid.n), dtype=np.complex128)
-    buf[0] = problem.psi0.values
+    n_rows = max(1, CHUNK_POINTS // grid.n)
+    bufs = np.empty((2, n_rows + 1, grid.n), dtype=np.complex128)
+    hist = np.empty((n_rows + 1, grid.n))
+    work = np.empty((3, 2, grid.n), dtype=np.complex128)  # rows as in _flux_div; d1 in work[2, 1]
+    bufs[0, 0] = problem.psi0.values
+    hist[0] = np.real(problem.psi0.abs2().values) / q0
+    i_old = m_old = 0
 
-    for i0 in range(0, n_steps, CHUNK_STEPS):
-        m = min(CHUNK_STEPS, n_steps - i0)
-        for r in range(1, m + 1):
-            buf[r] = step(buf[r - 1])
-        states = buf[: m + 1]  # steps i0 .. i0 + m
-        dpsi = np.fft.ifft(np.fft.fft(states, axis=1) * mult, axis=1)
-        velocity, mask = log_derivative(states, dpsi, -1j * b**2)
-        history = evolve_density_continuity(ScalarField(grid, rho), np.real(velocity), dt)
-        if not (np.isfinite(states).all() and np.isfinite(history).all()):
-            raise ValueError("field contains non-finite entries")
+    # stage c evolves chunk c (steps i0 .. i0 + m_new) while it transports chunk c - 1
+    for c, i0 in enumerate([*range(0, n_steps, n_rows), n_steps]):
+        new, m_new = bufs[c % 2], min(n_rows, n_steps - i0)
+        for r in range(1, max(m_new, m_old) + 1):
+            shared = kin is not None and r <= min(m_new, m_old)
+            if r <= m_new and not shared:
+                new[r] = step(new[r - 1])
+            if r <= m_old:
+                if shared:  # the split step and the first flux in one two-row FFT pair
+                    np.multiply(half_pot, new[r - 1], out=work[0, 0])
+                    np.multiply(vel[r - 1], hist[r - 1], out=work[0, 1])
+                    spec = np.fft.fft(work[0], out=work[1])
+                    # operand orders as in step and _flux_div: complex products do not commute bitwise
+                    np.multiply(kin, spec[0], out=spec[0])
+                    np.multiply(spec[1], mult, out=spec[1])
+                    np.multiply(half_pot, np.fft.ifft(spec, out=work[2])[0], out=new[r])
+                else:
+                    _flux_div(vel[r - 1], hist[r - 1], mult, work[:, 1])
+                hist[r] = _heun(hist[r - 1], work[2, 1].real, vel[r], dt, mult, work[:, 0])
 
-        abs2 = np.real(states * np.conj(states))
-        q = np.real(np.sum(abs2.astype(np.complex128), axis=1) * grid.cell_volume)
-        target = abs2 / q[:, None]
-        gap = np.max(np.abs(history - target), axis=1)
-        stats[i0 : i0 + m + 1] = np.column_stack([
-            dt * np.arange(i0, i0 + m + 1, dtype=float), gap, gap / target.max(axis=1),
-            history.sum(axis=1) * grid.dx, np.sqrt(q), mask.mean(axis=1),
-        ])
-        for k in range(max(i0, mid - 1), min(i0 + m, mid + 1) + 1):
-            kept[k] = ScalarField(grid, states[k - i0].copy())
-        rho, buf[0] = history[-1], buf[m]
+        if m_old:  # compare chunk c - 1
+            states, history = old[: m_old + 1], hist[: m_old + 1]
+            if not (np.isfinite(states).all() and np.isfinite(history).all()):
+                raise ValueError("field contains non-finite entries")
+            abs2 = np.real(states * np.conj(states))
+            q = np.real(np.sum(abs2.astype(np.complex128), axis=1) * grid.cell_volume)
+            target = abs2 / q[:, None]
+            gap = np.max(np.abs(history - target), axis=1)
+            stats[i_old : i_old + m_old + 1] = np.column_stack([
+                dt * np.arange(i_old, i_old + m_old + 1, dtype=float), gap,
+                gap / target.max(axis=1), history.sum(axis=1) * grid.dx, np.sqrt(q), coverage,
+            ])
+            for k in range(max(i_old, mid - 1), min(i_old + m_old, mid + 1) + 1):
+                kept[k] = ScalarField(grid, states[k - i_old].copy())
+            rho = hist[0] = history[-1].copy()
+        if m_new:  # the velocities of chunk c, for its transport in stage c + 1
+            states = new[: m_new + 1]
+            dpsi = np.fft.ifft(np.fft.fft(states, axis=1) * mult, axis=1)
+            velocity, mask = log_derivative(states, dpsi, -1j * b**2)
+            vel, coverage = np.real(velocity), mask.mean(axis=1)
+            bufs[(c + 1) % 2, 0] = new[m_new]
+        old, i_old, m_old = new, i0, m_new
 
     rho_tri = [
         ScalarField(grid, np.real(kept[k].abs2().values) / q0) for k in (mid - 1, mid, mid + 1)

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import i0 as _bessel_i0
 
 from .analytic import (
     FreePacket,
@@ -562,6 +561,8 @@ def _run_complex_increments(p: dict, seed: int):
 # ---------------------------------------------------------------------------
 
 def _run_variational(p: dict, seed: int):
+    if p["n_theta"] < 3:
+        raise ValueError(f"a quadratic fit needs at least 3 values of theta, got {p['n_theta']}")
     b = p["b"]
     thetas = np.linspace(-1.0, 1.0, p["n_theta"])
     # the whole sweep as one batch: every theta sees the same initial samples
@@ -747,7 +748,7 @@ def _run_fp_consistency(p: dict, seed: int):
 
     # analytic stationary density (von Mises) for shape comparison
     kappa = 2 * c / b**2
-    rho_vm = np.exp(kappa * np.cos(x)) / (2 * np.pi * _bessel_i0(kappa))
+    rho_vm = np.exp(kappa * np.cos(x)) / (2 * np.pi * np.i0(kappa))
     disc_vs_analytic = float(np.max(np.abs(rho_star.values.real - rho_vm)))
 
     # backward evolution: at stationarity the reversed drift is exactly -a,
@@ -986,9 +987,11 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
 
 
 def run_experiment(name: str, params: dict, seed: int) -> dict:
-    """Execute one experiment; returns the full summary dict (no I/O)."""
+    """Execute one experiment; returns the full summary dict (no I/O).  No check is a ValueError."""
     spec = EXPERIMENTS[name]
     checks, metrics, csvs = spec.runner(params, seed)
+    if not checks:
+        raise ValueError("these parameters leave nothing to check")
     summary = {
         "experiment": name,
         "seed": seed,

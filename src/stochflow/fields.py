@@ -275,7 +275,8 @@ def log_derivative(values: np.ndarray, dvalues: np.ndarray,
     mag = np.abs(values)
     mask = mag > NODE_FLOOR_REL * mag.max(axis=1, keepdims=True)
     out = np.zeros(values.shape, dtype=np.complex128)
-    out[mask] = coef * dvalues[mask] / values[mask]
+    np.multiply(coef, dvalues, out=out, where=mask)
+    np.divide(out, values, out=out, where=mask)
     return out, mask
 
 

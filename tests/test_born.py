@@ -8,7 +8,7 @@ import pytest
 
 from stochflow.analytic import FreePacket
 from stochflow.born import (
-    CHUNK_STEPS,
+    CHUNK_POINTS,
     BornReport,
     born_pipeline,
     evolve_density_continuity,
@@ -172,24 +172,37 @@ def _reference_report(problem, t_final, dt, method):
     )
 
 
-@pytest.mark.parametrize("method", ["splitstep", "cn"])
-def test_born_pipeline_matches_per_snapshot_reference(packet_setup, method):
-    # the step count crosses two chunk boundaries and ends inside a third
-    # chunk, which pins the density and velocity carried across chunks
+def _assert_matches_reference(packet_setup, method, n_steps):
     grid, pk = packet_setup
     psi0 = ScalarField(grid, pk.psi(grid.axis, 0.0))
     prob = SchrodingerProblem(grid=grid, b=pk.b, psi0=psi0)
     dt = 1 / 1024
-    t_final = (2 * CHUNK_STEPS + 37) * dt
-    rep = born_pipeline(prob, t_final, dt, method=method)
-    ref = _reference_report(prob, t_final, dt, method)
-    assert rep.discrepancy_series.shape == (2 * CHUNK_STEPS + 38, 3)
+    rep = born_pipeline(prob, n_steps * dt, dt, method=method)
+    ref = _reference_report(prob, n_steps * dt, dt, method)
+    assert rep.discrepancy_series.shape == (n_steps + 1, 3)
     for f in dataclasses.fields(BornReport):
         got, want = getattr(rep, f.name), getattr(ref, f.name)
         if isinstance(want, np.ndarray):
             assert np.array_equal(got, want), f.name
         else:
             assert got == want, f.name
+
+
+@pytest.mark.parametrize("method", ["splitstep", "cn"])
+def test_born_pipeline_matches_per_snapshot_reference(packet_setup, method):
+    # the step count crosses two chunk boundaries and ends inside a third
+    # chunk, which pins the density and velocity carried across chunks
+    chunk = CHUNK_POINTS // packet_setup[0].n
+    _assert_matches_reference(packet_setup, method, 2 * chunk + 37)
+
+
+@pytest.mark.parametrize("method", ["splitstep", "cn"])
+@pytest.mark.parametrize("chunks", ["single", "last-full"])
+def test_born_pipeline_matches_reference_at_chunk_edges(packet_setup, method, chunks):
+    # one partial chunk only (no stage evolves and transports at once), and a
+    # last chunk that is exactly full (the final stage transports a whole chunk)
+    chunk = CHUNK_POINTS // packet_setup[0].n
+    _assert_matches_reference(packet_setup, method, 37 if chunks == "single" else 2 * chunk)
 
 
 def test_born_pipeline_rejects_non_finite_evolution(packet_setup):

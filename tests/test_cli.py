@@ -161,6 +161,8 @@ def test_value_the_experiment_rejects_exits_two_and_names_it(
         ("sde-estimators", {"dt_short": 0.0}, "dt_short"),
         ("complex-increments", {"pairs": [["a", 1.0]]}, "pairs"),
         ("complex-increments", {"dt": 0.0}, "dt"),
+        ("complex-increments", {"pairs": []}, "pairs"),
+        ("variational", {"n_theta": 2}, "n_theta"),
     ],
 )
 def test_meaningless_value_exits_two_with_one_error_line(runner, tmp_path, experiment, overrides, key):
@@ -265,6 +267,15 @@ def test_solver_breakdown_prints_only_the_error_line(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith("error: ") and "'eps'" in lines[0]
+
+
+def test_import_loads_no_scipy():
+    # only the cn integrator needs scipy, so start-up does not pay for importing it
+    env = dict(os.environ, PYTHONPATH=str(Path(stochflow.__file__).parents[1]))
+    code = "import sys, stochflow.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_failing_check_exits_one(runner, tmp_path):

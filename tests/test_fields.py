@@ -119,6 +119,20 @@ def test_log_derivative_masks_nodes_per_row():
     assert ratio.tolist() == [[1.5, 0.0, 0.75], [3.0, 3.0, 0.0]]
 
 
+def test_log_derivative_equals_the_masked_formula_bit_for_bit():
+    # rows with nodes below the floor, a row that is all nodes, and complex data
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal((4, 64)) + 1j * rng.standard_normal((4, 64))
+    values[:, ::5] *= 1e-14
+    values[3] = 0.0
+    dvalues = rng.standard_normal((4, 64)) + 1j * rng.standard_normal((4, 64))
+    ratio, mask = log_derivative(values, dvalues, -0.7j)
+    want = np.zeros(values.shape, dtype=np.complex128)
+    want[mask] = -0.7j * dvalues[mask] / values[mask]
+    assert mask[:3].sum() == 3 * 51 and not mask[3].any()
+    assert (ratio == want).all()
+
+
 def test_laplacian_matches_mode_eigenvalue():
     grid = GridSpec(dim=3, length=2 * np.pi, n=16)
     f = field_from_function(grid, lambda x, y, z: np.sin(x) + np.cos(2 * y) + np.sin(3 * z))

@@ -16,6 +16,7 @@ pass as soon as anything reads ``ScalarField.values``.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 import stochflow
@@ -26,6 +27,7 @@ SRC = Path(stochflow.__file__).parent
 ALLOWED = {
     ("born", "normalize_wavefunction"): "README claim (gauge invariance), awaiting an experiment check",
     ("born", "madelung_wavefunction"): "README claim (Madelung round trip), awaiting an experiment check",
+    ("born", "evolve_density_continuity"): "oracle of the per-snapshot Born pipeline reference test",
     ("burgers", "solve_final_value"): "README claim (forward variant as a final-value problem)",
     ("schrodinger", "energy"): "oracle of the split-step and eigenstate tests",
     ("analytic", "dispersion_omega"): "oracle of the plane-wave tests",
@@ -38,6 +40,7 @@ ALLOWED_METHODS = {
 }
 
 
+@functools.cache
 def _modules() -> dict[str, ast.Module]:
     return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
@@ -77,6 +80,7 @@ def _definition(tree: ast.Module, name: str) -> ast.AST | None:
     return None
 
 
+@functools.cache
 def _unused() -> list[tuple[str, str]]:
     modules = _modules()
     unused = []
@@ -99,6 +103,7 @@ def _methods(tree: ast.Module) -> list[tuple[str, ast.FunctionDef]]:
     ]
 
 
+@functools.cache
 def _unused_methods() -> list[tuple[str, str, str]]:
     modules = _modules()
     return [
