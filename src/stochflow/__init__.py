@@ -78,11 +78,9 @@ from .burgers import (
     inversion_diagnostic,
     real_chain_residual,
     solve_burgers,
-    solve_final_value,
     solve_linearization_condition,
 )
 from .schrodinger import (
-    METHODS,
     SchrodingerProblem,
     SchrodingerResult,
     energy,

@@ -13,9 +13,8 @@ the modulus-squared rule is an output, not an input.
 
 The pipeline streams the evolution through plain arrays in chunks of K =
 ``max(1, CHUNK_POINTS // n)`` steps on n points (:func:`born_pipeline`), so
-memory is O(K n), not O(steps n).  It takes ``round(t_final/dt)`` steps of
-the ``splitstep`` or ``cn`` integrator of :mod:`stochflow.schrodinger`, the
-same as ``evolve``.
+memory is O(K n), not O(steps n).  It takes ``round(t_final/dt)`` split steps
+of :mod:`stochflow.schrodinger`, the same as ``evolve``.
 
 Supporting pieces:
 
@@ -192,7 +191,6 @@ class BornReport:
 
     t_final: float
     dt: float
-    method: str
     q_initial: float
     sup_density_error: float
     sup_relative_error: float
@@ -215,7 +213,6 @@ def born_pipeline(
     problem: SchrodingerProblem,
     t_final: float,
     dt: float,
-    method: str = "splitstep",
 ) -> BornReport:
     """Run the full verification loop on one one-dimensional wave-equation problem.
 
@@ -223,19 +220,19 @@ def born_pipeline(
     steps, so memory is O(K n), not O(steps n).  One loop evolves chunk c
     while it transports the density through chunk c - 1 by the continuity
     equation alone, with the velocities of that chunk's states extracted by
-    one batched FFT; on ``splitstep`` the evolution step and the first flux
+    one batched FFT; where both run, the evolution step and the first flux
     share one two-row FFT pair.  Every step is compared against ``F F* / q``;
     non-finite states or densities raise ``ValueError``.  The complex
     density-transport residuals are evaluated at the midpoint snapshot
     triple, the only states kept beyond a chunk.
     """
-    n_steps, dt, step = _stepper(problem, t_final, dt, method)
+    n_steps, dt, step = _stepper(problem, t_final, dt)
     mid = n_steps // 2
     if mid == 0:
         raise ValueError("need at least three stored snapshots for the residual checks")
     grid, b = problem.grid, problem.b
     mult = spectral_multiplier(grid)
-    half_pot, kin = _split_factors(problem, dt) if method == "splitstep" else (None, None)
+    half_pot, kin = _split_factors(problem, dt)
     q0 = float(np.real(integrate(problem.psi0.abs2())))
     # per step: t, gap, relative gap, transported mass, norm, node coverage
     stats = np.empty((n_steps + 1, 6))
@@ -252,7 +249,7 @@ def born_pipeline(
     for c, i0 in enumerate([*range(0, n_steps, n_rows), n_steps]):
         new, m_new = bufs[c % 2], min(n_rows, n_steps - i0)
         for r in range(1, max(m_new, m_old) + 1):
-            shared = kin is not None and r <= min(m_new, m_old)
+            shared = r <= min(m_new, m_old)
             if r <= m_new and not shared:
                 new[r] = step(new[r - 1])
             if r <= m_old:
@@ -298,7 +295,6 @@ def born_pipeline(
     return BornReport(
         t_final=dt * n_steps,
         dt=dt,
-        method=method,
         q_initial=q0,
         sup_density_error=float(stats[:, 1].max()),
         sup_relative_error=float(stats[:, 2].max()),

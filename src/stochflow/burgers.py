@@ -58,7 +58,6 @@ __all__ = [
     "effective_viscosity",
     "solve_linearization_condition",
     "solve_burgers",
-    "solve_final_value",
     "heat_evolve_spectral",
     "geodesic_residual",
     "real_chain_residual",
@@ -192,11 +191,11 @@ def solve_burgers(
 
     Stable forward in time for the ``reversed`` and both complex variants
     (the integrating factor of the imaginary viscosities is a pure phase).
-    The antidiffusive ``forward`` variant must go through
-    :func:`solve_final_value` instead.
+    The antidiffusive ``forward`` variant is a final-value problem and is
+    rejected.
     """
     if problem.variant == "forward":
-        raise ValueError("the forward variant is a final-value problem; use solve_final_value")
+        raise ValueError("the forward variant is a final-value problem, not solved forward in time")
     if problem.grid.dim != 1:
         raise ValueError("the direct solver is one-dimensional")
     grid = problem.grid
@@ -219,29 +218,6 @@ def solve_burgers(
     for _ in range(n_steps):
         a_hat = _if_heun_step(a_hat, nonlin_hat, decay, forcing_hat, dt)
     return ScalarField(grid, np.fft.ifft(a_hat))
-
-
-def solve_final_value(
-    problem: BurgersProblem, a_final: ScalarField, t_final: float, dt: float
-) -> ScalarField:
-    """Solve the antidiffusive ``forward`` variant from its final condition.
-
-    Reflecting time (``tau = T - t``) and mirroring space turns the
-    equation into the ordinary viscous variant, which is integrated with
-    :func:`solve_burgers`; the result is mirrored back and represents the
-    field at ``t = 0``.
-    """
-    if problem.variant != "forward":
-        raise ValueError("solve_final_value applies to the forward variant")
-    mirrored = ScalarField(problem.grid, _mirror(a_final.values))
-    companion = BurgersProblem(grid=problem.grid, b=problem.b, variant="reversed")
-    result = solve_burgers(companion, mirrored, t_final, dt)
-    return ScalarField(problem.grid, _mirror(result.values))
-
-
-def _mirror(vals: np.ndarray) -> np.ndarray:
-    """Reflect ``x -> -x`` on the periodic grid (index 0 stays put)."""
-    return np.roll(vals[::-1], 1)
 
 
 def heat_evolve_spectral(F0: ScalarField, kappa: complex, t: float) -> ScalarField:

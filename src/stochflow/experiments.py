@@ -116,7 +116,7 @@ def _run_born_free(p: dict, seed: int):
     for n in (p["n"] // 2, p["n"]):
         prob = _free_packet_problem(n, p)
         dt = p["t_final"] / (p["steps_per_point"] * n)
-        reports[n] = born_pipeline(prob, p["t_final"], dt, method=p["method"])
+        reports[n] = born_pipeline(prob, p["t_final"], dt)
     rep = reports[p["n"]]
     rep_half = reports[p["n"] // 2]
     ratio = rep_half.sup_relative_error / rep.sup_relative_error
@@ -166,7 +166,7 @@ def _run_born_harmonic(p: dict, seed: int):
     prob = SchrodingerProblem(
         grid=grid, b=p["b"], psi0=psi0, potential=state.potential
     )
-    rep = born_pipeline(prob, p["t_final"], p["dt"], method=p["method"])
+    rep = born_pipeline(prob, p["t_final"], p["dt"])
 
     checks = [
         check("stationary_density_discrepancy", rep.sup_density_error, 1e-6),
@@ -277,6 +277,8 @@ def _random_log_field(grid: GridSpec, rng, n_terms: int, amp: float, kmax: int) 
 
 
 def _run_colehopf_3d(p: dict, seed: int):
+    if p["n_random"] < 1:
+        raise ValueError(f"the cancellation check needs at least one random field, got {p['n_random']}")
     grid = GridSpec(dim=3, length=2 * np.pi, n=p["n"])
     b = p["b"]
     xs = grid.coords()
@@ -563,6 +565,8 @@ def _run_complex_increments(p: dict, seed: int):
 def _run_variational(p: dict, seed: int):
     if p["n_theta"] < 3:
         raise ValueError(f"a quadratic fit needs at least 3 values of theta, got {p['n_theta']}")
+    if not (p["dt"] > 0 and 0.5 < p["t_complex"] / p["dt"] < np.inf):  # round(t_complex/dt) >= 1
+        raise ValueError(f"the path sum needs round(t_complex/dt) >= 1 steps, got {p['t_complex']}/{p['dt']}")
     b = p["b"]
     thetas = np.linspace(-1.0, 1.0, p["n_theta"])
     # the whole sweep as one batch: every theta sees the same initial samples
@@ -632,6 +636,8 @@ def _mv(coeffs) -> Multivector:
 
 
 def _run_ga_identities(p: dict, seed: int):
+    if p["n_algebra_trials"] < 1:
+        raise ValueError(f"the product axioms need at least one trial, got {p['n_algebra_trials']}")
     e1 = Multivector.basis("e1")
     e2 = Multivector.basis("e2")
     e12 = Multivector.basis("e12")
@@ -839,7 +845,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         defaults={
             "n": 512, "length": 24.0, "b": 1.0, "t_final": 1.0,
             "s": 1.0, "x0_offset": -1.0, "k0_cycles": 4,
-            "steps_per_point": 4, "method": "splitstep",
+            "steps_per_point": 4,
         },
         describe=(
             "Free Gaussian packet: evolve the wave function, read off the current\n"
@@ -855,7 +861,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         name="born-harmonic",
         defaults={
             "n": 128, "length": 16.0, "b": 1.0, "omega": 1.0,
-            "t_final": 10.0, "dt": 2.5e-4, "method": "splitstep",
+            "t_final": 10.0, "dt": 2.5e-4,
         },
         describe=(
             "Trapped ground state over T = 10: the extracted current velocity is\n"

@@ -93,6 +93,8 @@ def step_density(rho: np.ndarray, a: np.ndarray, b: float, dt: float, dx: float)
 
 def _run(model: DiffusionModel, rho0: ScalarField, t_final: float, dt: float | None,
          drift_sign: float, time_of_step: Callable[[float], float]) -> ScalarField:
+    if not 0 < t_final < np.inf:
+        raise ValueError(f"t_final must be positive and finite, got {t_final}")
     grid = rho0.grid
     if dt is None:
         dt = cfl_timestep(model, grid)

@@ -1,22 +1,14 @@
 """Wave-function evolution ``i b^2 F_t = -(b^4/2) lap F + U F`` on periodic grids.
 
-Two independent integrators are provided so they can cross-check each
-other:
-
-``splitstep``
-    Strang splitting with the kinetic factor applied exactly in Fourier
-    space (phase ``exp(-i b^2 k^2 dt / 2)``, matching the free dispersion
-    ``omega = b^2 k^2 / 2``) and the potential applied pointwise.  For
-    ``U = 0`` a single step is exact to round-off regardless of ``dt``.
-
-``cn``
-    Crank-Nicolson with a second-order periodic finite-difference
-    Laplacian, solved by a sparse LU factorization computed once.  The
-    method is unitary because the discrete Hamiltonian is Hermitian.
+The integrator is Strang splitting (split-step Fourier) with the kinetic
+factor applied exactly in Fourier space (phase ``exp(-i b^2 k^2 dt / 2)``,
+matching the free dispersion ``omega = b^2 k^2 / 2``) and the potential
+applied pointwise.  For ``U = 0`` a single step is exact to round-off
+regardless of ``dt``.
 
 Dividing the equation by ``b^2`` shows the effective propagator is
-``exp(-i t H / b^2)`` with ``H = -(b^4/2) lap + U``; both methods preserve
-the L2 norm to round-off.
+``exp(-i t H / b^2)`` with ``H = -(b^4/2) lap + U``; every factor of a step
+is a pure phase, so the L2 norm is preserved to round-off.
 """
 
 from __future__ import annotations
@@ -34,10 +26,7 @@ __all__ = [
     "evolve",
     "wavefunction_norm",
     "energy",
-    "METHODS",
 ]
-
-METHODS = ("splitstep", "cn")
 
 
 @dataclass(frozen=True)
@@ -70,7 +59,6 @@ class SchrodingerResult:
 
     times: np.ndarray = field(repr=False)
     states: tuple[ScalarField, ...] = field(repr=False)
-    method: str = "splitstep"
 
     def final(self) -> ScalarField:
         return self.states[-1]
@@ -110,46 +98,17 @@ def _split_factors(problem: SchrodingerProblem, dt: float) -> tuple[np.ndarray, 
     return half_pot, np.exp(-0.5j * problem.b**2 * problem.grid.k_squared() * dt)
 
 
-def _cn_matrices(problem: SchrodingerProblem, dt: float):
-    import scipy.sparse as sp  # only cn needs scipy; it stays out of start-up
-    import scipy.sparse.linalg as spla
-    grid = problem.grid
-    if grid.dim != 1:
-        raise ValueError("the cn method is one-dimensional; use splitstep in 3-D")
-    n, dx = grid.n, grid.dx
-    u = problem.potential_values()
-    main = (problem.b**2 / dx**2) + u / problem.b**2
-    off = -(problem.b**2 / 2) / dx**2 * np.ones(n)
-    h = sp.diags([off[:-1], main, off[:-1]], offsets=[-1, 0, 1], format="lil")
-    h[0, n - 1] = off[0]
-    h[n - 1, 0] = off[0]
-    h = h.tocsc()
-    eye = sp.identity(n, format="csc", dtype=np.complex128)
-    a = (eye + 0.5j * dt * h).tocsc()
-    b_mat = (eye - 0.5j * dt * h).tocsr()
-    return spla.splu(a), b_mat
-
-
-def _stepper(problem: SchrodingerProblem, t_final: float, dt: float, method: str):
-    """``(n_steps, dt, step)`` of a run of ``method``, one of :data:`METHODS`: the steps of
+def _stepper(problem: SchrodingerProblem, t_final: float, dt: float):
+    """``(n_steps, dt, step)`` of a split-step run: the steps of
     :func:`~stochflow.fields.time_steps` and the map from a state array to the state one
     step later (the argument is kept)."""
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     n_steps, dt = time_steps(t_final, dt)
-    if method == "splitstep":
-        half_pot, kin = _split_factors(problem, dt)
-        # the 1-D transforms skip the n-D argument handling, a large share of a small FFT
-        fft, ifft = (np.fft.fft, np.fft.ifft) if problem.grid.dim == 1 else (np.fft.fftn, np.fft.ifftn)
+    half_pot, kin = _split_factors(problem, dt)
+    # the 1-D transforms skip the n-D argument handling, a large share of a small FFT
+    fft, ifft = (np.fft.fft, np.fft.ifft) if problem.grid.dim == 1 else (np.fft.fftn, np.fft.ifftn)
 
-        def step(psi: np.ndarray) -> np.ndarray:
-            return half_pot * ifft(kin * fft(half_pot * psi))
-
-    else:
-        solver, b_mat = _cn_matrices(problem, dt)
-
-        def step(psi: np.ndarray) -> np.ndarray:
-            return solver.solve(b_mat @ psi)
+    def step(psi: np.ndarray) -> np.ndarray:
+        return half_pot * ifft(kin * fft(half_pot * psi))
 
     return n_steps, dt, step
 
@@ -158,7 +117,6 @@ def evolve(
     problem: SchrodingerProblem,
     t_final: float,
     dt: float,
-    method: str = "splitstep",
     store_every: int | None = None,
 ) -> SchrodingerResult:
     """Integrate for ``t_final`` and return snapshots every ``store_every`` steps.
@@ -167,7 +125,7 @@ def evolve(
     final time is always included; the step count is ``round(t_final/dt)``
     with ``dt`` adjusted to land on ``t_final`` exactly.
     """
-    n_steps, dt, step = _stepper(problem, t_final, dt, method)
+    n_steps, dt, step = _stepper(problem, t_final, dt)
     stride = n_steps if store_every is None else max(1, int(store_every))
     psi = problem.psi0.values
     stored, states = [0], [ScalarField(problem.grid, psi.copy())]
@@ -176,4 +134,4 @@ def evolve(
         if k % stride == 0 or k == n_steps:
             stored.append(k)
             states.append(ScalarField(problem.grid, psi))
-    return SchrodingerResult(times=dt * np.asarray(stored, dtype=float), states=tuple(states), method=method)
+    return SchrodingerResult(times=dt * np.asarray(stored, dtype=float), states=tuple(states))

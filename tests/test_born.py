@@ -125,9 +125,9 @@ def test_born_pipeline_requires_enough_snapshots(packet_setup):
         born_pipeline(prob, 1e-3, 1e-3)  # a single step cannot be analysed
 
 
-def _reference_report(problem, t_final, dt, method):
+def _reference_report(problem, t_final, dt):
     """The Born pipeline as a per-snapshot loop over a fully stored evolution."""
-    result = evolve(problem, t_final, dt, method=method, store_every=1)
+    result = evolve(problem, t_final, dt, store_every=1)
     dt_eff = float(result.times[1] - result.times[0])
     grid = problem.grid
     q0 = float(np.real(integrate(result.states[0].abs2())))
@@ -152,7 +152,6 @@ def _reference_report(problem, t_final, dt, method):
     return BornReport(
         t_final=float(result.times[-1]),
         dt=dt_eff,
-        method=result.method,
         q_initial=q0,
         sup_density_error=float(series[:, 1].max()),
         sup_relative_error=float(series[:, 2].max()),
@@ -172,13 +171,13 @@ def _reference_report(problem, t_final, dt, method):
     )
 
 
-def _assert_matches_reference(packet_setup, method, n_steps):
+def _assert_matches_reference(packet_setup, n_steps):
     grid, pk = packet_setup
     psi0 = ScalarField(grid, pk.psi(grid.axis, 0.0))
     prob = SchrodingerProblem(grid=grid, b=pk.b, psi0=psi0)
     dt = 1 / 1024
-    rep = born_pipeline(prob, n_steps * dt, dt, method=method)
-    ref = _reference_report(prob, n_steps * dt, dt, method)
+    rep = born_pipeline(prob, n_steps * dt, dt)
+    ref = _reference_report(prob, n_steps * dt, dt)
     assert rep.discrepancy_series.shape == (n_steps + 1, 3)
     for f in dataclasses.fields(BornReport):
         got, want = getattr(rep, f.name), getattr(ref, f.name)
@@ -188,21 +187,19 @@ def _assert_matches_reference(packet_setup, method, n_steps):
             assert got == want, f.name
 
 
-@pytest.mark.parametrize("method", ["splitstep", "cn"])
-def test_born_pipeline_matches_per_snapshot_reference(packet_setup, method):
+def test_born_pipeline_matches_per_snapshot_reference(packet_setup):
     # the step count crosses two chunk boundaries and ends inside a third
     # chunk, which pins the density and velocity carried across chunks
     chunk = CHUNK_POINTS // packet_setup[0].n
-    _assert_matches_reference(packet_setup, method, 2 * chunk + 37)
+    _assert_matches_reference(packet_setup, 2 * chunk + 37)
 
 
-@pytest.mark.parametrize("method", ["splitstep", "cn"])
 @pytest.mark.parametrize("chunks", ["single", "last-full"])
-def test_born_pipeline_matches_reference_at_chunk_edges(packet_setup, method, chunks):
+def test_born_pipeline_matches_reference_at_chunk_edges(packet_setup, chunks):
     # one partial chunk only (no stage evolves and transports at once), and a
     # last chunk that is exactly full (the final stage transports a whole chunk)
     chunk = CHUNK_POINTS // packet_setup[0].n
-    _assert_matches_reference(packet_setup, method, 37 if chunks == "single" else 2 * chunk)
+    _assert_matches_reference(packet_setup, 37 if chunks == "single" else 2 * chunk)
 
 
 def test_born_pipeline_rejects_non_finite_evolution(packet_setup):

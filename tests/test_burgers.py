@@ -15,7 +15,6 @@ from stochflow.burgers import (
     inversion_diagnostic,
     real_chain_residual,
     solve_burgers,
-    solve_final_value,
     solve_linearization_condition,
 )
 from stochflow.fields import GridSpec, ScalarField
@@ -96,22 +95,6 @@ def test_solver_rejects_antidiffusive_marching():
     problem = BurgersProblem(grid=grid, b=1.0, variant="forward")
     with pytest.raises(ValueError):
         solve_burgers(problem, a0, 0.1, 1e-3)
-
-
-def test_final_value_solver_by_reflection():
-    # the antidiffusive variant is well-posed backwards: prescribe the
-    # field at t = T and recover t = 0.  A mirrored viscous single-mode
-    # solution provides the exact answer.
-    b = 1.0
-    nu = 0.5 * b**2
-    grid = GridSpec(dim=1, length=2 * np.pi, n=128)
-    x = grid.axis
-    T = 0.8
-    problem = BurgersProblem(grid=grid, b=b, variant="forward")
-    a_final = ScalarField(grid, burgers_single_mode(-x, 0.0, nu, 1.0, 0.4))
-    out = solve_final_value(problem, a_final, T, 1e-3)
-    expected = burgers_single_mode(-x, T, nu, 1.0, 0.4)
-    assert np.max(np.abs(out.values - expected)) < 1e-6
 
 
 def test_complex_variant_with_potential_matches_wave_route():

@@ -93,7 +93,7 @@ def test_threads_is_an_unknown_parameter(runner, tmp_path):
         ("ga-identities", {"n": True}, "n", "int"),
         ("colehopf-1d", {"eps": "0.2"}, "eps", "float"),
         ("colehopf-1d", {"eps": False}, "eps", "float"),
-        ("born-free", {"method": 1}, "method", "str"),
+        ("born-free", {"t_final": [1.0]}, "t_final", "float"),
         ("complex-increments", {"pairs": 3}, "pairs", "list"),
         ("complex-increments", {"pairs": [[1.0, "a"]]}, "pairs", "list of list of float"),
         ("complex-increments", {"pairs": [1.0]}, "pairs", "list of list of float"),
@@ -163,11 +163,17 @@ def test_value_the_experiment_rejects_exits_two_and_names_it(
         ("complex-increments", {"dt": 0.0}, "dt"),
         ("complex-increments", {"pairs": []}, "pairs"),
         ("variational", {"n_theta": 2}, "n_theta"),
+        ("variational", {"t_complex": 0.0}, "t_complex"),
+        ("fp-consistency", {"t_transient": 0.0}, "t_transient"),
+        ("colehopf-3d", {"n_random": 0}, "n_random"),
+        ("born-harmonic", {"method": "cn"}, "method"),
+        ("ga-identities", {"n_algebra_trials": 0}, "n_algebra_trials"),
     ],
 )
 def test_meaningless_value_exits_two_with_one_error_line(runner, tmp_path, experiment, overrides, key):
-    # no step count, a list of the wrong element type or a zero time step:
-    # each is a configuration error, never a traceback or a PASS
+    # no step count, nothing to check, a list of the wrong element type, a zero
+    # time step or a removed parameter: each is a configuration error, never a
+    # traceback or a PASS
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(overrides))
     result = runner.invoke(
@@ -270,7 +276,6 @@ def test_solver_breakdown_prints_only_the_error_line(tmp_path):
 
 
 def test_import_loads_no_scipy():
-    # only the cn integrator needs scipy, so start-up does not pay for importing it
     env = dict(os.environ, PYTHONPATH=str(Path(stochflow.__file__).parents[1]))
     code = "import sys, stochflow.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)

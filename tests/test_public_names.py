@@ -28,7 +28,6 @@ ALLOWED = {
     ("born", "normalize_wavefunction"): "README claim (gauge invariance), awaiting an experiment check",
     ("born", "madelung_wavefunction"): "README claim (Madelung round trip), awaiting an experiment check",
     ("born", "evolve_density_continuity"): "oracle of the per-snapshot Born pipeline reference test",
-    ("burgers", "solve_final_value"): "README claim (forward variant as a final-value problem)",
     ("schrodinger", "energy"): "oracle of the split-step and eigenstate tests",
     ("analytic", "dispersion_omega"): "oracle of the plane-wave tests",
 }
@@ -154,3 +153,16 @@ def test_guard_sees_a_method_used_only_inside_its_own_body():
     assert _loads(tree, "g", g, attribute_only=True)
     # a bare name is a function, not the method
     assert not _loads(ast.parse("def g():\n    return g()\n"), "g", None, attribute_only=True)
+
+
+def test_no_module_imports_scipy():
+    # the run-time dependencies are numpy and click; scipy is not one of them
+    for module, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "scipy" for name in names), module

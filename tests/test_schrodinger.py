@@ -1,4 +1,4 @@
-"""Wave-equation evolution: dispersion, unitarity, and convergence order."""
+"""Split-step wave-equation evolution: dispersion, unitarity, and energy."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from stochflow.analytic import FreePacket, HarmonicState, dispersion_omega
 from stochflow.fields import GridSpec, ScalarField
 from stochflow.schrodinger import (
-    METHODS,
     SchrodingerProblem,
     energy,
     evolve,
@@ -24,24 +23,10 @@ def _plane_wave_problem(n=64, b=1.0, k_mode=3):
 def test_splitstep_plane_wave_phase_exact():
     grid, k, prob = _plane_wave_problem()
     T = 0.7
-    out = evolve(prob, T, 1e-2, method="splitstep").final()
+    out = evolve(prob, T, 1e-2).final()
     omega = dispersion_omega(k, prob.b)
     exact = prob.psi0.values * np.exp(-1j * omega * T)
     assert np.max(np.abs(out.values - exact)) < 1e-12
-
-
-def test_cn_plane_wave_matches_cayley_phase():
-    # a whole Fourier mode is an exact eigenvector of the periodic
-    # finite-difference Hamiltonian, so the cn output must carry the exact
-    # Cayley phase -2 arctan(lambda dt / 2) per step
-    grid, k, prob = _plane_wave_problem(k_mode=1)
-    T, dt = 0.5, 1e-3
-    out = evolve(prob, T, dt, method="cn").final()
-    lam = prob.b**2 * (1 - np.cos(k * grid.dx)) / grid.dx**2
-    steps = round(T / dt)
-    phase = -2 * steps * np.arctan(lam * dt / 2)
-    exact = prob.psi0.values * np.exp(1j * phase)
-    assert np.max(np.abs(out.values - exact)) < 1e-10
 
 
 def test_free_packet_splitstep_spectrally_exact():
@@ -49,7 +34,7 @@ def test_free_packet_splitstep_spectrally_exact():
     pk = FreePacket(b=1.0, x0=11.0, s=1.0, k0=2 * np.pi * 3 / 24.0)
     psi0 = ScalarField(grid, pk.psi(grid.axis, 0.0))
     prob = SchrodingerProblem(grid=grid, b=1.0, psi0=psi0)
-    out = evolve(prob, 1.0, 1e-3, method="splitstep").final()
+    out = evolve(prob, 1.0, 1e-3).final()
     exact = pk.psi(grid.axis, 1.0)
     assert np.max(np.abs(out.values - exact)) < 1e-11
 
@@ -60,7 +45,7 @@ def test_harmonic_ground_state_phase():
     psi0 = ScalarField(grid, state.eigenfunction(grid.axis, 0).astype(np.complex128))
     prob = SchrodingerProblem(grid=grid, b=1.0, psi0=psi0, potential=state.potential)
     T = 1.0
-    out = evolve(prob, T, 1e-4, method="splitstep").final()
+    out = evolve(prob, T, 1e-4).final()
     exact = state.psi(grid.axis, T, 0)
     assert np.max(np.abs(out.values - exact)) < 1e-8
 
@@ -73,31 +58,8 @@ def test_splitstep_norm_preserved():
         grid=grid, b=1.0, psi0=ScalarField(grid, vals.astype(np.complex128)),
         potential=state.potential,
     )
-    res = evolve(prob, 2.0, 1e-3, method="splitstep")
+    res = evolve(prob, 2.0, 1e-3)
     assert res.norm_drift() < 1e-13
-
-
-def test_cn_norm_preserved():
-    grid = GridSpec(dim=1, length=16.0, n=128)
-    state = HarmonicState(b=1.0, omega=1.0, centre=8.0)
-    psi0 = ScalarField(grid, state.eigenfunction(grid.axis, 1).astype(np.complex128))
-    prob = SchrodingerProblem(grid=grid, b=1.0, psi0=psi0, potential=state.potential)
-    res = evolve(prob, 1.0, 1e-3, method="cn")
-    assert res.norm_drift() < 1e-12
-
-
-def test_cn_second_order_in_space():
-    # the cn error is dominated by the dx^2 Laplacian stencil; halving dx
-    # at a tiny fixed dt must cut the error by ~4
-    T, dt = 0.5, 1e-4
-    errs = []
-    for n in (64, 128):
-        grid, k, prob = _plane_wave_problem(n=n, k_mode=1)
-        out = evolve(prob, T, dt, method="cn").final()
-        exact = prob.psi0.values * np.exp(-1j * dispersion_omega(k, prob.b) * T)
-        errs.append(np.max(np.abs(out.values - exact)))
-    ratio = errs[0] / errs[1]
-    assert 3.5 < ratio < 4.5
 
 
 def test_energy_conserved_by_splitstep():
@@ -108,7 +70,7 @@ def test_energy_conserved_by_splitstep():
         grid=grid, b=1.0, psi0=ScalarField(grid, vals.astype(np.complex128)),
         potential=state.potential,
     )
-    res = evolve(prob, 1.0, 1e-3, method="splitstep", store_every=250)
+    res = evolve(prob, 1.0, 1e-3, store_every=250)
     pot = prob.potential_values()
     energies = [energy(f, 1.0, pot) for _, f in zip(res.times, res.states)]
     exact = 0.5 * (state.energy(0) + state.energy(1))
@@ -127,23 +89,12 @@ def test_energy_of_eigenstate_matches_ladder():
 
 def test_store_every_bookkeeping():
     grid, k, prob = _plane_wave_problem()
-    res = evolve(prob, 0.1, 1e-2, method="splitstep", store_every=2)
+    res = evolve(prob, 0.1, 1e-2, store_every=2)
     assert res.times[0] == pytest.approx(0.0)
     assert res.times[-1] == pytest.approx(0.1)
     assert len(res.times) == len(res.states) == 6
-    endpoints = evolve(prob, 0.1, 1e-2, method="splitstep")
+    endpoints = evolve(prob, 0.1, 1e-2)
     assert len(endpoints.times) == 2
-
-
-def test_method_aliases_and_validation():
-    # exactly the names in METHODS: no aliases, no case or hyphen folding
-    grid, k, prob = _plane_wave_problem()
-    assert METHODS == ("splitstep", "cn")
-    for method in METHODS:
-        assert evolve(prob, 0.05, 1e-2, method=method).method == method
-    for method in ("strang", "cranknicolson", "CN", "split-step", "euler"):
-        with pytest.raises(ValueError, match="unknown method"):
-            evolve(prob, 0.05, 1e-2, method=method)
 
 
 def test_splitstep_3d_plane_wave():
@@ -154,15 +105,7 @@ def test_splitstep_3d_plane_wave():
     psi0 = ScalarField(grid, np.exp(1j * phase))
     prob = SchrodingerProblem(grid=grid, b=1.0, psi0=psi0)
     T = 0.3
-    out = evolve(prob, T, 1e-2, method="splitstep").final()
+    out = evolve(prob, T, 1e-2).final()
     omega = dispersion_omega(np.linalg.norm(k), 1.0)
     exact = psi0.values * np.exp(-1j * omega * T)
     assert np.max(np.abs(out.values - exact)) < 1e-12
-
-
-def test_cn_requires_one_dimension():
-    grid = GridSpec(dim=3, length=2 * np.pi, n=8)
-    psi0 = ScalarField(grid, np.ones(grid.shape, dtype=np.complex128))
-    prob = SchrodingerProblem(grid=grid, b=1.0, psi0=psi0)
-    with pytest.raises(ValueError):
-        evolve(prob, 0.1, 1e-2, method="cn")
