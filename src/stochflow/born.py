@@ -13,8 +13,9 @@ the modulus-squared rule is an output, not an input.
 
 The pipeline streams the evolution through plain arrays in chunks of K =
 ``max(1, CHUNK_POINTS // n)`` steps on n points (:func:`born_pipeline`), so
-memory is O(K n), not O(steps n).  It takes ``round(t_final/dt)`` split steps
-of :mod:`stochflow.schrodinger`, the same as ``evolve``.
+memory is O(K n), not O(steps n), with the chunk scratch allocated once.  It
+takes ``round(t_final/dt)`` split steps of :mod:`stochflow.schrodinger`, the
+same as ``evolve``, at four row FFT calls (``fields._row_fft``) per step.
 
 Supporting pieces:
 
@@ -38,6 +39,8 @@ import numpy as np
 from .fields import (
     Norms,
     ScalarField,
+    _row_fft,
+    _row_ifft,
     antiderivative,
     derivative,
     integrate,
@@ -148,14 +151,15 @@ def madelung_wavefunction(rho: ScalarField, current: ScalarField, b: float) -> S
 def _flux_div(v: np.ndarray, rho: np.ndarray, mult: np.ndarray, work: np.ndarray) -> np.ndarray:
     """The spectral ``(v rho)_x`` in ``work[2]``: complex rows for the flux, spectrum and inverse."""
     np.multiply(v, rho, out=work[0])
-    np.multiply(np.fft.fft(work[0], out=work[1]), mult, out=work[1])
-    return np.fft.ifft(work[1], out=work[2]).real
+    np.multiply(_row_fft(work[0], out=work[1]), mult, out=work[1])
+    return _row_ifft(work[1], out=work[2]).real
 
 
-def _heun(rho, d1, v_next, dt, mult, work) -> np.ndarray:
-    """One Heun step of ``rho_t = -(v rho)_x``, given ``d1 = (v rho)_x`` and ``v_next`` at its end."""
-    d2 = _flux_div(v_next, rho - dt * d1, mult, work)
-    return rho - 0.5 * dt * (d1 + d2)
+def _heun(rho, d1, v_next, dt, mult, work, out) -> None:
+    """A Heun step of ``rho_t = -(v rho)_x`` into ``out``, given ``d1 = (v rho)_x`` and ``v_next``."""
+    np.subtract(rho, np.multiply(dt, d1, out=out), out=out)
+    d2 = _flux_div(v_next, out, mult, work)
+    np.subtract(rho, np.multiply(0.5 * dt, np.add(d1, d2, out=out), out=out), out=out)
 
 
 def evolve_density_continuity(
@@ -176,7 +180,7 @@ def evolve_density_continuity(
     history[0] = np.real(rho0.values)
     for k in range(len(history) - 1):
         d1 = _flux_div(velocity_snapshots[k], history[k], mult, work[:, 1])
-        history[k + 1] = _heun(history[k], d1, velocity_snapshots[k + 1], dt, mult, work[:, 0])
+        _heun(history[k], d1, velocity_snapshots[k + 1], dt, mult, work[:, 0], history[k + 1])
     return history
 
 
@@ -241,6 +245,7 @@ def born_pipeline(
     bufs = np.empty((2, n_rows + 1, grid.n), dtype=np.complex128)
     hist = np.empty((n_rows + 1, grid.n))
     work = np.empty((3, 2, grid.n), dtype=np.complex128)  # rows as in _flux_div; d1 in work[2, 1]
+    cwork, rwork = np.empty_like(bufs), np.empty((2, *hist.shape))  # extract and compare scratch
     bufs[0, 0] = problem.psi0.values
     hist[0] = np.real(problem.psi0.abs2().values) / q0
     i_old = m_old = 0
@@ -256,23 +261,25 @@ def born_pipeline(
                 if shared:  # the split step and the first flux in one two-row FFT pair
                     np.multiply(half_pot, new[r - 1], out=work[0, 0])
                     np.multiply(vel[r - 1], hist[r - 1], out=work[0, 1])
-                    spec = np.fft.fft(work[0], out=work[1])
+                    spec = _row_fft(work[0], out=work[1])
                     # operand orders as in step and _flux_div: complex products do not commute bitwise
                     np.multiply(kin, spec[0], out=spec[0])
                     np.multiply(spec[1], mult, out=spec[1])
-                    np.multiply(half_pot, np.fft.ifft(spec, out=work[2])[0], out=new[r])
+                    np.multiply(half_pot, _row_ifft(spec, out=work[2])[0], out=new[r])
                 else:
                     _flux_div(vel[r - 1], hist[r - 1], mult, work[:, 1])
-                hist[r] = _heun(hist[r - 1], work[2, 1].real, vel[r], dt, mult, work[:, 0])
+                _heun(hist[r - 1], work[2, 1].real, vel[r], dt, mult, work[:, 0], hist[r])
 
         if m_old:  # compare chunk c - 1
             states, history = old[: m_old + 1], hist[: m_old + 1]
+            prod, target, diff = cwork[0, : m_old + 1], rwork[0, : m_old + 1], rwork[1, : m_old + 1]
             if not (np.isfinite(states).all() and np.isfinite(history).all()):
                 raise ValueError("field contains non-finite entries")
-            abs2 = np.real(states * np.conj(states))
-            q = np.real(np.sum(abs2.astype(np.complex128), axis=1) * grid.cell_volume)
-            target = abs2 / q[:, None]
-            gap = np.max(np.abs(history - target), axis=1)
+            np.multiply(states, np.conjugate(states, out=prod), out=prod)
+            # the real part of a complex sum reads only the real parts, |F|^2
+            q = np.real(np.sum(prod, axis=1) * grid.cell_volume)
+            np.divide(prod.real, q[:, None], out=target)
+            gap = np.max(np.abs(np.subtract(history, target, out=diff), out=diff), axis=1)
             stats[i_old : i_old + m_old + 1] = np.column_stack([
                 dt * np.arange(i_old, i_old + m_old + 1, dtype=float), gap,
                 gap / target.max(axis=1), history.sum(axis=1) * grid.dx, np.sqrt(q), coverage,
@@ -281,9 +288,9 @@ def born_pipeline(
                 kept[k] = ScalarField(grid, states[k - i_old].copy())
             rho = hist[0] = history[-1].copy()
         if m_new:  # the velocities of chunk c, for its transport in stage c + 1
-            states = new[: m_new + 1]
-            dpsi = np.fft.ifft(np.fft.fft(states, axis=1) * mult, axis=1)
-            velocity, mask = log_derivative(states, dpsi, -1j * b**2)
+            states, spec, dpsi = new[: m_new + 1], cwork[0, : m_new + 1], cwork[1, : m_new + 1]
+            np.multiply(_row_fft(states, out=spec), mult, out=spec)
+            velocity, mask = log_derivative(states, _row_ifft(spec, out=dpsi), -1j * b**2)
             vel, coverage = np.real(velocity), mask.mean(axis=1)
             bufs[(c + 1) % 2, 0] = new[m_new]
         old, i_old, m_old = new, i0, m_new

@@ -44,6 +44,8 @@ from .fields import (
     GridSpec,
     Norms,
     ScalarField,
+    _row_fft,
+    _row_ifft,
     antiderivative,
     derivative,
     log_derivative,
@@ -211,13 +213,13 @@ def solve_burgers(
     forcing_hat = np.fft.fft(forcing) if forcing is not None else None
 
     def nonlin_hat(a_hat):
-        a_vals = np.fft.ifft(a_hat * keep)
-        return -0.5 * ik * np.fft.fft(a_vals * a_vals) * keep
+        a_vals = _row_ifft(a_hat * keep)
+        return -0.5 * ik * _row_fft(a_vals * a_vals) * keep
 
-    a_hat = np.fft.fft(a0.values)
+    a_hat = _row_fft(a0.values)
     for _ in range(n_steps):
         a_hat = _if_heun_step(a_hat, nonlin_hat, decay, forcing_hat, dt)
-    return ScalarField(grid, np.fft.ifft(a_hat))
+    return ScalarField(grid, _row_ifft(a_hat))
 
 
 def heat_evolve_spectral(F0: ScalarField, kappa: complex, t: float) -> ScalarField:

@@ -4,7 +4,8 @@ The integrator is Strang splitting (split-step Fourier) with the kinetic
 factor applied exactly in Fourier space (phase ``exp(-i b^2 k^2 dt / 2)``,
 matching the free dispersion ``omega = b^2 k^2 / 2``) and the potential
 applied pointwise.  For ``U = 0`` a single step is exact to round-off
-regardless of ``dt``.
+regardless of ``dt``.  On one axis a step transforms with the row FFTs of
+:mod:`stochflow.fields`, which skip numpy's per-call argument handling.
 
 Dividing the equation by ``b^2`` shows the effective propagator is
 ``exp(-i t H / b^2)`` with ``H = -(b^4/2) lap + U``; every factor of a step
@@ -18,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import GridSpec, ScalarField, integrate, time_steps
+from .fields import GridSpec, ScalarField, _row_fft, _row_ifft, integrate, time_steps
 
 __all__ = [
     "SchrodingerProblem",
@@ -104,8 +105,8 @@ def _stepper(problem: SchrodingerProblem, t_final: float, dt: float):
     step later (the argument is kept)."""
     n_steps, dt = time_steps(t_final, dt)
     half_pot, kin = _split_factors(problem, dt)
-    # the 1-D transforms skip the n-D argument handling, a large share of a small FFT
-    fft, ifft = (np.fft.fft, np.fft.ifft) if problem.grid.dim == 1 else (np.fft.fftn, np.fft.ifftn)
+    # on one axis the row transforms skip numpy's argument handling, half the cost of a small FFT
+    fft, ifft = (_row_fft, _row_ifft) if problem.grid.dim == 1 else (np.fft.fftn, np.fft.ifftn)
 
     def step(psi: np.ndarray) -> np.ndarray:
         return half_pot * ifft(kin * fft(half_pot * psi))

@@ -10,13 +10,15 @@ from stochflow.analytic import FreePacket
 from stochflow.born import (
     CHUNK_POINTS,
     BornReport,
+    _flux_div,
+    _heun,
     born_pipeline,
     evolve_density_continuity,
     madelung_wavefunction,
     normalize_wavefunction,
     velocity_from_wavefunction,
 )
-from stochflow.fields import GridSpec, ScalarField, integrate
+from stochflow.fields import GridSpec, ScalarField, integrate, spectral_multiplier
 from stochflow.fokker_planck import (
     complex_fp_residual,
     continuity_residual,
@@ -97,6 +99,26 @@ def test_continuity_transport_uniform_advection():
     assert np.max(np.abs(history[-1] - exact)) < 1e-6
     mass = history.sum(axis=1) * grid.dx
     assert np.max(np.abs(mass - mass[0])) < 1e-12
+
+
+def test_transport_kernels_equal_the_public_fft_formulas_bit_for_bit(packet_setup):
+    # the pipeline and _reference_report share these kernels, so they are tied to
+    # numpy's public FFT here, in the operation order of the public-API code
+    grid, pk = packet_setup
+    x, dt = grid.axis, 1 / 1024
+    mult = spectral_multiplier(grid)
+    v0, v1 = pk.current_velocity(x, 0.1), pk.current_velocity(x, 0.1 + dt)
+    rho = pk.density(x, 0.1)
+    work = np.empty((2, 3, grid.n), dtype=np.complex128)  # rows of _flux_div, per flux
+
+    def flux(v, r):
+        return np.fft.ifft(np.fft.fft(v * r) * mult).real
+
+    d1 = _flux_div(v0, rho, mult, work[1])
+    assert (d1 == flux(v0, rho)).all()
+    out = np.empty(grid.n)
+    _heun(rho, d1, v1, dt, mult, work[0], out)
+    assert (out == rho - 0.5 * dt * (d1 + flux(v1, rho - dt * d1))).all()
 
 
 def test_born_pipeline_free_packet_small(packet_setup):

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stochflow.born import CHUNK_POINTS
 from stochflow.fields import (
     GridMismatchError,
     GridSpec,
     ScalarField,
+    _row_fft,
+    _row_ifft,
     antiderivative,
     derivative,
     field_from_function,
@@ -195,3 +198,27 @@ def test_time_steps_land_on_the_final_time():
                         (float("nan"), 0.1), (1.0, float("inf")), (1.0, 5e-324)]:
         with pytest.raises(ValueError, match="positive and finite"):
             time_steps(t_final, dt)
+
+
+@pytest.mark.parametrize("n", [128, 256, 512])  # the grids of born-harmonic, born-free and burgers
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_row_transforms_equal_numpy_fft_bit_for_bit(n, kind):
+    # the row transforms call numpy's private pocketfft gufuncs; a numpy release that
+    # changes them must fail here rather than move the stored summaries
+    rng = np.random.default_rng(n)
+    for shape in [(n,), (2, n), (CHUNK_POINTS // n + 1, n)]:
+        a = rng.standard_normal(shape)
+        if kind == "complex":
+            a = a + 1j * rng.standard_normal(shape)
+        rows = a.size // n
+        for row, public in ((_row_fft, np.fft.fft), (_row_ifft, np.fft.ifft)):
+            want = public(a)
+            got = row(a)
+            assert got.dtype == np.complex128 and got.shape == shape
+            assert (got == want).all()
+            # out= rows in the middle of a larger buffer, which does not alias the input
+            buf = np.full((3 * rows, n), np.nan, dtype=np.complex128)
+            got = row(a, out=buf[rows : 2 * rows].reshape(shape))
+            assert np.shares_memory(got, buf)
+            assert (buf[rows : 2 * rows].reshape(shape) == want).all()
+            assert np.isnan(buf[:rows]).all() and np.isnan(buf[2 * rows :]).all()

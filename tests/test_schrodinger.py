@@ -7,6 +7,8 @@ from stochflow.analytic import FreePacket, HarmonicState, dispersion_omega
 from stochflow.fields import GridSpec, ScalarField
 from stochflow.schrodinger import (
     SchrodingerProblem,
+    _split_factors,
+    _stepper,
     energy,
     evolve,
     wavefunction_norm,
@@ -48,6 +50,22 @@ def test_harmonic_ground_state_phase():
     out = evolve(prob, T, 1e-4).final()
     exact = state.psi(grid.axis, T, 0)
     assert np.max(np.abs(out.values - exact)) < 1e-8
+
+
+def test_stepper_equals_the_public_fft_formula_bit_for_bit():
+    # the step uses the row transforms; this ties it to numpy's public FFT directly
+    grid = GridSpec(dim=1, length=16.0, n=128)
+    state = HarmonicState(b=1.0, omega=1.0, centre=8.0)
+    psi0 = ScalarField(grid, state.eigenfunction(grid.axis, 1).astype(np.complex128))
+    prob = SchrodingerProblem(grid=grid, b=1.0, psi0=psi0, potential=state.potential)
+    _, dt, step = _stepper(prob, 1.0, 1e-3)
+    half_pot, kin = _split_factors(prob, dt)
+    psi = psi0.values * np.exp(0.3j * grid.axis)
+    for _ in range(5):
+        want = half_pot * np.fft.ifft(kin * np.fft.fft(half_pot * psi))
+        got = step(psi)
+        assert (got == want).all()
+        psi = got
 
 
 def test_splitstep_norm_preserved():
