@@ -195,11 +195,9 @@ class BornReport:
 
     t_final: float
     dt: float
-    q_initial: float
     sup_density_error: float
     sup_relative_error: float
     final_density_error: float
-    final_density_l2: float
     mass_drift: float
     norm_drift: float
     min_coverage: float
@@ -302,11 +300,9 @@ def born_pipeline(
     return BornReport(
         t_final=dt * n_steps,
         dt=dt,
-        q_initial=q0,
         sup_density_error=float(stats[:, 1].max()),
         sup_relative_error=float(stats[:, 2].max()),
         final_density_error=float(gap[-1]),
-        final_density_l2=float(np.sqrt(np.sum((rho - target[-1]) ** 2) * grid.dx)),
         mass_drift=float(np.max(np.abs(stats[:, 3] - stats[0, 3]))),
         norm_drift=float(np.max(np.abs(stats[:, 4] - stats[0, 4]))),
         min_coverage=float(stats[:, 5].min()),

@@ -118,7 +118,7 @@ def list_experiments() -> None:
 def describe(experiment: str) -> None:
     """Print what an experiment verifies, with thresholds and defaults."""
     spec = EXPERIMENTS[experiment]
-    click.echo(f"{spec.name}\n{'=' * len(spec.name)}")
+    click.echo(f"{experiment}\n{'=' * len(experiment)}")
     click.echo(spec.describe)
     click.echo("\ndefault parameters:")
     for key, value in sorted(spec.defaults.items()):

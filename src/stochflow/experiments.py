@@ -87,7 +87,6 @@ __all__ = ["EXPERIMENTS", "ExperimentSpec", "run_experiment"]
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    name: str
     defaults: dict
     describe: str
     runner: Callable[[dict, int], tuple[list[dict], dict, dict]]
@@ -443,7 +442,7 @@ def _velocity_window(t_final: float, dt: float, half_window: int) -> tuple[int, 
 
 def _run_sde_estimators(p: dict, seed: int):
     theta, b = p["theta"], p["b"]
-    model = DiffusionModel(drift=lambda x, t: -theta * x, b=b, name="ou")
+    model = DiffusionModel(drift=lambda x, t: -theta * x, b=b)
 
     # (a) transient run at the contract scale: drift and noise recovery
     ens_a = simulate_forward(
@@ -571,7 +570,7 @@ def _run_variational(p: dict, seed: int):
     thetas = np.linspace(-1.0, 1.0, p["n_theta"])
     # the whole sweep as one batch: every theta sees the same initial samples
     # and per-step draws (common random numbers); only running sums are kept
-    family = DiffusionModel(drift=lambda x, t: thetas[:, None] * np.sin(x), b=b, name="family")
+    family = DiffusionModel(drift=lambda x, t: thetas[:, None] * np.sin(x), b=b)
     sweep = simulate_forward(
         family, ("gaussian", np.pi, 1.0), p["t_final"], p["dt"], p["n_paths"], seed, window=(0, 0)
     )
@@ -585,7 +584,7 @@ def _run_variational(p: dict, seed: int):
     theta_hat = float(-coeffs[1] / (2 * coeffs[0]))
 
     # spot value: constant drift a = 1 gives S ~= a^2 T = 1
-    const_model = DiffusionModel(drift=lambda x, t: np.ones_like(x), b=b, name="const")
+    const_model = DiffusionModel(drift=lambda x, t: np.ones_like(x), b=b)
     const_ens = simulate_forward(
         const_model, 0.0, p["t_final"], p["dt"], p["n_paths"], seed + 1, window=(0, 0)
     )
@@ -741,7 +740,7 @@ def _run_fp_consistency(p: dict, seed: int):
     grid = GridSpec(dim=1, length=2 * np.pi, n=p["n_stationary"])
     x = grid.axis
     c = p["drift_amp"]
-    model = DiffusionModel(drift=lambda y, t: -c * np.sin(y), b=b, name="sine")
+    model = DiffusionModel(drift=lambda y, t: -c * np.sin(y), b=b)
     rho_star = discrete_stationary_density(model, grid)
     scale = float(np.max(np.real(rho_star.values)))
     dt = cfl_timestep(model, grid)
@@ -759,7 +758,7 @@ def _run_fp_consistency(p: dict, seed: int):
 
     # backward evolution: at stationarity the reversed drift is exactly -a,
     # giving the identical discrete update
-    back = DiffusionModel(drift=lambda y, t: c * np.sin(y), b=b, name="sine-rev")
+    back = DiffusionModel(drift=lambda y, t: c * np.sin(y), b=b)
     st_T = DensityState(field=rho_star, t=1.0)
     back_out = solve_backward(back, st_T, p["n_fixed_steps"] * dt, dt=dt)
     fixed_back = float(np.max(np.abs(back_out.field.values.real - rho_star.values.real))) / scale
@@ -773,7 +772,7 @@ def _run_fp_consistency(p: dict, seed: int):
     gt = GridSpec(dim=1, length=p["length_transient"], n=p["n_transient"])
     xc = gt.length / 2
     theta = p["theta"]
-    trans = DiffusionModel(drift=lambda y, t: -theta * (y - xc), b=b, name="linear")
+    trans = DiffusionModel(drift=lambda y, t: -theta * (y - xc), b=b)
     rho0 = ScalarField(gt, gaussian_density(gt.axis, xc - 1.0, 0.25))
     out = solve_forward(trans, DensityState(field=rho0, t=0.0), p["t_transient"])
     mean_t, var_t = ou_mean_variance(p["t_transient"], theta, b, -1.0, 0.25)
@@ -841,7 +840,6 @@ def _run_fp_consistency(p: dict, seed: int):
 
 EXPERIMENTS: dict[str, ExperimentSpec] = {
     "born-free": ExperimentSpec(
-        name="born-free",
         defaults={
             "n": 512, "length": 24.0, "b": 1.0, "t_final": 1.0,
             "s": 1.0, "x0_offset": -1.0, "k0_cycles": 4,
@@ -858,7 +856,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         runner=_run_born_free,
     ),
     "born-harmonic": ExperimentSpec(
-        name="born-harmonic",
         defaults={
             "n": 128, "length": 16.0, "b": 1.0, "omega": 1.0,
             "t_final": 10.0, "dt": 2.5e-4,
@@ -872,7 +869,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         runner=_run_born_harmonic,
     ),
     "colehopf-1d": ExperimentSpec(
-        name="colehopf-1d",
         defaults={
             "n": 512, "periods": 1, "b": 1.0, "eps": 0.4, "k_mode": 1,
             "t_final": 1.0, "dt": 1e-3,
@@ -887,7 +883,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         runner=_run_colehopf_1d,
     ),
     "colehopf-3d": ExperimentSpec(
-        name="colehopf-3d",
         defaults={"n": 32, "b": 1.0, "n_random": 20, "amp": 0.4, "kmax": 2},
         describe=(
             "Vectorized substitution on a 3-D grid: velocity components of a\n"
@@ -900,7 +895,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         runner=_run_colehopf_3d,
     ),
     "burgers-direct-vs-ch": ExperimentSpec(
-        name="burgers-direct-vs-ch",
         defaults={
             "n": 256, "b": 1.0, "eps": 0.5, "t_final": 1.0, "dt": 1e-3,
             "front_length": 32.0, "front_n": 512, "front_speed": 1.0,
@@ -916,7 +910,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         runner=_run_burgers_direct_vs_ch,
     ),
     "sde-estimators": ExperimentSpec(
-        name="sde-estimators",
         defaults={
             "theta": 1.0, "b": 1.0,
             "n_paths_short": 100_000, "dt_short": 1e-3, "t_short": 0.2,
@@ -934,7 +927,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         runner=_run_sde_estimators,
     ),
     "complex-increments": ExperimentSpec(
-        name="complex-increments",
         defaults={"pairs": [[1.0, 1.0], [1.0, 0.5], [2.0, 1.0]], "dt": 0.01, "n_samples": 1_000_000},
         describe=(
             "Complex noise dZ = (b dW + i bhat dW')/(sqrt(2) sigma): sampled\n"
@@ -945,7 +937,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         runner=_run_complex_increments,
     ),
     "variational": ExperimentSpec(
-        name="variational",
         defaults={
             "b": 1.0, "n_theta": 21, "n_paths": 20_000, "dt": 0.01,
             "t_final": 1.0, "t_complex": 0.5,
@@ -961,7 +952,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         runner=_run_variational,
     ),
     "ga-identities": ExperimentSpec(
-        name="ga-identities",
         defaults={"n": 24, "b": 1.0, "n_algebra_trials": 50},
         describe=(
             "Multivector algebra: blade relations, associativity and\n"
@@ -974,7 +964,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         runner=_run_ga_identities,
     ),
     "fp-consistency": ExperimentSpec(
-        name="fp-consistency",
         defaults={
             "b": 1.0, "n_stationary": 256, "drift_amp": 1.0, "n_fixed_steps": 100,
             "length_transient": 12.0, "n_transient": 512, "theta": 1.0,

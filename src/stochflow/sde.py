@@ -59,7 +59,6 @@ class DiffusionModel:
 
     drift: Callable[[np.ndarray, float], np.ndarray]
     b: float
-    name: str = "diffusion"
 
     def __post_init__(self):
         if not self.b > 0:
@@ -402,4 +401,4 @@ def backward_drift_from_forward(
         y_wrapped = (np.asarray(y) - x[0]) % period + x[0]
         return np.interp(y_wrapped, x, table, period=period)
 
-    return DiffusionModel(drift=drift, b=model.b, name=model.name + "-backward")
+    return DiffusionModel(drift=drift, b=model.b)

@@ -32,7 +32,8 @@ def test_list_names_every_experiment(runner):
 def test_describe_prints_thresholds_and_defaults(runner, name):
     result = runner.invoke(main, ["describe", name])
     assert result.exit_code == 0
-    assert name in result.output
+    # a title: the registry key, underlined with "=" to its length
+    assert result.output.splitlines()[:2] == [name, "=" * len(name)]
     assert "default parameters:" in result.output
     # every description quotes at least one tolerance
     assert "<=" in result.output or "==" in result.output or "3/sqrt" in result.output

@@ -20,7 +20,7 @@ from stochflow.sde import DiffusionModel
 
 
 def _sine_model(c=1.0, b=1.0):
-    return DiffusionModel(drift=lambda y, t: -c * np.sin(y), b=b, name="sine")
+    return DiffusionModel(drift=lambda y, t: -c * np.sin(y), b=b)
 
 
 def test_cfl_timestep_bounds():
@@ -68,7 +68,7 @@ def test_forward_matches_linear_drift_analytic():
     grid = GridSpec(dim=1, length=12.0, n=512)
     xc = 6.0
     theta, b = 1.0, 1.0
-    model = DiffusionModel(drift=lambda y, t: -theta * (y - xc), b=b, name="linear")
+    model = DiffusionModel(drift=lambda y, t: -theta * (y - xc), b=b)
     rho0 = ScalarField(grid, gaussian_density(grid.axis, xc - 1.0, 0.25))
     out = solve_forward(model, DensityState(field=rho0, t=0.0), 1.0)
     mean_t, var_t = ou_mean_variance(1.0, theta, b, -1.0, 0.25)
@@ -81,7 +81,7 @@ def test_backward_pure_diffusion_mirrors_forward():
     # with zero drift the density equation is symmetric under time
     # reflection, so both solvers must produce the identical smoothing
     grid = GridSpec(dim=1, length=2 * np.pi, n=128)
-    flat = DiffusionModel(drift=lambda y, t: 0.0 * y, b=1.0, name="flat")
+    flat = DiffusionModel(drift=lambda y, t: 0.0 * y, b=1.0)
     rho0 = ScalarField(grid, 1 + 0.5 * np.cos(grid.axis))
     fwd = solve_forward(flat, DensityState(field=rho0, t=0.0), 0.3, dt=1e-3)
     bwd = solve_backward(flat, DensityState(field=rho0, t=0.3), 0.3, dt=1e-3)
@@ -93,7 +93,7 @@ def test_backward_fixed_point_at_stationarity():
     grid = GridSpec(dim=1, length=2 * np.pi, n=128)
     c, b = 1.0, 1.0
     rho = discrete_stationary_density(_sine_model(c, b), grid)
-    reversed_model = DiffusionModel(drift=lambda y, t: c * np.sin(y), b=b, name="rev")
+    reversed_model = DiffusionModel(drift=lambda y, t: c * np.sin(y), b=b)
     dt = cfl_timestep(reversed_model, grid)
     out = solve_backward(reversed_model, DensityState(field=rho, t=1.0), 50 * dt, dt=dt)
     gap = np.max(np.abs(out.field.values.real - rho.values.real))

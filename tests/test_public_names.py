@@ -1,18 +1,21 @@
-"""Every public name of a module, and every public method of a class, is used
-by the package itself.
+"""Every public name of a module, every public method of a class and every
+field of a dataclass is used by the package itself.
 
 A name listed in a module's ``__all__`` must be loaded somewhere in
 ``src/stochflow`` outside its own definition; an import or an ``__all__``
 entry does not count.  A public method, property or classmethod of a class
 (dunders and ``_``-names do not count) must be loaded as an attribute
-somewhere in ``src/stochflow`` outside its own body.  A name reached only by
-its own unit tests is dead code: delete it, or name it in ``ALLOWED`` or
-``ALLOWED_METHODS`` with the reason it stays.
+somewhere in ``src/stochflow`` outside its own body.  A field of a
+``@dataclass`` must be loaded as an attribute somewhere in ``src/stochflow``;
+reads inside its own class count, since a constructor input may be read only
+by the class's own methods.  A name reached only by its own unit tests is
+dead code: delete it, or name it in ``ALLOWED``, ``ALLOWED_METHODS`` or
+``ALLOWED_FIELDS`` with the reason it stays.
 
-The method check goes by attribute name alone, since it cannot tell the
-type of the object an attribute is read from.  So a method whose name is
-shared with another attribute cannot be seen: a ``values()`` method would
-pass as soon as anything reads ``ScalarField.values``.
+The method and field checks go by attribute name alone, since they cannot
+tell the type of the object an attribute is read from.  So a method or field
+whose name is shared with another attribute cannot be seen: a ``values()``
+method would pass as soon as anything reads ``ScalarField.values``.
 """
 
 import ast
@@ -36,6 +39,12 @@ ALLOWED = {
 ALLOWED_METHODS = {
     ("analytic", "HarmonicState", "energy"): "oracle of the eigenstate energy tests",
     ("fields", "ScalarField", "real_values"): "part of the kept ScalarField API",
+}
+
+#: dataclass fields kept although nothing in the package reads them
+ALLOWED_FIELDS = {
+    ("born", "VelocityDecomposition", "mask"): "read by the node-mask test",
+    ("born", "VelocityDecomposition", "coverage"): "min_coverage of the per-snapshot Born reference test",
 }
 
 
@@ -113,6 +122,35 @@ def _unused_methods() -> list[tuple[str, str, str]]:
     ]
 
 
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+        for d in cls.decorator_list
+    )
+
+
+def _fields(tree: ast.Module) -> list[tuple[str, str]]:
+    """``(class name, field name)`` for the fields of the module's dataclasses."""
+    return [
+        (cls.name, stmt.target.id)
+        for cls in tree.body if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+
+
+@functools.cache
+def _unused_fields() -> list[tuple[str, str, str]]:
+    modules = _modules()
+    return [
+        (module, cls, name)
+        for module, tree in modules.items()
+        for cls, name in _fields(tree)
+        if not any(_loads(other, name, None, attribute_only=True) for other in modules.values())
+    ]
+
+
 def test_every_public_name_is_used_or_allowed():
     assert sorted(set(_unused()) - set(ALLOWED)) == []
 
@@ -153,6 +191,30 @@ def test_guard_sees_a_method_used_only_inside_its_own_body():
     assert _loads(tree, "g", g, attribute_only=True)
     # a bare name is a function, not the method
     assert not _loads(ast.parse("def g():\n    return g()\n"), "g", None, attribute_only=True)
+
+
+def test_every_dataclass_field_is_read_or_allowed():
+    assert sorted(set(_unused_fields()) - set(ALLOWED_FIELDS)) == []
+
+
+def test_field_allowlist_has_no_stale_entries():
+    assert sorted(set(ALLOWED_FIELDS) - set(_unused_fields())) == []
+
+
+def test_guard_sees_fields_read_inside_their_own_class():
+    tree = ast.parse(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\nclass A:\n"
+        "    x0: float\n    unread: int = 0\n"
+        "    def shifted(self):\n        return self.x0 + 1\n"
+        "@dataclass\nclass B:\n    y: int\n"
+        "class C:\n    z: int\n"
+    )
+    assert _fields(tree) == [("A", "x0"), ("A", "unread"), ("B", "y")]  # C is no dataclass
+    assert _loads(tree, "x0", None, attribute_only=True)  # a constructor input its class reads
+    assert not _loads(tree, "unread", None, attribute_only=True)
+    # a keyword argument sets a field; it does not read it
+    assert not _loads(ast.parse("A(x0=1.0, unread=2)\n"), "unread", None, attribute_only=True)
 
 
 def test_no_module_imports_scipy():

@@ -17,7 +17,7 @@ from stochflow.sde import (
     simulate_forward,
 )
 
-OU = DiffusionModel(drift=lambda x, t: -x, b=1.0, name="ou")
+OU = DiffusionModel(drift=lambda x, t: -x, b=1.0)
 
 
 def test_rng_reproducible():
@@ -32,7 +32,7 @@ def test_time_mesh_must_divide():
 
 
 def test_brownian_endpoint_moments():
-    flat = DiffusionModel(drift=lambda x, t: 0.0 * x, b=1.4, name="flat")
+    flat = DiffusionModel(drift=lambda x, t: 0.0 * x, b=1.4)
     ens = simulate_forward(flat, 0.0, 0.25, 1 / 256, 40_000, 11)
     xT = ens.paths[:, -1]
     var_exact = 1.4**2 * 0.25
@@ -54,7 +54,7 @@ def test_ou_transient_moments():
 
 
 def test_estimate_diffusion_recovers_b2():
-    model = DiffusionModel(drift=lambda x, t: -x, b=1.7, name="ou")
+    model = DiffusionModel(drift=lambda x, t: -x, b=1.7)
     ens = simulate_forward(model, 0.0, 0.2, 1e-3, 5_000, 77)
     b2, err = estimate_diffusion(ens)
     assert abs(b2 - 1.7**2) < 5 * err
@@ -87,7 +87,7 @@ def test_velocity_estimate_time_window_bounds():
 def test_estimators_reject_a_batched_ensemble():
     # a batch of three drifts has no single b^2 or velocity profile to pool
     rates = np.array([0.5, 1.0, 2.0])
-    batch = DiffusionModel(drift=lambda x, t: -rates[:, None] * x, b=1.0, name="batch")
+    batch = DiffusionModel(drift=lambda x, t: -rates[:, None] * x, b=1.0)
     ens = simulate_forward(batch, 0.0, 0.1, 1e-2, 200, 8)
     assert ens.paths.shape == (3, 200, 11)
     for estimate in (estimate_diffusion, estimate_velocities):
@@ -97,14 +97,14 @@ def test_estimators_reject_a_batched_ensemble():
 
 def test_action_constant_drift_value():
     # S = E sum[(dX)^2/dt - b^2] estimates integral a^2 dt = c^2 T
-    model = DiffusionModel(drift=lambda x, t: np.full_like(x, 1.5), b=1.0, name="const")
+    model = DiffusionModel(drift=lambda x, t: np.full_like(x, 1.5), b=1.0)
     ens = simulate_forward(model, 0.0, 1.0, 1e-2, 20_000, 13)
     act = discretized_action(ens)
     assert abs(act.value - 1.5**2 * 1.0) < 5 * act.stderr
 
 
 def test_action_zero_drift_centers_at_zero():
-    flat = DiffusionModel(drift=lambda x, t: 0.0 * x, b=1.0, name="flat")
+    flat = DiffusionModel(drift=lambda x, t: 0.0 * x, b=1.0)
     ens = simulate_forward(flat, 0.0, 1.0, 1e-2, 20_000, 17)
     act = discretized_action(ens)
     assert abs(act.value) < 5 * act.stderr
@@ -147,7 +147,7 @@ def test_backward_drift_from_forward_at_stationarity():
     grid = GridSpec(dim=1, length=2 * np.pi, n=128)
     x = grid.axis
     c, b = 1.0, 1.0
-    model = DiffusionModel(drift=lambda y, t: -c * np.sin(y), b=b, name="sine")
+    model = DiffusionModel(drift=lambda y, t: -c * np.sin(y), b=b)
     kappa = 2 * c / b**2
     rho = ScalarField(grid, np.exp(kappa * np.cos(x)) / (2 * np.pi))
     back = backward_drift_from_forward(model, rho)
@@ -214,7 +214,7 @@ def test_streaming_estimators_match_full_path_references():
 
 def test_batched_sweep_equals_separate_runs_bit_for_bit():
     thetas = np.linspace(-1.0, 1.0, 5)
-    family = DiffusionModel(drift=lambda x, t: thetas[:, None] * np.sin(x), b=1.0, name="family")
+    family = DiffusionModel(drift=lambda x, t: thetas[:, None] * np.sin(x), b=1.0)
     args = (("gaussian", np.pi, 1.0), 0.3, 1e-2, 1_001, 8)
     full = simulate_forward(family, *args)
     windowed = simulate_forward(family, *args, window=(7, 12))
@@ -222,7 +222,7 @@ def test_batched_sweep_equals_separate_runs_bit_for_bit():
     assert full.paths.shape == (5, 1_001, 31) and windowed.paths.shape == (5, 1_001, 5)
     for i, theta in enumerate(thetas):
         single = simulate_forward(
-            DiffusionModel(drift=lambda x, t: theta * np.sin(x), b=1.0, name="one"), *args
+            DiffusionModel(drift=lambda x, t: theta * np.sin(x), b=1.0), *args
         )
         assert np.array_equal(full.paths[i], single.paths)
         assert np.array_equal(windowed.paths[i], single.paths[:, 7:12])
