@@ -71,6 +71,8 @@ VARIANTS = ("forward", "reversed", "complex", "complex-conjugate")
 
 def effective_viscosity(variant: str, b: float) -> complex:
     """Viscosity ``nu`` of the named variant; see the module table."""
+    if not 0 < b < np.inf:
+        raise ValueError(f"noise amplitude b must be positive and finite, got {b}")
     table = {
         "forward": -0.5 * b**2,
         "reversed": +0.5 * b**2,

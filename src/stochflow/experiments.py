@@ -60,7 +60,6 @@ from .clifford import (
 )
 from .fields import GridSpec, ScalarField, field_from_function, integrate, time_steps
 from .fokker_planck import (
-    DensityState,
     cfl_timestep,
     complex_fp_residual,
     continuity_residual,
@@ -442,7 +441,7 @@ def _velocity_window(t_final: float, dt: float, half_window: int) -> tuple[int, 
 
 def _run_sde_estimators(p: dict, seed: int):
     theta, b = p["theta"], p["b"]
-    model = DiffusionModel(drift=lambda x, t: -theta * x, b=b)
+    model = DiffusionModel(drift=lambda x: -theta * x, b=b)
 
     # (a) transient run at the contract scale: drift and noise recovery
     ens_a = simulate_forward(
@@ -564,13 +563,12 @@ def _run_complex_increments(p: dict, seed: int):
 def _run_variational(p: dict, seed: int):
     if p["n_theta"] < 3:
         raise ValueError(f"a quadratic fit needs at least 3 values of theta, got {p['n_theta']}")
-    if not (p["dt"] > 0 and 0.5 < p["t_complex"] / p["dt"] < np.inf):  # round(t_complex/dt) >= 1
-        raise ValueError(f"the path sum needs round(t_complex/dt) >= 1 steps, got {p['t_complex']}/{p['dt']}")
+    m, dt_complex = time_steps(p["t_complex"], p["dt"])
     b = p["b"]
     thetas = np.linspace(-1.0, 1.0, p["n_theta"])
     # the whole sweep as one batch: every theta sees the same initial samples
     # and per-step draws (common random numbers); only running sums are kept
-    family = DiffusionModel(drift=lambda x, t: thetas[:, None] * np.sin(x), b=b)
+    family = DiffusionModel(drift=lambda x: thetas[:, None] * np.sin(x), b=b)
     sweep = simulate_forward(
         family, ("gaussian", np.pi, 1.0), p["t_final"], p["dt"], p["n_paths"], seed, window=(0, 0)
     )
@@ -584,7 +582,7 @@ def _run_variational(p: dict, seed: int):
     theta_hat = float(-coeffs[1] / (2 * coeffs[0]))
 
     # spot value: constant drift a = 1 gives S ~= a^2 T = 1
-    const_model = DiffusionModel(drift=lambda x, t: np.ones_like(x), b=b)
+    const_model = DiffusionModel(drift=np.ones_like, b=b)
     const_ens = simulate_forward(
         const_model, 0.0, p["t_final"], p["dt"], p["n_paths"], seed + 1, window=(0, 0)
     )
@@ -594,11 +592,10 @@ def _run_variational(p: dict, seed: int):
 
     # path-sum moment of the balanced complex noise: E (sum dZ)^2 ~ 0
     rng = make_rng(seed + 2)
-    m = int(round(p["t_complex"] / p["dt"]))
     sigma = b  # balanced case bhat = b
     xi = rng.standard_normal((p["n_paths"], m))
     xi_hat = rng.standard_normal((p["n_paths"], m))
-    dz = (b * xi + 1j * b * xi_hat) * np.sqrt(p["dt"]) / (np.sqrt(2) * sigma)
+    dz = (b * xi + 1j * b * xi_hat) * np.sqrt(dt_complex) / (np.sqrt(2) * sigma)
     w = dz.sum(axis=1)
     path_sum_sq = complex((w * w).mean())
     tol_complex = 3.0 / np.sqrt(p["n_paths"])
@@ -740,16 +737,15 @@ def _run_fp_consistency(p: dict, seed: int):
     grid = GridSpec(dim=1, length=2 * np.pi, n=p["n_stationary"])
     x = grid.axis
     c = p["drift_amp"]
-    model = DiffusionModel(drift=lambda y, t: -c * np.sin(y), b=b)
+    model = DiffusionModel(drift=lambda y: -c * np.sin(y), b=b)
     rho_star = discrete_stationary_density(model, grid)
     scale = float(np.max(np.real(rho_star.values)))
     dt = cfl_timestep(model, grid)
-    st = DensityState(field=rho_star, t=0.0)
 
-    one = solve_forward(model, st, dt, dt=dt)
-    fixed_1 = float(np.max(np.abs(one.field.values.real - rho_star.values.real))) / scale
-    many = solve_forward(model, st, p["n_fixed_steps"] * dt, dt=dt)
-    fixed_n = float(np.max(np.abs(many.field.values.real - rho_star.values.real))) / scale
+    one = solve_forward(model, rho_star, dt, dt=dt)
+    fixed_1 = float(np.max(np.abs(one.values.real - rho_star.values.real))) / scale
+    many = solve_forward(model, rho_star, p["n_fixed_steps"] * dt, dt=dt)
+    fixed_n = float(np.max(np.abs(many.values.real - rho_star.values.real))) / scale
 
     # analytic stationary density (von Mises) for shape comparison
     kappa = 2 * c / b**2
@@ -758,27 +754,27 @@ def _run_fp_consistency(p: dict, seed: int):
 
     # backward evolution: at stationarity the reversed drift is exactly -a,
     # giving the identical discrete update
-    back = DiffusionModel(drift=lambda y, t: c * np.sin(y), b=b)
-    st_T = DensityState(field=rho_star, t=1.0)
-    back_out = solve_backward(back, st_T, p["n_fixed_steps"] * dt, dt=dt)
-    fixed_back = float(np.max(np.abs(back_out.field.values.real - rho_star.values.real))) / scale
+    back = DiffusionModel(drift=lambda y: c * np.sin(y), b=b)
+    back_out = solve_backward(back, rho_star, p["n_fixed_steps"] * dt, dt=dt)
+    fixed_back = float(np.max(np.abs(back_out.values.real - rho_star.values.real))) / scale
 
     # osmotic construction of the backward drift from the analytic density
     rho_vm_field = ScalarField(grid, rho_vm)
     back_model = backward_drift_from_forward(model, rho_vm_field)
-    back_drift_err = float(np.max(np.abs(back_model.drift(x, 0.0) - (c * np.sin(x)))))
+    back_drift_err = float(np.max(np.abs(back_model.drift(x) - (c * np.sin(x)))))
 
     # (b) transient accuracy and mass conservation on a linear-drift problem
     gt = GridSpec(dim=1, length=p["length_transient"], n=p["n_transient"])
     xc = gt.length / 2
     theta = p["theta"]
-    trans = DiffusionModel(drift=lambda y, t: -theta * (y - xc), b=b)
+    trans = DiffusionModel(drift=lambda y: -theta * (y - xc), b=b)
     rho0 = ScalarField(gt, gaussian_density(gt.axis, xc - 1.0, 0.25))
-    out = solve_forward(trans, DensityState(field=rho0, t=0.0), p["t_transient"])
+    out = solve_forward(trans, rho0, p["t_transient"])
+    transient_mass = float(np.real(integrate(out)))
     mean_t, var_t = ou_mean_variance(p["t_transient"], theta, b, -1.0, 0.25)
     rho_exact = gaussian_density(gt.axis, xc + mean_t, var_t)
-    transient_err = float(np.max(np.abs(out.field.values.real - rho_exact)))
-    mass_drift = abs(out.mass - float(np.real(integrate(rho0))))
+    transient_err = float(np.max(np.abs(out.values.real - rho_exact)))
+    mass_drift = abs(transient_mass - float(np.real(integrate(rho0))))
 
     # (c) residual split on the analytic moving packet (manufactured solution)
     gp = GridSpec(dim=1, length=24.0, n=256)
@@ -822,7 +818,7 @@ def _run_fp_consistency(p: dict, seed: int):
     metrics = {
         "cfl_dt": dt,
         "kappa": kappa,
-        "transient_mass": out.mass,
+        "transient_mass": transient_mass,
         "continuity_residual_half_dt": cont_half.l_inf,
     }
     csvs = {

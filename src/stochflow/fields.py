@@ -8,7 +8,7 @@ for odd derivative orders so that the derivative of a real field stays
 real.  The grid supplies ``|k|^2`` (:meth:`GridSpec.k_squared`) for the
 exact Fourier propagators, :func:`log_derivative` is the one kernel for
 the Cole-Hopf ratio ``lam (grad F) / F`` with node masking, and
-:func:`time_steps` is the step rule of the wave and Burgers integrators.
+:func:`time_steps` is the step rule of the wave, Burgers and SDE integrators.
 The sequential 1-D loops transform rows with ``_row_fft``/``_row_ifft``,
 which call numpy's pocketfft gufuncs (numpy >= 2.0) as ``np.fft.fft``/
 ``ifft`` do: bit for bit equal, at half the cost of a 128-point call.
@@ -295,7 +295,7 @@ def log_derivative(values: np.ndarray, dvalues: np.ndarray,
 
 
 def time_steps(t_final: float, dt: float) -> tuple[int, float]:
-    """The step rule of the wave and Burgers integrators: ``n = max(1, round(t_final/dt))``
+    """The step rule of the wave, Burgers and SDE integrators: ``n = max(1, round(t_final/dt))``
     steps of ``t_final / n``, so that the last lands on ``t_final``.  ``t_final``,
     ``dt`` and their ratio must be positive and finite."""
     if not (0 < t_final < np.inf and 0 < dt < np.inf and t_final / dt < np.inf):

@@ -1,13 +1,14 @@
 """Density transport: forward/backward Fokker-Planck and complex variants.
 
-The forward equation ``rho_t + (a rho)_x = (b^2/2) rho_xx`` is integrated
-with a conservative finite-volume step (upwind advective flux, central
-diffusive flux) on the periodic grid, so mass is conserved to round-off.
+The forward equation ``rho_t + (a rho)_x = (b^2/2) rho_xx`` of the diffusion
+``dX = a(X) dt + b dW`` is integrated with a conservative finite-volume step
+(upwind advective flux, central diffusive flux) on the periodic grid, so
+mass is conserved to round-off.  Densities are real 1-D ``ScalarField``s.
 
 The time-reversed density equation uses the backward drift ``a_b`` and an
-antidiffusion term; integrated from the final time toward 0 it is again a
-well-posed forward diffusion in the reflected time variable with advection
-``-a_b``, which is how ``solve_backward`` treats it.
+antidiffusion term; stepped from the final time toward 0 it is again a
+well-posed forward diffusion with advection ``-a_b``, which is how
+``solve_backward`` treats it.
 
 ``discrete_stationary_density`` builds the *exact* stationary point of the
 discrete update by zeroing every interface flux of the same update; this
@@ -28,16 +29,12 @@ as residual evaluators over density/velocity snapshots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .fields import GridSpec, Norms, ScalarField, derivative, integrate, norms
 from .sde import DiffusionModel
 
 __all__ = [
-    "DensityState",
     "cfl_timestep",
     "step_density",
     "solve_forward",
@@ -49,27 +46,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DensityState:
-    """A probability density on a grid at one instant."""
-
-    field: ScalarField
-    t: float
-
-    def __post_init__(self):
-        if self.field.grid.dim != 1:
-            raise ValueError("density solvers are one-dimensional")
-        if not self.field.is_real():
-            raise ValueError("densities are real-valued")
-
-    @property
-    def mass(self) -> float:
-        return float(np.real(integrate(self.field)))
-
-
 def cfl_timestep(model: DiffusionModel, grid: GridSpec) -> float:
-    """Stable explicit step for the drift at ``t = 0``: ``0.4 min(dx / max|a|, dx^2 / b^2)``."""
-    a = np.abs(np.asarray(model.drift(grid.axis, 0.0), dtype=float))
+    """Stable explicit step for the drift: ``0.4 min(dx / max|a|, dx^2 / b^2)``."""
+    a = np.abs(np.asarray(model.drift(grid.axis), dtype=float))
     a_max = float(a.max()) if a.size else 0.0
     dx = grid.dx
     limits = [dx**2 / model.b**2]
@@ -92,49 +71,48 @@ def step_density(rho: np.ndarray, a: np.ndarray, b: float, dt: float, dx: float)
 
 
 def _run(model: DiffusionModel, rho0: ScalarField, t_final: float, dt: float | None,
-         drift_sign: float, time_of_step: Callable[[float], float]) -> ScalarField:
+         drift_sign: float) -> ScalarField:
+    grid = rho0.grid
+    if grid.dim != 1:
+        raise ValueError("density solvers are one-dimensional")
+    if not rho0.is_real():
+        raise ValueError("densities are real-valued")
     if not 0 < t_final < np.inf:
         raise ValueError(f"t_final must be positive and finite, got {t_final}")
-    grid = rho0.grid
     if dt is None:
         dt = cfl_timestep(model, grid)
-    n_steps = max(1, int(np.ceil(t_final / dt)))
+    # the fewest steps that exceed dt by round-off at most: an explicit step must obey the CFL
+    n_steps = max(1, int(np.ceil(t_final / dt * (1 - 1e-12))))
     dt = t_final / n_steps
-    x = grid.axis
+    a = drift_sign * np.asarray(model.drift(grid.axis), dtype=float)
     rho = np.real(rho0.values).copy()
-    for k in range(n_steps):
-        a = drift_sign * np.asarray(model.drift(x, time_of_step(k * dt)), dtype=float)
+    for _ in range(n_steps):
         rho = step_density(rho, a, model.b, dt, grid.dx)
     return ScalarField(grid, rho)
 
 
 def solve_forward(
-    model: DiffusionModel, rho0: DensityState, t_final: float, dt: float | None = None
-) -> DensityState:
-    """Integrate the forward equation from ``rho0.t`` for ``t_final`` time units."""
-    out = _run(model, rho0.field, t_final, dt, +1.0, lambda s: rho0.t + s)
-    return DensityState(field=out, t=rho0.t + t_final)
+    model: DiffusionModel, rho0: ScalarField, t_final: float, dt: float | None = None
+) -> ScalarField:
+    """Integrate the forward equation over ``t_final`` time units from the density ``rho0``."""
+    return _run(model, rho0, t_final, dt, +1.0)
 
 
 def solve_backward(
-    backward_model: DiffusionModel, rho_final: DensityState, t_final: float, dt: float | None = None
-) -> DensityState:
-    """Integrate the time-reversed density equation from ``t = rho_final.t`` down by ``t_final``.
+    backward_model: DiffusionModel, rho_final: ScalarField, t_final: float, dt: float | None = None
+) -> ScalarField:
+    """Integrate the time-reversed density equation back over ``t_final`` time units
+    from the final density ``rho_final``.
 
-    ``backward_model.drift`` is the backward drift; in the reflected time
-    variable the equation is a forward diffusion with advection by its
+    ``backward_model.drift`` is the backward drift; stepped toward earlier
+    times the equation is a forward diffusion with advection by its
     negative, which is what gets stepped.
     """
-    t_end = rho_final.t
-    out = _run(
-        backward_model, rho_final.field, t_final, dt, -1.0,
-        lambda s: t_end - s,
-    )
-    return DensityState(field=out, t=t_end - t_final)
+    return _run(backward_model, rho_final, t_final, dt, -1.0)
 
 
 def discrete_stationary_density(model: DiffusionModel, grid: GridSpec) -> ScalarField:
-    """Exact zero-flux fixed point of :func:`step_density` for a steady drift (read at ``t = 0``).
+    """Exact zero-flux fixed point of :func:`step_density` for the model's drift.
 
     Zeroing the upwind/central interface flux gives the two-term recurrence
 
@@ -150,7 +128,7 @@ def discrete_stationary_density(model: DiffusionModel, grid: GridSpec) -> Scalar
     if grid.dim != 1:
         raise ValueError("stationary construction is one-dimensional")
     x = grid.axis
-    a = np.real(np.asarray(model.drift(x, 0.0), dtype=np.complex128))
+    a = np.real(np.asarray(model.drift(x), dtype=np.complex128))
     a_face = 0.5 * (a + np.roll(a, -1))
     d_over_dx = (model.b**2 / 2) / grid.dx
     ratio = a_face / d_over_dx

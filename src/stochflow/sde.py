@@ -1,7 +1,8 @@
 """Path sampling and pathwise statistics for real diffusions and complex noise.
 
-Real processes follow ``dX = a(X, t) dt + b dW`` and are integrated with
-forward Euler-Maruyama in one loop, ``simulate_forward``.  It streams: it
+Real processes follow ``dX = a(X) dt + b dW``, with a drift of position
+alone, and are integrated with forward Euler-Maruyama in one loop,
+``simulate_forward``, on the steps of ``fields.time_steps``.  It streams: it
 stores only the window of time columns the caller asks for (by default all
 of them), and keeps per-path running sums of ``q = (dX)^2 / dt`` and
 ``q^2`` over every step, which is all the quadratic-variation and action
@@ -29,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import ScalarField, derivative
+from .fields import ScalarField, derivative, time_steps
 
 __all__ = [
     "DiffusionModel",
@@ -55,9 +56,9 @@ def make_rng(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class DiffusionModel:
-    """Drift-diffusion model ``dX = drift(x, t) dt + b dW`` with constant noise scale."""
+    """Drift-diffusion model ``dX = drift(x) dt + b dW`` with constant noise scale."""
 
-    drift: Callable[[np.ndarray, float], np.ndarray]
+    drift: Callable[[np.ndarray], np.ndarray]
     b: float
 
     def __post_init__(self):
@@ -67,25 +68,26 @@ class DiffusionModel:
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """A bundle of forward sample paths on a shared uniform time mesh.
+    """A bundle of forward sample paths of ``n_steps`` steps of ``dt``.
 
-    ``times`` is the whole mesh.  ``paths[..., p, j]`` is path ``p`` at
-    ``times[first + j]``: only the columns the simulation was asked to keep
-    are stored.  Any leading axes are batch axes (one per drift of a batched
-    sweep).  ``q_sum[..., p]`` and ``q2_sum[..., p]`` are the sums over
-    *every* step of ``q = (dX)^2 / dt`` and of ``q^2`` along path ``p``.
+    ``paths[..., p, j]`` is path ``p`` after ``first + j`` steps: only the
+    columns the simulation was asked to keep are stored.  Any leading axes
+    are batch axes (one per drift of a batched sweep).  ``q_sum[..., p]`` and
+    ``q2_sum[..., p]`` are the sums over *every* step of ``q = (dX)^2 / dt``
+    and of ``q^2`` along path ``p``.
     """
 
-    times: np.ndarray = field(repr=False)
     paths: np.ndarray = field(repr=False)
     q_sum: np.ndarray = field(repr=False)
     q2_sum: np.ndarray = field(repr=False)
+    dt: float
+    n_steps: int
     b: float = 1.0
     first: int = 0
 
     def __post_init__(self):
         n_stored = self.paths.shape[-1]
-        if self.paths.ndim < 2 or not 0 <= self.first <= self.first + n_stored <= self.times.size:
+        if self.paths.ndim < 2 or not 0 <= self.first <= self.first + n_stored <= self.n_steps + 1:
             raise ValueError("paths must be (..., n_paths, n_stored) within the time mesh")
         if self.q_sum.shape != self.paths.shape[:-1] or self.q2_sum.shape != self.q_sum.shape:
             raise ValueError("running sums must be (..., n_paths)")
@@ -93,23 +95,6 @@ class PathEnsemble:
     @property
     def n_paths(self) -> int:
         return self.paths.shape[-2]
-
-    @property
-    def n_steps(self) -> int:
-        return self.times.shape[0] - 1
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-
-def _time_mesh(t_final: float, dt: float) -> np.ndarray:
-    if dt <= 0 or t_final <= 0:
-        raise ValueError("t_final and dt must be positive")
-    m = int(round(t_final / dt))
-    if m < 1 or abs(m * dt - t_final) > 1e-9 * max(1.0, t_final):
-        raise ValueError(f"t_final={t_final} is not an integer multiple of dt={dt}")
-    return dt * np.arange(m + 1)
 
 
 def _initial_samples(x0, n_paths: int, rng: np.random.Generator) -> np.ndarray:
@@ -135,7 +120,8 @@ def simulate_forward(
 ) -> PathEnsemble:
     """Euler-Maruyama ensemble of the forward process.
 
-    Only the time columns with mesh indices in ``window = (first, stop)``
+    The run takes the ``n`` steps of ``time_steps(t_final, dt)``.  Only the
+    time columns with step indices in ``window = (first, stop)``
     (half open; default all) are stored, while the running sums of
     ``(dX)^2 / dt`` and its square cover every step.  The drift may
     broadcast the state to leading batch axes, e.g. ``theta[:, None] *
@@ -143,16 +129,15 @@ def simulate_forward(
     same per-step draws, so its trajectory is bit-identical to a separate
     run with that member's drift.
     """
+    m, dt = time_steps(t_final, dt)
+    first, stop = (0, m + 1) if window is None else window
+    if not 0 <= first <= stop <= m + 1:
+        raise ValueError(f"window {window} is not within the {m + 1} mesh columns")
     rng = make_rng(seed)
-    times = _time_mesh(t_final, dt)
-    first, stop = (0, times.size) if window is None else window
-    if not 0 <= first <= stop <= times.size:
-        raise ValueError(f"window {window} is not within the {times.size} mesh columns")
     x = _initial_samples(x0, n_paths, rng)
     root_dt = np.sqrt(dt)
-    m = times.size - 1
     for k in range(m):
-        x_next = x + model.drift(x, float(times[k])) * dt + model.b * root_dt * rng.standard_normal(n_paths)
+        x_next = x + model.drift(x) * dt + model.b * root_dt * rng.standard_normal(n_paths)
         if k == 0:  # the first step fixes the batch shape
             paths = np.empty(x_next.shape + (stop - first,))
             q_sum = np.zeros(x_next.shape)
@@ -166,7 +151,7 @@ def simulate_forward(
     if first <= m < stop:
         paths[..., m - first] = x
     return PathEnsemble(
-        times=times, paths=paths, q_sum=q_sum, q2_sum=q2_sum,
+        paths=paths, q_sum=q_sum, q2_sum=q2_sum, dt=dt, n_steps=m,
         b=model.b, first=first,
     )
 
@@ -213,7 +198,7 @@ def sample_complex_increments(
 
 @dataclass(frozen=True)
 class VelocityEstimate:
-    """Binned conditional-increment velocities around one time slice.
+    """Binned conditional-increment velocities around one time step.
 
     ``forward_drift[i]`` estimates ``E[X(t+dt) - X(t) | X(t) in bin i] / dt``
     and ``backward_drift[i]`` the same with the backward difference; the
@@ -222,7 +207,6 @@ class VelocityEstimate:
     NaN estimates.
     """
 
-    t: float
     centers: np.ndarray = field(repr=False)
     counts: np.ndarray = field(repr=False)
     forward_drift: np.ndarray = field(repr=False)
@@ -314,7 +298,6 @@ def estimate_velocities(
         arr[thin] = np.nan
 
     return VelocityEstimate(
-        t=float(ens.times[t_index]),
         centers=centers,
         counts=counts,
         forward_drift=mean_f,
@@ -332,7 +315,6 @@ class ActionEstimate:
 
     value: float | np.ndarray
     stderr: float | np.ndarray
-    n_paths: int
 
 
 def estimate_diffusion(ens: PathEnsemble) -> tuple[float, float]:
@@ -366,7 +348,7 @@ def discretized_action(ens: PathEnsemble) -> ActionEstimate:
     stderr = per_path.std(axis=-1, ddof=1) / np.sqrt(ens.n_paths)
     if per_path.ndim == 1:
         value, stderr = float(value), float(stderr)
-    return ActionEstimate(value=value, stderr=stderr, n_paths=ens.n_paths)
+    return ActionEstimate(value=value, stderr=stderr)
 
 
 # -- density-based velocity constructions ------------------------------------
@@ -387,17 +369,16 @@ def backward_drift_from_forward(
     """Backward-drift model ``a_b = a - 2u`` built from the forward model and density.
 
     The drift is tabulated on the density's grid and linearly interpolated
-    (periodically) off-grid; the returned model is time-independent, which
-    matches its use on stationary or slowly varying densities.
+    (periodically) off-grid.
     """
     grid = rho.grid
     x = grid.axis
     u = np.real(osmotic_velocity_from_density(rho, model.b).values)
-    a_fwd = np.real(np.asarray(model.drift(x, 0.0), dtype=np.complex128))
+    a_fwd = np.real(np.asarray(model.drift(x), dtype=np.complex128))
     table = a_fwd - 2 * u
     period = grid.length
 
-    def drift(y: np.ndarray, t: float) -> np.ndarray:
+    def drift(y: np.ndarray) -> np.ndarray:
         y_wrapped = (np.asarray(y) - x[0]) % period + x[0]
         return np.interp(y_wrapped, x, table, period=period)
 

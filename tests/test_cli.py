@@ -169,12 +169,15 @@ def test_value_the_experiment_rejects_exits_two_and_names_it(
         ("colehopf-3d", {"n_random": 0}, "n_random"),
         ("born-harmonic", {"method": "cn"}, "method"),
         ("ga-identities", {"n_algebra_trials": 0}, "n_algebra_trials"),
+        ("colehopf-1d", {"b": float("inf")}, "b"),
+        ("colehopf-3d", {"b": float("inf")}, "b"),
+        ("variational", {"t_final": float("inf")}, "t_final"),
     ],
 )
 def test_meaningless_value_exits_two_with_one_error_line(runner, tmp_path, experiment, overrides, key):
     # no step count, nothing to check, a list of the wrong element type, a zero
-    # time step or a removed parameter: each is a configuration error, never a
-    # traceback or a PASS
+    # time step, an infinite value or a removed parameter: each is a
+    # configuration error, never a traceback or a PASS
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(overrides))
     result = runner.invoke(

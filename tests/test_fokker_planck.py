@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from stochflow import fokker_planck
 from stochflow.analytic import FreePacket, gaussian_density, ou_mean_variance
 from stochflow.fields import GridSpec, ScalarField, integrate
 from stochflow.fokker_planck import (
-    DensityState,
     cfl_timestep,
     complex_fp_residual,
     continuity_residual,
@@ -20,7 +20,7 @@ from stochflow.sde import DiffusionModel
 
 
 def _sine_model(c=1.0, b=1.0):
-    return DiffusionModel(drift=lambda y, t: -c * np.sin(y), b=b)
+    return DiffusionModel(drift=lambda y: -c * np.sin(y), b=b)
 
 
 def test_cfl_timestep_bounds():
@@ -50,8 +50,8 @@ def test_discrete_stationary_is_one_step_fixed_point():
     model = _sine_model()
     rho = discrete_stationary_density(model, grid)
     dt = cfl_timestep(model, grid)
-    out = solve_forward(model, DensityState(field=rho, t=0.0), dt, dt=dt)
-    gap = np.max(np.abs(out.field.values.real - rho.values.real))
+    out = solve_forward(model, rho, dt, dt=dt)
+    gap = np.max(np.abs(out.values.real - rho.values.real))
     assert gap / np.max(rho.values.real) < 1e-13
 
 
@@ -68,36 +68,66 @@ def test_forward_matches_linear_drift_analytic():
     grid = GridSpec(dim=1, length=12.0, n=512)
     xc = 6.0
     theta, b = 1.0, 1.0
-    model = DiffusionModel(drift=lambda y, t: -theta * (y - xc), b=b)
+    model = DiffusionModel(drift=lambda y: -theta * (y - xc), b=b)
     rho0 = ScalarField(grid, gaussian_density(grid.axis, xc - 1.0, 0.25))
-    out = solve_forward(model, DensityState(field=rho0, t=0.0), 1.0)
+    out = solve_forward(model, rho0, 1.0)
     mean_t, var_t = ou_mean_variance(1.0, theta, b, -1.0, 0.25)
     exact = gaussian_density(grid.axis, xc + mean_t, var_t)
-    assert np.max(np.abs(out.field.values.real - exact)) < 1e-2
-    assert out.t == pytest.approx(1.0)
+    assert np.max(np.abs(out.values.real - exact)) < 1e-2
 
 
 def test_backward_pure_diffusion_mirrors_forward():
     # with zero drift the density equation is symmetric under time
     # reflection, so both solvers must produce the identical smoothing
     grid = GridSpec(dim=1, length=2 * np.pi, n=128)
-    flat = DiffusionModel(drift=lambda y, t: 0.0 * y, b=1.0)
+    flat = DiffusionModel(drift=lambda y: 0.0 * y, b=1.0)
     rho0 = ScalarField(grid, 1 + 0.5 * np.cos(grid.axis))
-    fwd = solve_forward(flat, DensityState(field=rho0, t=0.0), 0.3, dt=1e-3)
-    bwd = solve_backward(flat, DensityState(field=rho0, t=0.3), 0.3, dt=1e-3)
-    assert np.max(np.abs(fwd.field.values - bwd.field.values)) < 1e-13
-    assert bwd.t == pytest.approx(0.0)
+    fwd = solve_forward(flat, rho0, 0.3, dt=1e-3)
+    bwd = solve_backward(flat, rho0, 0.3, dt=1e-3)
+    assert np.max(np.abs(fwd.values - bwd.values)) < 1e-13
 
 
 def test_backward_fixed_point_at_stationarity():
     grid = GridSpec(dim=1, length=2 * np.pi, n=128)
     c, b = 1.0, 1.0
     rho = discrete_stationary_density(_sine_model(c, b), grid)
-    reversed_model = DiffusionModel(drift=lambda y, t: c * np.sin(y), b=b)
+    reversed_model = DiffusionModel(drift=lambda y: c * np.sin(y), b=b)
     dt = cfl_timestep(reversed_model, grid)
-    out = solve_backward(reversed_model, DensityState(field=rho, t=1.0), 50 * dt, dt=dt)
-    gap = np.max(np.abs(out.field.values.real - rho.values.real))
+    out = solve_backward(reversed_model, rho, 50 * dt, dt=dt)
+    gap = np.max(np.abs(out.values.real - rho.values.real))
     assert gap / np.max(rho.values.real) < 1e-12
+
+
+def test_step_count_is_the_fewest_steps_no_longer_than_dt(monkeypatch):
+    # on this grid 100 * dt / dt rounds to 100.00000000000001, whose ceil is 101
+    grid = GridSpec(dim=1, length=2 * np.pi, n=256)
+    model = _sine_model()
+    dt = cfl_timestep(model, grid)
+    assert 100 * dt / dt > 100
+    steps = []
+
+    def counted_step(rho, a, b, step, dx):
+        steps.append(step)
+        return step_density(rho, a, b, step, dx)
+
+    monkeypatch.setattr(fokker_planck, "step_density", counted_step)
+    rho = discrete_stationary_density(model, grid)
+    for solve in (solve_forward, solve_backward):
+        for t_final, n_steps in ((100 * dt, 100), (100.5 * dt, 101), (100 * dt * (1 + 1e-9), 101)):
+            steps.clear()
+            solve(model, rho, t_final, dt=dt)
+            assert len(steps) == n_steps, (solve.__name__, t_final / dt)
+            assert max(steps) <= dt * (1 + 1e-12)
+
+
+def test_solvers_take_a_real_one_dimensional_density():
+    model = _sine_model()
+    grid = GridSpec(dim=1, length=2 * np.pi, n=64)
+    for solve in (solve_forward, solve_backward):
+        with pytest.raises(ValueError, match="real"):
+            solve(model, ScalarField(grid, 1 + 0.1j * np.sin(grid.axis)), 0.1)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            solve(model, ScalarField(GridSpec(dim=3, length=1.0, n=8), np.ones((8, 8, 8))), 0.1)
 
 
 @pytest.fixture(scope="module")
@@ -162,9 +192,3 @@ def test_complex_residual_halves_recover_continuity(packet_triple):
     half_sum = (res_f + res_c) / 2
     cont = d_rho_dt + transport(v.values)
     assert np.max(np.abs(half_sum - cont)) < 1e-12
-
-
-def test_density_state_mass(packet_triple):
-    grid, pk, rm, rc, rp, t, dt = packet_triple
-    st = DensityState(field=rc, t=t)
-    assert st.mass == pytest.approx(1.0, abs=1e-10)

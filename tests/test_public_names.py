@@ -15,7 +15,11 @@ dead code: delete it, or name it in ``ALLOWED``, ``ALLOWED_METHODS`` or
 The method and field checks go by attribute name alone, since they cannot
 tell the type of the object an attribute is read from.  So a method or field
 whose name is shared with another attribute cannot be seen: a ``values()``
-method would pass as soon as anything reads ``ScalarField.values``.
+method would pass as soon as anything reads ``ScalarField.values``.  Reads
+of ``PathEnsemble.n_paths`` hid the unread ``ActionEstimate.n_paths`` in this
+way, and reads of the since-deleted ``DensityState.t`` and
+``PathEnsemble.times`` hid the unread ``VelocityEstimate.t`` and that only a
+test reads ``SchrodingerResult.times``.
 """
 
 import ast
@@ -45,6 +49,7 @@ ALLOWED_METHODS = {
 ALLOWED_FIELDS = {
     ("born", "VelocityDecomposition", "mask"): "read by the node-mask test",
     ("born", "VelocityDecomposition", "coverage"): "min_coverage of the per-snapshot Born reference test",
+    ("schrodinger", "SchrodingerResult", "times"): "read by the per-snapshot Born reference",
 }
 
 

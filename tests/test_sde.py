@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stochflow.analytic import ou_mean_variance
+from stochflow.experiments import _velocity_window
 from stochflow.fields import GridSpec, ScalarField
 from stochflow.sde import (
     DiffusionModel,
@@ -17,7 +18,7 @@ from stochflow.sde import (
     simulate_forward,
 )
 
-OU = DiffusionModel(drift=lambda x, t: -x, b=1.0)
+OU = DiffusionModel(drift=lambda x: -x, b=1.0)
 
 
 def test_rng_reproducible():
@@ -26,13 +27,22 @@ def test_rng_reproducible():
     assert np.array_equal(a, b)
 
 
-def test_time_mesh_must_divide():
-    with pytest.raises(ValueError):
-        simulate_forward(OU, 0.0, 1.0, 0.3, 10, 0)
+def test_duration_off_the_step_lands_on_t_final():
+    # 1.0 is no whole number of 0.3: the run takes round(1.0 / 0.3) = 3 steps of 1/3
+    t_final, dt, half_window = 1.0, 0.3, 0
+    ens = simulate_forward(OU, 0.0, t_final, dt, 10, 0)
+    assert ens.n_steps == 3 and ens.paths.shape == (10, 4)
+    assert ens.n_steps * ens.dt == pytest.approx(t_final, rel=1e-15)
+    # the columns the experiment keeps are the ones the estimate reads
+    first, stop = _velocity_window(t_final, dt, half_window)
+    assert 0 <= first < stop <= ens.n_steps + 1
+    windowed = simulate_forward(OU, 0.0, t_final, dt, 10, 0, window=(first, stop))
+    assert np.array_equal(windowed.paths, ens.paths[:, first:stop])
+    estimate_velocities(windowed, half_window=half_window, min_count=0)
 
 
 def test_brownian_endpoint_moments():
-    flat = DiffusionModel(drift=lambda x, t: 0.0 * x, b=1.4)
+    flat = DiffusionModel(drift=lambda x: 0.0 * x, b=1.4)
     ens = simulate_forward(flat, 0.0, 0.25, 1 / 256, 40_000, 11)
     xT = ens.paths[:, -1]
     var_exact = 1.4**2 * 0.25
@@ -54,7 +64,7 @@ def test_ou_transient_moments():
 
 
 def test_estimate_diffusion_recovers_b2():
-    model = DiffusionModel(drift=lambda x, t: -x, b=1.7)
+    model = DiffusionModel(drift=lambda x: -x, b=1.7)
     ens = simulate_forward(model, 0.0, 0.2, 1e-3, 5_000, 77)
     b2, err = estimate_diffusion(ens)
     assert abs(b2 - 1.7**2) < 5 * err
@@ -87,7 +97,7 @@ def test_velocity_estimate_time_window_bounds():
 def test_estimators_reject_a_batched_ensemble():
     # a batch of three drifts has no single b^2 or velocity profile to pool
     rates = np.array([0.5, 1.0, 2.0])
-    batch = DiffusionModel(drift=lambda x, t: -rates[:, None] * x, b=1.0)
+    batch = DiffusionModel(drift=lambda x: -rates[:, None] * x, b=1.0)
     ens = simulate_forward(batch, 0.0, 0.1, 1e-2, 200, 8)
     assert ens.paths.shape == (3, 200, 11)
     for estimate in (estimate_diffusion, estimate_velocities):
@@ -97,14 +107,14 @@ def test_estimators_reject_a_batched_ensemble():
 
 def test_action_constant_drift_value():
     # S = E sum[(dX)^2/dt - b^2] estimates integral a^2 dt = c^2 T
-    model = DiffusionModel(drift=lambda x, t: np.full_like(x, 1.5), b=1.0)
+    model = DiffusionModel(drift=lambda x: np.full_like(x, 1.5), b=1.0)
     ens = simulate_forward(model, 0.0, 1.0, 1e-2, 20_000, 13)
     act = discretized_action(ens)
     assert abs(act.value - 1.5**2 * 1.0) < 5 * act.stderr
 
 
 def test_action_zero_drift_centers_at_zero():
-    flat = DiffusionModel(drift=lambda x, t: 0.0 * x, b=1.0)
+    flat = DiffusionModel(drift=lambda x: 0.0 * x, b=1.0)
     ens = simulate_forward(flat, 0.0, 1.0, 1e-2, 20_000, 17)
     act = discretized_action(ens)
     assert abs(act.value) < 5 * act.stderr
@@ -147,11 +157,11 @@ def test_backward_drift_from_forward_at_stationarity():
     grid = GridSpec(dim=1, length=2 * np.pi, n=128)
     x = grid.axis
     c, b = 1.0, 1.0
-    model = DiffusionModel(drift=lambda y, t: -c * np.sin(y), b=b)
+    model = DiffusionModel(drift=lambda y: -c * np.sin(y), b=b)
     kappa = 2 * c / b**2
     rho = ScalarField(grid, np.exp(kappa * np.cos(x)) / (2 * np.pi))
     back = backward_drift_from_forward(model, rho)
-    assert np.max(np.abs(back.drift(x, 0.0) - c * np.sin(x))) < 1e-10
+    assert np.max(np.abs(back.drift(x) - c * np.sin(x))) < 1e-10
 
 
 # -- streaming against full-path references -----------------------------------
@@ -214,7 +224,7 @@ def test_streaming_estimators_match_full_path_references():
 
 def test_batched_sweep_equals_separate_runs_bit_for_bit():
     thetas = np.linspace(-1.0, 1.0, 5)
-    family = DiffusionModel(drift=lambda x, t: thetas[:, None] * np.sin(x), b=1.0)
+    family = DiffusionModel(drift=lambda x: thetas[:, None] * np.sin(x), b=1.0)
     args = (("gaussian", np.pi, 1.0), 0.3, 1e-2, 1_001, 8)
     full = simulate_forward(family, *args)
     windowed = simulate_forward(family, *args, window=(7, 12))
@@ -222,7 +232,7 @@ def test_batched_sweep_equals_separate_runs_bit_for_bit():
     assert full.paths.shape == (5, 1_001, 31) and windowed.paths.shape == (5, 1_001, 5)
     for i, theta in enumerate(thetas):
         single = simulate_forward(
-            DiffusionModel(drift=lambda x, t: theta * np.sin(x), b=1.0), *args
+            DiffusionModel(drift=lambda x: theta * np.sin(x), b=1.0), *args
         )
         assert np.array_equal(full.paths[i], single.paths)
         assert np.array_equal(windowed.paths[i], single.paths[:, 7:12])
