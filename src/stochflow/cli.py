@@ -109,20 +109,24 @@ def list_experiments() -> None:
     """List the available experiments."""
     width = max(len(name) for name in EXPERIMENTS)
     for name, spec in EXPERIMENTS.items():
-        first_line = spec.describe.splitlines()[0]
-        click.echo(f"{name:<{width}}  {first_line}")
+        click.echo(f"{name:<{width}}  {spec.describe}")
 
 
 @main.command()
 @click.argument("experiment", type=click.Choice(sorted(EXPERIMENTS), case_sensitive=True))
 def describe(experiment: str) -> None:
-    """Print what an experiment verifies, with thresholds and defaults."""
+    """Print what an experiment verifies: each check with its threshold at the
+    defaults, then the default parameters with their minimums."""
     spec = EXPERIMENTS[experiment]
-    click.echo(f"{experiment}\n{'=' * len(experiment)}")
-    click.echo(spec.describe)
+    click.echo(f"{experiment}\n{'=' * len(experiment)}\n{spec.describe}\n\nchecks:")
+    heads = [f"{c.name} {c.comparison} {_number(c.at(spec.defaults))}" for c in spec.checks]
+    width = max(map(len, heads))
+    for head, c in zip(heads, spec.checks):
+        click.echo(f"  {head:<{width}}  {c.meaning}")
     click.echo("\ndefault parameters:")
     for key, value in sorted(spec.defaults.items()):
-        click.echo(f"  {key} = {value}")
+        minimum = " ".join(map(str, spec.minimums.get(key, ())))
+        click.echo(f"  {key} = {value}" + (f"  (must be {minimum})" if minimum else ""))
 
 
 @main.command()

@@ -1,99 +1,86 @@
 """The packaged verification experiments behind the ``stochflow`` CLI.
 
 Each experiment is a deterministic function of ``(params, seed)`` that
-returns machine-checkable results: a list of pass/fail checks with
-measured values and thresholds, a dict of additional metrics, and
-plot-ready CSV tables.  The registry maps experiment names to their
-default parameters and a description of what is verified.
-
-The ten experiments jointly cover the package's claims:
-
-=====================  =====================================================
-born-free              transported density equals |F|^2 for a moving packet
-born-harmonic          stationarity of the trapped ground state over T = 10
-colehopf-1d            complex-viscosity Burgers vs the wave-equation route
-colehopf-3d            vectorized substitution, cancellation identity, roots
-burgers-direct-vs-ch   real-viscosity solver vs analytic and transform routes
-sde-estimators         drift/noise/velocity estimators vs known diffusions
-complex-increments     moments of the complex noise increment
-variational            action minimality over a drift family; path sums
-ga-identities          multivector algebra axioms and gradient identities
-fp-consistency         density solvers: mass, fixed points, residual splits
-=====================  =====================================================
+returns a measured value per check name, a dict of additional metrics,
+and plot-ready CSV tables.  Its :class:`ExperimentSpec` declares the rest
+once: the default parameters, one sentence on what is verified, each
+check's comparison, threshold and meaning, and the parameter minimums.
+:func:`run_experiment` judges the values against that declaration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .analytic import (
-    FreePacket,
-    HarmonicState,
-    burgers_single_mode,
-    burgers_tanh_wave,
-    gaussian_density,
+    FreePacket, HarmonicState, burgers_single_mode, burgers_tanh_wave, gaussian_density,
     ou_mean_variance,
 )
 from .born import born_pipeline
 from .burgers import (
-    BurgersProblem,
-    ColeHopfMap,
-    heat_evolve_spectral,
-    inversion_diagnostic,
-    real_chain_residual,
-    solve_burgers,
-    solve_linearization_condition,
+    BurgersProblem, ColeHopfMap, heat_evolve_spectral, inversion_diagnostic, real_chain_residual,
+    solve_burgers, solve_linearization_condition,
 )
 from .clifford import (
-    Multivector,
-    StretchSpec,
-    check_prop_identities,
-    geometric_product,
-    grad_wedge,
-    linearization_cancellation,
-    scalar_product,
-    wedge,
-    contraction,
+    Multivector, StretchSpec, check_prop_identities, contraction, geometric_product, grad_wedge,
+    linearization_cancellation, scalar_product, wedge,
 )
 from .fields import GridSpec, ScalarField, field_from_function, integrate, time_steps
 from .fokker_planck import (
-    cfl_timestep,
-    complex_fp_residual,
-    continuity_residual,
-    discrete_stationary_density,
-    osmotic_constraint_residual,
-    solve_backward,
-    solve_forward,
+    cfl_timestep, complex_fp_residual, continuity_residual, discrete_stationary_density,
+    osmotic_constraint_residual, solve_backward, solve_forward,
 )
-from .output import all_passed, check
+from .output import COMPARATORS, all_passed, check
 from .schrodinger import SchrodingerProblem, evolve
 from .sde import (
-    DiffusionModel,
-    backward_drift_from_forward,
-    discretized_action,
-    estimate_diffusion,
-    estimate_velocities,
-    make_rng,
-    sample_complex_increments,
-    simulate_forward,
+    DiffusionModel, backward_drift_from_forward, discretized_action, estimate_diffusion,
+    estimate_velocities, make_rng, sample_complex_increments, simulate_forward,
 )
 
-__all__ = ["EXPERIMENTS", "ExperimentSpec", "run_experiment"]
+__all__ = ["EXPERIMENTS", "Check", "ExperimentSpec", "run_experiment"]
+
+
+@dataclass(frozen=True)
+class Check:
+    """A declared check, or the family of checks ``name[...]``: a run passes it
+    when ``value <comparison> threshold``, the threshold being a number or a
+    function of the params."""
+
+    name: str
+    comparison: str
+    threshold: float | Callable[[dict], float]
+    meaning: str
+
+    def at(self, params: dict) -> float:
+        return self.threshold(params) if callable(self.threshold) else self.threshold
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     defaults: dict
     describe: str
-    runner: Callable[[dict, int], tuple[list[dict], dict, dict]]
+    runner: Callable[[dict, int], tuple[dict, dict, dict]]
+    checks: tuple[Check, ...]
+    #: parameter -> (comparison, bound) that a configured value must satisfy
+    minimums: dict = field(default_factory=dict)
 
 
-# ---------------------------------------------------------------------------
-# born-free
-# ---------------------------------------------------------------------------
+#: experiment name -> spec, in the order of this module
+EXPERIMENTS: dict[str, ExperimentSpec] = {}
+
+
+def _experiment(name: str, **declaration):
+    """Register the decorated runner as experiment ``name``, declared by ``declaration``."""
+    def register(runner):
+        EXPERIMENTS[name] = ExperimentSpec(runner=runner, **declaration)
+        return runner
+    return register
+
+
+# -- born-free --------------------------------------------------------------
 
 def _free_packet_problem(n: int, p: dict) -> SchrodingerProblem:
     grid = GridSpec(dim=1, length=p["length"], n=n)
@@ -107,9 +94,28 @@ def _free_packet_problem(n: int, p: dict) -> SchrodingerProblem:
     return SchrodingerProblem(grid=grid, b=p["b"], psi0=psi0)
 
 
+@_experiment(
+    "born-free",
+    defaults={
+        "n": 512, "length": 24.0, "b": 1.0, "t_final": 1.0,
+        "s": 1.0, "x0_offset": -1.0, "k0_cycles": 4,
+        "steps_per_point": 4,
+    },
+    describe="Free Gaussian packet: the density transported by the continuity equation "
+    "alone, with the velocity read off the wave function, matches F F* (normalized).",
+    checks=(
+        Check("relative_density_discrepancy", "<=", 1e-2, "worst gap to F F*, per its peak"),
+        Check("halving_resolution_error_ratio", ">=", 2.5, "that gap at n/2 points over at n"),
+        Check("transport_mass_drift", "<=", 1e-8, "largest change of the transported mass"),
+        Check("wavefunction_norm_drift", "<=", 1e-8, "largest change of the wave-function norm"),
+        Check("complex_transport_residual_forward", "<=", 1e-3, "sup complex transport residual"),
+        Check("complex_transport_residual_conjugate", "<=", 1e-3, "the same, conjugate variant"),
+        Check("osmotic_constraint_residual", "<=", 1e-3, "sup |(u rho)' - (b^2/2) rho''|"),
+        Check("node_coverage", ">=", 0.5, "least fraction of points off the nodes of F"),
+    ),
+    minimums={"steps_per_point": (">=", 1)},
+)
 def _run_born_free(p: dict, seed: int):
-    if p["steps_per_point"] < 1:
-        raise ValueError(f"need at least one step per grid point, got {p['steps_per_point']}")
     reports = {}
     for n in (p["n"] // 2, p["n"]):
         prob = _free_packet_problem(n, p)
@@ -119,16 +125,16 @@ def _run_born_free(p: dict, seed: int):
     rep_half = reports[p["n"] // 2]
     ratio = rep_half.sup_relative_error / rep.sup_relative_error
 
-    checks = [
-        check("relative_density_discrepancy", rep.sup_relative_error, 1e-2),
-        check("halving_resolution_error_ratio", ratio, 2.5, ">="),
-        check("transport_mass_drift", rep.mass_drift, 1e-8),
-        check("wavefunction_norm_drift", rep.norm_drift, 1e-8),
-        check("complex_transport_residual_forward", rep.fp_forward.l_inf, 1e-3),
-        check("complex_transport_residual_conjugate", rep.fp_conjugate.l_inf, 1e-3),
-        check("osmotic_constraint_residual", rep.osmotic.l_inf, 1e-3),
-        check("node_coverage", rep.min_coverage, 0.5, ">="),
-    ]
+    checks = {
+        "relative_density_discrepancy": rep.sup_relative_error,
+        "halving_resolution_error_ratio": ratio,
+        "transport_mass_drift": rep.mass_drift,
+        "wavefunction_norm_drift": rep.norm_drift,
+        "complex_transport_residual_forward": rep.fp_forward.l_inf,
+        "complex_transport_residual_conjugate": rep.fp_conjugate.l_inf,
+        "osmotic_constraint_residual": rep.osmotic.l_inf,
+        "node_coverage": rep.min_coverage,
+    }
     metrics = {
         "sup_density_error": rep.sup_density_error,
         "final_density_error": rep.final_density_error,
@@ -153,10 +159,24 @@ def _run_born_free(p: dict, seed: int):
     return checks, metrics, csvs
 
 
-# ---------------------------------------------------------------------------
-# born-harmonic
-# ---------------------------------------------------------------------------
+# -- born-harmonic ----------------------------------------------------------
 
+@_experiment(
+    "born-harmonic",
+    defaults={
+        "n": 128, "length": 16.0, "b": 1.0, "omega": 1.0,
+        "t_final": 10.0, "dt": 2.5e-4,
+    },
+    describe="Trapped ground state: the extracted current velocity vanishes, so the "
+    "transported density stays put and matches F F* throughout.",
+    checks=(
+        Check("stationary_density_discrepancy", "<=", 1e-6, "worst pointwise gap to F F*"),
+        Check("wavefunction_norm_drift", "<=", 1e-8, "largest change of the wave-function norm"),
+        Check("transport_mass_drift", "<=", 1e-8, "largest change of the transported mass"),
+        Check("complex_transport_residual_forward", "<=", 1e-3, "sup complex transport residual"),
+        Check("osmotic_constraint_residual", "<=", 1e-3, "sup |(u rho)' - (b^2/2) rho''|"),
+    ),
+)
 def _run_born_harmonic(p: dict, seed: int):
     grid = GridSpec(dim=1, length=p["length"], n=p["n"])
     state = HarmonicState(b=p["b"], omega=p["omega"], centre=p["length"] / 2)
@@ -166,13 +186,13 @@ def _run_born_harmonic(p: dict, seed: int):
     )
     rep = born_pipeline(prob, p["t_final"], p["dt"])
 
-    checks = [
-        check("stationary_density_discrepancy", rep.sup_density_error, 1e-6),
-        check("wavefunction_norm_drift", rep.norm_drift, 1e-8),
-        check("transport_mass_drift", rep.mass_drift, 1e-8),
-        check("complex_transport_residual_forward", rep.fp_forward.l_inf, 1e-3),
-        check("osmotic_constraint_residual", rep.osmotic.l_inf, 1e-3),
-    ]
+    checks = {
+        "stationary_density_discrepancy": rep.sup_density_error,
+        "wavefunction_norm_drift": rep.norm_drift,
+        "transport_mass_drift": rep.mass_drift,
+        "complex_transport_residual_forward": rep.fp_forward.l_inf,
+        "osmotic_constraint_residual": rep.osmotic.l_inf,
+    }
     metrics = {
         "relative_discrepancy": rep.sup_relative_error,
         "min_coverage": rep.min_coverage,
@@ -190,10 +210,25 @@ def _run_born_harmonic(p: dict, seed: int):
     return checks, metrics, csvs
 
 
-# ---------------------------------------------------------------------------
-# colehopf-1d
-# ---------------------------------------------------------------------------
+# -- colehopf-1d ------------------------------------------------------------
 
+@_experiment(
+    "colehopf-1d",
+    defaults={
+        "n": 512, "periods": 1, "b": 1.0, "eps": 0.4, "k_mode": 1,
+        "t_final": 1.0, "dt": 1e-3,
+    },
+    describe="Complex-viscosity velocity equation: a direct pseudo-spectral solve, the "
+    "substitution V = -i b^2 F'/F of the wave-equation evolution of F, and the closed form.",
+    checks=(
+        Check("direct_vs_transform_route", "<=", 1e-2, "sup |V_direct - V_route| at t_final"),
+        Check("transform_route_vs_analytic", "<=", 1e-8, "sup |V_route - V_exact| at t_final"),
+        Check("lambda_root_residual", "==", 0.0, "|lambda^2 + i b^2 lambda| of the substitution"),
+        Check("node_margin", ">=", lambda p: 0.5 * (1 - p["eps"]),
+              "min |F| at t_final; the bound is half its closed form, 1 - eps"),
+    ),
+    minimums={"eps": (">", 0.0), "k_mode": (">=", 1)},
+)
 def _run_colehopf_1d(p: dict, seed: int):
     n, b, eps, k_mode, t_final = p["n"], p["b"], p["eps"], p["k_mode"], p["t_final"]
     grid = GridSpec(dim=1, length=2 * np.pi * p["periods"], n=n)
@@ -227,12 +262,12 @@ def _run_colehopf_1d(p: dict, seed: int):
     direct_vs_exact = float(np.max(np.abs(v_direct - v_exact(t_final))))
     node_margin = float(np.min(np.abs(f_exact(t_final))))
 
-    checks = [
-        check("direct_vs_transform_route", direct_vs_route, 1e-2),
-        check("transform_route_vs_analytic", route_vs_exact, 1e-8),
-        check("lambda_root_residual", lam_residual, 0.0, "=="),
-        check("node_margin", node_margin, 0.5 * (1 - eps), ">="),
-    ]
+    checks = {
+        "direct_vs_transform_route": direct_vs_route,
+        "transform_route_vs_analytic": route_vs_exact,
+        "lambda_root_residual": lam_residual,
+        "node_margin": node_margin,
+    }
     metrics = {
         "direct_vs_analytic": direct_vs_exact,
         "lambda": lam,
@@ -254,9 +289,7 @@ def _run_colehopf_1d(p: dict, seed: int):
     return checks, metrics, csvs
 
 
-# ---------------------------------------------------------------------------
-# colehopf-3d
-# ---------------------------------------------------------------------------
+# -- colehopf-3d ------------------------------------------------------------
 
 def _random_log_field(grid: GridSpec, rng, n_terms: int, amp: float, kmax: int) -> np.ndarray:
     """Smooth band-limited real field: a few random cosine modes."""
@@ -274,9 +307,21 @@ def _random_log_field(grid: GridSpec, rng, n_terms: int, amp: float, kmax: int) 
     return g
 
 
+@_experiment(
+    "colehopf-3d",
+    defaults={"n": 32, "b": 1.0, "n_random": 20, "amp": 0.4, "kmax": 2},
+    describe="Vectorized substitution in three dimensions: separable velocities, irrotationality, "
+    "the cancellation identity on random smooth positive F, and the exact stretch roots.",
+    checks=(
+        Check("separable_velocity_error", "<=", 1e-11, "sup gap to the single-axis closed form"),
+        Check("velocity_irrotationality", "<=", 1e-10, "sup |grad ^ V| of the extracted velocity"),
+        Check("cancellation_worst_linf", "<=", 1e-10, "worst cancellation residual of n_random F"),
+        Check("lambda_roots_exact", "==", 0.0, "gap of the two roots from -i b^2 and +i b^2"),
+        Check("conjugate_symmetry", "<=", 1e-13, "sup |conj(V[F]) - U[F*]|, U the conjugate map"),
+    ),
+    minimums={"n_random": (">=", 1), "amp": (">", 0.0)},
+)
 def _run_colehopf_3d(p: dict, seed: int):
-    if p["n_random"] < 1:
-        raise ValueError(f"the cancellation check needs at least one random field, got {p['n_random']}")
     grid = GridSpec(dim=3, length=2 * np.pi, n=p["n"])
     b = p["b"]
     xs = grid.coords()
@@ -319,13 +364,13 @@ def _run_colehopf_3d(p: dict, seed: int):
     u_conj = ch_conj.to_velocity_vector(f_complex.conj())
     conj_err = float(np.max(np.abs(np.conj(v_fwd) - u_conj)))
 
-    checks = [
-        check("separable_velocity_error", sep_err, 1e-11),
-        check("velocity_irrotationality", wedge_norm, 1e-10),
-        check("cancellation_worst_linf", worst_cancel, 1e-10),
-        check("lambda_roots_exact", root_err, 0.0, "=="),
-        check("conjugate_symmetry", conj_err, 1e-13),
-    ]
+    checks = {
+        "separable_velocity_error": sep_err,
+        "velocity_irrotationality": wedge_norm,
+        "cancellation_worst_linf": worst_cancel,
+        "lambda_roots_exact": root_err,
+        "conjugate_symmetry": conj_err,
+    }
     metrics = {
         "n_random_fields": p["n_random"],
         "lambda_forward": lam_f,
@@ -340,10 +385,29 @@ def _run_colehopf_3d(p: dict, seed: int):
     return checks, metrics, csvs
 
 
-# ---------------------------------------------------------------------------
-# burgers-direct-vs-ch
-# ---------------------------------------------------------------------------
+# -- burgers-direct-vs-ch ---------------------------------------------------
 
+@_experiment(
+    "burgers-direct-vs-ch",
+    defaults={
+        "n": 256, "b": 1.0, "eps": 0.5, "t_final": 1.0, "dt": 1e-3,
+        "front_length": 32.0, "front_n": 512, "front_speed": 1.0,
+        "front_t": 1.5, "window_half_width": 2.5,
+    },
+    describe="Real-viscosity velocity equation: direct solves against closed forms and the "
+    "heat-equation route, the substitution chain, and the literal inverse (log a)_x.",
+    checks=(
+        Check("single_mode_direct_vs_analytic", "<=", 1e-6, "sup |direct - closed form|"),
+        Check("heat_route_vs_analytic", "<=", 1e-8, "sup |heat route - closed form|"),
+        Check("roundtrip_gauge_spread", "<=", 1e-10, "relative spread of F_route / F_analytic"),
+        Check("travelling_front_window_error", "<=", 1e-2, "sup |direct - tanh front| in window"),
+        Check("chain_geodesic_residual", "<=", 1e-5, "sup of the drift side of the chain"),
+        Check("chain_rhs_residual", "<=", 1e-5, "sup of the heat side of the chain"),
+        Check("chain_sides_difference", "<=", 1e-8, "sup difference of the two sides"),
+        Check("literal_inverse_constant_drift", "==", 0.0, "share where (log a)_x exists, a = 1"),
+        Check("literal_inverse_smooth_drift", ">=", 0.9, "the same share for a = 2 + sin x"),
+    ),
+)
 def _run_burgers_direct_vs_ch(p: dict, seed: int):
     b = p["b"]
     nu = b**2 / 2
@@ -399,17 +463,17 @@ def _run_burgers_direct_vs_ch(p: dict, seed: int):
     diag_const = inversion_diagnostic(ScalarField(gc, np.ones(gc.n)))
     diag_smooth = inversion_diagnostic(ScalarField(gc, 2 + np.sin(xc)))
 
-    checks = [
-        check("single_mode_direct_vs_analytic", single_mode_err, 1e-6),
-        check("heat_route_vs_analytic", route_err, 1e-8),
-        check("roundtrip_gauge_spread", gauge_spread, 1e-10),
-        check("travelling_front_window_error", front_err, 1e-2),
-        check("chain_geodesic_residual", chain["geodesic"].l_inf, 1e-5),
-        check("chain_rhs_residual", chain["chain"].l_inf, 1e-5),
-        check("chain_sides_difference", chain["difference"].l_inf, 1e-8),
-        check("literal_inverse_constant_drift", diag_const["defined_fraction"], 0.0, "=="),
-        check("literal_inverse_smooth_drift", diag_smooth["defined_fraction"], 0.9, ">="),
-    ]
+    checks = {
+        "single_mode_direct_vs_analytic": single_mode_err,
+        "heat_route_vs_analytic": route_err,
+        "roundtrip_gauge_spread": gauge_spread,
+        "travelling_front_window_error": front_err,
+        "chain_geodesic_residual": chain["geodesic"].l_inf,
+        "chain_rhs_residual": chain["chain"].l_inf,
+        "chain_sides_difference": chain["difference"].l_inf,
+        "literal_inverse_constant_drift": diag_const["defined_fraction"],
+        "literal_inverse_smooth_drift": diag_smooth["defined_fraction"],
+    }
     metrics = {
         "front_window_points": int(window.sum()),
         "mean_velocity_boost": mean0,
@@ -428,9 +492,7 @@ def _run_burgers_direct_vs_ch(p: dict, seed: int):
     return checks, metrics, csvs
 
 
-# ---------------------------------------------------------------------------
-# sde-estimators
-# ---------------------------------------------------------------------------
+# -- sde-estimators ---------------------------------------------------------
 
 def _velocity_window(t_final: float, dt: float, half_window: int) -> tuple[int, int]:
     """The time columns ``estimate_velocities`` reads at its default
@@ -439,6 +501,25 @@ def _velocity_window(t_final: float, dt: float, half_window: int) -> tuple[int, 
     return max(0, t_index - half_window - 1), t_index + half_window + 2
 
 
+@_experiment(
+    "sde-estimators",
+    defaults={
+        "theta": 1.0, "b": 1.0,
+        "n_paths_short": 100_000, "dt_short": 1e-3, "t_short": 0.2,
+        "half_window_short": 10, "x0_spread": 0.3,
+        "n_paths_long": 20_000, "dt_long": 5e-3, "t_long": 2.0,
+        "half_window_long": 20,
+    },
+    describe="Linear-drift diffusion: binned conditional increments recover the drift, the "
+    "quadratic variation recovers b^2, and a stationary run separates v and u.",
+    checks=(
+        Check("drift_recovery_max_z", "<=", 5.0, "worst |drift + theta x| / stderr, transient"),
+        Check("noise_recovery_z", "<=", 5.0, "|estimated b^2 - b^2| / stderr"),
+        Check("osmotic_velocity_max_z", "<=", 5.0, "worst |u + theta x| / stderr, stationary"),
+        Check("current_velocity_max_z", "<=", 5.0, "worst |v| / stderr, stationary"),
+    ),
+    minimums={"n_paths_short": (">=", 1), "n_paths_long": (">=", 1)},
+)
 def _run_sde_estimators(p: dict, seed: int):
     theta, b = p["theta"], p["b"]
     model = DiffusionModel(drift=lambda x: -theta * x, b=b)
@@ -485,12 +566,12 @@ def _run_sde_estimators(p: dict, seed: int):
     )
     z_current = float(np.max(np.abs(est_b.current[okb]) / stderr_uv))
 
-    checks = [
-        check("drift_recovery_max_z", z_drift, 5.0),
-        check("noise_recovery_z", float(z_noise), 5.0),
-        check("osmotic_velocity_max_z", z_osmotic, 5.0),
-        check("current_velocity_max_z", z_current, 5.0),
-    ]
+    checks = {
+        "drift_recovery_max_z": z_drift,
+        "noise_recovery_z": float(z_noise),
+        "osmotic_velocity_max_z": z_osmotic,
+        "current_velocity_max_z": z_current,
+    }
     metrics = {
         "b2_estimate": b2_est,
         "b2_stderr": b2_err,
@@ -516,35 +597,37 @@ def _run_sde_estimators(p: dict, seed: int):
     return checks, metrics, csvs
 
 
-# ---------------------------------------------------------------------------
-# complex-increments
-# ---------------------------------------------------------------------------
+# -- complex-increments -----------------------------------------------------
 
+def _mean_tolerance(p: dict) -> float:
+    """Three standard errors of a unit-variance mean over ``n_samples`` draws."""
+    return 3.0 / np.sqrt(p["n_samples"])
+
+
+@_experiment(
+    "complex-increments",
+    defaults={"pairs": [[1.0, 1.0], [1.0, 0.5], [2.0, 1.0]], "dt": 0.01, "n_samples": 1_000_000},
+    describe="Complex noise dZ = (b dW + i bhat dW')/(sqrt(2) sigma): sampled moments "
+    "against their closed forms, for each (b, bhat) pair.",
+    checks=(
+        Check("mean_dz", "<=", _mean_tolerance, "|mean dZ| per pair, bound ~ 1/sqrt(n_samples)"),
+        Check("mean_dz2", "<=", _mean_tolerance, "|mean dZ^2 - its closed form| per pair"),
+        Check("mean_dzdzbar", "<=", _mean_tolerance, "|mean dZ dZ* - dt| per pair"),
+    ),
+    minimums={"n_samples": (">=", 1)},
+)
 def _run_complex_increments(p: dict, seed: int):
-    checks = []
+    checks = {}
     rows = []
     for idx, (b, bhat) in enumerate(tuple(map(tuple, p["pairs"]))):
         stats = sample_complex_increments(b, bhat, p["dt"], p["n_samples"], seed + idx)
-        tol = 3.0 / np.sqrt(stats.n_samples)
         tag = f"b={b:g},bhat={bhat:g}"
-        checks.extend(
-            [
-                check(f"mean_dz[{tag}]", abs(stats.mean_dz), tol),
-                check(f"mean_dz2[{tag}]", abs(stats.mean_dz2 - stats.expected_dz2), tol),
-                check(
-                    f"mean_dzdzbar[{tag}]",
-                    abs(stats.mean_dzdzbar - stats.expected_dzdzbar),
-                    tol,
-                ),
-            ]
-        )
-        rows.append(
-            (
-                b, bhat, stats.mean_dz, stats.mean_dz2, stats.mean_dzdzbar,
-                stats.expected_dz2, stats.expected_dzdzbar,
-            )
-        )
-    metrics = {"n_samples": p["n_samples"], "dt": p["dt"], "tolerance": 3.0 / np.sqrt(p["n_samples"])}
+        checks[f"mean_dz[{tag}]"] = abs(stats.mean_dz)
+        checks[f"mean_dz2[{tag}]"] = abs(stats.mean_dz2 - stats.expected_dz2)
+        checks[f"mean_dzdzbar[{tag}]"] = abs(stats.mean_dzdzbar - stats.expected_dzdzbar)
+        rows.append((b, bhat, stats.mean_dz, stats.mean_dz2, stats.mean_dzdzbar,
+                     stats.expected_dz2, stats.expected_dzdzbar))
+    metrics = {"n_samples": p["n_samples"], "dt": p["dt"], "tolerance": _mean_tolerance(p)}
     csvs = {
         "moments.csv": (
             ["b", "bhat", "re_mean_dz", "im_mean_dz", "re_mean_dz2", "im_mean_dz2",
@@ -556,13 +639,27 @@ def _run_complex_increments(p: dict, seed: int):
     return checks, metrics, csvs
 
 
-# ---------------------------------------------------------------------------
-# variational
-# ---------------------------------------------------------------------------
+# -- variational ------------------------------------------------------------
 
+@_experiment(
+    "variational",
+    defaults={
+        "b": 1.0, "n_theta": 21, "n_paths": 20_000, "dt": 0.01,
+        "t_final": 1.0, "t_complex": 0.5,
+    },
+    describe="Compensated kinetic action S = E sum[(dX)^2/dt - b^2] over the drifts "
+    "theta sin(x), with common random numbers: S is least where theta vanishes, the true drift.",
+    checks=(
+        Check("sampled_argmin_at_zero", "<=", 1e-12, "|theta| of the least sampled action"),
+        Check("quadratic_fit_minimum", "<=", 0.1, "|theta| at the minimum of a quadratic fit"),
+        Check("quadratic_fit_curvature_positive", ">=", 0.0, "curvature of that fit"),
+        Check("constant_drift_action_z", "<=", 5.0, "|S - T| / stderr for constant drift a = 1"),
+        Check("complex_path_sum_squared", "<=", lambda p: 3.0 / np.sqrt(p["n_paths"]),
+              "|E (sum dZ)^2| of balanced complex noise, bound ~ 1/sqrt(n_paths)"),
+    ),
+    minimums={"n_theta": (">=", 3), "n_paths": (">=", 2)},
+)
 def _run_variational(p: dict, seed: int):
-    if p["n_theta"] < 3:
-        raise ValueError(f"a quadratic fit needs at least 3 values of theta, got {p['n_theta']}")
     m, dt_complex = time_steps(p["t_complex"], p["dt"])
     b = p["b"]
     thetas = np.linspace(-1.0, 1.0, p["n_theta"])
@@ -598,15 +695,14 @@ def _run_variational(p: dict, seed: int):
     dz = (b * xi + 1j * b * xi_hat) * np.sqrt(dt_complex) / (np.sqrt(2) * sigma)
     w = dz.sum(axis=1)
     path_sum_sq = complex((w * w).mean())
-    tol_complex = 3.0 / np.sqrt(p["n_paths"])
 
-    checks = [
-        check("sampled_argmin_at_zero", float(abs(thetas[argmin_idx])), 1e-12),
-        check("quadratic_fit_minimum", abs(theta_hat), 0.1),
-        check("quadratic_fit_curvature_positive", curvature, 0.0, ">="),
-        check("constant_drift_action_z", float(z_const), 5.0),
-        check("complex_path_sum_squared", abs(path_sum_sq), tol_complex),
-    ]
+    checks = {
+        "sampled_argmin_at_zero": float(abs(thetas[argmin_idx])),
+        "quadratic_fit_minimum": abs(theta_hat),
+        "quadratic_fit_curvature_positive": curvature,
+        "constant_drift_action_z": float(z_const),
+        "complex_path_sum_squared": abs(path_sum_sq),
+    }
     metrics = {
         "action_at_zero": float(values[zero_idx]),
         "action_stderr_at_zero": float(errors[zero_idx]),
@@ -623,17 +719,27 @@ def _run_variational(p: dict, seed: int):
     return checks, metrics, csvs
 
 
-# ---------------------------------------------------------------------------
-# ga-identities
-# ---------------------------------------------------------------------------
+# -- ga-identities ----------------------------------------------------------
 
-def _mv(coeffs) -> Multivector:
-    return Multivector(np.asarray(coeffs, dtype=np.complex128))
-
-
+@_experiment(
+    "ga-identities",
+    defaults={"n": 24, "b": 1.0, "n_algebra_trials": 50},
+    describe="Multivector algebra, exact on integer coefficients, and the stretched-gradient "
+    "identities on trigonometric fields, with one documented way they fail.",
+    checks=(
+        Check("blade_relations_exact", "==", 0.0, "largest coefficient error, blade relations"),
+        Check("product_axioms_exact", "==", 0.0, "the same for associativity, distributivity"),
+        Check("time_commutation", "<=", 1e-10, "sup [d_t, C(grad)] residual per valid stretch"),
+        Check("laplacian_commutation", "<=", 1e-10, "sup [lap, C(grad)] residual, the same"),
+        Check("directional_symmetry", "<=", 1e-10, "sup directional-symmetry residual, the same"),
+        Check("convective_gradient", "<=", 1e-10, "sup |(w.grad) w - grad(w.w)/2|, the same"),
+        Check("convective_gradient_requires_irrotational", ">=", 1e-3,
+              "the same residual for an invalid stretch/field: it must fail"),
+        Check("cancellation_identity", "<=", 1e-10, "sup cancellation residual, positive F"),
+    ),
+    minimums={"n_algebra_trials": (">=", 1)},
+)
 def _run_ga_identities(p: dict, seed: int):
-    if p["n_algebra_trials"] < 1:
-        raise ValueError(f"the product axioms need at least one trial, got {p['n_algebra_trials']}")
     e1 = Multivector.basis("e1")
     e2 = Multivector.basis("e2")
     e12 = Multivector.basis("e12")
@@ -662,7 +768,7 @@ def _run_ga_identities(p: dict, seed: int):
     assoc_err = 0.0
     for _ in range(p["n_algebra_trials"]):
         a_mv, b_mv, c_mv = (
-            _mv(rng.integers(-9, 10, size=8)) for _ in range(3)
+            Multivector(rng.integers(-9, 10, size=8).astype(np.complex128)) for _ in range(3)
         )
         lhs = geometric_product(geometric_product(a_mv, b_mv), c_mv)
         rhs = geometric_product(a_mv, geometric_product(b_mv, c_mv))
@@ -689,26 +795,19 @@ def _run_ga_identities(p: dict, seed: int):
     res_aniso = check_prop_identities(f_additive, aniso)
     res_invalid = check_prop_identities(f_general, aniso)
 
-    checks = [
-        check("blade_relations_exact", algebra_err, 0.0, "=="),
-        check("product_axioms_exact", assoc_err, 0.0, "=="),
-    ]
+    checks = {
+        "blade_relations_exact": algebra_err,
+        "product_axioms_exact": assoc_err,
+    }
     for tag, res in (("isotropic", res_iso), ("anisotropic_additive", res_aniso)):
         for key, val in res.items():
-            checks.append(check(f"{key}[{tag}]", val.l_inf, 1e-10))
+            checks[f"{key}[{tag}]"] = val.l_inf
     # the convective identity genuinely fails without irrotationality;
     # a nonzero residual here is the documented precondition at work
-    checks.append(
-        check(
-            "convective_gradient_requires_irrotational",
-            res_invalid["convective_gradient"].l_inf,
-            1e-3,
-            ">=",
-        )
-    )
+    checks["convective_gradient_requires_irrotational"] = res_invalid["convective_gradient"].l_inf
     f_positive = ScalarField(grid, np.exp(0.25 * np.real(f_general.values)))
     cancel = linearization_cancellation(f_positive, b_scale)
-    checks.append(check("cancellation_identity", cancel.l_inf, 1e-10))
+    checks["cancellation_identity"] = cancel.l_inf
 
     metrics = {
         "invalid_combo_residual": res_invalid["convective_gradient"].l_inf,
@@ -726,10 +825,33 @@ def _run_ga_identities(p: dict, seed: int):
     return checks, metrics, csvs
 
 
-# ---------------------------------------------------------------------------
-# fp-consistency
-# ---------------------------------------------------------------------------
+# -- fp-consistency ---------------------------------------------------------
 
+@_experiment(
+    "fp-consistency",
+    defaults={
+        "b": 1.0, "n_stationary": 256, "drift_amp": 1.0, "n_fixed_steps": 100,
+        "length_transient": 12.0, "n_transient": 512, "theta": 1.0,
+        "t_transient": 1.0, "dt_residual": 1e-3,
+    },
+    describe="Density transport: the discrete stationary state is a fixed point both ways, "
+    "a transient keeps its mass and tracks the closed form, and an analytic packet "
+    "splits into its residuals.",
+    checks=(
+        Check("stationary_fixed_point_one_step", "<=", 1e-12, "relative change after one step"),
+        Check("stationary_fixed_point_many_steps", "<=", 1e-10, "the same after n_fixed_steps"),
+        Check("backward_fixed_point", "<=", 1e-10, "the same, backward with the reversed drift"),
+        Check("mass_conservation", "<=", 1e-8, "mass change over the transient run"),
+        Check("transient_vs_analytic", "<=", 2e-2, "sup gap to the linear-drift closed form"),
+        Check("discrete_vs_analytic_stationary", "<=", 1e-2, "sup gap of rho* to von Mises"),
+        Check("backward_drift_construction", "<=", 1e-10, "sup |osmotic backward drift - c sin x|"),
+        Check("packet_continuity_residual", "<=", 1e-5, "sup continuity residual, packet"),
+        Check("packet_osmotic_residual", "<=", 1e-9, "sup osmotic-constraint residual, packet"),
+        Check("packet_complex_residual_forward", "<=", 1e-3, "sup complex transport residual"),
+        Check("packet_complex_residual_conjugate", "<=", 1e-3, "the same, conjugate variant"),
+        Check("continuity_time_order_ratio", ">=", 3.0, "continuity residual at dt / at dt/2"),
+    ),
+)
 def _run_fp_consistency(p: dict, seed: int):
     b = p["b"]
 
@@ -801,20 +923,20 @@ def _run_fp_consistency(p: dict, seed: int):
         rho_at(t_mid - dtp), rho_at(t_mid), rho_at(t_mid + dtp), vc_mid, b, dtp, "conjugate"
     )
 
-    checks = [
-        check("stationary_fixed_point_one_step", fixed_1, 1e-12),
-        check("stationary_fixed_point_many_steps", fixed_n, 1e-10),
-        check("backward_fixed_point", fixed_back, 1e-10),
-        check("mass_conservation", float(mass_drift), 1e-8),
-        check("transient_vs_analytic", transient_err, 2e-2),
-        check("discrete_vs_analytic_stationary", disc_vs_analytic, 1e-2),
-        check("backward_drift_construction", back_drift_err, 1e-10),
-        check("packet_continuity_residual", cont.l_inf, 1e-5),
-        check("packet_osmotic_residual", osm.l_inf, 1e-9),
-        check("packet_complex_residual_forward", fp_f.l_inf, 1e-3),
-        check("packet_complex_residual_conjugate", fp_c.l_inf, 1e-3),
-        check("continuity_time_order_ratio", float(order_ratio), 3.0, ">="),
-    ]
+    checks = {
+        "stationary_fixed_point_one_step": fixed_1,
+        "stationary_fixed_point_many_steps": fixed_n,
+        "backward_fixed_point": fixed_back,
+        "mass_conservation": float(mass_drift),
+        "transient_vs_analytic": transient_err,
+        "discrete_vs_analytic_stationary": disc_vs_analytic,
+        "backward_drift_construction": back_drift_err,
+        "packet_continuity_residual": cont.l_inf,
+        "packet_osmotic_residual": osm.l_inf,
+        "packet_complex_residual_forward": fp_f.l_inf,
+        "packet_complex_residual_conjugate": fp_c.l_inf,
+        "continuity_time_order_ratio": float(order_ratio),
+    }
     metrics = {
         "cfl_dt": dt,
         "kappa": kappa,
@@ -830,159 +952,28 @@ def _run_fp_consistency(p: dict, seed: int):
     return checks, metrics, csvs
 
 
-# ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
-
-EXPERIMENTS: dict[str, ExperimentSpec] = {
-    "born-free": ExperimentSpec(
-        defaults={
-            "n": 512, "length": 24.0, "b": 1.0, "t_final": 1.0,
-            "s": 1.0, "x0_offset": -1.0, "k0_cycles": 4,
-            "steps_per_point": 4,
-        },
-        describe=(
-            "Free Gaussian packet: evolve the wave function, read off the current\n"
-            "velocity v = Re[-i b^2 F'/F], transport the initial density by the\n"
-            "continuity equation alone, and compare against F F* (normalized).\n"
-            "Thresholds: relative sup discrepancy <= 1e-2 (expected ~1e-6);\n"
-            "error ratio >= 2.5 when the resolution doubles (dt tied to 1/n);\n"
-            "mass and norm drift <= 1e-8; complex transport residuals <= 1e-3."
-        ),
-        runner=_run_born_free,
-    ),
-    "born-harmonic": ExperimentSpec(
-        defaults={
-            "n": 128, "length": 16.0, "b": 1.0, "omega": 1.0,
-            "t_final": 10.0, "dt": 2.5e-4,
-        },
-        describe=(
-            "Trapped ground state over T = 10: the extracted current velocity is\n"
-            "zero up to discretization, so the transported density must stay put\n"
-            "and match F F* throughout. Thresholds: sup discrepancy <= 1e-6;\n"
-            "norm drift <= 1e-8; mass drift <= 1e-8."
-        ),
-        runner=_run_born_harmonic,
-    ),
-    "colehopf-1d": ExperimentSpec(
-        defaults={
-            "n": 512, "periods": 1, "b": 1.0, "eps": 0.4, "k_mode": 1,
-            "t_final": 1.0, "dt": 1e-3,
-        },
-        describe=(
-            "Complex-viscosity velocity equation (nu = +i b^2/2): integrate it\n"
-            "directly with a pseudo-spectral method and, independently, evolve the\n"
-            "linearizing field F by the wave equation and apply V = -i b^2 F'/F.\n"
-            "Thresholds: the two routes agree to L_inf <= 1e-2 (expected ~1e-7);\n"
-            "transform route vs closed form <= 1e-8; lambda root residual == 0."
-        ),
-        runner=_run_colehopf_1d,
-    ),
-    "colehopf-3d": ExperimentSpec(
-        defaults={"n": 32, "b": 1.0, "n_random": 20, "amp": 0.4, "kmax": 2},
-        describe=(
-            "Vectorized substitution on a 3-D grid: velocity components of a\n"
-            "separable field match the single-axis closed form (<= 1e-11); the\n"
-            "velocity field is irrotational (<= 1e-10); the cancellation identity\n"
-            "grad(C(grad) log F)^2 + i b^2 C(grad)(grad log F)^2 = 0 holds to\n"
-            "<= 1e-10 on 20 random smooth positive F; the stretch roots are\n"
-            "exactly -i b^2 and +i b^2."
-        ),
-        runner=_run_colehopf_3d,
-    ),
-    "burgers-direct-vs-ch": ExperimentSpec(
-        defaults={
-            "n": 256, "b": 1.0, "eps": 0.5, "t_final": 1.0, "dt": 1e-3,
-            "front_length": 32.0, "front_n": 512, "front_speed": 1.0,
-            "front_t": 1.5, "window_half_width": 2.5,
-        },
-        describe=(
-            "Real-viscosity checks: direct solve vs closed-form single-mode\n"
-            "solution (<= 1e-6); the substitution route through the heat equation\n"
-            "(<= 1e-8); travelling tanh front vs analytic inside the causal window\n"
-            "(<= 1e-2); the exact substitution chain identity on a reverse-time\n"
-            "heat solution; degeneracy report for the literal inverse (log a)_x."
-        ),
-        runner=_run_burgers_direct_vs_ch,
-    ),
-    "sde-estimators": ExperimentSpec(
-        defaults={
-            "theta": 1.0, "b": 1.0,
-            "n_paths_short": 100_000, "dt_short": 1e-3, "t_short": 0.2,
-            "half_window_short": 10, "x0_spread": 0.3,
-            "n_paths_long": 20_000, "dt_long": 5e-3, "t_long": 2.0,
-            "half_window_long": 20,
-        },
-        describe=(
-            "Linear-drift diffusion at n_paths = 1e5, dt = 1e-3: binned\n"
-            "conditional-increment estimates recover the drift within 5 standard\n"
-            "errors and the quadratic variation recovers b^2 within 5 standard\n"
-            "errors. A stationary run separates current and osmotic velocities\n"
-            "(v = 0, u = -theta x) within 5 standard errors per bin."
-        ),
-        runner=_run_sde_estimators,
-    ),
-    "complex-increments": ExperimentSpec(
-        defaults={"pairs": [[1.0, 1.0], [1.0, 0.5], [2.0, 1.0]], "dt": 0.01, "n_samples": 1_000_000},
-        describe=(
-            "Complex noise dZ = (b dW + i bhat dW')/(sqrt(2) sigma): sampled\n"
-            "moments match E dZ = 0, E dZ^2 = dt (b^2-bhat^2)/(b^2+bhat^2),\n"
-            "E dZ dZ* = dt within 3/sqrt(n) for three (b, bhat) pairs; the\n"
-            "balanced case has E dZ^2 = 0 exactly."
-        ),
-        runner=_run_complex_increments,
-    ),
-    "variational": ExperimentSpec(
-        defaults={
-            "b": 1.0, "n_theta": 21, "n_paths": 20_000, "dt": 0.01,
-            "t_final": 1.0, "t_complex": 0.5,
-        },
-        describe=(
-            "Compensated kinetic action S = E sum[(dX)^2/dt - b^2] over the drift\n"
-            "family a = theta sin(x), swept with common random numbers: the\n"
-            "sampled minimum sits at theta = 0 and a quadratic fit has positive\n"
-            "curvature with |theta_min| <= 0.1. Spot value: constant drift a = 1\n"
-            "gives S ~ T within 5 standard errors. Balanced complex noise:\n"
-            "|E (sum dZ)^2| <= 3/sqrt(n)."
-        ),
-        runner=_run_variational,
-    ),
-    "ga-identities": ExperimentSpec(
-        defaults={"n": 24, "b": 1.0, "n_algebra_trials": 50},
-        describe=(
-            "Multivector algebra: blade relations, associativity and\n"
-            "distributivity exact on integer coefficients. Gradient identities\n"
-            "(time and Laplacian commutation, directional symmetry, convective\n"
-            "gradient) <= 1e-10 on trigonometric fields for valid stretch/field\n"
-            "combinations; the convective identity is shown to fail without\n"
-            "irrotationality (residual >= 1e-3 on the invalid combination)."
-        ),
-        runner=_run_ga_identities,
-    ),
-    "fp-consistency": ExperimentSpec(
-        defaults={
-            "b": 1.0, "n_stationary": 256, "drift_amp": 1.0, "n_fixed_steps": 100,
-            "length_transient": 12.0, "n_transient": 512, "theta": 1.0,
-            "t_transient": 1.0, "dt_residual": 1e-3,
-        },
-        describe=(
-            "Density transport: the discrete zero-flux stationary state is a\n"
-            "fixed point of the forward and backward updates (<= 1e-10); mass is\n"
-            "conserved (<= 1e-8); the transient solution tracks the analytic\n"
-            "linear-drift density; continuity + osmotic residual split and the\n"
-            "complex transport residuals (<= 1e-3) hold on the analytic packet."
-        ),
-        runner=_run_fp_consistency,
-    ),
-}
-
-
 def run_experiment(name: str, params: dict, seed: int) -> dict:
-    """Execute one experiment; returns the full summary dict (no I/O).  No check is a ValueError."""
+    """Execute one experiment; returns the full summary dict (no I/O).
+
+    A parameter that misses its declared minimum is a ValueError, and so is
+    a run whose check names (the text before any ``[``) differ from the
+    declared ones.  The checks keep the order in which the runner made them.
+    """
     spec = EXPERIMENTS[name]
-    checks, metrics, csvs = spec.runner(params, seed)
-    if not checks:
-        raise ValueError("these parameters leave nothing to check")
+    for key, (comparison, bound) in spec.minimums.items():
+        if not COMPARATORS[comparison](params[key], bound):
+            raise ValueError(f"{key} must be {comparison} {bound}, got {params[key]}")
+    values, metrics, csvs = spec.runner(params, seed)
+    declared = {c.name: c for c in spec.checks}
+    families = [key.split("[")[0] for key in values]
+    if set(families) != declared.keys():
+        raise ValueError(
+            f"the run makes checks {sorted(set(families))}, not the declared {sorted(declared)}"
+        )
+    checks = [
+        check(key, value, declared[f].at(params), declared[f].comparison)
+        for (key, value), f in zip(values.items(), families)
+    ]
     summary = {
         "experiment": name,
         "seed": seed,

@@ -23,6 +23,7 @@ import numpy as np
 
 __all__ = [
     "jsonable",
+    "COMPARATORS",
     "check",
     "all_passed",
     "write_summary",
@@ -30,19 +31,21 @@ __all__ = [
     "write_csv",
 ]
 
-_COMPARATORS = {
+#: the comparisons a check or a parameter minimum may declare
+COMPARATORS = {
     "<=": lambda v, t: v <= t,
     ">=": lambda v, t: v >= t,
+    ">": lambda v, t: v > t,
     "==": lambda v, t: v == t,
 }
 
 
 def check(name: str, value, threshold, comparison: str = "<=") -> dict:
     """One acceptance check: measured value vs threshold."""
-    if comparison not in _COMPARATORS:
+    if comparison not in COMPARATORS:
         raise ValueError(f"unknown comparison {comparison!r}")
     # explicit, because -inf <= threshold and inf >= threshold hold
-    passed = bool(np.isfinite(value)) and bool(_COMPARATORS[comparison](value, threshold))
+    passed = bool(np.isfinite(value)) and bool(COMPARATORS[comparison](value, threshold))
     return {
         "name": name,
         "value": jsonable(value),

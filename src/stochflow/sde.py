@@ -62,8 +62,8 @@ class DiffusionModel:
     b: float
 
     def __post_init__(self):
-        if not self.b > 0:
-            raise ValueError("noise amplitude b must be positive")
+        if not 0 < self.b < np.inf:
+            raise ValueError(f"noise amplitude b must be positive and finite, got {self.b}")
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,6 @@ def simulate_forward(
 class ComplexIncrementStats:
     """Sample moments of the complex noise increment against their exact values."""
 
-    n_samples: int
     mean_dz: complex
     mean_dz2: complex
     mean_dzdzbar: complex
@@ -174,8 +173,9 @@ def sample_complex_increments(
     b: float, bhat: float, dt: float, n_samples: int, seed: int
 ) -> ComplexIncrementStats:
     """Draw ``dZ`` increments and report the first two moments."""
-    if b <= 0 or bhat <= 0:
-        raise ValueError("both noise amplitudes must be positive")
+    for name, amplitude in (("b", b), ("bhat", bhat)):
+        if not 0 < amplitude < np.inf:
+            raise ValueError(f"noise amplitude {name} must be positive and finite, got {amplitude}")
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     rng = make_rng(seed)
@@ -185,7 +185,6 @@ def sample_complex_increments(
     dz = (b * xi + 1j * bhat * xi_hat) * np.sqrt(dt) / (np.sqrt(2) * sigma)
     del xi, xi_hat
     return ComplexIncrementStats(
-        n_samples=n_samples,
         mean_dz=complex(dz.mean()),
         mean_dz2=complex((dz * dz).mean()),
         mean_dzdzbar=complex((dz * np.conj(dz)).mean()),

@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, config handling, deterministic output."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,8 +11,11 @@ import pytest
 from click.testing import CliRunner
 
 import stochflow
-from stochflow.cli import main
-from stochflow.experiments import EXPERIMENTS
+from stochflow.cli import _number, main
+from stochflow.experiments import EXPERIMENTS, run_experiment
+
+#: the default ``summary.json`` of every experiment at seed 1234
+_FIXTURES = Path(__file__).parent / "fixtures" / "summaries"
 
 
 @pytest.fixture()
@@ -35,8 +39,13 @@ def test_describe_prints_thresholds_and_defaults(runner, name):
     # a title: the registry key, underlined with "=" to its length
     assert result.output.splitlines()[:2] == [name, "=" * len(name)]
     assert "default parameters:" in result.output
-    # every description quotes at least one tolerance
-    assert "<=" in result.output or "==" in result.output or "3/sqrt" in result.output
+    # every check of the default run, or its family, with the threshold as `run` echoes it
+    lines = [ln.strip() for ln in result.output.splitlines()]
+    for chk in json.loads((_FIXTURES / f"{name}.json").read_text())["checks"]:
+        head = f"{chk['name'].split('[')[0]} {chk['comparison']} {_number(chk['threshold'])} "
+        assert any(ln.startswith(head) for ln in lines), head
+    for key, (comparison, bound) in EXPERIMENTS[name].minimums.items():
+        assert f"{key} = {EXPERIMENTS[name].defaults[key]}  (must be {comparison} {bound})" in lines
 
 
 def test_run_writes_outputs_and_exits_zero(runner, tmp_path):
@@ -172,12 +181,26 @@ def test_value_the_experiment_rejects_exits_two_and_names_it(
         ("colehopf-1d", {"b": float("inf")}, "b"),
         ("colehopf-3d", {"b": float("inf")}, "b"),
         ("variational", {"t_final": float("inf")}, "t_final"),
+        ("sde-estimators", {"n_paths_short": 0}, "n_paths_short"),
+        ("sde-estimators", {"n_paths_long": 0}, "n_paths_long"),
+        ("variational", {"n_paths": 0}, "n_paths"),
+        ("variational", {"n_paths": 1}, "n_paths"),
+        ("complex-increments", {"n_samples": 0}, "n_samples"),
+        ("colehopf-1d", {"eps": 0.0}, "eps"),
+        ("colehopf-1d", {"k_mode": 0}, "k_mode"),
+        ("colehopf-3d", {"amp": 0.0}, "amp"),
+        ("variational", {"b": float("inf")}, "b"),
+        ("complex-increments", {"pairs": [[float("inf"), 1.0]]}, "pairs"),
+        ("complex-increments", {"pairs": [[1.0, float("inf")]]}, "pairs"),
+        ("sde-estimators", {"b": float("inf")}, "b"),
+        ("fp-consistency", {"b": float("inf")}, "b"),
     ],
 )
 def test_meaningless_value_exits_two_with_one_error_line(runner, tmp_path, experiment, overrides, key):
-    # no step count, nothing to check, a list of the wrong element type, a zero
-    # time step, an infinite value or a removed parameter: each is a
-    # configuration error, never a traceback or a PASS
+    # no step count, nothing to check, a count below its minimum, a list of the
+    # wrong element type, a zero time step, an infinite value, a zero amplitude
+    # or a removed parameter: each is a configuration error, never a traceback,
+    # a FAIL against a meaningless threshold or a PASS with nothing to check
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(overrides))
     result = runner.invoke(
@@ -189,6 +212,40 @@ def test_meaningless_value_exits_two_with_one_error_line(runner, tmp_path, exper
     lines = result.stderr.splitlines()
     assert len(lines) == 1, result.stderr
     assert lines[0].startswith("error: ") and repr(key) in lines[0]
+
+
+@pytest.mark.parametrize(
+    "experiment, key, comparison, bound",
+    [(name, key, *minimum) for name, spec in EXPERIMENTS.items() for key, minimum in spec.minimums.items()],
+)
+def test_value_just_past_a_declared_minimum_exits_two(runner, tmp_path, experiment, key, comparison, bound):
+    value = bound if comparison == ">" else bound - 1  # every ">=" minimum is a count
+    assert type(value) is type(EXPERIMENTS[experiment].defaults[key])  # not a type error instead
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    result = runner.invoke(
+        main, ["run", experiment, "--config", str(cfg), "--out", str(tmp_path / "o")]
+    )
+    assert result.exit_code == 2, result.output
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert repr(key) in lines[0] and f"{key} must be {comparison} {bound}, got {value}" in lines[0]
+
+
+@pytest.mark.parametrize("change", ["add an undeclared check", "drop a declared check"])
+def test_run_refuses_check_names_that_differ_from_the_declaration(monkeypatch, change):
+    spec = EXPERIMENTS["ga-identities"]
+    declared = [c.name for c in spec.checks]
+
+    def run_with(names):
+        fake = dataclasses.replace(spec, runner=lambda p, seed: ({n: 0.0 for n in names}, {}, {}))
+        monkeypatch.setitem(EXPERIMENTS, "ga-identities", fake)
+        return run_experiment("ga-identities", dict(spec.defaults), 0)
+
+    assert len(run_with(declared)["summary"]["checks"]) == len(declared)
+    names = declared + ["undeclared"] if change.startswith("add") else declared[1:]
+    with pytest.raises(ValueError, match="not the declared"):
+        run_with(names)
 
 
 def test_non_finite_check_value_is_echoed_and_fails(runner, tmp_path, monkeypatch):

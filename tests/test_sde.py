@@ -124,7 +124,7 @@ def test_complex_increment_moments_and_guards():
     stats = sample_complex_increments(1.0, 1.0, 0.01, 200_000, 21)
     assert stats.expected_dz2 == 0  # balanced case, exact
     assert stats.expected_dzdzbar == pytest.approx(0.01)
-    tol = 3 / np.sqrt(stats.n_samples)
+    tol = 3 / np.sqrt(200_000)
     assert abs(stats.mean_dz) < tol
     assert abs(stats.mean_dz2) < tol
     assert abs(stats.mean_dzdzbar - 0.01) < tol
@@ -134,11 +134,21 @@ def test_complex_increment_moments_and_guards():
         sample_complex_increments(1.0, 1.0, 0.0, 100, 0)
 
 
+@pytest.mark.parametrize("amplitude", [0.0, -1.0, np.inf, np.nan])
+def test_noise_amplitudes_must_be_positive_and_finite(amplitude):
+    with pytest.raises(ValueError, match="noise amplitude b must be positive and finite"):
+        DiffusionModel(drift=np.zeros_like, b=amplitude)
+    with pytest.raises(ValueError, match="noise amplitude b must be positive and finite"):
+        sample_complex_increments(amplitude, 1.0, 0.01, 10, 0)
+    with pytest.raises(ValueError, match="noise amplitude bhat must be positive and finite"):
+        sample_complex_increments(1.0, amplitude, 0.01, 10, 0)
+
+
 def test_complex_increment_unbalanced_second_moment():
     stats = sample_complex_increments(2.0, 1.0, 0.02, 200_000, 29)
     expected = 0.02 * (4 - 1) / (4 + 1)
     assert stats.expected_dz2 == pytest.approx(expected)
-    assert abs(stats.mean_dz2 - expected) < 3 / np.sqrt(stats.n_samples)
+    assert abs(stats.mean_dz2 - expected) < 3 / np.sqrt(200_000)
 
 
 def test_osmotic_velocity_from_density_von_mises():
