@@ -28,7 +28,6 @@ __all__ = [
     "HarmonicState",
     "burgers_single_mode",
     "burgers_tanh_wave",
-    "dispersion_omega",
 ]
 
 
@@ -120,9 +119,6 @@ class HarmonicState:
     def potential(self, x: np.ndarray) -> np.ndarray:
         return 0.5 * self.omega**2 * (x - self.centre) ** 2
 
-    def energy(self, n: int) -> float:
-        return self.b**2 * self.omega * (n + 0.5)
-
     def eigenfunction(self, x: np.ndarray, n: int) -> np.ndarray:
         """Real, L2-normalized stationary state (Hermite-Gaussian)."""
         import math
@@ -138,23 +134,16 @@ class HarmonicState:
         )
         return norm * hn * np.exp(-(y**2) / 2)
 
-    def psi(self, x: np.ndarray, t: float, n: int = 0) -> np.ndarray:
-        return self.eigenfunction(x, n) * np.exp(-1j * self.omega * (n + 0.5) * t)
 
-
-def burgers_single_mode(
-    x: np.ndarray, t: float, nu: float, k: float, eps: float, boost: float = 0.0
-) -> np.ndarray:
+def burgers_single_mode(x: np.ndarray, t: float, nu: float, k: float, eps: float) -> np.ndarray:
     """Periodic exact solution of ``a_t + a a_x = nu a_xx`` from a one-mode kernel.
 
     The substitution ``a = -2 nu F_x / F`` with
-    ``F = 1 + eps exp(-nu k^2 t) cos(k (x - boost t))`` solves the equation
-    exactly (after a Galilean boost by ``boost``); it is smooth and periodic
-    for ``|eps| < 1``.
+    ``F = 1 + eps exp(-nu k^2 t) cos(k x)`` solves the equation exactly; it
+    is smooth and periodic for ``|eps| < 1``.
     """
     decay = eps * np.exp(-nu * k**2 * t)
-    xi = x - boost * t
-    return boost + 2 * nu * k * decay * np.sin(k * xi) / (1 + decay * np.cos(k * xi))
+    return 2 * nu * k * decay * np.sin(k * x) / (1 + decay * np.cos(k * x))
 
 
 def burgers_tanh_wave(
@@ -167,8 +156,3 @@ def burgers_tanh_wave(
     a window away from the seam.
     """
     return c * (1 - np.tanh(c * (x - centre - c * t) / (2 * nu)))
-
-
-def dispersion_omega(k: np.ndarray | float, b: float) -> np.ndarray | float:
-    """Free dispersion relation ``omega = b^2 k^2 / 2`` of the wave equation."""
-    return b**2 * np.asarray(k) ** 2 / 2

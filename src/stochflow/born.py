@@ -20,9 +20,8 @@ same as ``evolve``, at four row FFT calls (``fields._row_fft``) per step.
 Supporting pieces:
 
 * node-aware extraction of ``V`` with the fixed relative floor
-  ``NODE_FLOOR_REL`` on ``|F|`` (:func:`stochflow.fields.log_derivative`)
-  and a coverage report, so near-zeros of ``F`` are masked instead of
-  silently amplified;
+  ``NODE_FLOOR_REL`` on ``|F|`` (:func:`stochflow.fields.log_derivative`),
+  so near-zeros of ``F`` are masked instead of silently amplified;
 * the inverse (Madelung) construction ``F = sqrt(rho) exp(i theta)`` with
   ``theta' = v / b^2``, including the winding number of a nonzero mean
   velocity on the circle;
@@ -73,16 +72,14 @@ CHUNK_POINTS = 2**16
 class VelocityDecomposition:
     """Complex velocity of a wave function and its real/imaginary split.
 
-    ``mask`` is True where ``|F|`` clears the relative node floor; at
-    masked-out points all velocities are set to zero (the transported flux
-    ``v rho`` vanishes there anyway, since ``rho = |F|^2``).
+    At the points where ``|F|`` falls below the relative node floor all
+    velocities are zero (the transported flux ``v rho`` vanishes there
+    anyway, since ``rho = |F|^2``).
     """
 
     complex_velocity: ScalarField
     current: ScalarField
     osmotic: ScalarField
-    mask: np.ndarray = field(repr=False)
-    coverage: float
 
 
 def velocity_from_wavefunction(psi: ScalarField, b: float) -> VelocityDecomposition:
@@ -90,14 +87,12 @@ def velocity_from_wavefunction(psi: ScalarField, b: float) -> VelocityDecomposit
     (:data:`~stochflow.fields.NODE_FLOOR_REL`)."""
     grid = psi.grid
     dpsi = derivative(psi, 0).values
-    v, mask = log_derivative(psi.values.reshape(1, -1), dpsi.reshape(1, -1), -1j * b**2)
-    v, mask = v.reshape(grid.shape), mask.reshape(grid.shape)
+    v = log_derivative(psi.values.reshape(1, -1), dpsi.reshape(1, -1), -1j * b**2)[0]
+    v = v.reshape(grid.shape)
     return VelocityDecomposition(
         complex_velocity=ScalarField(grid, v),
         current=ScalarField(grid, np.real(v)),
         osmotic=ScalarField(grid, -np.imag(v)),
-        mask=mask,
-        coverage=float(mask.mean()),
     )
 
 

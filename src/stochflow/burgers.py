@@ -312,25 +312,16 @@ def real_chain_residual(
     }
 
 
-def inversion_diagnostic(a: ScalarField) -> dict:
-    """Evaluate the literal inversion ``u = (log a)_x`` of the substitution.
+def inversion_diagnostic(a: ScalarField) -> float:
+    """The share of the grid where the literal inversion ``u = (log a)_x`` is defined.
 
     The substitution maps ``u`` to ``a = b^2 (log u)_x``; reading the map
     backwards as ``u = (log a)_x`` only makes sense where ``a`` is positive
-    and non-constant, and it degenerates wherever ``a_x`` vanishes.  The
-    diagnostic reports the fraction of the grid where the literal inverse
-    is defined (``a`` and ``|a_x|`` above ``1e-10 max|a|``) and the
-    reconstructed values, set to NaN elsewhere, making the degeneracy
-    visible instead of hiding it.
+    and non-constant, and it degenerates wherever ``a_x`` vanishes.  A point
+    counts as defined where ``a`` and ``|a_x|`` clear ``1e-10 max|a|``, which
+    makes the degeneracy visible instead of hiding it.
     """
     vals = np.real(a.values)
     da = np.real(derivative(a, 0).values)
     floor = 1e-10 * max(np.max(np.abs(vals)), 1e-300)
-    ok = (vals > floor) & (np.abs(da) > floor)
-    u_literal = np.full(a.grid.shape, np.nan)
-    u_literal[ok] = da[ok] / vals[ok]
-    return {
-        "defined_fraction": float(ok.mean()),
-        "values": u_literal,
-        "degenerate": ~ok,
-    }
+    return float(((vals > floor) & (np.abs(da) > floor)).mean())

@@ -176,8 +176,8 @@ def sample_complex_increments(
     for name, amplitude in (("b", b), ("bhat", bhat)):
         if not 0 < amplitude < np.inf:
             raise ValueError(f"noise amplitude {name} must be positive and finite, got {amplitude}")
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     rng = make_rng(seed)
     sigma = np.sqrt((b**2 + bhat**2) / 2)
     xi = rng.standard_normal(n_samples)
@@ -228,41 +228,27 @@ def _require_unbatched(ens: PathEnsemble) -> None:
         )
 
 
-def estimate_velocities(
-    ens: PathEnsemble,
-    t_index: int | None = None,
-    half_window: int = 0,
-    min_count: int = 40,
-) -> VelocityEstimate:
+def estimate_velocities(ens: PathEnsemble, min_count: int = 40) -> VelocityEstimate:
     """Estimate mean forward/backward velocities by conditional binning.
 
     Both differences are conditioned on the position at the *same* step
     ``k``: forward uses ``X(k+1) - X(k)``, backward uses ``X(k) - X(k-1)``.
-    Steps ``k`` in ``t_index +- half_window`` are pooled, which is valid
-    whenever the velocity fields are steady over the window; the ensemble
-    must have stored the columns ``k_lo - 1 .. k_hi + 1`` this needs, and
-    must not be batched.  The bins span the 0.5% to 99.5% quantiles of the
-    pooled positions; their width ``2 b sqrt(dt)`` keeps the single-step
-    diffusive blur below the bin scale.
+    Every stored step whose two neighbours are also stored is pooled, which
+    is valid whenever the velocity fields are steady over the stored window;
+    the caller picks that window when it simulates.  The ensemble must not be
+    batched.  The bins span the 0.5% to 99.5% quantiles of the pooled
+    positions; their width ``2 b sqrt(dt)`` keeps the single-step diffusive
+    blur below the bin scale.
     """
     _require_unbatched(ens)
-    dt = ens.dt
-    m = ens.n_steps
-    if t_index is None:
-        t_index = m // 2
-    k_lo = max(1, t_index - half_window)
-    k_hi = min(m - 1, t_index + half_window)
-    if k_lo > k_hi:
-        raise ValueError("time window has no interior steps")
-    c = k_lo - ens.first  # stored column of step k_lo
-    w = k_hi - k_lo + 1
-    if c < 1 or c + w >= ens.paths.shape[-1]:
-        stored = (ens.first, ens.first + ens.paths.shape[-1] - 1)
+    dt, paths = ens.dt, ens.paths
+    if paths.shape[-1] < 3:
         raise ValueError(
-            f"steps {k_lo - 1}..{k_hi + 1} are needed but only {stored[0]}..{stored[1]} are stored"
+            f"{paths.shape[-1]} stored steps from step {ens.first} hold no interior step; "
+            "store at least 3"
         )
 
-    here = ens.paths[:, c : c + w]
+    here = paths[:, 1:-1]
     x_here = here.ravel()
     lo, hi = np.quantile(x_here, [0.005, 0.995])
     width = 2 * ens.b * np.sqrt(dt)
@@ -278,10 +264,10 @@ def estimate_velocities(
         return np.bincount(idx, weights=weights, minlength=n_bins + 2)[1:-1]
 
     counts = binned()
-    fwd = ((ens.paths[:, c + 1 : c + 1 + w] - here) / dt).ravel()
+    fwd = ((paths[:, 2:] - here) / dt).ravel()
     sums_f, sq_f = binned(fwd), binned(fwd**2)
     del fwd
-    bwd = ((here - ens.paths[:, c - 1 : c - 1 + w]) / dt).ravel()
+    bwd = ((here - paths[:, :-2]) / dt).ravel()
     sums_b, sq_b = binned(bwd), binned(bwd**2)
     del bwd
 

@@ -1,0 +1,56 @@
+"""Oracles that only the tests read: closed forms and quantities the experiments
+never compute, kept out of the package.
+
+They are the free dispersion relation, the trap's energy ladder and time
+factor, the energy and norm of a wave function, every state of a split-step
+run and the node mask of the velocity extraction.
+"""
+
+import numpy as np
+
+from stochflow.analytic import HarmonicState
+from stochflow.fields import ScalarField, integrate, log_derivative
+from stochflow.schrodinger import SchrodingerProblem, _stepper
+
+
+def dispersion_omega(k, b: float):
+    """Free dispersion relation ``omega = b^2 k^2 / 2`` of the wave equation."""
+    return b**2 * np.asarray(k) ** 2 / 2
+
+
+def harmonic_energy(state: HarmonicState, n: int) -> float:
+    """Level-``n`` eigenvalue ``E_n = b^2 omega (n + 1/2)`` of the trap."""
+    return state.b**2 * state.omega * (n + 0.5)
+
+
+def harmonic_psi(state: HarmonicState, x: np.ndarray, t: float, n: int) -> np.ndarray:
+    """Level ``n`` at time ``t``: the eigenfunction times ``exp(-i E_n t / b^2)``."""
+    return state.eigenfunction(x, n) * np.exp(-1j * state.omega * (n + 0.5) * t)
+
+
+def wavefunction_norm(psi: ScalarField) -> float:
+    return float(np.sqrt(np.real(integrate(psi.abs2()))))
+
+
+def energy(psi: ScalarField, b: float, potential_values: np.ndarray) -> float:
+    """Expectation of ``H = -(b^4/2) d^2/dx^2 + U`` per unit norm squared, on a 1-D grid."""
+    vals = psi.values
+    d = np.fft.ifft(1j * psi.grid.wavenumbers() * np.fft.fft(vals))
+    density = (b**4 / 2) * np.abs(d) ** 2 + potential_values * np.abs(vals) ** 2
+    return float(np.sum(density) / np.sum(np.abs(vals) ** 2))
+
+
+def split_step_states(problem: SchrodingerProblem, t_final: float, dt: float):
+    """``(dt, states)``: the adjusted step and every state of the split-step run
+    that ``schrodinger.evolve`` takes, the initial one first."""
+    n_steps, dt, step = _stepper(problem, t_final, dt)
+    states = [problem.psi0.values]
+    for _ in range(n_steps):
+        states.append(step(states[-1]))
+    return dt, [ScalarField(problem.grid, psi) for psi in states]
+
+
+def node_mask(psi: ScalarField) -> np.ndarray:
+    """Where ``|psi|`` clears the node floor of ``born.velocity_from_wavefunction``."""
+    row = psi.values.reshape(1, -1)
+    return log_derivative(row, row, 1.0)[1].reshape(psi.grid.shape)

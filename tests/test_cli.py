@@ -215,6 +215,27 @@ def test_meaningless_value_exits_two_with_one_error_line(runner, tmp_path, exper
 
 
 @pytest.mark.parametrize(
+    "experiment, config, message",
+    [
+        ("complex-increments", '{"dt": 1e400}', "dt must be positive and finite, got inf"),
+        ("sde-estimators", '{"n_paths_short": 1}', "no bin reaches 500 paths with n_paths_short = 1"),
+        ("born-free", '{"n": 9}', "n must be >= 16, got 9"),
+    ],
+)
+def test_bad_value_exits_two_with_a_message_about_it(runner, tmp_path, experiment, config, message):
+    # these once gave nine NaN FAILs, a numpy reduction error, and the least
+    # grid of the half-resolution run in place of the configured n
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    result = runner.invoke(
+        main, ["run", experiment, "--config", str(cfg), "--out", str(tmp_path / "o")]
+    )
+    assert result.exit_code == 2, result.output
+    (line,) = result.stderr.splitlines()
+    assert line.startswith("error: ") and line.endswith(message), line
+
+
+@pytest.mark.parametrize(
     "experiment, key, comparison, bound",
     [(name, key, *minimum) for name, spec in EXPERIMENTS.items() for key, minimum in spec.minimums.items()],
 )

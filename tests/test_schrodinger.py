@@ -3,16 +3,17 @@
 import numpy as np
 import pytest
 
-from stochflow.analytic import FreePacket, HarmonicState, dispersion_omega
-from stochflow.fields import GridSpec, ScalarField
-from stochflow.schrodinger import (
-    SchrodingerProblem,
-    _split_factors,
-    _stepper,
+from oracles import (
+    dispersion_omega,
     energy,
-    evolve,
+    harmonic_energy,
+    harmonic_psi,
+    split_step_states,
     wavefunction_norm,
 )
+from stochflow.analytic import FreePacket, HarmonicState
+from stochflow.fields import GridSpec, ScalarField
+from stochflow.schrodinger import SchrodingerProblem, _split_factors, _stepper, evolve
 
 
 def _plane_wave_problem(n=64, b=1.0, k_mode=3):
@@ -25,7 +26,7 @@ def _plane_wave_problem(n=64, b=1.0, k_mode=3):
 def test_splitstep_plane_wave_phase_exact():
     grid, k, prob = _plane_wave_problem()
     T = 0.7
-    out = evolve(prob, T, 1e-2).final()
+    out = evolve(prob, T, 1e-2)
     omega = dispersion_omega(k, prob.b)
     exact = prob.psi0.values * np.exp(-1j * omega * T)
     assert np.max(np.abs(out.values - exact)) < 1e-12
@@ -36,7 +37,7 @@ def test_free_packet_splitstep_spectrally_exact():
     pk = FreePacket(b=1.0, x0=11.0, s=1.0, k0=2 * np.pi * 3 / 24.0)
     psi0 = ScalarField(grid, pk.psi(grid.axis, 0.0))
     prob = SchrodingerProblem(grid=grid, b=1.0, psi0=psi0)
-    out = evolve(prob, 1.0, 1e-3).final()
+    out = evolve(prob, 1.0, 1e-3)
     exact = pk.psi(grid.axis, 1.0)
     assert np.max(np.abs(out.values - exact)) < 1e-11
 
@@ -47,8 +48,8 @@ def test_harmonic_ground_state_phase():
     psi0 = ScalarField(grid, state.eigenfunction(grid.axis, 0).astype(np.complex128))
     prob = SchrodingerProblem(grid=grid, b=1.0, psi0=psi0, potential=state.potential)
     T = 1.0
-    out = evolve(prob, T, 1e-4).final()
-    exact = state.psi(grid.axis, T, 0)
+    out = evolve(prob, T, 1e-4)
+    exact = harmonic_psi(state, grid.axis, T, 0)
     assert np.max(np.abs(out.values - exact)) < 1e-8
 
 
@@ -76,8 +77,9 @@ def test_splitstep_norm_preserved():
         grid=grid, b=1.0, psi0=ScalarField(grid, vals.astype(np.complex128)),
         potential=state.potential,
     )
-    res = evolve(prob, 2.0, 1e-3)
-    assert res.norm_drift() < 1e-13
+    _, states = split_step_states(prob, 2.0, 1e-3)
+    norms = np.array([wavefunction_norm(f) for f in states])
+    assert np.max(np.abs(norms - norms[0])) < 1e-13
 
 
 def test_energy_conserved_by_splitstep():
@@ -88,10 +90,10 @@ def test_energy_conserved_by_splitstep():
         grid=grid, b=1.0, psi0=ScalarField(grid, vals.astype(np.complex128)),
         potential=state.potential,
     )
-    res = evolve(prob, 1.0, 1e-3, store_every=250)
+    _, states = split_step_states(prob, 1.0, 1e-3)
     pot = prob.potential_values()
-    energies = [energy(f, 1.0, pot) for _, f in zip(res.times, res.states)]
-    exact = 0.5 * (state.energy(0) + state.energy(1))
+    energies = [energy(f, 1.0, pot) for f in states[::250]]
+    exact = 0.5 * (harmonic_energy(state, 0) + harmonic_energy(state, 1))
     assert abs(energies[0] - exact) < 1e-10
     assert max(abs(e - energies[0]) for e in energies) < 1e-8
 
@@ -102,28 +104,10 @@ def test_energy_of_eigenstate_matches_ladder():
     for n in (0, 1, 2):
         f = ScalarField(grid, state.eigenfunction(grid.axis, n).astype(np.complex128))
         e = energy(f, 1.0, state.potential(grid.axis))
-        assert e == pytest.approx(state.energy(n), abs=1e-9)
+        assert e == pytest.approx(harmonic_energy(state, n), abs=1e-9)
 
 
-def test_store_every_bookkeeping():
-    grid, k, prob = _plane_wave_problem()
-    res = evolve(prob, 0.1, 1e-2, store_every=2)
-    assert res.times[0] == pytest.approx(0.0)
-    assert res.times[-1] == pytest.approx(0.1)
-    assert len(res.times) == len(res.states) == 6
-    endpoints = evolve(prob, 0.1, 1e-2)
-    assert len(endpoints.times) == 2
-
-
-def test_splitstep_3d_plane_wave():
-    grid = GridSpec(dim=3, length=2 * np.pi, n=16)
-    xs = grid.coords()
-    k = np.array([1.0, 2.0, 0.0])
-    phase = k[0] * xs[0] + k[1] * xs[1] + k[2] * xs[2]
-    psi0 = ScalarField(grid, np.exp(1j * phase))
-    prob = SchrodingerProblem(grid=grid, b=1.0, psi0=psi0)
-    T = 0.3
-    out = evolve(prob, T, 1e-2).final()
-    omega = dispersion_omega(np.linalg.norm(k), 1.0)
-    exact = psi0.values * np.exp(-1j * omega * T)
-    assert np.max(np.abs(out.values - exact)) < 1e-12
+def test_problem_rejects_a_grid_that_is_not_one_dimensional():
+    grid = GridSpec(dim=3, length=2 * np.pi, n=8)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        SchrodingerProblem(grid=grid, b=1.0, psi0=ScalarField(grid, np.ones(grid.shape)))

@@ -38,7 +38,7 @@ def test_duration_off_the_step_lands_on_t_final():
     assert 0 <= first < stop <= ens.n_steps + 1
     windowed = simulate_forward(OU, 0.0, t_final, dt, 10, 0, window=(first, stop))
     assert np.array_equal(windowed.paths, ens.paths[:, first:stop])
-    estimate_velocities(windowed, half_window=half_window, min_count=0)
+    estimate_velocities(windowed, min_count=0)
 
 
 def test_brownian_endpoint_moments():
@@ -72,8 +72,9 @@ def test_estimate_diffusion_recovers_b2():
 
 def test_velocity_estimates_stationary_ou():
     # at stationarity: current velocity v = 0, osmotic velocity u = -theta x
-    ens = simulate_forward(OU, ("gaussian", 0.0, np.sqrt(0.5)), 1.0, 5e-3, 20_000, 99)
-    est = estimate_velocities(ens, half_window=20, min_count=400)
+    x0, window = ("gaussian", 0.0, np.sqrt(0.5)), _velocity_window(1.0, 5e-3, 20)
+    ens = simulate_forward(OU, x0, 1.0, 5e-3, 20_000, 99, window=window)
+    est = estimate_velocities(ens, min_count=400)
     ok = (est.counts >= 400) & est.valid()
     assert ok.sum() >= 5
     stderr = 0.5 * (est.forward_stderr[ok] + est.backward_stderr[ok])
@@ -89,9 +90,10 @@ def test_velocity_estimate_marks_thin_bins_invalid():
 
 
 def test_velocity_estimate_time_window_bounds():
-    ens = simulate_forward(OU, 0.0, 0.1, 1e-2, 100, 4)
-    with pytest.raises(ValueError):
-        estimate_velocities(ens, t_index=0)  # no backward difference there
+    # one step: step 0 has no backward difference and step 1 no forward one
+    ens = simulate_forward(OU, 0.0, 0.01, 1e-2, 100, 4)
+    with pytest.raises(ValueError, match="2 stored steps from step 0 hold no interior step"):
+        estimate_velocities(ens)
 
 
 def test_estimators_reject_a_batched_ensemble():
@@ -186,9 +188,8 @@ def _reference_action(paths, dt, b):
     return per_path.mean(), per_path.std(ddof=1) / np.sqrt(per_path.size)
 
 
-def _reference_velocities(paths, dt, b, t_index, half_window):
-    """Binned means on the full path array, with fancy indexing and masks."""
-    ks = np.arange(t_index - half_window, t_index + half_window + 1)
+def _reference_velocities(paths, dt, b, ks):
+    """Binned means at steps ``ks`` of the full path array, with fancy indexing and masks."""
     x_here = paths[:, ks].ravel()
     fwd = ((paths[:, ks + 1] - paths[:, ks]) / dt).ravel()
     bwd = ((paths[:, ks] - paths[:, ks - 1]) / dt).ravel()
@@ -210,15 +211,19 @@ def _reference_velocities(paths, dt, b, t_index, half_window):
 
 def test_streaming_estimators_match_full_path_references():
     t_final, dt, n_paths, seed = 0.4, 1e-2, 3_001, 19
-    t_index, half_window = 20, 4
+    half_window = 4
     full = simulate_forward(OU, ("gaussian", 0.3, 0.5), t_final, dt, n_paths, seed)
-    window = (t_index - half_window - 1, t_index + half_window + 2)
+    window = _velocity_window(t_final, dt, half_window)
     ens = simulate_forward(OU, ("gaussian", 0.3, 0.5), t_final, dt, n_paths, seed, window=window)
     assert ens.first == window[0]
     assert np.array_equal(ens.paths, full.paths[:, window[0] : window[1]])
 
-    ref = _reference_velocities(full.paths, dt, OU.b, t_index, half_window)
-    est = estimate_velocities(ens, t_index=t_index, half_window=half_window, min_count=0)
+    # the experiment's window: the steps 20 +- half_window about the middle of the 40,
+    # and one neighbour on each side
+    ks = np.arange(20 - half_window, 20 + half_window + 1)
+    assert window == (ks[0] - 1, ks[-1] + 2)
+    ref = _reference_velocities(full.paths, dt, OU.b, ks)
+    est = estimate_velocities(ens, min_count=0)
     assert np.array_equal(est.counts, ref["counts"])
     for name in ("forward", "backward"):
         assert np.array_equal(getattr(est, name + "_drift"), ref[name], equal_nan=True)
@@ -253,11 +258,11 @@ def test_batched_sweep_equals_separate_runs_bit_for_bit():
 
 
 def test_window_must_cover_the_estimate():
-    ens = simulate_forward(OU, 0.0, 0.2, 1e-2, 200, 4, window=(5, 16))
-    estimate_velocities(ens, t_index=10, half_window=4)  # needs columns 5..15
-    for t_index, half_window in ((10, 5), (11, 4), (9, 4)):
-        with pytest.raises(ValueError, match="stored"):
-            estimate_velocities(ens, t_index=t_index, half_window=half_window)
+    estimate_velocities(simulate_forward(OU, 0.0, 0.2, 1e-2, 200, 4, window=(5, 8)))
+    for window in ((5, 5), (5, 6), (5, 7)):
+        ens = simulate_forward(OU, 0.0, 0.2, 1e-2, 200, 4, window=window)
+        with pytest.raises(ValueError, match="from step 5 hold no interior step"):
+            estimate_velocities(ens)
     for window in ((-1, 3), (4, 3), (0, 22)):
         with pytest.raises(ValueError, match="window"):
             simulate_forward(OU, 0.0, 0.2, 1e-2, 10, 4, window=window)
