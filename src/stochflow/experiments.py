@@ -36,8 +36,9 @@ from .fokker_planck import (
 from .output import COMPARATORS, all_passed, check
 from .schrodinger import SchrodingerProblem, evolve
 from .sde import (
-    DiffusionModel, backward_drift_from_forward, discretized_action, estimate_diffusion,
-    estimate_velocities, make_rng, sample_complex_increments, simulate_forward,
+    DiffusionModel, backward_drift_from_forward, complex_increment_blocks, discretized_action,
+    estimate_diffusion, estimate_velocities, make_rng, sample_complex_increments,
+    simulate_forward,
 )
 
 __all__ = ["EXPERIMENTS", "Check", "ExperimentSpec", "run_experiment"]
@@ -533,7 +534,10 @@ def _full_bins(est, p: dict, key: str) -> np.ndarray:
         Check("osmotic_velocity_max_z", "<=", 5.0, "worst |u + theta x| / stderr, stationary"),
         Check("current_velocity_max_z", "<=", 5.0, "worst |v| / stderr, stationary"),
     ),
-    minimums={"n_paths_short": (">=", 1), "n_paths_long": (">=", 1)},
+    minimums={
+        "n_paths_short": (">=", 1), "n_paths_long": (">=", 1),
+        "half_window_short": (">=", 0), "half_window_long": (">=", 0),
+    },
 )
 def _run_sde_estimators(p: dict, seed: int):
     theta, b = p["theta"], p["b"]
@@ -702,12 +706,10 @@ def _run_variational(p: dict, seed: int):
     z_const = abs(const_value - p["t_final"]) / const_act.stderr
 
     # path-sum moment of the balanced complex noise: E (sum dZ)^2 ~ 0
-    rng = make_rng(seed + 2)
-    sigma = b  # balanced case bhat = b
-    xi = rng.standard_normal((p["n_paths"], m))
-    xi_hat = rng.standard_normal((p["n_paths"], m))
-    dz = (b * xi + 1j * b * xi_hat) * np.sqrt(dt_complex) / (np.sqrt(2) * sigma)
-    w = dz.sum(axis=1)
+    w = np.empty(p["n_paths"], dtype=complex)
+    shape = (p["n_paths"], m)
+    for rows, dz in complex_increment_blocks(b, b, dt_complex, shape, make_rng(seed + 2)):
+        w[rows] = dz.sum(axis=1)
     path_sum_sq = complex((w * w).mean())
 
     checks = {

@@ -6,11 +6,17 @@ alone, and are integrated with forward Euler-Maruyama in one loop,
 stores only the window of time columns the caller asks for (by default all
 of them), and keeps per-path running sums of ``q = (dX)^2 / dt`` and
 ``q^2`` over every step, which is all the quadratic-variation and action
-estimators read.  A drift may broadcast the state to a leading batch axis,
-such as one member per parameter of a sweep; the members share the initial
-samples and every per-step draw, so each trajectory is bit-identical to a
-separate run.  The backward velocity is estimated from the same forward
-paths, by the backward difference ``X(t) - X(t - dt)``.
+estimators read.  Each step is fused: the normals are drawn into one buffer,
+and ``q`` and ``q^2`` go into buffers allocated once.  A drift may broadcast
+the state to a leading batch axis, such as one member per parameter of a
+sweep; the members share the initial samples and every per-step draw, so
+each trajectory is bit-identical to a separate run.
+
+``estimate_velocities`` conditions the forward difference and the backward
+one, ``X(t) - X(t - dt)``, on the position at the same step.  It bins one
+block of paths at a time, of up to ``BLOCK_VALUES`` pooled values, so its
+peak memory is the stored window plus one flattened copy of the pooled
+positions, which the quantiles of the bin range need.
 
 The complex noise ``dZ = (b dW + i bhat dW') / (sqrt(2) sigma)`` mixes two
 independent Wiener processes, with ``sigma^2 = (b^2 + bhat^2) / 2``.  Its
@@ -18,6 +24,10 @@ defining moments are ``E[dZ dZ*] = dt`` and
 ``E[dZ^2] = dt (b^2 - bhat^2) / (b^2 + bhat^2)``, which vanishes in the
 balanced case ``b = bhat``; ``sample_complex_increments`` returns the
 sample means of ``dZ``, ``dZ^2`` and ``dZ dZ*`` beside these exact values.
+``complex_increment_blocks`` holds the formula for ``dZ`` once: it draws the
+real normals whole and the imaginary ones a block of rows at a time, and
+gives every value bit for bit as one whole-array draw would.  The means
+reduce the whole ``dZ``, so a run holds ``dZ`` and one product of it.
 
 All randomness flows through a counter-based Philox generator keyed by an
 explicit integer seed; repeated runs are bit-identical.
@@ -25,8 +35,9 @@ explicit integer seed; repeated runs are bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -40,6 +51,7 @@ __all__ = [
     "ActionEstimate",
     "make_rng",
     "simulate_forward",
+    "complex_increment_blocks",
     "sample_complex_increments",
     "estimate_velocities",
     "estimate_diffusion",
@@ -47,6 +59,10 @@ __all__ = [
     "osmotic_velocity_from_density",
     "backward_drift_from_forward",
 ]
+
+
+#: values per block of a blocked pass over paths or increments
+BLOCK_VALUES = 2**16
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -135,18 +151,30 @@ def simulate_forward(
         raise ValueError(f"window {window} is not within the {m + 1} mesh columns")
     rng = make_rng(seed)
     x = _initial_samples(x0, n_paths, rng)
-    root_dt = np.sqrt(dt)
+    scale = model.b * np.sqrt(dt)
+    noise = np.empty(n_paths)
     for k in range(m):
-        x_next = x + model.drift(x) * dt + model.b * root_dt * rng.standard_normal(n_paths)
+        # x + drift(x) dt + b sqrt(dt) noise, in that order; the product
+        # allocates, since a drift may return its argument
+        x_next = np.multiply(model.drift(x), dt)
+        x_next += x
+        rng.standard_normal(out=noise)
+        noise *= scale
+        x_next += noise
         if k == 0:  # the first step fixes the batch shape
             paths = np.empty(x_next.shape + (stop - first,))
             q_sum = np.zeros(x_next.shape)
             q2_sum = np.zeros(x_next.shape)
+            q = np.empty(x_next.shape)
+            q2 = np.empty(x_next.shape)
         if first <= k < stop:
             paths[..., k - first] = x
-        q = (x_next - x) ** 2 / dt
+        np.subtract(x_next, x, out=q)
+        np.square(q, out=q)
+        q /= dt
         q_sum += q
-        q2_sum += q * q
+        np.multiply(q, q, out=q2)
+        q2_sum += q2
         x = x_next
     if first <= m < stop:
         paths[..., m - first] = x
@@ -169,6 +197,37 @@ class ComplexIncrementStats:
     expected_dzdzbar: complex
 
 
+def complex_increment_blocks(
+    b: float, bhat: float, dt: float, shape: tuple[int, ...], rng: np.random.Generator
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """The increments ``dZ`` of one ``shape`` draw, by blocks of leading rows.
+
+    Yields ``(rows, dz)`` in row order, where ``dz`` holds the increments of
+    ``rows``, a slice of the leading axis; ``dz`` is a buffer that the next
+    block overwrites.  The real draws ``xi`` of the whole shape come first
+    from ``rng``, then the imaginary ones ``xi_hat``, a block at a time, so
+    every value equals the one of a single ``(b xi + i bhat xi_hat) sqrt(dt)
+    / (sqrt(2) sigma)`` over the whole shape, bit for bit.
+    """
+    sigma = np.sqrt((b**2 + bhat**2) / 2)
+    xi = rng.standard_normal(shape)
+    n_rows = shape[0]
+    step = max(1, BLOCK_VALUES // max(1, math.prod(shape[1:])))
+    xi_hat = np.empty((min(step, n_rows),) + shape[1:])
+    real = np.empty_like(xi_hat)
+    dz = np.empty(xi_hat.shape, dtype=complex)
+    for start in range(0, n_rows, step):
+        rows = slice(start, min(start + step, n_rows))
+        size = rows.stop - start
+        rng.standard_normal(out=xi_hat[:size])
+        out = dz[:size]
+        np.multiply(1j * bhat, xi_hat[:size], out=out)
+        out += np.multiply(b, xi[rows], out=real[:size])
+        out *= np.sqrt(dt)
+        out /= np.sqrt(2) * sigma
+        yield rows, out
+
+
 def sample_complex_increments(
     b: float, bhat: float, dt: float, n_samples: int, seed: int
 ) -> ComplexIncrementStats:
@@ -178,16 +237,23 @@ def sample_complex_increments(
             raise ValueError(f"noise amplitude {name} must be positive and finite, got {amplitude}")
     if not 0 < dt < np.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    rng = make_rng(seed)
-    sigma = np.sqrt((b**2 + bhat**2) / 2)
-    xi = rng.standard_normal(n_samples)
-    xi_hat = rng.standard_normal(n_samples)
-    dz = (b * xi + 1j * bhat * xi_hat) * np.sqrt(dt) / (np.sqrt(2) * sigma)
-    del xi, xi_hat
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    dz = np.empty(n_samples, dtype=complex)
+    for rows, block in complex_increment_blocks(b, bhat, dt, (n_samples,), make_rng(seed)):
+        dz[rows] = block
+    del block  # the last view of the block buffer
+    # the means reduce the whole of dz, so that their pairwise sums stay fixed
+    mean_dz = complex(dz.mean())
+    tmp = np.multiply(dz, dz)
+    mean_dz2 = complex(tmp.mean())
+    # conj(dz) dz, the operand order numpy gives dz * conj(dz) when it reuses
+    # the conjugate's temporary; the fused complex product is not commutative
+    mean_dzdzbar = complex(np.multiply(np.conjugate(dz, out=tmp), dz, out=tmp).mean())
     return ComplexIncrementStats(
-        mean_dz=complex(dz.mean()),
-        mean_dz2=complex((dz * dz).mean()),
-        mean_dzdzbar=complex((dz * np.conj(dz)).mean()),
+        mean_dz=mean_dz,
+        mean_dz2=mean_dz2,
+        mean_dzdzbar=mean_dzdzbar,
         expected_dz2=complex(dt * (b**2 - bhat**2) / (b**2 + bhat**2)),
         expected_dzdzbar=complex(dt),
     )
@@ -248,28 +314,31 @@ def estimate_velocities(ens: PathEnsemble, min_count: int = 40) -> VelocityEstim
             "store at least 3"
         )
 
-    here = paths[:, 1:-1]
-    x_here = here.ravel()
-    lo, hi = np.quantile(x_here, [0.005, 0.995])
+    # the quantile's flattened copy of the pooled positions is the one
+    # whole-window temporary; the binning goes by blocks of paths
+    lo, hi = np.quantile(paths[:, 1:-1], [0.005, 0.995])
     width = 2 * ens.b * np.sqrt(dt)
     n_bins = max(4, int(np.ceil((hi - lo) / width)))
     edges = np.linspace(lo, hi, n_bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
 
-    # bins 0 and n_bins + 1 collect the samples outside [lo, hi) and are dropped
-    idx = np.digitize(x_here, edges)
-    del x_here
-
-    def binned(weights=None) -> np.ndarray:
-        return np.bincount(idx, weights=weights, minlength=n_bins + 2)[1:-1]
-
-    counts = binned()
-    fwd = ((paths[:, 2:] - here) / dt).ravel()
-    sums_f, sq_f = binned(fwd), binned(fwd**2)
-    del fwd
-    bwd = ((here - paths[:, :-2]) / dt).ravel()
-    sums_b, sq_b = binned(bwd), binned(bwd**2)
-    del bwd
+    # bins 0 and n_bins + 1 collect the samples outside [lo, hi) and are
+    # dropped; np.add.at adds in element order, as one weighted bincount does
+    counts = np.zeros(n_bins + 2, dtype=np.intp)
+    sums_f, sq_f, sums_b, sq_b = np.zeros((4, n_bins + 2))
+    step = max(1, BLOCK_VALUES // (paths.shape[1] - 2))
+    for start in range(0, paths.shape[0], step):
+        block = paths[start : start + step]
+        here = block[:, 1:-1]
+        idx = np.digitize(here, edges).ravel()
+        counts += np.bincount(idx, minlength=n_bins + 2)
+        for sums, squares, later, earlier in (
+            (sums_f, sq_f, block[:, 2:], here), (sums_b, sq_b, here, block[:, :-2])
+        ):
+            diffs = ((later - earlier) / dt).ravel()
+            np.add.at(sums, idx, diffs)
+            np.add.at(squares, idx, diffs**2)
+    counts, sums_f, sq_f, sums_b, sq_b = (a[1:-1] for a in (counts, sums_f, sq_f, sums_b, sq_b))
 
     with np.errstate(invalid="ignore", divide="ignore"):
         mean_f = sums_f / counts

@@ -194,6 +194,8 @@ def test_value_the_experiment_rejects_exits_two_and_names_it(
         ("complex-increments", {"pairs": [[1.0, float("inf")]]}, "pairs"),
         ("sde-estimators", {"b": float("inf")}, "b"),
         ("fp-consistency", {"b": float("inf")}, "b"),
+        ("sde-estimators", {"half_window_short": -1}, "half_window_short"),
+        ("sde-estimators", {"half_window_long": -20}, "half_window_long"),
     ],
 )
 def test_meaningless_value_exits_two_with_one_error_line(runner, tmp_path, experiment, overrides, key):

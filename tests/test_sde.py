@@ -1,14 +1,18 @@
 """Monte Carlo engine: path statistics checked against exact diffusion laws."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from stochflow import sde
 from stochflow.analytic import ou_mean_variance
 from stochflow.experiments import _velocity_window
-from stochflow.fields import GridSpec, ScalarField
+from stochflow.fields import GridSpec, ScalarField, time_steps
 from stochflow.sde import (
     DiffusionModel,
     backward_drift_from_forward,
+    complex_increment_blocks,
     discretized_action,
     estimate_diffusion,
     estimate_velocities,
@@ -266,3 +270,100 @@ def test_window_must_cover_the_estimate():
     for window in ((-1, 3), (4, 3), (0, 22)):
         with pytest.raises(ValueError, match="window"):
             simulate_forward(OU, 0.0, 0.2, 1e-2, 10, 4, window=window)
+
+
+def test_blocked_estimator_equals_reference_bit_for_bit(monkeypatch):
+    # blocks of 7 paths: the 1_003 paths make 143 whole blocks and a ragged one of 2
+    t_final, dt, n_paths, seed, half_window = 0.2, 1e-2, 1_003, 31, 3
+    window = _velocity_window(t_final, dt, half_window)
+    n_interior = window[1] - window[0] - 2
+    monkeypatch.setattr(sde, "BLOCK_VALUES", 7 * n_interior + 3)
+    full = simulate_forward(OU, ("gaussian", 0.0, 0.4), t_final, dt, n_paths, seed)
+    ens = simulate_forward(OU, ("gaussian", 0.0, 0.4), t_final, dt, n_paths, seed, window=window)
+    ks = np.arange(window[0] + 1, window[1] - 1)
+    ref = _reference_velocities(full.paths, dt, OU.b, ks)
+    est = estimate_velocities(ens, min_count=0)
+    assert np.array_equal(est.counts, ref["counts"]) and est.counts.sum() > 0
+    for name in ("forward", "backward"):
+        assert np.array_equal(getattr(est, name + "_drift"), ref[name], equal_nan=True)
+        assert np.array_equal(getattr(est, name + "_stderr"), ref[name + "_stderr"], equal_nan=True)
+
+
+@pytest.mark.parametrize("shape", [(1_003,), (205, 7)])
+def test_complex_increment_blocks_equal_one_draw_bit_for_bit(monkeypatch, shape):
+    # blocks of 10 values: 100 whole blocks and a ragged one of 3 values,
+    # or 68 blocks of 3 rows of 7 and a ragged one of 1 row
+    monkeypatch.setattr(sde, "BLOCK_VALUES", 10 if len(shape) == 1 else 23)
+    b, bhat, dt = 2.0, 0.5, 0.01
+    rng = make_rng(5)
+    xi, xi_hat = rng.standard_normal(shape), rng.standard_normal(shape)
+    sigma = np.sqrt((b**2 + bhat**2) / 2)
+    want = (b * xi + 1j * bhat * xi_hat) * np.sqrt(dt) / (np.sqrt(2) * sigma)
+    got = np.full(shape, np.nan, dtype=complex)
+    sizes = []
+    for rows, dz in complex_increment_blocks(b, bhat, dt, shape, make_rng(5)):
+        got[rows] = dz
+        sizes.append(dz.size)
+    assert len(sizes) > 2 and sizes[-1] < sizes[0]
+    assert np.array_equal(got, want)
+
+
+def _euler_maruyama_reference(drift, b, x0, t_final, dt, n_paths, seed):
+    """The step x + drift(x) dt + b sqrt(dt) noise as one expression, with
+    every column stored and the running sums of q = (dX)^2 / dt and q^2."""
+    m, dt = time_steps(t_final, dt)
+    rng = make_rng(seed)
+    x = np.full(n_paths, x0)
+    columns, q_sum, q2_sum = [x], 0.0, 0.0
+    for _ in range(m):
+        x_next = x + drift(x) * dt + b * np.sqrt(dt) * rng.standard_normal(n_paths)
+        q = (x_next - x) ** 2 / dt
+        q_sum, q2_sum = q_sum + q, q2_sum + q * q
+        x = x_next
+        columns.append(x)
+    return np.stack(columns, axis=-1), q_sum, q2_sum
+
+
+@pytest.mark.parametrize(
+    "drift", [lambda x: x, lambda x: x[...], lambda x: x[::-1]], ids=["argument", "view", "reversed"]
+)
+def test_in_place_step_is_safe_for_a_drift_that_returns_its_argument(drift):
+    # the step adds into a fresh array, so a drift that returns x (or a view
+    # of it) is not overwritten before it is read
+    args = (0.5, 0.2, 1e-2, 101, 12)
+    ens = simulate_forward(DiffusionModel(drift=drift, b=1.3), *args)
+    paths, q_sum, q2_sum = _euler_maruyama_reference(drift, 1.3, *args)
+    assert np.array_equal(ens.paths, paths)
+    assert np.array_equal(ens.q_sum, q_sum)
+    assert np.array_equal(ens.q2_sum, q2_sum)
+
+
+MB = 2**20
+
+
+def _peak_bytes(run) -> int:
+    """The most memory ``run()`` holds at once beyond what is allocated before;
+    tracemalloc sees every numpy array buffer, so the count is deterministic."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_complex_increments_hold_two_copies_of_dz_at_most():
+    # dZ and one product of it; the real draws never live beside both
+    n = 200_000
+    peak = _peak_bytes(lambda: sample_complex_increments(1.0, 0.5, 0.01, n, 3))
+    assert peak <= 2 * 16 * n + MB, peak
+
+
+def test_velocity_estimate_holds_one_pooled_copy_at_most():
+    # the quantile's flattened copy of the pooled positions; the binning
+    # goes by blocks of paths
+    window = _velocity_window(0.05, 1e-3, 10)
+    ens = simulate_forward(OU, 0.0, 0.05, 1e-3, 25_000, 5, window=window)
+    pooled = ens.paths[:, 1:-1].nbytes
+    peak = _peak_bytes(lambda: estimate_velocities(ens, min_count=500))
+    assert peak <= pooled + 2 * MB, (peak, pooled)
