@@ -63,6 +63,10 @@ class FreePacket:
     s: float
     k0: float
 
+    def __post_init__(self):
+        if not 0 < self.b < np.inf:
+            raise ValueError(f"noise amplitude b must be positive and finite, got {self.b}")
+
     def _gamma(self, t: float) -> complex:
         return self.s**2 + 0.5j * self.b**2 * t
 

@@ -1,7 +1,7 @@
 """Viscous Burgers equations of drift fields and their exact linearization.
 
-Three variants of ``a_t + a a_x = nu a_xx (+ forcing)`` appear, differing
-only in the effective viscosity:
+Four variants of ``a_t + a a_x = nu a_xx (+ forcing)`` appear, differing
+only in the effective viscosity (:data:`VARIANTS` holds its column):
 
 ================  ==================  =========================================
 variant           nu                  notes
@@ -28,8 +28,12 @@ is the nonzero root of ``lam^2 + 2 nu lam = 0``, i.e. ``lam = -2 nu``:
 The quadratic root condition is exactly the coefficient cancellation
 checked by :func:`stochflow.clifford.linearization_cancellation`.
 
-A direct pseudo-spectral solver (integrating-factor Heun) provides the
-independent reference that the transform is verified against.
+A :class:`BurgersProblem` is one variant at one ``b``: it gives ``nu``,
+``lam`` and both directions of the substitution.  It holds no grid; the
+solver and the residuals take the grid of the field they are given, so one
+problem serves fields on any grid.  A direct pseudo-spectral solver
+(integrating-factor Heun) provides the independent reference that the
+transform is verified against.
 """
 
 from __future__ import annotations
@@ -56,9 +60,6 @@ from .fields import (
 __all__ = [
     "VARIANTS",
     "BurgersProblem",
-    "ColeHopfMap",
-    "effective_viscosity",
-    "solve_linearization_condition",
     "solve_burgers",
     "heat_evolve_spectral",
     "geodesic_residual",
@@ -66,94 +67,52 @@ __all__ = [
     "inversion_diagnostic",
 ]
 
-VARIANTS = ("forward", "reversed", "complex", "complex-conjugate")
-
-
-def effective_viscosity(variant: str, b: float) -> complex:
-    """Viscosity ``nu`` of the named variant; see the module table."""
-    if not 0 < b < np.inf:
-        raise ValueError(f"noise amplitude b must be positive and finite, got {b}")
-    table = {
-        "forward": -0.5 * b**2,
-        "reversed": +0.5 * b**2,
-        "complex": +0.5j * b**2,
-        "complex-conjugate": -0.5j * b**2,
-    }
-    if variant not in table:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    return complex(table[variant])
-
-
-def solve_linearization_condition(variant: str, b: float) -> complex:
-    """Nonzero root of ``lam^2 + 2 nu lam = 0`` for the variant's viscosity.
-
-    The quadratic factors as ``lam (lam + 2 nu)``, so the nonzero root is
-    exactly ``-2 nu`` -- no numerical root finding, and the residual of the
-    condition vanishes identically in floating point.
-    """
-    nu = effective_viscosity(variant, b)
-    lam = -2.0 * nu
-    if lam * lam + 2.0 * nu * lam != 0:
-        raise AssertionError("cancellation condition violated by the selected root")
-    return complex(lam)
+#: variant -> its viscosity ``nu`` in units of ``b^2``; see the module table
+VARIANTS = {"forward": -0.5, "reversed": +0.5, "complex": +0.5j, "complex-conjugate": -0.5j}
 
 
 @dataclass(frozen=True)
 class BurgersProblem:
-    """Grid, noise scale, variant, and optional potential ``U`` (complex variants)."""
+    """One velocity equation: noise scale, variant, and optional potential ``U``
+    (complex variants), with the substitution ``a = lam (grad F) / F`` that
+    linearizes it.
 
-    grid: GridSpec
+    ``to_velocity`` uses the ratio form (no logarithm), so complex ``F``
+    needs no branch tracking, and raises ``ValueError`` at a node of ``F``.
+    ``from_velocity`` integrates the zero-mean part of a 1-D velocity; the
+    mean is returned as a Galilean boost that the caller must account for
+    (a nonzero-mean periodic velocity has no single-valued ``F``).
+    """
+
     b: float
     variant: str = "reversed"
     potential: Callable[..., np.ndarray] | None = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if not self.b > 0:
-            raise ValueError("b must be positive")
+            raise ValueError(f"unknown variant {self.variant!r}; expected one of {tuple(VARIANTS)}")
+        if not 0 < self.b < np.inf:
+            raise ValueError(f"noise amplitude b must be positive and finite, got {self.b}")
         if self.potential is not None and self.variant not in ("complex", "complex-conjugate"):
             raise ValueError("potential forcing applies to the complex variants only")
 
     @property
     def nu(self) -> complex:
-        return effective_viscosity(self.variant, self.b)
-
-    def forcing_values(self) -> np.ndarray | None:
-        """Static forcing ``-U_x`` evaluated on the grid, or None."""
-        if self.potential is None:
-            return None
-        u_vals = np.asarray(self.potential(*self.grid.coords()), dtype=np.complex128)
-        du = derivative(ScalarField(self.grid, u_vals), 0).values
-        return -du
-
-
-@dataclass(frozen=True)
-class ColeHopfMap:
-    """The substitution ``a = lam (grad F) / F`` for one variant.
-
-    ``to_velocity`` uses the ratio form (no logarithm), so complex ``F``
-    needs no branch tracking; both velocity maps raise ``ValueError`` at a
-    node of ``F``.  ``from_velocity`` integrates the zero-mean
-    part of the velocity; the mean is returned as a Galilean boost that the
-    caller must account for (a nonzero-mean periodic velocity has no
-    single-valued ``F``).
-    """
-
-    b: float
-    variant: str = "reversed"
+        return complex(VARIANTS[self.variant] * self.b**2)
 
     @property
     def lam(self) -> complex:
-        return solve_linearization_condition(self.variant, self.b)
+        """The nonzero root of ``lam^2 + 2 nu lam = lam (lam + 2 nu) = 0``, exactly."""
+        return -2.0 * self.nu
 
-    def to_velocity(self, F: ScalarField) -> ScalarField:
-        return ScalarField(F.grid, self._ratio(F, derivative(F, 0).values))
-
-    def to_velocity_vector(self, F: ScalarField) -> np.ndarray:
-        """Vector form ``lam (grad F)/F`` on grids of any dimension, as its
-        ``(dim,) + grid.shape`` component stack."""
-        return np.stack([self._ratio(F, c) for c in gradient(F)])
+    def to_velocity(self, F: ScalarField) -> np.ndarray:
+        """``lam (grad F)/F`` as its ``(dim,) + grid.shape`` component stack."""
+        dF = gradient(F).reshape(F.grid.dim, -1)
+        values = np.broadcast_to(F.values.reshape(1, -1), dF.shape)
+        ratio, mask = log_derivative(values, dF, self.lam)
+        if not mask.all():
+            raise ValueError("F has a node; the velocity ratio is undefined there")
+        return ratio.reshape((F.grid.dim,) + F.grid.shape)
 
     def from_velocity(self, a: ScalarField) -> tuple[ScalarField, complex]:
         mean = complex(np.mean(a.values))
@@ -161,12 +120,13 @@ class ColeHopfMap:
         log_f = antiderivative(fluct, 0) * (1.0 / self.lam)
         return ScalarField(a.grid, np.exp(log_f.values)), mean
 
-    def _ratio(self, F: ScalarField, dF: np.ndarray) -> np.ndarray:
-        """``lam dF / F`` on the grid shape; a node of ``F`` is an error."""
-        ratio, mask = log_derivative(F.values.reshape(1, -1), dF.reshape(1, -1), self.lam)
-        if not mask.all():
-            raise ValueError("F has a node; the velocity ratio is undefined there")
-        return ratio.reshape(F.grid.shape)
+    def forcing_values(self, grid: GridSpec) -> np.ndarray | None:
+        """Static forcing ``-U_x`` evaluated on ``grid``, or None."""
+        if self.potential is None:
+            return None
+        u_vals = np.asarray(self.potential(*grid.coords()), dtype=np.complex128)
+        du = derivative(ScalarField(grid, u_vals), 0).values
+        return -du
 
 
 # -- direct nonlinear solver --------------------------------------------------
@@ -200,9 +160,9 @@ def solve_burgers(
     """
     if problem.variant == "forward":
         raise ValueError("the forward variant is a final-value problem, not solved forward in time")
-    if problem.grid.dim != 1:
+    grid = a0.grid
+    if grid.dim != 1:
         raise ValueError("the direct solver is one-dimensional")
-    grid = problem.grid
     nu = problem.nu
     k = grid.wavenumbers()
     ik = 1j * k
@@ -211,7 +171,7 @@ def solve_burgers(
     # dealiasing by the 2/3 rule keeps the quadratic term clean
     keep = np.abs(k) <= (2.0 / 3.0) * np.max(np.abs(k))
 
-    forcing = problem.forcing_values()
+    forcing = problem.forcing_values(grid)
     forcing_hat = np.fft.fft(forcing) if forcing is not None else None
 
     def nonlin_hat(a_hat):
@@ -258,7 +218,7 @@ def geodesic_residual(
     da_dx = derivative(a_center, 0).values
     d2a = derivative(a_center, 0, order=2).values
     res = da_dt + a_center.values * da_dx - problem.nu * d2a
-    forcing = problem.forcing_values()
+    forcing = problem.forcing_values(grid)
     if forcing is not None:
         res = res - forcing
     return ScalarField(grid, res)
@@ -296,7 +256,7 @@ def real_chain_residual(
         return ScalarField(grid, b**2 * derivative(log_u, 0).values)
 
     a_m, a_c, a_p = drift_of(u_minus), drift_of(u_center), drift_of(u_plus)
-    problem = BurgersProblem(grid=grid, b=b, variant="forward")
+    problem = BurgersProblem(b=b, variant="forward")
     lhs = geodesic_residual(problem, a_m, a_c, a_p, dt)
 
     u_t = (u_plus.values - u_minus.values) / (2 * dt)

@@ -21,8 +21,7 @@ from .analytic import (
 )
 from .born import born_pipeline
 from .burgers import (
-    BurgersProblem, ColeHopfMap, heat_evolve_spectral, inversion_diagnostic, real_chain_residual,
-    solve_burgers, solve_linearization_condition,
+    BurgersProblem, heat_evolve_spectral, inversion_diagnostic, real_chain_residual, solve_burgers,
 )
 from .clifford import (
     Multivector, StretchSpec, check_prop_identities, contraction, geometric_product, grad_wedge,
@@ -92,7 +91,7 @@ def _free_packet_problem(n: int, p: dict) -> SchrodingerProblem:
         k0=2 * np.pi * p["k0_cycles"] / p["length"],
     )
     psi0 = ScalarField(grid, pk.psi(grid.axis, 0.0))
-    return SchrodingerProblem(grid=grid, b=p["b"], psi0=psi0)
+    return SchrodingerProblem(b=p["b"], psi0=psi0)
 
 
 @_experiment(
@@ -183,9 +182,7 @@ def _run_born_harmonic(p: dict, seed: int):
     grid = GridSpec(dim=1, length=p["length"], n=p["n"])
     state = HarmonicState(b=p["b"], omega=p["omega"], centre=p["length"] / 2)
     psi0 = ScalarField(grid, state.eigenfunction(grid.axis, 0).astype(np.complex128))
-    prob = SchrodingerProblem(
-        grid=grid, b=p["b"], psi0=psi0, potential=state.potential
-    )
+    prob = SchrodingerProblem(b=p["b"], psi0=psi0, potential=state.potential)
     rep = born_pipeline(prob, p["t_final"], p["dt"])
 
     checks = {
@@ -244,18 +241,17 @@ def _run_colehopf_1d(p: dict, seed: int):
     def v_exact(t: float) -> np.ndarray:
         return 1j * b**2 * k * eps * np.exp(-1j * omega * t) * np.sin(k * x) / f_exact(t)
 
-    ch = ColeHopfMap(b=b, variant="complex")
-    lam = ch.lam
+    bp = BurgersProblem(b=b, variant="complex")
+    lam = bp.lam
     lam_residual = abs(lam**2 + 1j * b**2 * lam)
 
     # route 1: wave-equation evolution of F, then the substitution
     psi0 = ScalarField(grid, f_exact(0.0))
-    prob = SchrodingerProblem(grid=grid, b=b, psi0=psi0)
+    prob = SchrodingerProblem(b=b, psi0=psi0)
     f_evolved = evolve(prob, t_final, t_final / 8)
-    v_route = ch.to_velocity(f_evolved).values
+    v_route = bp.to_velocity(f_evolved)[0]
 
     # route 2: direct nonlinear integration of the complex velocity equation
-    bp = BurgersProblem(grid=grid, b=b, variant="complex")
     v0 = ScalarField(grid, v_exact(0.0))
     v_direct = solve_burgers(bp, v0, t_final, p["dt"]).values
 
@@ -321,7 +317,8 @@ def _random_log_field(grid: GridSpec, rng, n_terms: int, amp: float, kmax: int) 
         Check("lambda_roots_exact", "==", 0.0, "gap of the two roots from -i b^2 and +i b^2"),
         Check("conjugate_symmetry", "<=", 1e-13, "sup |conj(V[F]) - U[F*]|, U the conjugate map"),
     ),
-    minimums={"n_random": (">=", 1), "amp": (">", 0.0)},
+    # from amp = 1e-3 up, the wrong root +i b^2 misses cancellation_worst_linf by 5,000x or more
+    minimums={"n_random": (">=", 1), "amp": (">=", 1e-3)},
 )
 def _run_colehopf_3d(p: dict, seed: int):
     grid = GridSpec(dim=3, length=2 * np.pi, n=p["n"])
@@ -335,11 +332,11 @@ def _run_colehopf_3d(p: dict, seed: int):
     f_vals = factors[0] * factors[1] * factors[2]
     F = ScalarField(grid, f_vals)
 
-    ch = ColeHopfMap(b=b, variant="complex")
-    vel = ch.to_velocity_vector(F)
+    bp = BurgersProblem(b=b, variant="complex")
+    vel = bp.to_velocity(F)
     sep_err = 0.0
     for i in range(3):
-        expected = ch.lam * (-eps[i] * np.sin(xs[i] + phases[i])) / factors[i]
+        expected = bp.lam * (-eps[i] * np.sin(xs[i] + phases[i])) / factors[i]
         sep_err = max(sep_err, float(np.max(np.abs(vel[i] - expected))))
 
     wedge_norm = float(np.max(np.abs(grad_wedge(grid, vel))))
@@ -355,15 +352,14 @@ def _run_colehopf_3d(p: dict, seed: int):
         worst_cancel = max(worst_cancel, res.l_inf)
         cancel_rows.append((trial, res.l_inf, res.l2))
 
-    lam_f = solve_linearization_condition("complex", b)
-    lam_c = solve_linearization_condition("complex-conjugate", b)
+    bp_conj = BurgersProblem(b=b, variant="complex-conjugate")
+    lam_f, lam_c = bp.lam, bp_conj.lam
     root_err = max(abs(lam_f - (-1j * b**2)), abs(lam_c - (1j * b**2)))
 
     # conjugate symmetry: extracting from F* with the conjugate map mirrors V
     f_complex = ScalarField(grid, f_vals * np.exp(0.3j * np.sin(xs[0])))
-    v_fwd = ch.to_velocity_vector(f_complex)
-    ch_conj = ColeHopfMap(b=b, variant="complex-conjugate")
-    u_conj = ch_conj.to_velocity_vector(f_complex.conj())
+    v_fwd = bp.to_velocity(f_complex)
+    u_conj = bp_conj.to_velocity(f_complex.conj())
     conj_err = float(np.max(np.abs(np.conj(v_fwd) - u_conj)))
 
     checks = {
@@ -413,24 +409,23 @@ def _run_colehopf_3d(p: dict, seed: int):
 def _run_burgers_direct_vs_ch(p: dict, seed: int):
     b = p["b"]
     nu = b**2 / 2
+    bp = BurgersProblem(b=b, variant="reversed")
 
     # (a) smooth periodic single-mode solution: direct solver vs closed form
     grid = GridSpec(dim=1, length=2 * np.pi, n=p["n"])
     x = grid.axis
     k_mode, eps, t_final = 1.0, p["eps"], p["t_final"]
     a0 = ScalarField(grid, burgers_single_mode(x, 0.0, nu, k_mode, eps))
-    bp = BurgersProblem(grid=grid, b=b, variant="reversed")
     a_direct = solve_burgers(bp, a0, t_final, p["dt"])
     a_exact_T = burgers_single_mode(x, t_final, nu, k_mode, eps)
     single_mode_err = float(np.max(np.abs(a_direct.values - a_exact_T)))
 
     # transform route: invert the velocity to F, evolve by the heat
     # equation exactly in Fourier space, map back
-    ch = ColeHopfMap(b=b, variant="reversed")
-    f0, mean0 = ch.from_velocity(a0)
+    f0, mean0 = bp.from_velocity(a0)
     f_T = heat_evolve_spectral(f0, nu, t_final)
-    a_route = ch.to_velocity(f_T)
-    route_err = float(np.max(np.abs(a_route.values - a_exact_T)))
+    a_route = bp.to_velocity(f_T)[0]
+    route_err = float(np.max(np.abs(a_route - a_exact_T)))
 
     # round-trip gauge check: reconstructed F agrees with the analytic
     # kernel up to one multiplicative constant
@@ -444,8 +439,7 @@ def _run_burgers_direct_vs_ch(p: dict, seed: int):
     c = p["front_speed"]
     centre0 = p["front_length"] / 2 - c * p["front_t"]
     a0w = ScalarField(gw, burgers_tanh_wave(xw, 0.0, nu, c, centre0))
-    bpw = BurgersProblem(grid=gw, b=b, variant="reversed")
-    aw = solve_burgers(bpw, a0w, p["front_t"], p["dt"])
+    aw = solve_burgers(bp, a0w, p["front_t"], p["dt"])
     exact_w = burgers_tanh_wave(xw, p["front_t"], nu, c, centre0)
     front_final = centre0 + c * p["front_t"]
     window = np.abs(xw - front_final) <= p["window_half_width"]

@@ -26,20 +26,22 @@ __all__ = ["SchrodingerProblem", "evolve"]
 
 @dataclass(frozen=True)
 class SchrodingerProblem:
-    """Initial state, noise scale, and (static) potential for the wave equation on a 1-D grid."""
+    """Noise scale, initial state, and (static) potential for the wave equation
+    on the 1-D grid of the initial state."""
 
-    grid: GridSpec
     b: float
     psi0: ScalarField
     potential: Callable[..., np.ndarray] | None = None
 
     def __post_init__(self):
+        if not 0 < self.b < np.inf:
+            raise ValueError(f"noise amplitude b must be positive and finite, got {self.b}")
         if self.grid.dim != 1:
             raise ValueError("the split-step integrator is one-dimensional")
-        if not self.b > 0:
-            raise ValueError("b must be positive")
-        if self.psi0.grid != self.grid:
-            raise ValueError("psi0 lives on a different grid")
+
+    @property
+    def grid(self) -> GridSpec:
+        return self.psi0.grid
 
     def potential_values(self) -> np.ndarray:
         if self.potential is None:

@@ -125,7 +125,7 @@ def test_transport_kernels_equal_the_public_fft_formulas_bit_for_bit(packet_setu
 def test_born_pipeline_free_packet_small(packet_setup):
     grid, pk = packet_setup
     psi0 = ScalarField(grid, pk.psi(grid.axis, 0.0))
-    prob = SchrodingerProblem(grid=grid, b=pk.b, psi0=psi0)
+    prob = SchrodingerProblem(b=pk.b, psi0=psi0)
     rep = born_pipeline(prob, 0.25, 1 / 1024)
     assert rep.sup_relative_error < 1e-4
     assert rep.mass_drift < 1e-10
@@ -142,7 +142,7 @@ def test_born_pipeline_free_packet_small(packet_setup):
 def test_born_pipeline_requires_enough_snapshots(packet_setup):
     grid, pk = packet_setup
     psi0 = ScalarField(grid, pk.psi(grid.axis, 0.0))
-    prob = SchrodingerProblem(grid=grid, b=pk.b, psi0=psi0)
+    prob = SchrodingerProblem(b=pk.b, psi0=psi0)
     with pytest.raises(ValueError):
         born_pipeline(prob, 1e-3, 1e-3)  # a single step cannot be analysed
 
@@ -194,7 +194,7 @@ def _reference_report(problem, t_final, dt):
 def _assert_matches_reference(packet_setup, n_steps):
     grid, pk = packet_setup
     psi0 = ScalarField(grid, pk.psi(grid.axis, 0.0))
-    prob = SchrodingerProblem(grid=grid, b=pk.b, psi0=psi0)
+    prob = SchrodingerProblem(b=pk.b, psi0=psi0)
     dt = 1 / 1024
     rep = born_pipeline(prob, n_steps * dt, dt)
     ref = _reference_report(prob, n_steps * dt, dt)
@@ -227,7 +227,7 @@ def test_born_pipeline_rejects_non_finite_evolution(packet_setup):
     grid, pk = packet_setup
     psi0 = ScalarField(grid, pk.psi(grid.axis, 0.0))
     prob = SchrodingerProblem(
-        grid=grid, b=pk.b, psi0=psi0, potential=lambda x: np.where(x > 20.0, np.inf, 0.0)
+        b=pk.b, psi0=psi0, potential=lambda x: np.where(x > 20.0, np.inf, 0.0)
     )
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
         born_pipeline(prob, 0.25, 1 / 1024)

@@ -8,16 +8,13 @@ from stochflow.analytic import burgers_single_mode
 from stochflow.burgers import (
     VARIANTS,
     BurgersProblem,
-    ColeHopfMap,
-    effective_viscosity,
     geodesic_residual,
     heat_evolve_spectral,
     inversion_diagnostic,
     real_chain_residual,
     solve_burgers,
-    solve_linearization_condition,
 )
-from stochflow.fields import GridSpec, ScalarField
+from stochflow.fields import GridSpec, ScalarField, derivative, log_derivative
 from stochflow.schrodinger import SchrodingerProblem, evolve
 
 
@@ -27,24 +24,31 @@ from stochflow.schrodinger import SchrodingerProblem, evolve
 
 def test_viscosity_table():
     b = 1.3
-    assert effective_viscosity("forward", b) == -0.5 * b**2
-    assert effective_viscosity("reversed", b) == +0.5 * b**2
-    assert effective_viscosity("complex", b) == +0.5j * b**2
-    assert effective_viscosity("complex-conjugate", b) == -0.5j * b**2
-    with pytest.raises(ValueError):
-        effective_viscosity("diagonal", b)
+    assert BurgersProblem(b, "forward").nu == -0.5 * b**2
+    assert BurgersProblem(b, "reversed").nu == +0.5 * b**2
+    assert BurgersProblem(b, "complex").nu == +0.5j * b**2
+    assert BurgersProblem(b, "complex-conjugate").nu == -0.5j * b**2
+    assert BurgersProblem(b).variant == "reversed"
+    with pytest.raises(ValueError, match="unknown variant"):
+        BurgersProblem(b, "diagonal")
 
 
 def test_linearization_roots_exact():
     b = 1.1
-    assert solve_linearization_condition("reversed", b) == -(b**2)
-    assert solve_linearization_condition("forward", b) == b**2
-    assert solve_linearization_condition("complex", b) == -1j * b**2
-    assert solve_linearization_condition("complex-conjugate", b) == 1j * b**2
+    assert BurgersProblem(b, "reversed").lam == -(b**2)
+    assert BurgersProblem(b, "forward").lam == b**2
+    assert BurgersProblem(b, "complex").lam == -1j * b**2
+    assert BurgersProblem(b, "complex-conjugate").lam == 1j * b**2
     for variant in VARIANTS:
-        lam = solve_linearization_condition(variant, b)
-        nu = effective_viscosity(variant, b)
-        assert lam**2 + 2 * nu * lam == 0  # exact, no tolerance
+        problem = BurgersProblem(b, variant)
+        lam, nu = problem.lam, problem.nu
+        assert lam != 0 and lam**2 + 2 * nu * lam == 0  # exact, no tolerance
+
+
+@pytest.mark.parametrize("b", [0.0, -1.0, float("inf"), float("nan")])
+def test_problem_rejects_b_outside_the_positive_reals(b):
+    with pytest.raises(ValueError, match="b must be positive and finite"):
+        BurgersProblem(b)
 
 
 def test_substitution_linearizes_symbolically():
@@ -83,16 +87,29 @@ def test_solver_matches_single_mode():
     grid = GridSpec(dim=1, length=2 * np.pi, n=128)
     x = grid.axis
     a0 = ScalarField(grid, burgers_single_mode(x, 0.0, nu, 1.0, 0.5))
-    problem = BurgersProblem(grid=grid, b=b, variant="reversed")
+    problem = BurgersProblem(b=b, variant="reversed")
     out = solve_burgers(problem, a0, 1.0, 1e-3)
     exact = burgers_single_mode(x, 1.0, nu, 1.0, 0.5)
     assert np.max(np.abs(out.values - exact)) < 1e-6
 
 
+def test_one_problem_solves_fields_on_two_grids():
+    # the grid is the initial field's: each solve returns on the grid it was given
+    problem = BurgersProblem(b=1.0)
+    for length, n in ((2 * np.pi, 64), (4 * np.pi, 128)):
+        grid = GridSpec(dim=1, length=length, n=n)
+        k = 2 * np.pi / length
+        a0 = ScalarField(grid, burgers_single_mode(grid.axis, 0.0, problem.nu.real, k, 0.5))
+        out = solve_burgers(problem, a0, 0.5, 1e-3)
+        assert out.grid == grid
+        exact = burgers_single_mode(grid.axis, 0.5, problem.nu.real, k, 0.5)
+        assert np.max(np.abs(out.values - exact)) < 1e-6
+
+
 def test_solver_rejects_antidiffusive_marching():
     grid = GridSpec(dim=1, length=2 * np.pi, n=64)
     a0 = ScalarField(grid, np.sin(grid.axis))
-    problem = BurgersProblem(grid=grid, b=1.0, variant="forward")
+    problem = BurgersProblem(b=1.0, variant="forward")
     with pytest.raises(ValueError):
         solve_burgers(problem, a0, 0.1, 1e-3)
 
@@ -108,13 +125,12 @@ def test_complex_variant_with_potential_matches_wave_route():
         return 0.3 * np.cos(xx)
 
     f0 = ScalarField(grid, (1 + 0.4 * np.cos(x)).astype(np.complex128))
-    wave = SchrodingerProblem(grid=grid, b=b, psi0=f0, potential=potential)
+    wave = SchrodingerProblem(b=b, psi0=f0, potential=potential)
     f_T = evolve(wave, T, dt)
-    ch = ColeHopfMap(b=b, variant="complex")
-    v_route = ch.to_velocity(f_T).values
+    problem = BurgersProblem(b=b, variant="complex", potential=potential)
+    v_route = problem.to_velocity(f_T)[0]
 
-    problem = BurgersProblem(grid=grid, b=b, variant="complex", potential=potential)
-    v0 = ch.to_velocity(f0)
+    v0 = ScalarField(grid, problem.to_velocity(f0)[0])
     v_direct = solve_burgers(problem, v0, T, dt).values
     assert np.max(np.abs(v_direct - v_route)) < 1e-5
 
@@ -135,30 +151,43 @@ def test_heat_evolution_exact_mode_decay():
 def test_velocity_roundtrip_with_boost():
     grid = GridSpec(dim=1, length=2 * np.pi, n=128)
     x = grid.axis
-    ch = ColeHopfMap(b=1.2, variant="reversed")
+    problem = BurgersProblem(b=1.2, variant="reversed")
     a = ScalarField(grid, 0.7 + 0.3 * np.sin(x) - 0.1 * np.cos(2 * x))
-    F, boost = ch.from_velocity(a)
+    F, boost = problem.from_velocity(a)
     assert boost == pytest.approx(0.7)
-    back = ch.to_velocity(F)
-    assert np.max(np.abs(back.values + boost - a.values)) < 1e-12
+    (back,) = problem.to_velocity(F)
+    assert np.max(np.abs(back + boost - a.values)) < 1e-12
 
 
 def test_node_guard_raises():
     grid = GridSpec(dim=1, length=2 * np.pi, n=64)
     F = ScalarField(grid, np.cos(grid.axis))  # vanishes on the grid region
-    ch = ColeHopfMap(b=1.0, variant="complex")
-    with pytest.raises(ValueError):
-        ch.to_velocity(F)
+    with pytest.raises(ValueError, match="node"):
+        BurgersProblem(b=1.0, variant="complex").to_velocity(F)
 
 
 def test_gauge_freedom_of_substitution():
     # F and 3.7 * F produce the identical velocity
     grid = GridSpec(dim=1, length=2 * np.pi, n=64)
     F = ScalarField(grid, np.exp(0.3 * np.sin(grid.axis)))
-    ch = ColeHopfMap(b=1.0, variant="reversed")
-    v1 = ch.to_velocity(F)
-    v2 = ch.to_velocity(ScalarField(grid, 3.7 * F.values))
-    assert np.max(np.abs(v1.values - v2.values)) < 1e-13
+    problem = BurgersProblem(b=1.0, variant="reversed")
+    v1 = problem.to_velocity(F)
+    v2 = problem.to_velocity(ScalarField(grid, 3.7 * F.values))
+    assert np.max(np.abs(v1 - v2)) < 1e-13
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_velocity_of_a_1d_field_is_the_derivative_ratio_bit_for_bit(variant):
+    # the n-D map on a 1-D grid is lam F_x / F, computed from derivative(F, 0)
+    grid = GridSpec(dim=1, length=2 * np.pi, n=64)
+    F = ScalarField(grid, np.exp(0.3 * np.sin(grid.axis) + 0.2j * np.cos(2 * grid.axis)))
+    problem = BurgersProblem(b=1.3, variant=variant)
+    ratio, mask = log_derivative(
+        F.values.reshape(1, -1), derivative(F, 0).values.reshape(1, -1), problem.lam
+    )
+    assert mask.all()
+    v = problem.to_velocity(F)
+    assert v.shape == (1, grid.n) and np.array_equal(v, ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +200,7 @@ def test_geodesic_residual_manufactured():
     grid = GridSpec(dim=1, length=2 * np.pi, n=128)
     x = grid.axis
     t0, dt = 0.3, 1e-4
-    problem = BurgersProblem(grid=grid, b=1.0, variant="reversed")
+    problem = BurgersProblem(b=1.0, variant="reversed")
 
     def a_at(t):
         return ScalarField(grid, np.exp(-t) * np.cos(x))

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -222,11 +223,16 @@ def test_meaningless_value_exits_two_with_one_error_line(runner, tmp_path, exper
         ("complex-increments", '{"dt": 1e400}', "dt must be positive and finite, got inf"),
         ("sde-estimators", '{"n_paths_short": 1}', "no bin reaches 500 paths with n_paths_short = 1"),
         ("born-free", '{"n": 9}', "n must be >= 16, got 9"),
+        ("born-free", '{"b": 1e400}', "noise amplitude b must be positive and finite, got inf"),
+        ("born-harmonic", '{"b": 1e400}', "noise amplitude b must be positive and finite, got inf"),
+        ("burgers-direct-vs-ch", '{"b": 1e400}', "noise amplitude b must be positive and finite, got inf"),
+        ("colehopf-3d", '{"amp": 1e-300}', "amp must be >= 0.001, got 1e-300"),
     ],
 )
 def test_bad_value_exits_two_with_a_message_about_it(runner, tmp_path, experiment, config, message):
-    # these once gave nine NaN FAILs, a numpy reduction error, and the least
-    # grid of the half-resolution run in place of the configured n
+    # these once gave nine NaN FAILs, a numpy reduction error, the least grid of
+    # the half-resolution run in place of the configured n, "field contains
+    # non-finite entries" in place of the infinite b, and a vacuous PASS
     cfg = tmp_path / "cfg.json"
     cfg.write_text(config)
     result = runner.invoke(
@@ -242,7 +248,10 @@ def test_bad_value_exits_two_with_a_message_about_it(runner, tmp_path, experimen
     [(name, key, *minimum) for name, spec in EXPERIMENTS.items() for key, minimum in spec.minimums.items()],
 )
 def test_value_just_past_a_declared_minimum_exits_two(runner, tmp_path, experiment, key, comparison, bound):
-    value = bound if comparison == ">" else bound - 1  # every ">=" minimum is a count
+    if comparison == ">":
+        value = bound
+    else:  # the next representable value below: one less for a count
+        value = bound - 1 if isinstance(bound, int) else float(np.nextafter(bound, 0))
     assert type(value) is type(EXPERIMENTS[experiment].defaults[key])  # not a type error instead
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: value}))

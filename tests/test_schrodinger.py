@@ -20,7 +20,7 @@ def _plane_wave_problem(n=64, b=1.0, k_mode=3):
     grid = GridSpec(dim=1, length=2 * np.pi, n=n)
     k = float(k_mode)
     psi0 = ScalarField(grid, np.exp(1j * k * grid.axis) / np.sqrt(2 * np.pi))
-    return grid, k, SchrodingerProblem(grid=grid, b=b, psi0=psi0)
+    return grid, k, SchrodingerProblem(b=b, psi0=psi0)
 
 
 def test_splitstep_plane_wave_phase_exact():
@@ -36,7 +36,7 @@ def test_free_packet_splitstep_spectrally_exact():
     grid = GridSpec(dim=1, length=24.0, n=256)
     pk = FreePacket(b=1.0, x0=11.0, s=1.0, k0=2 * np.pi * 3 / 24.0)
     psi0 = ScalarField(grid, pk.psi(grid.axis, 0.0))
-    prob = SchrodingerProblem(grid=grid, b=1.0, psi0=psi0)
+    prob = SchrodingerProblem(b=1.0, psi0=psi0)
     out = evolve(prob, 1.0, 1e-3)
     exact = pk.psi(grid.axis, 1.0)
     assert np.max(np.abs(out.values - exact)) < 1e-11
@@ -46,7 +46,7 @@ def test_harmonic_ground_state_phase():
     grid = GridSpec(dim=1, length=16.0, n=128)
     state = HarmonicState(b=1.0, omega=1.0, centre=8.0)
     psi0 = ScalarField(grid, state.eigenfunction(grid.axis, 0).astype(np.complex128))
-    prob = SchrodingerProblem(grid=grid, b=1.0, psi0=psi0, potential=state.potential)
+    prob = SchrodingerProblem(b=1.0, psi0=psi0, potential=state.potential)
     T = 1.0
     out = evolve(prob, T, 1e-4)
     exact = harmonic_psi(state, grid.axis, T, 0)
@@ -58,7 +58,7 @@ def test_stepper_equals_the_public_fft_formula_bit_for_bit():
     grid = GridSpec(dim=1, length=16.0, n=128)
     state = HarmonicState(b=1.0, omega=1.0, centre=8.0)
     psi0 = ScalarField(grid, state.eigenfunction(grid.axis, 1).astype(np.complex128))
-    prob = SchrodingerProblem(grid=grid, b=1.0, psi0=psi0, potential=state.potential)
+    prob = SchrodingerProblem(b=1.0, psi0=psi0, potential=state.potential)
     _, dt, step = _stepper(prob, 1.0, 1e-3)
     half_pot, kin = _split_factors(prob, dt)
     psi = psi0.values * np.exp(0.3j * grid.axis)
@@ -74,7 +74,7 @@ def test_splitstep_norm_preserved():
     state = HarmonicState(b=1.0, omega=1.0, centre=8.0)
     vals = (state.eigenfunction(grid.axis, 0) + 0.5 * state.eigenfunction(grid.axis, 2)) / np.sqrt(1.25)
     prob = SchrodingerProblem(
-        grid=grid, b=1.0, psi0=ScalarField(grid, vals.astype(np.complex128)),
+        b=1.0, psi0=ScalarField(grid, vals.astype(np.complex128)),
         potential=state.potential,
     )
     _, states = split_step_states(prob, 2.0, 1e-3)
@@ -87,7 +87,7 @@ def test_energy_conserved_by_splitstep():
     state = HarmonicState(b=1.0, omega=1.0, centre=8.0)
     vals = (state.eigenfunction(grid.axis, 0) + state.eigenfunction(grid.axis, 1)) / np.sqrt(2)
     prob = SchrodingerProblem(
-        grid=grid, b=1.0, psi0=ScalarField(grid, vals.astype(np.complex128)),
+        b=1.0, psi0=ScalarField(grid, vals.astype(np.complex128)),
         potential=state.potential,
     )
     _, states = split_step_states(prob, 1.0, 1e-3)
@@ -110,4 +110,4 @@ def test_energy_of_eigenstate_matches_ladder():
 def test_problem_rejects_a_grid_that_is_not_one_dimensional():
     grid = GridSpec(dim=3, length=2 * np.pi, n=8)
     with pytest.raises(ValueError, match="one-dimensional"):
-        SchrodingerProblem(grid=grid, b=1.0, psi0=ScalarField(grid, np.ones(grid.shape)))
+        SchrodingerProblem(b=1.0, psi0=ScalarField(grid, np.ones(grid.shape)))
