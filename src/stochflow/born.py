@@ -15,7 +15,9 @@ The pipeline streams the evolution through plain arrays in chunks of K =
 ``max(1, CHUNK_POINTS // n)`` steps on n points (:func:`born_pipeline`), so
 memory is O(K n), not O(steps n), with the chunk scratch allocated once.  It
 takes ``round(t_final/dt)`` split steps of :mod:`stochflow.schrodinger`, the
-same as ``evolve``, at four row FFT calls (``fields._row_fft``) per step.
+same as ``evolve``, at four row FFT calls (``fields._row_fft``) and twelve
+elementwise calls per step; no product casts float to complex, and no step
+builds a scratch view.
 
 Supporting pieces:
 
@@ -143,18 +145,26 @@ def madelung_wavefunction(rho: ScalarField, current: ScalarField, b: float) -> S
     return ScalarField(grid, np.sqrt(rho_vals) * np.exp(1j * theta) * carrier)
 
 
-def _flux_div(v: np.ndarray, rho: np.ndarray, mult: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """The spectral ``(v rho)_x`` in ``work[2]``: complex rows for the flux, spectrum and inverse."""
-    np.multiply(v, rho, out=work[0])
-    np.multiply(_row_fft(work[0], out=work[1]), mult, out=work[1])
-    return _row_ifft(work[1], out=work[2]).real
+def _flux_rows(rows: np.ndarray) -> tuple:
+    """The views :func:`_flux_div` takes, of complex rows ``(flux, spectrum, inverse)``; the
+    flux row's imaginary part must be zero, as only its real part is ever written."""
+    return rows[0].real, rows[0], rows[1], rows[2], rows[2].real
 
 
-def _heun(rho, d1, v_next, dt, mult, work, out) -> None:
+def _flux_div(v: np.ndarray, rho: np.ndarray, mult: np.ndarray, rows) -> np.ndarray:
+    """The spectral ``(v rho)_x`` via the :func:`_flux_rows` views, as the inverse's real part."""
+    flux_re, flux, spec, inverse, div = rows
+    np.multiply(v, rho, out=flux_re)
+    np.multiply(_row_fft(flux, out=spec), mult, out=spec)
+    _row_ifft(spec, out=inverse)
+    return div
+
+
+def _heun(rho, d1, v_next, dt, half_dt, mult, rows, out) -> None:
     """A Heun step of ``rho_t = -(v rho)_x`` into ``out``, given ``d1 = (v rho)_x`` and ``v_next``."""
     np.subtract(rho, np.multiply(dt, d1, out=out), out=out)
-    d2 = _flux_div(v_next, out, mult, work)
-    np.subtract(rho, np.multiply(0.5 * dt, np.add(d1, d2, out=out), out=out), out=out)
+    d2 = _flux_div(v_next, out, mult, rows)
+    np.subtract(rho, np.multiply(half_dt, np.add(d1, d2, out=out), out=out), out=out)
 
 
 def evolve_density_continuity(
@@ -170,12 +180,11 @@ def evolve_density_continuity(
     ``sum(rho) dx`` is conserved to round-off.
     """
     mult = spectral_multiplier(rho0.grid)
-    work = np.empty((3, 2, rho0.grid.n), dtype=np.complex128)  # column 1 holds d1
+    first, pred = (_flux_rows(rows) for rows in np.zeros((2, 3, rho0.grid.n), dtype=np.complex128))
     history = np.empty(velocity_snapshots.shape)
     history[0] = np.real(rho0.values)
-    for k in range(len(history) - 1):
-        d1 = _flux_div(velocity_snapshots[k], history[k], mult, work[:, 1])
-        _heun(history[k], d1, velocity_snapshots[k + 1], dt, mult, work[:, 0], history[k + 1])
+    for h, h1, v0, v1 in zip(history, history[1:], velocity_snapshots, velocity_snapshots[1:]):
+        _heun(h, _flux_div(v0, h, mult, first), v1, dt, 0.5 * dt, mult, pred, h1)
     return history
 
 
@@ -218,8 +227,9 @@ def born_pipeline(
     while it transports the density through chunk c - 1 by the continuity
     equation alone, with the velocities of that chunk's states extracted by
     one batched FFT; where both run, the evolution step and the first flux
-    share one two-row FFT pair.  Every step is compared against ``F F* / q``;
-    non-finite states or densities raise ``ValueError``.  The complex
+    share one two-row FFT pair: 4 row-FFT and 12 elementwise calls, with no
+    casting product and no scratch view built.  Every step is compared against
+    ``F F* / q``; non-finite states or densities raise ``ValueError``.  The complex
     density-transport residuals are evaluated at the midpoint snapshot
     triple, the only states kept beyond a chunk.
     """
@@ -237,31 +247,34 @@ def born_pipeline(
     n_rows = max(1, CHUNK_POINTS // grid.n)
     bufs = np.empty((2, n_rows + 1, grid.n), dtype=np.complex128)
     hist = np.empty((n_rows + 1, grid.n))
-    work = np.empty((3, 2, grid.n), dtype=np.complex128)  # rows as in _flux_div; d1 in work[2, 1]
     cwork, rwork = np.empty_like(bufs), np.empty((2, *hist.shape))  # extract and compare scratch
+    pair = np.zeros((3, 2, grid.n), dtype=np.complex128)  # in, spectrum, inverse of (psi, flux)
+    (pair_in, pair_spec, pair_out), (evo_in, evo_spec, evo_out) = pair, pair[:, 0]
+    first, pred = _flux_rows(pair[:, 1]), _flux_rows(np.zeros((3, grid.n), dtype=np.complex128))
+    (flux_re, _, flux_spec, _, d1), half_dt = first, 0.5 * dt
     bufs[0, 0] = problem.psi0.values
     hist[0] = np.real(problem.psi0.abs2().values) / q0
-    i_old = m_old = 0
+    vel, i_old, m_old = hist[:0], 0, 0  # no velocities before chunk 0's
 
     # stage c evolves chunk c (steps i0 .. i0 + m_new) while it transports chunk c - 1
     for c, i0 in enumerate([*range(0, n_steps, n_rows), n_steps]):
         new, m_new = bufs[c % 2], min(n_rows, n_steps - i0)
-        for r in range(1, max(m_new, m_old) + 1):
-            shared = r <= min(m_new, m_old)
-            if r <= m_new and not shared:
-                new[r] = step(new[r - 1])
-            if r <= m_old:
-                if shared:  # the split step and the first flux in one two-row FFT pair
-                    np.multiply(half_pot, new[r - 1], out=work[0, 0])
-                    np.multiply(vel[r - 1], hist[r - 1], out=work[0, 1])
-                    spec = _row_fft(work[0], out=work[1])
-                    # operand orders as in step and _flux_div: complex products do not commute bitwise
-                    np.multiply(kin, spec[0], out=spec[0])
-                    np.multiply(spec[1], mult, out=spec[1])
-                    np.multiply(half_pot, _row_ifft(spec, out=work[2])[0], out=new[r])
-                else:
-                    _flux_div(vel[r - 1], hist[r - 1], mult, work[:, 1])
-                _heun(hist[r - 1], work[2, 1].real, vel[r], dt, mult, work[:, 0], hist[r])
+        m = min(m_new, m_old)
+        # steps 1 .. m evolve and transport in one two-row FFT pair, with the operand orders of
+        # step and _flux_div (complex products do not commute bitwise); the rest do one of the two
+        for psi, psi1, h, h1, v, v1 in zip(new[:m], new[1:], hist, hist[1:], vel, vel[1:]):
+            np.multiply(half_pot, psi, out=evo_in)
+            np.multiply(v, h, out=flux_re)
+            _row_fft(pair_in, out=pair_spec)
+            np.multiply(kin, evo_spec, out=evo_spec)
+            np.multiply(flux_spec, mult, out=flux_spec)
+            _row_ifft(pair_spec, out=pair_out)
+            np.multiply(half_pot, evo_out, out=psi1)
+            _heun(h, d1, v1, dt, half_dt, mult, pred, h1)
+        for psi, psi1 in zip(new[m:m_new], new[m + 1 :]):
+            psi1[...] = step(psi)
+        for h, h1, v, v1 in zip(hist[m:m_old], hist[m + 1 :], vel[m:], vel[m + 1 :]):
+            _heun(h, _flux_div(v, h, mult, first), v1, dt, half_dt, mult, pred, h1)
 
         if m_old:  # compare chunk c - 1
             states, history = old[: m_old + 1], hist[: m_old + 1]
@@ -283,8 +296,9 @@ def born_pipeline(
         if m_new:  # the velocities of chunk c, for its transport in stage c + 1
             states, spec, dpsi = new[: m_new + 1], cwork[0, : m_new + 1], cwork[1, : m_new + 1]
             np.multiply(_row_fft(states, out=spec), mult, out=spec)
-            velocity, mask = log_derivative(states, _row_ifft(spec, out=dpsi), -1j * b**2)
-            vel, coverage = np.real(velocity), mask.mean(axis=1)
+            vel = v = v1 = None  # free chunk c - 1's spent velocities before chunk c's exist
+            vel, mask = log_derivative(states, _row_ifft(spec, out=dpsi), -1j * b**2)
+            vel, coverage = vel.real, mask.mean(axis=1)
             bufs[(c + 1) % 2, 0] = new[m_new]
         old, i_old, m_old = new, i0, m_new
 

@@ -750,6 +750,8 @@ def _run_variational(p: dict, seed: int):
     minimums={"n_algebra_trials": (">=", 1)},
 )
 def _run_ga_identities(p: dict, seed: int):
+    if not 0 < p["b"] < np.inf:  # at b = 0 the stretch is zero and nothing is checked
+        raise ValueError(f"noise amplitude b must be positive and finite, got {p['b']}")
     e1 = Multivector.basis("e1")
     e2 = Multivector.basis("e2")
     e12 = Multivector.basis("e12")

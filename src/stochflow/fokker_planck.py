@@ -63,11 +63,21 @@ def step_density(rho: np.ndarray, a: np.ndarray, b: float, dt: float, dx: float)
     Face ``i`` sits between cells ``i`` and ``i+1``; advection is upwinded
     on the face-averaged drift, diffusion is a central difference.
     """
-    rho_right = np.roll(rho, -1)
-    a_face = 0.5 * (a + np.roll(a, -1))
-    upwind = np.where(a_face >= 0, rho, rho_right)
+    a_face = _face_drift(a)
+    return _face_step(rho, a_face, a_face >= 0, b, dt, dx, *np.empty((2, rho.size)))
+
+
+def _face_drift(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + np.roll(a, -1))
+
+
+def _face_step(rho, a_face, from_left, b, dt, dx, rho_right, flux_left) -> np.ndarray:
+    """:func:`step_density` given the faces that upwind from the left and two scratch rows."""
+    rho_right[:-1], rho_right[-1] = rho[1:], rho[0]
+    upwind = np.where(from_left, rho, rho_right)
     flux = a_face * upwind - (b**2 / 2) * (rho_right - rho) / dx
-    return rho - (dt / dx) * (flux - np.roll(flux, 1))
+    flux_left[1:], flux_left[0] = flux[:-1], flux[-1]
+    return rho - (dt / dx) * (flux - flux_left)
 
 
 def _run(model: DiffusionModel, rho0: ScalarField, t_final: float, dt: float | None,
@@ -84,10 +94,11 @@ def _run(model: DiffusionModel, rho0: ScalarField, t_final: float, dt: float | N
     # the fewest steps that exceed dt by round-off at most: an explicit step must obey the CFL
     n_steps = max(1, int(np.ceil(t_final / dt * (1 - 1e-12))))
     dt = t_final / n_steps
-    a = drift_sign * np.asarray(model.drift(grid.axis), dtype=float)
+    a_face = _face_drift(drift_sign * np.asarray(model.drift(grid.axis), dtype=float))
+    from_left, (rho_right, flux_left) = a_face >= 0, np.empty((2, grid.n))
     rho = np.real(rho0.values).copy()
     for _ in range(n_steps):
-        rho = step_density(rho, a, model.b, dt, grid.dx)
+        rho = _face_step(rho, a_face, from_left, model.b, dt, grid.dx, rho_right, flux_left)
     return ScalarField(grid, rho)
 
 
@@ -127,9 +138,7 @@ def discrete_stationary_density(model: DiffusionModel, grid: GridSpec) -> Scalar
     """
     if grid.dim != 1:
         raise ValueError("stationary construction is one-dimensional")
-    x = grid.axis
-    a = np.real(np.asarray(model.drift(x), dtype=np.complex128))
-    a_face = 0.5 * (a + np.roll(a, -1))
+    a_face = _face_drift(np.real(np.asarray(model.drift(grid.axis), dtype=np.complex128)))
     d_over_dx = (model.b**2 / 2) / grid.dx
     ratio = a_face / d_over_dx
     log_factor = np.where(ratio >= 0, np.log1p(ratio), -np.log1p(-ratio))

@@ -3,8 +3,11 @@ never compute, kept out of the package.
 
 They are the free dispersion relation, the trap's energy ladder and time
 factor, the energy and norm of a wave function, every state of a split-step
-run and the node mask of the velocity extraction.
+run and the node mask of the velocity extraction; and the most memory a call
+holds at once, for the memory guards.
 """
+
+import tracemalloc
 
 import numpy as np
 
@@ -54,3 +57,17 @@ def node_mask(psi: ScalarField) -> np.ndarray:
     """Where ``|psi|`` clears the node floor of ``born.velocity_from_wavefunction``."""
     row = psi.values.reshape(1, -1)
     return log_derivative(row, row, 1.0)[1].reshape(psi.grid.shape)
+
+
+MB = 2**20
+
+
+def peak_bytes(run) -> int:
+    """The most memory ``run()`` holds at once beyond what is allocated before;
+    tracemalloc sees every numpy array buffer, so the count is deterministic."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

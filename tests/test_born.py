@@ -6,12 +6,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from oracles import node_mask, split_step_states, wavefunction_norm
-from stochflow.analytic import FreePacket
+from oracles import MB, node_mask, peak_bytes, split_step_states, wavefunction_norm
+from stochflow.analytic import FreePacket, HarmonicState
 from stochflow.born import (
     CHUNK_POINTS,
     BornReport,
     _flux_div,
+    _flux_rows,
     _heun,
     born_pipeline,
     evolve_density_continuity,
@@ -110,15 +111,16 @@ def test_transport_kernels_equal_the_public_fft_formulas_bit_for_bit(packet_setu
     mult = spectral_multiplier(grid)
     v0, v1 = pk.current_velocity(x, 0.1), pk.current_velocity(x, 0.1 + dt)
     rho = pk.density(x, 0.1)
-    work = np.empty((2, 3, grid.n), dtype=np.complex128)  # rows of _flux_div, per flux
+    # the flux rows start at zero: the kernels write only the real part of the flux row
+    first, pred = (_flux_rows(rows) for rows in np.zeros((2, 3, grid.n), dtype=np.complex128))
 
     def flux(v, r):
         return np.fft.ifft(np.fft.fft(v * r) * mult).real
 
-    d1 = _flux_div(v0, rho, mult, work[1])
+    d1 = _flux_div(v0, rho, mult, first)
     assert (d1 == flux(v0, rho)).all()
     out = np.empty(grid.n)
-    _heun(rho, d1, v1, dt, mult, work[0], out)
+    _heun(rho, d1, v1, dt, 0.5 * dt, mult, pred, out)
     assert (out == rho - 0.5 * dt * (d1 + flux(v1, rho - dt * d1))).all()
 
 
@@ -191,10 +193,15 @@ def _reference_report(problem, t_final, dt):
     )
 
 
-def _assert_matches_reference(packet_setup, n_steps):
+#: a free packet, and one in a trap, where the split step's potential phase
+#: ``half_pot`` is not all ones, as on ``born-harmonic``
+POTENTIALS = {"free": None, "harmonic": lambda x: 0.5 * (x - 12.0) ** 2}
+
+
+def _assert_matches_reference(packet_setup, n_steps, potential):
     grid, pk = packet_setup
     psi0 = ScalarField(grid, pk.psi(grid.axis, 0.0))
-    prob = SchrodingerProblem(b=pk.b, psi0=psi0)
+    prob = SchrodingerProblem(b=pk.b, psi0=psi0, potential=POTENTIALS[potential])
     dt = 1 / 1024
     rep = born_pipeline(prob, n_steps * dt, dt)
     ref = _reference_report(prob, n_steps * dt, dt)
@@ -207,19 +214,41 @@ def _assert_matches_reference(packet_setup, n_steps):
             assert got == want, f.name
 
 
-def test_born_pipeline_matches_per_snapshot_reference(packet_setup):
+@pytest.mark.parametrize("potential", POTENTIALS)
+def test_born_pipeline_matches_per_snapshot_reference(packet_setup, potential):
     # the step count crosses two chunk boundaries and ends inside a third
     # chunk, which pins the density and velocity carried across chunks
     chunk = CHUNK_POINTS // packet_setup[0].n
-    _assert_matches_reference(packet_setup, 2 * chunk + 37)
+    _assert_matches_reference(packet_setup, 2 * chunk + 37, potential)
 
 
-@pytest.mark.parametrize("chunks", ["single", "last-full"])
-def test_born_pipeline_matches_reference_at_chunk_edges(packet_setup, chunks):
+@pytest.mark.parametrize(
+    "chunks, potential",
+    [("single", "free"), ("last-full", "free"), ("single", "harmonic"), ("last-full", "harmonic")],
+    ids=["single", "last-full", "single-harmonic", "last-full-harmonic"],
+)
+def test_born_pipeline_matches_reference_at_chunk_edges(packet_setup, chunks, potential):
     # one partial chunk only (no stage evolves and transports at once), and a
     # last chunk that is exactly full (the final stage transports a whole chunk)
     chunk = CHUNK_POINTS // packet_setup[0].n
-    _assert_matches_reference(packet_setup, 37 if chunks == "single" else 2 * chunk)
+    _assert_matches_reference(packet_setup, 37 if chunks == "single" else 2 * chunk, potential)
+
+
+@pytest.mark.parametrize("chunks", [3, 9])
+def test_born_pipeline_peaks_at_its_chunk_scratch(chunks):
+    # per chunk of K + 1 rows it holds two state buffers, two rows of extraction
+    # scratch and the velocities, all complex, and the history and two rows of
+    # compare scratch, all real; beyond them only the per-step stats grow with the run
+    grid = GridSpec(dim=1, length=16.0, n=128)
+    state = HarmonicState(b=1.0, omega=1.0, centre=8.0)
+    psi0 = ScalarField(grid, state.eigenfunction(grid.axis, 0).astype(np.complex128))
+    prob = SchrodingerProblem(b=1.0, psi0=psi0, potential=state.potential)
+    k = CHUNK_POINTS // grid.n
+    n_steps, dt = chunks * k, 1e-3
+    scratch = (k + 1) * grid.n * (5 * 16 + 3 * 8)
+    stats = (n_steps + 1) * 6 * 8
+    peak = peak_bytes(lambda: born_pipeline(prob, n_steps * dt, dt))
+    assert peak <= scratch + stats + MB, (peak, scratch + stats)
 
 
 def test_born_pipeline_rejects_non_finite_evolution(packet_setup):

@@ -105,12 +105,13 @@ def test_step_count_is_the_fewest_steps_no_longer_than_dt(monkeypatch):
     dt = cfl_timestep(model, grid)
     assert 100 * dt / dt > 100
     steps = []
+    face_step = fokker_planck._face_step
 
-    def counted_step(rho, a, b, step, dx):
+    def counted_step(rho, a_face, from_left, b, step, dx, rho_right, flux_left):
         steps.append(step)
-        return step_density(rho, a, b, step, dx)
+        return face_step(rho, a_face, from_left, b, step, dx, rho_right, flux_left)
 
-    monkeypatch.setattr(fokker_planck, "step_density", counted_step)
+    monkeypatch.setattr(fokker_planck, "_face_step", counted_step)
     rho = discrete_stationary_density(model, grid)
     for solve in (solve_forward, solve_backward):
         for t_final, n_steps in ((100 * dt, 100), (100.5 * dt, 101), (100 * dt * (1 + 1e-9), 101)):
@@ -118,6 +119,24 @@ def test_step_count_is_the_fewest_steps_no_longer_than_dt(monkeypatch):
             solve(model, rho, t_final, dt=dt)
             assert len(steps) == n_steps, (solve.__name__, t_final / dt)
             assert max(steps) <= dt * (1 + 1e-12)
+
+
+def test_solvers_equal_a_loop_of_the_public_step_bit_for_bit():
+    # the solvers derive the face drift and the upwind side once per run; the
+    # public step derives them every step, on a drift whose faces take both signs
+    grid = GridSpec(dim=1, length=2 * np.pi, n=128)
+    model = _sine_model(c=1.3)
+    rho0 = ScalarField(grid, 1 + 0.5 * np.cos(grid.axis - 0.3))
+    n_steps = 60
+    t_final = n_steps * cfl_timestep(model, grid)
+    for solve, sign in ((solve_forward, 1.0), (solve_backward, -1.0)):
+        a = sign * model.drift(grid.axis)
+        a_face = 0.5 * (a + np.roll(a, -1))
+        assert (a_face > 0).any() and (a_face < 0).any()
+        rho = rho0.values.real.copy()
+        for _ in range(n_steps):
+            rho = step_density(rho, a, model.b, t_final / n_steps, grid.dx)
+        assert (solve(model, rho0, t_final).values.real == rho).all(), solve.__name__
 
 
 def test_solvers_take_a_real_one_dimensional_density():

@@ -42,6 +42,7 @@ ALLOWED = {
     ("born", "normalize_wavefunction"): "README claim (gauge invariance), awaiting an experiment check",
     ("born", "madelung_wavefunction"): "README claim (Madelung round trip), awaiting an experiment check",
     ("born", "evolve_density_continuity"): "traced by bench/spans.py; oracle of the Born reference test",
+    ("fokker_planck", "step_density"): "the solvers' step in public form; their bit-for-bit reference",
 }
 
 #: public methods kept although nothing in the package loads them

@@ -1,10 +1,9 @@
 """Monte Carlo engine: path statistics checked against exact diffusion laws."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
+from oracles import MB, peak_bytes
 from stochflow import sde
 from stochflow.analytic import ou_mean_variance
 from stochflow.experiments import _velocity_window
@@ -338,24 +337,10 @@ def test_in_place_step_is_safe_for_a_drift_that_returns_its_argument(drift):
     assert np.array_equal(ens.q2_sum, q2_sum)
 
 
-MB = 2**20
-
-
-def _peak_bytes(run) -> int:
-    """The most memory ``run()`` holds at once beyond what is allocated before;
-    tracemalloc sees every numpy array buffer, so the count is deterministic."""
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_complex_increments_hold_two_copies_of_dz_at_most():
     # dZ and one product of it; the real draws never live beside both
     n = 200_000
-    peak = _peak_bytes(lambda: sample_complex_increments(1.0, 0.5, 0.01, n, 3))
+    peak = peak_bytes(lambda: sample_complex_increments(1.0, 0.5, 0.01, n, 3))
     assert peak <= 2 * 16 * n + MB, peak
 
 
@@ -365,5 +350,5 @@ def test_velocity_estimate_holds_one_pooled_copy_at_most():
     window = _velocity_window(0.05, 1e-3, 10)
     ens = simulate_forward(OU, 0.0, 0.05, 1e-3, 25_000, 5, window=window)
     pooled = ens.paths[:, 1:-1].nbytes
-    peak = _peak_bytes(lambda: estimate_velocities(ens, min_count=500))
+    peak = peak_bytes(lambda: estimate_velocities(ens, min_count=500))
     assert peak <= pooled + 2 * MB, (peak, pooled)
