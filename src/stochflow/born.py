@@ -12,12 +12,17 @@ unitary evolution).  No quadratic form is assumed by the transport step;
 the modulus-squared rule is an output, not an input.
 
 The pipeline streams the evolution through plain arrays in chunks of K =
-``max(1, CHUNK_POINTS // n)`` steps on n points (:func:`born_pipeline`), so
-memory is O(K n), not O(steps n), with the chunk scratch allocated once.  It
-takes ``round(t_final/dt)`` split steps of :mod:`stochflow.schrodinger`, the
-same as ``evolve``, at four row FFT calls (``fields._row_fft``) and twelve
-elementwise calls per step; no product casts float to complex, and no step
-builds a scratch view.
+``max(1, CHUNK_POINTS // n)`` steps on n points (:func:`born_pipeline`), 64
+steps at n = 128 and 16 at n = 512.  Its memory is the chunk scratch, O(K n)
+and allocated once, plus the 24 bytes per step of the ``(t, gap, relative
+gap)`` series it returns: mass drift, norm drift and node coverage are reduced
+chunk by chunk.  It takes ``round(t_final/dt)`` split steps of
+:mod:`stochflow.schrodinger`, the same as ``evolve``, at four row FFT calls
+(``fields._row_fft``) and twelve elementwise calls per step; no product casts
+float to complex, and no step builds a scratch view.  A chunk's velocity
+extraction and comparison add about 40 batched calls, whatever K is; at K = 64
+that is under one call per step against the 16, while the scratch (0.85 MB at
+n = 128) stays within a 2 MB L2 cache.  Larger chunks only spend memory.
 
 Supporting pieces:
 
@@ -26,9 +31,7 @@ Supporting pieces:
   so near-zeros of ``F`` are masked instead of silently amplified;
 * the inverse (Madelung) construction ``F = sqrt(rho) exp(i theta)`` with
   ``theta' = v / b^2``, including the winding number of a nonzero mean
-  velocity on the circle;
-* the scale/phase gauge ``F -> h F / sqrt(|h|^2 q)`` under which the
-  pipeline is exactly invariant.
+  velocity on the circle.
 """
 
 from __future__ import annotations
@@ -60,14 +63,14 @@ __all__ = [
     "VelocityDecomposition",
     "BornReport",
     "velocity_from_wavefunction",
-    "normalize_wavefunction",
     "madelung_wavefunction",
     "evolve_density_continuity",
     "born_pipeline",
 ]
 
-#: points per chunk of the pipeline: K = max(1, CHUNK_POINTS // n) steps, 1 MB per state buffer
-CHUNK_POINTS = 2**16
+#: points per chunk, K = max(1, CHUNK_POINTS // n) steps: the knee of the peak memory, swept
+#: over 2**16 .. 2**12 at flat wall time: one born-harmonic run rose 8.9 MB at 2**16, 2.7 at 2**13
+CHUNK_POINTS = 2**13
 
 
 @dataclass(frozen=True)
@@ -96,22 +99,6 @@ def velocity_from_wavefunction(psi: ScalarField, b: float) -> VelocityDecomposit
         current=ScalarField(grid, np.real(v)),
         osmotic=ScalarField(grid, -np.imag(v)),
     )
-
-
-def normalize_wavefunction(psi: ScalarField, h: complex = 1.0) -> tuple[ScalarField, float]:
-    """Gauge map ``F -> h F / sqrt(|h|^2 q)`` with ``q = integral F F*``.
-
-    Returns the unit-norm representative and ``q``.  Any complex ``h != 0``
-    gives the same density, which is what makes the pipeline well defined
-    on rays rather than on individual wave functions.
-    """
-    if h == 0:
-        raise ValueError("gauge factor h must be nonzero")
-    q = float(np.real(integrate(psi.abs2())))
-    if q <= 0:
-        raise ValueError("wave function has zero norm")
-    scaled = (h / np.sqrt(abs(h) ** 2 * q)) * psi.values
-    return ScalarField(psi.grid, scaled), q
 
 
 def madelung_wavefunction(rho: ScalarField, current: ScalarField, b: float) -> ScalarField:
@@ -223,15 +210,19 @@ def born_pipeline(
     """Run the full verification loop on one one-dimensional wave-equation problem.
 
     The evolution is streamed in chunks of K = ``max(1, CHUNK_POINTS // n)``
-    steps, so memory is O(K n), not O(steps n).  One loop evolves chunk c
-    while it transports the density through chunk c - 1 by the continuity
-    equation alone, with the velocities of that chunk's states extracted by
-    one batched FFT; where both run, the evolution step and the first flux
-    share one two-row FFT pair: 4 row-FFT and 12 elementwise calls, with no
-    casting product and no scratch view built.  Every step is compared against
-    ``F F* / q``; non-finite states or densities raise ``ValueError``.  The complex
-    density-transport residuals are evaluated at the midpoint snapshot
-    triple, the only states kept beyond a chunk.
+    steps, so memory is O(K n) of scratch plus 24 bytes per step for the
+    returned series, not O(steps n): mass drift, norm drift and least node
+    coverage are running extremes, updated once per chunk, and a chunk's
+    velocities are kept real, their complex form freed once extracted.  One
+    loop evolves chunk c while it transports the density through chunk c - 1
+    by the continuity equation alone, with the velocities of that chunk's
+    states extracted by one batched FFT; where both run, the evolution step
+    and the first flux share one two-row FFT pair: 4 row-FFT and 12
+    elementwise calls, with no casting product and no scratch view built.
+    Every step is compared against ``F F* / q``; non-finite states or
+    densities raise ``ValueError``.  The complex density-transport residuals
+    are evaluated at the midpoint snapshot triple, the only states kept
+    beyond a chunk.
     """
     n_steps, dt, step = _stepper(problem, t_final, dt)
     mid = n_steps // 2
@@ -241,20 +232,20 @@ def born_pipeline(
     mult = spectral_multiplier(grid)
     half_pot, kin = _split_factors(problem, dt)
     q0 = float(np.real(integrate(problem.psi0.abs2())))
-    # per step: t, gap, relative gap, transported mass, norm, node coverage
-    stats = np.empty((n_steps + 1, 6))
-    kept = {}
+    stats = np.empty((n_steps + 1, 3))  # per step: t, gap, relative gap
+    mass_drift = norm_drift = 0.0
+    min_coverage, kept = 1.0, {}
     n_rows = max(1, CHUNK_POINTS // grid.n)
     bufs = np.empty((2, n_rows + 1, grid.n), dtype=np.complex128)
-    hist = np.empty((n_rows + 1, grid.n))
-    cwork, rwork = np.empty_like(bufs), np.empty((2, *hist.shape))  # extract and compare scratch
+    cwork = np.empty_like(bufs[0])  # compare products, then extraction spectra
+    hist, targets, diffs, vels = np.empty((4, n_rows + 1, grid.n))
     pair = np.zeros((3, 2, grid.n), dtype=np.complex128)  # in, spectrum, inverse of (psi, flux)
     (pair_in, pair_spec, pair_out), (evo_in, evo_spec, evo_out) = pair, pair[:, 0]
     first, pred = _flux_rows(pair[:, 1]), _flux_rows(np.zeros((3, grid.n), dtype=np.complex128))
     (flux_re, _, flux_spec, _, d1), half_dt = first, 0.5 * dt
     bufs[0, 0] = problem.psi0.values
     hist[0] = np.real(problem.psi0.abs2().values) / q0
-    vel, i_old, m_old = hist[:0], 0, 0  # no velocities before chunk 0's
+    vel, i_old, m_old = vels[:0], 0, 0  # no velocities before chunk 0's
 
     # stage c evolves chunk c (steps i0 .. i0 + m_new) while it transports chunk c - 1
     for c, i0 in enumerate([*range(0, n_steps, n_rows), n_steps]):
@@ -276,9 +267,9 @@ def born_pipeline(
         for h, h1, v, v1 in zip(hist[m:m_old], hist[m + 1 :], vel[m:], vel[m + 1 :]):
             _heun(h, _flux_div(v, h, mult, first), v1, dt, half_dt, mult, pred, h1)
 
-        if m_old:  # compare chunk c - 1
-            states, history = old[: m_old + 1], hist[: m_old + 1]
-            prod, target, diff = cwork[0, : m_old + 1], rwork[0, : m_old + 1], rwork[1, : m_old + 1]
+        if m_old:  # compare chunk c - 1, reducing its drifts to the running extremes
+            states, history, prod = old[: m_old + 1], hist[: m_old + 1], cwork[: m_old + 1]
+            target, diff = targets[: m_old + 1], diffs[: m_old + 1]
             if not (np.isfinite(states).all() and np.isfinite(history).all()):
                 raise ValueError("field contains non-finite entries")
             np.multiply(states, np.conjugate(states, out=prod), out=prod)
@@ -288,17 +279,23 @@ def born_pipeline(
             gap = np.max(np.abs(np.subtract(history, target, out=diff), out=diff), axis=1)
             stats[i_old : i_old + m_old + 1] = np.column_stack([
                 dt * np.arange(i_old, i_old + m_old + 1, dtype=float), gap,
-                gap / target.max(axis=1), history.sum(axis=1) * grid.dx, np.sqrt(q), coverage,
+                gap / target.max(axis=1),
             ])
+            mass, norm = history.sum(axis=1) * grid.dx, np.sqrt(q)
+            if i_old == 0:
+                mass0, norm0 = mass[0], norm[0]
+            mass_drift = max(mass_drift, float(np.max(np.abs(mass - mass0))))
+            norm_drift = max(norm_drift, float(np.max(np.abs(norm - norm0))))
             for k in range(max(i_old, mid - 1), min(i_old + m_old, mid + 1) + 1):
                 kept[k] = ScalarField(grid, states[k - i_old].copy())
             rho = hist[0] = history[-1].copy()
-        if m_new:  # the velocities of chunk c, for its transport in stage c + 1
-            states, spec, dpsi = new[: m_new + 1], cwork[0, : m_new + 1], cwork[1, : m_new + 1]
+        if m_new:  # the real velocities of chunk c, for its transport in stage c + 1
+            states, spec, vel = new[: m_new + 1], cwork[: m_new + 1], vels[: m_new + 1]
             np.multiply(_row_fft(states, out=spec), mult, out=spec)
-            vel = v = v1 = None  # free chunk c - 1's spent velocities before chunk c's exist
-            vel, mask = log_derivative(states, _row_ifft(spec, out=dpsi), -1j * b**2)
-            vel, coverage = vel.real, mask.mean(axis=1)
+            velocity, mask = log_derivative(states, _row_ifft(spec, out=spec), -1j * b**2)
+            vel[...] = velocity.real
+            min_coverage = min(min_coverage, float(mask.mean(axis=1).min()))
+            del velocity, mask  # no complex velocity outlives its extraction: transport reads v
             bufs[(c + 1) % 2, 0] = new[m_new]
         old, i_old, m_old = new, i0, m_new
 
@@ -312,13 +309,13 @@ def born_pipeline(
         sup_density_error=float(stats[:, 1].max()),
         sup_relative_error=float(stats[:, 2].max()),
         final_density_error=float(gap[-1]),
-        mass_drift=float(np.max(np.abs(stats[:, 3] - stats[0, 3]))),
-        norm_drift=float(np.max(np.abs(stats[:, 4] - stats[0, 4]))),
-        min_coverage=float(stats[:, 5].min()),
+        mass_drift=mass_drift,
+        norm_drift=norm_drift,
+        min_coverage=min_coverage,
         fp_forward=complex_fp_residual(*rho_tri, dec.complex_velocity, b, dt, variant="forward"),
         fp_conjugate=complex_fp_residual(*rho_tri, dec.complex_velocity, b, dt, variant="conjugate"),
         continuity=continuity_residual(*rho_tri, dec.current, dt),
         osmotic=osmotic_constraint_residual(rho_tri[1], dec.osmotic, b),
-        discrepancy_series=stats[:, :3].copy(),
+        discrepancy_series=stats,
         final_profiles=np.stack([rho, target[-1]]),
     )

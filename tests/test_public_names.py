@@ -39,7 +39,6 @@ SRC = Path(stochflow.__file__).parent
 
 #: public names kept although nothing in the package loads them
 ALLOWED = {
-    ("born", "normalize_wavefunction"): "README claim (gauge invariance), awaiting an experiment check",
     ("born", "madelung_wavefunction"): "README claim (Madelung round trip), awaiting an experiment check",
     ("born", "evolve_density_continuity"): "traced by bench/spans.py; oracle of the Born reference test",
     ("fokker_planck", "step_density"): "the solvers' step in public form; their bit-for-bit reference",
