@@ -20,9 +20,9 @@ chunk by chunk.  It takes ``round(t_final/dt)`` split steps of
 :mod:`stochflow.schrodinger`, the same as ``evolve``, at four row FFT calls
 (``fields._row_fft``) and twelve elementwise calls per step; no product casts
 float to complex, and no step builds a scratch view.  A chunk's velocity
-extraction and comparison add about 40 batched calls, whatever K is; at K = 64
-that is under one call per step against the 16, while the scratch (0.85 MB at
-n = 128) stays within a 2 MB L2 cache.  Larger chunks only spend memory.
+extraction and comparison add a few dozen batched calls, whatever K is; at K =
+64 that is under one call per step against the 16, while the scratch (0.85 MB
+at n = 128) stays within a 2 MB L2 cache.  Larger chunks only spend memory.
 
 Supporting pieces:
 
@@ -68,8 +68,8 @@ __all__ = [
     "born_pipeline",
 ]
 
-#: points per chunk, K = max(1, CHUNK_POINTS // n) steps: the knee of the peak memory, swept
-#: over 2**16 .. 2**12 at flat wall time: one born-harmonic run rose 8.9 MB at 2**16, 2.7 at 2**13
+#: points per chunk, K = max(1, CHUNK_POINTS // n) steps: the knee of the peak memory against
+#: chunk size at flat wall time; the per-chunk calls stay amortised over K steps
 CHUNK_POINTS = 2**13
 
 
