@@ -6,11 +6,26 @@ alone, and are integrated with forward Euler-Maruyama in one loop,
 stores only the window of time columns the caller asks for (by default all
 of them), and keeps per-path running sums of ``q = (dX)^2 / dt`` and
 ``q^2`` over every step, which is all the quadratic-variation and action
-estimators read.  Each step is fused: the normals are drawn into one buffer,
-and ``q`` and ``q^2`` go into buffers allocated once.  A drift may broadcast
-the state to a leading batch axis, such as one member per parameter of a
-sweep; the members share the initial samples and every per-step draw, so
-each trajectory is bit-identical to a separate run.
+estimators read.  A drift may broadcast the state to a leading batch axis,
+such as one member per parameter of a sweep; the members share the initial
+samples and every per-step draw, so each trajectory is bit-identical to a
+separate run.
+
+A drift must be pointwise along the path axis: ``drift(x)[..., p]`` reads
+only ``x[..., p]``.  Each step then goes over blocks of paths that hold,
+batch included, ``BLOCK_VALUES // 4`` values (128 KiB an array), so that
+the nine or so arrays a block touches stay in a core's L2 cache instead of
+streaming whole-ensemble arrays through memory.  The caller's thread and
+one helper thread per further CPU the process may use
+(``os.sched_getaffinity``) claim the blocks of a step from one shared
+iterator, and meet at a barrier when the step is done.  The caller's
+thread alone draws the normals, in the order of one whole-array draw per
+step, one step ahead into a second buffer, so the draws overlap the
+arithmetic.  Every element sees the same ufunc sequence whatever the
+blocks and the number of threads, so the output is the same bit for bit on
+any machine.  All buffers are allocated once, on the caller's thread; with
+one CPU or one block no helper starts, and none outlives the call.  An
+error in a helper is raised in the caller.
 
 ``estimate_velocities`` conditions the forward difference and the backward
 one, ``X(t) - X(t - dt)``, on the position at the same step.  It bins one
@@ -35,7 +50,10 @@ explicit integer seed; repeated runs are bit-identical.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -125,6 +143,14 @@ def _initial_samples(x0, n_paths: int, rng: np.random.Generator) -> np.ndarray:
     return arr.copy()
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def simulate_forward(
     model: DiffusionModel,
     x0,
@@ -143,39 +169,97 @@ def simulate_forward(
     broadcast the state to leading batch axes, e.g. ``theta[:, None] *
     sin(x)``: every batch member then sees the same initial samples and the
     same per-step draws, so its trajectory is bit-identical to a separate
-    run with that member's drift.
+    run with that member's drift.  The drift must be pointwise along the
+    path axis: ``drift(x)[..., p]`` reads only ``x[..., p]``.
     """
     m, dt = time_steps(t_final, dt)
     first, stop = (0, m + 1) if window is None else window
     if not 0 <= first <= stop <= m + 1:
         raise ValueError(f"window {window} is not within the {m + 1} mesh columns")
     rng = make_rng(seed)
-    x = _initial_samples(x0, n_paths, rng)
-    scale = model.b * np.sqrt(dt)
-    noise = np.empty(n_paths)
-    for k in range(m):
+    start = _initial_samples(x0, n_paths, rng)
+    drift, scale = model.drift, model.b * np.sqrt(dt)
+    # one path's drift fixes the batch shape, so that all memory is
+    # allocated here, on the caller's thread: buffers that helper threads
+    # allocate stay resident in glibc's per-thread arenas
+    batch = np.shape(drift(start[:1]))[:-1]
+    x = np.empty(batch + (n_paths,))
+    paths = np.empty(batch + (n_paths, stop - first))
+    q_sum = np.zeros(x.shape)
+    q2_sum = np.zeros(x.shape)
+    # paths a block: a quarter of BLOCK_VALUES keeps a block's arrays in L2
+    width = max(1, BLOCK_VALUES // 4 // max(1, math.prod(batch)))
+    blocks = [slice(p, min(p + width, n_paths)) for p in range(0, n_paths, width)]
+    n_threads = max(1, min(_cpu_count(), len(blocks)))
+    scratch = [np.empty((3,) + batch + (min(width, n_paths),)) for _ in range(n_threads)]
+    noise, ahead = np.empty(n_paths), np.empty(n_paths)
+    rng.standard_normal(out=noise)
+    k, claim = 0, iter(blocks)
+
+    def step_block(cols: slice, nxt, q, q2) -> None:
+        size = cols.stop - cols.start
+        nxt, q, q2 = nxt[..., :size], q[..., :size], q2[..., :size]
+        here = start[cols] if k == 0 else x[..., cols]
         # x + drift(x) dt + b sqrt(dt) noise, in that order; the product
-        # allocates, since a drift may return its argument
-        x_next = np.multiply(model.drift(x), dt)
-        x_next += x
-        rng.standard_normal(out=noise)
-        noise *= scale
-        x_next += noise
-        if k == 0:  # the first step fixes the batch shape
-            paths = np.empty(x_next.shape + (stop - first,))
-            q_sum = np.zeros(x_next.shape)
-            q2_sum = np.zeros(x_next.shape)
-            q = np.empty(x_next.shape)
-            q2 = np.empty(x_next.shape)
+        # goes to scratch, since a drift may return its argument
+        np.multiply(drift(here), dt, out=nxt)
+        nxt += here
+        dw = noise[cols]
+        dw *= scale
+        nxt += dw
         if first <= k < stop:
-            paths[..., k - first] = x
-        np.subtract(x_next, x, out=q)
+            paths[..., cols, k - first] = here
+        np.subtract(nxt, here, out=q)
         np.square(q, out=q)
         q /= dt
-        q_sum += q
+        q_sum[..., cols] += q
         np.multiply(q, q, out=q2)
-        q2_sum += q2
-        x = x_next
+        q2_sum[..., cols] += q2
+        x[..., cols] = nxt
+
+    def next_step() -> None:  # the barrier's action, once every block is done
+        nonlocal k, claim, noise, ahead
+        k, claim, noise, ahead = k + 1, iter(blocks), ahead, noise
+
+    barrier = threading.Barrier(n_threads, action=next_step)
+
+    def run_steps(nxt, q, q2, draws: bool) -> None:
+        while k < m:
+            if draws and k + 1 < m:  # the next step's normals, while helpers work
+                rng.standard_normal(out=ahead)
+            for cols in claim:
+                step_block(cols, nxt, q, q2)
+            barrier.wait()
+
+    errors: list[BaseException] = []
+
+    def helper(buffers) -> None:
+        try:
+            run_steps(*buffers, draws=False)
+        except threading.BrokenBarrierError:
+            pass
+        except BaseException as exc:  # re-raised by the caller, not printed here
+            errors.append(exc)
+            barrier.abort()
+
+    # each helper runs in a copy of the caller's context, so numpy's
+    # errstate holds there too
+    helpers = [
+        threading.Thread(target=contextvars.copy_context().run, args=(helper, buffers), daemon=True)
+        for buffers in scratch[1:]
+    ]
+    for thread in helpers:
+        thread.start()
+    try:
+        run_steps(*scratch[0], draws=True)
+    except threading.BrokenBarrierError:
+        pass  # a helper failed, and its error is raised below
+    finally:
+        barrier.abort()
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
     if first <= m < stop:
         paths[..., m - first] = x
     return PathEnsemble(

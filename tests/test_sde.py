@@ -1,5 +1,10 @@
 """Monte Carlo engine: path statistics checked against exact diffusion laws."""
 
+import itertools
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -308,11 +313,16 @@ def test_complex_increment_blocks_equal_one_draw_bit_for_bit(monkeypatch, shape)
 
 
 def _euler_maruyama_reference(drift, b, x0, t_final, dt, n_paths, seed):
-    """The step x + drift(x) dt + b sqrt(dt) noise as one expression, with
-    every column stored and the running sums of q = (dX)^2 / dt and q^2."""
+    """The step x + drift(x) dt + b sqrt(dt) noise as one whole-array
+    expression, with every column stored and the running sums of
+    q = (dX)^2 / dt and q^2; ``x0`` is a constant or ('gaussian', mean,
+    std), and a drift may broadcast the state to leading batch axes."""
     m, dt = time_steps(t_final, dt)
     rng = make_rng(seed)
-    x = np.full(n_paths, x0)
+    if isinstance(x0, tuple):
+        x = x0[1] + x0[2] * rng.standard_normal(n_paths)
+    else:
+        x = np.full(n_paths, x0)
     columns, q_sum, q2_sum = [x], 0.0, 0.0
     for _ in range(m):
         x_next = x + drift(x) * dt + b * np.sqrt(dt) * rng.standard_normal(n_paths)
@@ -320,21 +330,127 @@ def _euler_maruyama_reference(drift, b, x0, t_final, dt, n_paths, seed):
         q_sum, q2_sum = q_sum + q, q2_sum + q * q
         x = x_next
         columns.append(x)
-    return np.stack(columns, axis=-1), q_sum, q2_sum
+    return np.stack(np.broadcast_arrays(*columns), axis=-1), q_sum, q2_sum
 
 
 @pytest.mark.parametrize(
     "drift", [lambda x: x, lambda x: x[...], lambda x: x[::-1]], ids=["argument", "view", "reversed"]
 )
 def test_in_place_step_is_safe_for_a_drift_that_returns_its_argument(drift):
-    # the step adds into a fresh array, so a drift that returns x (or a view
-    # of it) is not overwritten before it is read
+    # the step adds into scratch, so a drift that returns x (or a view of
+    # it) is not overwritten before it is read; the reversed drift reads
+    # other paths, which the contract forbids, and matches the reference
+    # only because the 101 paths fit in one block
     args = (0.5, 0.2, 1e-2, 101, 12)
     ens = simulate_forward(DiffusionModel(drift=drift, b=1.3), *args)
     paths, q_sum, q2_sum = _euler_maruyama_reference(drift, 1.3, *args)
     assert np.array_equal(ens.paths, paths)
     assert np.array_equal(ens.q_sum, q_sum)
     assert np.array_equal(ens.q2_sum, q2_sum)
+
+
+THETAS = np.linspace(-1.0, 1.0, 5)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize(
+    "drift", [lambda x: -x, lambda x: THETAS[:, None] * np.sin(x)], ids=["unbatched", "batched"]
+)
+@pytest.mark.parametrize(
+    "t_final, window", [(0.2, (0, 0)), (0.2, None), (0.2, (7, 12)), (0.01, None)],
+    ids=["no-columns", "full", "interior", "one-step"],
+)
+def test_blocked_threaded_steps_equal_the_reference_bit_for_bit(
+    monkeypatch, workers, drift, t_final, window
+):
+    # 140 // 4 values a block: 103 paths make 2 blocks of 35 and a ragged
+    # one of 33, or 14 blocks of 7 paths by 5 drifts and a ragged one of 5
+    monkeypatch.setattr(sde, "BLOCK_VALUES", 140)
+    monkeypatch.setattr(sde, "_cpu_count", lambda: workers)
+    callers = set()
+
+    def pausing(x):
+        # the caller's thread pauses, so that helpers claim blocks too
+        callers.add(threading.get_ident())
+        if threading.current_thread() is threading.main_thread():
+            time.sleep(1e-3)
+        return drift(x)
+
+    args = (("gaussian", 0.5, 1.0), t_final, 1e-2, 103, 41)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads trade the interpreter often
+    try:
+        ens = simulate_forward(DiffusionModel(drift=pausing, b=1.3), *args, window=window)
+    finally:
+        sys.setswitchinterval(interval)
+    paths, q_sum, q2_sum = _euler_maruyama_reference(drift, 1.3, *args)
+    first, stop = window or (0, paths.shape[-1])
+    assert ens.paths.shape == paths[..., first:stop].shape
+    assert np.array_equal(ens.paths, paths[..., first:stop])
+    assert np.array_equal(ens.q_sum, q_sum)
+    assert np.array_equal(ens.q2_sum, q2_sum)
+    assert (len(callers) > 1) == (workers > 1)
+
+
+def test_an_error_in_a_helper_is_raised_in_the_caller(monkeypatch, capfd):
+    class Broken(Exception):
+        pass
+
+    # 8 blocks a step and one probe call before the first
+    monkeypatch.setattr(sde, "BLOCK_VALUES", 4 * 25)
+    monkeypatch.setattr(sde, "_cpu_count", lambda: 3)
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    barriers = []
+
+    class RecordedBarrier(threading.Barrier):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            barriers.append(self)
+
+    monkeypatch.setattr(threading, "Barrier", RecordedBarrier)
+    calls = itertools.count()
+
+    def drift(x):
+        step = (next(calls) - 1) // 8
+        if threading.current_thread() is caller:
+            time.sleep(1e-4)  # so that the helpers claim blocks
+        elif step >= 3:
+            raise Broken(f"step {step}")
+        return -x
+
+    raised = []
+
+    def call():
+        with pytest.raises(Broken):
+            simulate_forward(DiffusionModel(drift=drift, b=1.0), 0.0, 0.5, 1e-2, 200, 3)
+        raised.append(True)
+
+    before = threading.active_count()
+    caller = threading.Thread(target=call)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive() and raised == [True]
+    assert threading.active_count() == before
+    assert hooked == []
+    assert len(barriers) == 1 and barriers[0].n_waiting == 0
+    assert capfd.readouterr().err == ""
+
+
+def test_batched_steps_hold_no_whole_batch_temporary(monkeypatch):
+    # the variational sweep: 21 drifts over 20,000 paths, only running sums
+    # kept; the state and the two sums, the initial samples and two noise
+    # buffers, and a few block-sized arrays per thread
+    n_theta, n_paths, workers = 21, 20_000, 2
+    monkeypatch.setattr(sde, "_cpu_count", lambda: workers)
+    thetas = np.linspace(-1.0, 1.0, n_theta)
+    family = DiffusionModel(drift=lambda x: thetas[:, None] * np.sin(x), b=1.0)
+    make_rng(0).standard_normal()  # numpy.random loads on the first draw
+    peak = peak_bytes(
+        lambda: simulate_forward(family, ("gaussian", np.pi, 1.0), 0.05, 1e-2, n_paths, 5, window=(0, 0))
+    )
+    bound = 8 * (3 * n_theta * n_paths + 3 * n_paths + 2 * workers * sde.BLOCK_VALUES) + 64 * 1024
+    assert peak <= bound, (peak, bound)
 
 
 def test_complex_increments_hold_two_copies_of_dz_at_most():
