@@ -19,7 +19,7 @@ from .analytic import (
     FreePacket, HarmonicState, burgers_single_mode, burgers_tanh_wave, gaussian_density,
     ou_mean_variance,
 )
-from .born import born_pipeline
+from .born import BornReport, born_pipeline
 from .burgers import (
     BurgersProblem, heat_evolve_spectral, inversion_diagnostic, real_chain_residual, solve_burgers,
 )
@@ -94,6 +94,13 @@ def _free_packet_problem(n: int, p: dict) -> SchrodingerProblem:
     return SchrodingerProblem(b=p["b"], psi0=psi0)
 
 
+def _discrepancy_csv(rep: BornReport) -> tuple[list[str], list[tuple]]:
+    """The Born report's gap series, thinned to about 512 rows."""
+    series = rep.discrepancy_series
+    stride = max(1, series.shape[0] // 512)
+    return ["t", "sup_gap", "relative_gap"], [tuple(row) for row in series[::stride]]
+
+
 @_experiment(
     "born-free",
     defaults={
@@ -145,13 +152,8 @@ def _run_born_free(p: dict, seed: int):
         "continuity_residual": rep.continuity.l_inf,
     }
     grid = GridSpec(dim=1, length=p["length"], n=p["n"])
-    series = rep.discrepancy_series
-    stride = max(1, series.shape[0] // 512)
     csvs = {
-        "discrepancy_series.csv": (
-            ["t", "sup_gap", "relative_gap"],
-            [tuple(row) for row in series[::stride]],
-        ),
+        "discrepancy_series.csv": _discrepancy_csv(rep),
         "final_density.csv": (
             ["x", "rho_transport", "rho_quadratic"],
             list(zip(grid.axis, rep.final_profiles[0], rep.final_profiles[1])),
@@ -198,15 +200,7 @@ def _run_born_harmonic(p: dict, seed: int):
         "t_final": rep.t_final,
         "dt": rep.dt,
     }
-    series = rep.discrepancy_series
-    stride = max(1, series.shape[0] // 512)
-    csvs = {
-        "discrepancy_series.csv": (
-            ["t", "sup_gap", "relative_gap"],
-            [tuple(row) for row in series[::stride]],
-        ),
-    }
-    return checks, metrics, csvs
+    return checks, metrics, {"discrepancy_series.csv": _discrepancy_csv(rep)}
 
 
 # -- colehopf-1d ------------------------------------------------------------

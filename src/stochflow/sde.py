@@ -15,17 +15,18 @@ A drift must be pointwise along the path axis: ``drift(x)[..., p]`` reads
 only ``x[..., p]``.  Each step then goes over blocks of paths that hold,
 batch included, ``BLOCK_VALUES // 4`` values (128 KiB an array), so that
 the nine or so arrays a block touches stay in a core's L2 cache instead of
-streaming whole-ensemble arrays through memory.  The caller's thread and
-one helper thread per further CPU the process may use
-(``os.sched_getaffinity``) claim the blocks of a step from one shared
-iterator, and meet at a barrier when the step is done.  The caller's
-thread alone draws the normals, in the order of one whole-array draw per
-step, one step ahead into a second buffer, so the draws overlap the
-arithmetic.  Every element sees the same ufunc sequence whatever the
-blocks and the number of threads, so the output is the same bit for bit on
-any machine.  All buffers are allocated once, on the caller's thread; with
-one CPU or one block no helper starts, and none outlives the call.  An
-error in a helper is raised in the caller.
+streaming whole-ensemble arrays through memory.  Each step the caller's
+thread hands one task to each helper of a thread pool, one helper per
+further CPU the process may use (``os.sched_getaffinity``); the caller and
+the helpers claim the blocks of the step from one shared iterator, and the
+caller waits for every task before the next step.  The caller's thread
+alone draws the normals, in the order of one whole-array draw per step,
+one step ahead into a second buffer, so the draws overlap the arithmetic.
+Every element sees the same ufunc sequence whatever the blocks and the
+number of threads, so the output is the same bit for bit on any machine.
+All buffers are allocated once, on the caller's thread; with one CPU or
+one block no helper starts, and none outlives the call.  An error in a
+helper is raised in the caller.
 
 ``estimate_velocities`` conditions the forward difference and the backward
 one, ``X(t) - X(t - dt)``, on the position at the same step.  It bins one
@@ -53,7 +54,6 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -194,72 +194,48 @@ def simulate_forward(
     scratch = [np.empty((3,) + batch + (min(width, n_paths),)) for _ in range(n_threads)]
     noise, ahead = np.empty(n_paths), np.empty(n_paths)
     rng.standard_normal(out=noise)
-    k, claim = 0, iter(blocks)
 
-    def step_block(cols: slice, nxt, q, q2) -> None:
-        size = cols.stop - cols.start
-        nxt, q, q2 = nxt[..., :size], q[..., :size], q2[..., :size]
-        here = start[cols] if k == 0 else x[..., cols]
-        # x + drift(x) dt + b sqrt(dt) noise, in that order; the product
-        # goes to scratch, since a drift may return its argument
-        np.multiply(drift(here), dt, out=nxt)
-        nxt += here
-        dw = noise[cols]
-        dw *= scale
-        nxt += dw
-        if first <= k < stop:
-            paths[..., cols, k - first] = here
-        np.subtract(nxt, here, out=q)
-        np.square(q, out=q)
-        q /= dt
-        q_sum[..., cols] += q
-        np.multiply(q, q, out=q2)
-        q2_sum[..., cols] += q2
-        x[..., cols] = nxt
+    def step_blocks(k: int, claim: Iterator[slice], noise, buffers) -> None:
+        for cols in claim:
+            nxt, q, q2 = buffers[..., : cols.stop - cols.start]
+            here = start[cols] if k == 0 else x[..., cols]
+            # x + drift(x) dt + b sqrt(dt) noise, in that order; the product
+            # goes to scratch, since a drift may return its argument
+            np.multiply(drift(here), dt, out=nxt)
+            nxt += here
+            dw = noise[cols]
+            dw *= scale
+            nxt += dw
+            if first <= k < stop:
+                paths[..., cols, k - first] = here
+            np.subtract(nxt, here, out=q)
+            np.square(q, out=q)
+            q /= dt
+            q_sum[..., cols] += q
+            np.multiply(q, q, out=q2)
+            q2_sum[..., cols] += q2
+            x[..., cols] = nxt
 
-    def next_step() -> None:  # the barrier's action, once every block is done
-        nonlocal k, claim, noise, ahead
-        k, claim, noise, ahead = k + 1, iter(blocks), ahead, noise
+    # imported here, not at the top: concurrent.futures loads logging, which
+    # a CLI start-up that never simulates would pay for
+    from concurrent.futures import ThreadPoolExecutor
 
-    barrier = threading.Barrier(n_threads, action=next_step)
-
-    def run_steps(nxt, q, q2, draws: bool) -> None:
-        while k < m:
-            if draws and k + 1 < m:  # the next step's normals, while helpers work
+    # one copy of the caller's context per helper, so that numpy's errstate
+    # holds there too
+    contexts = [contextvars.copy_context() for _ in scratch[1:]]
+    with ThreadPoolExecutor(max(1, n_threads - 1)) as pool:
+        for k in range(m):
+            claim = iter(blocks)
+            helpers = [
+                pool.submit(context.run, step_blocks, k, claim, noise, buffers)
+                for context, buffers in zip(contexts, scratch[1:])
+            ]
+            if k + 1 < m:  # the next step's normals, while helpers work
                 rng.standard_normal(out=ahead)
-            for cols in claim:
-                step_block(cols, nxt, q, q2)
-            barrier.wait()
-
-    errors: list[BaseException] = []
-
-    def helper(buffers) -> None:
-        try:
-            run_steps(*buffers, draws=False)
-        except threading.BrokenBarrierError:
-            pass
-        except BaseException as exc:  # re-raised by the caller, not printed here
-            errors.append(exc)
-            barrier.abort()
-
-    # each helper runs in a copy of the caller's context, so numpy's
-    # errstate holds there too
-    helpers = [
-        threading.Thread(target=contextvars.copy_context().run, args=(helper, buffers), daemon=True)
-        for buffers in scratch[1:]
-    ]
-    for thread in helpers:
-        thread.start()
-    try:
-        run_steps(*scratch[0], draws=True)
-    except threading.BrokenBarrierError:
-        pass  # a helper failed, and its error is raised below
-    finally:
-        barrier.abort()
-        for thread in helpers:
-            thread.join()
-    if errors:
-        raise errors[0]
+            step_blocks(k, claim, noise, scratch[0])
+            for helper in helpers:
+                helper.result()
+            noise, ahead = ahead, noise
     if first <= m < stop:
         paths[..., m - first] = x
     return PathEnsemble(

@@ -64,7 +64,11 @@ MB = 2**20
 
 def peak_bytes(run) -> int:
     """The most memory ``run()`` holds at once beyond what is allocated before;
-    tracemalloc sees every numpy array buffer, so the count is deterministic."""
+    tracemalloc sees every numpy array buffer, so the count is deterministic.
+    ``numpy.random`` loads first: numpy imports it lazily, on the first draw
+    of a process, and its module objects are not the call's memory."""
+    import numpy.random  # noqa: F401
+
     tracemalloc.start()
     try:
         run()

@@ -373,7 +373,11 @@ def test_solver_breakdown_prints_only_the_error_line(tmp_path):
 
 def test_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=str(Path(stochflow.__file__).parents[1]))
-    code = "import sys, stochflow.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    # scipy, and the thread pool that only a simulation starts
+    code = (
+        "import sys, stochflow.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'concurrent.futures'))))"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

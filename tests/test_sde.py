@@ -377,6 +377,7 @@ def test_blocked_threaded_steps_equal_the_reference_bit_for_bit(
         return drift(x)
 
     args = (("gaussian", 0.5, 1.0), t_final, 1e-2, 103, 41)
+    before = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # threads trade the interpreter often
     try:
@@ -390,9 +391,11 @@ def test_blocked_threaded_steps_equal_the_reference_bit_for_bit(
     assert np.array_equal(ens.q_sum, q_sum)
     assert np.array_equal(ens.q2_sum, q2_sum)
     assert (len(callers) > 1) == (workers > 1)
+    assert threading.active_count() == before
 
 
-def test_an_error_in_a_helper_is_raised_in_the_caller(monkeypatch, capfd):
+@pytest.mark.parametrize("raiser", ["helper", "caller"])
+def test_an_error_in_a_step_is_raised_in_the_caller(monkeypatch, capfd, raiser):
     class Broken(Exception):
         pass
 
@@ -401,20 +404,12 @@ def test_an_error_in_a_helper_is_raised_in_the_caller(monkeypatch, capfd):
     monkeypatch.setattr(sde, "_cpu_count", lambda: 3)
     hooked = []
     monkeypatch.setattr(threading, "excepthook", hooked.append)
-    barriers = []
-
-    class RecordedBarrier(threading.Barrier):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            barriers.append(self)
-
-    monkeypatch.setattr(threading, "Barrier", RecordedBarrier)
     calls = itertools.count()
 
     def drift(x):
         step = (next(calls) - 1) // 8
-        if threading.current_thread() is caller:
-            time.sleep(1e-4)  # so that the helpers claim blocks
+        if (threading.current_thread() is caller) != (raiser == "caller"):
+            time.sleep(1e-4)  # so that the raising side claims blocks
         elif step >= 3:
             raise Broken(f"step {step}")
         return -x
@@ -433,8 +428,23 @@ def test_an_error_in_a_helper_is_raised_in_the_caller(monkeypatch, capfd):
     assert not caller.is_alive() and raised == [True]
     assert threading.active_count() == before
     assert hooked == []
-    assert len(barriers) == 1 and barriers[0].n_waiting == 0
     assert capfd.readouterr().err == ""
+
+
+def test_helpers_step_under_the_callers_errstate(monkeypatch):
+    # the CLI runs every experiment under one np.errstate, which must hold
+    # on the helper threads too
+    monkeypatch.setattr(sde, "BLOCK_VALUES", 4 * 25)
+    monkeypatch.setattr(sde, "_cpu_count", lambda: 2)
+
+    def drift(x):
+        if threading.current_thread() is threading.main_thread():
+            time.sleep(1e-4)  # so that the helper claims blocks
+            return -x
+        return np.sqrt(-1 - x * x)
+
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        simulate_forward(DiffusionModel(drift=drift, b=1.0), 0.0, 0.5, 1e-2, 200, 3)
 
 
 def test_batched_steps_hold_no_whole_batch_temporary(monkeypatch):
@@ -445,7 +455,6 @@ def test_batched_steps_hold_no_whole_batch_temporary(monkeypatch):
     monkeypatch.setattr(sde, "_cpu_count", lambda: workers)
     thetas = np.linspace(-1.0, 1.0, n_theta)
     family = DiffusionModel(drift=lambda x: thetas[:, None] * np.sin(x), b=1.0)
-    make_rng(0).standard_normal()  # numpy.random loads on the first draw
     peak = peak_bytes(
         lambda: simulate_forward(family, ("gaussian", np.pi, 1.0), 0.05, 1e-2, n_paths, 5, window=(0, 0))
     )
