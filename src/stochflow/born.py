@@ -17,9 +17,12 @@ steps at n = 128 and 16 at n = 512.  Its memory is the chunk scratch, O(K n)
 and allocated once, plus the 24 bytes per step of the ``(t, gap, relative
 gap)`` series it returns: mass drift, norm drift and node coverage are reduced
 chunk by chunk.  It takes ``round(t_final/dt)`` split steps of
-:mod:`stochflow.schrodinger`, the same as ``evolve``, at four row FFT calls
-(``fields._row_fft``) and twelve elementwise calls per step; no product casts
-float to complex, and no step builds a scratch view.  A chunk's velocity
+:mod:`stochflow.schrodinger`, the same as ``evolve``, in one loop that evolves
+and transports at every step, at four row FFT calls (``fields._row_fft``) and
+twelve elementwise calls per step; no product casts float to complex, and no
+step builds a scratch view.  Every chunk runs K steps: the transport before
+chunk 0's velocities and the evolution past the last state are padding, at most
+2K - 1 steps a run, whose rows are never read.  A chunk's velocity
 extraction and comparison add a few dozen batched calls, whatever K is; at K =
 64 that is under one call per step against the 16, while the scratch (0.85 MB
 at n = 128) stays within a 2 MB L2 cache.  Larger chunks only spend memory.
@@ -50,6 +53,7 @@ from .fields import (
     integrate,
     log_derivative,
     spectral_multiplier,
+    time_steps,
 )
 from .fokker_planck import (
     complex_fp_residual,
@@ -57,7 +61,7 @@ from .fokker_planck import (
     osmotic_constraint_residual,
 )
 # unused ``evolve`` kept: bench/spans.py traces it as ``stochflow.born.evolve``
-from .schrodinger import SchrodingerProblem, _split_factors, _stepper, evolve  # noqa: F401
+from .schrodinger import SchrodingerProblem, _split_factors, evolve  # noqa: F401
 
 __all__ = [
     "VelocityDecomposition",
@@ -216,15 +220,17 @@ def born_pipeline(
     velocities are kept real, their complex form freed once extracted.  One
     loop evolves chunk c while it transports the density through chunk c - 1
     by the continuity equation alone, with the velocities of that chunk's
-    states extracted by one batched FFT; where both run, the evolution step
-    and the first flux share one two-row FFT pair: 4 row-FFT and 12
-    elementwise calls, with no casting product and no scratch view built.
+    states extracted by one batched FFT; at every step the evolution step and
+    the first flux share one two-row FFT pair: 4 row-FFT and 12 elementwise
+    calls, with no casting product and no scratch view built.  Each stage runs
+    K steps; the velocities before chunk 0's and past a partial chunk are zero,
+    so padded transport steps read no stale velocity, and no padded row is read.
     Every step is compared against ``F F* / q``; non-finite states or
     densities raise ``ValueError``.  The complex density-transport residuals
     are evaluated at the midpoint snapshot triple, the only states kept
     beyond a chunk.
     """
-    n_steps, dt, step = _stepper(problem, t_final, dt)
+    n_steps, dt = time_steps(t_final, dt)
     mid = n_steps // 2
     if mid == 0:
         raise ValueError("need at least three stored snapshots for the residual checks")
@@ -238,22 +244,23 @@ def born_pipeline(
     n_rows = max(1, CHUNK_POINTS // grid.n)
     bufs = np.empty((2, n_rows + 1, grid.n), dtype=np.complex128)
     cwork = np.empty_like(bufs[0])  # compare products, then extraction spectra
-    hist, targets, diffs, vels = np.empty((4, n_rows + 1, grid.n))
+    hist, targets, diffs = np.empty((3, n_rows + 1, grid.n))
+    vels = np.zeros((n_rows + 1, grid.n))  # zero before chunk 0's: transport then copies hist[0]
     pair = np.zeros((3, 2, grid.n), dtype=np.complex128)  # in, spectrum, inverse of (psi, flux)
     (pair_in, pair_spec, pair_out), (evo_in, evo_spec, evo_out) = pair, pair[:, 0]
-    first, pred = _flux_rows(pair[:, 1]), _flux_rows(np.zeros((3, grid.n), dtype=np.complex128))
-    (flux_re, _, flux_spec, _, d1), half_dt = first, 0.5 * dt
+    flux_re, _, flux_spec, _, d1 = _flux_rows(pair[:, 1])
+    pred, half_dt = _flux_rows(np.zeros((3, grid.n), dtype=np.complex128)), 0.5 * dt
     bufs[0, 0] = problem.psi0.values
     hist[0] = np.real(problem.psi0.abs2().values) / q0
-    vel, i_old, m_old = vels[:0], 0, 0  # no velocities before chunk 0's
+    i_old = m_old = 0
 
     # stage c evolves chunk c (steps i0 .. i0 + m_new) while it transports chunk c - 1
     for c, i0 in enumerate([*range(0, n_steps, n_rows), n_steps]):
         new, m_new = bufs[c % 2], min(n_rows, n_steps - i0)
-        m = min(m_new, m_old)
-        # steps 1 .. m evolve and transport in one two-row FFT pair, with the operand orders of
-        # step and _flux_div (complex products do not commute bitwise); the rest do one of the two
-        for psi, psi1, h, h1, v, v1 in zip(new[:m], new[1:], hist, hist[1:], vel, vel[1:]):
+        # all K steps evolve and transport in one two-row FFT pair, with the operand orders of
+        # evolve and _flux_div (complex products do not commute bitwise); the rows past m_new
+        # and m_old are padding, never read
+        for psi, psi1, h, h1, v, v1 in zip(new, new[1:], hist, hist[1:], vels, vels[1:]):
             np.multiply(half_pot, psi, out=evo_in)
             np.multiply(v, h, out=flux_re)
             _row_fft(pair_in, out=pair_spec)
@@ -262,10 +269,6 @@ def born_pipeline(
             _row_ifft(pair_spec, out=pair_out)
             np.multiply(half_pot, evo_out, out=psi1)
             _heun(h, d1, v1, dt, half_dt, mult, pred, h1)
-        for psi, psi1 in zip(new[m:m_new], new[m + 1 :]):
-            psi1[...] = step(psi)
-        for h, h1, v, v1 in zip(hist[m:m_old], hist[m + 1 :], vel[m:], vel[m + 1 :]):
-            _heun(h, _flux_div(v, h, mult, first), v1, dt, half_dt, mult, pred, h1)
 
         if m_old:  # compare chunk c - 1, reducing its drifts to the running extremes
             states, history, prod = old[: m_old + 1], hist[: m_old + 1], cwork[: m_old + 1]
@@ -290,10 +293,11 @@ def born_pipeline(
                 kept[k] = ScalarField(grid, states[k - i_old].copy())
             rho = hist[0] = history[-1].copy()
         if m_new:  # the real velocities of chunk c, for its transport in stage c + 1
-            states, spec, vel = new[: m_new + 1], cwork[: m_new + 1], vels[: m_new + 1]
+            states, spec = new[: m_new + 1], cwork[: m_new + 1]
             np.multiply(_row_fft(states, out=spec), mult, out=spec)
             velocity, mask = log_derivative(states, _row_ifft(spec, out=spec), -1j * b**2)
-            vel[...] = velocity.real
+            vels[: m_new + 1] = velocity.real
+            vels[m_new + 1 :] = 0  # padded transport steps then read no stale velocity
             min_coverage = min(min_coverage, float(mask.mean(axis=1).min()))
             del velocity, mask  # no complex velocity outlives its extraction: transport reads v
             bufs[(c + 1) % 2, 0] = new[m_new]

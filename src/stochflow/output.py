@@ -14,7 +14,6 @@ not finite fails.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from pathlib import Path
@@ -65,8 +64,6 @@ def jsonable(obj):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return jsonable(dataclasses.asdict(obj))
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):

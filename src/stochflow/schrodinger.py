@@ -58,25 +58,13 @@ def _split_factors(problem: SchrodingerProblem, dt: float) -> tuple[np.ndarray, 
     return half_pot, np.exp(-0.5j * problem.b**2 * problem.grid.k_squared() * dt)
 
 
-def _stepper(problem: SchrodingerProblem, t_final: float, dt: float):
-    """``(n_steps, dt, step)`` of a split-step run: the steps of
-    :func:`~stochflow.fields.time_steps` and the map from a state array to the state one
-    step later (the argument is kept)."""
-    n_steps, dt = time_steps(t_final, dt)
-    half_pot, kin = _split_factors(problem, dt)
-
-    def step(psi: np.ndarray) -> np.ndarray:
-        # the row transforms skip numpy's argument handling, half the cost of a small FFT
-        return half_pot * _row_ifft(kin * _row_fft(half_pot * psi))
-
-    return n_steps, dt, step
-
-
 def evolve(problem: SchrodingerProblem, t_final: float, dt: float) -> ScalarField:
     """The state after ``t_final``: ``round(t_final/dt)`` steps, with ``dt``
     adjusted to land on ``t_final`` exactly."""
-    n_steps, dt, step = _stepper(problem, t_final, dt)
+    n_steps, dt = time_steps(t_final, dt)
+    half_pot, kin = _split_factors(problem, dt)
     psi = problem.psi0.values
     for _ in range(n_steps):
-        psi = step(psi)
+        # the row transforms skip numpy's argument handling, half the cost of a small FFT
+        psi = half_pot * _row_ifft(kin * _row_fft(half_pot * psi))
     return ScalarField(problem.grid, psi)

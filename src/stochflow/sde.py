@@ -132,15 +132,10 @@ class PathEnsemble:
 
 
 def _initial_samples(x0, n_paths: int, rng: np.random.Generator) -> np.ndarray:
-    """Accept a constant, an array of samples, or ('gaussian', mean, std)."""
+    """Accept a constant or ('gaussian', mean, std)."""
     if isinstance(x0, tuple) and len(x0) == 3 and x0[0] == "gaussian":
         return x0[1] + x0[2] * rng.standard_normal(n_paths)
-    arr = np.asarray(x0, dtype=float)
-    if arr.ndim == 0:
-        return np.full(n_paths, float(arr))
-    if arr.shape != (n_paths,):
-        raise ValueError("x0 array must have one entry per path")
-    return arr.copy()
+    return np.full(n_paths, float(x0))
 
 
 def _cpu_count() -> int:

@@ -12,8 +12,8 @@ import tracemalloc
 import numpy as np
 
 from stochflow.analytic import HarmonicState
-from stochflow.fields import ScalarField, integrate, log_derivative
-from stochflow.schrodinger import SchrodingerProblem, _stepper
+from stochflow.fields import ScalarField, _row_fft, _row_ifft, integrate, log_derivative, time_steps
+from stochflow.schrodinger import SchrodingerProblem, _split_factors
 
 
 def dispersion_omega(k, b: float):
@@ -46,10 +46,11 @@ def energy(psi: ScalarField, b: float, potential_values: np.ndarray) -> float:
 def split_step_states(problem: SchrodingerProblem, t_final: float, dt: float):
     """``(dt, states)``: the adjusted step and every state of the split-step run
     that ``schrodinger.evolve`` takes, the initial one first."""
-    n_steps, dt, step = _stepper(problem, t_final, dt)
+    n_steps, dt = time_steps(t_final, dt)
+    half_pot, kin = _split_factors(problem, dt)
     states = [problem.psi0.values]
     for _ in range(n_steps):
-        states.append(step(states[-1]))
+        states.append(half_pot * _row_ifft(kin * _row_fft(half_pot * states[-1])))
     return dt, [ScalarField(problem.grid, psi) for psi in states]
 
 

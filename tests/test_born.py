@@ -190,7 +190,9 @@ def _assert_matches_reference(packet_setup, n_steps, potential):
     psi0 = ScalarField(grid, pk.psi(grid.axis, 0.0))
     prob = SchrodingerProblem(b=pk.b, psi0=psi0, potential=POTENTIALS[potential])
     dt = 1 / 1024
-    rep = born_pipeline(prob, n_steps * dt, dt)
+    # padded steps run past the last state; they must not overflow or divide by zero either
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        rep = born_pipeline(prob, n_steps * dt, dt)
     ref = _reference_report(prob, n_steps * dt, dt)
     assert rep.discrepancy_series.shape == (n_steps + 1, 3)
     for f in dataclasses.fields(BornReport):
@@ -211,15 +213,22 @@ def test_born_pipeline_matches_per_snapshot_reference(packet_setup, potential):
 
 @pytest.mark.parametrize(
     "chunks, potential",
-    [("single", "free"), ("last-full", "free"), ("single", "harmonic"), ("last-full", "harmonic")],
-    ids=["single", "last-full", "single-harmonic", "last-full-harmonic"],
+    [
+        ("single", "free"), ("last-full", "free"), ("last-one-step", "free"),
+        ("single", "harmonic"), ("last-full", "harmonic"), ("last-one-step", "harmonic"),
+    ],
+    ids=[
+        "single", "last-full", "last-one-step",
+        "single-harmonic", "last-full-harmonic", "last-one-step-harmonic",
+    ],
 )
 def test_born_pipeline_matches_reference_at_chunk_edges(packet_setup, chunks, potential):
-    # one partial chunk only (no stage evolves and transports at once), and a
-    # last chunk that is exactly full (the final stage transports a whole chunk)
+    # one partial chunk only (the first stage transports nothing but padding and the
+    # last evolves nothing but padding), a last chunk that is exactly full (the final
+    # stage transports a whole chunk), and a last chunk of one step (all but one of
+    # its stage's steps are padding)
     chunk = CHUNK_POINTS // packet_setup[0].n
-    n_steps = chunk - 3 if chunks == "single" else 2 * chunk
-    assert n_steps < chunk or n_steps % chunk == 0
+    n_steps = {"single": chunk - 3, "last-full": 2 * chunk, "last-one-step": chunk + 1}[chunks]
     _assert_matches_reference(packet_setup, n_steps, potential)
 
 
