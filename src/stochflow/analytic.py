@@ -120,6 +120,10 @@ class HarmonicState:
     omega: float
     centre: float = 0.0
 
+    def __post_init__(self):
+        if not 0 < self.b < np.inf:
+            raise ValueError(f"noise amplitude b must be positive and finite, got {self.b}")
+
     def potential(self, x: np.ndarray) -> np.ndarray:
         return 0.5 * self.omega**2 * (x - self.centre) ** 2
 

@@ -121,7 +121,7 @@ def _discrepancy_csv(rep: BornReport) -> tuple[list[str], list[tuple]]:
         Check("node_coverage", ">=", 0.5, "least fraction of points off the nodes of F"),
     ),
     # the run at n // 2 points needs a grid of at least 8
-    minimums={"n": (">=", 16), "steps_per_point": (">=", 1)},
+    minimums={"n": (">=", 16), "steps_per_point": (">=", 1), "s": (">", 0.0)},
 )
 def _run_born_free(p: dict, seed: int):
     reports = {}
@@ -179,6 +179,7 @@ def _run_born_free(p: dict, seed: int):
         Check("complex_transport_residual_forward", "<=", 1e-3, "sup complex transport residual"),
         Check("osmotic_constraint_residual", "<=", 1e-3, "sup |(u rho)' - (b^2/2) rho''|"),
     ),
+    minimums={"omega": (">", 0.0)},
 )
 def _run_born_harmonic(p: dict, seed: int):
     grid = GridSpec(dim=1, length=p["length"], n=p["n"])
@@ -399,6 +400,7 @@ def _run_colehopf_3d(p: dict, seed: int):
         Check("literal_inverse_constant_drift", "==", 0.0, "share where (log a)_x exists, a = 1"),
         Check("literal_inverse_smooth_drift", ">=", 0.9, "the same share for a = 2 + sin x"),
     ),
+    minimums={"window_half_width": (">", 0.0)},
 )
 def _run_burgers_direct_vs_ch(p: dict, seed: int):
     b = p["b"]
@@ -497,9 +499,9 @@ def _velocity_window(t_final: float, dt: float, half_window: int) -> tuple[int, 
 
 
 def _full_bins(est, p: dict, key: str) -> np.ndarray:
-    """The mask of bins with ``BIN_PATHS`` paths and finite estimates; a ValueError
-    names ``key``, the parameter that sets the path count, when no bin has them."""
-    ok = (est.counts >= BIN_PATHS) & est.valid()
+    """The mask of valid bins of an estimate made with ``min_count=BIN_PATHS``; a
+    ValueError names ``key``, the parameter that sets the path count, when there is none."""
+    ok = est.valid()
     if not ok.any():
         raise ValueError(f"no bin reaches {BIN_PATHS} paths with {key} = {p[key]}")
     return ok
@@ -523,7 +525,7 @@ def _full_bins(est, p: dict, key: str) -> np.ndarray:
         Check("current_velocity_max_z", "<=", 5.0, "worst |v| / stderr, stationary"),
     ),
     minimums={
-        "n_paths_short": (">=", 1), "n_paths_long": (">=", 1),
+        "theta": (">", 0.0), "n_paths_short": (">=", 1), "n_paths_long": (">=", 1),
         "half_window_short": (">=", 0), "half_window_long": (">=", 0),
     },
 )
@@ -675,8 +677,7 @@ def _run_variational(p: dict, seed: int):
     sweep = simulate_forward(
         family, ("gaussian", np.pi, 1.0), p["t_final"], p["dt"], p["n_paths"], seed, window=(0, 0)
     )
-    act = discretized_action(sweep)
-    values, errors = act.value, act.stderr
+    values, errors = discretized_action(sweep)
 
     zero_idx = int(np.argmin(np.abs(thetas)))
     argmin_idx = int(np.argmin(values))
@@ -689,9 +690,8 @@ def _run_variational(p: dict, seed: int):
     const_ens = simulate_forward(
         const_model, 0.0, p["t_final"], p["dt"], p["n_paths"], seed + 1, window=(0, 0)
     )
-    const_act = discretized_action(const_ens)
-    const_value = const_act.value
-    z_const = abs(const_value - p["t_final"]) / const_act.stderr
+    const_value, const_err = discretized_action(const_ens)
+    z_const = abs(const_value - p["t_final"]) / const_err
 
     # path-sum moment of the balanced complex noise: E (sum dZ)^2 ~ 0
     w = np.empty(p["n_paths"], dtype=complex)
@@ -857,6 +857,7 @@ def _run_ga_identities(p: dict, seed: int):
         Check("packet_complex_residual_conjugate", "<=", 1e-3, "the same, conjugate variant"),
         Check("continuity_time_order_ratio", ">=", 3.0, "continuity residual at dt / at dt/2"),
     ),
+    minimums={"theta": (">", 0.0)},
 )
 def _run_fp_consistency(p: dict, seed: int):
     b = p["b"]
@@ -888,8 +889,8 @@ def _run_fp_consistency(p: dict, seed: int):
 
     # osmotic construction of the backward drift from the analytic density
     rho_vm_field = ScalarField(grid, rho_vm)
-    back_model = backward_drift_from_forward(model, rho_vm_field)
-    back_drift_err = float(np.max(np.abs(back_model.drift(x) - (c * np.sin(x)))))
+    back_drift = backward_drift_from_forward(model, rho_vm_field)
+    back_drift_err = float(np.max(np.abs(back_drift - (c * np.sin(x)))))
 
     # (b) transient accuracy and mass conservation on a linear-drift problem
     gt = GridSpec(dim=1, length=p["length_transient"], n=p["n_transient"])

@@ -36,7 +36,6 @@ from .sde import DiffusionModel
 
 __all__ = [
     "cfl_timestep",
-    "step_density",
     "solve_forward",
     "solve_backward",
     "discrete_stationary_density",
@@ -48,8 +47,7 @@ __all__ = [
 
 def cfl_timestep(model: DiffusionModel, grid: GridSpec) -> float:
     """Stable explicit step for the drift: ``0.4 min(dx / max|a|, dx^2 / b^2)``."""
-    a = np.abs(np.asarray(model.drift(grid.axis), dtype=float))
-    a_max = float(a.max()) if a.size else 0.0
+    a_max = float(np.abs(model.drift_on(grid)).max())
     dx = grid.dx
     limits = [dx**2 / model.b**2]
     if a_max > 0:
@@ -57,22 +55,18 @@ def cfl_timestep(model: DiffusionModel, grid: GridSpec) -> float:
     return 0.4 * min(limits)
 
 
-def step_density(rho: np.ndarray, a: np.ndarray, b: float, dt: float, dx: float) -> np.ndarray:
-    """One conservative finite-volume update on periodic cells.
-
-    Face ``i`` sits between cells ``i`` and ``i+1``; advection is upwinded
-    on the face-averaged drift, diffusion is a central difference.
-    """
-    a_face = _face_drift(a)
-    return _face_step(rho, a_face, a_face >= 0, b, dt, dx, *np.empty((2, rho.size)))
-
-
 def _face_drift(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.roll(a, -1))
 
 
 def _face_step(rho, a_face, from_left, b, dt, dx, rho_right, flux_left) -> np.ndarray:
-    """:func:`step_density` given the faces that upwind from the left and two scratch rows."""
+    """One conservative finite-volume update of ``rho`` on periodic cells.
+
+    Face ``i`` sits between cells ``i`` and ``i+1``; advection is upwinded
+    on the face-averaged drift ``a_face`` (from the left where ``from_left``),
+    diffusion is a central difference.  ``rho_right`` and ``flux_left`` are
+    scratch rows of the grid's size.
+    """
     rho_right[:-1], rho_right[-1] = rho[1:], rho[0]
     upwind = np.where(from_left, rho, rho_right)
     flux = a_face * upwind - (b**2 / 2) * (rho_right - rho) / dx
@@ -94,7 +88,7 @@ def _run(model: DiffusionModel, rho0: ScalarField, t_final: float, dt: float | N
     # the fewest steps that exceed dt by round-off at most: an explicit step must obey the CFL
     n_steps = max(1, int(np.ceil(t_final / dt * (1 - 1e-12))))
     dt = t_final / n_steps
-    a_face = _face_drift(drift_sign * np.asarray(model.drift(grid.axis), dtype=float))
+    a_face = _face_drift(drift_sign * model.drift_on(grid))
     from_left, (rho_right, flux_left) = a_face >= 0, np.empty((2, grid.n))
     rho = np.real(rho0.values).copy()
     for _ in range(n_steps):
@@ -123,7 +117,7 @@ def solve_backward(
 
 
 def discrete_stationary_density(model: DiffusionModel, grid: GridSpec) -> ScalarField:
-    """Exact zero-flux fixed point of :func:`step_density` for the model's drift.
+    """Exact zero-flux fixed point of the solvers' step for the model's drift.
 
     Zeroing the upwind/central interface flux gives the two-term recurrence
 
@@ -138,7 +132,7 @@ def discrete_stationary_density(model: DiffusionModel, grid: GridSpec) -> Scalar
     """
     if grid.dim != 1:
         raise ValueError("stationary construction is one-dimensional")
-    a_face = _face_drift(np.real(np.asarray(model.drift(grid.axis), dtype=np.complex128)))
+    a_face = _face_drift(model.drift_on(grid))
     d_over_dx = (model.b**2 / 2) / grid.dx
     ratio = a_face / d_over_dx
     log_factor = np.where(ratio >= 0, np.log1p(ratio), -np.log1p(-ratio))
@@ -157,7 +151,7 @@ def complex_fp_residual(
     velocity: ScalarField,
     b: float,
     dt: float,
-    variant: str = "forward",
+    variant: str,
 ) -> Norms:
     """Residual of the complex density equation on three consecutive snapshots.
 

@@ -59,14 +59,13 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .fields import ScalarField, derivative, time_steps
+from .fields import GridSpec, ScalarField, derivative, time_steps
 
 __all__ = [
     "DiffusionModel",
     "PathEnsemble",
     "ComplexIncrementStats",
     "VelocityEstimate",
-    "ActionEstimate",
     "make_rng",
     "simulate_forward",
     "complex_increment_blocks",
@@ -99,6 +98,10 @@ class DiffusionModel:
         if not 0 < self.b < np.inf:
             raise ValueError(f"noise amplitude b must be positive and finite, got {self.b}")
 
+    def drift_on(self, grid: GridSpec) -> np.ndarray:
+        """The drift tabulated at the points of a 1-D grid, as floats."""
+        return np.asarray(self.drift(grid.axis), dtype=float)
+
 
 @dataclass(frozen=True)
 class PathEnsemble:
@@ -116,8 +119,8 @@ class PathEnsemble:
     q2_sum: np.ndarray = field(repr=False)
     dt: float
     n_steps: int
-    b: float = 1.0
-    first: int = 0
+    b: float
+    first: int
 
     def __post_init__(self):
         n_stored = self.paths.shape[-1]
@@ -234,8 +237,7 @@ def simulate_forward(
     if first <= m < stop:
         paths[..., m - first] = x
     return PathEnsemble(
-        paths=paths, q_sum=q_sum, q2_sum=q2_sum, dt=dt, n_steps=m,
-        b=model.b, first=first,
+        paths=paths, q_sum=q_sum, q2_sum=q2_sum, dt=dt, n_steps=m, b=model.b, first=first
     )
 
 
@@ -418,14 +420,6 @@ def estimate_velocities(ens: PathEnsemble, min_count: int = 40) -> VelocityEstim
     )
 
 
-@dataclass(frozen=True)
-class ActionEstimate:
-    """Monte-Carlo action value with its standard error (arrays for a batch)."""
-
-    value: float | np.ndarray
-    stderr: float | np.ndarray
-
-
 def estimate_diffusion(ens: PathEnsemble) -> tuple[float, float]:
     """Quadratic-variation estimate of ``b^2`` with its standard error.
 
@@ -443,21 +437,21 @@ def estimate_diffusion(ens: PathEnsemble) -> tuple[float, float]:
     return float(mean), float(np.sqrt(var) / np.sqrt(n))
 
 
-def discretized_action(ens: PathEnsemble) -> ActionEstimate:
+def discretized_action(ens: PathEnsemble) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     r"""Discretized kinetic action of a real ensemble.
 
     Computes :math:`E \sum_k [ (\Delta X_k)^2 / \Delta t - b^2 ]`, whose
     expectation is :math:`E \int a^2 dt` for Euler-Maruyama paths: the
     quadratic-variation contribution ``b^2`` per step is subtracted exactly.
-    Reads the running sums; a batched ensemble gives arrays with one value
-    and one stderr per batch member.
+    Returns the value with its standard error; reads the running sums.  A
+    batched ensemble gives two arrays, one entry per batch member.
     """
     per_path = ens.q_sum - ens.n_steps * ens.b**2
     value = per_path.mean(axis=-1)
     stderr = per_path.std(axis=-1, ddof=1) / np.sqrt(ens.n_paths)
     if per_path.ndim == 1:
-        value, stderr = float(value), float(stderr)
-    return ActionEstimate(value=value, stderr=stderr)
+        return float(value), float(stderr)
+    return value, stderr
 
 
 # -- density-based velocity constructions ------------------------------------
@@ -472,23 +466,8 @@ def osmotic_velocity_from_density(rho: ScalarField, b: float) -> ScalarField:
     return ScalarField(rho.grid, 0.5 * b**2 * d.values)
 
 
-def backward_drift_from_forward(
-    model: DiffusionModel, rho: ScalarField
-) -> DiffusionModel:
-    """Backward-drift model ``a_b = a - 2u`` built from the forward model and density.
-
-    The drift is tabulated on the density's grid and linearly interpolated
-    (periodically) off-grid.
-    """
-    grid = rho.grid
-    x = grid.axis
+def backward_drift_from_forward(model: DiffusionModel, rho: ScalarField) -> np.ndarray:
+    """The backward drift ``a_b = a - 2u`` of the forward model and a density,
+    tabulated on the density's grid."""
     u = np.real(osmotic_velocity_from_density(rho, model.b).values)
-    a_fwd = np.real(np.asarray(model.drift(x), dtype=np.complex128))
-    table = a_fwd - 2 * u
-    period = grid.length
-
-    def drift(y: np.ndarray) -> np.ndarray:
-        y_wrapped = (np.asarray(y) - x[0]) % period + x[0]
-        return np.interp(y_wrapped, x, table, period=period)
-
-    return DiffusionModel(drift=drift, b=model.b)
+    return model.drift_on(rho.grid) - 2 * u

@@ -3,8 +3,8 @@ never compute, kept out of the package.
 
 They are the free dispersion relation, the trap's energy ladder and time
 factor, the energy and norm of a wave function, every state of a split-step
-run and the node mask of the velocity extraction; and the most memory a call
-holds at once, for the memory guards.
+run, the node mask of the velocity extraction and one step of the density
+solvers; and the most memory a call holds at once, for the memory guards.
 """
 
 import tracemalloc
@@ -52,6 +52,20 @@ def split_step_states(problem: SchrodingerProblem, t_final: float, dt: float):
     for _ in range(n_steps):
         states.append(half_pot * _row_ifft(kin * _row_fft(half_pot * states[-1])))
     return dt, [ScalarField(problem.grid, psi) for psi in states]
+
+
+def upwind_step(rho: np.ndarray, a: np.ndarray, b: float, dt: float, dx: float) -> np.ndarray:
+    """One conservative finite-volume step of ``rho_t + (a rho)_x = (b^2/2) rho_xx``
+    on periodic cells, on ``np.roll`` and ``np.where``.
+
+    Face ``i`` sits between cells ``i`` and ``i+1``, with the mean drift of the
+    two; advection is upwinded on it and diffusion is a central difference.
+    The arithmetic goes in the order of ``fokker_planck._face_step``.
+    """
+    a_face = 0.5 * (a + np.roll(a, -1))
+    rho_right = np.roll(rho, -1)
+    flux = a_face * np.where(a_face >= 0, rho, rho_right) - (b**2 / 2) * (rho_right - rho) / dx
+    return rho - (dt / dx) * (flux - np.roll(flux, 1))
 
 
 def node_mask(psi: ScalarField) -> np.ndarray:

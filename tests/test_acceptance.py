@@ -185,7 +185,9 @@ def test_criterion_09_action_minimization_and_path_sums():
 def test_criterion_10_reruns_byte_identical(tmp_path):
     runner = CliRunner()
     identical = True
-    for name in ("ga-identities", "colehopf-1d"):
+    # variational draws random numbers, steps paths on a thread pool, sweeps a
+    # batch and sums blocked complex increments
+    for name in ("ga-identities", "colehopf-1d", "variational"):
         dirs = []
         for tag in ("a", "b"):
             out = tmp_path / f"{name}-{tag}"

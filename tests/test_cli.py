@@ -200,6 +200,7 @@ def test_value_the_experiment_rejects_exits_two_and_names_it(
         ("ga-identities", {"b": float("inf")}, "b"),
         ("ga-identities", {"b": 0.0}, "b"),
         ("ga-identities", {"b": -1.0}, "b"),
+        ("born-harmonic", {"b": 0.0}, "b"),
     ],
 )
 def test_meaningless_value_exits_two_with_one_error_line(runner, tmp_path, experiment, overrides, key):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import upwind_step
 
 from stochflow import fokker_planck
 from stochflow.analytic import FreePacket, gaussian_density, ou_mean_variance
@@ -14,7 +15,6 @@ from stochflow.fokker_planck import (
     osmotic_constraint_residual,
     solve_backward,
     solve_forward,
-    step_density,
 )
 from stochflow.sde import DiffusionModel
 
@@ -40,7 +40,7 @@ def test_step_conserves_mass_and_positivity():
     dt = 0.4 * min(dx / 1.3, dx**2)
     total0 = rho.sum()
     for _ in range(50):
-        rho = step_density(rho, a, 1.0, dt, dx)
+        rho = upwind_step(rho, a, 1.0, dt, dx)
     assert abs(rho.sum() - total0) < 1e-10 * total0
     assert rho.min() >= 0.0
 
@@ -121,9 +121,10 @@ def test_step_count_is_the_fewest_steps_no_longer_than_dt(monkeypatch):
             assert max(steps) <= dt * (1 + 1e-12)
 
 
-def test_solvers_equal_a_loop_of_the_public_step_bit_for_bit():
-    # the solvers derive the face drift and the upwind side once per run; the
-    # public step derives them every step, on a drift whose faces take both signs
+def test_solvers_equal_a_loop_of_the_reference_step_bit_for_bit():
+    # the solvers derive the face drift and the upwind side once per run and
+    # shift through scratch rows; the reference step derives them every step
+    # and shifts with np.roll, on a drift whose faces take both signs
     grid = GridSpec(dim=1, length=2 * np.pi, n=128)
     model = _sine_model(c=1.3)
     rho0 = ScalarField(grid, 1 + 0.5 * np.cos(grid.axis - 0.3))
@@ -135,7 +136,7 @@ def test_solvers_equal_a_loop_of_the_public_step_bit_for_bit():
         assert (a_face > 0).any() and (a_face < 0).any()
         rho = rho0.values.real.copy()
         for _ in range(n_steps):
-            rho = step_density(rho, a, model.b, t_final / n_steps, grid.dx)
+            rho = upwind_step(rho, a, model.b, t_final / n_steps, grid.dx)
         assert (solve(model, rho0, t_final).values.real == rho).all(), solve.__name__
 
 

@@ -21,10 +21,11 @@ tell the type of the object an attribute is read from.  So a method or field
 whose name is shared with another attribute cannot be seen: a ``values()``
 method would pass as soon as anything reads ``ScalarField.values``.  Reads
 of ``PathEnsemble.n_paths`` hid the unread ``ActionEstimate.n_paths`` in this
-way.  So were, until their deletion, ``VelocityEstimate.t`` and
-``SchrodingerResult.times`` (behind ``DensityState.t`` and
-``PathEnsemble.times``), ``HarmonicState.psi`` (behind ``FreePacket.psi``)
-and ``SchrodingerResult.norm_drift()`` (behind ``BornReport.norm_drift``).  The
+way, until that class was deleted.  So were, until their deletion,
+``VelocityEstimate.t`` and ``SchrodingerResult.times`` (behind
+``DensityState.t`` and ``PathEnsemble.times``), ``HarmonicState.psi``
+(behind ``FreePacket.psi``) and ``SchrodingerResult.norm_drift()`` (behind
+``BornReport.norm_drift``).  The
 parameter check matches calls by name too, so a call of a namesake that
 passes as many arguments hides an unpassed parameter.
 """
@@ -41,7 +42,6 @@ SRC = Path(stochflow.__file__).parent
 ALLOWED = {
     ("born", "madelung_wavefunction"): "README claim (Madelung round trip), awaiting an experiment check",
     ("born", "evolve_density_continuity"): "traced by bench/spans.py; oracle of the Born reference test",
-    ("fokker_planck", "step_density"): "the solvers' step in public form; their bit-for-bit reference",
 }
 
 #: public methods kept although nothing in the package loads them
