@@ -64,7 +64,6 @@ __all__ = [
     "heat_evolve_spectral",
     "geodesic_residual",
     "real_chain_residual",
-    "inversion_diagnostic",
 ]
 
 #: variant -> its viscosity ``nu`` in units of ``b^2``; see the module table
@@ -270,18 +269,3 @@ def real_chain_residual(
         "chain": norms(rhs),
         "difference": norms(lhs - rhs),
     }
-
-
-def inversion_diagnostic(a: ScalarField) -> float:
-    """The share of the grid where the literal inversion ``u = (log a)_x`` is defined.
-
-    The substitution maps ``u`` to ``a = b^2 (log u)_x``; reading the map
-    backwards as ``u = (log a)_x`` only makes sense where ``a`` is positive
-    and non-constant, and it degenerates wherever ``a_x`` vanishes.  A point
-    counts as defined where ``a`` and ``|a_x|`` clear ``1e-10 max|a|``, which
-    makes the degeneracy visible instead of hiding it.
-    """
-    vals = np.real(a.values)
-    da = np.real(derivative(a, 0).values)
-    floor = 1e-10 * max(np.max(np.abs(vals)), 1e-300)
-    return float(((vals > floor) & (np.abs(da) > floor)).mean())

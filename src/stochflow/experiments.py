@@ -21,7 +21,7 @@ from .analytic import (
 )
 from .born import BornReport, born_pipeline
 from .burgers import (
-    BurgersProblem, heat_evolve_spectral, inversion_diagnostic, real_chain_residual, solve_burgers,
+    BurgersProblem, heat_evolve_spectral, real_chain_residual, solve_burgers,
 )
 from .clifford import (
     Multivector, StretchSpec, check_prop_identities, contraction, geometric_product, grad_wedge,
@@ -217,9 +217,6 @@ def _run_born_harmonic(p: dict, seed: int):
     checks=(
         Check("direct_vs_transform_route", "<=", 1e-2, "sup |V_direct - V_route| at t_final"),
         Check("transform_route_vs_analytic", "<=", 1e-8, "sup |V_route - V_exact| at t_final"),
-        Check("lambda_root_residual", "==", 0.0, "|lambda^2 + i b^2 lambda| of the substitution"),
-        Check("node_margin", ">=", lambda p: 0.5 * (1 - p["eps"]),
-              "min |F| at t_final; the bound is half its closed form, 1 - eps"),
     ),
     minimums={"eps": (">", 0.0), "k_mode": (">=", 1)},
 )
@@ -237,8 +234,6 @@ def _run_colehopf_1d(p: dict, seed: int):
         return 1j * b**2 * k * eps * np.exp(-1j * omega * t) * np.sin(k * x) / f_exact(t)
 
     bp = BurgersProblem(b=b, variant="complex")
-    lam = bp.lam
-    lam_residual = abs(lam**2 + 1j * b**2 * lam)
 
     # route 1: wave-equation evolution of F, then the substitution
     psi0 = ScalarField(grid, f_exact(0.0))
@@ -253,17 +248,14 @@ def _run_colehopf_1d(p: dict, seed: int):
     direct_vs_route = float(np.max(np.abs(v_direct - v_route)))
     route_vs_exact = float(np.max(np.abs(v_route - v_exact(t_final))))
     direct_vs_exact = float(np.max(np.abs(v_direct - v_exact(t_final))))
-    node_margin = float(np.min(np.abs(f_exact(t_final))))
 
     checks = {
         "direct_vs_transform_route": direct_vs_route,
         "transform_route_vs_analytic": route_vs_exact,
-        "lambda_root_residual": lam_residual,
-        "node_margin": node_margin,
     }
     metrics = {
         "direct_vs_analytic": direct_vs_exact,
-        "lambda": lam,
+        "lambda": bp.lam,
         "omega": omega,
     }
     csvs = {
@@ -304,16 +296,15 @@ def _random_log_field(grid: GridSpec, rng, n_terms: int, amp: float, kmax: int) 
     "colehopf-3d",
     defaults={"n": 32, "b": 1.0, "n_random": 20, "amp": 0.4, "kmax": 2},
     describe="Vectorized substitution in three dimensions: separable velocities, irrotationality, "
-    "the cancellation identity on random smooth positive F, and the exact stretch roots.",
+    "the cancellation identity on random smooth positive F, and the conjugate map's mirror.",
     checks=(
         Check("separable_velocity_error", "<=", 1e-11, "sup gap to the single-axis closed form"),
         Check("velocity_irrotationality", "<=", 1e-10, "sup |grad ^ V| of the extracted velocity"),
         Check("cancellation_worst_linf", "<=", 1e-10, "worst cancellation residual of n_random F"),
-        Check("lambda_roots_exact", "==", 0.0, "gap of the two roots from -i b^2 and +i b^2"),
         Check("conjugate_symmetry", "<=", 1e-13, "sup |conj(V[F]) - U[F*]|, U the conjugate map"),
     ),
     # from amp = 1e-3 up, the wrong root +i b^2 misses cancellation_worst_linf by 5,000x or more
-    minimums={"n_random": (">=", 1), "amp": (">=", 1e-3)},
+    minimums={"n_random": (">=", 1), "amp": (">=", 1e-3), "kmax": (">=", 1)},
 )
 def _run_colehopf_3d(p: dict, seed: int):
     grid = GridSpec(dim=3, length=2 * np.pi, n=p["n"])
@@ -348,8 +339,6 @@ def _run_colehopf_3d(p: dict, seed: int):
         cancel_rows.append((trial, res.l_inf, res.l2))
 
     bp_conj = BurgersProblem(b=b, variant="complex-conjugate")
-    lam_f, lam_c = bp.lam, bp_conj.lam
-    root_err = max(abs(lam_f - (-1j * b**2)), abs(lam_c - (1j * b**2)))
 
     # conjugate symmetry: extracting from F* with the conjugate map mirrors V
     f_complex = ScalarField(grid, f_vals * np.exp(0.3j * np.sin(xs[0])))
@@ -361,13 +350,12 @@ def _run_colehopf_3d(p: dict, seed: int):
         "separable_velocity_error": sep_err,
         "velocity_irrotationality": wedge_norm,
         "cancellation_worst_linf": worst_cancel,
-        "lambda_roots_exact": root_err,
         "conjugate_symmetry": conj_err,
     }
     metrics = {
         "n_random_fields": p["n_random"],
-        "lambda_forward": lam_f,
-        "lambda_conjugate": lam_c,
+        "lambda_forward": bp.lam,
+        "lambda_conjugate": bp_conj.lam,
     }
     csvs = {
         "cancellation_residuals.csv": (
@@ -387,8 +375,8 @@ def _run_colehopf_3d(p: dict, seed: int):
         "front_length": 32.0, "front_n": 512, "front_speed": 1.0,
         "front_t": 1.5, "window_half_width": 2.5,
     },
-    describe="Real-viscosity velocity equation: direct solves against closed forms and the "
-    "heat-equation route, the substitution chain, and the literal inverse (log a)_x.",
+    describe="Real-viscosity velocity equation: the substitution chain, and direct solves "
+    "against closed forms and the heat-equation route.",
     checks=(
         Check("single_mode_direct_vs_analytic", "<=", 1e-6, "sup |direct - closed form|"),
         Check("heat_route_vs_analytic", "<=", 1e-8, "sup |heat route - closed form|"),
@@ -397,10 +385,8 @@ def _run_colehopf_3d(p: dict, seed: int):
         Check("chain_geodesic_residual", "<=", 1e-5, "sup of the drift side of the chain"),
         Check("chain_rhs_residual", "<=", 1e-5, "sup of the heat side of the chain"),
         Check("chain_sides_difference", "<=", 1e-8, "sup difference of the two sides"),
-        Check("literal_inverse_constant_drift", "==", 0.0, "share where (log a)_x exists, a = 1"),
-        Check("literal_inverse_smooth_drift", ">=", 0.9, "the same share for a = 2 + sin x"),
     ),
-    minimums={"window_half_width": (">", 0.0)},
+    minimums={"eps": (">", 0.0), "window_half_width": (">", 0.0)},
 )
 def _run_burgers_direct_vs_ch(p: dict, seed: int):
     b = p["b"]
@@ -451,10 +437,6 @@ def _run_burgers_direct_vs_ch(p: dict, seed: int):
 
     chain = real_chain_residual(u_of(tc - dtc), u_of(tc), u_of(tc + dtc), b, dtc)
 
-    # (d) degeneracy of the literal inversion u = (log a)_x
-    defined_const = inversion_diagnostic(ScalarField(gc, np.ones(gc.n)))
-    defined_smooth = inversion_diagnostic(ScalarField(gc, 2 + np.sin(xc)))
-
     checks = {
         "single_mode_direct_vs_analytic": single_mode_err,
         "heat_route_vs_analytic": route_err,
@@ -463,8 +445,6 @@ def _run_burgers_direct_vs_ch(p: dict, seed: int):
         "chain_geodesic_residual": chain["geodesic"].l_inf,
         "chain_rhs_residual": chain["chain"].l_inf,
         "chain_sides_difference": chain["difference"].l_inf,
-        "literal_inverse_constant_drift": defined_const,
-        "literal_inverse_smooth_drift": defined_smooth,
     }
     metrics = {
         "front_window_points": int(window.sum()),
@@ -857,7 +837,7 @@ def _run_ga_identities(p: dict, seed: int):
         Check("packet_complex_residual_conjugate", "<=", 1e-3, "the same, conjugate variant"),
         Check("continuity_time_order_ratio", ">=", 3.0, "continuity residual at dt / at dt/2"),
     ),
-    minimums={"theta": (">", 0.0)},
+    minimums={"theta": (">", 0.0), "dt_residual": (">", 0.0)},
 )
 def _run_fp_consistency(p: dict, seed: int):
     b = p["b"]

@@ -107,13 +107,13 @@ def test_criterion_03_direct_nonlinear_solve_agrees_with_transform_route():
     )
 
 
-def test_criterion_04_cancellation_identity_and_exact_roots():
+def test_criterion_04_cancellation_identity_and_conjugate_symmetry():
     out, _ = _run("colehopf-3d")
     _require(
         4,
-        "gradient cancellation on 20 random fields; stretch roots exact",
+        "gradient cancellation on 20 random fields; conjugate map mirrors V",
         _checks(out),
-        ["cancellation_worst_linf", "lambda_roots_exact"],
+        ["cancellation_worst_linf", "conjugate_symmetry"],
     )
 
 

@@ -10,7 +10,6 @@ from stochflow.burgers import (
     BurgersProblem,
     geodesic_residual,
     heat_evolve_spectral,
-    inversion_diagnostic,
     real_chain_residual,
     solve_burgers,
 )
@@ -223,11 +222,3 @@ def test_chain_residual_on_reverse_heat_solution():
     assert out["geodesic"].l_inf < 1e-5
     assert out["chain"].l_inf < 1e-5
     assert out["difference"].l_inf < 1e-8
-
-
-def test_inversion_diagnostic_flags_degeneracy():
-    grid = GridSpec(dim=1, length=2 * np.pi, n=128)
-    x = grid.axis
-    assert inversion_diagnostic(ScalarField(grid, np.ones(128))) == 0.0
-    # degenerate only near the two extrema of a
-    assert 0.9 <= inversion_diagnostic(ScalarField(grid, 2 + np.sin(x))) < 1.0
