@@ -18,14 +18,15 @@ and allocated once, plus the 24 bytes per step of the ``(t, gap, relative
 gap)`` series it returns: mass drift, norm drift and node coverage are reduced
 chunk by chunk.  It takes ``round(t_final/dt)`` split steps of
 :mod:`stochflow.schrodinger`, the same as ``evolve``, in one loop that evolves
-and transports at every step, at four row FFT calls (``fields._row_fft``) and
-twelve elementwise calls per step; no product casts float to complex, and no
-step builds a scratch view.  Every chunk runs K steps: the transport before
-chunk 0's velocities and the evolution past the last state are padding, at most
-2K - 1 steps a run, whose rows are never read.  A chunk's velocity
-extraction and comparison add a few dozen batched calls, whatever K is; at K =
-64 that is under one call per step against the 16, while the scratch (0.85 MB
-at n = 128) stays within a 2 MB L2 cache.  Larger chunks only spend memory.
+and transports at every step, in four row-FFT gufunc and twelve ufunc calls and
+nothing else: no step converts a Python float, casts float to complex or views
+an array, so at n = 128 its 26 us on a 2-core host is the calls' fixed cost.
+Every chunk runs K steps: the transport before chunk 0's velocities and the
+evolution past the last state are padding, at most 2K - 1 steps a run, whose
+rows are never read.  A chunk's velocity extraction and comparison add a few
+dozen batched calls, whatever K is; at K = 64 that is under one call per step
+against the 16, while the scratch (0.85 MB at n = 128) stays within a 2 MB L2
+cache.  Larger chunks only spend memory.
 
 Supporting pieces:
 
@@ -42,12 +43,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy import add as _add, multiply as _mul, subtract as _sub  # bound once for the step loops
 
 from .fields import (
     Norms,
     ScalarField,
-    _row_fft,
-    _row_ifft,
+    _fft,
+    _ifft,
     antiderivative,
     derivative,
     integrate,
@@ -137,25 +139,26 @@ def madelung_wavefunction(rho: ScalarField, current: ScalarField, b: float) -> S
 
 
 def _flux_rows(rows: np.ndarray) -> tuple:
-    """The views :func:`_flux_div` takes, of complex rows ``(flux, spectrum, inverse)``; the
-    flux row's imaginary part must be zero, as only its real part is ever written."""
-    return rows[0].real, rows[0], rows[1], rows[2], rows[2].real
+    """The views :func:`_flux_div` takes of complex rows ``(flux, spectrum, inverse)``, and the
+    0-d FFT scales; the flux row's imaginary part must be zero, as only its real part is written."""
+    one, inv_n = np.array(1.0), np.array(1 / rows.shape[-1])
+    return rows[0].real, rows[0], rows[1], rows[2], rows[2].real, one, inv_n
 
 
 def _flux_div(v: np.ndarray, rho: np.ndarray, mult: np.ndarray, rows) -> np.ndarray:
     """The spectral ``(v rho)_x`` via the :func:`_flux_rows` views, as the inverse's real part."""
-    flux_re, flux, spec, inverse, div = rows
-    np.multiply(v, rho, out=flux_re)
-    np.multiply(_row_fft(flux, out=spec), mult, out=spec)
-    _row_ifft(spec, out=inverse)
+    flux_re, flux, spec, inverse, div, one, inv_n = rows
+    _mul(v, rho, flux_re)
+    _mul(_fft(flux, one, spec), mult, spec)
+    _ifft(spec, inv_n, inverse)
     return div
 
 
 def _heun(rho, d1, v_next, dt, half_dt, mult, rows, out) -> None:
     """A Heun step of ``rho_t = -(v rho)_x`` into ``out``, given ``d1 = (v rho)_x`` and ``v_next``."""
-    np.subtract(rho, np.multiply(dt, d1, out=out), out=out)
+    _sub(rho, _mul(dt, d1, out), out)
     d2 = _flux_div(v_next, out, mult, rows)
-    np.subtract(rho, np.multiply(half_dt, np.add(d1, d2, out=out), out=out), out=out)
+    _sub(rho, _mul(half_dt, _add(d1, d2, out), out), out)
 
 
 def evolve_density_continuity(
@@ -174,8 +177,9 @@ def evolve_density_continuity(
     first, pred = (_flux_rows(rows) for rows in np.zeros((2, 3, rho0.grid.n), dtype=np.complex128))
     history = np.empty(velocity_snapshots.shape)
     history[0] = np.real(rho0.values)
+    dt_a, half_dt = np.array(dt), np.array(0.5 * dt)
     for h, h1, v0, v1 in zip(history, history[1:], velocity_snapshots, velocity_snapshots[1:]):
-        _heun(h, _flux_div(v0, h, mult, first), v1, dt, 0.5 * dt, mult, pred, h1)
+        _heun(h, _flux_div(v0, h, mult, first), v1, dt_a, half_dt, mult, pred, h1)
     return history
 
 
@@ -221,10 +225,10 @@ def born_pipeline(
     loop evolves chunk c while it transports the density through chunk c - 1
     by the continuity equation alone, with the velocities of that chunk's
     states extracted by one batched FFT; at every step the evolution step and
-    the first flux share one two-row FFT pair: 4 row-FFT and 12 elementwise
-    calls, with no casting product and no scratch view built.  Each stage runs
-    K steps; the velocities before chunk 0's and past a partial chunk are zero,
-    so padded transport steps read no stale velocity, and no padded row is read.
+    the first flux share one two-row FFT pair: 4 gufunc and 12 ufunc calls on
+    operands, views and 0-d scalars bound before the loop.  Each stage runs K
+    steps; the velocities before chunk 0's and past a partial chunk are zero, so
+    padded transport steps read no stale velocity, and no padded row is read.
     Every step is compared against ``F F* / q``; non-finite states or
     densities raise ``ValueError``.  The complex density-transport residuals
     are evaluated at the midpoint snapshot triple, the only states kept
@@ -248,27 +252,29 @@ def born_pipeline(
     vels = np.zeros((n_rows + 1, grid.n))  # zero before chunk 0's: transport then copies hist[0]
     pair = np.zeros((3, 2, grid.n), dtype=np.complex128)  # in, spectrum, inverse of (psi, flux)
     (pair_in, pair_spec, pair_out), (evo_in, evo_spec, evo_out) = pair, pair[:, 0]
-    flux_re, _, flux_spec, _, d1 = _flux_rows(pair[:, 1])
-    pred, half_dt = _flux_rows(np.zeros((3, grid.n), dtype=np.complex128)), 0.5 * dt
+    flux_re, _, flux_spec, _, d1, one, inv_n = _flux_rows(pair[:, 1])
+    pred = _flux_rows(np.zeros((3, grid.n), dtype=np.complex128))
+    dt_a, half_dt = np.array(dt), np.array(0.5 * dt)
+    psis, hs, vs = [list(buf) for buf in bufs], list(hist), list(vels)  # row views, built once
     bufs[0, 0] = problem.psi0.values
     hist[0] = np.real(problem.psi0.abs2().values) / q0
     i_old = m_old = 0
 
     # stage c evolves chunk c (steps i0 .. i0 + m_new) while it transports chunk c - 1
     for c, i0 in enumerate([*range(0, n_steps, n_rows), n_steps]):
-        new, m_new = bufs[c % 2], min(n_rows, n_steps - i0)
+        new, m_new, psi_rows = bufs[c % 2], min(n_rows, n_steps - i0), psis[c % 2]
         # all K steps evolve and transport in one two-row FFT pair, with the operand orders of
         # evolve and _flux_div (complex products do not commute bitwise); the rows past m_new
         # and m_old are padding, never read
-        for psi, psi1, h, h1, v, v1 in zip(new, new[1:], hist, hist[1:], vels, vels[1:]):
-            np.multiply(half_pot, psi, out=evo_in)
-            np.multiply(v, h, out=flux_re)
-            _row_fft(pair_in, out=pair_spec)
-            np.multiply(kin, evo_spec, out=evo_spec)
-            np.multiply(flux_spec, mult, out=flux_spec)
-            _row_ifft(pair_spec, out=pair_out)
-            np.multiply(half_pot, evo_out, out=psi1)
-            _heun(h, d1, v1, dt, half_dt, mult, pred, h1)
+        for psi, psi1, h, h1, v, v1 in zip(psi_rows, psi_rows[1:], hs, hs[1:], vs, vs[1:]):
+            _mul(half_pot, psi, evo_in)
+            _mul(v, h, flux_re)
+            _fft(pair_in, one, pair_spec)
+            _mul(kin, evo_spec, evo_spec)
+            _mul(flux_spec, mult, flux_spec)
+            _ifft(pair_spec, inv_n, pair_out)
+            _mul(half_pot, evo_out, psi1)
+            _heun(h, d1, v1, dt_a, half_dt, mult, pred, h1)
 
         if m_old:  # compare chunk c - 1, reducing its drifts to the running extremes
             states, history, prod = old[: m_old + 1], hist[: m_old + 1], cwork[: m_old + 1]
@@ -294,8 +300,8 @@ def born_pipeline(
             rho = hist[0] = history[-1].copy()
         if m_new:  # the real velocities of chunk c, for its transport in stage c + 1
             states, spec = new[: m_new + 1], cwork[: m_new + 1]
-            np.multiply(_row_fft(states, out=spec), mult, out=spec)
-            velocity, mask = log_derivative(states, _row_ifft(spec, out=spec), -1j * b**2)
+            _mul(_fft(states, one, spec), mult, spec)
+            velocity, mask = log_derivative(states, _ifft(spec, inv_n, spec), -1j * b**2)
             vels[: m_new + 1] = velocity.real
             vels[m_new + 1 :] = 0  # padded transport steps then read no stale velocity
             min_coverage = min(min_coverage, float(mask.mean(axis=1).min()))

@@ -118,7 +118,8 @@ def _discrepancy_csv(rep: BornReport) -> tuple[list[str], list[tuple]]:
         Check("complex_transport_residual_forward", "<=", 1e-3, "sup complex transport residual"),
         Check("complex_transport_residual_conjugate", "<=", 1e-3, "the same, conjugate variant"),
         Check("osmotic_constraint_residual", "<=", 1e-3, "sup |(u rho)' - (b^2/2) rho''|"),
-        Check("node_coverage", ">=", 0.5, "least fraction of points off the nodes of F"),
+        Check("node_coverage", ">=", 0.5, "precondition of velocity extraction, not a claim: "
+              "least fraction of points off the nodes of F"),
     ),
     # the run at n // 2 points needs a grid of at least 8
     minimums={"n": (">=", 16), "steps_per_point": (">=", 1), "s": (">", 0.0)},
@@ -506,7 +507,7 @@ def _full_bins(est, p: dict, key: str) -> np.ndarray:
     ),
     minimums={
         "theta": (">", 0.0), "n_paths_short": (">=", 1), "n_paths_long": (">=", 1),
-        "half_window_short": (">=", 0), "half_window_long": (">=", 0),
+        "half_window_short": (">=", 0), "half_window_long": (">=", 0), "x0_spread": (">=", 0.0),
     },
 )
 def _run_sde_estimators(p: dict, seed: int):
@@ -837,7 +838,8 @@ def _run_ga_identities(p: dict, seed: int):
         Check("packet_complex_residual_conjugate", "<=", 1e-3, "the same, conjugate variant"),
         Check("continuity_time_order_ratio", ">=", 3.0, "continuity residual at dt / at dt/2"),
     ),
-    minimums={"theta": (">", 0.0), "dt_residual": (">", 0.0)},
+    # a negative drift amplitude mirrors the drift; zero leaves five checks nothing to compare
+    minimums={"theta": (">", 0.0), "dt_residual": (">", 0.0), "drift_amp": ("!=", 0.0)},
 )
 def _run_fp_consistency(p: dict, seed: int):
     b = p["b"]

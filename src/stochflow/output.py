@@ -36,6 +36,7 @@ COMPARATORS = {
     ">=": lambda v, t: v >= t,
     ">": lambda v, t: v > t,
     "==": lambda v, t: v == t,
+    "!=": lambda v, t: v != t,
 }
 
 

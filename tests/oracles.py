@@ -3,8 +3,9 @@ never compute, kept out of the package.
 
 They are the free dispersion relation, the trap's energy ladder and time
 factor, the energy and norm of a wave function, every state of a split-step
-run, the node mask of the velocity extraction and one step of the density
-solvers; and the most memory a call holds at once, for the memory guards.
+run, the node mask of the velocity extraction, one step of the density
+solvers and the Burgers solve as one allocating step at a time; and the most
+memory a call holds at once, for the memory guards.
 """
 
 import tracemalloc
@@ -52,6 +53,31 @@ def split_step_states(problem: SchrodingerProblem, t_final: float, dt: float):
     for _ in range(n_steps):
         states.append(half_pot * _row_ifft(kin * _row_fft(half_pot * states[-1])))
     return dt, [ScalarField(problem.grid, psi) for psi in states]
+
+
+def burgers_solve_allocating(problem, a0: ScalarField, t_final: float, dt: float) -> np.ndarray:
+    """The values of ``burgers.solve_burgers`` at ``t_final``, one allocating
+    integrating-factor Heun step at a time on ``np.fft``, in its operation order."""
+    grid = a0.grid
+    k = grid.wavenumbers()
+    ik = 1j * k
+    n_steps, dt = time_steps(t_final, dt)
+    decay = np.exp(-problem.nu * grid.k_squared() * dt)
+    keep = np.abs(k) <= (2.0 / 3.0) * np.max(np.abs(k))
+    forcing = problem.forcing_values(grid)
+    forcing_hat = None if forcing is None else np.fft.fft(forcing)
+
+    def nonlin_hat(a_hat):
+        a_vals = np.fft.ifft(a_hat * keep)
+        n = -0.5 * ik * np.fft.fft(a_vals * a_vals) * keep
+        return n if forcing_hat is None else n + forcing_hat
+
+    a_hat = np.fft.fft(a0.values)
+    for _ in range(n_steps):
+        n1 = nonlin_hat(a_hat)
+        n2 = nonlin_hat(decay * (a_hat + dt * n1))
+        a_hat = decay * (a_hat + 0.5 * dt * n1) + 0.5 * dt * n2
+    return np.fft.ifft(a_hat)
 
 
 def upwind_step(rho: np.ndarray, a: np.ndarray, b: float, dt: float, dx: float) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from oracles import burgers_solve_allocating
 from stochflow.analytic import burgers_single_mode
 from stochflow.burgers import (
     VARIANTS,
@@ -103,6 +104,26 @@ def test_one_problem_solves_fields_on_two_grids():
         assert out.grid == grid
         exact = burgers_single_mode(grid.axis, 0.5, problem.nu.real, k, 0.5)
         assert np.max(np.abs(out.values - exact)) < 1e-6
+
+
+@pytest.mark.parametrize("case", ["reversed", "complex", "forced"])
+def test_solver_equals_the_allocating_step_bit_for_bit(case):
+    # the in-place step loop keeps every operation and operand order of the
+    # allocating integrating-factor Heun step, forcing included
+    grid = GridSpec(dim=1, length=2 * np.pi, n=64)
+    x = grid.axis
+    f0 = ScalarField(grid, (1 + 0.4 * np.cos(x) + 0.2j * np.sin(2 * x)).astype(np.complex128))
+    problem = BurgersProblem(
+        b=1.0,
+        variant="reversed" if case == "reversed" else "complex",
+        potential=(lambda xx: 0.3 * np.cos(xx)) if case == "forced" else None,
+    )
+    if case == "reversed":
+        a0 = ScalarField(grid, burgers_single_mode(x, 0.0, 0.5, 1.0, 0.5))
+    else:
+        a0 = ScalarField(grid, problem.to_velocity(f0)[0])
+    out = solve_burgers(problem, a0, 0.05, 1e-3).values
+    assert np.array_equal(out, burgers_solve_allocating(problem, a0, 0.05, 1e-3))
 
 
 def test_solver_rejects_antidiffusive_marching():

@@ -252,10 +252,10 @@ def test_bad_value_exits_two_with_a_message_about_it(runner, tmp_path, experimen
     [(name, key, *minimum) for name, spec in EXPERIMENTS.items() for key, minimum in spec.minimums.items()],
 )
 def test_value_just_past_a_declared_minimum_exits_two(runner, tmp_path, experiment, key, comparison, bound):
-    if comparison == ">":
+    if comparison in (">", "!="):
         value = bound
     else:  # the next representable value below: one less for a count
-        value = bound - 1 if isinstance(bound, int) else float(np.nextafter(bound, 0))
+        value = bound - 1 if isinstance(bound, int) else float(np.nextafter(bound, -np.inf))
     assert type(value) is type(EXPERIMENTS[experiment].defaults[key])  # not a type error instead
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: value}))
