@@ -128,15 +128,13 @@ class HarmonicState:
         return 0.5 * self.omega**2 * (x - self.centre) ** 2
 
     def eigenfunction(self, x: np.ndarray, n: int) -> np.ndarray:
-        """Real, L2-normalized stationary state (Hermite-Gaussian)."""
+        """Real, L2-normalized stationary state: a Hermite polynomial times a Gaussian."""
         import math
 
-        from numpy.polynomial.hermite import hermval
-
         y = np.sqrt(self.omega) * (x - self.centre) / self.b
-        coeff = np.zeros(n + 1)
-        coeff[n] = 1.0
-        hn = hermval(y, coeff)
+        h_prev, hn = 0.0, np.ones_like(y)  # H_{-1}, H_0; H_{k+1} = 2y H_k - 2k H_{k-1}
+        for k in range(n):
+            h_prev, hn = hn, 2 * y * hn - 2 * k * h_prev
         norm = (self.omega / (np.pi * self.b**2)) ** 0.25 / math.sqrt(
             2.0**n * math.factorial(n)
         )

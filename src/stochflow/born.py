@@ -14,9 +14,9 @@ the modulus-squared rule is an output, not an input.
 The pipeline streams the evolution through plain arrays in chunks of K =
 ``max(1, CHUNK_POINTS // n)`` steps on n points (:func:`born_pipeline`), 64
 steps at n = 128 and 16 at n = 512.  Its memory is the chunk scratch, O(K n)
-and allocated once, plus the 24 bytes per step of the ``(t, gap, relative
-gap)`` series it returns: mass drift, norm drift and node coverage are reduced
-chunk by chunk.  It takes ``round(t_final/dt)`` split steps of
+and allocated once, whatever the step count: the gap maxima, drifts and node
+coverage are reduced chunk by chunk, and the gap series keeps under 1,024 rows
+(:data:`SERIES_ROWS`).  It takes ``round(t_final/dt)`` split steps of
 :mod:`stochflow.schrodinger`, the same as ``evolve``, in one loop that evolves
 and transports at every step, in four row-FFT gufunc and twelve ufunc calls and
 nothing else: no step converts a Python float, casts float to complex or views
@@ -77,6 +77,8 @@ __all__ = [
 #: points per chunk, K = max(1, CHUNK_POINTS // n) steps: the knee of the peak memory against
 #: chunk size at flat wall time; the per-chunk calls stay amortised over K steps
 CHUNK_POINTS = 2**13
+#: the gap series keeps every stride-th step's row, stride = max(1, (n_steps + 1) // SERIES_ROWS)
+SERIES_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -204,7 +206,7 @@ class BornReport:
     fp_conjugate: Norms
     continuity: Norms
     osmotic: Norms
-    #: columns (t, sup gap, relative gap), one row per stored snapshot
+    #: columns (t, sup gap, relative gap) of every stride-th step, under 1,024 rows (SERIES_ROWS)
     discrepancy_series: np.ndarray = field(repr=False, default=None)
     #: transported and quadratic densities at the final time, shape (2, n)
     final_profiles: np.ndarray = field(repr=False, default=None)
@@ -218,21 +220,21 @@ def born_pipeline(
     """Run the full verification loop on one one-dimensional wave-equation problem.
 
     The evolution is streamed in chunks of K = ``max(1, CHUNK_POINTS // n)``
-    steps, so memory is O(K n) of scratch plus 24 bytes per step for the
-    returned series, not O(steps n): mass drift, norm drift and least node
-    coverage are running extremes, updated once per chunk, and a chunk's
-    velocities are kept real, their complex form freed once extracted.  One
-    loop evolves chunk c while it transports the density through chunk c - 1
-    by the continuity equation alone, with the velocities of that chunk's
-    states extracted by one batched FFT; at every step the evolution step and
-    the first flux share one two-row FFT pair: 4 gufunc and 12 ufunc calls on
-    operands, views and 0-d scalars bound before the loop.  Each stage runs K
-    steps; the velocities before chunk 0's and past a partial chunk are zero, so
-    padded transport steps read no stale velocity, and no padded row is read.
-    Every step is compared against ``F F* / q``; non-finite states or
-    densities raise ``ValueError``.  The complex density-transport residuals
-    are evaluated at the midpoint snapshot triple, the only states kept
-    beyond a chunk.
+    steps, so memory is O(K n) of scratch, whatever the step count: the gap
+    maxima, drifts and least node coverage are running extremes, updated once
+    per chunk (a NaN gap stays NaN), the gap series keeps the row of every
+    stride-th step (:data:`SERIES_ROWS`), and a chunk's velocities are kept
+    real, their complex form freed once extracted.  One loop evolves chunk c
+    while it transports the density through chunk c - 1 by the continuity
+    equation alone, with the velocities of that chunk's states extracted by one
+    batched FFT; at every step the evolution step and the first flux share one
+    two-row FFT pair: 4 gufunc and 12 ufunc calls on operands, views and 0-d
+    scalars bound before the loop.  Each stage runs K steps; the velocities
+    before chunk 0's and past a partial chunk are zero, so padded transport
+    steps read no stale velocity, and no padded row is read.  Every step is
+    compared against ``F F* / q``; non-finite states or densities raise
+    ``ValueError``.  The complex density-transport residuals are evaluated at
+    the midpoint snapshot triple, the only states kept beyond a chunk.
     """
     n_steps, dt = time_steps(t_final, dt)
     mid = n_steps // 2
@@ -242,8 +244,9 @@ def born_pipeline(
     mult = spectral_multiplier(grid)
     half_pot, kin = _split_factors(problem, dt)
     q0 = float(np.real(integrate(problem.psi0.abs2())))
-    stats = np.empty((n_steps + 1, 3))  # per step: t, gap, relative gap
-    mass_drift = norm_drift = 0.0
+    stride = max(1, (n_steps + 1) // SERIES_ROWS)
+    gaps = np.empty((n_steps // stride + 1, 2))  # gap, relative gap of every stride-th step
+    sup_gap = sup_rel = mass_drift = norm_drift = 0.0
     min_coverage, kept = 1.0, {}
     n_rows = max(1, CHUNK_POINTS // grid.n)
     bufs = np.empty((2, n_rows + 1, grid.n), dtype=np.complex128)
@@ -286,10 +289,11 @@ def born_pipeline(
             q = np.real(np.sum(prod, axis=1) * grid.cell_volume)
             np.divide(prod.real, q[:, None], out=target)
             gap = np.max(np.abs(np.subtract(history, target, out=diff), out=diff), axis=1)
-            stats[i_old : i_old + m_old + 1] = np.column_stack([
-                dt * np.arange(i_old, i_old + m_old + 1, dtype=float), gap,
-                gap / target.max(axis=1),
-            ])
+            rel = gap / target.max(axis=1)
+            sup_gap, sup_rel = np.maximum(sup_gap, gap.max()), np.maximum(sup_rel, rel.max())
+            lo, hi = -(-i_old // stride), (i_old + m_old) // stride + 1  # this chunk's series rows
+            rows = slice(lo * stride - i_old, None, stride)
+            gaps[lo:hi, 0], gaps[lo:hi, 1] = gap[rows], rel[rows]
             mass, norm = history.sum(axis=1) * grid.dx, np.sqrt(q)
             if i_old == 0:
                 mass0, norm0 = mass[0], norm[0]
@@ -316,8 +320,8 @@ def born_pipeline(
     return BornReport(
         t_final=dt * n_steps,
         dt=dt,
-        sup_density_error=float(stats[:, 1].max()),
-        sup_relative_error=float(stats[:, 2].max()),
+        sup_density_error=float(sup_gap),
+        sup_relative_error=float(sup_rel),
         final_density_error=float(gap[-1]),
         mass_drift=mass_drift,
         norm_drift=norm_drift,
@@ -326,6 +330,6 @@ def born_pipeline(
         fp_conjugate=complex_fp_residual(*rho_tri, dec.complex_velocity, b, dt, variant="conjugate"),
         continuity=continuity_residual(*rho_tri, dec.current, dt),
         osmotic=osmotic_constraint_residual(rho_tri[1], dec.osmotic, b),
-        discrepancy_series=stats,
+        discrepancy_series=np.column_stack([np.arange(0, n_steps + 1, stride) * dt, gaps]),
         final_profiles=np.stack([rho, target[-1]]),
     )

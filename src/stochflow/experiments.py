@@ -95,10 +95,8 @@ def _free_packet_problem(n: int, p: dict) -> SchrodingerProblem:
 
 
 def _discrepancy_csv(rep: BornReport) -> tuple[list[str], list[tuple]]:
-    """The Born report's gap series, thinned to about 512 rows."""
-    series = rep.discrepancy_series
-    stride = max(1, series.shape[0] // 512)
-    return ["t", "sup_gap", "relative_gap"], [tuple(row) for row in series[::stride]]
+    """The Born report's gap series, kept thinned, in O(K n) memory at any step count."""
+    return ["t", "sup_gap", "relative_gap"], [tuple(row) for row in rep.discrepancy_series]
 
 
 @_experiment(

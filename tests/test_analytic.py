@@ -5,11 +5,16 @@ oracles, so they are checked first and independently."""
 
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy as sp
 
+import stochflow
 from oracles import dispersion_omega, harmonic_energy, harmonic_psi
 from stochflow.analytic import (
     FreePacket,
@@ -160,6 +165,35 @@ def test_eigenfunctions_solve_stationary_equation(trap):
         inner = slice(200, -200)
         scale = np.max(np.abs(phi))
         assert np.max(np.abs(lhs[inner] - e_n * phi[inner])) < 5e-5 * scale
+
+
+def test_eigenfunctions_match_numpy_hermval():
+    # numpy's Clenshaw evaluation as the oracle: the same floats at n = 0 and 1, where
+    # both give 1 and 2y, and within 1e-13 of the largest value up to n = 8
+    from numpy.polynomial.hermite import hermval
+
+    state = HarmonicState(b=0.8, omega=1.7, centre=1.0)
+    x = np.linspace(-6.0, 8.0, 1401)
+    y = np.sqrt(state.omega) * (x - state.centre) / state.b
+    for n in range(9):
+        norm = (state.omega / (np.pi * state.b**2)) ** 0.25 / math.sqrt(2.0**n * math.factorial(n))
+        want = norm * hermval(y, np.eye(n + 1)[n]) * np.exp(-(y**2) / 2)
+        got = state.eigenfunction(x, n)
+        if n <= 1:
+            assert np.array_equal(got, want), n
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), n
+
+
+def test_eigenfunction_loads_no_numpy_polynomial():
+    env = dict(os.environ, PYTHONPATH=str(Path(stochflow.__file__).parents[1]))
+    code = (
+        "import sys, numpy as np; from stochflow.analytic import HarmonicState; "
+        "HarmonicState(b=1.0, omega=1.0).eigenfunction(np.linspace(-3.0, 3.0, 7), 4); "
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_eigenfunctions_orthonormal(trap):

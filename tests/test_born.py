@@ -10,6 +10,7 @@ from oracles import MB, node_mask, peak_bytes, split_step_states, wavefunction_n
 from stochflow.analytic import FreePacket, HarmonicState
 from stochflow.born import (
     CHUNK_POINTS,
+    SERIES_ROWS,
     BornReport,
     _flux_div,
     _flux_rows,
@@ -137,7 +138,8 @@ def test_born_pipeline_requires_enough_snapshots(packet_setup):
 
 
 def _reference_report(problem, t_final, dt):
-    """The Born pipeline as a per-snapshot loop over every state of the split-step run."""
+    """The Born pipeline as a per-snapshot loop over every state of the split-step run; it keeps
+    the gap of every state, and reports the rows of every stride-th step with the maxima of all."""
     dt_eff, states = split_step_states(problem, t_final, dt)
     times = dt_eff * np.arange(len(states), dtype=float)
     grid = problem.grid
@@ -175,7 +177,7 @@ def _reference_report(problem, t_final, dt):
         ),
         continuity=continuity_residual(*tri, dec.current, dt_eff),
         osmotic=osmotic_constraint_residual(tri[1], dec.osmotic, problem.b),
-        discrepancy_series=series,
+        discrepancy_series=series[:: max(1, len(states) // SERIES_ROWS)],
         final_profiles=np.stack([history[-1], target_final]),
     )
 
@@ -194,7 +196,6 @@ def _assert_matches_reference(packet_setup, n_steps, potential):
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         rep = born_pipeline(prob, n_steps * dt, dt)
     ref = _reference_report(prob, n_steps * dt, dt)
-    assert rep.discrepancy_series.shape == (n_steps + 1, 3)
     for f in dataclasses.fields(BornReport):
         got, want = getattr(rep, f.name), getattr(ref, f.name)
         if isinstance(want, np.ndarray):
@@ -232,6 +233,14 @@ def test_born_pipeline_matches_reference_at_chunk_edges(packet_setup, chunks, po
     _assert_matches_reference(packet_setup, n_steps, potential)
 
 
+def test_born_pipeline_matches_reference_at_a_series_stride(packet_setup):
+    # 1,614 states keep every third row, so series rows fall at every offset within a chunk
+    # and only some chunks end on one; the maxima still cover every step
+    n_steps = 1613
+    assert (n_steps + 1) // SERIES_ROWS == 3
+    _assert_matches_reference(packet_setup, n_steps, "harmonic")
+
+
 def _trapped_ground_state_problem():
     grid = GridSpec(dim=1, length=16.0, n=128)
     state = HarmonicState(b=1.0, omega=1.0, centre=8.0)
@@ -249,26 +258,24 @@ def test_born_pipeline_peaks_at_its_chunk_scratch(chunks):
     # extraction scratch, all complex, and the history, two rows of compare scratch and
     # the velocities, all real; while a chunk's velocities are extracted, its complex
     # velocities and |F| exist too.  Beyond them only the (t, gap, relative gap) series
-    # grows with the run.  Keeping a chunk's complex velocities until the next chunk's
-    # are extracted (16 B a point more) fails it
+    # is kept, under 1,024 rows at any step count.  Keeping a chunk's complex velocities
+    # until the next chunk's are extracted (16 B a point more) fails it
     prob = _trapped_ground_state_problem()
     n = prob.grid.n
     k = CHUNK_POINTS // n
-    n_steps = chunks * k
     scratch = (k + 1) * n * (4 * 16 + 5 * 8)
-    series = (n_steps + 1) * 3 * 8
-    peak = _pipeline_peak(prob, n_steps)
+    series = 1024 * 3 * 8
+    peak = _pipeline_peak(prob, chunks * k)
     assert peak <= scratch + series + MB // 8, (peak, scratch + series)
 
 
-def test_born_pipeline_memory_grows_only_by_its_series():
-    # 20,000 more steps add 20,000 rows of (t, gap, relative gap) and nothing else
-    # that lives longer than a chunk
+def test_born_pipeline_memory_does_not_grow_with_its_steps():
+    # 20,000 more steps keep nothing that lives longer than a chunk: the series keeps
+    # 520 rows of them instead of 257 (a row for each of them would be 480 KB)
     prob = _trapped_ground_state_problem()
     k = CHUNK_POINTS // prob.grid.n
-    extra = 20_000
-    growth = _pipeline_peak(prob, 4 * k + extra) - _pipeline_peak(prob, 4 * k)
-    assert growth <= extra * 3 * 8 + MB // 16, (growth, extra * 3 * 8)
+    growth = _pipeline_peak(prob, 4 * k + 20_000) - _pipeline_peak(prob, 4 * k)
+    assert growth <= MB // 16, growth
 
 
 def test_born_pipeline_rejects_non_finite_evolution(packet_setup):
