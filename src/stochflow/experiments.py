@@ -385,7 +385,7 @@ def _run_colehopf_3d(p: dict, seed: int):
         Check("chain_rhs_residual", "<=", 1e-5, "sup of the heat side of the chain"),
         Check("chain_sides_difference", "<=", 1e-8, "sup difference of the two sides"),
     ),
-    minimums={"eps": (">", 0.0), "window_half_width": (">", 0.0)},
+    minimums={"eps": (">", 0.0), "window_half_width": (">", 0.0), "front_speed": ("!=", 0.0)},
 )
 def _run_burgers_direct_vs_ch(p: dict, seed: int):
     b = p["b"]

@@ -268,7 +268,51 @@ def test_value_just_past_a_declared_minimum_exits_two(runner, tmp_path, experime
     assert repr(key) in lines[0] and f"{key} must be {comparison} {bound}, got {value}" in lines[0]
 
 
-@pytest.mark.parametrize("change", ["add an undeclared check", "drop a declared check"])
+#: (experiment, key, value) of the 0/-1 sweep that is not run, with the reason
+_SWEEP_NOT_RUN = {
+    **{("born-free", key, v): "a start position or a carrier of whole cycles; any value is a packet"
+       for key in ("x0_offset", "k0_cycles") for v in (0, -1)},
+    ("sde-estimators", "half_window_short", 0): "a window of one interior step still estimates",
+    ("sde-estimators", "half_window_long", 0): "a window of one interior step still estimates",
+    ("sde-estimators", "x0_spread", 0): "a point start is a start; the drift spreads it",
+    **{("sde-estimators", key, v): "rejected by the time step rule, but only after run (a), ~0.5 s"
+       for key in ("t_long", "dt_long") for v in (0, -1)},
+}
+_SWEEP = [
+    (name, key, type(default)(v))
+    for name, spec in EXPERIMENTS.items()
+    for key, default in spec.defaults.items()
+    if isinstance(default, (int, float)) and not isinstance(default, bool)
+    for v in (0, -1)
+]
+
+
+def test_sweep_exceptions_name_cases_of_the_sweep():
+    assert set(_SWEEP_NOT_RUN) <= set(_SWEEP)
+
+
+@pytest.mark.parametrize(
+    "experiment, key, value", [case for case in _SWEEP if case not in _SWEEP_NOT_RUN]
+)
+def test_sweep_of_zero_and_minus_one_rejects_or_leaves_every_check_something(
+    experiment, key, value
+):
+    # a value that hollows a check out, as a front speed of 0 once did with a front a == 0,
+    # must be a configuration error; one that runs keeps every check's value off exactly 0.0
+    params = dict(EXPERIMENTS[experiment].defaults, **{key: value})
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as the CLI runs
+            summary = run_experiment(experiment, params, 1234)["summary"]
+    except ValueError:
+        return
+    defaults = json.loads((_FIXTURES / f"{experiment}.json").read_text())["checks"]
+    nonzero_at_defaults = {chk["name"] for chk in defaults if chk["value"] != 0.0}
+    hollow = [chk["name"] for chk in summary["checks"]
+              if chk["value"] == 0.0 and chk["name"] in nonzero_at_defaults]
+    assert not hollow, hollow
+
+
+@pytest.mark.parametrize("change",["add an undeclared check", "drop a declared check"])
 def test_run_refuses_check_names_that_differ_from_the_declaration(monkeypatch, change):
     spec = EXPERIMENTS["ga-identities"]
     declared = [c.name for c in spec.checks]
