@@ -50,8 +50,8 @@ from .fields import (
     ScalarField,
     _fft,
     _ifft,
+    _spectral_derivative,
     antiderivative,
-    derivative,
     integrate,
     log_derivative,
     spectral_multiplier,
@@ -99,7 +99,7 @@ def velocity_from_wavefunction(psi: ScalarField, b: float) -> VelocityDecomposit
     """Extract ``V = -i b^2 (grad psi)/psi``, masking the nodes of ``psi``
     (:data:`~stochflow.fields.NODE_FLOOR_REL`)."""
     grid = psi.grid
-    dpsi = derivative(psi, 0).values
+    dpsi = _spectral_derivative(psi.values, grid, 0, 1)
     v = log_derivative(psi.values.reshape(1, -1), dpsi.reshape(1, -1), -1j * b**2)[0]
     v = v.reshape(grid.shape)
     return VelocityDecomposition(

@@ -26,7 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import GridSpec, Norms, ScalarField, derivative, laplacian, norms
+from .fields import (
+    GridSpec, Norms, ScalarField, _laplacian, _norms, _spectral_derivative, derivative, laplacian,
+)
 
 __all__ = [
     "BLADE_NAMES",
@@ -164,9 +166,7 @@ def grad_wedge(grid: GridSpec, w: np.ndarray) -> np.ndarray:
     for blade, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
         if max(i, j) >= grid.dim:
             continue
-        di_wj = derivative(ScalarField(grid, w[j]), i).values
-        dj_wi = derivative(ScalarField(grid, w[i]), j).values
-        out[blade] = di_wj - dj_wi
+        out[blade] = _spectral_derivative(w[j], grid, i, 1) - _spectral_derivative(w[i], grid, j, 1)
     return out
 
 
@@ -198,7 +198,7 @@ def stretched_gradient(f: ScalarField, s: StretchSpec) -> np.ndarray:
 
 def _vector_norms(stack: np.ndarray, grid: GridSpec) -> Norms:
     """The largest ``l_inf`` and the largest ``l2`` over the components of a stack."""
-    per_component = [norms(ScalarField(grid, comp)) for comp in stack]
+    per_component = [_norms(comp, grid) for comp in stack]
     return Norms(max(n.l_inf for n in per_component), max(n.l2 for n in per_component))
 
 
@@ -246,33 +246,30 @@ def check_prop_identities(f: ScalarField, s: StretchSpec) -> dict[str, Norms]:
     # 2. commutation with the Laplacian
     lap_then_stretch = stretched_gradient(laplacian(f), s)
     w = stretched_gradient(f, s)
-    stretch_then_lap = np.stack([laplacian(ScalarField(grid, comp)).values for comp in w])
+    stretch_then_lap = np.stack([_laplacian(comp, grid) for comp in w])
     r_lap = _vector_norms(lap_then_stretch - stretch_then_lap, grid)
 
     # 3. directional-derivative symmetry on an auxiliary field
-    shifted = ScalarField(grid, np.roll(f.values, grid.n // 3, axis=0))
+    shifted = np.roll(f.values, grid.n // 3, axis=0)
     lhs = np.zeros(grid.shape, dtype=np.complex128)
     rhs = np.zeros(grid.shape, dtype=np.complex128)
     for axis in range(grid.dim):
-        df = derivative(f, axis).values
-        dg = derivative(shifted, axis).values
+        df = _spectral_derivative(f.values, grid, axis, 1)
+        dg = _spectral_derivative(shifted, grid, axis, 1)
         lhs += (c[axis] * df) * dg
         rhs += df * (c[axis] * dg)
-    r_sym = norms(ScalarField(grid, lhs - rhs))
+    r_sym = _norms(lhs - rhs, grid)
 
     # 4. convective identity (w . grad) w = 1/2 grad(w . w)
     w_sq = np.zeros(grid.shape, dtype=np.complex128)
     for comp in w:
         w_sq += comp * comp
-    half_grad = [
-        0.5 * derivative(ScalarField(grid, w_sq), axis).values
-        for axis in range(grid.dim)
-    ]
+    half_grad = [0.5 * _spectral_derivative(w_sq, grid, axis, 1) for axis in range(grid.dim)]
     convective = []
     for j in range(grid.dim):
         acc = np.zeros(grid.shape, dtype=np.complex128)
         for k in range(grid.dim):
-            acc += w[k] * derivative(ScalarField(grid, w[j]), k).values
+            acc += w[k] * _spectral_derivative(w[j], grid, k, 1)
         convective.append(acc)
     r_conv = _vector_norms(
         np.stack([convective[j] - half_grad[j] for j in range(grid.dim)]), grid
@@ -305,12 +302,11 @@ def linearization_cancellation(
     if lam is None:
         lam = -1j * b**2
     grid = F.grid
-    mag = np.abs(F.values)
-    if mag.min() <= 0:
+    if np.abs(F.values).min() <= 0:
         raise ValueError("log F undefined: F has a zero node")
-    logF = ScalarField(grid, np.log(F.values.astype(np.complex128)))
+    log_f = np.log(F.values)
 
-    grads = [derivative(logF, axis).values for axis in range(grid.dim)]
+    grads = [_spectral_derivative(log_f, grid, axis, 1) for axis in range(grid.dim)]
     stretched_sq = np.zeros(grid.shape, dtype=np.complex128)
     plain_sq = np.zeros(grid.shape, dtype=np.complex128)
     for g in grads:
@@ -320,7 +316,7 @@ def linearization_cancellation(
 
     residual_comps = []
     for axis in range(grid.dim):
-        term1 = derivative(ScalarField(grid, stretched_sq), axis).values
-        term2 = 1j * b**2 * lam * derivative(ScalarField(grid, plain_sq), axis).values
+        term1 = _spectral_derivative(stretched_sq, grid, axis, 1)
+        term2 = 1j * b**2 * lam * _spectral_derivative(plain_sq, grid, axis, 1)
         residual_comps.append(term1 + term2)
     return _vector_norms(np.stack(residual_comps), grid)

@@ -59,7 +59,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .fields import GridSpec, ScalarField, derivative, time_steps
+from .fields import GridSpec, ScalarField, _spectral_derivative, time_steps
 
 __all__ = [
     "DiffusionModel",
@@ -461,9 +461,7 @@ def osmotic_velocity_from_density(rho: ScalarField, b: float) -> ScalarField:
     vals = np.real(rho.values)
     if vals.min() <= 0:
         raise ValueError("density must be strictly positive to take log")
-    log_rho = ScalarField(rho.grid, np.log(vals))
-    d = derivative(log_rho, 0)
-    return ScalarField(rho.grid, 0.5 * b**2 * d.values)
+    return ScalarField(rho.grid, 0.5 * b**2 * _spectral_derivative(np.log(vals), rho.grid, 0, 1))
 
 
 def backward_drift_from_forward(model: DiffusionModel, rho: ScalarField) -> np.ndarray:

@@ -10,8 +10,11 @@ from stochflow.fields import (
     GridMismatchError,
     GridSpec,
     ScalarField,
+    _laplacian,
+    _norms,
     _row_fft,
     _row_ifft,
+    _spectral_derivative,
     antiderivative,
     derivative,
     field_from_function,
@@ -179,6 +182,25 @@ def test_norms_and_residual():
     assert nm.l2 == pytest.approx(2.0)  # rms-style norm of a constant
     g = ScalarField(grid, np.full(16, 2.5))
     assert norms(g - f).l_inf == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (3, 12)])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_array_kernels_equal_the_scalar_field_api_bit_for_bit(dim, n, kind):
+    # the package's evaluators call the kernels on their own arrays, real float64 ones
+    # among them, where a ScalarField cast them to complex; the values must not move
+    grid = GridSpec(dim=dim, length=2 * np.pi, n=n)
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal(grid.shape)
+    if kind == "complex":
+        values = values + 1j * rng.standard_normal(grid.shape)
+    f = ScalarField(grid, values)
+    for axis in range(dim):
+        for order in (1, 2):
+            kernel = _spectral_derivative(values, grid, axis, order)
+            assert np.array_equal(kernel, derivative(f, axis, order).values)
+    assert np.array_equal(_laplacian(values, grid), laplacian(f).values)
+    assert _norms(values, grid) == norms(f)
 
 
 def test_nyquist_mode_removed_in_odd_derivative():
