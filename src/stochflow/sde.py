@@ -29,10 +29,12 @@ one block no helper starts, and none outlives the call.  An error in a
 helper is raised in the caller.
 
 ``estimate_velocities`` conditions the forward difference and the backward
-one, ``X(t) - X(t - dt)``, on the position at the same step.  It bins one
-block of paths at a time, of up to ``BLOCK_VALUES`` pooled values, so its
-peak memory is the stored window plus one flattened copy of the pooled
-positions, which the quantiles of the bin range need.
+one, ``X(t) - X(t - dt)``, on the position at the same step.  It reads one
+block of paths at a time, of up to ``BLOCK_VALUES`` pooled values, in two
+passes: the first keeps the 0.5% tails of the pooled positions, whose
+order statistics give the bin range exactly as ``np.quantile`` would, and
+the second bins.  Beyond the stored window it holds only block-sized
+arrays and those tails.
 
 The complex noise ``dZ = (b dW + i bhat dW') / (sqrt(2) sigma)`` mixes two
 independent Wiener processes, with ``sigma^2 = (b^2 + bhat^2) / 2``.  Its
@@ -43,7 +45,10 @@ sample means of ``dZ``, ``dZ^2`` and ``dZ dZ*`` beside these exact values.
 ``complex_increment_blocks`` holds the formula for ``dZ`` once: it draws the
 real normals whole and the imaginary ones a block of rows at a time, and
 gives every value bit for bit as one whole-array draw would.  The means
-reduce the whole ``dZ``, so a run holds ``dZ`` and one product of it.
+are reduced block by block, each block a whole subtree of the pairwise sum
+that ``dZ.mean()`` would take, and the block sums are added up that tree;
+so they equal the whole-array means bit for bit, while a run holds the
+real normals and block-sized buffers but no whole ``dZ``.
 
 All randomness flows through a counter-based Philox generator keyed by an
 explicit integer seed; repeated runs are bit-identical.
@@ -55,7 +60,7 @@ import contextvars
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -255,27 +260,37 @@ class ComplexIncrementStats:
 
 
 def complex_increment_blocks(
-    b: float, bhat: float, dt: float, shape: tuple[int, ...], rng: np.random.Generator
+    b: float,
+    bhat: float,
+    dt: float,
+    shape: tuple[int, ...],
+    rng: np.random.Generator,
+    lengths: Sequence[int] | None = None,
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """The increments ``dZ`` of one ``shape`` draw, by blocks of leading rows.
 
     Yields ``(rows, dz)`` in row order, where ``dz`` holds the increments of
     ``rows``, a slice of the leading axis; ``dz`` is a buffer that the next
-    block overwrites.  The real draws ``xi`` of the whole shape come first
-    from ``rng``, then the imaginary ones ``xi_hat``, a block at a time, so
-    every value equals the one of a single ``(b xi + i bhat xi_hat) sqrt(dt)
-    / (sqrt(2) sigma)`` over the whole shape, bit for bit.
+    block overwrites.  ``lengths`` gives the row count of each block, in
+    order; by default a block holds about ``BLOCK_VALUES`` values.  The real
+    draws ``xi`` of the whole shape come first from ``rng``, then the
+    imaginary ones ``xi_hat``, a block at a time, so every value equals the
+    one of a single ``(b xi + i bhat xi_hat) sqrt(dt) / (sqrt(2) sigma)``
+    over the whole shape, bit for bit.
     """
     sigma = np.sqrt((b**2 + bhat**2) / 2)
     xi = rng.standard_normal(shape)
     n_rows = shape[0]
-    step = max(1, BLOCK_VALUES // max(1, math.prod(shape[1:])))
-    xi_hat = np.empty((min(step, n_rows),) + shape[1:])
+    if lengths is None:
+        step = max(1, BLOCK_VALUES // max(1, math.prod(shape[1:])))
+        lengths = [min(step, n_rows - start) for start in range(0, n_rows, step)]
+    xi_hat = np.empty((max(lengths, default=0),) + shape[1:])
     real = np.empty_like(xi_hat)
     dz = np.empty(xi_hat.shape, dtype=complex)
-    for start in range(0, n_rows, step):
-        rows = slice(start, min(start + step, n_rows))
-        size = rows.stop - start
+    start = 0
+    for size in lengths:
+        rows = slice(start, start + size)
+        start += size
         rng.standard_normal(out=xi_hat[:size])
         out = dz[:size]
         np.multiply(1j * bhat, xi_hat[:size], out=out)
@@ -283,6 +298,26 @@ def complex_increment_blocks(
         out *= np.sqrt(dt)
         out /= np.sqrt(2) * sigma
         yield rows, out
+
+
+def _pairwise_lengths(n: int, most: int) -> list[int]:
+    """The lengths, in order, of the subtrees of numpy's pairwise sum over
+    ``n`` contiguous complex values, split until each holds at most ``most``
+    (at least 64, the most numpy adds in one leaf): a node splits at
+    ``(n - n % 8) // 2``."""
+    if n <= most:
+        return [n]
+    half = (n - n % 8) // 2
+    return _pairwise_lengths(half, most) + _pairwise_lengths(n - half, most)
+
+
+def _pairwise_total(n: int, most: int, sums: Iterator):
+    """Add the sums of the subtrees of ``_pairwise_lengths(n, most)``, taken
+    in order from ``sums``, as numpy's pairwise sum adds them."""
+    if n <= most:
+        return next(sums)
+    half = (n - n % 8) // 2
+    return _pairwise_total(half, most, sums) + _pairwise_total(n - half, most, sums)
 
 
 def sample_complex_increments(
@@ -296,17 +331,24 @@ def sample_complex_increments(
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    dz = np.empty(n_samples, dtype=complex)
-    for rows, block in complex_increment_blocks(b, bhat, dt, (n_samples,), make_rng(seed)):
-        dz[rows] = block
-    del block  # the last view of the block buffer
-    # the means reduce the whole of dz, so that their pairwise sums stay fixed
-    mean_dz = complex(dz.mean())
-    tmp = np.multiply(dz, dz)
-    mean_dz2 = complex(tmp.mean())
-    # conj(dz) dz, the operand order numpy gives dz * conj(dz) when it reuses
-    # the conjugate's temporary; the fused complex product is not commutative
-    mean_dzdzbar = complex(np.multiply(np.conjugate(dz, out=tmp), dz, out=tmp).mean())
+    # each block is a whole subtree of the pairwise sum that dz.mean() would
+    # take, so adding the block sums up the tree gives its means bit for bit
+    most = max(BLOCK_VALUES, 64)
+    lengths = _pairwise_lengths(n_samples, most)
+    tmp = np.empty(max(lengths), dtype=complex)
+    sums = []
+    for _, dz in complex_increment_blocks(b, bhat, dt, (n_samples,), make_rng(seed), lengths):
+        prod = tmp[: dz.size]
+        dz_sum = np.add.reduce(dz)
+        dz2_sum = np.add.reduce(np.multiply(dz, dz, out=prod))
+        # conj(dz) dz, the operand order numpy gives dz * conj(dz) when it
+        # reuses the conjugate's temporary; the fused complex product is not
+        # commutative
+        dzdzbar_sum = np.add.reduce(np.multiply(np.conjugate(dz, out=prod), dz, out=prod))
+        sums.append(np.array([dz_sum, dz2_sum, dzdzbar_sum]))
+    totals = _pairwise_total(n_samples, most, iter(sums))
+    # the scalar division of ndarray.mean
+    mean_dz, mean_dz2, mean_dzdzbar = (complex(total / np.intp(n_samples)) for total in totals)
     return ComplexIncrementStats(
         mean_dz=mean_dz,
         mean_dz2=mean_dz2,
@@ -351,6 +393,57 @@ def _require_unbatched(ens: PathEnsemble) -> None:
         )
 
 
+def _keep_extreme(tail: np.ndarray, block: np.ndarray, k: int, largest: bool) -> np.ndarray:
+    """The ``k`` smallest (or largest) values of ``tail`` and ``block``, unordered;
+    once ``tail`` holds ``k``, only the block's values past its extreme enter."""
+    if tail.size == k:
+        block = block[block > tail.min()] if largest else block[block < tail.max()]
+    merged = np.concatenate((tail, block), axis=None)
+    if merged.size <= k:
+        return merged
+    return np.partition(merged, -k)[-k:] if largest else np.partition(merged, k - 1)[:k]
+
+
+def _pooled_quantiles(blocks: Iterable[np.ndarray], n: int, qs) -> np.ndarray:
+    """``np.quantile`` of the ``n`` values of ``blocks`` at the levels ``qs``,
+    bit for bit, holding only the order statistics that it reads.
+
+    numpy's default (linear) method reads the values of ranks ``floor(v)``
+    and ``floor(v) + 1``, with ``v = (n - 1) q`` (both the last value where
+    ``v >= n - 1``), and lerps between them by ``v - floor(v)``.  Each
+    level takes the nearer tail: the smallest values up to its upper rank,
+    or the largest down to its lower one; the tails are kept block by block.
+    Any NaN makes every quantile NaN, as in numpy.
+    """
+    qs = np.asarray(qs, dtype=float)
+    virtual = (n - 1) * qs
+    last = virtual >= n - 1
+    prev = np.where(last, -1.0, np.floor(virtual))  # numpy's index of the last value is -1
+    gamma = virtual - prev
+    ranks = np.where(last, n - 1, np.stack([prev, prev + 1])).astype(np.intp)
+    low = ranks[1] + 1 <= n - ranks[0]  # the levels read from the lower tail
+    k_low = int(ranks[1][low].max(initial=-1)) + 1
+    k_high = int(n - ranks[0][~low].min(initial=n))
+    smallest, largest = np.empty(0), np.empty(0)
+    for block in blocks:
+        if np.isnan(block.max()):
+            return np.full(qs.shape, np.nan)
+        if k_low:
+            smallest = _keep_extreme(smallest, block, k_low, largest=False)
+        if k_high:
+            largest = _keep_extreme(largest, block, k_high, largest=True)
+    smallest.sort()
+    largest.sort()
+    a, b = order = np.empty(ranks.shape)
+    order[:, low] = smallest[ranks[:, low]]
+    order[:, ~low] = largest[ranks[:, ~low] - (n - k_high)]
+    # numpy's _lerp: from the lower value below a weight of 1/2, else from the upper
+    d = b - a
+    out = a + d * gamma
+    np.subtract(b, d * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out
+
+
 def estimate_velocities(ens: PathEnsemble, min_count: int = 40) -> VelocityEstimate:
     """Estimate mean forward/backward velocities by conditional binning.
 
@@ -361,7 +454,11 @@ def estimate_velocities(ens: PathEnsemble, min_count: int = 40) -> VelocityEstim
     the caller picks that window when it simulates.  The ensemble must not be
     batched.  The bins span the 0.5% to 99.5% quantiles of the pooled
     positions; their width ``2 b sqrt(dt)`` keeps the single-step diffusive
-    blur below the bin scale.
+    blur below the bin scale.  The quantiles equal ``np.quantile``'s bit
+    for bit.  Both passes over the paths go by blocks, so beyond the stored
+    window the call holds block-sized arrays and the two 0.5% tails of the
+    pooled positions that the quantiles read, but no copy of the pooled
+    positions.
     """
     _require_unbatched(ens)
     dt, paths = ens.dt, ens.paths
@@ -371,9 +468,11 @@ def estimate_velocities(ens: PathEnsemble, min_count: int = 40) -> VelocityEstim
             "store at least 3"
         )
 
-    # the quantile's flattened copy of the pooled positions is the one
-    # whole-window temporary; the binning goes by blocks of paths
-    lo, hi = np.quantile(paths[:, 1:-1], [0.005, 0.995])
+    # the quantiles and the binning each go over the paths by blocks
+    step = max(1, BLOCK_VALUES // (paths.shape[1] - 2))
+    starts = range(0, paths.shape[0], step)
+    pooled = paths[:, 1:-1]
+    lo, hi = _pooled_quantiles((pooled[s : s + step] for s in starts), pooled.size, [0.005, 0.995])
     width = 2 * ens.b * np.sqrt(dt)
     n_bins = max(4, int(np.ceil((hi - lo) / width)))
     edges = np.linspace(lo, hi, n_bins + 1)
@@ -383,8 +482,7 @@ def estimate_velocities(ens: PathEnsemble, min_count: int = 40) -> VelocityEstim
     # dropped; np.add.at adds in element order, as one weighted bincount does
     counts = np.zeros(n_bins + 2, dtype=np.intp)
     sums_f, sq_f, sums_b, sq_b = np.zeros((4, n_bins + 2))
-    step = max(1, BLOCK_VALUES // (paths.shape[1] - 2))
-    for start in range(0, paths.shape[0], step):
+    for start in starts:
         block = paths[start : start + step]
         here = block[:, 1:-1]
         idx = np.digitize(here, edges).ravel()

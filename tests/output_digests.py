@@ -8,14 +8,19 @@ so it is not written.  A change meant to leave every output byte-identical
 leaves this listing unchanged::
 
     PYTHONPATH=src python tests/output_digests.py [OUT_DIR]
+    PYTHONPATH=src python tests/output_digests.py --check tests/fixtures/output_digests.txt
 
 Without ``OUT_DIR`` the files go to a temporary directory that is removed
-afterwards.  The file name keeps pytest from collecting it.
+afterwards.  ``--check FILE`` compares the listing with ``FILE``, a listing
+saved earlier, and exits 1 naming each output whose sha256 differs or that
+one listing lacks.  The file name keeps pytest from collecting it.
 """
 
+import argparse
 import hashlib
 import sys
 import tempfile
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -40,15 +45,40 @@ def write_outputs(out_dir: Path) -> list[Path]:
     return written
 
 
-def main(out_dir: Path) -> None:
-    for path in write_outputs(out_dir):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        print(path.parent.name, path.name, digest)
+def digests(out_dir: Path) -> list[str]:
+    """The lines ``name file sha256`` of every output written under ``out_dir``."""
+    return [
+        f"{path.parent.name} {path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}"
+        for path in write_outputs(out_dir)
+    ]
+
+
+def differences(got: list[str], want: list[str]) -> list[str]:
+    """One line per output whose digest differs between two listings, or that one lacks."""
+    got_by, want_by = (dict(line.rsplit(" ", 1) for line in lines if line) for lines in (got, want))
+    return [
+        f"{output}: {want_by.get(output, 'absent')} -> {got_by.get(output, 'absent')}"
+        for output in dict.fromkeys([*want_by, *got_by])
+        if got_by.get(output) != want_by.get(output)
+    ]
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out_dir", nargs="?", type=Path, help="where to write the outputs")
+    parser.add_argument("--check", type=Path, metavar="FILE",
+                        help="compare with a saved listing; exit 1 if any output differs")
+    args = parser.parse_args(argv)
+    with nullcontext(args.out_dir) if args.out_dir else tempfile.TemporaryDirectory() as out:
+        lines = digests(Path(out))
+    print("\n".join(lines))
+    if args.check is None:
+        return 0
+    changed = differences(lines, args.check.read_text().splitlines())
+    for line in changed:
+        print(f"differs: {line}", file=sys.stderr)
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":
-    if len(sys.argv) > 1:
-        main(Path(sys.argv[1]))
-    else:
-        with tempfile.TemporaryDirectory() as tmp:
-            main(Path(tmp))
+    sys.exit(main(sys.argv[1:]))

@@ -37,3 +37,20 @@ def test_writers_emit_valid_json_for_non_finite_values(tmp_path, writer):
     path = writer(tmp_path, {"value": np.nan, "arr": np.array([1.0, -np.inf])})
     data = json.loads(path.read_text(), parse_constant=_reject_constant)
     assert data == {"value": "nan", "arr": [1.0, "-inf"]}
+
+
+def test_digest_check_exits_one_naming_each_output_that_differs(tmp_path, monkeypatch, capsys):
+    import output_digests
+
+    saved = tmp_path / "digests.txt"
+    saved.write_text("a summary.json 00\na x.csv 11\nb summary.json 22\n")
+    listing = ["a summary.json 00", "a x.csv 12", "c summary.json 33"]
+    monkeypatch.setattr(output_digests, "digests", lambda out_dir: listing)
+    assert output_digests.main(["--check", str(saved)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "differs: a x.csv: 11 -> 12",
+        "differs: b summary.json: 22 -> absent",
+        "differs: c summary.json: absent -> 33",
+    ]
+    saved.write_text("\n".join(listing) + "\n")
+    assert output_digests.main(["--check", str(saved)]) == 0

@@ -310,6 +310,53 @@ def test_complex_increment_blocks_equal_one_draw_bit_for_bit(monkeypatch, shape)
     assert np.array_equal(got, want)
 
 
+def _whole_dz(b, bhat, dt, n, seed):
+    rng = make_rng(seed)
+    xi, xi_hat = rng.standard_normal(n), rng.standard_normal(n)
+    sigma = np.sqrt((b**2 + bhat**2) / 2)
+    return (b * xi + 1j * bhat * xi_hat) * np.sqrt(dt) / (np.sqrt(2) * sigma)
+
+
+@pytest.mark.parametrize("block_values", [2**16, 64, 1_000])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 8_191, 8_193, 65_537, 300_001])
+def test_blocked_complex_means_equal_whole_array_means_bit_for_bit(monkeypatch, n, block_values):
+    # the blocks are whole subtrees of the pairwise sum of dz.mean(), down to
+    # numpy's leaves of 64 values; 1_000 is not a power of two
+    monkeypatch.setattr(sde, "BLOCK_VALUES", block_values)
+    dz = _whole_dz(2.0, 0.5, 0.01, n, 11)
+    stats = sample_complex_increments(2.0, 0.5, 0.01, n, 11)
+    assert stats.mean_dz == dz.mean()
+    tmp = np.multiply(dz, dz)
+    assert stats.mean_dz2 == tmp.mean()
+    # in place: numpy takes another loop for the product when its output is an
+    # operand, and the two differ in the last bit
+    assert stats.mean_dzdzbar == np.multiply(np.conjugate(dz, out=tmp), dz, out=tmp).mean()
+
+
+def _blocks(values, step):
+    return [values[i : i + step] for i in range(0, values.shape[0], step)]
+
+
+@pytest.mark.parametrize("qs", [[0.005, 0.995], [0.1, 0.5], [0.995, 0.5, 0.005, 0.1]])
+def test_streamed_quantiles_equal_numpy_bit_for_bit(qs):
+    rng = make_rng(3)
+    for n in range(2, 401):
+        values = rng.standard_normal(n)
+        if n % 3 == 0:
+            values = np.round(values, 1)  # ties
+        for step in (7, 64):
+            got = sde._pooled_quantiles(_blocks(values, step), n, qs)
+            assert np.array_equal(got, np.quantile(values, qs)), (n, step)
+    # the pooled interior columns of a path array, by blocks of 1_000 paths
+    # and a ragged last block of 7
+    pooled = rng.standard_normal((10_007, 23))[:, 1:-1]
+    got = sde._pooled_quantiles(_blocks(pooled, 1_000), pooled.size, qs)
+    assert np.array_equal(got, np.quantile(pooled, qs))
+    pooled[9_000, 4] = np.nan
+    got = sde._pooled_quantiles(_blocks(pooled, 1_000), pooled.size, qs)
+    assert np.isnan(got).all() and np.isnan(np.quantile(pooled, qs)).all()
+
+
 def _euler_maruyama_reference(drift, b, x0, t_final, dt, n_paths, seed):
     """The step x + drift(x) dt + b sqrt(dt) noise as one whole-array
     expression, with every column stored and the running sums of
@@ -460,18 +507,23 @@ def test_batched_steps_hold_no_whole_batch_temporary(monkeypatch):
     assert peak <= bound, (peak, bound)
 
 
-def test_complex_increments_hold_two_copies_of_dz_at_most():
-    # dZ and one product of it; the real draws never live beside both
-    n = 200_000
+def test_complex_increments_hold_no_copy_of_dz():
+    # the real draws xi whole, and four block-sized buffers: the imaginary
+    # draws, b xi, dZ and one product of it
+    n = 1_000_000
     peak = peak_bytes(lambda: sample_complex_increments(1.0, 0.5, 0.01, n, 3))
-    assert peak <= 2 * 16 * n + MB, peak
+    bound = 8 * n + 4 * 16 * sde.BLOCK_VALUES
+    assert peak <= bound, (peak, bound)
 
 
-def test_velocity_estimate_holds_one_pooled_copy_at_most():
-    # the quantile's flattened copy of the pooled positions; the binning
-    # goes by blocks of paths
+def test_velocity_estimate_holds_no_pooled_copy():
+    # both passes go over the paths by blocks, and the quantiles keep only
+    # the two 0.5% tails of the pooled positions: the peak is block-sized
+    # arrays, whatever the path count
     window = _velocity_window(0.05, 1e-3, 10)
-    ens = simulate_forward(OU, 0.0, 0.05, 1e-3, 25_000, 5, window=window)
-    pooled = ens.paths[:, 1:-1].nbytes
-    peak = peak_bytes(lambda: estimate_velocities(ens, min_count=500))
-    assert peak <= pooled + 2 * MB, (peak, pooled)
+    for n_paths in (25_000, 100_000):
+        ens = simulate_forward(OU, 0.0, 0.05, 1e-3, n_paths, 5, window=window)
+        pooled = ens.paths[:, 1:-1].nbytes
+        peak = peak_bytes(lambda: estimate_velocities(ens, min_count=500))
+        bound = 5 * 8 * sde.BLOCK_VALUES
+        assert peak <= bound < pooled, (n_paths, peak, bound, pooled)
