@@ -493,11 +493,10 @@ BIN_PATHS = 500
 
 
 def _velocity_window(t_final: float, dt: float, half_window: int) -> tuple[int, int]:
-    """The time columns to store for a velocity estimate: the middle step
-    ``+- half_window``, whose pooled steps ``estimate_velocities`` reads,
-    and one neighbour on each side."""
+    """The steps that a velocity estimate pools: the middle step ``+- half_window``,
+    from step 1 on."""
     t_index = time_steps(t_final, dt)[0] // 2
-    return max(0, t_index - half_window - 1), t_index + half_window + 2
+    return max(1, t_index - half_window), t_index + half_window + 1
 
 
 def _full_bins(est, p: dict, key: str) -> np.ndarray:
@@ -558,7 +557,7 @@ def _run_sde_estimators(p: dict, seed: int):
     )
     b2_est, b2_err = estimate_diffusion(ens_a)
     z_noise = abs(b2_est - b**2) / b2_err
-    del ens_a  # its window is not held through run (b)
+    del ens_a  # its running sums are not held through run (b)
 
     # (b) stationary run: current and osmotic velocities vs the exact
     # stationary answer (v = 0, u = -theta x)
@@ -681,7 +680,7 @@ def _run_variational(p: dict, seed: int):
     # and per-step draws (common random numbers); only running sums are kept
     family = DiffusionModel(drift=lambda x: thetas[:, None] * np.sin(x), b=b)
     sweep = simulate_forward(
-        family, ("gaussian", np.pi, 1.0), p["t_final"], p["dt"], p["n_paths"], seed, window=(0, 0)
+        family, ("gaussian", np.pi, 1.0), p["t_final"], p["dt"], p["n_paths"], seed
     )
     values, errors = discretized_action(sweep)
 
@@ -693,9 +692,7 @@ def _run_variational(p: dict, seed: int):
 
     # spot value: constant drift a = 1 gives S ~= a^2 T = 1
     const_model = DiffusionModel(drift=np.ones_like, b=b)
-    const_ens = simulate_forward(
-        const_model, 0.0, p["t_final"], p["dt"], p["n_paths"], seed + 1, window=(0, 0)
-    )
+    const_ens = simulate_forward(const_model, 0.0, p["t_final"], p["dt"], p["n_paths"], seed + 1)
     const_value, const_err = discretized_action(const_ens)
     z_const = abs(const_value - p["t_final"]) / const_err
 

@@ -4,14 +4,17 @@ never compute, kept out of the package.
 They are the free dispersion relation, the trap's energy ladder and time
 factor, the energy and norm of a wave function, every state of a split-step
 run, the node mask of the velocity extraction, one step of the density
-solvers and the Burgers solve as one allocating step at a time; and the most
-memory a call holds at once, for the memory guards.
+solvers, the Burgers solve as one allocating step at a time, and every path
+of an Euler-Maruyama run with its velocity-bin sums; and the most memory a
+call holds at once, for the memory guards.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
 
+from stochflow import sde
 from stochflow.analytic import HarmonicState
 from stochflow.fields import ScalarField, _row_fft, _row_ifft, integrate, log_derivative, time_steps
 from stochflow.schrodinger import SchrodingerProblem, _split_factors
@@ -98,6 +101,66 @@ def node_mask(psi: ScalarField) -> np.ndarray:
     """Where ``|psi|`` clears the node floor of ``born.velocity_from_wavefunction``."""
     row = psi.values.reshape(1, -1)
     return log_derivative(row, row, 1.0)[1].reshape(psi.grid.shape)
+
+
+def _euler_maruyama_block(drift, b, x0, n_steps, dt, n_paths, stream, last_only):
+    """One block of paths from its own stream, as whole-array steps with every
+    column kept, or the last only: ``(paths, q_sum, q2_sum)``."""
+    rng = np.random.Generator(np.random.Philox(stream))
+    if isinstance(x0, tuple):
+        x = x0[1] + x0[2] * rng.standard_normal(n_paths)
+    else:
+        x = np.full(n_paths, float(x0))
+    columns, q_sum, q2_sum = [x], 0.0, 0.0
+    for _ in range(n_steps):
+        x_next = x + drift(x) * dt + b * np.sqrt(dt) * rng.standard_normal(n_paths)
+        q = (x_next - x) ** 2 / dt
+        q_sum, q2_sum = q_sum + q, q2_sum + q * q
+        x = x_next
+        columns = [x] if last_only else columns + [x]
+    return np.stack(np.broadcast_arrays(*columns), axis=-1), q_sum, q2_sum
+
+
+def euler_maruyama_paths(drift, b, x0, t_final, dt, n_paths, seed, per_block=None, last_only=False):
+    """Every path of ``sde.simulate_forward``'s run, with its running sums of
+    ``q = (dX)^2 / dt`` and ``q^2``: ``(paths, q_sum, q2_sum)``, where
+    ``paths[..., p, k]`` is path ``p`` after ``k`` steps.
+
+    Block ``j`` of ``per_block`` paths (by default ``sde.BLOCK_VALUES`` values,
+    batch members included) is regenerated from its own stream, the ``j``-th
+    child of ``SeedSequence(seed)``, as ``x + drift(x) dt + b sqrt(dt) noise``
+    over the whole block.  ``x0`` is a constant or ('gaussian', mean, std), and
+    a drift may broadcast the state to leading batch axes.  With
+    ``last_only`` only the final column is kept."""
+    n_steps, dt = time_steps(t_final, dt)
+    if per_block is None:
+        batch = np.shape(drift(np.zeros(1)))[:-1]
+        per_block = max(1, sde.BLOCK_VALUES // max(1, math.prod(batch)))
+    starts = range(0, n_paths, per_block)
+    streams = np.random.SeedSequence(seed).spawn(len(starts))
+    blocks = [
+        _euler_maruyama_block(
+            drift, b, x0, n_steps, dt, min(per_block, n_paths - start), stream, last_only
+        )
+        for start, stream in zip(starts, streams)
+    ]
+    paths, q_sum, q2_sum = zip(*blocks)
+    return np.concatenate(paths, axis=-2), np.concatenate(q_sum, axis=-1), np.concatenate(q2_sum, axis=-1)
+
+
+def velocity_bin_sums(paths, dt: float, b: float, window) -> tuple[int, np.ndarray]:
+    """The velocity sums of the pooled steps ``window`` of unbatched full
+    paths: the lattice index of the first bin and, per bin of width ``2 b
+    sqrt(dt)``, the count and the sums of the forward and backward rates and
+    of their squares."""
+    ks = np.arange(*window)
+    here = paths[:, ks].ravel()
+    forward = ((paths[:, ks + 1] - paths[:, ks]) / dt).ravel()
+    backward = ((paths[:, ks] - paths[:, ks - 1]) / dt).ravel()
+    keys = np.floor(here / (2 * b * np.sqrt(dt))).astype(np.intp)
+    idx = keys - keys.min()
+    weights = (forward, forward**2, backward, backward**2)
+    return int(keys.min()), np.stack([np.bincount(idx)] + [np.bincount(idx, w) for w in weights])
 
 
 MB = 2**20

@@ -202,13 +202,16 @@ def test_value_the_experiment_rejects_exits_two_and_names_it(
         ("ga-identities", {"b": 0.0}, "b"),
         ("ga-identities", {"b": -1.0}, "b"),
         ("born-harmonic", {"b": 0.0}, "b"),
+        ("sde-estimators", {"theta": 3000.0}, "theta"),
+        ("sde-estimators", {"theta": 1e6}, "theta"),
     ],
 )
 def test_meaningless_value_exits_two_with_one_error_line(runner, tmp_path, experiment, overrides, key):
     # no step count, nothing to check, a count below its minimum, a list of the
-    # wrong element type, a zero time step, an infinite value, a zero amplitude
-    # or a removed parameter: each is a configuration error, never a traceback,
-    # a FAIL against a meaningless threshold or a PASS with nothing to check
+    # wrong element type, a zero time step, an infinite value, a zero amplitude,
+    # a drift past Euler-Maruyama stability or a removed parameter: each is a
+    # configuration error, never a traceback, a FAIL against a meaningless
+    # threshold or a PASS with nothing to check
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(overrides))
     result = runner.invoke(
@@ -234,12 +237,14 @@ def test_meaningless_value_exits_two_with_one_error_line(runner, tmp_path, exper
         ("burgers-direct-vs-ch", '{"window_half_width": NaN}', "window_half_width must be finite, got nan"),
         ("fp-consistency", '{"theta": -Infinity}', "theta must be finite, got -inf"),
         ("colehopf-3d", '{"amp": 1e-300}', "amp must be >= 0.001, got 1e-300"),
+        ("sde-estimators", '{"theta": 3000}', "Euler-Maruyama steps of dt = 0.001 are unstable for this drift"),
     ],
 )
 def test_bad_value_exits_two_with_a_message_about_it(runner, tmp_path, experiment, config, message):
     # these once gave nine NaN FAILs, a numpy reduction error, the least grid of
     # the half-resolution run in place of the configured n, "field contains
-    # non-finite entries" in place of the infinite b, and a vacuous PASS
+    # non-finite entries" in place of the infinite b, a vacuous PASS, and
+    # numpy's "Maximum allowed size exceeded" for paths that blew up
     cfg = tmp_path / "cfg.json"
     cfg.write_text(config)
     result = runner.invoke(

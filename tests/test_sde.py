@@ -1,6 +1,7 @@
 """Monte Carlo engine: path statistics checked against exact diffusion laws."""
 
 import itertools
+import json
 import sys
 import threading
 import time
@@ -8,11 +9,12 @@ import time
 import numpy as np
 import pytest
 
-from oracles import MB, peak_bytes
+from oracles import euler_maruyama_paths, peak_bytes, velocity_bin_sums
 from stochflow import sde
 from stochflow.analytic import ou_mean_variance
-from stochflow.experiments import _velocity_window
-from stochflow.fields import GridSpec, ScalarField, time_steps
+from stochflow.experiments import EXPERIMENTS, _velocity_window, run_experiment
+from stochflow.fields import GridSpec, ScalarField
+from stochflow.output import jsonable
 from stochflow.sde import (
     DiffusionModel,
     backward_drift_from_forward,
@@ -39,20 +41,21 @@ def test_duration_off_the_step_lands_on_t_final():
     # 1.0 is no whole number of 0.3: the run takes round(1.0 / 0.3) = 3 steps of 1/3
     t_final, dt, half_window = 1.0, 0.3, 0
     ens = simulate_forward(OU, 0.0, t_final, dt, 10, 0)
-    assert ens.n_steps == 3 and ens.paths.shape == (10, 4)
+    assert ens.n_steps == 3 and ens.q_sum.shape == (10,)
     assert ens.n_steps * ens.dt == pytest.approx(t_final, rel=1e-15)
-    # the columns the experiment keeps are the ones the estimate reads
-    first, stop = _velocity_window(t_final, dt, half_window)
-    assert 0 <= first < stop <= ens.n_steps + 1
-    windowed = simulate_forward(OU, 0.0, t_final, dt, 10, 0, window=(first, stop))
-    assert np.array_equal(windowed.paths, ens.paths[:, first:stop])
-    estimate_velocities(windowed, min_count=0)
+    # the experiment pools the middle step, which has both neighbours
+    window = _velocity_window(t_final, dt, half_window)
+    assert window == (1, 2)
+    windowed = simulate_forward(OU, 0.0, t_final, dt, 10, 0, window=window)
+    assert np.array_equal(windowed.q_sum, ens.q_sum)
+    assert estimate_velocities(windowed, min_count=0).counts.sum() == 10
 
+
+# the endpoint laws are read from the oracle's paths, which are the ones
+# simulate_forward runs: the tests further down compare their sums bit for bit
 
 def test_brownian_endpoint_moments():
-    flat = DiffusionModel(drift=lambda x: 0.0 * x, b=1.4)
-    ens = simulate_forward(flat, 0.0, 0.25, 1 / 256, 40_000, 11)
-    xT = ens.paths[:, -1]
+    xT = euler_maruyama_paths(np.zeros_like, 1.4, 0.0, 0.25, 1 / 256, 40_000, 11, last_only=True)[0][:, -1]
     var_exact = 1.4**2 * 0.25
     z_mean = abs(xT.mean()) / (np.sqrt(var_exact / xT.size))
     # sample variance of a normal has stderr var * sqrt(2/n)
@@ -63,9 +66,9 @@ def test_brownian_endpoint_moments():
 
 def test_ou_transient_moments():
     t_final, dt = 0.5, 1e-3
-    ens = simulate_forward(OU, ("gaussian", 1.0, 0.2), t_final, dt, 30_000, 23)
+    x0 = ("gaussian", 1.0, 0.2)
+    xT = euler_maruyama_paths(OU.drift, OU.b, x0, t_final, dt, 30_000, 23, last_only=True)[0][:, -1]
     mean_exact, var_exact = ou_mean_variance(t_final, 1.0, 1.0, 1.0, 0.04)
-    xT = ens.paths[:, -1]
     # Euler bias is O(dt); allow it on top of the Monte Carlo band
     assert abs(xT.mean() - mean_exact) < 5 * np.sqrt(var_exact / xT.size) + 2 * dt
     assert abs(xT.var() - var_exact) < 5 * var_exact * np.sqrt(2 / xT.size) + 2 * dt
@@ -91,7 +94,7 @@ def test_velocity_estimates_stationary_ou():
 
 
 def test_velocity_estimate_marks_thin_bins_invalid():
-    ens = simulate_forward(OU, 0.0, 0.1, 1e-2, 50, 3)
+    ens = simulate_forward(OU, 0.0, 0.1, 1e-2, 50, 3, window=(1, 10))
     est = estimate_velocities(ens, min_count=10_000)
     assert not est.valid().any()
     assert np.isnan(est.forward_drift).all()
@@ -99,9 +102,10 @@ def test_velocity_estimate_marks_thin_bins_invalid():
 
 def test_velocity_estimate_time_window_bounds():
     # one step: step 0 has no backward difference and step 1 no forward one
-    ens = simulate_forward(OU, 0.0, 0.01, 1e-2, 100, 4)
-    with pytest.raises(ValueError, match="2 stored steps from step 0 hold no interior step"):
-        estimate_velocities(ens)
+    with pytest.raises(ValueError, match=r"window \(1, 2\) is not within the steps 1 to 0"):
+        simulate_forward(OU, 0.0, 0.01, 1e-2, 100, 4, window=(1, 2))
+    with pytest.raises(ValueError, match="the ensemble pools no step"):
+        estimate_velocities(simulate_forward(OU, 0.0, 0.01, 1e-2, 100, 4))
 
 
 def test_estimators_reject_a_batched_ensemble():
@@ -109,10 +113,12 @@ def test_estimators_reject_a_batched_ensemble():
     rates = np.array([0.5, 1.0, 2.0])
     batch = DiffusionModel(drift=lambda x: -rates[:, None] * x, b=1.0)
     ens = simulate_forward(batch, 0.0, 0.1, 1e-2, 200, 8)
-    assert ens.paths.shape == (3, 200, 11)
+    assert ens.q_sum.shape == (3, 200)
     for estimate in (estimate_diffusion, estimate_velocities):
-        with pytest.raises(ValueError, match=r"\(3, 200, 11\)"):
+        with pytest.raises(ValueError, match=r"\(3, 200\)"):
             estimate(ens)
+    with pytest.raises(ValueError, match=r"a batch of shape \(3,\) has no single velocity profile"):
+        simulate_forward(batch, 0.0, 0.1, 1e-2, 200, 8, window=(1, 5))
 
 
 def test_action_constant_drift_value():
@@ -196,186 +202,96 @@ def _reference_action(paths, dt, b):
     return per_path.mean(), per_path.std(ddof=1) / np.sqrt(per_path.size)
 
 
-def _reference_velocities(paths, dt, b, ks):
-    """Binned means at steps ``ks`` of the full path array, with fancy indexing and masks."""
-    x_here = paths[:, ks].ravel()
-    fwd = ((paths[:, ks + 1] - paths[:, ks]) / dt).ravel()
-    bwd = ((paths[:, ks] - paths[:, ks - 1]) / dt).ravel()
-    lo, hi = np.quantile(x_here, [0.005, 0.995])
-    n_bins = max(4, int(np.ceil((hi - lo) / (2 * b * np.sqrt(dt)))))
-    idx = np.digitize(x_here, np.linspace(lo, hi, n_bins + 1)) - 1
-    inside = (idx >= 0) & (idx < n_bins)
-    idx, fwd, bwd = idx[inside], fwd[inside], bwd[inside]
-    counts = np.bincount(idx, minlength=n_bins)
-    out = {"counts": counts}
-    for name, diffs in (("forward", fwd), ("backward", bwd)):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mean = np.bincount(idx, weights=diffs, minlength=n_bins) / counts
-            var = np.maximum(np.bincount(idx, weights=diffs**2, minlength=n_bins) / counts - mean**2, 0.0)
-        out[name] = mean
-        out[name + "_stderr"] = np.sqrt(var / counts)
-    return out
-
-
-def test_streaming_estimators_match_full_path_references():
+def test_streaming_estimators_match_full_path_references(monkeypatch):
+    # blocks of 1_000 paths: 3 whole blocks and a ragged one of 1
+    monkeypatch.setattr(sde, "BLOCK_VALUES", 1_000)
     t_final, dt, n_paths, seed = 0.4, 1e-2, 3_001, 19
     half_window = 4
-    full = simulate_forward(OU, ("gaussian", 0.3, 0.5), t_final, dt, n_paths, seed)
+    x0 = ("gaussian", 0.3, 0.5)
     window = _velocity_window(t_final, dt, half_window)
-    ens = simulate_forward(OU, ("gaussian", 0.3, 0.5), t_final, dt, n_paths, seed, window=window)
-    assert ens.first == window[0]
-    assert np.array_equal(ens.paths, full.paths[:, window[0] : window[1]])
+    # the experiment's window: the steps 20 +- half_window about the middle of the 40
+    assert window == (20 - half_window, 20 + half_window + 1)
+    ens = simulate_forward(OU, x0, t_final, dt, n_paths, seed, window=window)
+    paths, q_sum, q2_sum = euler_maruyama_paths(OU.drift, OU.b, x0, t_final, dt, n_paths, seed)
+    assert np.array_equal(ens.q_sum, q_sum)
+    assert np.array_equal(ens.q2_sum, q2_sum)
 
-    # the experiment's window: the steps 20 +- half_window about the middle of the 40,
-    # and one neighbour on each side
-    ks = np.arange(20 - half_window, 20 + half_window + 1)
-    assert window == (ks[0] - 1, ks[-1] + 2)
-    ref = _reference_velocities(full.paths, dt, OU.b, ks)
+    # the lattice sums add by block and step, the reference over all pooled values at once
+    first, bins = velocity_bin_sums(paths, dt, OU.b, window)
+    assert ens.bin_first == first and ens.bins.shape == bins.shape
+    assert np.array_equal(ens.bins[0], bins[0]) and bins[0].sum() == n_paths * 9
+    scale = np.abs(bins).max(axis=1, keepdims=True)
+    assert np.all(np.abs(ens.bins - bins) <= 1e-13 * scale)
+
     est = estimate_velocities(ens, min_count=0)
-    assert np.array_equal(est.counts, ref["counts"])
-    for name in ("forward", "backward"):
-        assert np.array_equal(getattr(est, name + "_drift"), ref[name], equal_nan=True)
-        assert np.array_equal(getattr(est, name + "_stderr"), ref[name + "_stderr"], equal_nan=True)
+    width = 2 * OU.b * np.sqrt(dt)
+    assert np.array_equal(est.centers, (first + 0.5 + np.arange(bins.shape[1])) * width)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        assert est.forward_drift == pytest.approx(bins[1] / bins[0], rel=1e-12, nan_ok=True)
+        assert est.backward_drift == pytest.approx(bins[3] / bins[0], rel=1e-12, nan_ok=True)
 
     # the running sums add in another order than np.diff + sum
-    want = _reference_action(full.paths, dt, OU.b)
+    want = _reference_action(paths, dt, OU.b)
     assert discretized_action(ens) == pytest.approx(want, rel=1e-12, abs=0)
-    want = _reference_diffusion(full.paths, dt)
+    want = _reference_diffusion(paths, dt)
     assert estimate_diffusion(ens) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_batched_sweep_equals_separate_runs_bit_for_bit():
+    # 1_001 paths in blocks of 16_384 // 5 = 3_276: one block, one stream
     thetas = np.linspace(-1.0, 1.0, 5)
     family = DiffusionModel(drift=lambda x: thetas[:, None] * np.sin(x), b=1.0)
     args = (("gaussian", np.pi, 1.0), 0.3, 1e-2, 1_001, 8)
-    full = simulate_forward(family, *args)
-    windowed = simulate_forward(family, *args, window=(7, 12))
-    values, errors = discretized_action(windowed)
-    assert full.paths.shape == (5, 1_001, 31) and windowed.paths.shape == (5, 1_001, 5)
+    sweep = simulate_forward(family, *args)
+    values, errors = discretized_action(sweep)
+    per_block = sde.BLOCK_VALUES // thetas.size
     for i, theta in enumerate(thetas):
-        single = simulate_forward(
-            DiffusionModel(drift=lambda x: theta * np.sin(x), b=1.0), *args
+        # a separate run of one member, in the sweep's blocks
+        _, q_sum, q2_sum = euler_maruyama_paths(
+            lambda x: theta * np.sin(x), 1.0, *args, per_block=per_block
         )
-        assert np.array_equal(full.paths[i], single.paths)
-        assert np.array_equal(windowed.paths[i], single.paths[:, 7:12])
-        assert np.array_equal(windowed.q_sum[i], single.q_sum)
-        assert np.array_equal(windowed.q2_sum[i], single.q2_sum)
+        assert np.array_equal(sweep.q_sum[i], q_sum)
+        assert np.array_equal(sweep.q2_sum[i], q2_sum)
+        single = sde.PathEnsemble(
+            q_sum=q_sum, q2_sum=q2_sum, bins=sweep.bins, bin_first=0, dt=sweep.dt,
+            n_steps=sweep.n_steps, b=1.0,
+        )
         assert (values[i], errors[i]) == discretized_action(single)
 
 
 def test_window_must_cover_the_estimate():
-    estimate_velocities(simulate_forward(OU, 0.0, 0.2, 1e-2, 200, 4, window=(5, 8)))
-    for window in ((5, 5), (5, 6), (5, 7)):
-        ens = simulate_forward(OU, 0.0, 0.2, 1e-2, 200, 4, window=window)
-        with pytest.raises(ValueError, match="from step 5 hold no interior step"):
-            estimate_velocities(ens)
-    for window in ((-1, 3), (4, 3), (0, 22)):
-        with pytest.raises(ValueError, match="window"):
+    # 20 steps: a pooled step k needs steps k - 1 and k + 1
+    estimate_velocities(simulate_forward(OU, 0.0, 0.2, 1e-2, 200, 4, window=(1, 20)))
+    estimate_velocities(simulate_forward(OU, 0.0, 0.2, 1e-2, 200, 4, window=(5, 6)))
+    for window in ((0, 3), (5, 5), (5, 4), (19, 21)):
+        with pytest.raises(ValueError, match=r"is not within the steps 1 to 19 of the 20-step run"):
             simulate_forward(OU, 0.0, 0.2, 1e-2, 10, 4, window=window)
 
 
-def test_blocked_estimator_equals_reference_bit_for_bit(monkeypatch):
-    # blocks of 7 paths: the 1_003 paths make 143 whole blocks and a ragged one of 2
-    t_final, dt, n_paths, seed, half_window = 0.2, 1e-2, 1_003, 31, 3
-    window = _velocity_window(t_final, dt, half_window)
-    n_interior = window[1] - window[0] - 2
-    monkeypatch.setattr(sde, "BLOCK_VALUES", 7 * n_interior + 3)
-    full = simulate_forward(OU, ("gaussian", 0.0, 0.4), t_final, dt, n_paths, seed)
-    ens = simulate_forward(OU, ("gaussian", 0.0, 0.4), t_final, dt, n_paths, seed, window=window)
-    ks = np.arange(window[0] + 1, window[1] - 1)
-    ref = _reference_velocities(full.paths, dt, OU.b, ks)
-    est = estimate_velocities(ens, min_count=0)
-    assert np.array_equal(est.counts, ref["counts"]) and est.counts.sum() > 0
-    for name in ("forward", "backward"):
-        assert np.array_equal(getattr(est, name + "_drift"), ref[name], equal_nan=True)
-        assert np.array_equal(getattr(est, name + "_stderr"), ref[name + "_stderr"], equal_nan=True)
-
-
-@pytest.mark.parametrize("shape", [(1_003,), (205, 7)])
-def test_complex_increment_blocks_equal_one_draw_bit_for_bit(monkeypatch, shape):
-    # blocks of 10 values: 100 whole blocks and a ragged one of 3 values,
-    # or 68 blocks of 3 rows of 7 and a ragged one of 1 row
-    monkeypatch.setattr(sde, "BLOCK_VALUES", 10 if len(shape) == 1 else 23)
-    b, bhat, dt = 2.0, 0.5, 0.01
+def test_complex_increment_blocks_draw_real_then_imaginary_normals_by_block(monkeypatch):
+    # blocks of 3 rows of 7: 68 whole blocks and a ragged one of 1 row
+    monkeypatch.setattr(sde, "BLOCK_VALUES", 23)
+    b, bhat, dt, shape = 2.0, 0.5, 0.01, (205, 7)
+    sigma = np.sqrt((b**2 + bhat**2) / 2)
     rng = make_rng(5)
-    xi, xi_hat = rng.standard_normal(shape), rng.standard_normal(shape)
-    sigma = np.sqrt((b**2 + bhat**2) / 2)
-    want = (b * xi + 1j * bhat * xi_hat) * np.sqrt(dt) / (np.sqrt(2) * sigma)
-    got = np.full(shape, np.nan, dtype=complex)
-    sizes = []
+    rows_seen = []
     for rows, dz in complex_increment_blocks(b, bhat, dt, shape, make_rng(5)):
-        got[rows] = dz
-        sizes.append(dz.size)
-    assert len(sizes) > 2 and sizes[-1] < sizes[0]
-    assert np.array_equal(got, want)
+        xi, xi_hat = rng.standard_normal(dz.shape), rng.standard_normal(dz.shape)
+        want = (b * xi + 1j * bhat * xi_hat) * np.sqrt(dt) / (np.sqrt(2) * sigma)
+        assert np.array_equal(dz, want)
+        rows_seen.append((rows.start, rows.stop))
+    assert rows_seen == [(s, min(s + 3, 205)) for s in range(0, 205, 3)]
 
 
-def _whole_dz(b, bhat, dt, n, seed):
-    rng = make_rng(seed)
-    xi, xi_hat = rng.standard_normal(n), rng.standard_normal(n)
-    sigma = np.sqrt((b**2 + bhat**2) / 2)
-    return (b * xi + 1j * bhat * xi_hat) * np.sqrt(dt) / (np.sqrt(2) * sigma)
-
-
-@pytest.mark.parametrize("block_values", [2**16, 64, 1_000])
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 8_191, 8_193, 65_537, 300_001])
-def test_blocked_complex_means_equal_whole_array_means_bit_for_bit(monkeypatch, n, block_values):
-    # the blocks are whole subtrees of the pairwise sum of dz.mean(), down to
-    # numpy's leaves of 64 values; 1_000 is not a power of two
-    monkeypatch.setattr(sde, "BLOCK_VALUES", block_values)
-    dz = _whole_dz(2.0, 0.5, 0.01, n, 11)
+def test_complex_means_are_the_means_of_the_blocks(monkeypatch):
+    # blocks of 1_000 values and a ragged one of 1
+    monkeypatch.setattr(sde, "BLOCK_VALUES", 1_000)
+    n = 20_001
+    dz = np.concatenate([d.copy() for _, d in complex_increment_blocks(2.0, 0.5, 0.01, (n,), make_rng(11))])
     stats = sample_complex_increments(2.0, 0.5, 0.01, n, 11)
-    assert stats.mean_dz == dz.mean()
-    tmp = np.multiply(dz, dz)
-    assert stats.mean_dz2 == tmp.mean()
-    # in place: numpy takes another loop for the product when its output is an
-    # operand, and the two differ in the last bit
-    assert stats.mean_dzdzbar == np.multiply(np.conjugate(dz, out=tmp), dz, out=tmp).mean()
-
-
-def _blocks(values, step):
-    return [values[i : i + step] for i in range(0, values.shape[0], step)]
-
-
-@pytest.mark.parametrize("qs", [[0.005, 0.995], [0.1, 0.5], [0.995, 0.5, 0.005, 0.1]])
-def test_streamed_quantiles_equal_numpy_bit_for_bit(qs):
-    rng = make_rng(3)
-    for n in range(2, 401):
-        values = rng.standard_normal(n)
-        if n % 3 == 0:
-            values = np.round(values, 1)  # ties
-        for step in (7, 64):
-            got = sde._pooled_quantiles(_blocks(values, step), n, qs)
-            assert np.array_equal(got, np.quantile(values, qs)), (n, step)
-    # the pooled interior columns of a path array, by blocks of 1_000 paths
-    # and a ragged last block of 7
-    pooled = rng.standard_normal((10_007, 23))[:, 1:-1]
-    got = sde._pooled_quantiles(_blocks(pooled, 1_000), pooled.size, qs)
-    assert np.array_equal(got, np.quantile(pooled, qs))
-    pooled[9_000, 4] = np.nan
-    got = sde._pooled_quantiles(_blocks(pooled, 1_000), pooled.size, qs)
-    assert np.isnan(got).all() and np.isnan(np.quantile(pooled, qs)).all()
-
-
-def _euler_maruyama_reference(drift, b, x0, t_final, dt, n_paths, seed):
-    """The step x + drift(x) dt + b sqrt(dt) noise as one whole-array
-    expression, with every column stored and the running sums of
-    q = (dX)^2 / dt and q^2; ``x0`` is a constant or ('gaussian', mean,
-    std), and a drift may broadcast the state to leading batch axes."""
-    m, dt = time_steps(t_final, dt)
-    rng = make_rng(seed)
-    if isinstance(x0, tuple):
-        x = x0[1] + x0[2] * rng.standard_normal(n_paths)
-    else:
-        x = np.full(n_paths, x0)
-    columns, q_sum, q2_sum = [x], 0.0, 0.0
-    for _ in range(m):
-        x_next = x + drift(x) * dt + b * np.sqrt(dt) * rng.standard_normal(n_paths)
-        q = (x_next - x) ** 2 / dt
-        q_sum, q2_sum = q_sum + q, q2_sum + q * q
-        x = x_next
-        columns.append(x)
-    return np.stack(np.broadcast_arrays(*columns), axis=-1), q_sum, q2_sum
+    assert stats.mean_dz == pytest.approx(dz.mean(), rel=1e-12, abs=1e-18)
+    assert stats.mean_dz2 == pytest.approx((dz * dz).mean(), rel=1e-12)
+    assert stats.mean_dzdzbar == pytest.approx((dz * np.conj(dz)).mean(), rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -384,12 +300,11 @@ def _euler_maruyama_reference(drift, b, x0, t_final, dt, n_paths, seed):
 def test_in_place_step_is_safe_for_a_drift_that_returns_its_argument(drift):
     # the step adds into scratch, so a drift that returns x (or a view of
     # it) is not overwritten before it is read; the reversed drift reads
-    # other paths, which the contract forbids, and matches the reference
+    # other paths, which the contract forbids, and matches the oracle
     # only because the 101 paths fit in one block
     args = (0.5, 0.2, 1e-2, 101, 12)
     ens = simulate_forward(DiffusionModel(drift=drift, b=1.3), *args)
-    paths, q_sum, q2_sum = _euler_maruyama_reference(drift, 1.3, *args)
-    assert np.array_equal(ens.paths, paths)
+    _, q_sum, q2_sum = euler_maruyama_paths(drift, 1.3, *args)
     assert np.array_equal(ens.q_sum, q_sum)
     assert np.array_equal(ens.q2_sum, q2_sum)
 
@@ -402,16 +317,17 @@ THETAS = np.linspace(-1.0, 1.0, 5)
     "drift", [lambda x: -x, lambda x: THETAS[:, None] * np.sin(x)], ids=["unbatched", "batched"]
 )
 @pytest.mark.parametrize(
-    "t_final, window", [(0.2, (0, 0)), (0.2, None), (0.2, (7, 12)), (0.01, None)],
+    "t_final, window", [(0.2, None), (0.2, (1, 20)), (0.2, (7, 12)), (0.01, None)],
     ids=["no-columns", "full", "interior", "one-step"],
 )
 def test_blocked_threaded_steps_equal_the_reference_bit_for_bit(
     monkeypatch, workers, drift, t_final, window
 ):
-    # 140 // 4 values a block: 103 paths make 2 blocks of 35 and a ragged
-    # one of 33, or 14 blocks of 7 paths by 5 drifts and a ragged one of 5
-    monkeypatch.setattr(sde, "BLOCK_VALUES", 140)
-    monkeypatch.setattr(sde, "_cpu_count", lambda: workers)
+    # 35 values a block: 103 paths make 2 blocks of 35 and a ragged one of
+    # 33, or 14 blocks of 7 paths by 5 drifts and a ragged one of 5
+    monkeypatch.setattr(sde, "BLOCK_VALUES", 35)
+    if np.ndim(drift(np.zeros(1))) > 1:
+        window = None  # a batch pools no step
     callers = set()
 
     def pausing(x):
@@ -425,18 +341,56 @@ def test_blocked_threaded_steps_equal_the_reference_bit_for_bit(
     before = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # threads trade the interpreter often
+    monkeypatch.setattr(sde, "_cpu_count", lambda: workers)
     try:
         ens = simulate_forward(DiffusionModel(drift=pausing, b=1.3), *args, window=window)
     finally:
         sys.setswitchinterval(interval)
-    paths, q_sum, q2_sum = _euler_maruyama_reference(drift, 1.3, *args)
-    first, stop = window or (0, paths.shape[-1])
-    assert ens.paths.shape == paths[..., first:stop].shape
-    assert np.array_equal(ens.paths, paths[..., first:stop])
+    paths, q_sum, q2_sum = euler_maruyama_paths(drift, 1.3, *args)
     assert np.array_equal(ens.q_sum, q_sum)
     assert np.array_equal(ens.q2_sum, q2_sum)
+    if window is None:
+        assert ens.bins.shape == (5, 0)
+    else:
+        first, bins = velocity_bin_sums(paths, 1e-2, 1.3, window)
+        assert ens.bin_first == first and np.array_equal(ens.bins[0], bins[0])
+    # the block sums merge in block order, whichever thread ran a block
+    monkeypatch.setattr(sde, "_cpu_count", lambda: 1)
+    serial = simulate_forward(DiffusionModel(drift=drift, b=1.3), *args, window=window)
+    assert np.array_equal(ens.bins, serial.bins) and ens.bin_first == serial.bin_first
     assert (len(callers) > 1) == (workers > 1)
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("sde-estimators", {"n_paths_short": 20_000, "n_paths_long": 5_000}),
+        ("variational", {"n_paths": 2_000}),
+    ],
+)
+def test_outputs_do_not_depend_on_the_cpu_count(monkeypatch, name, params):
+    # blocks of 4_096 values: 5 of them in run (a), so that 3 threads all claim some
+    monkeypatch.setattr(sde, "BLOCK_VALUES", 4_096)
+    outputs = set()
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(sde, "_cpu_count", lambda: workers)
+        out = run_experiment(name, dict(EXPERIMENTS[name].defaults, **params), 1234)
+        outputs.add(json.dumps(jsonable({"summary": out["summary"], "csvs": out["csvs"]})))
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("theta", [3_000.0, 1e6])
+def test_unstable_steps_name_euler_maruyama(theta):
+    # theta dt = 3 doubles the paths each step, past any bin at the pooled steps;
+    # theta dt = 1e3 overflows them before the run ends
+    model = DiffusionModel(drift=lambda x: -theta * x, b=1.0)
+    message = "Euler-Maruyama steps of dt = 0.001 are unstable for this drift"
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=message):
+        simulate_forward(model, ("gaussian", 0.0, 0.3), 0.2, 1e-3, 1_000, 1, window=(90, 111))
+    if theta == 1e6:
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=message):
+            simulate_forward(model, ("gaussian", 0.0, 0.3), 0.2, 1e-3, 1_000, 1)
 
 
 @pytest.mark.parametrize("raiser", ["helper", "caller"])
@@ -444,19 +398,20 @@ def test_an_error_in_a_step_is_raised_in_the_caller(monkeypatch, capfd, raiser):
     class Broken(Exception):
         pass
 
-    # 8 blocks a step and one probe call before the first
-    monkeypatch.setattr(sde, "BLOCK_VALUES", 4 * 25)
+    # 8 blocks of 25 paths, and one probe call of one value before the first
+    monkeypatch.setattr(sde, "BLOCK_VALUES", 25)
     monkeypatch.setattr(sde, "_cpu_count", lambda: 3)
     hooked = []
     monkeypatch.setattr(threading, "excepthook", hooked.append)
     calls = itertools.count()
 
     def drift(x):
-        step = (next(calls) - 1) // 8
+        if x.size == 1:
+            return -x
         if (threading.current_thread() is caller) != (raiser == "caller"):
             time.sleep(1e-4)  # so that the raising side claims blocks
-        elif step >= 3:
-            raise Broken(f"step {step}")
+        elif next(calls) >= 3:
+            raise Broken("step 3")
         return -x
 
     raised = []
@@ -479,7 +434,7 @@ def test_an_error_in_a_step_is_raised_in_the_caller(monkeypatch, capfd, raiser):
 def test_helpers_step_under_the_callers_errstate(monkeypatch):
     # the CLI runs every experiment under one np.errstate, which must hold
     # on the helper threads too
-    monkeypatch.setattr(sde, "BLOCK_VALUES", 4 * 25)
+    monkeypatch.setattr(sde, "BLOCK_VALUES", 25)
     monkeypatch.setattr(sde, "_cpu_count", lambda: 2)
 
     def drift(x):
@@ -494,36 +449,40 @@ def test_helpers_step_under_the_callers_errstate(monkeypatch):
 
 def test_batched_steps_hold_no_whole_batch_temporary(monkeypatch):
     # the variational sweep: 21 drifts over 20,000 paths, only running sums
-    # kept; the state and the two sums, the initial samples and two noise
-    # buffers, and a few block-sized arrays per thread
+    # kept; the two sums, and a few block-sized arrays per thread
     n_theta, n_paths, workers = 21, 20_000, 2
     monkeypatch.setattr(sde, "_cpu_count", lambda: workers)
     thetas = np.linspace(-1.0, 1.0, n_theta)
     family = DiffusionModel(drift=lambda x: thetas[:, None] * np.sin(x), b=1.0)
     peak = peak_bytes(
-        lambda: simulate_forward(family, ("gaussian", np.pi, 1.0), 0.05, 1e-2, n_paths, 5, window=(0, 0))
+        lambda: simulate_forward(family, ("gaussian", np.pi, 1.0), 0.05, 1e-2, n_paths, 5)
     )
     bound = 8 * (3 * n_theta * n_paths + 3 * n_paths + 2 * workers * sde.BLOCK_VALUES) + 64 * 1024
     assert peak <= bound, (peak, bound)
 
 
 def test_complex_increments_hold_no_copy_of_dz():
-    # the real draws xi whole, and four block-sized buffers: the imaginary
-    # draws, b xi, dZ and one product of it
+    # block-sized buffers only: the real and imaginary draws, dZ and one
+    # product of it
     n = 1_000_000
     peak = peak_bytes(lambda: sample_complex_increments(1.0, 0.5, 0.01, n, 3))
     bound = 8 * n + 4 * 16 * sde.BLOCK_VALUES
     assert peak <= bound, (peak, bound)
 
 
-def test_velocity_estimate_holds_no_pooled_copy():
-    # both passes go over the paths by blocks, and the quantiles keep only
-    # the two 0.5% tails of the pooled positions: the peak is block-sized
-    # arrays, whatever the path count
-    window = _velocity_window(0.05, 1e-3, 10)
-    for n_paths in (25_000, 100_000):
-        ens = simulate_forward(OU, 0.0, 0.05, 1e-3, n_paths, 5, window=window)
-        pooled = ens.paths[:, 1:-1].nbytes
-        peak = peak_bytes(lambda: estimate_velocities(ens, min_count=500))
-        bound = 5 * 8 * sde.BLOCK_VALUES
-        assert peak <= bound < pooled, (n_paths, peak, bound, pooled)
+def test_velocity_estimate_holds_no_pooled_copy(monkeypatch):
+    # no path window is stored: beyond the two running sums, the peak of a
+    # run is block-sized scratch and small bin sums, whatever the pooled
+    # window or the step count
+    monkeypatch.setattr(sde, "_cpu_count", lambda: 1)
+    n_paths, dt = 20_000, 1e-3
+    peaks = []
+    for t_final in (0.25, 0.5):
+        for half_window in (10, 100):
+            window = _velocity_window(t_final, dt, half_window)
+            peaks.append(peak_bytes(
+                lambda: simulate_forward(OU, 0.0, t_final, dt, n_paths, 5, window=window)
+            ))
+    sums = 2 * 8 * n_paths
+    assert max(peaks) <= sums + 8 * 12 * sde.BLOCK_VALUES, peaks
+    assert max(peaks) - min(peaks) <= 64 * 1024, peaks
