@@ -4,9 +4,10 @@ never compute, kept out of the package.
 They are the free dispersion relation, the trap's energy ladder and time
 factor, the energy and norm of a wave function, every state of a split-step
 run, the node mask of the velocity extraction, one step of the density
-solvers, the Burgers solve as one allocating step at a time, and every path
-of an Euler-Maruyama run with its velocity-bin sums; and the most memory a
-call holds at once, for the memory guards.
+solvers, the Burgers solve as one allocating step at a time, every path
+of an Euler-Maruyama run with its velocity-bin sums, and every complex
+noise increment of a draw with its means; and the most memory a call holds
+at once, for the memory guards.
 """
 
 import math
@@ -161,6 +162,64 @@ def velocity_bin_sums(paths, dt: float, b: float, window) -> tuple[int, np.ndarr
     idx = keys - keys.min()
     weights = (forward, forward**2, backward, backward**2)
     return int(keys.min()), np.stack([np.bincount(idx)] + [np.bincount(idx, w) for w in weights])
+
+
+def blocked_velocity_bin_sums(paths, dt: float, b: float, window, per_block: int) -> tuple[int, np.ndarray]:
+    """``velocity_bin_sums`` added in ``sde.simulate_forward``'s order: for
+    each block of ``per_block`` paths, the sums of each pooled step in step
+    order, and then the blocks' sums in block order; every sum spans all
+    the bins."""
+    ks = np.arange(*window)
+    width = 2 * b * np.sqrt(dt)
+    first = int(np.floor(paths[:, ks] / width).min())
+    n_bins = int(np.floor(paths[:, ks] / width).max()) - first + 1
+    total = np.zeros((5, n_bins))
+    for start in range(0, paths.shape[0], per_block):
+        block = paths[start : start + per_block]
+        sums = np.zeros((5, n_bins))
+        for k in ks:
+            forward = (block[:, k + 1] - block[:, k]) / dt
+            backward = (block[:, k] - block[:, k - 1]) / dt
+            idx = np.floor(block[:, k] / width).astype(np.intp) - first
+            weights = (forward, forward**2, backward, backward**2)
+            sums += np.stack(
+                [np.bincount(idx, minlength=n_bins)]
+                + [np.bincount(idx, w, minlength=n_bins) for w in weights]
+            )
+        total += sums
+    return first, total
+
+
+def complex_increments(b: float, bhat: float, dt: float, shape: tuple[int, ...], seed: int) -> np.ndarray:
+    """Every increment ``dZ`` of ``sde.complex_increment_blocks``' draw of
+    ``shape`` as one array: each block of leading rows (``sde.BLOCK_VALUES``
+    values) draws its real normals and then its imaginary ones from one
+    generator, and ``dZ`` is one whole-array expression of them."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    xi, xi_hat = np.empty((2,) + shape)
+    step = max(1, sde.BLOCK_VALUES // max(1, math.prod(shape[1:])))
+    for start in range(0, shape[0], step):
+        rng.standard_normal(out=xi[start : start + step])
+        rng.standard_normal(out=xi_hat[start : start + step])
+    sigma = np.sqrt((b**2 + bhat**2) / 2)
+    return (b * xi + 1j * bhat * xi_hat) * np.sqrt(dt) / (np.sqrt(2) * sigma)
+
+
+def complex_increment_means(b: float, bhat: float, dt: float, n: int, seed: int) -> tuple[complex, ...]:
+    """The means of ``dZ``, ``dZ^2`` and ``dZ dZ*`` over the whole draw of
+    ``complex_increments``, each the sum of its blocks' sums in block order
+    over ``n``."""
+    dz = complex_increments(b, bhat, dt, (n,), seed)
+    totals = np.zeros(3, dtype=complex)
+    for start in range(0, n, sde.BLOCK_VALUES):
+        block = dz[start : start + sde.BLOCK_VALUES]
+        # the products a block at a time, and dZ dZ* in place, into the
+        # conjugate, as the package takes them: numpy's loops can differ in
+        # the last bit of an imaginary part between a whole array and its
+        # blocks, and when the output is an operand
+        conj = np.conjugate(block)
+        totals += [block.sum(), (block * block).sum(), np.multiply(block, conj, out=conj).sum()]
+    return tuple(complex(total / n) for total in totals)
 
 
 MB = 2**20

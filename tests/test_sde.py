@@ -9,7 +9,14 @@ import time
 import numpy as np
 import pytest
 
-from oracles import euler_maruyama_paths, peak_bytes, velocity_bin_sums
+from oracles import (
+    blocked_velocity_bin_sums,
+    complex_increment_means,
+    complex_increments,
+    euler_maruyama_paths,
+    peak_bytes,
+    velocity_bin_sums,
+)
 from stochflow import sde
 from stochflow.analytic import ou_mean_variance
 from stochflow.experiments import EXPERIMENTS, _velocity_window, run_experiment
@@ -237,6 +244,29 @@ def test_streaming_estimators_match_full_path_references(monkeypatch):
     assert estimate_diffusion(ens) == pytest.approx(want, rel=1e-12, abs=0)
 
 
+def test_blocked_estimator_equals_reference_bit_for_bit(monkeypatch):
+    # blocks of 7 paths: the 1_003 paths make 143 whole blocks and a ragged one of 2
+    monkeypatch.setattr(sde, "BLOCK_VALUES", 7)
+    t_final, dt, n_paths, seed = 0.2, 1e-2, 1_003, 31
+    x0 = ("gaussian", 0.0, 0.4)
+    window = _velocity_window(t_final, dt, 3)
+    ens = simulate_forward(OU, x0, t_final, dt, n_paths, seed, window=window)
+    paths, _, _ = euler_maruyama_paths(OU.drift, OU.b, x0, t_final, dt, n_paths, seed)
+    first, bins = blocked_velocity_bin_sums(paths, dt, OU.b, window, 7)
+    assert ens.bin_first == first and np.array_equal(ens.bins, bins)
+
+    est = estimate_velocities(ens, min_count=30)
+    counts, sums_f, sq_f, sums_b, sq_b = bins
+    thin = counts < 30
+    assert np.array_equal(est.counts, counts) and 0 < thin.sum() < thin.size
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for name, sums, squares in (("forward", sums_f, sq_f), ("backward", sums_b, sq_b)):
+            mean = np.where(thin, np.nan, sums / counts)
+            stderr = np.sqrt(np.maximum(squares / counts - mean**2, 0.0) / counts)
+            assert np.array_equal(getattr(est, name + "_drift"), mean, equal_nan=True)
+            assert np.array_equal(getattr(est, name + "_stderr"), stderr, equal_nan=True)
+
+
 def test_batched_sweep_equals_separate_runs_bit_for_bit():
     # 1_001 paths in blocks of 16_384 // 5 = 3_276: one block, one stream
     thetas = np.linspace(-1.0, 1.0, 5)
@@ -268,26 +298,37 @@ def test_window_must_cover_the_estimate():
             simulate_forward(OU, 0.0, 0.2, 1e-2, 10, 4, window=window)
 
 
-def test_complex_increment_blocks_draw_real_then_imaginary_normals_by_block(monkeypatch):
-    # blocks of 3 rows of 7: 68 whole blocks and a ragged one of 1 row
-    monkeypatch.setattr(sde, "BLOCK_VALUES", 23)
-    b, bhat, dt, shape = 2.0, 0.5, 0.01, (205, 7)
-    sigma = np.sqrt((b**2 + bhat**2) / 2)
-    rng = make_rng(5)
+@pytest.mark.parametrize("shape", [(1_003,), (205, 7)])
+def test_complex_increment_blocks_equal_one_draw_bit_for_bit(monkeypatch, shape):
+    # blocks of 10 values: 100 whole blocks and a ragged one of 3 values,
+    # or 68 blocks of 3 rows of 7 and a ragged one of 1 row
+    monkeypatch.setattr(sde, "BLOCK_VALUES", 10 if len(shape) == 1 else 23)
+    step = 10 if len(shape) == 1 else 3
+    want = complex_increments(2.0, 0.5, 0.01, shape, 5)
+    got = np.full(shape, np.nan, dtype=complex)
     rows_seen = []
-    for rows, dz in complex_increment_blocks(b, bhat, dt, shape, make_rng(5)):
-        xi, xi_hat = rng.standard_normal(dz.shape), rng.standard_normal(dz.shape)
-        want = (b * xi + 1j * bhat * xi_hat) * np.sqrt(dt) / (np.sqrt(2) * sigma)
-        assert np.array_equal(dz, want)
+    for rows, dz in complex_increment_blocks(2.0, 0.5, 0.01, shape, make_rng(5)):
+        got[rows] = dz
         rows_seen.append((rows.start, rows.stop))
-    assert rows_seen == [(s, min(s + 3, 205)) for s in range(0, 205, 3)]
+    assert rows_seen == [(s, min(s + step, shape[0])) for s in range(0, shape[0], step)]
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("block_values", [2**16, 64, 1_000])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 8_191, 8_193, 65_537, 300_001])
+def test_blocked_complex_means_equal_whole_array_means_bit_for_bit(monkeypatch, n, block_values):
+    # one block, whole blocks and a ragged last one, down to a single value
+    monkeypatch.setattr(sde, "BLOCK_VALUES", block_values)
+    stats = sample_complex_increments(2.0, 0.5, 0.01, n, 11)
+    want = complex_increment_means(2.0, 0.5, 0.01, n, 11)
+    assert (stats.mean_dz, stats.mean_dz2, stats.mean_dzdzbar) == want
 
 
 def test_complex_means_are_the_means_of_the_blocks(monkeypatch):
     # blocks of 1_000 values and a ragged one of 1
     monkeypatch.setattr(sde, "BLOCK_VALUES", 1_000)
     n = 20_001
-    dz = np.concatenate([d.copy() for _, d in complex_increment_blocks(2.0, 0.5, 0.01, (n,), make_rng(11))])
+    dz = complex_increments(2.0, 0.5, 0.01, (n,), 11)
     stats = sample_complex_increments(2.0, 0.5, 0.01, n, 11)
     assert stats.mean_dz == pytest.approx(dz.mean(), rel=1e-12, abs=1e-18)
     assert stats.mean_dz2 == pytest.approx((dz * dz).mean(), rel=1e-12)
