@@ -18,15 +18,27 @@ and allocated once, whatever the step count: the gap maxima, drifts and node
 coverage are reduced chunk by chunk, and the gap series keeps under 1,024 rows
 (:data:`SERIES_ROWS`).  It takes ``round(t_final/dt)`` split steps of
 :mod:`stochflow.schrodinger`, the same as ``evolve``, in one loop that evolves
-and transports at every step, in four row-FFT gufunc and twelve ufunc calls and
-nothing else: no step converts a Python float, casts float to complex or views
-an array, so at n = 128 its 26 us on a 2-core host is the calls' fixed cost.
-Every chunk runs K steps: the transport before chunk 0's velocities and the
-evolution past the last state are padding, at most 2K - 1 steps a run, whose
-rows are never read.  A chunk's velocity extraction and comparison add a few
-dozen batched calls, whatever K is; at K = 64 that is under one call per step
-against the 16, while the scratch (0.85 MB at n = 128) stays within a 2 MB L2
-cache.  Larger chunks only spend memory.
+and transports at every step.  The transport is third-order Adams-Bashforth
+(:data:`AB3`): one new flux increment ``g_j = (dt/12) (v_j rho_j)_x`` a step,
+``rho_{j+1} = rho_j - 23 g_j + 16 g_{j-1} - 5 g_{j-2}``, with the increments of
+the two steps before kept in a three-row ring.  Its increment shares the
+evolution step's two-row FFT pair, so a step is two row-FFT gufunc and eleven
+ufunc calls and nothing else: no step converts a Python float, casts float to
+complex or views an array.  At n = 128 on a 2-core host the loop takes 12 us a
+step, the calls' fixed cost, and the whole pipeline 17 us (best of repeated
+in-process 4,000-step runs; 18 and 23 us with the two flux evaluations of
+Heun's method).  AB3 is stable on the imaginary axis while
+``theta = k_max |v| dt <= 0.72``, with ``k_max`` the highest wavenumber below
+Nyquist; Heun's amplification there is about ``1 + theta^4 / 8`` a step, so its
+top modes grow at any ``dt``.  The increment history starts as ``g_0`` three
+times (one extra FFT pair a run), so the first steps are Euler-like and the
+global order stays two.  Every chunk runs K steps: the transport before
+chunk 0's velocities and the evolution past the last state are padding, at
+most 2K - 1 steps a run, whose rows are never read.  A chunk's velocity
+extraction and comparison add a few dozen batched calls, whatever K is; at
+K = 64 that is under one call per step against the 13, while the scratch
+(0.85 MB at n = 128) stays within a 2 MB L2 cache.  Larger chunks only spend
+memory.
 
 Supporting pieces:
 
@@ -41,6 +53,7 @@ Supporting pieces:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import cycle
 
 import numpy as np
 from numpy import add as _add, multiply as _mul, subtract as _sub  # bound once for the step loops
@@ -79,6 +92,9 @@ __all__ = [
 CHUNK_POINTS = 2**13
 #: the gap series keeps every stride-th step's row, stride = max(1, (n_steps + 1) // SERIES_ROWS)
 SERIES_ROWS = 512
+#: third-order Adams-Bashforth weights of the flux increments ``g = (dt/12) (v rho)_x`` of
+#: steps j, j - 1 and j - 2: ``rho_{j+1} = rho_j - 23 g_j + 16 g_{j-1} - 5 g_{j-2}``
+AB3 = (23.0, 16.0, 5.0)
 
 
 @dataclass(frozen=True)
@@ -140,27 +156,27 @@ def madelung_wavefunction(rho: ScalarField, current: ScalarField, b: float) -> S
     return ScalarField(grid, np.sqrt(rho_vals) * np.exp(1j * theta) * carrier)
 
 
-def _flux_rows(rows: np.ndarray) -> tuple:
-    """The views :func:`_flux_div` takes of complex rows ``(flux, spectrum, inverse)``, and the
-    0-d FFT scales; the flux row's imaginary part must be zero, as only its real part is written."""
-    one, inv_n = np.array(1.0), np.array(1 / rows.shape[-1])
-    return rows[0].real, rows[0], rows[1], rows[2], rows[2].real, one, inv_n
+def _ab3_weights() -> tuple:
+    """:data:`AB3` as 0-d float arrays, bound once per run so that no step converts a float."""
+    return tuple(np.array(float(w)) for w in AB3)
 
 
-def _flux_div(v: np.ndarray, rho: np.ndarray, mult: np.ndarray, rows) -> np.ndarray:
-    """The spectral ``(v rho)_x`` via the :func:`_flux_rows` views, as the inverse's real part."""
-    flux_re, flux, spec, inverse, div, one, inv_n = rows
-    _mul(v, rho, flux_re)
-    _mul(_fft(flux, one, spec), mult, spec)
-    _ifft(spec, inv_n, inverse)
-    return div
+def _flux_increment(v, rho, gmult, flux, spec, out) -> np.ndarray:
+    """``g = ifft(fft(v rho) gmult)`` in one-row calls into the complex row ``out``, returned
+    as its real part; only the real part of the complex row ``flux`` is written, so its
+    imaginary part must be zero."""
+    _mul(v, rho, flux.real)
+    _mul(_fft(flux, 1.0, spec), gmult, spec)
+    return _ifft(spec, 1 / out.shape[-1], out).real
 
 
-def _heun(rho, d1, v_next, dt, half_dt, mult, rows, out) -> None:
-    """A Heun step of ``rho_t = -(v rho)_x`` into ``out``, given ``d1 = (v rho)_x`` and ``v_next``."""
-    _sub(rho, _mul(dt, d1, out), out)
-    d2 = _flux_div(v_next, out, mult, rows)
-    _sub(rho, _mul(half_dt, _add(d1, d2, out), out), out)
+def _ab3_step(rho, g, g1, g2, weights, tmp, out) -> None:
+    """``rho - w0 g + w1 g1 - w2 g2`` into ``out``, left to right, given the flux increments
+    ``g`` of this step and ``g1``, ``g2`` of the two before it (:data:`AB3`)."""
+    w0, w1, w2 = weights
+    _sub(rho, _mul(w0, g, out), out)
+    _add(out, _mul(w1, g1, tmp), out)
+    _sub(out, _mul(w2, g2, tmp), out)
 
 
 def evolve_density_continuity(
@@ -168,20 +184,30 @@ def evolve_density_continuity(
     velocity_snapshots: np.ndarray,
     dt: float,
 ) -> np.ndarray:
-    """Transport a density by ``rho_t = -(v rho)_x`` with Heun time stepping.
+    """Transport a density by ``rho_t = -(v rho)_x`` with third-order Adams-Bashforth steps.
 
     ``velocity_snapshots`` has shape ``(n_steps + 1, n)``: the real current
-    velocity at every step boundary.  Returns the density history with the
-    same shape.  The flux derivative is spectral, so the discrete mass
-    ``sum(rho) dx`` is conserved to round-off.
+    velocity at every step boundary.  Step j reads row j only, so the last row
+    is not read.  Returns the density history with the same shape.  This is
+    the per-snapshot oracle of :func:`born_pipeline`: the same kernels in the
+    same operation order, one row at a time.  The history of flux increments
+    starts as ``g_0`` three times, so the first step is Euler's.  The flux
+    derivative is spectral, so the discrete mass ``sum(rho) dx`` is conserved
+    to round-off.
     """
-    mult = spectral_multiplier(rho0.grid)
-    first, pred = (_flux_rows(rows) for rows in np.zeros((2, 3, rho0.grid.n), dtype=np.complex128))
+    gmult = spectral_multiplier(rho0.grid) * (dt / 12)
+    flux, spec = np.zeros((2, rho0.grid.n), dtype=np.complex128)
+    ring = np.zeros((3, rho0.grid.n), dtype=np.complex128)
+    tmp = np.empty(rho0.grid.n)
     history = np.empty(velocity_snapshots.shape)
     history[0] = np.real(rho0.values)
-    dt_a, half_dt = np.array(dt), np.array(0.5 * dt)
-    for h, h1, v0, v1 in zip(history, history[1:], velocity_snapshots, velocity_snapshots[1:]):
-        _heun(h, _flux_div(v0, h, mult, first), v1, dt_a, half_dt, mult, pred, h1)
+    _flux_increment(velocity_snapshots[0], history[0], gmult, flux, spec, ring[0])
+    ring[1:] = ring[0]
+    # step j writes ring[j % 3], after ring[(j - 1) % 3] and ring[(j - 2) % 3]
+    phases = cycle([(ring[s], ring[s - 1].real, ring[s - 2].real) for s in range(3)])
+    weights = _ab3_weights()
+    for h, h1, v, (g, g1, g2) in zip(history, history[1:], velocity_snapshots, phases):
+        _ab3_step(h, _flux_increment(v, h, gmult, flux, spec, g), g1, g2, weights, tmp, h1)
     return history
 
 
@@ -227,14 +253,18 @@ def born_pipeline(
     real, their complex form freed once extracted.  One loop evolves chunk c
     while it transports the density through chunk c - 1 by the continuity
     equation alone, with the velocities of that chunk's states extracted by one
-    batched FFT; at every step the evolution step and the first flux share one
-    two-row FFT pair: 4 gufunc and 12 ufunc calls on operands, views and 0-d
-    scalars bound before the loop.  Each stage runs K steps; the velocities
-    before chunk 0's and past a partial chunk are zero, so padded transport
-    steps read no stale velocity, and no padded row is read.  Every step is
-    compared against ``F F* / q``; non-finite states or densities raise
-    ``ValueError``.  The complex density-transport residuals are evaluated at
-    the midpoint snapshot triple, the only states kept beyond a chunk.
+    batched FFT.  The transport takes third-order Adams-Bashforth steps
+    (:data:`AB3`, stable while ``k_max |v| dt <= 0.72``), so at every step the
+    evolution step and the step's one flux increment share one two-row FFT
+    pair: 2 gufunc and 11 ufunc calls on operands, views and 0-d scalars bound
+    before the loop, the increment rows cycled through prebuilt view tuples.
+    Once chunk 0's velocities are known, the increment history is filled with
+    ``g_0``.  Each stage runs K steps; the velocities before chunk 0's and past
+    a partial chunk are zero, so padded transport steps read no stale velocity,
+    and no padded row is read.  Every step is compared against ``F F* / q``;
+    non-finite states or densities raise ``ValueError``.  The complex
+    density-transport residuals are evaluated at the midpoint snapshot triple,
+    the only states kept beyond a chunk.
     """
     n_steps, dt = time_steps(t_final, dt)
     mid = n_steps // 2
@@ -242,6 +272,7 @@ def born_pipeline(
         raise ValueError("need at least three stored snapshots for the residual checks")
     grid, b = problem.grid, problem.b
     mult = spectral_multiplier(grid)
+    gmult = mult * (dt / 12)  # g = (dt/12) (v rho)_x in one multiply
     half_pot, kin = _split_factors(problem, dt)
     q0 = float(np.real(integrate(problem.psi0.abs2())))
     stride = max(1, (n_steps + 1) // SERIES_ROWS)
@@ -253,11 +284,18 @@ def born_pipeline(
     cwork = np.empty_like(bufs[0])  # compare products, then extraction spectra
     hist, targets, diffs = np.empty((3, n_rows + 1, grid.n))
     vels = np.zeros((n_rows + 1, grid.n))  # zero before chunk 0's: transport then copies hist[0]
-    pair = np.zeros((3, 2, grid.n), dtype=np.complex128)  # in, spectrum, inverse of (psi, flux)
-    (pair_in, pair_spec, pair_out), (evo_in, evo_spec, evo_out) = pair, pair[:, 0]
-    flux_re, _, flux_spec, _, d1, one, inv_n = _flux_rows(pair[:, 1])
-    pred = _flux_rows(np.zeros((3, grid.n), dtype=np.complex128))
-    dt_a, half_dt = np.array(dt), np.array(0.5 * dt)
+    pair_in, pair_spec = np.zeros((2, 2, grid.n), dtype=np.complex128)  # rows (psi, flux)
+    (evo_in, flux_in), (evo_spec, flux_spec) = pair_in, pair_spec
+    flux_re = flux_in.real  # its imaginary part stays zero
+    # the inverses: row 0 the evolution's, rows 1-3 a ring of the last three flux increments;
+    # step j writes row s = 1 + j % 3, paired with row 0 in the view outs[::s][:2]
+    outs = np.zeros((4, grid.n), dtype=np.complex128)
+    evo_out, ring = outs[0], outs[1:]
+    phases = cycle([
+        (outs[::s][:2], ring[s - 1].real, ring[s - 2].real, ring[s - 3].real) for s in (1, 2, 3)
+    ])
+    weights, tmp = _ab3_weights(), np.empty(grid.n)
+    one, inv_n = np.array(1.0), np.array(1 / grid.n)
     psis, hs, vs = [list(buf) for buf in bufs], list(hist), list(vels)  # row views, built once
     bufs[0, 0] = problem.psi0.values
     hist[0] = np.real(problem.psi0.abs2().values) / q0
@@ -267,17 +305,19 @@ def born_pipeline(
     for c, i0 in enumerate([*range(0, n_steps, n_rows), n_steps]):
         new, m_new, psi_rows = bufs[c % 2], min(n_rows, n_steps - i0), psis[c % 2]
         # all K steps evolve and transport in one two-row FFT pair, with the operand orders of
-        # evolve and _flux_div (complex products do not commute bitwise); the rows past m_new
-        # and m_old are padding, never read
-        for psi, psi1, h, h1, v, v1 in zip(psi_rows, psi_rows[1:], hs, hs[1:], vs, vs[1:]):
+        # evolve and _flux_increment (complex products do not commute bitwise); the rows past
+        # m_new and m_old are padding, never read
+        for psi, psi1, h, h1, v, (pair_out, g, g1, g2) in zip(
+            psi_rows, psi_rows[1:], hs, hs[1:], vs, phases
+        ):
             _mul(half_pot, psi, evo_in)
             _mul(v, h, flux_re)
             _fft(pair_in, one, pair_spec)
             _mul(kin, evo_spec, evo_spec)
-            _mul(flux_spec, mult, flux_spec)
+            _mul(flux_spec, gmult, flux_spec)
             _ifft(pair_spec, inv_n, pair_out)
             _mul(half_pot, evo_out, psi1)
-            _heun(h, d1, v1, dt_a, half_dt, mult, pred, h1)
+            _ab3_step(h, g, g1, g2, weights, tmp, h1)
 
         if m_old:  # compare chunk c - 1, reducing its drifts to the running extremes
             states, history, prod = old[: m_old + 1], hist[: m_old + 1], cwork[: m_old + 1]
@@ -311,6 +351,9 @@ def born_pipeline(
             min_coverage = min(min_coverage, float(mask.mean(axis=1).min()))
             del velocity, mask  # no complex velocity outlives its extraction: transport reads v
             bufs[(c + 1) % 2, 0] = new[m_new]
+            if i0 == 0:  # the flux history starts as g_0 three times: the first step is Euler's
+                _flux_increment(vels[0], hist[0], gmult, flux_in, flux_spec, ring[0])
+                ring[1:] = ring[0]
         old, i_old, m_old = new, i0, m_new
 
     rho_tri = [

@@ -45,12 +45,14 @@ def write_outputs(out_dir: Path) -> list[Path]:
     return written
 
 
+def digest_line(path: Path, name: str) -> str:
+    """The line ``name file sha256`` of one output of experiment ``name``."""
+    return f"{name} {path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}"
+
+
 def digests(out_dir: Path) -> list[str]:
     """The lines ``name file sha256`` of every output written under ``out_dir``."""
-    return [
-        f"{path.parent.name} {path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}"
-        for path in write_outputs(out_dir)
-    ]
+    return [digest_line(path, path.parent.name) for path in write_outputs(out_dir)]
 
 
 def differences(got: list[str], want: list[str]) -> list[str]:

@@ -14,13 +14,16 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from output_digests import differences, digest_line
 from stochflow.cli import main as cli_main
 from stochflow.experiments import EXPERIMENTS, run_experiment
-from stochflow.output import jsonable
+from stochflow.output import jsonable, write_csv
 
 _SEED = 1234
 #: the default ``summary.json`` of every experiment at seed 1234
 _FIXTURES = Path(__file__).parent / "fixtures" / "summaries"
+#: the sha256 of every default output at seed 1234, as ``tests/output_digests.py`` lists them
+_DIGESTS = Path(__file__).parent / "fixtures" / "output_digests.txt"
 #: a stored value matches within this relative or absolute gap, whichever is looser
 _REL_TOL, _ABS_TOL = 1e-12, 1e-15
 _CACHE: dict = {}
@@ -230,10 +233,17 @@ def test_stored_summaries_cover_every_experiment():
 
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
-def test_default_summary_matches_stored(name):
+def test_default_summary_matches_stored(name, tmp_path):
     out, _ = _run(name)
     got = json.loads(json.dumps(jsonable(out["summary"])))
     want = json.loads((_FIXTURES / f"{name}.json").read_text())
     assert [c["pass"] for c in got["checks"]] == [c["pass"] for c in want["checks"]]
     assert got["pass"] is want["pass"]
     assert _mismatches(got, want) == []
+    # the same run's CSVs, byte for byte
+    csvs = [digest_line(write_csv(tmp_path, f, *table), name) for f, table in out["csvs"].items()]
+    stored = [
+        line for line in _DIGESTS.read_text().splitlines()
+        if line.startswith(f"{name} ") and not line.startswith(f"{name} summary.json ")
+    ]
+    assert differences(csvs, stored) == []

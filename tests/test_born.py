@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from oracles import MB, node_mask, peak_bytes, split_step_states, wavefunction_norm
+from stochflow import born
 from stochflow.analytic import FreePacket, HarmonicState
 from stochflow.born import (
+    AB3,
     CHUNK_POINTS,
     SERIES_ROWS,
     BornReport,
-    _flux_div,
-    _flux_rows,
-    _heun,
     born_pipeline,
     evolve_density_continuity,
     madelung_wavefunction,
@@ -93,23 +92,38 @@ def test_continuity_transport_uniform_advection():
 
 def test_transport_kernels_equal_the_public_fft_formulas_bit_for_bit(packet_setup):
     # the pipeline and _reference_report share these kernels, so they are tied to
-    # numpy's public FFT here, in the operation order of the public-API code
+    # numpy's public FFT here, in the operation order of the public-API code: flux
+    # increments g = ifft(fft(v rho) (dt/12) i k), an Euler first step from g_0 three
+    # times, then rho - 23 g_j + 16 g_{j-1} - 5 g_{j-2}
     grid, pk = packet_setup
     x, dt = grid.axis, 1 / 1024
-    mult = spectral_multiplier(grid)
-    v0, v1 = pk.current_velocity(x, 0.1), pk.current_velocity(x, 0.1 + dt)
-    rho = pk.density(x, 0.1)
-    # the flux rows start at zero: the kernels write only the real part of the flux row
-    first, pred = (_flux_rows(rows) for rows in np.zeros((2, 3, grid.n), dtype=np.complex128))
+    gmult = spectral_multiplier(grid) * (dt / 12)
+    v = np.array([pk.current_velocity(x, 0.1 + j * dt) for j in range(6)])
+    history = evolve_density_continuity(ScalarField(grid, pk.density(x, 0.1)), v, dt)
 
-    def flux(v, r):
-        return np.fft.ifft(np.fft.fft(v * r) * mult).real
+    def increment(j):
+        return np.fft.ifft(np.fft.fft(v[j] * history[j]) * gmult).real
 
-    d1 = _flux_div(v0, rho, mult, first)
-    assert (d1 == flux(v0, rho)).all()
-    out = np.empty(grid.n)
-    _heun(rho, d1, v1, dt, 0.5 * dt, mult, pred, out)
-    assert (out == rho - 0.5 * dt * (d1 + flux(v1, rho - dt * d1))).all()
+    g = [increment(0)] * 2
+    for j in range(5):
+        g.append(increment(j))
+        want = history[j] - 23.0 * g[-1] + 16.0 * g[-2] - 5.0 * g[-3]
+        assert (history[j + 1] == want).all(), j
+    assert AB3 == (23.0, 16.0, 5.0)
+
+
+def test_continuity_transport_is_stable_at_the_ab3_bound():
+    # theta = k_max |v| dt = 63 * 1 * (0.6/63) = 0.6, inside AB3's |theta| <= 0.72 on the
+    # imaginary axis; Heun's amplification 1 + theta^4/8 grows round-off in the high modes
+    # to 1.6e53 by the last step
+    grid = GridSpec(dim=1, length=2 * np.pi, n=128)
+    x = grid.axis
+    c, dt, n_steps = 1.0, 0.6 / 63, 10_000
+    history = evolve_density_continuity(
+        ScalarField(grid, 1 + 0.5 * np.cos(x)), np.full((n_steps + 1, grid.n), c), dt
+    )
+    assert np.isfinite(history).all()
+    assert np.max(np.abs(history[-1] - (1 + 0.5 * np.cos(x - c * n_steps * dt)))) < 1e-4
 
 
 def test_born_pipeline_free_packet_small(packet_setup):
@@ -287,3 +301,30 @@ def test_born_pipeline_rejects_non_finite_evolution(packet_setup):
     )
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
         born_pipeline(prob, 0.25, 1 / 1024)
+
+
+def test_born_pipeline_makes_one_fft_pair_per_step(monkeypatch):
+    # each step evolves and takes its one flux increment in one two-row fft and ifft; the
+    # rest is per chunk (the velocity extraction) or per run (the first increment g_0), so
+    # a run makes 2 calls per step, padding included, and 4 per chunk at most.  Two flux
+    # evaluations a step (Heun) make 4 per step
+    calls = []
+
+    def counted(name):
+        call = getattr(born, name)
+
+        def counting(*args):
+            calls.append(name)
+            return call(*args)
+
+        return counting
+
+    for name in ("_fft", "_ifft"):
+        monkeypatch.setattr(born, name, counted(name))
+    prob = _trapped_ground_state_problem()
+    k = CHUNK_POINTS // prob.grid.n
+    n_steps = 10 * k + 5
+    born_pipeline(prob, n_steps * 1e-3, 1e-3)
+    stages = -(-n_steps // k) + 1  # every stage runs k steps
+    assert calls.count("_fft") == calls.count("_ifft")
+    assert 2 * k * stages <= len(calls) <= 2 * k * stages + 4 * stages, (len(calls), n_steps)
