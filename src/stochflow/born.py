@@ -232,6 +232,10 @@ class BornReport:
     fp_conjugate: Norms
     continuity: Norms
     osmotic: Norms
+    #: the largest ``theta = k_max |v| dt`` over the run, ``k_max`` the highest wavenumber below
+    #: Nyquist and ``v`` the extracted current velocity: the AB3 transport is stable while
+    #: ``theta <= 0.72``, and its top modes grow past that
+    ab3_theta: float
     #: columns (t, sup gap, relative gap) of every stride-th step, under 1,024 rows (SERIES_ROWS)
     discrepancy_series: np.ndarray = field(repr=False, default=None)
     #: transported and quadratic densities at the final time, shape (2, n)
@@ -253,8 +257,10 @@ def born_pipeline(
     real, their complex form freed once extracted.  One loop evolves chunk c
     while it transports the density through chunk c - 1 by the continuity
     equation alone, with the velocities of that chunk's states extracted by one
-    batched FFT.  The transport takes third-order Adams-Bashforth steps
-    (:data:`AB3`, stable while ``k_max |v| dt <= 0.72``), so at every step the
+    batched FFT, each state's once: a chunk's last state is the next one's
+    first.  The transport takes third-order Adams-Bashforth steps
+    (:data:`AB3`, stable while ``k_max |v| dt <= 0.72``, whose largest value
+    over the run the report holds as ``ab3_theta``), so at every step the
     evolution step and the step's one flux increment share one two-row FFT
     pair: 2 gufunc and 11 ufunc calls on operands, views and 0-d scalars bound
     before the loop, the increment rows cycled through prebuilt view tuples.
@@ -277,7 +283,7 @@ def born_pipeline(
     q0 = float(np.real(integrate(problem.psi0.abs2())))
     stride = max(1, (n_steps + 1) // SERIES_ROWS)
     gaps = np.empty((n_steps // stride + 1, 2))  # gap, relative gap of every stride-th step
-    sup_gap = sup_rel = mass_drift = norm_drift = 0.0
+    sup_gap = sup_rel = mass_drift = norm_drift = v_max = 0.0
     min_coverage, kept = 1.0, {}
     n_rows = max(1, CHUNK_POINTS // grid.n)
     bufs = np.empty((2, n_rows + 1, grid.n), dtype=np.complex128)
@@ -343,12 +349,16 @@ def born_pipeline(
                 kept[k] = ScalarField(grid, states[k - i_old].copy())
             rho = hist[0] = history[-1].copy()
         if m_new:  # the real velocities of chunk c, for its transport in stage c + 1
-            states, spec = new[: m_new + 1], cwork[: m_new + 1]
+            # the transport reads rows 0 to m_new - 1; the last state is the next chunk's row 0,
+            # extracted there, so only the final chunk extracts it, for its node coverage
+            rows = m_new + 1 if i0 + m_new == n_steps else m_new
+            states, spec = new[:rows], cwork[:rows]
             _mul(_fft(states, one, spec), mult, spec)
             velocity, mask = log_derivative(states, _ifft(spec, inv_n, spec), -1j * b**2)
-            vels[: m_new + 1] = velocity.real
-            vels[m_new + 1 :] = 0  # padded transport steps then read no stale velocity
+            vels[:rows] = velocity.real
+            vels[rows:] = 0  # padded transport steps then read no stale velocity
             min_coverage = min(min_coverage, float(mask.mean(axis=1).min()))
+            v_max = max(v_max, float(vels[:rows].max()), -float(vels[:rows].min()))
             del velocity, mask  # no complex velocity outlives its extraction: transport reads v
             bufs[(c + 1) % 2, 0] = new[m_new]
             if i0 == 0:  # the flux history starts as g_0 three times: the first step is Euler's
@@ -373,6 +383,7 @@ def born_pipeline(
         fp_conjugate=complex_fp_residual(*rho_tri, dec.complex_velocity, b, dt, variant="conjugate"),
         continuity=continuity_residual(*rho_tri, dec.current, dt),
         osmotic=osmotic_constraint_residual(rho_tri[1], dec.osmotic, b),
+        ab3_theta=float(np.abs(mult).max()) * v_max * dt,
         discrepancy_series=np.column_stack([np.arange(0, n_steps + 1, stride) * dt, gaps]),
         final_profiles=np.stack([rho, target[-1]]),
     )

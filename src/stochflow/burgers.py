@@ -100,8 +100,7 @@ class BurgersProblem:
     def to_velocity(self, F: ScalarField) -> np.ndarray:
         """``lam (grad F)/F`` as its ``(dim,) + grid.shape`` component stack."""
         dF = gradient(F).reshape(F.grid.dim, -1)
-        values = np.broadcast_to(F.values.reshape(1, -1), dF.shape)
-        ratio, mask = log_derivative(values, dF, self.lam)
+        ratio, mask = log_derivative(F.values.reshape(1, -1), dF, self.lam, out=dF)
         if not mask.all():
             raise ValueError("F has a node; the velocity ratio is undefined there")
         return ratio.reshape((F.grid.dim,) + F.grid.shape)

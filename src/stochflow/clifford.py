@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import (
-    GridSpec, Norms, ScalarField, _laplacian, _norms, _spectral_derivative, derivative, laplacian,
+    GridSpec, Norms, ScalarField, _laplacian, _norms, _spectral_derivative, laplacian,
 )
 
 __all__ = [
@@ -150,8 +150,11 @@ def contraction(A: Multivector, B: Multivector) -> Multivector:
 
 def gradient(f: ScalarField) -> np.ndarray:
     r"""Geometric gradient :math:`\nabla f = e^j \partial_{x_j} f` as its
-    ``(dim,) + grid.shape`` component stack."""
-    return np.stack([derivative(f, axis).values for axis in range(f.grid.dim)])
+    ``(dim,) + grid.shape`` component stack, filled one component at a time."""
+    out = np.empty((f.grid.dim,) + f.grid.shape, dtype=np.complex128)
+    for axis in range(f.grid.dim):
+        out[axis] = _spectral_derivative(f.values, f.grid, axis, 1)
+    return out
 
 
 def grad_wedge(grid: GridSpec, w: np.ndarray) -> np.ndarray:
@@ -166,7 +169,8 @@ def grad_wedge(grid: GridSpec, w: np.ndarray) -> np.ndarray:
     for blade, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
         if max(i, j) >= grid.dim:
             continue
-        out[blade] = _spectral_derivative(w[j], grid, i, 1) - _spectral_derivative(w[i], grid, j, 1)
+        out[blade] = _spectral_derivative(w[j], grid, i, 1)
+        out[blade] -= _spectral_derivative(w[i], grid, j, 1)
     return out
 
 
@@ -193,12 +197,17 @@ def stretched_gradient(f: ScalarField, s: StretchSpec) -> np.ndarray:
     Only constant stretch vectors are supported; the commutation identities
     below are false otherwise.
     """
-    return np.stack([s.c[axis] * derivative(f, axis).values for axis in range(f.grid.dim)])
+    out = gradient(f)
+    for axis in range(f.grid.dim):
+        out[axis] = s.c[axis] * out[axis]
+    return out
 
 
-def _vector_norms(stack: np.ndarray, grid: GridSpec) -> Norms:
-    """The largest ``l_inf`` and the largest ``l2`` over the components of a stack."""
-    per_component = [_norms(comp, grid) for comp in stack]
+def _vector_norms(components, grid: GridSpec) -> Norms:
+    """The largest ``l_inf`` and the largest ``l2`` over the components of a
+    vector field, read one at a time from any iterable: a generator of them
+    holds one component at once."""
+    per_component = [_norms(comp, grid) for comp in components]
     return Norms(max(n.l_inf for n in per_component), max(n.l2 for n in per_component))
 
 
@@ -230,24 +239,35 @@ def check_prop_identities(f: ScalarField, s: StretchSpec) -> dict[str, Norms]:
     derivatives the residual is genuinely nonzero, and this function
     reports it honestly.
     """
-    grid = f.grid
-    c = s.c
+    grid, c = f.grid, s.c
+    # each identity drops its fields before the next starts, and its residual reaches the
+    # norms one component at a time, so that the peak is a few fields, never a stack
 
-    # 1. commutation with the time derivative on f(x) * cos(t)
+    def stretched(values: np.ndarray, axis: int) -> np.ndarray:
+        """Component ``axis`` of the stretched gradient of ``values``."""
+        return c[axis] * _spectral_derivative(values, grid, axis, 1)
+
+    # 1. commutation with the time derivative on f(x) * cos(t), at t = 0 and 2 h
     h = 0.1
-    g_vals = [np.cos(m * h) for m in range(3)]
-    dt_then_stretch = stretched_gradient(
-        ScalarField(grid, f.values * ((g_vals[2] - g_vals[0]) / (2 * h))), s
+    g_first, g_last = (np.cos(m * h) for m in (0, 2))
+    rate = f.values * ((g_last - g_first) / (2 * h))
+    first, last = f.values * g_first, f.values * g_last
+    r_time = _vector_norms(
+        (
+            stretched(rate, axis) - (stretched(last, axis) - stretched(first, axis)) / (2 * h)
+            for axis in range(grid.dim)
+        ),
+        grid,
     )
-    series = [stretched_gradient(ScalarField(grid, f.values * g), s) for g in g_vals]
-    stretch_then_dt = (series[2] - series[0]) / (2 * h)
-    r_time = _vector_norms(dt_then_stretch - stretch_then_dt, grid)
+    del rate, first, last
 
     # 2. commutation with the Laplacian
-    lap_then_stretch = stretched_gradient(laplacian(f), s)
+    lap = laplacian(f).values
     w = stretched_gradient(f, s)
-    stretch_then_lap = np.stack([_laplacian(comp, grid) for comp in w])
-    r_lap = _vector_norms(lap_then_stretch - stretch_then_lap, grid)
+    r_lap = _vector_norms(
+        (stretched(lap, axis) - _laplacian(w[axis], grid) for axis in range(grid.dim)), grid
+    )
+    del lap
 
     # 3. directional-derivative symmetry on an auxiliary field
     shifted = np.roll(f.values, grid.n // 3, axis=0)
@@ -259,21 +279,20 @@ def check_prop_identities(f: ScalarField, s: StretchSpec) -> dict[str, Norms]:
         lhs += (c[axis] * df) * dg
         rhs += df * (c[axis] * dg)
     r_sym = _norms(lhs - rhs, grid)
+    del shifted, lhs, rhs, df, dg
 
     # 4. convective identity (w . grad) w = 1/2 grad(w . w)
     w_sq = np.zeros(grid.shape, dtype=np.complex128)
     for comp in w:
         w_sq += comp * comp
-    half_grad = [0.5 * _spectral_derivative(w_sq, grid, axis, 1) for axis in range(grid.dim)]
-    convective = []
-    for j in range(grid.dim):
+
+    def convective_residual(j: int) -> np.ndarray:
         acc = np.zeros(grid.shape, dtype=np.complex128)
         for k in range(grid.dim):
             acc += w[k] * _spectral_derivative(w[j], grid, k, 1)
-        convective.append(acc)
-    r_conv = _vector_norms(
-        np.stack([convective[j] - half_grad[j] for j in range(grid.dim)]), grid
-    )
+        return acc - 0.5 * _spectral_derivative(w_sq, grid, j, 1)
+
+    r_conv = _vector_norms((convective_residual(j) for j in range(grid.dim)), grid)
 
     return {
         "time_commutation": r_time,
@@ -306,17 +325,19 @@ def linearization_cancellation(
         raise ValueError("log F undefined: F has a zero node")
     log_f = np.log(F.values)
 
-    grads = [_spectral_derivative(log_f, grid, axis, 1) for axis in range(grid.dim)]
     stretched_sq = np.zeros(grid.shape, dtype=np.complex128)
     plain_sq = np.zeros(grid.shape, dtype=np.complex128)
-    for g in grads:
-        sg = lam * g
-        stretched_sq += sg * sg
-        plain_sq += g * g
-
-    residual_comps = []
     for axis in range(grid.dim):
-        term1 = _spectral_derivative(stretched_sq, grid, axis, 1)
-        term2 = 1j * b**2 * lam * _spectral_derivative(plain_sq, grid, axis, 1)
-        residual_comps.append(term1 + term2)
-    return _vector_norms(np.stack(residual_comps), grid)
+        g = _spectral_derivative(log_f, grid, axis, 1)
+        plain_sq += g * g
+        stretched_sq += np.square(np.multiply(lam, g, out=g), out=g)
+    del log_f, g
+
+    return _vector_norms(
+        (
+            _spectral_derivative(stretched_sq, grid, axis, 1)
+            + 1j * b**2 * lam * _spectral_derivative(plain_sq, grid, axis, 1)
+            for axis in range(grid.dim)
+        ),
+        grid,
+    )

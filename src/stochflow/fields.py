@@ -284,15 +284,20 @@ def antiderivative(f: ScalarField, axis: int = 0) -> ScalarField:
     return ScalarField(f.grid, out)
 
 
-def log_derivative(values: np.ndarray, dvalues: np.ndarray,
-                   coef: complex) -> tuple[np.ndarray, np.ndarray]:
+def log_derivative(values: np.ndarray, dvalues: np.ndarray, coef: complex,
+                   out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``coef * dvalues / values`` for ``(rows, points)`` arrays, zero at the nodes, and
     the mask of non-nodes: points where ``|values|`` clears :data:`NODE_FLOOR_REL` times
     its row maximum.  With ``values = F`` and ``dvalues = grad F`` this is the Cole-Hopf
-    ratio."""
+    ratio.  ``values`` may be one row that serves every row of ``dvalues``; the mask then
+    is that one row.  The ratio goes to a new array, or to ``out``, which may be
+    ``dvalues`` itself."""
     mag = np.abs(values)
     mask = mag > NODE_FLOOR_REL * mag.max(axis=1, keepdims=True)
-    out = np.zeros(values.shape, dtype=np.complex128)
+    if out is None:
+        out = np.zeros(dvalues.shape, dtype=np.complex128)
+    else:
+        np.copyto(out, 0, where=~mask)
     np.multiply(coef, dvalues, out=out, where=mask)
     np.divide(out, values, out=out, where=mask)
     return out, mask

@@ -3,12 +3,16 @@
 Real processes follow ``dX = a(X) dt + b dW``, with a drift of position
 alone, and are integrated with forward Euler-Maruyama in
 ``simulate_forward``, on the steps of ``fields.time_steps``.  No path is
-stored.  A run keeps per-path running sums of ``q = (dX)^2 / dt`` and
-``q^2`` over every step, which is all the quadratic-variation and action
-estimators read, and, at the steps of a window the caller names, the
-velocity sums that ``estimate_velocities`` finishes.  A drift may broadcast
-the state to a leading batch axis, such as one member per parameter of a
-sweep; the members share the initial samples and every draw.
+stored.  Each block of paths keeps per-path running sums of ``q = (dX)^2 /
+dt`` and ``q^2`` over its steps, and reduces them when its last step is
+done: to the sums of ``q`` and ``q^2`` over its paths, which the
+quadratic-variation estimator reads, and to those of the per-path action
+``s = sum_k q_k - n b^2`` and of ``s^2``, which the action estimator reads.
+At the steps of a window the caller names, it also keeps the velocity sums
+that ``estimate_velocities`` finishes.  A drift may broadcast the state to a
+leading batch axis, such as one member per parameter of a sweep; the
+members share the initial samples and every draw, and each keeps its own
+sums.
 
 A drift must be pointwise along the path axis: ``drift(x)[..., p]`` reads
 only ``x[..., p]``.  The paths go in blocks of ``BLOCK_VALUES`` values,
@@ -18,12 +22,15 @@ of a thread pool, one per further CPU the process may use.  Block ``j``
 draws its initial samples and then each step's normals from its own Philox
 stream, the ``j``-th child of ``SeedSequence(seed)``, and block sums merge
 in block order, so the output is the same bit for bit whatever the number
-of threads.  All buffers are allocated on the caller's thread, since those
-that helpers allocate stay resident in glibc's per-thread arenas; none
-outlives the call.  An error in a helper is raised in the caller.  Paths
-that go non-finite, or positions that spread past ``MAX_BINS`` bins, raise
-a ``ValueError`` that names Euler-Maruyama instability as the cause (or, for
-the spread, a start too wide for the bins).
+of threads.  The block scratch, running sums included, and the array of
+block sums are allocated on the caller's thread, since large buffers that
+helpers allocate stay resident in glibc's per-thread arenas; a helper
+allocates only the drift's result, a block's small sums and its velocity-bin
+sums.
+None outlives the call.  An error in a helper is raised in the caller.
+Paths that go non-finite, or positions that spread past ``MAX_BINS`` bins,
+raise a ``ValueError`` that names Euler-Maruyama instability as the cause
+(or, for the spread, a start too wide for the bins).
 
 ``estimate_velocities`` conditions the forward difference ``X(t + dt) -
 X(t)`` and the backward one ``X(t) - X(t - dt)`` on the position at the
@@ -105,30 +112,28 @@ class DiffusionModel:
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """The sums that a bundle of forward sample paths of ``n_steps`` steps of
-    ``dt`` leaves.
+    """The sums that a bundle of ``n_paths`` forward sample paths of
+    ``n_steps`` steps of ``dt`` leaves.
 
-    ``q_sum[..., p]`` and ``q2_sum[..., p]`` are the sums over every step of
-    ``q = (dX)^2 / dt`` and of ``q^2`` along path ``p``; any leading axes are
-    batch axes (one per drift of a batched sweep).  ``bins[:, i]`` holds the
-    sums over the pooled steps ``k`` for velocity bin ``i``, the positions
-    ``X_k`` in ``[(bin_first + i) w, (bin_first + i + 1) w)`` with ``w = 2 b
-    sqrt(dt)``: their count, the sums of the forward rate ``(X_{k+1} -
-    X_k) / dt`` and of its square, and those of the backward rate ``(X_k -
-    X_{k-1}) / dt``.  With no pooled step ``bins`` has no columns.
+    ``totals`` has shape ``(4,) + batch``, where ``batch`` is empty or the
+    batch shape of a batched sweep (one member per drift).  Its rows are the
+    sums over every step of every path of ``q = (dX)^2 / dt`` and of ``q^2``,
+    then the sums over the paths of the action ``s = sum_k q_k - n_steps b^2``
+    of a path and of ``s^2``.  ``bins[:, i]`` holds the sums over the pooled
+    steps ``k`` for velocity bin ``i``, the positions ``X_k`` in ``[(bin_first
+    + i) w, (bin_first + i + 1) w)`` with ``w = 2 b sqrt(dt)``: their count,
+    the sums of the forward rate ``(X_{k+1} - X_k) / dt`` and of its square,
+    and those of the backward rate ``(X_k - X_{k-1}) / dt``.  With no pooled
+    step ``bins`` has no columns.
     """
 
-    q_sum: np.ndarray = field(repr=False)
-    q2_sum: np.ndarray = field(repr=False)
+    totals: np.ndarray = field(repr=False)
+    n_paths: int
     bins: np.ndarray = field(repr=False)
     bin_first: int
     dt: float
     n_steps: int
     b: float
-
-    @property
-    def n_paths(self) -> int:
-        return self.q_sum.shape[-1]
 
 
 def _bin_width(b: float, dt: float) -> float:
@@ -173,9 +178,10 @@ def _add_bins(total, first: int, bins: np.ndarray) -> tuple[int, np.ndarray]:
     return start, sums
 
 
-def _bin_step(x, forward, backward, width, dt, keys, idx, square) -> tuple[int, np.ndarray]:
-    """The lattice sums of one pooled step of a block; ``keys``, ``idx`` and
-    ``square`` are scratch of the block's size."""
+def _bin_step(x, forward, backward, width, dt, keys, idx) -> tuple[int, np.ndarray]:
+    """The lattice sums of one pooled step of a block; ``keys`` and ``idx`` are
+    scratch of the block's size, and ``keys`` takes the squared rates once the
+    bin indices are read off it."""
     np.floor(np.divide(x, width, out=keys), out=keys)
     lo, hi = keys.min(), keys.max()
     if not hi - lo < MAX_BINS:  # false for NaN too
@@ -187,7 +193,7 @@ def _bin_step(x, forward, backward, width, dt, keys, idx, square) -> tuple[int, 
     n = int(hi - lo) + 1
     sums = [np.bincount(idx, minlength=n)]
     for rate in (forward, backward):
-        sums += [np.bincount(idx, rate, n), np.bincount(idx, np.square(rate, out=square), n)]
+        sums += [np.bincount(idx, rate, n), np.bincount(idx, np.square(rate, out=keys), n)]
     return int(lo), np.stack(sums)
 
 
@@ -202,8 +208,9 @@ def simulate_forward(
 ) -> PathEnsemble:
     """Euler-Maruyama ensemble of the forward process.
 
-    The run takes the ``n`` steps of ``time_steps(t_final, dt)``, and keeps
-    the running sums of ``(dX)^2 / dt`` and its square over every step.  The
+    The run takes the ``n`` steps of ``time_steps(t_final, dt)``, and leaves
+    the sums of ``q = (dX)^2 / dt``, of ``q^2`` and of the per-path action
+    ``sum_k q_k - n b^2`` and its square (:class:`PathEnsemble`).  The
     steps ``k`` of ``window = (first, stop)`` (half open, within ``1`` to
     ``n - 1``; default none) are pooled: their positions are binned with
     both differences, for ``estimate_velocities``.  The drift may broadcast
@@ -223,24 +230,25 @@ def simulate_forward(
     if batch and window is not None:
         raise ValueError(f"a batch of shape {batch} has no single velocity profile to pool")
     per_block = max(1, BLOCK_VALUES // max(1, math.prod(batch)))
-    blocks = [slice(p, min(p + per_block, n_paths)) for p in range(0, n_paths, per_block)]
+    blocks = [min(per_block, n_paths - p) for p in range(0, n_paths, per_block)]  # path counts
     streams = np.random.SeedSequence(seed).spawn(len(blocks))
     n_threads = max(1, min(_cpu_count(), len(blocks)))
     size = min(per_block, n_paths)
     scratch = [
-        (np.empty((3,) + batch + (size,)), np.empty((5, size)), np.empty(size, dtype=np.intp))
+        (np.empty((5,) + batch + (size,)), np.empty((4, size)), np.empty(size, dtype=np.intp))
         for _ in range(n_threads)
     ]
-    q_sum, q2_sum = np.zeros((2,) + batch + (n_paths,))
+    block_totals = np.empty((len(blocks), 4) + batch)
     lattices = [None] * len(blocks)
+    action_shift = m * model.b**2
 
     def run_blocks(claim: Iterator[int], states, lines, idx) -> None:
         for j in claim:
-            paths = blocks[j]
-            n = paths.stop - paths.start
-            x, nxt, inc = states[..., :n]
-            noise, forward, backward, keys, square = lines[:, :n]
-            q_acc, q2_acc = q_sum[..., paths], q2_sum[..., paths]
+            n = blocks[j]
+            x, nxt, inc, q_acc, q2_acc = states[..., :n]
+            noise, forward, backward, keys = lines[:, :n]
+            q_acc.fill(0.0)
+            q2_acc.fill(0.0)
             rng = make_rng(streams[j])
             _initial_samples(x0, noise, rng)
             x[...] = noise
@@ -259,7 +267,7 @@ def simulate_forward(
                     forward, backward = backward, forward
                     np.divide(inc, dt, out=forward)
                     if k >= first:
-                        step = _bin_step(x, forward, backward, width, dt, keys, idx[:n], square)
+                        step = _bin_step(x, forward, backward, width, dt, keys, idx[:n])
                         lattice = _add_bins(lattice, *step)
                 np.square(inc, out=inc)
                 inc /= dt
@@ -267,8 +275,12 @@ def simulate_forward(
                 np.multiply(inc, inc, out=inc)
                 q2_acc += inc
                 x, nxt = nxt, x
-            if not np.isfinite(q2_acc.sum()):  # a sum of squares: any non-finite step shows
+            q, q2 = q_acc.sum(axis=-1), q2_acc.sum(axis=-1)
+            if not np.isfinite(q2).all():  # sums of squares: any non-finite step shows
                 raise _unstable(dt, "the paths went non-finite:")
+            q_acc -= action_shift  # the action s of each path
+            s = q_acc.sum(axis=-1)
+            block_totals[j] = q, q2, s, np.square(q_acc, out=q_acc).sum(axis=-1)
             lattices[j] = lattice
 
     # imported here, not at the top: concurrent.futures loads logging, which
@@ -286,12 +298,16 @@ def simulate_forward(
         run_blocks(claim, *scratch[0])
         for helper in helpers:
             helper.result()
+    totals = np.zeros((4,) + batch)
+    for sums in block_totals:  # in block order, whichever thread ran a block
+        totals += sums
     total = None
     for lattice in filter(None, lattices):
         total = _add_bins(total, *lattice)
     bin_first, bins = total or (0, np.zeros((5, 0)))
     return PathEnsemble(
-        q_sum=q_sum, q2_sum=q2_sum, bins=bins, bin_first=bin_first, dt=dt, n_steps=m, b=model.b
+        totals=totals, n_paths=n_paths, bins=bins, bin_first=bin_first, dt=dt, n_steps=m,
+        b=model.b,
     )
 
 
@@ -393,10 +409,10 @@ class VelocityEstimate:
 
 def _require_unbatched(ens: PathEnsemble) -> None:
     """The estimators pool the paths of one ensemble; a batch has no single answer."""
-    if ens.q_sum.ndim != 1:
+    if ens.totals.ndim != 1:
         raise ValueError(
-            f"running sums of shape {ens.q_sum.shape} are batched; the estimator needs "
-            "(n_paths,): estimate each batch member separately"
+            f"the sums of {ens.n_paths} paths in a batch of shape {ens.totals.shape[1:]} have "
+            "no single estimate: estimate each batch member separately"
         )
 
 
@@ -441,20 +457,23 @@ def estimate_velocities(ens: PathEnsemble, min_count: int = 40) -> VelocityEstim
     )
 
 
+def _mean_stderr(total, total_sq, n: int):
+    """The mean of ``n`` samples and its standard error, from their sum and sum of squares."""
+    mean = total / n
+    return mean, np.sqrt((total_sq - mean * total) / (n - 1)) / np.sqrt(n)
+
+
 def estimate_diffusion(ens: PathEnsemble) -> tuple[float, float]:
     """Quadratic-variation estimate of ``b^2`` with its standard error.
 
     Averages ``(dX)^2 / dt`` over every step of every path.  The estimator
     carries an ``E[a^2] dt`` bias from the drift contribution, which is far
-    below one standard error at the step sizes used here.  Reads the
-    ensemble's running sums.  A batched ensemble is an error.
+    below one standard error at the step sizes used here.  Finishes the
+    ensemble's sums of ``q`` and ``q^2``.  A batched ensemble is an error.
     """
     _require_unbatched(ens)
-    n = ens.n_paths * ens.n_steps
-    total = ens.q_sum.sum()
-    mean = total / n
-    var = (ens.q2_sum.sum() - mean * total) / (n - 1)
-    return float(mean), float(np.sqrt(var) / np.sqrt(n))
+    mean, stderr = _mean_stderr(*ens.totals[:2], ens.n_paths * ens.n_steps)
+    return float(mean), float(stderr)
 
 
 def discretized_action(ens: PathEnsemble) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
@@ -463,13 +482,12 @@ def discretized_action(ens: PathEnsemble) -> tuple[float, float] | tuple[np.ndar
     Computes :math:`E \sum_k [ (\Delta X_k)^2 / \Delta t - b^2 ]`, whose
     expectation is :math:`E \int a^2 dt` for Euler-Maruyama paths: the
     quadratic-variation contribution ``b^2`` per step is subtracted exactly.
-    Returns the value with its standard error; reads the running sums.  A
-    batched ensemble gives two arrays, one entry per batch member.
+    Returns the value with its standard error; finishes the ensemble's sums
+    of the per-path action and its square.  A batched ensemble gives two
+    arrays, one entry per batch member.
     """
-    per_path = ens.q_sum - ens.n_steps * ens.b**2
-    value = per_path.mean(axis=-1)
-    stderr = per_path.std(axis=-1, ddof=1) / np.sqrt(ens.n_paths)
-    if per_path.ndim == 1:
+    value, stderr = _mean_stderr(*ens.totals[2:], ens.n_paths)
+    if ens.totals.ndim == 1:
         return float(value), float(stderr)
     return value, stderr
 

@@ -123,30 +123,34 @@ def _euler_maruyama_block(drift, b, x0, n_steps, dt, n_paths, stream, last_only)
 
 
 def euler_maruyama_paths(drift, b, x0, t_final, dt, n_paths, seed, per_block=None, last_only=False):
-    """Every path of ``sde.simulate_forward``'s run, with its running sums of
-    ``q = (dX)^2 / dt`` and ``q^2``: ``(paths, q_sum, q2_sum)``, where
-    ``paths[..., p, k]`` is path ``p`` after ``k`` steps.
+    """Every path of ``sde.simulate_forward``'s run, with the totals its
+    ``PathEnsemble`` holds: ``(paths, totals)``, where ``paths[..., p, k]`` is
+    path ``p`` after ``k`` steps.
 
     Block ``j`` of ``per_block`` paths (by default ``sde.BLOCK_VALUES`` values,
     batch members included) is regenerated from its own stream, the ``j``-th
     child of ``SeedSequence(seed)``, as ``x + drift(x) dt + b sqrt(dt) noise``
     over the whole block.  ``x0`` is a constant or ('gaussian', mean, std), and
-    a drift may broadcast the state to leading batch axes.  With
-    ``last_only`` only the final column is kept."""
+    a drift may broadcast the state to leading batch axes.  Each block sums
+    its paths' running sums of ``q = (dX)^2 / dt`` and ``q^2``, and of the
+    action ``s = sum_k q_k - n b^2`` and ``s^2``, and the block sums add up in
+    block order.  With ``last_only`` only the final column is kept."""
     n_steps, dt = time_steps(t_final, dt)
     if per_block is None:
         batch = np.shape(drift(np.zeros(1)))[:-1]
         per_block = max(1, sde.BLOCK_VALUES // max(1, math.prod(batch)))
     starts = range(0, n_paths, per_block)
     streams = np.random.SeedSequence(seed).spawn(len(starts))
-    blocks = [
-        _euler_maruyama_block(
+    paths, totals = [], 0.0
+    for start, stream in zip(starts, streams):
+        block, q_sum, q2_sum = _euler_maruyama_block(
             drift, b, x0, n_steps, dt, min(per_block, n_paths - start), stream, last_only
         )
-        for start, stream in zip(starts, streams)
-    ]
-    paths, q_sum, q2_sum = zip(*blocks)
-    return np.concatenate(paths, axis=-2), np.concatenate(q_sum, axis=-1), np.concatenate(q2_sum, axis=-1)
+        action = q_sum - n_steps * b**2
+        sums = [q_sum, q2_sum, action, action * action]
+        paths.append(block)
+        totals = totals + np.stack([s.sum(axis=-1) for s in sums])
+    return np.concatenate(paths, axis=-2), totals
 
 
 def velocity_bin_sums(paths, dt: float, b: float, window) -> tuple[int, np.ndarray]:
@@ -228,8 +232,10 @@ MB = 2**20
 def peak_bytes(run) -> int:
     """The most memory ``run()`` holds at once beyond what is allocated before;
     tracemalloc sees every numpy array buffer, so the count is deterministic.
-    ``numpy.random`` loads first: numpy imports it lazily, on the first draw
-    of a process, and its module objects are not the call's memory."""
+    ``numpy.random`` and ``concurrent.futures`` load first: numpy imports the
+    one on the first draw of a process and ``sde.simulate_forward`` the other
+    on its first call, and their module objects are not the call's memory."""
+    import concurrent.futures  # noqa: F401
     import numpy.random  # noqa: F401
 
     tracemalloc.start()

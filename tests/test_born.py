@@ -19,6 +19,7 @@ from stochflow.born import (
     madelung_wavefunction,
     velocity_from_wavefunction,
 )
+from stochflow.experiments import EXPERIMENTS, run_experiment
 from stochflow.fields import GridSpec, ScalarField, integrate, spectral_multiplier
 from stochflow.fokker_planck import (
     complex_fp_residual,
@@ -191,6 +192,8 @@ def _reference_report(problem, t_final, dt):
         ),
         continuity=continuity_residual(*tri, dec.current, dt_eff),
         osmotic=osmotic_constraint_residual(tri[1], dec.osmotic, problem.b),
+        ab3_theta=float(np.abs(spectral_multiplier(grid)).max())
+        * float(np.abs(velocities).max()) * dt_eff,
         discrepancy_series=series[:: max(1, len(states) // SERIES_ROWS)],
         final_profiles=np.stack([history[-1], target_final]),
     )
@@ -328,3 +331,40 @@ def test_born_pipeline_makes_one_fft_pair_per_step(monkeypatch):
     stages = -(-n_steps // k) + 1  # every stage runs k steps
     assert calls.count("_fft") == calls.count("_ifft")
     assert 2 * k * stages <= len(calls) <= 2 * k * stages + 4 * stages, (len(calls), n_steps)
+
+
+@pytest.mark.parametrize("n_steps", [29, 32, 33, 95, 96], ids=lambda n: f"{n}-steps")
+def test_born_pipeline_extracts_each_state_once(monkeypatch, packet_setup, n_steps):
+    # chunks of 32 steps at 256 points: a chunk's last state is the next one's first, and
+    # only the final chunk extracts it; the residuals extract the midpoint state once more
+    monkeypatch.setattr(born, "CHUNK_POINTS", 32 * 256)
+    rows = []
+    extract = born.log_derivative
+
+    def counted(values, *args):
+        rows.append(len(values))
+        return extract(values, *args)
+
+    monkeypatch.setattr(born, "log_derivative", counted)
+    grid, pk = packet_setup
+    prob = SchrodingerProblem(b=pk.b, psi0=ScalarField(grid, pk.psi(grid.axis, 0.0)))
+    born_pipeline(prob, n_steps / 1024, 1 / 1024)
+    assert rows[-1] == 1 and sum(rows[:-1]) == n_steps + 1, rows
+
+
+@pytest.mark.parametrize("name", ["born-free", "born-harmonic"])
+def test_default_born_runs_keep_the_transport_stable(name):
+    # AB3 is stable on the imaginary axis while theta = k_max |v| dt <= 0.72
+    out = run_experiment(name, dict(EXPERIMENTS[name].defaults), 1234)["summary"]
+    assert out["pass"] and 0 <= out["metrics"]["ab3_theta"] < 0.72
+
+
+def test_born_free_reports_the_theta_of_an_unstable_step():
+    # one step per point at 20 cycles: theta passes 0.72, the top modes grow and the
+    # density check FAILs; the metric names the cause
+    params = dict(EXPERIMENTS["born-free"].defaults, k0_cycles=20, steps_per_point=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = run_experiment("born-free", params, 1234)["summary"]
+    checks = {c["name"]: c for c in out["checks"]}
+    assert not checks["relative_density_discrepancy"]["pass"]
+    assert 1.0 < out["metrics"]["ab3_theta"] < 1.15

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import peak_bytes
 from stochflow.clifford import (
     BLADE_NAMES,
     Multivector,
@@ -223,3 +224,21 @@ def test_linearization_cancellation_nonzero_off_root(grid):
     f = field_from_function(grid, lambda x, y, z: np.exp(0.3 * np.sin(x)))
     res = linearization_cancellation(f, b=1.0, lam=0.5 - 0.5j)
     assert res.l_inf > 1e-3
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_identity_residuals_hold_a_few_fields_not_stacks(n):
+    # the residual components go to the norms one at a time, from generators, so
+    # that a few fields of n^3 complex values are held at once; residuals built as
+    # stacks of their three components hold several such stacks
+    grid = GridSpec(dim=3, length=2 * np.pi, n=n)
+    field_bytes = 16 * n**3
+    f = field_from_function(
+        grid,
+        lambda x, y, z: np.sin(x) * np.cos(y) + 0.3 * np.cos(z) + 0.2 * np.sin(x) * np.sin(z),
+    )
+    positive = ScalarField(grid, np.exp(0.25 * np.real(f.values)))
+    identities = peak_bytes(lambda: check_prop_identities(f, StretchSpec.isotropic(-1j)))
+    cancellation = peak_bytes(lambda: linearization_cancellation(positive, 1.0))
+    assert identities <= 12 * field_bytes, identities / field_bytes
+    assert cancellation <= 8 * field_bytes, cancellation / field_bytes

@@ -48,13 +48,13 @@ def test_duration_off_the_step_lands_on_t_final():
     # 1.0 is no whole number of 0.3: the run takes round(1.0 / 0.3) = 3 steps of 1/3
     t_final, dt, half_window = 1.0, 0.3, 0
     ens = simulate_forward(OU, 0.0, t_final, dt, 10, 0)
-    assert ens.n_steps == 3 and ens.q_sum.shape == (10,)
+    assert ens.n_steps == 3 and ens.n_paths == 10 and ens.totals.shape == (4,)
     assert ens.n_steps * ens.dt == pytest.approx(t_final, rel=1e-15)
     # the experiment pools the middle step, which has both neighbours
     window = _velocity_window(t_final, dt, half_window)
     assert window == (1, 2)
     windowed = simulate_forward(OU, 0.0, t_final, dt, 10, 0, window=window)
-    assert np.array_equal(windowed.q_sum, ens.q_sum)
+    assert np.array_equal(windowed.totals, ens.totals)
     assert estimate_velocities(windowed, min_count=0).counts.sum() == 10
 
 
@@ -120,9 +120,9 @@ def test_estimators_reject_a_batched_ensemble():
     rates = np.array([0.5, 1.0, 2.0])
     batch = DiffusionModel(drift=lambda x: -rates[:, None] * x, b=1.0)
     ens = simulate_forward(batch, 0.0, 0.1, 1e-2, 200, 8)
-    assert ens.q_sum.shape == (3, 200)
+    assert ens.totals.shape == (4, 3) and ens.n_paths == 200
     for estimate in (estimate_diffusion, estimate_velocities):
-        with pytest.raises(ValueError, match=r"\(3, 200\)"):
+        with pytest.raises(ValueError, match=r"200 paths in a batch of shape \(3,\)"):
             estimate(ens)
     with pytest.raises(ValueError, match=r"a batch of shape \(3,\) has no single velocity profile"):
         simulate_forward(batch, 0.0, 0.1, 1e-2, 200, 8, window=(1, 5))
@@ -219,9 +219,8 @@ def test_streaming_estimators_match_full_path_references(monkeypatch):
     # the experiment's window: the steps 20 +- half_window about the middle of the 40
     assert window == (20 - half_window, 20 + half_window + 1)
     ens = simulate_forward(OU, x0, t_final, dt, n_paths, seed, window=window)
-    paths, q_sum, q2_sum = euler_maruyama_paths(OU.drift, OU.b, x0, t_final, dt, n_paths, seed)
-    assert np.array_equal(ens.q_sum, q_sum)
-    assert np.array_equal(ens.q2_sum, q2_sum)
+    paths, totals = euler_maruyama_paths(OU.drift, OU.b, x0, t_final, dt, n_paths, seed)
+    assert np.array_equal(ens.totals, totals)
 
     # the lattice sums add by block and step, the reference over all pooled values at once
     first, bins = velocity_bin_sums(paths, dt, OU.b, window)
@@ -237,7 +236,7 @@ def test_streaming_estimators_match_full_path_references(monkeypatch):
         assert est.forward_drift == pytest.approx(bins[1] / bins[0], rel=1e-12, nan_ok=True)
         assert est.backward_drift == pytest.approx(bins[3] / bins[0], rel=1e-12, nan_ok=True)
 
-    # the running sums add in another order than np.diff + sum
+    # the block sums add in another order than np.diff + sum
     want = _reference_action(paths, dt, OU.b)
     assert discretized_action(ens) == pytest.approx(want, rel=1e-12, abs=0)
     want = _reference_diffusion(paths, dt)
@@ -251,7 +250,7 @@ def test_blocked_estimator_equals_reference_bit_for_bit(monkeypatch):
     x0 = ("gaussian", 0.0, 0.4)
     window = _velocity_window(t_final, dt, 3)
     ens = simulate_forward(OU, x0, t_final, dt, n_paths, seed, window=window)
-    paths, _, _ = euler_maruyama_paths(OU.drift, OU.b, x0, t_final, dt, n_paths, seed)
+    paths, _ = euler_maruyama_paths(OU.drift, OU.b, x0, t_final, dt, n_paths, seed)
     first, bins = blocked_velocity_bin_sums(paths, dt, OU.b, window, 7)
     assert ens.bin_first == first and np.array_equal(ens.bins, bins)
 
@@ -277,13 +276,12 @@ def test_batched_sweep_equals_separate_runs_bit_for_bit():
     per_block = sde.BLOCK_VALUES // thetas.size
     for i, theta in enumerate(thetas):
         # a separate run of one member, in the sweep's blocks
-        _, q_sum, q2_sum = euler_maruyama_paths(
+        _, totals = euler_maruyama_paths(
             lambda x: theta * np.sin(x), 1.0, *args, per_block=per_block
         )
-        assert np.array_equal(sweep.q_sum[i], q_sum)
-        assert np.array_equal(sweep.q2_sum[i], q2_sum)
+        assert np.array_equal(sweep.totals[:, i], totals)
         single = sde.PathEnsemble(
-            q_sum=q_sum, q2_sum=q2_sum, bins=sweep.bins, bin_first=0, dt=sweep.dt,
+            totals=totals, n_paths=sweep.n_paths, bins=sweep.bins, bin_first=0, dt=sweep.dt,
             n_steps=sweep.n_steps, b=1.0,
         )
         assert (values[i], errors[i]) == discretized_action(single)
@@ -345,9 +343,8 @@ def test_in_place_step_is_safe_for_a_drift_that_returns_its_argument(drift):
     # only because the 101 paths fit in one block
     args = (0.5, 0.2, 1e-2, 101, 12)
     ens = simulate_forward(DiffusionModel(drift=drift, b=1.3), *args)
-    _, q_sum, q2_sum = euler_maruyama_paths(drift, 1.3, *args)
-    assert np.array_equal(ens.q_sum, q_sum)
-    assert np.array_equal(ens.q2_sum, q2_sum)
+    _, totals = euler_maruyama_paths(drift, 1.3, *args)
+    assert np.array_equal(ens.totals, totals)
 
 
 THETAS = np.linspace(-1.0, 1.0, 5)
@@ -387,9 +384,8 @@ def test_blocked_threaded_steps_equal_the_reference_bit_for_bit(
         ens = simulate_forward(DiffusionModel(drift=pausing, b=1.3), *args, window=window)
     finally:
         sys.setswitchinterval(interval)
-    paths, q_sum, q2_sum = euler_maruyama_paths(drift, 1.3, *args)
-    assert np.array_equal(ens.q_sum, q_sum)
-    assert np.array_equal(ens.q2_sum, q2_sum)
+    paths, totals = euler_maruyama_paths(drift, 1.3, *args)
+    assert np.array_equal(ens.totals, totals)
     if window is None:
         assert ens.bins.shape == (5, 0)
     else:
@@ -489,8 +485,9 @@ def test_helpers_step_under_the_callers_errstate(monkeypatch):
 
 
 def test_batched_steps_hold_no_whole_batch_temporary(monkeypatch):
-    # the variational sweep: 21 drifts over 20,000 paths, only running sums
-    # kept; the two sums, and a few block-sized arrays per thread
+    # the variational sweep: 21 drifts over 20,000 paths; each block reduces
+    # its own sums, so a thread holds five block-sized rows of states and
+    # running sums and the drift's two temporaries, whatever the path count
     n_theta, n_paths, workers = 21, 20_000, 2
     monkeypatch.setattr(sde, "_cpu_count", lambda: workers)
     thetas = np.linspace(-1.0, 1.0, n_theta)
@@ -498,7 +495,7 @@ def test_batched_steps_hold_no_whole_batch_temporary(monkeypatch):
     peak = peak_bytes(
         lambda: simulate_forward(family, ("gaussian", np.pi, 1.0), 0.05, 1e-2, n_paths, 5)
     )
-    bound = 8 * (3 * n_theta * n_paths + 3 * n_paths + 2 * workers * sde.BLOCK_VALUES) + 64 * 1024
+    bound = 8 * workers * 8 * sde.BLOCK_VALUES + 256 * 1024
     assert peak <= bound, (peak, bound)
 
 
@@ -512,9 +509,10 @@ def test_complex_increments_hold_no_copy_of_dz():
 
 
 def test_velocity_estimate_holds_no_pooled_copy(monkeypatch):
-    # no path window is stored: beyond the two running sums, the peak of a
-    # run is block-sized scratch and small bin sums, whatever the pooled
-    # window or the step count
+    # no path window is stored, and no per-path sum outlives its block: the
+    # peak of a run is block-sized scratch (five rows of states and running
+    # sums, four lines, an index row and the drift's result) and small bin
+    # sums, whatever the path count, the pooled window or the step count
     monkeypatch.setattr(sde, "_cpu_count", lambda: 1)
     n_paths, dt = 20_000, 1e-3
     peaks = []
@@ -524,6 +522,5 @@ def test_velocity_estimate_holds_no_pooled_copy(monkeypatch):
             peaks.append(peak_bytes(
                 lambda: simulate_forward(OU, 0.0, t_final, dt, n_paths, 5, window=window)
             ))
-    sums = 2 * 8 * n_paths
-    assert max(peaks) <= sums + 8 * 12 * sde.BLOCK_VALUES, peaks
+    assert max(peaks) <= 8 * 12 * sde.BLOCK_VALUES, peaks
     assert max(peaks) - min(peaks) <= 64 * 1024, peaks
