@@ -99,11 +99,18 @@ class BurgersProblem:
 
     def to_velocity(self, F: ScalarField) -> np.ndarray:
         """``lam (grad F)/F`` as its ``(dim,) + grid.shape`` component stack."""
-        dF = gradient(F).reshape(F.grid.dim, -1)
-        ratio, mask = log_derivative(F.values.reshape(1, -1), dF, self.lam, out=dF)
-        if not mask.all():
+        return self._ratio(F, gradient(F))
+
+    def velocity_component(self, F: ScalarField, axis: int) -> np.ndarray:
+        """Component ``axis`` of :meth:`to_velocity`, computed alone."""
+        return self._ratio(F, _spectral_derivative(F.values, F.grid, axis, 1))
+
+    def _ratio(self, F: ScalarField, dF: np.ndarray) -> np.ndarray:
+        """``lam dF / F``, in place, for one derivative of ``F`` or a stack of them."""
+        rows = dF.reshape(-1, F.values.size)
+        if not log_derivative(F.values.reshape(1, -1), rows, self.lam, out=rows)[1].all():
             raise ValueError("F has a node; the velocity ratio is undefined there")
-        return ratio.reshape((F.grid.dim,) + F.grid.shape)
+        return dF
 
     def from_velocity(self, a: ScalarField) -> tuple[ScalarField, complex]:
         mean = complex(np.mean(a.values))

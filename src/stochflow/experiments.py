@@ -338,22 +338,22 @@ def _run_colehopf_3d(p: dict, seed: int):
     cancel_rows = []
     for trial in range(p["n_random"]):
         g = _random_log_field(grid, rng, n_terms=8, amp=p["amp"], kmax=p["kmax"])
-        F_rand = ScalarField(grid, np.exp(g))
-        res = linearization_cancellation(F_rand, b)
+        res = linearization_cancellation(ScalarField(grid, np.exp(g)), b)
+        del g  # before the next field is built
         worst_cancel = max(worst_cancel, res.l_inf)
         cancel_rows.append((trial, res.l_inf, res.l2))
-    del g, F_rand
 
     bp_conj = BurgersProblem(b=b, variant="complex-conjugate")
 
-    # conjugate symmetry: extracting from F* with the conjugate map mirrors V
+    # conjugate symmetry, one component at a time: from F* the conjugate map mirrors V
     f_complex = ScalarField(grid, f_vals * np.exp(0.3j * np.sin(xs[0])))
     del xs, f_vals
-    gap = bp.to_velocity(f_complex)
-    f_complex = f_complex.conj()
-    np.conjugate(gap, out=gap)
-    gap -= bp_conj.to_velocity(f_complex)
-    conj_err = float(np.max(np.abs(gap)))
+    f_conj = f_complex.conj()
+    conj_err = 0.0
+    for axis in range(3):
+        gap = np.conjugate(bp.velocity_component(f_complex, axis))
+        gap -= bp_conj.velocity_component(f_conj, axis)
+        conj_err = max(conj_err, float(np.max(np.abs(gap))))
 
     checks = {
         "separable_velocity_error": sep_err,

@@ -219,6 +219,8 @@ def simulate_forward(
     batched run pools no step.  The drift must be pointwise along the path
     axis: ``drift(x)[..., p]`` reads only ``x[..., p]``.
     """
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1, got {n_paths}")
     m, dt = time_steps(t_final, dt)
     first, stop = (0, 0) if window is None else window
     if window is not None and not 1 <= first < stop <= m:
@@ -459,6 +461,8 @@ def estimate_velocities(ens: PathEnsemble, min_count: int = 40) -> VelocityEstim
 
 def _mean_stderr(total, total_sq, n: int):
     """The mean of ``n`` samples and its standard error, from their sum and sum of squares."""
+    if n < 2:
+        raise ValueError(f"a standard error needs at least 2 samples, got {n}")
     mean = total / n
     return mean, np.sqrt((total_sq - mean * total) / (n - 1)) / np.sqrt(n)
 

@@ -210,6 +210,21 @@ def test_velocity_of_a_1d_field_is_the_derivative_ratio_bit_for_bit(variant):
     assert v.shape == (1, grid.n) and np.array_equal(v, ratio)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_velocity_components_are_the_rows_of_the_stack_bit_for_bit(variant):
+    grid = GridSpec(dim=3, length=2 * np.pi, n=16)
+    x, y, z = grid.coords()
+    log_f = 0.3 * np.sin(x) * np.cos(y) + 0.2j * np.cos(z)
+    F = ScalarField(grid, np.broadcast_to(np.exp(log_f), grid.shape))
+    problem = BurgersProblem(b=1.3, variant=variant)
+    v = problem.to_velocity(F)
+    for axis in range(3):
+        assert np.array_equal(problem.velocity_component(F, axis), v[axis])
+    node = ScalarField(grid, np.broadcast_to(np.cos(x), grid.shape))
+    with pytest.raises(ValueError, match="node"):
+        problem.velocity_component(node, 1)
+
+
 # ---------------------------------------------------------------------------
 # residual evaluators
 # ---------------------------------------------------------------------------

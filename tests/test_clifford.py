@@ -20,6 +20,7 @@ from stochflow.clifford import (
     stretched_gradient,
     wedge,
 )
+from stochflow.experiments import EXPERIMENTS, run_experiment
 from stochflow.fields import GridSpec, ScalarField, field_from_function
 
 int_coeffs = st.lists(
@@ -160,7 +161,7 @@ def test_grad_wedge_components_are_the_curl(grid):
     # w = (-sin y, sin x, 0): the e12 part is d_x w_y - d_y w_x = cos x + cos y,
     # and the e13 and e23 parts vanish
     xs = grid.coords()
-    w = np.stack([-np.sin(xs[1]), np.sin(xs[0]), np.zeros(grid.shape)])
+    w = np.stack(np.broadcast_arrays(-np.sin(xs[1]), np.sin(xs[0]), np.zeros(grid.shape)))
     e12, e13, e23 = grad_wedge(grid, w)
     assert np.max(np.abs(e12 - (np.cos(xs[0]) + np.cos(xs[1])))) < 1e-12
     assert np.max(np.abs(e13)) < 1e-12 and np.max(np.abs(e23)) < 1e-12
@@ -240,5 +241,15 @@ def test_identity_residuals_hold_a_few_fields_not_stacks(n):
     positive = ScalarField(grid, np.exp(0.25 * np.real(f.values)))
     identities = peak_bytes(lambda: check_prop_identities(f, StretchSpec.isotropic(-1j)))
     cancellation = peak_bytes(lambda: linearization_cancellation(positive, 1.0))
-    assert identities <= 12 * field_bytes, identities / field_bytes
-    assert cancellation <= 8 * field_bytes, cancellation / field_bytes
+    assert identities <= 10.5 * field_bytes, identities / field_bytes
+    assert cancellation <= 6.5 * field_bytes, cancellation / field_bytes
+
+
+def test_colehopf_3d_holds_a_few_fields_not_stacks():
+    # the experiment holds one velocity stack and its wedge stack at most: the
+    # coordinates broadcast, each random field goes before the next is built,
+    # and the conjugate gap reaches its norm one component at a time
+    params = dict(EXPERIMENTS["colehopf-3d"].defaults)
+    peak = peak_bytes(lambda: run_experiment("colehopf-3d", params, 1234))
+    field_bytes = 16 * params["n"] ** 3
+    assert peak <= 9 * field_bytes, peak / field_bytes

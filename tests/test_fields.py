@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import peak_bytes
 from stochflow.born import CHUNK_POINTS
 from stochflow.fields import (
     GridMismatchError,
@@ -106,6 +107,38 @@ def test_gradient_components_3d():
     assert np.max(np.abs(gx - np.cos(xs[0]) * np.cos(xs[1]))) < 1e-12
     assert np.max(np.abs(gy + np.sin(xs[0]) * np.sin(xs[1]))) < 1e-12
     assert np.max(np.abs(gz)) < 1e-13
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_coords_are_broadcastable_axes(dim):
+    # the j-th coordinate holds the n axis values along dimension j only
+    grid = GridSpec(dim=dim, length=2.0, n=16)
+    xs = grid.coords()
+    assert len(xs) == dim
+    for j, x in enumerate(xs):
+        assert x.shape == tuple(grid.n if i == j else 1 for i in range(dim))
+        assert np.array_equal(x.ravel(), grid.axis)
+    assert np.broadcast_shapes(*(x.shape for x in xs)) == grid.shape
+
+
+def test_field_from_function_broadcasts_to_the_grid():
+    grid = GridSpec(dim=3, length=2 * np.pi, n=8)
+    f = field_from_function(grid, lambda x, y, z: np.cos(y))
+    assert f.values.shape == grid.shape and f.values.flags.writeable
+    assert np.array_equal(f.values, np.broadcast_to(np.cos(grid.coords()[1]), grid.shape))
+    constant = field_from_function(grid, lambda x, y, z: 2.0)
+    assert np.array_equal(constant.values, np.full(grid.shape, 2.0))
+
+
+def test_spectral_derivative_holds_one_complex_buffer():
+    # the spectrum is multiplied and inverse-transformed in place: a call holds
+    # one field of n^3 complex values and the FFT's scratch, along every axis
+    grid = GridSpec(dim=3, length=2 * np.pi, n=32)
+    f = field_from_function(grid, lambda x, y, z: np.sin(x) * np.cos(y) + np.sin(2 * z))
+    field_bytes = 16 * grid.n**3
+    for axis in range(3):
+        peak = peak_bytes(lambda: _spectral_derivative(f.values, grid, axis, 1))
+        assert peak <= 1.5 * field_bytes, (axis, peak / field_bytes)
 
 
 def test_k_squared_is_the_laplacian_symbol():

@@ -128,6 +128,24 @@ def test_estimators_reject_a_batched_ensemble():
         simulate_forward(batch, 0.0, 0.1, 1e-2, 200, 8, window=(1, 5))
 
 
+@pytest.mark.parametrize("n_paths", [0, -5])
+def test_simulate_rejects_path_counts_below_one(n_paths):
+    # no path gives no estimate, and a negative count no arrays to allocate
+    with pytest.raises(ValueError, match=rf"n_paths must be at least 1, got {n_paths}"):
+        simulate_forward(OU, 0.0, 0.1, 1e-2, n_paths, 3)
+
+
+def test_one_path_has_a_diffusion_estimate_and_no_action_stderr():
+    # one path of ten steps gives ten samples of (dX)^2 / dt but one action
+    ens = simulate_forward(OU, 0.0, 0.1, 1e-2, 1, 3)
+    value, stderr = estimate_diffusion(ens)
+    assert np.isfinite(value) and np.isfinite(stderr)
+    with pytest.raises(ValueError, match="a standard error needs at least 2 samples, got 1"):
+        discretized_action(ens)
+    with pytest.raises(ValueError, match="a standard error needs at least 2 samples, got 1"):
+        estimate_diffusion(simulate_forward(OU, 0.0, 1e-2, 1e-2, 1, 3))
+
+
 def test_action_constant_drift_value():
     # S = E sum[(dX)^2/dt - b^2] estimates integral a^2 dt = c^2 T
     model = DiffusionModel(drift=lambda x: np.full_like(x, 1.5), b=1.0)
