@@ -5,9 +5,15 @@
 same inputs), ``manifest.json`` (environment and timing, allowed to
 vary), and one CSV per result table into the output directory.
 
+The config file's values, its ``seed`` split off, go to
+:func:`stochflow.experiments.run_experiment` as partial overrides; that
+gate alone judges them, so ``run`` and the library reject the same inputs
+with the same reason.
+
 Exit codes: 0 when every check passes, 1 when any check fails, and 2 for
 configuration or I/O errors (bad JSON, unknown parameter, a value of the
-wrong type or one the experiment rejects, unwritable output directory).
+wrong type or one the experiment rejects, a seed that is not a
+non-negative int, unwritable output directory).
 """
 
 from __future__ import annotations
@@ -47,49 +53,6 @@ def _load_config(path: str | None) -> dict:
     if not isinstance(data, dict):
         _fail_config(f"config file {path!r} must contain a JSON object")
     return data
-
-
-def _matches(value, default) -> bool:
-    """Whether ``value`` has the type of ``default``: an int may stand for a float,
-    a bool for nothing, and every element of a list must match the default's first."""
-    expected = (int, float) if isinstance(default, float) else type(default)
-    if isinstance(value, bool) or not isinstance(value, expected):
-        return False
-    if isinstance(default, list) and default:
-        return all(_matches(v, default[0]) for v in value)
-    return True
-
-
-def _type_name(default) -> str:
-    if isinstance(default, list) and default:
-        return f"list of {_type_name(default[0])}"
-    return type(default).__name__
-
-
-def _merge_params(defaults: dict, config: dict, name: str) -> tuple[dict, int | None]:
-    """Overlay config values on the defaults and return them with the config's
-    ``seed`` (None if absent); unknown keys and values that do not match the
-    default's type (:func:`_matches`) are an error.  A ``seed`` must be an int."""
-    seed = None
-    params = dict(defaults)
-    for key, value in config.items():
-        if key == "seed":
-            if isinstance(value, bool) or not isinstance(value, int):
-                _fail_config(f"{key!r} in the config file must be of type int, got {json.dumps(value)}")
-            seed = value
-            continue
-        if key not in defaults:
-            _fail_config(
-                f"unknown parameter {key!r} for experiment {name!r} "
-                f"(known: {', '.join(sorted(defaults))})"
-            )
-        if not _matches(value, defaults[key]):
-            _fail_config(
-                f"parameter {key!r} of experiment {name!r} must be of type "
-                f"{_type_name(defaults[key])}, got {json.dumps(value)}"
-            )
-        params[key] = value
-    return params, seed
 
 
 def _number(value) -> str:
@@ -139,13 +102,11 @@ def describe(experiment: str) -> None:
 def run(experiment: str, config_path: str | None, seed: int | None,
         out_dir: str | None) -> None:
     """Run one experiment and write summary.json, manifest.json, and CSVs."""
-    spec = EXPERIMENTS[experiment]
-    config = _load_config(config_path)
-    params, config_seed = _merge_params(spec.defaults, config, experiment)
-    if seed is None:
-        seed = _DEFAULT_SEED if config_seed is None else config_seed
-    if seed < 0:
-        _fail_config(f"'seed' must be non-negative, got {seed}")
+    overrides = _load_config(config_path)
+    if seed is not None:  # the flag beats the file
+        overrides["seed"] = seed
+    configured = sorted(overrides)
+    seed = overrides.pop("seed", _DEFAULT_SEED)
 
     target = Path(out_dir) if out_dir is not None else Path("runs") / experiment
     try:
@@ -157,14 +118,13 @@ def run(experiment: str, config_path: str | None, seed: int | None,
     try:
         # a non-finite value is caught by the checks or by ScalarField, not warned about
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            result = run_experiment(experiment, params, seed)
+            result = run_experiment(experiment, overrides, seed)
     except ValueError as exc:
-        overridden = sorted(set(config) & set(spec.defaults))
-        if not overridden:  # the defaults must always run: a program error
+        if not configured:  # the defaults must always run: a program error
             raise
         _fail_config(
             f"experiment {experiment!r} rejects the configured value of "
-            f"{', '.join(map(repr, overridden))}: {exc}"
+            f"{', '.join(map(repr, configured))}: {exc}"
         )
     elapsed = time.perf_counter() - t0
 

@@ -10,6 +10,7 @@ check's comparison, threshold and meaning, and the parameter minimums.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -753,11 +754,9 @@ def _run_variational(p: dict, seed: int):
               "the same residual for an invalid stretch/field: it must fail"),
         Check("cancellation_identity", "<=", 1e-10, "sup cancellation residual, positive F"),
     ),
-    minimums={"n_algebra_trials": (">=", 1)},
+    minimums={"b": (">", 0.0), "n_algebra_trials": (">=", 1)},  # b = 0: no stretch, nothing checked
 )
 def _run_ga_identities(p: dict, seed: int):
-    if not 0 < p["b"] < np.inf:  # at b = 0 the stretch is zero and nothing is checked
-        raise ValueError(f"noise amplitude b must be positive and finite, got {p['b']}")
     e1 = Multivector.basis("e1")
     e2 = Multivector.basis("e2")
     e12 = Multivector.basis("e12")
@@ -969,18 +968,49 @@ def _run_fp_consistency(p: dict, seed: int):
     return checks, metrics, csvs
 
 
-def run_experiment(name: str, params: dict, seed: int) -> dict:
+def _matches(value, default) -> bool:
+    """Whether ``value`` has the type of ``default``: an int may stand for a float,
+    a bool for nothing, and every element of a list must match the default's first."""
+    expected = (int, float) if isinstance(default, float) else type(default)
+    if isinstance(value, bool) or not isinstance(value, expected):
+        return False
+    if isinstance(default, list) and default:
+        return all(_matches(v, default[0]) for v in value)
+    return True
+
+
+def _type_name(default) -> str:
+    if isinstance(default, list) and default:
+        return f"list of {_type_name(default[0])}"
+    return type(default).__name__
+
+
+def run_experiment(name: str, overrides: dict, seed: int) -> dict:
     """Execute one experiment; returns the full summary dict (no I/O).
 
-    A float parameter that is not finite is a ValueError, as is a parameter
-    that misses its declared minimum and a run whose check names (the text
-    before any ``[``) differ from the declared ones.  The checks keep the
+    ``overrides``, which may be partial, is laid over a fresh copy of the
+    defaults.  This is the one gate for a configuration, so the library and
+    ``stochflow run`` reject the same inputs with the same reason: before
+    the runner starts, a ValueError naming the key refuses a seed that is
+    not a non-negative int, an unknown key, a value not of its default's
+    type (:func:`_matches`), a non-finite float and a value past its
+    declared minimum.  A run whose check names (the text before any ``[``)
+    differ from the declared ones raises one too.  The checks keep the
     order in which the runner made them.
     """
     spec = EXPERIMENTS[name]
-    for key, default in spec.defaults.items():
-        if isinstance(default, float) and not np.isfinite(params[key]):
-            raise ValueError(f"{key} must be finite, got {params[key]}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"'seed' must be of type int, >= 0, got {json.dumps(seed, default=repr)}")
+    params = dict(spec.defaults)
+    for key, value in overrides.items():
+        if key not in params:
+            raise ValueError(f"unknown parameter {key!r} (known: {', '.join(sorted(params))})")
+        if not _matches(value, params[key]):
+            got = json.dumps(value, default=repr)
+            raise ValueError(f"{key!r} must be of type {_type_name(params[key])}, got {got}")
+        if isinstance(params[key], float) and not np.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value}")
+        params[key] = value
     for key, (comparison, bound) in spec.minimums.items():
         if not COMPARATORS[comparison](params[key], bound):
             raise ValueError(f"{key} must be {comparison} {bound}, got {params[key]}")

@@ -15,6 +15,7 @@ import stochflow
 from stochflow import experiments
 from stochflow.cli import _number, main
 from stochflow.experiments import EXPERIMENTS, run_experiment
+from stochflow.output import write_summary
 
 #: the default ``summary.json`` of every experiment at seed 1234
 _FIXTURES = Path(__file__).parent / "fixtures" / "summaries"
@@ -161,51 +162,51 @@ def test_value_the_experiment_rejects_exits_two_and_names_it(
     assert key in result.output
 
 
-@pytest.mark.parametrize(
-    "experiment, overrides, key",
-    [
-        ("born-harmonic", {"dt": 0.0}, "dt"),
-        ("born-free", {"steps_per_point": 0}, "steps_per_point"),
-        ("born-free", {"t_final": -1.0}, "t_final"),
-        ("colehopf-1d", {"dt": 0.0}, "dt"),
-        ("colehopf-1d", {"t_final": 0.0}, "t_final"),
-        ("burgers-direct-vs-ch", {"dt": 0.0}, "dt"),
-        ("sde-estimators", {"dt_short": 0.0}, "dt_short"),
-        ("complex-increments", {"pairs": [["a", 1.0]]}, "pairs"),
-        ("complex-increments", {"dt": 0.0}, "dt"),
-        ("complex-increments", {"pairs": []}, "pairs"),
-        ("variational", {"n_theta": 2}, "n_theta"),
-        ("variational", {"t_complex": 0.0}, "t_complex"),
-        ("fp-consistency", {"t_transient": 0.0}, "t_transient"),
-        ("colehopf-3d", {"n_random": 0}, "n_random"),
-        ("born-harmonic", {"method": "cn"}, "method"),
-        ("ga-identities", {"n_algebra_trials": 0}, "n_algebra_trials"),
-        ("colehopf-1d", {"b": float("inf")}, "b"),
-        ("colehopf-3d", {"b": float("inf")}, "b"),
-        ("variational", {"t_final": float("inf")}, "t_final"),
-        ("sde-estimators", {"n_paths_short": 0}, "n_paths_short"),
-        ("sde-estimators", {"n_paths_long": 0}, "n_paths_long"),
-        ("variational", {"n_paths": 0}, "n_paths"),
-        ("variational", {"n_paths": 1}, "n_paths"),
-        ("complex-increments", {"n_samples": 0}, "n_samples"),
-        ("colehopf-1d", {"eps": 0.0}, "eps"),
-        ("colehopf-1d", {"k_mode": 0}, "k_mode"),
-        ("colehopf-3d", {"amp": 0.0}, "amp"),
-        ("variational", {"b": float("inf")}, "b"),
-        ("complex-increments", {"pairs": [[float("inf"), 1.0]]}, "pairs"),
-        ("complex-increments", {"pairs": [[1.0, float("inf")]]}, "pairs"),
-        ("sde-estimators", {"b": float("inf")}, "b"),
-        ("fp-consistency", {"b": float("inf")}, "b"),
-        ("sde-estimators", {"half_window_short": -1}, "half_window_short"),
-        ("sde-estimators", {"half_window_long": -20}, "half_window_long"),
-        ("ga-identities", {"b": float("inf")}, "b"),
-        ("ga-identities", {"b": 0.0}, "b"),
-        ("ga-identities", {"b": -1.0}, "b"),
-        ("born-harmonic", {"b": 0.0}, "b"),
-        ("sde-estimators", {"theta": 3000.0}, "theta"),
-        ("sde-estimators", {"theta": 1e6}, "theta"),
-    ],
-)
+_MEANINGLESS = [
+    ("born-harmonic", {"dt": 0.0}, "dt"),
+    ("born-free", {"steps_per_point": 0}, "steps_per_point"),
+    ("born-free", {"t_final": -1.0}, "t_final"),
+    ("colehopf-1d", {"dt": 0.0}, "dt"),
+    ("colehopf-1d", {"t_final": 0.0}, "t_final"),
+    ("burgers-direct-vs-ch", {"dt": 0.0}, "dt"),
+    ("sde-estimators", {"dt_short": 0.0}, "dt_short"),
+    ("complex-increments", {"pairs": [["a", 1.0]]}, "pairs"),
+    ("complex-increments", {"dt": 0.0}, "dt"),
+    ("complex-increments", {"pairs": []}, "pairs"),
+    ("variational", {"n_theta": 2}, "n_theta"),
+    ("variational", {"t_complex": 0.0}, "t_complex"),
+    ("fp-consistency", {"t_transient": 0.0}, "t_transient"),
+    ("colehopf-3d", {"n_random": 0}, "n_random"),
+    ("born-harmonic", {"method": "cn"}, "method"),
+    ("ga-identities", {"n_algebra_trials": 0}, "n_algebra_trials"),
+    ("colehopf-1d", {"b": float("inf")}, "b"),
+    ("colehopf-3d", {"b": float("inf")}, "b"),
+    ("variational", {"t_final": float("inf")}, "t_final"),
+    ("sde-estimators", {"n_paths_short": 0}, "n_paths_short"),
+    ("sde-estimators", {"n_paths_long": 0}, "n_paths_long"),
+    ("variational", {"n_paths": 0}, "n_paths"),
+    ("variational", {"n_paths": 1}, "n_paths"),
+    ("complex-increments", {"n_samples": 0}, "n_samples"),
+    ("colehopf-1d", {"eps": 0.0}, "eps"),
+    ("colehopf-1d", {"k_mode": 0}, "k_mode"),
+    ("colehopf-3d", {"amp": 0.0}, "amp"),
+    ("variational", {"b": float("inf")}, "b"),
+    ("complex-increments", {"pairs": [[float("inf"), 1.0]]}, "pairs"),
+    ("complex-increments", {"pairs": [[1.0, float("inf")]]}, "pairs"),
+    ("sde-estimators", {"b": float("inf")}, "b"),
+    ("fp-consistency", {"b": float("inf")}, "b"),
+    ("sde-estimators", {"half_window_short": -1}, "half_window_short"),
+    ("sde-estimators", {"half_window_long": -20}, "half_window_long"),
+    ("ga-identities", {"b": float("inf")}, "b"),
+    ("ga-identities", {"b": 0.0}, "b"),
+    ("ga-identities", {"b": -1.0}, "b"),
+    ("born-harmonic", {"b": 0.0}, "b"),
+    ("sde-estimators", {"theta": 3000.0}, "theta"),
+    ("sde-estimators", {"theta": 1e6}, "theta"),
+]
+
+
+@pytest.mark.parametrize("experiment, overrides, key", _MEANINGLESS)
 def test_meaningless_value_exits_two_with_one_error_line(runner, tmp_path, experiment, overrides, key):
     # no step count, nothing to check, a count below its minimum, a list of the
     # wrong element type, a zero time step, an infinite value, a zero amplitude,
@@ -225,21 +226,21 @@ def test_meaningless_value_exits_two_with_one_error_line(runner, tmp_path, exper
     assert lines[0].startswith("error: ") and repr(key) in lines[0]
 
 
-@pytest.mark.parametrize(
-    "experiment, config, message",
-    [
-        ("complex-increments", '{"dt": 1e400}', "dt must be finite, got inf"),
-        ("sde-estimators", '{"n_paths_short": 1}', "no bin reaches 500 paths with n_paths_short = 1"),
-        ("born-free", '{"n": 9}', "n must be >= 16, got 9"),
-        ("born-free", '{"b": 1e400}', "b must be finite, got inf"),
-        ("born-harmonic", '{"b": 1e400}', "b must be finite, got inf"),
-        ("burgers-direct-vs-ch", '{"b": 1e400}', "b must be finite, got inf"),
-        ("burgers-direct-vs-ch", '{"window_half_width": NaN}', "window_half_width must be finite, got nan"),
-        ("fp-consistency", '{"theta": -Infinity}', "theta must be finite, got -inf"),
-        ("colehopf-3d", '{"amp": 1e-300}', "amp must be >= 0.001, got 1e-300"),
-        ("sde-estimators", '{"theta": 3000}', "Euler-Maruyama steps of dt = 0.001 are unstable for this drift"),
-    ],
-)
+_BAD_VALUES = [
+    ("complex-increments", '{"dt": 1e400}', "dt must be finite, got inf"),
+    ("sde-estimators", '{"n_paths_short": 1}', "no bin reaches 500 paths with n_paths_short = 1"),
+    ("born-free", '{"n": 9}', "n must be >= 16, got 9"),
+    ("born-free", '{"b": 1e400}', "b must be finite, got inf"),
+    ("born-harmonic", '{"b": 1e400}', "b must be finite, got inf"),
+    ("burgers-direct-vs-ch", '{"b": 1e400}', "b must be finite, got inf"),
+    ("burgers-direct-vs-ch", '{"window_half_width": NaN}', "window_half_width must be finite, got nan"),
+    ("fp-consistency", '{"theta": -Infinity}', "theta must be finite, got -inf"),
+    ("colehopf-3d", '{"amp": 1e-300}', "amp must be >= 0.001, got 1e-300"),
+    ("sde-estimators", '{"theta": 3000}', "Euler-Maruyama steps of dt = 0.001 are unstable for this drift"),
+]
+
+
+@pytest.mark.parametrize("experiment, config, message", _BAD_VALUES)
 def test_bad_value_exits_two_with_a_message_about_it(runner, tmp_path, experiment, config, message):
     # these once gave nine NaN FAILs, a numpy reduction error, the least grid of
     # the half-resolution run in place of the configured n, "field contains
@@ -253,6 +254,25 @@ def test_bad_value_exits_two_with_a_message_about_it(runner, tmp_path, experimen
     assert result.exit_code == 2, result.output
     (line,) = result.stderr.splitlines()
     assert line.startswith("error: ") and line.endswith(message), line
+
+
+@pytest.mark.parametrize(
+    "experiment, overrides",
+    [(e, o) for e, o, _ in _MEANINGLESS] + [(e, json.loads(c)) for e, c, _ in _BAD_VALUES],
+)
+def test_cli_error_line_ends_with_the_library_error(runner, tmp_path, experiment, overrides):
+    # one gate judges a configuration, so the CLI prints what the library raises
+    with pytest.raises(ValueError) as library:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as the CLI runs
+            run_experiment(experiment, overrides, 1234)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides))
+    result = runner.invoke(
+        main, ["run", experiment, "--config", str(cfg), "--out", str(tmp_path / "o")]
+    )
+    assert result.exit_code == 2, result.output
+    (line,) = result.stderr.splitlines()
+    assert line.endswith(f": {library.value}"), line
 
 
 @pytest.mark.parametrize(
@@ -293,6 +313,10 @@ _SWEEP = [
 ]
 
 
+def _unreached(p, seed):
+    raise AssertionError("the runner started")
+
+
 @pytest.mark.parametrize(
     "experiment, key, value",
     [
@@ -306,13 +330,52 @@ _SWEEP = [
 def test_non_finite_float_parameter_is_rejected_before_the_run(monkeypatch, experiment, key, value):
     # once refused only by the field it poisoned ("field contains non-finite
     # entries"), or, for a window of infinite width, a FAIL
-    def unreached(p, seed):
-        raise AssertionError("the runner started")
-
-    spec = dataclasses.replace(EXPERIMENTS[experiment], runner=unreached)
+    spec = dataclasses.replace(EXPERIMENTS[experiment], runner=_unreached)
     monkeypatch.setitem(EXPERIMENTS, experiment, spec)
     with pytest.raises(ValueError, match=f"^{key} must be finite, got {value}$"):
         run_experiment(experiment, dict(spec.defaults, **{key: value}), 1234)
+
+
+@pytest.mark.parametrize(
+    "experiment, overrides, seed, key",
+    [
+        ("colehopf-1d", {"bogus": 3}, 1234, "bogus"),
+        ("colehopf-1d", {"n": 512.0}, 1234, "n"),
+        ("colehopf-1d", {"k_mode": 1.5}, 1234, "k_mode"),
+        ("colehopf-1d", {"b": "1"}, 1234, "b"),
+        ("colehopf-1d", {"n": True}, 1234, "n"),
+        ("born-free", {}, -1, "seed"),
+        ("born-free", {}, 1.5, "seed"),
+        ("born-free", {}, True, "seed"),
+    ],
+)
+def test_library_path_rejects_what_the_cli_rejects(monkeypatch, experiment, overrides, seed, key):
+    # the library once ran these, echoing the key or the seed into the summary,
+    # or broke down in numpy (a TypeError for n = 512.0, "field contains
+    # non-finite entries" for k_mode = 1.5)
+    spec = dataclasses.replace(EXPERIMENTS[experiment], runner=_unreached)
+    monkeypatch.setitem(EXPERIMENTS, experiment, spec)
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        run_experiment(experiment, overrides, seed)
+
+
+@pytest.mark.parametrize(
+    "experiment, overrides", [("colehopf-1d", {"eps": 0.2}), ("ga-identities", {})]
+)
+def test_partial_overrides_give_the_summary_of_the_full_dict(tmp_path, experiment, overrides):
+    written = []
+    for params in (overrides, dict(EXPERIMENTS[experiment].defaults, **overrides)):
+        out = tmp_path / str(len(written))
+        out.mkdir()
+        summary = run_experiment(experiment, params, 1234)["summary"]
+        written.append(write_summary(out, summary).read_bytes())
+    assert written[0] == written[1]
+
+
+def test_summary_params_are_a_fresh_dict_not_the_specs_defaults():
+    defaults = EXPERIMENTS["ga-identities"].defaults
+    params = run_experiment("ga-identities", defaults, 1234)["summary"]["params"]
+    assert params == defaults and params is not defaults
 
 
 def test_sde_estimators_check_the_long_run_time_step_before_simulating(monkeypatch):
