@@ -13,7 +13,8 @@ with the same reason.
 Exit codes: 0 when every check passes, 1 when any check fails, and 2 for
 configuration or I/O errors (bad JSON, unknown parameter, a value of the
 wrong type or one the experiment rejects, a seed that is not a
-non-negative int, unwritable output directory).
+non-negative int, unwritable output directory).  A rejected configuration
+leaves behind no directory that the run created for its output.
 """
 
 from __future__ import annotations
@@ -109,6 +110,7 @@ def run(experiment: str, config_path: str | None, seed: int | None,
     seed = overrides.pop("seed", _DEFAULT_SEED)
 
     target = Path(out_dir) if out_dir is not None else Path("runs") / experiment
+    created = [d for d in (target, *target.parents) if not d.exists()]  # deepest first
     try:
         target.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -122,6 +124,8 @@ def run(experiment: str, config_path: str | None, seed: int | None,
     except ValueError as exc:
         if not configured:  # the defaults must always run: a program error
             raise
+        for directory in created:  # still empty: nothing is written before the run ends
+            directory.rmdir()
         _fail_config(
             f"experiment {experiment!r} rejects the configured value of "
             f"{', '.join(map(repr, configured))}: {exc}"

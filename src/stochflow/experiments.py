@@ -1,11 +1,13 @@
 """The packaged verification experiments behind the ``stochflow`` CLI.
 
-Each experiment is a deterministic function of ``(params, seed)`` that
-returns a measured value per check name, a dict of additional metrics,
-and plot-ready CSV tables.  Its :class:`ExperimentSpec` declares the rest
-once: the default parameters, one sentence on what is verified, each
-check's comparison, threshold and meaning, and the parameter minimums.
-:func:`run_experiment` judges the values against that declaration.
+Each experiment is a deterministic function of ``(params, seed)``.  Its
+runner reports through the :class:`_Run` that :func:`run_experiment` hands
+it, as it computes each value: ``run.check(name, value)``, ``run.metric(name,
+value)`` and ``run.csv(filename, header, rows)`` for a plot-ready table; it
+returns nothing.  Its :class:`ExperimentSpec` declares the rest once: the
+default parameters, one sentence on what is verified, each check's
+comparison, threshold and meaning, and the parameter minimums.
+``run.check`` judges each value against that declaration when it is made.
 """
 
 from __future__ import annotations
@@ -63,10 +65,36 @@ class Check:
 class ExperimentSpec:
     defaults: dict
     describe: str
-    runner: Callable[[dict, int], tuple[dict, dict, dict]]
+    runner: Callable[[dict, int, _Run], None]
     checks: tuple[Check, ...]
     #: parameter -> (comparison, bound) that a configured value must satisfy
     minimums: dict = field(default_factory=dict)
+
+
+class _Run:
+    """What one run reports.  A check is judged when it is made, against the
+    declared :class:`Check` of its family: the text of its name before any ``[``."""
+
+    def __init__(self, spec: ExperimentSpec, params: dict):
+        self.declared = {c.name: c for c in spec.checks}
+        self.params = params
+        self.checks: dict[str, dict] = {}  # name -> judged check, in the order made
+        self.metrics: dict = {}
+        self.csvs: dict = {}
+
+    def check(self, name: str, value) -> None:
+        declared = self.declared.get(name.split("[")[0])
+        if declared is None:
+            raise ValueError(f"the run makes check {name!r}, of no declared family")
+        if name in self.checks:
+            raise ValueError(f"the run makes check {name!r} twice")
+        self.checks[name] = check(name, value, declared.at(self.params), declared.comparison)
+
+    def metric(self, name: str, value) -> None:
+        self.metrics[name] = value
+
+    def csv(self, filename: str, header: list[str], rows) -> None:
+        self.csvs[filename] = (header, rows)
 
 
 #: experiment name -> spec, in the order of this module
@@ -123,7 +151,7 @@ def _discrepancy_csv(rep: BornReport) -> tuple[list[str], list[tuple]]:
     # the run at n // 2 points needs a grid of at least 8
     minimums={"n": (">=", 16), "steps_per_point": (">=", 1), "s": (">", 0.0)},
 )
-def _run_born_free(p: dict, seed: int):
+def _run_born_free(p: dict, seed: int, run: _Run):
     reports = {}
     for n in (p["n"] // 2, p["n"]):
         prob = _free_packet_problem(n, p)
@@ -131,37 +159,28 @@ def _run_born_free(p: dict, seed: int):
         reports[n] = born_pipeline(prob, p["t_final"], dt)
     rep = reports[p["n"]]
     rep_half = reports[p["n"] // 2]
-    ratio = rep_half.sup_relative_error / rep.sup_relative_error
 
-    checks = {
-        "relative_density_discrepancy": rep.sup_relative_error,
-        "halving_resolution_error_ratio": ratio,
-        "transport_mass_drift": rep.mass_drift,
-        "wavefunction_norm_drift": rep.norm_drift,
-        "complex_transport_residual_forward": rep.fp_forward.l_inf,
-        "complex_transport_residual_conjugate": rep.fp_conjugate.l_inf,
-        "osmotic_constraint_residual": rep.osmotic.l_inf,
-        "node_coverage": rep.min_coverage,
-    }
-    metrics = {
-        "sup_density_error": rep.sup_density_error,
-        "final_density_error": rep.final_density_error,
-        "coarse_relative_error": rep_half.sup_relative_error,
-        "dt_fine": rep.dt,
-        "dt_coarse": rep_half.dt,
-        "continuity_residual": rep.continuity.l_inf,
-        # the AB3 transport is stable while k_max |v| dt <= 0.72; the larger of the two runs
-        "ab3_theta": max(rep.ab3_theta, rep_half.ab3_theta),
-    }
+    run.check("relative_density_discrepancy", rep.sup_relative_error)
+    run.check("halving_resolution_error_ratio",
+              rep_half.sup_relative_error / rep.sup_relative_error)
+    run.check("transport_mass_drift", rep.mass_drift)
+    run.check("wavefunction_norm_drift", rep.norm_drift)
+    run.check("complex_transport_residual_forward", rep.fp_forward.l_inf)
+    run.check("complex_transport_residual_conjugate", rep.fp_conjugate.l_inf)
+    run.check("osmotic_constraint_residual", rep.osmotic.l_inf)
+    run.check("node_coverage", rep.min_coverage)
+    run.metric("sup_density_error", rep.sup_density_error)
+    run.metric("final_density_error", rep.final_density_error)
+    run.metric("coarse_relative_error", rep_half.sup_relative_error)
+    run.metric("dt_fine", rep.dt)
+    run.metric("dt_coarse", rep_half.dt)
+    run.metric("continuity_residual", rep.continuity.l_inf)
+    # the AB3 transport is stable while k_max |v| dt <= 0.72; the larger of the two runs
+    run.metric("ab3_theta", max(rep.ab3_theta, rep_half.ab3_theta))
     grid = GridSpec(dim=1, length=p["length"], n=p["n"])
-    csvs = {
-        "discrepancy_series.csv": _discrepancy_csv(rep),
-        "final_density.csv": (
-            ["x", "rho_transport", "rho_quadratic"],
-            list(zip(grid.axis, rep.final_profiles[0], rep.final_profiles[1])),
-        ),
-    }
-    return checks, metrics, csvs
+    run.csv("discrepancy_series.csv", *_discrepancy_csv(rep))
+    run.csv("final_density.csv", ["x", "rho_transport", "rho_quadratic"],
+            list(zip(grid.axis, rep.final_profiles[0], rep.final_profiles[1])))
 
 
 # -- born-harmonic ----------------------------------------------------------
@@ -183,28 +202,24 @@ def _run_born_free(p: dict, seed: int):
     ),
     minimums={"omega": (">", 0.0)},
 )
-def _run_born_harmonic(p: dict, seed: int):
+def _run_born_harmonic(p: dict, seed: int, run: _Run):
     grid = GridSpec(dim=1, length=p["length"], n=p["n"])
     state = HarmonicState(b=p["b"], omega=p["omega"], centre=p["length"] / 2)
     psi0 = ScalarField(grid, state.eigenfunction(grid.axis, 0).astype(np.complex128))
     prob = SchrodingerProblem(b=p["b"], psi0=psi0, potential=state.potential)
     rep = born_pipeline(prob, p["t_final"], p["dt"])
 
-    checks = {
-        "stationary_density_discrepancy": rep.sup_density_error,
-        "wavefunction_norm_drift": rep.norm_drift,
-        "transport_mass_drift": rep.mass_drift,
-        "complex_transport_residual_forward": rep.fp_forward.l_inf,
-        "osmotic_constraint_residual": rep.osmotic.l_inf,
-    }
-    metrics = {
-        "relative_discrepancy": rep.sup_relative_error,
-        "min_coverage": rep.min_coverage,
-        "t_final": rep.t_final,
-        "dt": rep.dt,
-        "ab3_theta": rep.ab3_theta,  # the AB3 transport is stable while k_max |v| dt <= 0.72
-    }
-    return checks, metrics, {"discrepancy_series.csv": _discrepancy_csv(rep)}
+    run.check("stationary_density_discrepancy", rep.sup_density_error)
+    run.check("wavefunction_norm_drift", rep.norm_drift)
+    run.check("transport_mass_drift", rep.mass_drift)
+    run.check("complex_transport_residual_forward", rep.fp_forward.l_inf)
+    run.check("osmotic_constraint_residual", rep.osmotic.l_inf)
+    run.metric("relative_discrepancy", rep.sup_relative_error)
+    run.metric("min_coverage", rep.min_coverage)
+    run.metric("t_final", rep.t_final)
+    run.metric("dt", rep.dt)
+    run.metric("ab3_theta", rep.ab3_theta)  # the AB3 transport is stable while k_max |v| dt <= 0.72
+    run.csv("discrepancy_series.csv", *_discrepancy_csv(rep))
 
 
 # -- colehopf-1d ------------------------------------------------------------
@@ -223,7 +238,7 @@ def _run_born_harmonic(p: dict, seed: int):
     ),
     minimums={"eps": (">", 0.0), "k_mode": (">=", 1)},
 )
-def _run_colehopf_1d(p: dict, seed: int):
+def _run_colehopf_1d(p: dict, seed: int, run: _Run):
     n, b, eps, k_mode, t_final = p["n"], p["b"], p["eps"], p["k_mode"], p["t_final"]
     grid = GridSpec(dim=1, length=2 * np.pi * p["periods"], n=n)
     x = grid.axis
@@ -249,33 +264,23 @@ def _run_colehopf_1d(p: dict, seed: int):
     v_direct = solve_burgers(bp, v0, t_final, p["dt"]).values
 
     v_final = v_exact(t_final)
-    direct_vs_route = float(np.max(np.abs(v_direct - v_route)))
-    route_vs_exact = float(np.max(np.abs(v_route - v_final)))
-    direct_vs_exact = float(np.max(np.abs(v_direct - v_final)))
-
-    checks = {
-        "direct_vs_transform_route": direct_vs_route,
-        "transform_route_vs_analytic": route_vs_exact,
-    }
-    metrics = {
-        "direct_vs_analytic": direct_vs_exact,
-        "lambda": bp.lam,
-        "omega": omega,
-    }
-    csvs = {
-        "velocity_profiles.csv": (
-            ["x", "re_direct", "im_direct", "re_route", "im_route", "re_exact", "im_exact"],
-            list(
-                zip(
-                    x,
-                    v_direct.real, v_direct.imag,
-                    v_route.real, v_route.imag,
-                    v_final.real, v_final.imag,
-                )
-            ),
+    run.check("direct_vs_transform_route", float(np.max(np.abs(v_direct - v_route))))
+    run.check("transform_route_vs_analytic", float(np.max(np.abs(v_route - v_final))))
+    run.metric("direct_vs_analytic", float(np.max(np.abs(v_direct - v_final))))
+    run.metric("lambda", bp.lam)
+    run.metric("omega", omega)
+    run.csv(
+        "velocity_profiles.csv",
+        ["x", "re_direct", "im_direct", "re_route", "im_route", "re_exact", "im_exact"],
+        list(
+            zip(
+                x,
+                v_direct.real, v_direct.imag,
+                v_route.real, v_route.imag,
+                v_final.real, v_final.imag,
+            )
         ),
-    }
-    return checks, metrics, csvs
+    )
 
 
 # -- colehopf-3d ------------------------------------------------------------
@@ -310,7 +315,7 @@ def _random_log_field(grid: GridSpec, rng, n_terms: int, amp: float, kmax: int) 
     # from amp = 1e-3 up, the wrong root +i b^2 misses cancellation_worst_linf by 5,000x or more
     minimums={"n_random": (">=", 1), "amp": (">=", 1e-3), "kmax": (">=", 1)},
 )
-def _run_colehopf_3d(p: dict, seed: int):
+def _run_colehopf_3d(p: dict, seed: int, run: _Run):
     grid = GridSpec(dim=3, length=2 * np.pi, n=p["n"])
     b = p["b"]
     xs = grid.coords()
@@ -328,9 +333,10 @@ def _run_colehopf_3d(p: dict, seed: int):
     for i in range(3):
         expected = bp.lam * (-eps[i] * np.sin(xs[i] + phases[i])) / factors[i]
         sep_err = max(sep_err, float(np.max(np.abs(vel[i] - expected))))
+    run.check("separable_velocity_error", sep_err)
 
     del F, factors  # read; of the separable field only f_vals is kept, for the conjugate check
-    wedge_norm = float(np.max(np.abs(grad_wedge(grid, vel))))
+    run.check("velocity_irrotationality", float(np.max(np.abs(grad_wedge(grid, vel)))))
     del vel
 
     # cancellation identity on random smooth positive fields
@@ -343,6 +349,8 @@ def _run_colehopf_3d(p: dict, seed: int):
         del g  # before the next field is built
         worst_cancel = max(worst_cancel, res.l_inf)
         cancel_rows.append((trial, res.l_inf, res.l2))
+    run.check("cancellation_worst_linf", worst_cancel)
+    run.csv("cancellation_residuals.csv", ["trial", "l_inf", "l2"], cancel_rows)
 
     bp_conj = BurgersProblem(b=b, variant="complex-conjugate")
 
@@ -355,25 +363,10 @@ def _run_colehopf_3d(p: dict, seed: int):
         gap = np.conjugate(bp.velocity_component(f_complex, axis))
         gap -= bp_conj.velocity_component(f_conj, axis)
         conj_err = max(conj_err, float(np.max(np.abs(gap))))
-
-    checks = {
-        "separable_velocity_error": sep_err,
-        "velocity_irrotationality": wedge_norm,
-        "cancellation_worst_linf": worst_cancel,
-        "conjugate_symmetry": conj_err,
-    }
-    metrics = {
-        "n_random_fields": p["n_random"],
-        "lambda_forward": bp.lam,
-        "lambda_conjugate": bp_conj.lam,
-    }
-    csvs = {
-        "cancellation_residuals.csv": (
-            ["trial", "l_inf", "l2"],
-            cancel_rows,
-        ),
-    }
-    return checks, metrics, csvs
+    run.check("conjugate_symmetry", conj_err)
+    run.metric("n_random_fields", p["n_random"])
+    run.metric("lambda_forward", bp.lam)
+    run.metric("lambda_conjugate", bp_conj.lam)
 
 
 # -- burgers-direct-vs-ch ---------------------------------------------------
@@ -414,7 +407,7 @@ def _front_window_limit(p: dict) -> float:
         "front_t": (">", 0.0),
     },
 )
-def _run_burgers_direct_vs_ch(p: dict, seed: int):
+def _run_burgers_direct_vs_ch(p: dict, seed: int, run: _Run):
     limit = _front_window_limit(p)
     if p["window_half_width"] > limit:
         raise ValueError(
@@ -432,20 +425,23 @@ def _run_burgers_direct_vs_ch(p: dict, seed: int):
     a0 = ScalarField(grid, burgers_single_mode(x, 0.0, nu, k_mode, eps))
     a_direct = solve_burgers(bp, a0, t_final, p["dt"])
     a_exact_T = burgers_single_mode(x, t_final, nu, k_mode, eps)
-    single_mode_err = float(np.max(np.abs(a_direct.values - a_exact_T)))
+    run.check("single_mode_direct_vs_analytic", float(np.max(np.abs(a_direct.values - a_exact_T))))
+    run.csv("single_mode_profiles.csv", ["x", "direct", "analytic"],
+            list(zip(x, a_direct.values.real, a_exact_T)))
 
     # transform route: invert the velocity to F, evolve by the heat
     # equation exactly in Fourier space, map back
     f0, mean0 = bp.from_velocity(a0)
+    run.metric("mean_velocity_boost", mean0)
     f_T = heat_evolve_spectral(f0, nu, t_final)
     a_route = bp.to_velocity(f_T)[0]
-    route_err = float(np.max(np.abs(a_route - a_exact_T)))
+    run.check("heat_route_vs_analytic", float(np.max(np.abs(a_route - a_exact_T))))
 
     # round-trip gauge check: reconstructed F agrees with the analytic
     # kernel up to one multiplicative constant
     f_analytic = 1 + eps * np.exp(-nu * k_mode**2 * t_final) * np.cos(k_mode * x)
     ratio = f_T.values / f_analytic
-    gauge_spread = float(np.std(ratio) / np.abs(np.mean(ratio)))
+    run.check("roundtrip_gauge_spread", float(np.std(ratio) / np.abs(np.mean(ratio))))
 
     # (b) travelling front on a wide domain, compared inside the causal window
     gw = GridSpec(dim=1, length=p["front_length"], n=p["front_n"])
@@ -457,7 +453,12 @@ def _run_burgers_direct_vs_ch(p: dict, seed: int):
     exact_w = burgers_tanh_wave(xw, p["front_t"], nu, c, centre0)
     front_final = centre0 + c * p["front_t"]
     window = np.abs(xw - front_final) <= p["window_half_width"]
-    front_err = float(np.max(np.abs(aw.values[window] - exact_w[window])))
+    gap = np.abs(aw.values - exact_w)
+    run.check("travelling_front_window_error", float(np.max(gap[window])))
+    run.metric("front_window_points", int(window.sum()))
+    run.metric("front_error_global", float(np.max(gap)))
+    run.csv("front_window.csv", ["x", "direct", "analytic"],
+            list(zip(xw[window], aw.values.real[window], exact_w[window])))
 
     # (c) the real substitution chain on a reverse-time heat solution
     gc = GridSpec(dim=1, length=2 * np.pi, n=256)
@@ -468,32 +469,9 @@ def _run_burgers_direct_vs_ch(p: dict, seed: int):
         return ScalarField(gc, 1 + ec * np.exp(nu * kc**2 * t) * np.cos(kc * xc))
 
     chain = real_chain_residual(u_of(tc - dtc), u_of(tc), u_of(tc + dtc), b, dtc)
-
-    checks = {
-        "single_mode_direct_vs_analytic": single_mode_err,
-        "heat_route_vs_analytic": route_err,
-        "roundtrip_gauge_spread": gauge_spread,
-        "travelling_front_window_error": front_err,
-        "chain_geodesic_residual": chain["geodesic"].l_inf,
-        "chain_rhs_residual": chain["chain"].l_inf,
-        "chain_sides_difference": chain["difference"].l_inf,
-    }
-    metrics = {
-        "front_window_points": int(window.sum()),
-        "mean_velocity_boost": mean0,
-        "front_error_global": float(np.max(np.abs(aw.values - exact_w))),
-    }
-    csvs = {
-        "single_mode_profiles.csv": (
-            ["x", "direct", "analytic"],
-            list(zip(x, a_direct.values.real, a_exact_T)),
-        ),
-        "front_window.csv": (
-            ["x", "direct", "analytic"],
-            list(zip(xw[window], aw.values.real[window], exact_w[window])),
-        ),
-    }
-    return checks, metrics, csvs
+    run.check("chain_geodesic_residual", chain["geodesic"].l_inf)
+    run.check("chain_rhs_residual", chain["chain"].l_inf)
+    run.check("chain_sides_difference", chain["difference"].l_inf)
 
 
 # -- sde-estimators ---------------------------------------------------------
@@ -540,7 +518,7 @@ def _full_bins(est, p: dict, key: str) -> np.ndarray:
         "half_window_short": (">=", 0), "half_window_long": (">=", 0), "x0_spread": (">=", 0.0),
     },
 )
-def _run_sde_estimators(p: dict, seed: int):
+def _run_sde_estimators(p: dict, seed: int, run: _Run):
     theta, b = p["theta"], p["b"]
     model = DiffusionModel(drift=lambda x: -theta * x, b=b)
     # both windows first, so that a bad time step of run (b) fails before run (a)
@@ -565,8 +543,12 @@ def _run_sde_estimators(p: dict, seed: int):
             / est_a.forward_stderr[ok]
         )
     )
+    run.check("drift_recovery_max_z", z_drift)
     b2_est, b2_err = estimate_diffusion(ens_a)
-    z_noise = abs(b2_est - b**2) / b2_err
+    run.check("noise_recovery_z", float(abs(b2_est - b**2) / b2_err))
+    run.metric("b2_estimate", b2_est)
+    run.metric("b2_stderr", b2_err)
+    run.metric("bins_used_transient", int(ok.sum()))
     del ens_a  # its running sums are not held through run (b)
 
     # (b) stationary run: current and osmotic velocities vs the exact
@@ -584,40 +566,25 @@ def _run_sde_estimators(p: dict, seed: int):
     est_b = estimate_velocities(ens_b, min_count=BIN_PATHS)
     okb = _full_bins(est_b, p, "n_paths_long")
     stderr_uv = 0.5 * (est_b.forward_stderr[okb] + est_b.backward_stderr[okb])
-    z_osmotic = float(
-        np.max(np.abs(est_b.osmotic[okb] - (-theta * est_b.centers[okb])) / stderr_uv)
+    z_osmotic = np.abs(est_b.osmotic[okb] - (-theta * est_b.centers[okb])) / stderr_uv
+    run.check("osmotic_velocity_max_z", float(np.max(z_osmotic)))
+    run.check("current_velocity_max_z", float(np.max(np.abs(est_b.current[okb]) / stderr_uv)))
+    run.metric("bins_used_stationary", int(okb.sum()))
+    run.metric("stationary_spread", stat_spread)
+    run.csv(
+        "velocity_bins.csv",
+        ["center", "count", "forward", "backward", "current", "osmotic",
+         "stderr_forward", "stderr_backward"],
+        [
+            (
+                est_b.centers[i], int(est_b.counts[i]), est_b.forward_drift[i],
+                est_b.backward_drift[i], est_b.current[i], est_b.osmotic[i],
+                est_b.forward_stderr[i], est_b.backward_stderr[i],
+            )
+            for i in range(est_b.centers.size)
+            if okb[i]
+        ],
     )
-    z_current = float(np.max(np.abs(est_b.current[okb]) / stderr_uv))
-
-    checks = {
-        "drift_recovery_max_z": z_drift,
-        "noise_recovery_z": float(z_noise),
-        "osmotic_velocity_max_z": z_osmotic,
-        "current_velocity_max_z": z_current,
-    }
-    metrics = {
-        "b2_estimate": b2_est,
-        "b2_stderr": b2_err,
-        "bins_used_transient": int(ok.sum()),
-        "bins_used_stationary": int(okb.sum()),
-        "stationary_spread": stat_spread,
-    }
-    csvs = {
-        "velocity_bins.csv": (
-            ["center", "count", "forward", "backward", "current", "osmotic",
-             "stderr_forward", "stderr_backward"],
-            [
-                (
-                    est_b.centers[i], int(est_b.counts[i]), est_b.forward_drift[i],
-                    est_b.backward_drift[i], est_b.current[i], est_b.osmotic[i],
-                    est_b.forward_stderr[i], est_b.backward_stderr[i],
-                )
-                for i in range(est_b.centers.size)
-                if okb[i]
-            ],
-        ),
-    }
-    return checks, metrics, csvs
 
 
 # -- complex-increments -----------------------------------------------------
@@ -639,27 +606,26 @@ def _mean_tolerance(p: dict) -> float:
     ),
     minimums={"n_samples": (">=", 1)},
 )
-def _run_complex_increments(p: dict, seed: int):
-    checks = {}
+def _run_complex_increments(p: dict, seed: int, run: _Run):
     rows = []
     for idx, (b, bhat) in enumerate(tuple(map(tuple, p["pairs"]))):
         stats = sample_complex_increments(b, bhat, p["dt"], p["n_samples"], seed + idx)
         tag = f"b={b:g},bhat={bhat:g}"
-        checks[f"mean_dz[{tag}]"] = abs(stats.mean_dz)
-        checks[f"mean_dz2[{tag}]"] = abs(stats.mean_dz2 - stats.expected_dz2)
-        checks[f"mean_dzdzbar[{tag}]"] = abs(stats.mean_dzdzbar - stats.expected_dzdzbar)
+        run.check(f"mean_dz[{tag}]", abs(stats.mean_dz))
+        run.check(f"mean_dz2[{tag}]", abs(stats.mean_dz2 - stats.expected_dz2))
+        run.check(f"mean_dzdzbar[{tag}]", abs(stats.mean_dzdzbar - stats.expected_dzdzbar))
         rows.append((b, bhat, stats.mean_dz, stats.mean_dz2, stats.mean_dzdzbar,
                      stats.expected_dz2, stats.expected_dzdzbar))
-    metrics = {"n_samples": p["n_samples"], "dt": p["dt"], "tolerance": _mean_tolerance(p)}
-    csvs = {
-        "moments.csv": (
-            ["b", "bhat", "re_mean_dz", "im_mean_dz", "re_mean_dz2", "im_mean_dz2",
-             "re_mean_dzdzbar", "im_mean_dzdzbar", "re_expected_dz2", "im_expected_dz2",
-             "re_expected_dzdzbar", "im_expected_dzdzbar"],
-            rows,
-        ),
-    }
-    return checks, metrics, csvs
+    run.metric("n_samples", p["n_samples"])
+    run.metric("dt", p["dt"])
+    run.metric("tolerance", _mean_tolerance(p))
+    run.csv(
+        "moments.csv",
+        ["b", "bhat", "re_mean_dz", "im_mean_dz", "re_mean_dz2", "im_mean_dz2",
+         "re_mean_dzdzbar", "im_mean_dzdzbar", "re_expected_dz2", "im_expected_dz2",
+         "re_expected_dzdzbar", "im_expected_dzdzbar"],
+        rows,
+    )
 
 
 # -- variational ------------------------------------------------------------
@@ -682,7 +648,7 @@ def _run_complex_increments(p: dict, seed: int):
     ),
     minimums={"n_theta": (">=", 3), "n_paths": (">=", 2)},
 )
-def _run_variational(p: dict, seed: int):
+def _run_variational(p: dict, seed: int, run: _Run):
     m, dt_complex = time_steps(p["t_complex"], p["dt"])
     b = p["b"]
     thetas = np.linspace(-1.0, 1.0, p["n_theta"])
@@ -693,47 +659,33 @@ def _run_variational(p: dict, seed: int):
         family, ("gaussian", np.pi, 1.0), p["t_final"], p["dt"], p["n_paths"], seed
     )
     values, errors = discretized_action(sweep)
+    run.csv("action_sweep.csv", ["theta", "action", "stderr"], list(zip(thetas, values, errors)))
 
     zero_idx = int(np.argmin(np.abs(thetas)))
-    argmin_idx = int(np.argmin(values))
+    run.metric("action_at_zero", float(values[zero_idx]))
+    run.metric("action_stderr_at_zero", float(errors[zero_idx]))
+    run.check("sampled_argmin_at_zero", float(abs(thetas[int(np.argmin(values))])))
     coeffs = np.polyfit(thetas, values, 2)
     curvature = float(2 * coeffs[0])
     theta_hat = float(-coeffs[1] / (2 * coeffs[0]))
+    run.check("quadratic_fit_minimum", abs(theta_hat))
+    run.check("quadratic_fit_curvature_positive", curvature)
+    run.metric("curvature", curvature)
+    run.metric("theta_hat", theta_hat)
 
     # spot value: constant drift a = 1 gives S ~= a^2 T = 1
     const_model = DiffusionModel(drift=np.ones_like, b=b)
     const_ens = simulate_forward(const_model, 0.0, p["t_final"], p["dt"], p["n_paths"], seed + 1)
     const_value, const_err = discretized_action(const_ens)
-    z_const = abs(const_value - p["t_final"]) / const_err
+    run.check("constant_drift_action_z", float(abs(const_value - p["t_final"]) / const_err))
+    run.metric("constant_drift_action", float(const_value))
 
     # path-sum moment of the balanced complex noise: E (sum dZ)^2 ~ 0
     w = np.empty(p["n_paths"], dtype=complex)
     shape = (p["n_paths"], m)
     for rows, dz in complex_increment_blocks(b, b, dt_complex, shape, make_rng(seed + 2)):
         w[rows] = dz.sum(axis=1)
-    path_sum_sq = complex((w * w).mean())
-
-    checks = {
-        "sampled_argmin_at_zero": float(abs(thetas[argmin_idx])),
-        "quadratic_fit_minimum": abs(theta_hat),
-        "quadratic_fit_curvature_positive": curvature,
-        "constant_drift_action_z": float(z_const),
-        "complex_path_sum_squared": abs(path_sum_sq),
-    }
-    metrics = {
-        "action_at_zero": float(values[zero_idx]),
-        "action_stderr_at_zero": float(errors[zero_idx]),
-        "curvature": curvature,
-        "constant_drift_action": float(const_value),
-        "theta_hat": theta_hat,
-    }
-    csvs = {
-        "action_sweep.csv": (
-            ["theta", "action", "stderr"],
-            list(zip(thetas, values, errors)),
-        ),
-    }
-    return checks, metrics, csvs
+    run.check("complex_path_sum_squared", abs(complex((w * w).mean())))
 
 
 # -- ga-identities ----------------------------------------------------------
@@ -756,7 +708,7 @@ def _run_variational(p: dict, seed: int):
     ),
     minimums={"b": (">", 0.0), "n_algebra_trials": (">=", 1)},  # b = 0: no stretch, nothing checked
 )
-def _run_ga_identities(p: dict, seed: int):
+def _run_ga_identities(p: dict, seed: int, run: _Run):
     e1 = Multivector.basis("e1")
     e2 = Multivector.basis("e2")
     e12 = Multivector.basis("e12")
@@ -766,7 +718,7 @@ def _run_ga_identities(p: dict, seed: int):
     def exact_zero(m: Multivector) -> float:
         return float(np.max(np.abs(m.coeffs)))
 
-    algebra_err = max(
+    run.check("blade_relations_exact", max(
         exact_zero(geometric_product(e1, e2) - e12),
         exact_zero(geometric_product(e2, e1) + e12),
         exact_zero(geometric_product(e1, e1) - Multivector.scalar(1.0)),
@@ -778,7 +730,7 @@ def _run_ga_identities(p: dict, seed: int):
         exact_zero(contraction(e2, e12) + e1),
         abs(scalar_product(e12, e12) - (-1.0)),
         abs(scalar_product(e1, e1) - 1.0),
-    )
+    ))
 
     # associativity and distributivity, exact on small-integer coefficients
     rng = make_rng(seed)
@@ -794,6 +746,7 @@ def _run_ga_identities(p: dict, seed: int):
             geometric_product(a_mv, b_mv) + geometric_product(a_mv, c_mv)
         )
         assoc_err = max(assoc_err, exact_zero(dist))
+    run.check("product_axioms_exact", assoc_err)
 
     # gradient identities on trigonometric-polynomial fields
     grid = GridSpec(dim=3, length=2 * np.pi, n=p["n"])
@@ -812,24 +765,17 @@ def _run_ga_identities(p: dict, seed: int):
     res_aniso = check_prop_identities(f_additive, aniso)
     res_invalid = check_prop_identities(f_general, aniso)
 
-    checks = {
-        "blade_relations_exact": algebra_err,
-        "product_axioms_exact": assoc_err,
-    }
     for tag, res in (("isotropic", res_iso), ("anisotropic_additive", res_aniso)):
         for key, val in res.items():
-            checks[f"{key}[{tag}]"] = val.l_inf
+            run.check(f"{key}[{tag}]", val.l_inf)
     # the convective identity genuinely fails without irrotationality;
     # a nonzero residual here is the documented precondition at work
-    checks["convective_gradient_requires_irrotational"] = res_invalid["convective_gradient"].l_inf
+    run.check("convective_gradient_requires_irrotational", res_invalid["convective_gradient"].l_inf)
     f_positive = ScalarField(grid, np.exp(0.25 * np.real(f_general.values)))
-    cancel = linearization_cancellation(f_positive, b_scale)
-    checks["cancellation_identity"] = cancel.l_inf
+    run.check("cancellation_identity", linearization_cancellation(f_positive, b_scale).l_inf)
 
-    metrics = {
-        "invalid_combo_residual": res_invalid["convective_gradient"].l_inf,
-        "n_algebra_trials": p["n_algebra_trials"],
-    }
+    run.metric("invalid_combo_residual", res_invalid["convective_gradient"].l_inf)
+    run.metric("n_algebra_trials", p["n_algebra_trials"])
     rows = []
     for tag, res in (
         ("isotropic", res_iso),
@@ -838,8 +784,7 @@ def _run_ga_identities(p: dict, seed: int):
     ):
         for key, val in res.items():
             rows.append((tag, key, val.l_inf, val.l2))
-    csvs = {"identity_residuals.csv": (["config", "identity", "l_inf", "l2"], rows)}
-    return checks, metrics, csvs
+    run.csv("identity_residuals.csv", ["config", "identity", "l_inf", "l2"], rows)
 
 
 # -- fp-consistency ---------------------------------------------------------
@@ -871,7 +816,7 @@ def _run_ga_identities(p: dict, seed: int):
     # a negative drift amplitude mirrors the drift; zero leaves five checks nothing to compare
     minimums={"theta": (">", 0.0), "dt_residual": (">", 0.0), "drift_amp": ("!=", 0.0)},
 )
-def _run_fp_consistency(p: dict, seed: int):
+def _run_fp_consistency(p: dict, seed: int, run: _Run):
     b = p["b"]
 
     # (a) periodic sine drift: exact discrete stationary state
@@ -939,33 +884,24 @@ def _run_fp_consistency(p: dict, seed: int):
     fp_f = complex_fp_residual(*tri, vc_mid, b, dtp, "forward")
     fp_c = complex_fp_residual(*tri, vc_mid, b, dtp, "conjugate")
 
-    checks = {
-        "stationary_fixed_point_one_step": fixed_1,
-        "stationary_fixed_point_many_steps": fixed_n,
-        "backward_fixed_point": fixed_back,
-        "mass_conservation": float(mass_drift),
-        "transient_vs_analytic": transient_err,
-        "discrete_vs_analytic_stationary": disc_vs_analytic,
-        "backward_drift_construction": back_drift_err,
-        "packet_continuity_residual": cont.l_inf,
-        "packet_osmotic_residual": osm.l_inf,
-        "packet_complex_residual_forward": fp_f.l_inf,
-        "packet_complex_residual_conjugate": fp_c.l_inf,
-        "continuity_time_order_ratio": float(order_ratio),
-    }
-    metrics = {
-        "cfl_dt": dt,
-        "kappa": kappa,
-        "transient_mass": transient_mass,
-        "continuity_residual_half_dt": cont_half.l_inf,
-    }
-    csvs = {
-        "stationary_profiles.csv": (
-            ["x", "rho_discrete", "rho_analytic"],
-            list(zip(x, rho_star.values.real, rho_vm)),
-        ),
-    }
-    return checks, metrics, csvs
+    run.check("stationary_fixed_point_one_step", fixed_1)
+    run.check("stationary_fixed_point_many_steps", fixed_n)
+    run.check("backward_fixed_point", fixed_back)
+    run.check("mass_conservation", float(mass_drift))
+    run.check("transient_vs_analytic", transient_err)
+    run.check("discrete_vs_analytic_stationary", disc_vs_analytic)
+    run.check("backward_drift_construction", back_drift_err)
+    run.check("packet_continuity_residual", cont.l_inf)
+    run.check("packet_osmotic_residual", osm.l_inf)
+    run.check("packet_complex_residual_forward", fp_f.l_inf)
+    run.check("packet_complex_residual_conjugate", fp_c.l_inf)
+    run.check("continuity_time_order_ratio", float(order_ratio))
+    run.metric("cfl_dt", dt)
+    run.metric("kappa", kappa)
+    run.metric("transient_mass", transient_mass)
+    run.metric("continuity_residual_half_dt", cont_half.l_inf)
+    run.csv("stationary_profiles.csv", ["x", "rho_discrete", "rho_analytic"],
+            list(zip(x, rho_star.values.real, rho_vm)))
 
 
 def _matches(value, default) -> bool:
@@ -994,9 +930,11 @@ def run_experiment(name: str, overrides: dict, seed: int) -> dict:
     the runner starts, a ValueError naming the key refuses a seed that is
     not a non-negative int, an unknown key, a value not of its default's
     type (:func:`_matches`), a non-finite float and a value past its
-    declared minimum.  A run whose check names (the text before any ``[``)
-    differ from the declared ones raises one too.  The checks keep the
-    order in which the runner made them.
+    declared minimum.  Each check name is judged at its ``run.check`` call,
+    which raises one for a name of no declared family (the text before any
+    ``[``) or a name already made; a declared family that the run never
+    checks raises one once the runner returns.  The checks keep the order in
+    which the runner made them.
     """
     spec = EXPERIMENTS[name]
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
@@ -1014,23 +952,18 @@ def run_experiment(name: str, overrides: dict, seed: int) -> dict:
     for key, (comparison, bound) in spec.minimums.items():
         if not COMPARATORS[comparison](params[key], bound):
             raise ValueError(f"{key} must be {comparison} {bound}, got {params[key]}")
-    values, metrics, csvs = spec.runner(params, seed)
-    declared = {c.name: c for c in spec.checks}
-    families = [key.split("[")[0] for key in values]
-    if set(families) != declared.keys():
-        raise ValueError(
-            f"the run makes checks {sorted(set(families))}, not the declared {sorted(declared)}"
-        )
-    checks = [
-        check(key, value, declared[f].at(params), declared[f].comparison)
-        for (key, value), f in zip(values.items(), families)
-    ]
+    run = _Run(spec, params)
+    spec.runner(params, seed, run)
+    unreported = run.declared.keys() - {key.split("[")[0] for key in run.checks}
+    if unreported:
+        raise ValueError(f"the run makes no check of the declared {sorted(unreported)}")
+    checks = list(run.checks.values())
     summary = {
         "experiment": name,
         "seed": seed,
         "params": params,
         "checks": checks,
-        "metrics": metrics,
+        "metrics": run.metrics,
         "pass": all_passed(checks),
     }
-    return {"summary": summary, "csvs": csvs}
+    return {"summary": summary, "csvs": run.csvs}

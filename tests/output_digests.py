@@ -4,8 +4,11 @@ Runs each experiment of ``stochflow.experiments.EXPERIMENTS`` at seed 1234
 through ``run_experiment``, writes ``summary.json`` and its CSVs with the
 ``stochflow.output`` writers as ``stochflow run`` does, and prints one line
 ``name file sha256`` per file.  ``manifest.json`` holds timings and versions,
-so it is not written.  A change meant to leave every output byte-identical
-leaves this listing unchanged::
+so it is not written.  The first line, ``# numpy <version> simd <targets>``,
+names the environment: numpy's float64 ``exp``, ``log`` and ``power`` differ in
+their last bits between SIMD targets, so the digests hold for the environment
+named.  A change meant to leave every output byte-identical leaves this
+listing unchanged::
 
     PYTHONPATH=src python tests/output_digests.py [OUT_DIR]
     PYTHONPATH=src python tests/output_digests.py --check tests/fixtures/output_digests.txt
@@ -13,7 +16,8 @@ leaves this listing unchanged::
 Without ``OUT_DIR`` the files go to a temporary directory that is removed
 afterwards.  ``--check FILE`` compares the listing with ``FILE``, a listing
 saved earlier, and exits 1 naming each output whose sha256 differs or that
-one listing lacks.  The file name keeps pytest from collecting it.
+one listing lacks; when one does and ``FILE`` names another environment, it
+names both.  The file name keeps pytest from collecting it.
 """
 
 import argparse
@@ -24,6 +28,7 @@ from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from stochflow.experiments import EXPERIMENTS, run_experiment
 from stochflow.output import write_csv, write_summary
@@ -45,6 +50,12 @@ def write_outputs(out_dir: Path) -> list[Path]:
     return written
 
 
+def environment() -> str:
+    """The listing's first line: numpy's version and the SIMD targets it dispatches to here."""
+    found = sorted(target for target in __cpu_dispatch__ if __cpu_features__.get(target))
+    return f"# numpy {np.__version__} simd {' '.join(found)}"
+
+
 def digest_line(path: Path, name: str) -> str:
     """The line ``name file sha256`` of one output of experiment ``name``."""
     return f"{name} {path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}"
@@ -56,8 +67,12 @@ def digests(out_dir: Path) -> list[str]:
 
 
 def differences(got: list[str], want: list[str]) -> list[str]:
-    """One line per output whose digest differs between two listings, or that one lacks."""
-    got_by, want_by = (dict(line.rsplit(" ", 1) for line in lines if line) for lines in (got, want))
+    """One line per output whose digest differs between two listings, or that one lacks;
+    ``#`` lines are skipped."""
+    got_by, want_by = (
+        dict(line.rsplit(" ", 1) for line in lines if line and not line.startswith("#"))
+        for lines in (got, want)
+    )
     return [
         f"{output}: {want_by.get(output, 'absent')} -> {got_by.get(output, 'absent')}"
         for output in dict.fromkeys([*want_by, *got_by])
@@ -72,13 +87,17 @@ def main(argv: list[str]) -> int:
                         help="compare with a saved listing; exit 1 if any output differs")
     args = parser.parse_args(argv)
     with nullcontext(args.out_dir) if args.out_dir else tempfile.TemporaryDirectory() as out:
-        lines = digests(Path(out))
+        lines = [environment(), *digests(Path(out))]
     print("\n".join(lines))
     if args.check is None:
         return 0
-    changed = differences(lines, args.check.read_text().splitlines())
+    saved = args.check.read_text().splitlines()
+    changed = differences(lines, saved)
     for line in changed:
         print(f"differs: {line}", file=sys.stderr)
+    saved_in = next((line for line in saved if line.startswith("#")), lines[0])
+    if changed and saved_in != lines[0]:
+        print(f"environment: {saved_in[2:]} -> {lines[0][2:]}", file=sys.stderr)
     return 1 if changed else 0
 
 

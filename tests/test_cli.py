@@ -237,6 +237,8 @@ _BAD_VALUES = [
     ("fp-consistency", '{"theta": -Infinity}', "theta must be finite, got -inf"),
     ("colehopf-3d", '{"amp": 1e-300}', "amp must be >= 0.001, got 1e-300"),
     ("sde-estimators", '{"theta": 3000}', "Euler-Maruyama steps of dt = 0.001 are unstable for this drift"),
+    ("complex-increments", '{"pairs": [[1.0, 1.0], [1.0000001, 1.0]], "n_samples": 1000}',
+     "the run makes check 'mean_dz[b=1,bhat=1]' twice"),
 ]
 
 
@@ -244,8 +246,9 @@ _BAD_VALUES = [
 def test_bad_value_exits_two_with_a_message_about_it(runner, tmp_path, experiment, config, message):
     # these once gave nine NaN FAILs, a numpy reduction error, the least grid of
     # the half-resolution run in place of the configured n, "field contains
-    # non-finite entries" in place of the infinite b, a vacuous PASS, and
-    # numpy's "Maximum allowed size exceeded" for paths that blew up
+    # non-finite entries" in place of the infinite b, a vacuous PASS, numpy's
+    # "Maximum allowed size exceeded" for paths that blew up, and a PASS on 3 of
+    # 6 checks, the second pair's tags overwriting the first's
     cfg = tmp_path / "cfg.json"
     cfg.write_text(config)
     result = runner.invoke(
@@ -313,7 +316,7 @@ _SWEEP = [
 ]
 
 
-def _unreached(p, seed):
+def _unreached(p, seed, run):
     raise AssertionError("the runner started")
 
 
@@ -434,20 +437,41 @@ def test_sweep_of_zero_and_minus_one_rejects_or_leaves_every_check_something(
     assert not hollow, hollow
 
 
-@pytest.mark.parametrize("change",["add an undeclared check", "drop a declared check"])
+_DECLARED = [c.name for c in EXPERIMENTS["ga-identities"].checks]
+#: change -> (the names a fake runner checks, the error, the names whose next statement ran)
+_NAME_CHANGES = {
+    # an undeclared or repeated name raises at its call: the runner stops there
+    "add an undeclared check": (_DECLARED + ["undeclared"],
+                                "^the run makes check 'undeclared', of no declared family$",
+                                _DECLARED),
+    "drop a declared check": (_DECLARED[1:],
+                              rf"^the run makes no check of the declared \['{_DECLARED[0]}'\]$",
+                              _DECLARED[1:]),
+    "repeat a check name": (_DECLARED + [_DECLARED[1]],
+                            f"^the run makes check '{_DECLARED[1]}' twice$", _DECLARED),
+}
+
+
+@pytest.mark.parametrize("change", list(_NAME_CHANGES))
 def test_run_refuses_check_names_that_differ_from_the_declaration(monkeypatch, change):
+    names, message, reached = _NAME_CHANGES[change]
     spec = EXPERIMENTS["ga-identities"]
-    declared = [c.name for c in spec.checks]
+    made = []
 
     def run_with(names):
-        fake = dataclasses.replace(spec, runner=lambda p, seed: ({n: 0.0 for n in names}, {}, {}))
-        monkeypatch.setitem(EXPERIMENTS, "ga-identities", fake)
+        def fake(p, seed, run):
+            for n in names:
+                run.check(n, 0.0)
+                made.append(n)
+
+        monkeypatch.setitem(EXPERIMENTS, "ga-identities", dataclasses.replace(spec, runner=fake))
         return run_experiment("ga-identities", dict(spec.defaults), 0)
 
-    assert len(run_with(declared)["summary"]["checks"]) == len(declared)
-    names = declared + ["undeclared"] if change.startswith("add") else declared[1:]
-    with pytest.raises(ValueError, match="not the declared"):
+    assert len(run_with(_DECLARED)["summary"]["checks"]) == len(_DECLARED)
+    made.clear()
+    with pytest.raises(ValueError, match=message):
         run_with(names)
+    assert made == reached
 
 
 def test_non_finite_check_value_is_echoed_and_fails(runner, tmp_path, monkeypatch):
@@ -468,6 +492,42 @@ def test_non_finite_check_value_is_echoed_and_fails(runner, tmp_path, monkeypatc
     assert "[FAIL] floor: -inf <= 0" in result.output
     summary = json.loads((out / "summary.json").read_text())
     assert summary["metrics"]["peak"] == "inf"
+
+
+@pytest.mark.parametrize("out_flags", [["--out", "x/a/b"], []])
+def test_rejected_config_removes_the_directories_the_run_created(runner, tmp_path, monkeypatch,
+                                                                 out_flags):
+    # they were once left behind, empty: x/a/b, or runs/ga-identities without --out
+    (tmp_path / "bad.json").write_text(json.dumps({"n": 24.5}))
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, ["run", "ga-identities", "--config", "bad.json", *out_flags])
+    assert result.exit_code == 2, result.output
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
+def test_rejected_config_keeps_an_output_directory_that_existed(runner, tmp_path):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"n": 24.5}))
+    out = tmp_path / "existing"
+    out.mkdir()
+    result = runner.invoke(main, ["run", "ga-identities", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert out.is_dir()
+
+
+def test_unwritable_output_directory_exits_two_before_the_run(runner, tmp_path, monkeypatch):
+    from stochflow import cli
+
+    def unreached(name, overrides, seed):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run_experiment", unreached)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    result = runner.invoke(main, ["run", "ga-identities", "--out", str(blocker / "out")])
+    assert result.exit_code == 2, result.output
+    (line,) = result.stderr.splitlines()
+    assert line.startswith(f"error: cannot create output directory {blocker / 'out'}: ")
 
 
 def test_config_int_accepted_for_float_parameter(runner, tmp_path):

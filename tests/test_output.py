@@ -54,3 +54,30 @@ def test_digest_check_exits_one_naming_each_output_that_differs(tmp_path, monkey
     ]
     saved.write_text("\n".join(listing) + "\n")
     assert output_digests.main(["--check", str(saved)]) == 0
+
+
+def test_digest_listing_names_its_environment_and_check_names_both_when_an_output_differs(
+    tmp_path, monkeypatch, capsys
+):
+    import output_digests
+
+    here = output_digests.environment()
+    assert here.startswith(f"# numpy {np.__version__} simd ")
+    targets = here.split(" simd ")[1].split()
+    assert targets == sorted(targets) and set(targets) <= set(output_digests.__cpu_dispatch__)
+    monkeypatch.setattr(output_digests, "digests", lambda out_dir: ["a summary.json 00"])
+    saved = tmp_path / "digests.txt"
+    for listing, code, errors in [
+        # saved elsewhere, and no output differs: nothing on stderr
+        ("# numpy 0.0 simd NONE\na summary.json 00\n", 0, []),
+        # saved elsewhere, and an output differs: it and both environments are named
+        ("# numpy 0.0 simd NONE\na summary.json 01\n", 1,
+         ["differs: a summary.json: 01 -> 00", f"environment: numpy 0.0 simd NONE -> {here[2:]}"]),
+        # saved here, and an output differs: only the output is named
+        (f"{here}\na summary.json 01\n", 1, ["differs: a summary.json: 01 -> 00"]),
+    ]:
+        saved.write_text(listing)
+        assert output_digests.main(["--check", str(saved)]) == code
+        out, err = capsys.readouterr()
+        assert out.splitlines() == [here, "a summary.json 00"]
+        assert err.splitlines() == errors
