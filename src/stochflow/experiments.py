@@ -38,9 +38,8 @@ from .fokker_planck import (
 from .output import COMPARATORS, all_passed, check
 from .schrodinger import SchrodingerProblem, evolve
 from .sde import (
-    DiffusionModel, backward_drift_from_forward, complex_increment_blocks, discretized_action,
-    estimate_diffusion, estimate_velocities, make_rng, sample_complex_increments,
-    simulate_forward,
+    DiffusionModel, backward_drift_from_forward, complex_path_sums, discretized_action,
+    estimate_diffusion, estimate_velocities, make_rng, sample_complex_increments, simulate_forward,
 )
 
 __all__ = ["EXPERIMENTS", "Check", "ExperimentSpec", "run_experiment"]
@@ -681,10 +680,7 @@ def _run_variational(p: dict, seed: int, run: _Run):
     run.metric("constant_drift_action", float(const_value))
 
     # path-sum moment of the balanced complex noise: E (sum dZ)^2 ~ 0
-    w = np.empty(p["n_paths"], dtype=complex)
-    shape = (p["n_paths"], m)
-    for rows, dz in complex_increment_blocks(b, b, dt_complex, shape, make_rng(seed + 2)):
-        w[rows] = dz.sum(axis=1)
+    w = complex_path_sums(b, b, dt_complex, p["n_paths"], m, seed + 2)
     run.check("complex_path_sum_squared", abs(complex((w * w).mean())))
 
 

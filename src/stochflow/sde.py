@@ -15,22 +15,10 @@ members share the initial samples and every draw, and each keeps its own
 sums.
 
 A drift must be pointwise along the path axis: ``drift(x)[..., p]`` reads
-only ``x[..., p]``.  The paths go in blocks of ``BLOCK_VALUES`` values,
-batch included, and each block runs all its steps as one task, claimed
-from one shared iterator by the caller's thread or by one of the helpers
-of a thread pool, one per further CPU the process may use.  Block ``j``
-draws its initial samples and then each step's normals from its own Philox
-stream, the ``j``-th child of ``SeedSequence(seed)``, and block sums merge
-in block order, so the output is the same bit for bit whatever the number
-of threads.  The block scratch, running sums included, and the array of
-block sums are allocated on the caller's thread, since large buffers that
-helpers allocate stay resident in glibc's per-thread arenas; a helper
-allocates only the drift's result, a block's small sums and its velocity-bin
-sums.
-None outlives the call.  An error in a helper is raised in the caller.
-Paths that go non-finite, or positions that spread past ``MAX_BINS`` bins,
-raise a ``ValueError`` that names Euler-Maruyama instability as the cause
-(or, for the spread, a start too wide for the bins).
+only ``x[..., p]``.  Paths that go non-finite, or positions that spread past
+``MAX_BINS`` bins, raise a ``ValueError`` that names Euler-Maruyama
+instability as the cause (or, for the spread, a start too wide for the
+bins).
 
 ``estimate_velocities`` conditions the forward difference ``X(t + dt) -
 X(t)`` and the backward one ``X(t) - X(t - dt)`` on the position at the
@@ -44,11 +32,22 @@ independent Wiener processes, with ``sigma^2 = (b^2 + bhat^2) / 2``.  Its
 defining moments are ``E[dZ dZ*] = dt`` and
 ``E[dZ^2] = dt (b^2 - bhat^2) / (b^2 + bhat^2)``, which vanishes in the
 balanced case ``b = bhat``; ``sample_complex_increments`` returns the
-sample means of ``dZ``, ``dZ^2`` and ``dZ dZ*`` beside these exact values.
-``complex_increment_blocks`` holds the formula for ``dZ`` once: it draws
-the real and then the imaginary normals of one block of rows at a time.
-The means are block sums added in block order, so a run holds block-sized
-buffers but no whole ``dZ``.
+sample means of ``dZ``, ``dZ^2`` and ``dZ dZ*`` beside these exact values,
+and ``complex_path_sums`` the sum of ``dZ`` along each of a bundle of paths.
+
+Every draw goes through one block runner.  A block holds at most
+``BLOCK_VALUES`` values but at least one path, of paths (batch members
+included) or of complex increments.  Block ``j`` is one task, claimed from
+one shared iterator by the caller's thread or by a pool helper, one per
+further CPU the process may use; it draws from its own Philox stream, the
+``j``-th child of ``SeedSequence(seed)``, and writes its sums into row ``j``
+of an array that the caller allocated.  The rows merge in block order, so
+the output is the same bit for bit whatever the number of threads.  Each
+thread's scratch is allocated on the caller's thread, since large buffers
+that helpers allocate stay resident in glibc's per-thread arenas; a helper
+allocates only a drift's result and a block's sums.  None outlives the
+call, so no path and no whole ``dZ`` is held.  An error in a helper is
+raised in the caller.
 
 All randomness flows through counter-based Philox generators keyed by an
 explicit integer seed; repeated runs are bit-identical.
@@ -60,7 +59,7 @@ import contextvars
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -73,8 +72,8 @@ __all__ = [
     "VelocityEstimate",
     "make_rng",
     "simulate_forward",
-    "complex_increment_blocks",
     "sample_complex_increments",
+    "complex_path_sums",
     "estimate_velocities",
     "estimate_diffusion",
     "discretized_action",
@@ -159,6 +158,31 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _run_blocks(sizes: list[int], seed: int, scratch: Callable[[int], tuple], task) -> None:
+    """Call ``task(j, sizes[j], rng, *buffers)`` for every block ``j``, ``rng`` on the ``j``-th
+    child of ``SeedSequence(seed)``, on the caller's thread and ``_cpu_count() - 1`` helpers, each
+    thread with its ``buffers = scratch(max(sizes))`` allocated here, on the caller's thread."""
+    streams = np.random.SeedSequence(seed).spawn(len(sizes))
+    buffers = [scratch(max(sizes)) for _ in range(min(_cpu_count(), len(sizes)))]
+    claim = iter(range(len(sizes)))
+
+    def run(mine: tuple) -> None:
+        for j in claim:
+            task(j, sizes[j], make_rng(streams[j]), *mine)
+
+    # imported here, not at the top: concurrent.futures loads logging, which
+    # a CLI start-up that never simulates would pay for
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max(1, len(buffers) - 1)) as pool:
+        # each helper runs in a copy of the caller's context, so that numpy's
+        # errstate holds there too
+        helpers = [pool.submit(contextvars.copy_context().run, run, mine) for mine in buffers[1:]]
+        run(buffers[0])
+        for helper in helpers:
+            helper.result()
+
+
 def _unstable(dt: float, cause: str) -> ValueError:
     return ValueError(f"{cause} Euler-Maruyama steps of dt = {dt:g} are unstable for this drift")
 
@@ -233,76 +257,53 @@ def simulate_forward(
         raise ValueError(f"a batch of shape {batch} has no single velocity profile to pool")
     per_block = max(1, BLOCK_VALUES // max(1, math.prod(batch)))
     blocks = [min(per_block, n_paths - p) for p in range(0, n_paths, per_block)]  # path counts
-    streams = np.random.SeedSequence(seed).spawn(len(blocks))
-    n_threads = max(1, min(_cpu_count(), len(blocks)))
-    size = min(per_block, n_paths)
-    scratch = [
-        (np.empty((5,) + batch + (size,)), np.empty((4, size)), np.empty(size, dtype=np.intp))
-        for _ in range(n_threads)
-    ]
     block_totals = np.empty((len(blocks), 4) + batch)
     lattices = [None] * len(blocks)
     action_shift = m * model.b**2
 
-    def run_blocks(claim: Iterator[int], states, lines, idx) -> None:
-        for j in claim:
-            n = blocks[j]
-            x, nxt, inc, q_acc, q2_acc = states[..., :n]
-            noise, forward, backward, keys = lines[:, :n]
-            q_acc.fill(0.0)
-            q2_acc.fill(0.0)
-            rng = make_rng(streams[j])
-            _initial_samples(x0, noise, rng)
-            x[...] = noise
-            lattice = None
-            for k in range(m):
-                rng.standard_normal(out=noise)
-                # x + drift(x) dt + b sqrt(dt) noise, in that order; the product
-                # goes to scratch, since a drift may return its argument
-                np.multiply(drift(x), dt, out=nxt)
-                nxt += x
-                noise *= scale
-                nxt += noise
-                np.subtract(nxt, x, out=inc)
-                if first - 1 <= k < stop:
-                    # the last step's forward rate is this step's backward one
-                    forward, backward = backward, forward
-                    np.divide(inc, dt, out=forward)
-                    if k >= first:
-                        step = _bin_step(x, forward, backward, width, dt, keys, idx[:n])
-                        lattice = _add_bins(lattice, *step)
-                np.square(inc, out=inc)
-                inc /= dt
-                q_acc += inc
-                np.multiply(inc, inc, out=inc)
-                q2_acc += inc
-                x, nxt = nxt, x
-            q, q2 = q_acc.sum(axis=-1), q2_acc.sum(axis=-1)
-            if not np.isfinite(q2).all():  # sums of squares: any non-finite step shows
-                raise _unstable(dt, "the paths went non-finite:")
-            q_acc -= action_shift  # the action s of each path
-            s = q_acc.sum(axis=-1)
-            block_totals[j] = q, q2, s, np.square(q_acc, out=q_acc).sum(axis=-1)
-            lattices[j] = lattice
+    def run_block(j: int, n: int, rng, states, lines, idx) -> None:
+        x, nxt, inc, q_acc, q2_acc = states[..., :n]
+        noise, forward, backward, keys = lines[:, :n]
+        q_acc.fill(0.0)
+        q2_acc.fill(0.0)
+        _initial_samples(x0, noise, rng)
+        x[...] = noise
+        lattice = None
+        for k in range(m):
+            rng.standard_normal(out=noise)
+            # x + drift(x) dt + b sqrt(dt) noise, in that order; the product
+            # goes to scratch, since a drift may return its argument
+            np.multiply(drift(x), dt, out=nxt)
+            nxt += x
+            noise *= scale
+            nxt += noise
+            np.subtract(nxt, x, out=inc)
+            if first - 1 <= k < stop:
+                # the last step's forward rate is this step's backward one
+                forward, backward = backward, forward
+                np.divide(inc, dt, out=forward)
+                if k >= first:
+                    step = _bin_step(x, forward, backward, width, dt, keys, idx[:n])
+                    lattice = _add_bins(lattice, *step)
+            np.square(inc, out=inc)
+            inc /= dt
+            q_acc += inc
+            np.multiply(inc, inc, out=inc)
+            q2_acc += inc
+            x, nxt = nxt, x
+        q, q2 = q_acc.sum(axis=-1), q2_acc.sum(axis=-1)
+        if not np.isfinite(q2).all():  # sums of squares: any non-finite step shows
+            raise _unstable(dt, "the paths went non-finite:")
+        q_acc -= action_shift  # the action s of each path
+        s = q_acc.sum(axis=-1)
+        block_totals[j] = q, q2, s, np.square(q_acc, out=q_acc).sum(axis=-1)
+        lattices[j] = lattice
 
-    # imported here, not at the top: concurrent.futures loads logging, which
-    # a CLI start-up that never simulates would pay for
-    from concurrent.futures import ThreadPoolExecutor
+    def scratch(size: int) -> tuple:
+        return np.empty((5,) + batch + (size,)), np.empty((4, size)), np.empty(size, np.intp)
 
-    claim = iter(range(len(blocks)))
-    with ThreadPoolExecutor(max(1, n_threads - 1)) as pool:
-        # each helper runs in a copy of the caller's context, so that numpy's
-        # errstate holds there too
-        helpers = [
-            pool.submit(contextvars.copy_context().run, run_blocks, claim, *buffers)
-            for buffers in scratch[1:]
-        ]
-        run_blocks(claim, *scratch[0])
-        for helper in helpers:
-            helper.result()
-    totals = np.zeros((4,) + batch)
-    for sums in block_totals:  # in block order, whichever thread ran a block
-        totals += sums
+    _run_blocks(blocks, seed, scratch, run_block)
+    totals = sum(block_totals)  # in block order, whichever thread ran a block
     total = None
     for lattice in filter(None, lattices):
         total = _add_bins(total, *lattice)
@@ -326,61 +327,62 @@ class ComplexIncrementStats:
     expected_dzdzbar: complex
 
 
-def complex_increment_blocks(
-    b: float, bhat: float, dt: float, shape: tuple[int, ...], rng: np.random.Generator
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """The increments ``dZ`` of a ``shape`` draw, by blocks of leading rows.
-
-    Yields ``(rows, dz)`` in row order, where ``dz`` holds the increments of
-    ``rows``, a slice of the leading axis, about ``BLOCK_VALUES`` values; it
-    is a buffer that the next block overwrites.  Each block draws its real
-    normals ``xi``, then its imaginary ones ``xi_hat``, from ``rng``, and
-    gives ``(b xi + i bhat xi_hat) sqrt(dt) / (sqrt(2) sigma)``.
-    """
+def _complex_blocks(b: float, bhat: float, dt: float, n_paths: int, m: int, seed: int, reduce):
+    """Draw ``m`` increments ``dZ`` along each of ``n_paths`` paths, by
+    blocks of whole paths.  Block ``j`` draws its real normals ``xi``, then
+    its imaginary ones ``xi_hat``, and calls ``reduce(j, paths, dz, spare)``
+    with ``dz = (b xi + i bhat xi_hat) sqrt(dt) / (sqrt(2) sigma)`` of the
+    slice ``paths``, flat, and ``spare``, complex scratch of its size."""
+    for name, value in (("noise amplitude b", b), ("noise amplitude bhat", bhat), ("dt", dt)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     sigma = np.sqrt((b**2 + bhat**2) / 2)
-    step = max(1, BLOCK_VALUES // max(1, math.prod(shape[1:])))
-    xi, xi_hat = np.empty((2, min(step, shape[0])) + shape[1:])
-    dz = np.empty(xi.shape, dtype=complex)
-    for start in range(0, shape[0], step):
-        rows = slice(start, min(start + step, shape[0]))
-        real, imag, out = (a[: rows.stop - start] for a in (xi, xi_hat, dz))
+    per_block = max(1, BLOCK_VALUES // m)
+    starts = range(0, n_paths, per_block)
+
+    def draw(j: int, n: int, rng, normals, dz) -> None:
+        real, imag, dz = normals[:n], normals[n : 2 * n], dz[:n]
         rng.standard_normal(out=real)
         rng.standard_normal(out=imag)
-        np.multiply(1j * bhat, imag, out=out)
-        out += np.multiply(b, real, out=real)
-        out *= np.sqrt(dt)
-        out /= np.sqrt(2) * sigma
-        yield rows, out
+        np.multiply(b, real, out=dz.real)  # no mixed types, which ufuncs cast through buffers
+        np.multiply(bhat, imag, out=dz.imag)
+        dz *= np.sqrt(dt)
+        dz /= np.sqrt(2) * sigma
+        # the normals are spent: their buffer is the spare
+        reduce(j, slice(starts[j], starts[j] + n // m), dz, normals[: 2 * n].view(complex))
+
+    sizes = [min(per_block, n_paths - start) * m for start in starts]  # values
+    _run_blocks(sizes, seed, lambda size: (np.empty(2 * size), np.empty(size, complex)), draw)
 
 
 def sample_complex_increments(
     b: float, bhat: float, dt: float, n_samples: int, seed: int
 ) -> ComplexIncrementStats:
     """Draw ``dZ`` increments and report the first two moments."""
-    for name, amplitude in (("b", b), ("bhat", bhat)):
-        if not 0 < amplitude < np.inf:
-            raise ValueError(f"noise amplitude {name} must be positive and finite, got {amplitude}")
-    if not 0 < dt < np.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    totals = np.zeros(3, dtype=complex)
-    product = np.empty(min(BLOCK_VALUES, n_samples), dtype=complex)
-    for _, dz in complex_increment_blocks(b, bhat, dt, (n_samples,), make_rng(seed)):
-        prod = product[: dz.size]
-        totals += [
-            dz.sum(),
-            np.multiply(dz, dz, out=prod).sum(),
-            np.multiply(dz, np.conjugate(dz, out=prod), out=prod).sum(),
-        ]
-    mean_dz, mean_dz2, mean_dzdzbar = (complex(total / n_samples) for total in totals)
-    return ComplexIncrementStats(
-        mean_dz=mean_dz,
-        mean_dz2=mean_dz2,
-        mean_dzdzbar=mean_dzdzbar,
-        expected_dz2=complex(dt * (b**2 - bhat**2) / (b**2 + bhat**2)),
-        expected_dzdzbar=complex(dt),
-    )
+    block_totals = np.empty(((n_samples - 1) // BLOCK_VALUES + 1, 3), dtype=complex)
+
+    def reduce(j: int, _, dz, prod) -> None:
+        dz2 = np.multiply(dz, dz, out=prod).sum()
+        block_totals[j] = dz.sum(), dz2, np.multiply(dz, np.conjugate(dz, out=prod), out=prod).sum()
+
+    _complex_blocks(b, bhat, dt, n_samples, 1, seed, reduce)  # a path of one step per sample
+    totals = sum(block_totals)  # in block order, whichever thread ran a block
+    moments = [complex(total / n_samples) for total in totals]
+    moments += [complex(dt * (b**2 - bhat**2) / (b**2 + bhat**2)), complex(dt)]  # the exact ones
+    return ComplexIncrementStats(*moments)
+
+
+def complex_path_sums(b: float, bhat: float, dt: float, n_paths: int, n_steps: int, seed: int):
+    """The sum of ``n_steps`` increments ``dZ`` along each of ``n_paths`` paths."""
+    sums = np.empty(n_paths, dtype=complex)
+
+    def reduce(j: int, paths: slice, dz, _) -> None:
+        dz.reshape(-1, n_steps).sum(axis=1, out=sums[paths])
+
+    _complex_blocks(b, bhat, dt, n_paths, n_steps, seed, reduce)
+    return sums
 
 
 # -- pathwise estimators ------------------------------------------------------

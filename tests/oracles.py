@@ -194,26 +194,29 @@ def blocked_velocity_bin_sums(paths, dt: float, b: float, window, per_block: int
     return first, total
 
 
-def complex_increments(b: float, bhat: float, dt: float, shape: tuple[int, ...], seed: int) -> np.ndarray:
-    """Every increment ``dZ`` of ``sde.complex_increment_blocks``' draw of
-    ``shape`` as one array: each block of leading rows (``sde.BLOCK_VALUES``
-    values) draws its real normals and then its imaginary ones from one
-    generator, and ``dZ`` is one whole-array expression of them."""
-    rng = np.random.Generator(np.random.Philox(seed))
+def complex_increments(b: float, bhat: float, dt: float, shape: tuple[int, int], seed: int) -> np.ndarray:
+    """Every increment ``dZ`` of the draw of ``shape`` (paths, steps) that
+    ``sde.sample_complex_increments`` and ``sde.complex_path_sums`` make, as
+    one array.  Block ``j`` of whole paths (``sde.BLOCK_VALUES`` values, at
+    least one path) is regenerated from its own stream, the ``j``-th child
+    of ``SeedSequence(seed)``: its real normals and then its imaginary ones.
+    ``dZ`` is one whole-array expression of them."""
     xi, xi_hat = np.empty((2,) + shape)
-    step = max(1, sde.BLOCK_VALUES // max(1, math.prod(shape[1:])))
-    for start in range(0, shape[0], step):
-        rng.standard_normal(out=xi[start : start + step])
-        rng.standard_normal(out=xi_hat[start : start + step])
+    per_block = max(1, sde.BLOCK_VALUES // shape[1])
+    starts = range(0, shape[0], per_block)
+    for start, stream in zip(starts, np.random.SeedSequence(seed).spawn(len(starts))):
+        rng = np.random.Generator(np.random.Philox(stream))
+        rng.standard_normal(out=xi[start : start + per_block])
+        rng.standard_normal(out=xi_hat[start : start + per_block])
     sigma = np.sqrt((b**2 + bhat**2) / 2)
     return (b * xi + 1j * bhat * xi_hat) * np.sqrt(dt) / (np.sqrt(2) * sigma)
 
 
 def complex_increment_means(b: float, bhat: float, dt: float, n: int, seed: int) -> tuple[complex, ...]:
-    """The means of ``dZ``, ``dZ^2`` and ``dZ dZ*`` over the whole draw of
-    ``complex_increments``, each the sum of its blocks' sums in block order
-    over ``n``."""
-    dz = complex_increments(b, bhat, dt, (n,), seed)
+    """The means of ``dZ``, ``dZ^2`` and ``dZ dZ*`` over ``complex_increments``'
+    draw of ``n`` one-step paths, each the sum of its blocks' sums in block
+    order over ``n``."""
+    dz = complex_increments(b, bhat, dt, (n, 1), seed).ravel()
     totals = np.zeros(3, dtype=complex)
     for start in range(0, n, sde.BLOCK_VALUES):
         block = dz[start : start + sde.BLOCK_VALUES]

@@ -25,7 +25,7 @@ from stochflow.output import jsonable
 from stochflow.sde import (
     DiffusionModel,
     backward_drift_from_forward,
-    complex_increment_blocks,
+    complex_path_sums,
     discretized_action,
     estimate_diffusion,
     estimate_velocities,
@@ -314,20 +314,14 @@ def test_window_must_cover_the_estimate():
             simulate_forward(OU, 0.0, 0.2, 1e-2, 10, 4, window=window)
 
 
-@pytest.mark.parametrize("shape", [(1_003,), (205, 7)])
-def test_complex_increment_blocks_equal_one_draw_bit_for_bit(monkeypatch, shape):
-    # blocks of 10 values: 100 whole blocks and a ragged one of 3 values,
-    # or 68 blocks of 3 rows of 7 and a ragged one of 1 row
-    monkeypatch.setattr(sde, "BLOCK_VALUES", 10 if len(shape) == 1 else 23)
-    step = 10 if len(shape) == 1 else 3
-    want = complex_increments(2.0, 0.5, 0.01, shape, 5)
-    got = np.full(shape, np.nan, dtype=complex)
-    rows_seen = []
-    for rows, dz in complex_increment_blocks(2.0, 0.5, 0.01, shape, make_rng(5)):
-        got[rows] = dz
-        rows_seen.append((rows.start, rows.stop))
-    assert rows_seen == [(s, min(s + step, shape[0])) for s in range(0, shape[0], step)]
-    assert np.array_equal(got, want)
+@pytest.mark.parametrize("shape", [(1_003, 1), (205, 7)])
+def test_complex_path_sums_equal_the_row_sums_of_one_draw_bit_for_bit(monkeypatch, shape):
+    # blocks of 10 values: 100 whole blocks and a ragged one of 3 paths of
+    # one step, whose sums are the increments themselves; or 68 blocks of 3
+    # paths of 7 steps and a ragged one of 1 path
+    monkeypatch.setattr(sde, "BLOCK_VALUES", 10 if shape[1] == 1 else 23)
+    want = complex_increments(2.0, 0.5, 0.01, shape, 5).sum(axis=1)
+    assert np.array_equal(complex_path_sums(2.0, 0.5, 0.01, *shape, 5), want)
 
 
 @pytest.mark.parametrize("block_values", [2**16, 64, 1_000])
@@ -344,7 +338,7 @@ def test_complex_means_are_the_means_of_the_blocks(monkeypatch):
     # blocks of 1_000 values and a ragged one of 1
     monkeypatch.setattr(sde, "BLOCK_VALUES", 1_000)
     n = 20_001
-    dz = complex_increments(2.0, 0.5, 0.01, (n,), 11)
+    dz = complex_increments(2.0, 0.5, 0.01, (n, 1), 11).ravel()
     stats = sample_complex_increments(2.0, 0.5, 0.01, n, 11)
     assert stats.mean_dz == pytest.approx(dz.mean(), rel=1e-12, abs=1e-18)
     assert stats.mean_dz2 == pytest.approx((dz * dz).mean(), rel=1e-12)
@@ -422,10 +416,12 @@ def test_blocked_threaded_steps_equal_the_reference_bit_for_bit(
     [
         ("sde-estimators", {"n_paths_short": 20_000, "n_paths_long": 5_000}),
         ("variational", {"n_paths": 2_000}),
+        ("complex-increments", {"n_samples": 20_000}),
     ],
 )
 def test_outputs_do_not_depend_on_the_cpu_count(monkeypatch, name, params):
-    # blocks of 4_096 values: 5 of them in run (a), so that 3 threads all claim some
+    # blocks of 4_096 values: 5 of them in run (a) and in each complex draw,
+    # so that 3 threads all claim some
     monkeypatch.setattr(sde, "BLOCK_VALUES", 4_096)
     outputs = set()
     for workers in (1, 2, 3):
@@ -448,19 +444,39 @@ def test_unstable_steps_name_euler_maruyama(theta):
             simulate_forward(model, ("gaussian", 0.0, 0.3), 0.2, 1e-3, 1_000, 1)
 
 
+def _hooked_draw(monkeypatch, draw: str, hook) -> None:
+    """Run a draw of 25-value blocks whose steps call ``hook(x)`` on the thread
+    that claimed the block: as the drift of 8 blocks of paths, after one probe
+    call of one value, or on each normal draw of 80 blocks of complex increments."""
+    monkeypatch.setattr(sde, "BLOCK_VALUES", 25)
+    if draw == "paths":
+        simulate_forward(DiffusionModel(drift=hook, b=1.0), 0.0, 0.5, 1e-2, 200, 3)
+        return
+
+    class Hooked:
+        def __init__(self, stream):
+            self.rng = np.random.Generator(np.random.Philox(stream))
+
+        def standard_normal(self, out):
+            self.rng.standard_normal(out=out)
+            out[...] = hook(out)
+
+    monkeypatch.setattr(sde, "make_rng", Hooked)
+    sample_complex_increments(1.0, 0.5, 0.01, 2_000, 3)
+
+
+@pytest.mark.parametrize("draw", ["paths", "complex"])
 @pytest.mark.parametrize("raiser", ["helper", "caller"])
-def test_an_error_in_a_step_is_raised_in_the_caller(monkeypatch, capfd, raiser):
+def test_an_error_in_a_step_is_raised_in_the_caller(monkeypatch, capfd, raiser, draw):
     class Broken(Exception):
         pass
 
-    # 8 blocks of 25 paths, and one probe call of one value before the first
-    monkeypatch.setattr(sde, "BLOCK_VALUES", 25)
     monkeypatch.setattr(sde, "_cpu_count", lambda: 3)
     hooked = []
     monkeypatch.setattr(threading, "excepthook", hooked.append)
     calls = itertools.count()
 
-    def drift(x):
+    def step(x):
         if x.size == 1:
             return -x
         if (threading.current_thread() is caller) != (raiser == "caller"):
@@ -473,7 +489,7 @@ def test_an_error_in_a_step_is_raised_in_the_caller(monkeypatch, capfd, raiser):
 
     def call():
         with pytest.raises(Broken):
-            simulate_forward(DiffusionModel(drift=drift, b=1.0), 0.0, 0.5, 1e-2, 200, 3)
+            _hooked_draw(monkeypatch, draw, step)
         raised.append(True)
 
     before = threading.active_count()
@@ -486,20 +502,20 @@ def test_an_error_in_a_step_is_raised_in_the_caller(monkeypatch, capfd, raiser):
     assert capfd.readouterr().err == ""
 
 
-def test_helpers_step_under_the_callers_errstate(monkeypatch):
+@pytest.mark.parametrize("draw", ["paths", "complex"])
+def test_helpers_step_under_the_callers_errstate(monkeypatch, draw):
     # the CLI runs every experiment under one np.errstate, which must hold
     # on the helper threads too
-    monkeypatch.setattr(sde, "BLOCK_VALUES", 25)
     monkeypatch.setattr(sde, "_cpu_count", lambda: 2)
 
-    def drift(x):
+    def step(x):
         if threading.current_thread() is threading.main_thread():
             time.sleep(1e-4)  # so that the helper claims blocks
             return -x
         return np.sqrt(-1 - x * x)
 
     with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
-        simulate_forward(DiffusionModel(drift=drift, b=1.0), 0.0, 0.5, 1e-2, 200, 3)
+        _hooked_draw(monkeypatch, draw, step)
 
 
 def test_batched_steps_hold_no_whole_batch_temporary(monkeypatch):
@@ -517,12 +533,16 @@ def test_batched_steps_hold_no_whole_batch_temporary(monkeypatch):
     assert peak <= bound, (peak, bound)
 
 
-def test_complex_increments_hold_no_copy_of_dz():
-    # block-sized buffers only: the real and imaginary draws, dZ and one
-    # product of it
+@pytest.mark.parametrize("workers", [1, 3])
+def test_complex_increments_hold_no_copy_of_dz(monkeypatch, workers):
+    # each thread's scratch only, the real and imaginary normals and dZ, 32
+    # bytes a value, and the three block sums of each block: no copy of the
+    # draw, whatever the sample count
+    monkeypatch.setattr(sde, "_cpu_count", lambda: workers)
     n = 1_000_000
     peak = peak_bytes(lambda: sample_complex_increments(1.0, 0.5, 0.01, n, 3))
-    bound = 8 * n + 4 * 16 * sde.BLOCK_VALUES
+    n_blocks = -(-n // sde.BLOCK_VALUES)
+    bound = workers * 32 * sde.BLOCK_VALUES + n_blocks * 3 * 16 + 256 * 1024
     assert peak <= bound, (peak, bound)
 
 
