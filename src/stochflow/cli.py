@@ -7,8 +7,8 @@ vary), and one CSV per result table into the output directory.
 
 The config file's values, its ``seed`` split off, go to
 :func:`stochflow.experiments.run_experiment` as partial overrides; that
-gate alone judges them, so ``run`` and the library reject the same inputs
-with the same reason.
+gate alone judges them and sets the floating-point state, so ``run`` and
+the library reject the same inputs with the same reason.
 
 Exit codes: 0 when every check passes, 1 when any check fails, and 2 for
 configuration or I/O errors (bad JSON, unknown parameter, a value of the
@@ -118,9 +118,7 @@ def run(experiment: str, config_path: str | None, seed: int | None,
 
     t0 = time.perf_counter()
     try:
-        # a non-finite value is caught by the checks or by ScalarField, not warned about
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            result = run_experiment(experiment, overrides, seed)
+        result = run_experiment(experiment, overrides, seed)
     except ValueError as exc:
         if not configured:  # the defaults must always run: a program error
             raise
@@ -133,6 +131,7 @@ def run(experiment: str, config_path: str | None, seed: int | None,
     elapsed = time.perf_counter() - t0
 
     summary = result["summary"]
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
     try:
         write_summary(target, summary)
         for filename, (header, rows) in result["csvs"].items():
@@ -145,6 +144,7 @@ def run(experiment: str, config_path: str | None, seed: int | None,
                 "package_version": __version__,
                 "python_version": platform.python_version(),
                 "numpy_version": np.__version__,
+                "numpy_simd_targets": sorted(simd),
             },
         )
     except OSError as exc:

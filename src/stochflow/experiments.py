@@ -6,13 +6,16 @@ it, as it computes each value: ``run.check(name, value)``, ``run.metric(name,
 value)`` and ``run.csv(filename, header, rows)`` for a plot-ready table; it
 returns nothing.  Its :class:`ExperimentSpec` declares the rest once: the
 default parameters, one sentence on what is verified, each check's
-comparison, threshold and meaning, and the parameter minimums.
-``run.check`` judges each value against that declaration when it is made.
+comparison, threshold and meaning, and the parameter minimums; one that
+no run could judge fails at import.  ``run.check`` judges each value when
+it is made: it passes when finite and ``value <comparison> threshold``.
+:func:`run_experiment` is the whole run, the same for every caller.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -35,7 +38,7 @@ from .fokker_planck import (
     cfl_timestep, complex_fp_residual, continuity_residual, discrete_stationary_density,
     osmotic_constraint_residual, solve_backward, solve_forward,
 )
-from .output import COMPARATORS, all_passed, check
+from .output import jsonable
 from .schrodinger import SchrodingerProblem, evolve
 from .sde import (
     DiffusionModel, backward_drift_from_forward, complex_path_sums, discretized_action,
@@ -44,17 +47,25 @@ from .sde import (
 
 __all__ = ["EXPERIMENTS", "Check", "ExperimentSpec", "run_experiment"]
 
+#: the comparisons a check or a parameter minimum may declare
+COMPARATORS = {"<=": operator.le, ">=": operator.ge, ">": operator.gt, "==": operator.eq,
+               "!=": operator.ne}
+
 
 @dataclass(frozen=True)
 class Check:
     """A declared check, or the family of checks ``name[...]``: a run passes it
-    when ``value <comparison> threshold``, the threshold being a number or a
-    function of the params."""
+    when its value is finite and ``value <comparison> threshold``, the
+    threshold being a number or a function of the params."""
 
     name: str
     comparison: str
     threshold: float | Callable[[dict], float]
     meaning: str
+
+    def __post_init__(self):
+        if self.comparison not in COMPARATORS:
+            raise ValueError(f"check {self.name!r} has an unknown comparison {self.comparison!r}")
 
     def at(self, params: dict) -> float:
         return self.threshold(params) if callable(self.threshold) else self.threshold
@@ -68,6 +79,13 @@ class ExperimentSpec:
     checks: tuple[Check, ...]
     #: parameter -> (comparison, bound) that a configured value must satisfy
     minimums: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for key, (comparison, _) in self.minimums.items():
+            if key not in self.defaults:
+                raise ValueError(f"a minimum on {key!r}, which has no default")
+            if comparison not in COMPARATORS:
+                raise ValueError(f"the minimum on {key!r} has an unknown comparison {comparison!r}")
 
 
 class _Run:
@@ -87,7 +105,12 @@ class _Run:
             raise ValueError(f"the run makes check {name!r}, of no declared family")
         if name in self.checks:
             raise ValueError(f"the run makes check {name!r} twice")
-        self.checks[name] = check(name, value, declared.at(self.params), declared.comparison)
+        threshold, comparison = declared.at(self.params), declared.comparison
+        # finite first, because -inf <= threshold and inf >= threshold hold
+        passed = bool(np.isfinite(value)) and bool(COMPARATORS[comparison](value, threshold))
+        self.checks[name] = {"name": name, "value": jsonable(value),
+                             "threshold": jsonable(threshold), "comparison": comparison,
+                             "pass": passed}
 
     def metric(self, name: str, value) -> None:
         self.metrics[name] = value
@@ -930,7 +953,8 @@ def run_experiment(name: str, overrides: dict, seed: int) -> dict:
     which raises one for a name of no declared family (the text before any
     ``[``) or a name already made; a declared family that the run never
     checks raises one once the runner returns.  The checks keep the order in
-    which the runner made them.
+    which the runner made them.  The runner runs under
+    ``np.errstate(all="ignore")``, whatever the caller's state.
     """
     spec = EXPERIMENTS[name]
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
@@ -949,7 +973,8 @@ def run_experiment(name: str, overrides: dict, seed: int) -> dict:
         if not COMPARATORS[comparison](params[key], bound):
             raise ValueError(f"{key} must be {comparison} {bound}, got {params[key]}")
     run = _Run(spec, params)
-    spec.runner(params, seed, run)
+    with np.errstate(all="ignore"):  # a non-finite value is caught, not warned about
+        spec.runner(params, seed, run)
     unreported = run.declared.keys() - {key.split("[")[0] for key in run.checks}
     if unreported:
         raise ValueError(f"the run makes no check of the declared {sorted(unreported)}")
@@ -960,6 +985,6 @@ def run_experiment(name: str, overrides: dict, seed: int) -> dict:
         "params": params,
         "checks": checks,
         "metrics": run.metrics,
-        "pass": all_passed(checks),
+        "pass": all(c["pass"] for c in checks),
     }
     return {"summary": summary, "csvs": run.csvs}

@@ -210,14 +210,14 @@ def spectral_multiplier(grid: GridSpec, order: int = 1) -> np.ndarray:
     return mult
 
 
-def _row_fft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _row_fft(a: np.ndarray) -> np.ndarray:
     """``np.fft.fft(a)`` on the last axis, bit for bit: the gufunc call it ends in."""
-    return _fft(a, 1.0, out=np.empty(a.shape, complex) if out is None else out)
+    return _fft(a, 1.0, out=np.empty(a.shape, complex))
 
 
-def _row_ifft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _row_ifft(a: np.ndarray) -> np.ndarray:
     """``np.fft.ifft(a)`` on the last axis, bit for bit (``norm=None`` scales by ``1/n``)."""
-    return _ifft(a, 1 / a.shape[-1], out=np.empty(a.shape, complex) if out is None else out)
+    return _ifft(a, 1 / a.shape[-1], out=np.empty(a.shape, complex))
 
 
 def _spectral_derivative(values: np.ndarray, grid: GridSpec, axis: int, order: int) -> np.ndarray:

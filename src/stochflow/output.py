@@ -8,8 +8,8 @@ timestamps, runtimes, paths, or environment echoes -- those go into
 Floats are serialized with Python's shortest-round-trip ``repr`` (the json
 module's default), which is deterministic for identical IEEE-754 values.
 Non-finite floats are written as the strings ``"nan"``, ``"inf"`` and
-``"-inf"``, so that every file is valid JSON, and a check whose value is
-not finite fails.
+``"-inf"``, so that every file is valid JSON.  The verdict of a check is
+:mod:`stochflow.experiments`' to make; this module only writes.
 """
 
 from __future__ import annotations
@@ -20,43 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = [
-    "jsonable",
-    "COMPARATORS",
-    "check",
-    "all_passed",
-    "write_summary",
-    "write_manifest",
-    "write_csv",
-]
-
-#: the comparisons a check or a parameter minimum may declare
-COMPARATORS = {
-    "<=": lambda v, t: v <= t,
-    ">=": lambda v, t: v >= t,
-    ">": lambda v, t: v > t,
-    "==": lambda v, t: v == t,
-    "!=": lambda v, t: v != t,
-}
-
-
-def check(name: str, value, threshold, comparison: str = "<=") -> dict:
-    """One acceptance check: measured value vs threshold."""
-    if comparison not in COMPARATORS:
-        raise ValueError(f"unknown comparison {comparison!r}")
-    # explicit, because -inf <= threshold and inf >= threshold hold
-    passed = bool(np.isfinite(value)) and bool(COMPARATORS[comparison](value, threshold))
-    return {
-        "name": name,
-        "value": jsonable(value),
-        "threshold": jsonable(threshold),
-        "comparison": comparison,
-        "pass": passed,
-    }
-
-
-def all_passed(checks: list[dict]) -> bool:
-    return all(c["pass"] for c in checks)
+__all__ = ["jsonable", "write_summary", "write_manifest", "write_csv"]
 
 
 def jsonable(obj):

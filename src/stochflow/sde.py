@@ -35,19 +35,19 @@ balanced case ``b = bhat``; ``sample_complex_increments`` returns the
 sample means of ``dZ``, ``dZ^2`` and ``dZ dZ*`` beside these exact values,
 and ``complex_path_sums`` the sum of ``dZ`` along each of a bundle of paths.
 
-Every draw goes through one block runner.  A block holds at most
-``BLOCK_VALUES`` values but at least one path, of paths (batch members
-included) or of complex increments.  Block ``j`` is one task, claimed from
-one shared iterator by the caller's thread or by a pool helper, one per
-further CPU the process may use; it draws from its own Philox stream, the
-``j``-th child of ``SeedSequence(seed)``, and writes its sums into row ``j``
-of an array that the caller allocated.  The rows merge in block order, so
-the output is the same bit for bit whatever the number of threads.  Each
-thread's scratch is allocated on the caller's thread, since large buffers
-that helpers allocate stay resident in glibc's per-thread arenas; a helper
-allocates only a drift's result and a block's sums.  None outlives the
-call, so no path and no whole ``dZ`` is held.  An error in a helper is
-raised in the caller.
+Every draw goes through one block runner, which alone partitions the
+paths: a block holds at most ``BLOCK_VALUES`` values but at least one
+path, of paths (batch members included) or of complex increments.  Block
+``j`` is one task, claimed from one shared iterator by the caller's thread
+or by a pool helper, one per further CPU the process may use; it draws
+from its own Philox stream, the ``j``-th child of ``SeedSequence(seed)``,
+and returns its sums, which merge in block order, so the output is the
+same bit for bit whatever the number of threads.  Each thread's scratch is
+allocated on the caller's thread, since large buffers that helpers
+allocate stay resident in glibc's per-thread arenas; a helper allocates
+only a drift's result and a block's sums.  None outlives the call, so no
+path and no whole ``dZ`` is held.  An error on one thread stops the others
+before they claim another block, and is raised in the caller.
 
 All randomness flows through counter-based Philox generators keyed by an
 explicit integer seed; repeated runs are bit-identical.
@@ -58,6 +58,7 @@ from __future__ import annotations
 import contextvars
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -158,17 +159,29 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _run_blocks(sizes: list[int], seed: int, scratch: Callable[[int], tuple], task) -> None:
-    """Call ``task(j, sizes[j], rng, *buffers)`` for every block ``j``, ``rng`` on the ``j``-th
-    child of ``SeedSequence(seed)``, on the caller's thread and ``_cpu_count() - 1`` helpers, each
-    thread with its ``buffers = scratch(max(sizes))`` allocated here, on the caller's thread."""
-    streams = np.random.SeedSequence(seed).spawn(len(sizes))
-    buffers = [scratch(max(sizes)) for _ in range(min(_cpu_count(), len(sizes)))]
-    claim = iter(range(len(sizes)))
+def _run_blocks(n_paths: int, per_path: int, seed: int, scratch: Callable, task) -> list:
+    """``task(start, n, rng, *buffers)`` of every block, in block order.  Block ``j`` holds the
+    ``n`` paths from path ``start``: at most ``BLOCK_VALUES // per_path`` paths of ``per_path``
+    values, but at least one; ``rng`` is on the ``j``-th child of ``SeedSequence(seed)``.  The
+    blocks run on the caller's thread and ``_cpu_count() - 1`` helpers, each thread with its
+    ``buffers = scratch(paths of the largest block)`` allocated here, on the caller's thread.
+    An error on one thread stops the others before their next block and is raised here."""
+    per_block = max(1, BLOCK_VALUES // per_path)
+    starts = range(0, n_paths, per_block)
+    streams = np.random.SeedSequence(seed).spawn(len(starts))
+    buffers = [scratch(min(per_block, n_paths)) for _ in range(min(_cpu_count(), len(starts)))]
+    results = [None] * len(starts)
+    claim = iter(range(len(starts)))
+    stop = threading.Event()
 
     def run(mine: tuple) -> None:
-        for j in claim:
-            task(j, sizes[j], make_rng(streams[j]), *mine)
+        try:
+            while not stop.is_set() and (j := next(claim, None)) is not None:
+                n = min(per_block, n_paths - starts[j])
+                results[j] = task(starts[j], n, make_rng(streams[j]), *mine)
+        except BaseException:
+            stop.set()
+            raise
 
     # imported here, not at the top: concurrent.futures loads logging, which
     # a CLI start-up that never simulates would pay for
@@ -181,6 +194,7 @@ def _run_blocks(sizes: list[int], seed: int, scratch: Callable[[int], tuple], ta
         run(buffers[0])
         for helper in helpers:
             helper.result()
+    return results
 
 
 def _unstable(dt: float, cause: str) -> ValueError:
@@ -255,13 +269,9 @@ def simulate_forward(
     batch = np.shape(drift(np.zeros(1)))[:-1]
     if batch and window is not None:
         raise ValueError(f"a batch of shape {batch} has no single velocity profile to pool")
-    per_block = max(1, BLOCK_VALUES // max(1, math.prod(batch)))
-    blocks = [min(per_block, n_paths - p) for p in range(0, n_paths, per_block)]  # path counts
-    block_totals = np.empty((len(blocks), 4) + batch)
-    lattices = [None] * len(blocks)
     action_shift = m * model.b**2
 
-    def run_block(j: int, n: int, rng, states, lines, idx) -> None:
+    def run_block(_, n: int, rng, states, lines, idx) -> tuple:
         x, nxt, inc, q_acc, q2_acc = states[..., :n]
         noise, forward, backward, keys = lines[:, :n]
         q_acc.fill(0.0)
@@ -296,13 +306,13 @@ def simulate_forward(
             raise _unstable(dt, "the paths went non-finite:")
         q_acc -= action_shift  # the action s of each path
         s = q_acc.sum(axis=-1)
-        block_totals[j] = q, q2, s, np.square(q_acc, out=q_acc).sum(axis=-1)
-        lattices[j] = lattice
+        return np.stack((q, q2, s, np.square(q_acc, out=q_acc).sum(axis=-1))), lattice
 
     def scratch(size: int) -> tuple:
         return np.empty((5,) + batch + (size,)), np.empty((4, size)), np.empty(size, np.intp)
 
-    _run_blocks(blocks, seed, scratch, run_block)
+    blocks = _run_blocks(n_paths, max(1, math.prod(batch)), seed, scratch, run_block)
+    block_totals, lattices = zip(*blocks)
     totals = sum(block_totals)  # in block order, whichever thread ran a block
     total = None
     for lattice in filter(None, lattices):
@@ -328,20 +338,18 @@ class ComplexIncrementStats:
 
 
 def _complex_blocks(b: float, bhat: float, dt: float, n_paths: int, m: int, seed: int, reduce):
-    """Draw ``m`` increments ``dZ`` along each of ``n_paths`` paths, by
-    blocks of whole paths.  Block ``j`` draws its real normals ``xi``, then
-    its imaginary ones ``xi_hat``, and calls ``reduce(j, paths, dz, spare)``
-    with ``dz = (b xi + i bhat xi_hat) sqrt(dt) / (sqrt(2) sigma)`` of the
-    slice ``paths``, flat, and ``spare``, complex scratch of its size."""
+    """``reduce(paths, dz, spare)`` of each block of whole paths, in block order, where ``dz``
+    holds the ``m`` increments ``dZ = (b xi + i bhat xi_hat) sqrt(dt) / (sqrt(2) sigma)`` along
+    each path of the slice ``paths``, flat, and ``spare`` is complex scratch of its size.  A
+    block draws its real normals ``xi``, then its imaginary ones ``xi_hat``."""
     for name, value in (("noise amplitude b", b), ("noise amplitude bhat", bhat), ("dt", dt)):
         if not 0 < value < np.inf:
             raise ValueError(f"{name} must be positive and finite, got {value}")
     sigma = np.sqrt((b**2 + bhat**2) / 2)
-    per_block = max(1, BLOCK_VALUES // m)
-    starts = range(0, n_paths, per_block)
 
-    def draw(j: int, n: int, rng, normals, dz) -> None:
-        real, imag, dz = normals[:n], normals[n : 2 * n], dz[:n]
+    def draw(start: int, n: int, rng, normals, dz):
+        size = n * m
+        real, imag, dz = normals[:size], normals[size : 2 * size], dz[:size]
         rng.standard_normal(out=real)
         rng.standard_normal(out=imag)
         np.multiply(b, real, out=dz.real)  # no mixed types, which ufuncs cast through buffers
@@ -349,10 +357,12 @@ def _complex_blocks(b: float, bhat: float, dt: float, n_paths: int, m: int, seed
         dz *= np.sqrt(dt)
         dz /= np.sqrt(2) * sigma
         # the normals are spent: their buffer is the spare
-        reduce(j, slice(starts[j], starts[j] + n // m), dz, normals[: 2 * n].view(complex))
+        return reduce(slice(start, start + n), dz, normals[: 2 * size].view(complex))
 
-    sizes = [min(per_block, n_paths - start) * m for start in starts]  # values
-    _run_blocks(sizes, seed, lambda size: (np.empty(2 * size), np.empty(size, complex)), draw)
+    def scratch(paths: int) -> tuple:
+        return np.empty(2 * paths * m), np.empty(paths * m, complex)
+
+    return _run_blocks(n_paths, m, seed, scratch, draw)
 
 
 def sample_complex_increments(
@@ -361,14 +371,13 @@ def sample_complex_increments(
     """Draw ``dZ`` increments and report the first two moments."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    block_totals = np.empty(((n_samples - 1) // BLOCK_VALUES + 1, 3), dtype=complex)
 
-    def reduce(j: int, _, dz, prod) -> None:
+    def reduce(_, dz, prod) -> np.ndarray:
         dz2 = np.multiply(dz, dz, out=prod).sum()
-        block_totals[j] = dz.sum(), dz2, np.multiply(dz, np.conjugate(dz, out=prod), out=prod).sum()
+        dzdzbar = np.multiply(dz, np.conjugate(dz, out=prod), out=prod).sum()
+        return np.array([dz.sum(), dz2, dzdzbar])
 
-    _complex_blocks(b, bhat, dt, n_samples, 1, seed, reduce)  # a path of one step per sample
-    totals = sum(block_totals)  # in block order, whichever thread ran a block
+    totals = sum(_complex_blocks(b, bhat, dt, n_samples, 1, seed, reduce))  # one-step paths
     moments = [complex(total / n_samples) for total in totals]
     moments += [complex(dt * (b**2 - bhat**2) / (b**2 + bhat**2)), complex(dt)]  # the exact ones
     return ComplexIncrementStats(*moments)
@@ -378,7 +387,7 @@ def complex_path_sums(b: float, bhat: float, dt: float, n_paths: int, n_steps: i
     """The sum of ``n_steps`` increments ``dZ`` along each of ``n_paths`` paths."""
     sums = np.empty(n_paths, dtype=complex)
 
-    def reduce(j: int, paths: slice, dz, _) -> None:
+    def reduce(paths: slice, dz, _) -> None:
         dz.reshape(-1, n_steps).sum(axis=1, out=sums[paths])
 
     _complex_blocks(b, bhat, dt, n_paths, n_steps, seed, reduce)
@@ -420,7 +429,7 @@ def _require_unbatched(ens: PathEnsemble) -> None:
         )
 
 
-def estimate_velocities(ens: PathEnsemble, min_count: int = 40) -> VelocityEstimate:
+def estimate_velocities(ens: PathEnsemble, min_count: int) -> VelocityEstimate:
     """Estimate mean forward/backward velocities by conditional binning.
 
     Both differences are conditioned on the position at the *same* step

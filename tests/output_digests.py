@@ -28,7 +28,6 @@ from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
-from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from stochflow.experiments import EXPERIMENTS, run_experiment
 from stochflow.output import write_csv, write_summary
@@ -40,8 +39,7 @@ def write_outputs(out_dir: Path) -> list[Path]:
     """Write every experiment's summary and CSVs under ``out_dir/<name>``."""
     written = []
     for name, spec in EXPERIMENTS.items():
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as the CLI runs
-            result = run_experiment(name, dict(spec.defaults), SEED)
+        result = run_experiment(name, dict(spec.defaults), SEED)
         target = out_dir / name
         target.mkdir(parents=True, exist_ok=True)
         written.append(write_summary(target, result["summary"]))
@@ -51,8 +49,9 @@ def write_outputs(out_dir: Path) -> list[Path]:
 
 
 def environment() -> str:
-    """The listing's first line: numpy's version and the SIMD targets it dispatches to here."""
-    found = sorted(target for target in __cpu_dispatch__ if __cpu_features__.get(target))
+    """The listing's first line: numpy's version and the SIMD targets it dispatches to here,
+    as ``manifest.json`` names them."""
+    found = sorted(np.show_config(mode="dicts")["SIMD Extensions"]["found"])
     return f"# numpy {np.__version__} simd {' '.join(found)}"
 
 

@@ -33,8 +33,7 @@ def main() -> int:
     for name in NAMES:
         worst: dict = {}
         for seed in seeds:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as the CLI runs
-                summary = run_experiment(name, dict(EXPERIMENTS[name].defaults), seed)["summary"]
+            summary = run_experiment(name, dict(EXPERIMENTS[name].defaults), seed)["summary"]
             for check in summary["checks"]:
                 if check["comparison"] == "<=":
                     score = check["value"] / check["threshold"]

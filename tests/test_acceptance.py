@@ -11,6 +11,7 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -247,3 +248,13 @@ def test_default_summary_matches_stored(name, tmp_path):
         if line.startswith(f"{name} ") and not line.startswith(f"{name} summary.json ")
     ]
     assert differences(csvs, stored) == []
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_default_run_does_not_depend_on_the_callers_errstate(name):
+    # run_experiment sets the floating-point state itself, so the strictest state
+    # a caller can set raises nothing (burgers-direct-vs-ch underflows) and moves nothing
+    with np.errstate(all="raise"):
+        strict = run_experiment(name, dict(EXPERIMENTS[name].defaults), _SEED)
+    out, _ = _run(name)
+    assert json.dumps(jsonable(strict)) == json.dumps(jsonable(out))

@@ -363,8 +363,7 @@ def test_born_free_reports_the_theta_of_an_unstable_step():
     # one step per point at 20 cycles: theta passes 0.72, the top modes grow and the
     # density check FAILs; the metric names the cause
     params = dict(EXPERIMENTS["born-free"].defaults, k0_cycles=20, steps_per_point=1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = run_experiment("born-free", params, 1234)["summary"]
+    out = run_experiment("born-free", params, 1234)["summary"]
     checks = {c["name"]: c for c in out["checks"]}
     assert not checks["relative_density_discrepancy"]["pass"]
     assert 1.0 < out["metrics"]["ab3_theta"] < 1.15

@@ -64,6 +64,11 @@ def test_run_writes_outputs_and_exits_zero(runner, tmp_path):
     assert "[PASS]" in result.output
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["runtime_seconds"] > 0
+    # the SIMD targets that the digest listing's first line names
+    import output_digests
+
+    simd = output_digests.environment().split(" simd ")[1].split()
+    assert manifest["numpy_simd_targets"] == simd == sorted(simd)
 
 
 def test_rerun_is_byte_identical(runner, tmp_path):
@@ -266,8 +271,7 @@ def test_bad_value_exits_two_with_a_message_about_it(runner, tmp_path, experimen
 def test_cli_error_line_ends_with_the_library_error(runner, tmp_path, experiment, overrides):
     # one gate judges a configuration, so the CLI prints what the library raises
     with pytest.raises(ValueError) as library:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as the CLI runs
-            run_experiment(experiment, overrides, 1234)
+        run_experiment(experiment, overrides, 1234)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(overrides))
     result = runner.invoke(
@@ -426,8 +430,7 @@ def test_sweep_of_zero_and_minus_one_rejects_or_leaves_every_check_something(
     # must be a configuration error; one that runs keeps every check's value off exactly 0.0
     params = dict(EXPERIMENTS[experiment].defaults, **{key: value})
     try:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as the CLI runs
-            summary = run_experiment(experiment, params, 1234)["summary"]
+        summary = run_experiment(experiment, params, 1234)["summary"]
     except ValueError:
         return
     defaults = json.loads((_FIXTURES / f"{experiment}.json").read_text())["checks"]
@@ -476,10 +479,13 @@ def test_run_refuses_check_names_that_differ_from_the_declaration(monkeypatch, c
 
 def test_non_finite_check_value_is_echoed_and_fails(runner, tmp_path, monkeypatch):
     from stochflow import cli
-    from stochflow.output import check
 
     def fake_run(name, params, seed):
-        checks = [check("residual", float("nan"), 1e-3), check("floor", float("-inf"), 0.0)]
+        # the records run_experiment makes of the values nan and -inf
+        checks = [
+            {"name": "residual", "value": "nan", "threshold": 1e-3, "comparison": "<=", "pass": False},
+            {"name": "floor", "value": "-inf", "threshold": 0.0, "comparison": "<=", "pass": False},
+        ]
         summary = {"experiment": name, "seed": seed, "params": params, "checks": checks,
                    "metrics": {"peak": float("inf")}, "pass": False}
         return {"summary": summary, "csvs": {}}

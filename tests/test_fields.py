@@ -11,6 +11,8 @@ from stochflow.fields import (
     GridMismatchError,
     GridSpec,
     ScalarField,
+    _fft,
+    _ifft,
     _laplacian,
     _norms,
     _row_fft,
@@ -266,17 +268,20 @@ def test_row_transforms_equal_numpy_fft_bit_for_bit(n, kind):
         if kind == "complex":
             a = a + 1j * rng.standard_normal(shape)
         rows = a.size // n
-        for row, public in ((_row_fft, np.fft.fft), (_row_ifft, np.fft.ifft)):
+        for row, gufunc, fct, public in (
+            (_row_fft, _fft, 1.0, np.fft.fft), (_row_ifft, _ifft, 1 / n, np.fft.ifft)
+        ):
             want = public(a)
             got = row(a)
             assert got.dtype == np.complex128 and got.shape == shape
             assert (got == want).all()
-            # out= rows in the middle of a larger buffer, which does not alias the input
+            # the gufunc the rows call, into rows in the middle of a larger buffer,
+            # which does not alias the input
             buf = np.full((3 * rows, n), np.nan, dtype=np.complex128)
-            got = row(a, out=buf[rows : 2 * rows].reshape(shape))
+            got = gufunc(a, fct, out=buf[rows : 2 * rows].reshape(shape))
             assert np.shares_memory(got, buf)
             assert (buf[rows : 2 * rows].reshape(shape) == want).all()
             assert np.isnan(buf[:rows]).all() and np.isnan(buf[2 * rows :]).all()
             # out= the input itself, as the Born extraction transforms its spectra in place
             inplace = a.astype(np.complex128)
-            assert row(inplace, out=inplace) is inplace and (inplace == want).all()
+            assert gufunc(inplace, fct, out=inplace) is inplace and (inplace == want).all()

@@ -112,7 +112,7 @@ def test_velocity_estimate_time_window_bounds():
     with pytest.raises(ValueError, match=r"window \(1, 2\) is not within the steps 1 to 0"):
         simulate_forward(OU, 0.0, 0.01, 1e-2, 100, 4, window=(1, 2))
     with pytest.raises(ValueError, match="the ensemble pools no step"):
-        estimate_velocities(simulate_forward(OU, 0.0, 0.01, 1e-2, 100, 4))
+        estimate_velocities(simulate_forward(OU, 0.0, 0.01, 1e-2, 100, 4), min_count=40)
 
 
 def test_estimators_reject_a_batched_ensemble():
@@ -121,7 +121,7 @@ def test_estimators_reject_a_batched_ensemble():
     batch = DiffusionModel(drift=lambda x: -rates[:, None] * x, b=1.0)
     ens = simulate_forward(batch, 0.0, 0.1, 1e-2, 200, 8)
     assert ens.totals.shape == (4, 3) and ens.n_paths == 200
-    for estimate in (estimate_diffusion, estimate_velocities):
+    for estimate in (estimate_diffusion, lambda e: estimate_velocities(e, min_count=40)):
         with pytest.raises(ValueError, match=r"200 paths in a batch of shape \(3,\)"):
             estimate(ens)
     with pytest.raises(ValueError, match=r"a batch of shape \(3,\) has no single velocity profile"):
@@ -307,8 +307,8 @@ def test_batched_sweep_equals_separate_runs_bit_for_bit():
 
 def test_window_must_cover_the_estimate():
     # 20 steps: a pooled step k needs steps k - 1 and k + 1
-    estimate_velocities(simulate_forward(OU, 0.0, 0.2, 1e-2, 200, 4, window=(1, 20)))
-    estimate_velocities(simulate_forward(OU, 0.0, 0.2, 1e-2, 200, 4, window=(5, 6)))
+    estimate_velocities(simulate_forward(OU, 0.0, 0.2, 1e-2, 200, 4, window=(1, 20)), min_count=40)
+    estimate_velocities(simulate_forward(OU, 0.0, 0.2, 1e-2, 200, 4, window=(5, 6)), min_count=40)
     for window in ((0, 3), (5, 5), (5, 4), (19, 21)):
         with pytest.raises(ValueError, match=r"is not within the steps 1 to 19 of the 20-step run"):
             simulate_forward(OU, 0.0, 0.2, 1e-2, 10, 4, window=window)
@@ -502,10 +502,31 @@ def test_an_error_in_a_step_is_raised_in_the_caller(monkeypatch, capfd, raiser, 
     assert capfd.readouterr().err == ""
 
 
+@pytest.mark.parametrize("draw, steps_per_block", [("paths", 50), ("complex", 2)])
+def test_an_error_stops_the_other_threads_within_one_block(monkeypatch, draw, steps_per_block):
+    # a helper finishes the block it is in, then claims none of the 7 blocks of
+    # paths, or the 79 blocks of complex increments, that are left
+    monkeypatch.setattr(sde, "_cpu_count", lambda: 2)
+    caller, failed, late = threading.current_thread(), threading.Event(), []
+
+    def step(x):
+        if threading.current_thread() is not caller:
+            failed.wait(timeout=10)  # so that the caller claims a block and raises first
+            late.append(x.size)
+        elif x.size > 1:  # past the probe call of one value
+            failed.set()
+            raise ArithmeticError("the caller's first step")
+        return -x
+
+    with pytest.raises(ArithmeticError, match="the caller's first step"):
+        _hooked_draw(monkeypatch, draw, step)
+    assert len(late) <= steps_per_block, len(late)
+
+
 @pytest.mark.parametrize("draw", ["paths", "complex"])
 def test_helpers_step_under_the_callers_errstate(monkeypatch, draw):
-    # the CLI runs every experiment under one np.errstate, which must hold
-    # on the helper threads too
+    # run_experiment runs every experiment under one np.errstate, which must
+    # hold on the helper threads too
     monkeypatch.setattr(sde, "_cpu_count", lambda: 2)
 
     def step(x):
