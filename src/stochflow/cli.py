@@ -35,6 +35,12 @@ from .output import write_csv, write_manifest, write_summary
 _DEFAULT_SEED = 1234
 
 
+def simd_targets() -> list[str]:
+    """The SIMD targets numpy dispatches to here, sorted: none where numpy found none,
+    in which case its config lacks the key."""
+    return sorted(np.show_config(mode="dicts").get("SIMD Extensions", {}).get("found", []))
+
+
 def _fail_config(message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(2)
@@ -131,7 +137,6 @@ def run(experiment: str, config_path: str | None, seed: int | None,
     elapsed = time.perf_counter() - t0
 
     summary = result["summary"]
-    simd = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
     try:
         write_summary(target, summary)
         for filename, (header, rows) in result["csvs"].items():
@@ -144,7 +149,7 @@ def run(experiment: str, config_path: str | None, seed: int | None,
                 "package_version": __version__,
                 "python_version": platform.python_version(),
                 "numpy_version": np.__version__,
-                "numpy_simd_targets": sorted(simd),
+                "numpy_simd_targets": simd_targets(),
             },
         )
     except OSError as exc:

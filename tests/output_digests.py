@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from stochflow.cli import simd_targets
 from stochflow.experiments import EXPERIMENTS, run_experiment
 from stochflow.output import write_csv, write_summary
 
@@ -51,8 +52,7 @@ def write_outputs(out_dir: Path) -> list[Path]:
 def environment() -> str:
     """The listing's first line: numpy's version and the SIMD targets it dispatches to here,
     as ``manifest.json`` names them."""
-    found = sorted(np.show_config(mode="dicts")["SIMD Extensions"]["found"])
-    return f"# numpy {np.__version__} simd {' '.join(found)}"
+    return f"# numpy {np.__version__} simd {' '.join(simd_targets())}"
 
 
 def digest_line(path: Path, name: str) -> str:

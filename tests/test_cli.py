@@ -71,6 +71,18 @@ def test_run_writes_outputs_and_exits_zero(runner, tmp_path):
     assert manifest["numpy_simd_targets"] == simd == sorted(simd)
 
 
+def test_run_names_no_simd_targets_where_numpy_found_none(runner, tmp_path, monkeypatch):
+    # numpy's config drops an empty "found" list, as on a CPU without AVX2
+    monkeypatch.setattr(np, "show_config", lambda mode: {"SIMD Extensions": {"baseline": ["SSE"]}})
+    out = tmp_path / "res"
+    result = runner.invoke(main, ["run", "ga-identities", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert json.loads((out / "manifest.json").read_text())["numpy_simd_targets"] == []
+    import output_digests
+
+    assert output_digests.environment() == f"# numpy {np.__version__} simd "
+
+
 def test_rerun_is_byte_identical(runner, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

@@ -1,4 +1,4 @@
-"""run_experiment is the whole run: its declarations, its verdict rule and its floating-point state."""
+"""run_experiment is the whole run: its verdict rule and its floating-point state."""
 
 import warnings
 
@@ -35,26 +35,6 @@ def test_finite_values_still_compare(monkeypatch):
     assert _judged(monkeypatch, 2, 1.0, ">=")["pass"] is True
     assert _judged(monkeypatch, 1.0, 1.0, "==")["pass"] is True
     assert _judged(monkeypatch, 1.5, 1.0)["pass"] is False
-
-
-def test_a_check_of_an_unknown_comparison_fails_where_it_is_declared():
-    # at import, not as a KeyError once a run makes the check
-    with pytest.raises(ValueError, match="^check 'x' has an unknown comparison '<'$"):
-        Check("x", "<", 1.0, "")
-
-
-@pytest.mark.parametrize(
-    "minimums, message",
-    [
-        ({"m": (">=", 1)}, "^a minimum on 'm', which has no default$"),
-        ({"n": ("=>", 1)}, "^the minimum on 'n' has an unknown comparison '=>'$"),
-    ],
-    ids=["key without a default", "unknown comparison"],
-)
-def test_a_minimum_that_no_run_could_judge_fails_where_it_is_declared(minimums, message):
-    # at import, not as a KeyError once a run reaches the minimums
-    with pytest.raises(ValueError, match=message):
-        ExperimentSpec(defaults={"n": 2}, describe="", runner=None, checks=(), minimums=minimums)
 
 
 @pytest.mark.parametrize(
