@@ -237,9 +237,9 @@ class BornReport:
     #: ``theta <= 0.72``, and its top modes grow past that
     ab3_theta: float
     #: columns (t, sup gap, relative gap) of every stride-th step, under 1,024 rows (SERIES_ROWS)
-    discrepancy_series: np.ndarray = field(repr=False, default=None)
+    discrepancy_series: np.ndarray = field(repr=False)
     #: transported and quadratic densities at the final time, shape (2, n)
-    final_profiles: np.ndarray = field(repr=False, default=None)
+    final_profiles: np.ndarray = field(repr=False)
 
 
 def born_pipeline(

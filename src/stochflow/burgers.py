@@ -46,7 +46,7 @@ from numpy import add as _add, multiply as _mul  # bound once for the step loop
 
 from .clifford import gradient
 from .fields import (
-    GridSpec, Norms, ScalarField, _fft, _ifft, _norms, _row_fft, _row_ifft, _spectral_derivative,
+    GridSpec, Norms, ScalarField, _fft, _ifft, _norms, _spectral_derivative,
     antiderivative, derivative, log_derivative, norms, time_steps,
 )
 
@@ -161,7 +161,7 @@ def solve_burgers(
     dt_a, half_dt = np.array(dt), np.array(0.5 * dt)
     one, inv_n = np.array(1.0), np.array(1 / grid.n)
 
-    a_hat = _row_fft(a0.values)
+    a_hat = np.fft.fft(a0.values)
     n1, pred, n2, vals = np.empty((4, grid.n), dtype=np.complex128)
     for _ in range(n_steps):
         # Heun in Fourier space: n = -(i k / 2) FFT(a^2), dealiased, plus the forcing; the
@@ -175,7 +175,7 @@ def solve_burgers(
                 _mul(decay, _add(a_hat, _mul(dt_a, n1, pred), pred), pred)
         _mul(decay, _add(a_hat, _mul(half_dt, n1, n1), n1), n1)
         _add(n1, _mul(half_dt, n2, n2), a_hat)
-    return ScalarField(grid, _row_ifft(a_hat))
+    return ScalarField(grid, np.fft.ifft(a_hat))
 
 
 def heat_evolve_spectral(F0: ScalarField, kappa: complex, t: float) -> ScalarField:

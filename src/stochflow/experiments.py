@@ -497,13 +497,13 @@ def _velocity_window(t_final: float, dt: float, half_window: int) -> tuple[int, 
     return max(1, t_index - half_window), t_index + half_window + 1
 
 
-def _full_bins(est, p: dict, key: str) -> np.ndarray:
-    """The mask of valid bins of an estimate made with ``min_count=BIN_PATHS``; a
+def _full_bins(ens, p: dict, key: str):
+    """The velocity estimate of the bins of ``ens`` that reach ``BIN_PATHS`` positions; a
     ValueError names ``key``, the parameter that sets the path count, when there is none."""
-    ok = est.valid()
-    if not ok.any():
+    est = estimate_velocities(ens, min_count=BIN_PATHS)
+    if not est.counts.size:
         raise ValueError(f"no bin reaches {BIN_PATHS} paths with {key} = {p[key]}")
-    return ok
+    return est
 
 
 @_experiment(
@@ -545,20 +545,14 @@ def _run_sde_estimators(p: dict, seed: int, run: _Run):
         seed,
         window=window_a,
     )
-    est_a = estimate_velocities(ens_a, min_count=BIN_PATHS)
-    ok = _full_bins(est_a, p, "n_paths_short")
-    z_drift = float(
-        np.max(
-            np.abs(est_a.forward_drift[ok] - (-theta * est_a.centers[ok]))
-            / est_a.forward_stderr[ok]
-        )
-    )
-    run.check("drift_recovery_max_z", z_drift)
+    est_a = _full_bins(ens_a, p, "n_paths_short")
+    z_drift = np.abs(est_a.forward_drift - (-theta * est_a.centers)) / est_a.forward_stderr
+    run.check("drift_recovery_max_z", float(np.max(z_drift)))
     b2_est, b2_err = estimate_diffusion(ens_a)
     run.check("noise_recovery_z", float(abs(b2_est - b**2) / b2_err))
     run.metric("b2_estimate", b2_est)
     run.metric("b2_stderr", b2_err)
-    run.metric("bins_used_transient", int(ok.sum()))
+    run.metric("bins_used_transient", est_a.counts.size)
     del ens_a  # its running sums are not held through run (b)
 
     # (b) stationary run: current and osmotic velocities vs the exact
@@ -573,27 +567,19 @@ def _run_sde_estimators(p: dict, seed: int, run: _Run):
         seed + 1,
         window=window_b,
     )
-    est_b = estimate_velocities(ens_b, min_count=BIN_PATHS)
-    okb = _full_bins(est_b, p, "n_paths_long")
-    stderr_uv = 0.5 * (est_b.forward_stderr[okb] + est_b.backward_stderr[okb])
-    z_osmotic = np.abs(est_b.osmotic[okb] - (-theta * est_b.centers[okb])) / stderr_uv
+    est_b = _full_bins(ens_b, p, "n_paths_long")
+    stderr_uv = 0.5 * (est_b.forward_stderr + est_b.backward_stderr)
+    z_osmotic = np.abs(est_b.osmotic - (-theta * est_b.centers)) / stderr_uv
     run.check("osmotic_velocity_max_z", float(np.max(z_osmotic)))
-    run.check("current_velocity_max_z", float(np.max(np.abs(est_b.current[okb]) / stderr_uv)))
-    run.metric("bins_used_stationary", int(okb.sum()))
+    run.check("current_velocity_max_z", float(np.max(np.abs(est_b.current) / stderr_uv)))
+    run.metric("bins_used_stationary", est_b.counts.size)
     run.metric("stationary_spread", stat_spread)
     run.csv(
         "velocity_bins.csv",
         ["center", "count", "forward", "backward", "current", "osmotic",
          "stderr_forward", "stderr_backward"],
-        [
-            (
-                est_b.centers[i], int(est_b.counts[i]), est_b.forward_drift[i],
-                est_b.backward_drift[i], est_b.current[i], est_b.osmotic[i],
-                est_b.forward_stderr[i], est_b.backward_stderr[i],
-            )
-            for i in range(est_b.centers.size)
-            if okb[i]
-        ],
+        list(zip(est_b.centers, est_b.counts, est_b.forward_drift, est_b.backward_drift,
+                 est_b.current, est_b.osmotic, est_b.forward_stderr, est_b.backward_stderr)),
     )
 
 
@@ -835,9 +821,9 @@ def _run_fp_consistency(p: dict, seed: int, run: _Run):
     scale = float(np.max(np.real(rho_star.values)))
     dt = cfl_timestep(model, grid)
 
-    one = solve_forward(model, rho_star, dt, dt=dt)
+    one = solve_forward(model, rho_star, dt)
     fixed_1 = float(np.max(np.abs(one.values.real - rho_star.values.real))) / scale
-    many = solve_forward(model, rho_star, p["n_fixed_steps"] * dt, dt=dt)
+    many = solve_forward(model, rho_star, p["n_fixed_steps"] * dt)
     fixed_n = float(np.max(np.abs(many.values.real - rho_star.values.real))) / scale
 
     # analytic stationary density (von Mises) for shape comparison
@@ -848,7 +834,7 @@ def _run_fp_consistency(p: dict, seed: int, run: _Run):
     # backward evolution: at stationarity the reversed drift is exactly -a,
     # giving the identical discrete update
     back = DiffusionModel(drift=lambda y: c * np.sin(y), b=b)
-    back_out = solve_backward(back, rho_star, p["n_fixed_steps"] * dt, dt=dt)
+    back_out = solve_backward(back, rho_star, p["n_fixed_steps"] * dt)
     fixed_back = float(np.max(np.abs(back_out.values.real - rho_star.values.real))) / scale
 
     # osmotic construction of the backward drift from the analytic density

@@ -13,7 +13,7 @@ derivative holds one complex buffer, transformed in place.  The grid supplies
 ``|k|^2`` for the exact Fourier propagators, :func:`log_derivative` is the one
 Cole-Hopf ratio ``lam (grad F) / F`` with node masking, and :func:`time_steps`
 is the step rule of the wave, Burgers and SDE integrators.
-The sequential 1-D loops call numpy's pocketfft gufuncs ``_fft``/``_ifft``
+The Born and Burgers step loops call numpy's pocketfft gufuncs ``_fft``/``_ifft``
 (numpy >= 2.0), which ``np.fft.fft``/``ifft`` end in: bit for bit equal, at 2.5 us
 for 128 points (positional, 0-d scale) against 7 us on a 2-core host.
 
@@ -208,16 +208,6 @@ def spectral_multiplier(grid: GridSpec, order: int = 1) -> np.ndarray:
         # the Nyquist mode has no well-defined odd derivative on a real grid
         mult[grid.n // 2] = 0.0
     return mult
-
-
-def _row_fft(a: np.ndarray) -> np.ndarray:
-    """``np.fft.fft(a)`` on the last axis, bit for bit: the gufunc call it ends in."""
-    return _fft(a, 1.0, out=np.empty(a.shape, complex))
-
-
-def _row_ifft(a: np.ndarray) -> np.ndarray:
-    """``np.fft.ifft(a)`` on the last axis, bit for bit (``norm=None`` scales by ``1/n``)."""
-    return _ifft(a, 1 / a.shape[-1], out=np.empty(a.shape, complex))
 
 
 def _spectral_derivative(values: np.ndarray, grid: GridSpec, axis: int, order: int) -> np.ndarray:

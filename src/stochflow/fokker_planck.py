@@ -4,6 +4,7 @@ The forward equation ``rho_t + (a rho)_x = (b^2/2) rho_xx`` of the diffusion
 ``dX = a(X) dt + b dW`` is integrated with a conservative finite-volume step
 (upwind advective flux, central diffusive flux) on the periodic grid, so
 mass is conserved to round-off.  Densities are real 1-D ``ScalarField``s.
+The solvers take the fewest equal steps to ``t_final`` within ``cfl_timestep``.
 
 The time-reversed density equation uses the backward drift ``a_b`` and an
 antidiffusion term; stepped from the final time toward 0 it is again a
@@ -74,7 +75,7 @@ def _face_step(rho, a_face, from_left, b, dt, dx, rho_right, flux_left) -> np.nd
     return rho - (dt / dx) * (flux - flux_left)
 
 
-def _run(model: DiffusionModel, rho0: ScalarField, t_final: float, dt: float | None,
+def _run(model: DiffusionModel, rho0: ScalarField, t_final: float,
          drift_sign: float) -> ScalarField:
     grid = rho0.grid
     if grid.dim != 1:
@@ -83,8 +84,7 @@ def _run(model: DiffusionModel, rho0: ScalarField, t_final: float, dt: float | N
         raise ValueError("densities are real-valued")
     if not 0 < t_final < np.inf:
         raise ValueError(f"t_final must be positive and finite, got {t_final}")
-    if dt is None:
-        dt = cfl_timestep(model, grid)
+    dt = cfl_timestep(model, grid)
     # the fewest steps that exceed dt by round-off at most: an explicit step must obey the CFL
     n_steps = max(1, int(np.ceil(t_final / dt * (1 - 1e-12))))
     dt = t_final / n_steps
@@ -96,15 +96,13 @@ def _run(model: DiffusionModel, rho0: ScalarField, t_final: float, dt: float | N
     return ScalarField(grid, rho)
 
 
-def solve_forward(
-    model: DiffusionModel, rho0: ScalarField, t_final: float, dt: float | None = None
-) -> ScalarField:
+def solve_forward(model: DiffusionModel, rho0: ScalarField, t_final: float) -> ScalarField:
     """Integrate the forward equation over ``t_final`` time units from the density ``rho0``."""
-    return _run(model, rho0, t_final, dt, +1.0)
+    return _run(model, rho0, t_final, +1.0)
 
 
 def solve_backward(
-    backward_model: DiffusionModel, rho_final: ScalarField, t_final: float, dt: float | None = None
+    backward_model: DiffusionModel, rho_final: ScalarField, t_final: float
 ) -> ScalarField:
     """Integrate the time-reversed density equation back over ``t_final`` time units
     from the final density ``rho_final``.
@@ -113,7 +111,7 @@ def solve_backward(
     times the equation is a forward diffusion with advection by its
     negative, which is what gets stepped.
     """
-    return _run(backward_model, rho_final, t_final, dt, -1.0)
+    return _run(backward_model, rho_final, t_final, -1.0)
 
 
 def discrete_stationary_density(model: DiffusionModel, grid: GridSpec) -> ScalarField:

@@ -25,7 +25,7 @@ X(t)`` and the backward one ``X(t) - X(t - dt)`` on the position at the
 same step.  The bins are a lattice of width ``2 b sqrt(dt)`` anchored at 0.
 At each pooled step a block adds, per bin, the count of its positions and
 the sums of both differences over ``dt`` and of their squares; the
-estimate only finishes those sums.
+estimate finishes those sums in the bins of ``min_count`` positions or more.
 
 The complex noise ``dZ = (b dW + i bhat dW') / (sqrt(2) sigma)`` mixes two
 independent Wiener processes, with ``sigma^2 = (b^2 + bhat^2) / 2``.  Its
@@ -35,9 +35,10 @@ balanced case ``b = bhat``; ``sample_complex_increments`` returns the
 sample means of ``dZ``, ``dZ^2`` and ``dZ dZ*`` beside these exact values,
 and ``complex_path_sums`` the sum of ``dZ`` along each of a bundle of paths.
 
-Every draw goes through one block runner, which alone partitions the
-paths: a block holds at most ``BLOCK_VALUES`` values but at least one
-path, of paths (batch members included) or of complex increments.  Block
+Every draw goes through one block runner, which alone checks the counts
+(at least one path, of at least one value) and partitions the paths: a
+block holds at most ``BLOCK_VALUES`` values but at least one path, of
+paths (batch members included) or of complex increments.  Block
 ``j`` is one task, claimed from one shared iterator by the caller's thread
 or by a pool helper, one per further CPU the process may use; it draws
 from its own Philox stream, the ``j``-th child of ``SeedSequence(seed)``,
@@ -165,7 +166,11 @@ def _run_blocks(n_paths: int, per_path: int, seed: int, scratch: Callable, task)
     values, but at least one; ``rng`` is on the ``j``-th child of ``SeedSequence(seed)``.  The
     blocks run on the caller's thread and ``_cpu_count() - 1`` helpers, each thread with its
     ``buffers = scratch(paths of the largest block)`` allocated here, on the caller's thread.
-    An error on one thread stops the others before their next block and is raised here."""
+    An error on one thread stops the others before their next block and is raised here, as
+    is a ValueError for fewer than one path or than one value per path."""
+    for name, count in (("n_paths", n_paths), ("values per path", per_path)):
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
     per_block = max(1, BLOCK_VALUES // per_path)
     starts = range(0, n_paths, per_block)
     streams = np.random.SeedSequence(seed).spawn(len(starts))
@@ -257,8 +262,6 @@ def simulate_forward(
     batched run pools no step.  The drift must be pointwise along the path
     axis: ``drift(x)[..., p]`` reads only ``x[..., p]``.
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be at least 1, got {n_paths}")
     m, dt = time_steps(t_final, dt)
     first, stop = (0, 0) if window is None else window
     if window is not None and not 1 <= first < stop <= m:
@@ -369,8 +372,6 @@ def sample_complex_increments(
     b: float, bhat: float, dt: float, n_samples: int, seed: int
 ) -> ComplexIncrementStats:
     """Draw ``dZ`` increments and report the first two moments."""
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
 
     def reduce(_, dz, prod) -> np.ndarray:
         dz2 = np.multiply(dz, dz, out=prod).sum()
@@ -403,8 +404,8 @@ class VelocityEstimate:
     ``forward_drift[i]`` estimates ``E[X(t+dt) - X(t) | X(t) in bin i] / dt``
     and ``backward_drift[i]`` the same with the backward difference; the
     current and osmotic velocities are their half-sum and half-difference.
-    Bins with fewer than ``min_count`` samples keep their counts but carry
-    NaN estimates.
+    It holds only the bins with at least the ``min_count`` positions that
+    ``estimate_velocities`` was given, in lattice order.
     """
 
     centers: np.ndarray = field(repr=False)
@@ -415,9 +416,6 @@ class VelocityEstimate:
     osmotic: np.ndarray = field(repr=False)
     forward_stderr: np.ndarray = field(repr=False)
     backward_stderr: np.ndarray = field(repr=False)
-
-    def valid(self) -> np.ndarray:
-        return np.isfinite(self.forward_drift) & np.isfinite(self.backward_drift)
 
 
 def _require_unbatched(ens: PathEnsemble) -> None:
@@ -436,27 +434,24 @@ def estimate_velocities(ens: PathEnsemble, min_count: int) -> VelocityEstimate:
     ``k``: forward uses ``X(k+1) - X(k)``, backward uses ``X(k) - X(k-1)``.
     The steps of the window that ``simulate_forward`` was given are pooled,
     which is valid whenever the velocity fields are steady over it.  The
-    bins are the lattice of width ``2 b sqrt(dt)`` anchored at 0, from the
-    lowest to the highest bin that a pooled position fell in; this only
-    finishes the per-bin sums that the simulation kept.  The ensemble must
-    not be batched.
+    bins are those of the lattice of width ``2 b sqrt(dt)`` anchored at 0
+    that hold at least ``min_count >= 1`` pooled positions, possibly none;
+    this only finishes the per-bin sums that the simulation kept.  The
+    ensemble must not be batched.
     """
     _require_unbatched(ens)
     if not ens.bins.shape[1]:
         raise ValueError("the ensemble pools no step: simulate it with a window of steps")
-    counts, sums_f, sq_f, sums_b, sq_b = ens.bins
-    centers = (ens.bin_first + 0.5 + np.arange(counts.size)) * _bin_width(ens.b, ens.dt)
+    if min_count < 1:
+        raise ValueError(f"min_count must be at least 1, got {min_count}")
+    kept = np.flatnonzero(ens.bins[0] >= min_count)
+    counts, sums_f, sq_f, sums_b, sq_b = ens.bins[:, kept]
+    centers = (ens.bin_first + 0.5 + kept) * _bin_width(ens.b, ens.dt)
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mean_f = sums_f / counts
-        mean_b = sums_b / counts
-        var_f = np.maximum(sq_f / counts - mean_f**2, 0.0)
-        var_b = np.maximum(sq_b / counts - mean_b**2, 0.0)
-        err_f = np.sqrt(var_f / counts)
-        err_b = np.sqrt(var_b / counts)
-    thin = counts < min_count
-    for arr in (mean_f, mean_b, err_f, err_b):
-        arr[thin] = np.nan
+    mean_f = sums_f / counts
+    mean_b = sums_b / counts
+    err_f = np.sqrt(np.maximum(sq_f / counts - mean_f**2, 0.0) / counts)
+    err_b = np.sqrt(np.maximum(sq_b / counts - mean_b**2, 0.0) / counts)
 
     return VelocityEstimate(
         centers=centers,

@@ -17,7 +17,7 @@ import numpy as np
 
 from stochflow import sde
 from stochflow.analytic import HarmonicState
-from stochflow.fields import ScalarField, _row_fft, _row_ifft, integrate, log_derivative, time_steps
+from stochflow.fields import ScalarField, integrate, log_derivative, time_steps
 from stochflow.schrodinger import SchrodingerProblem, _split_factors
 
 
@@ -55,7 +55,7 @@ def split_step_states(problem: SchrodingerProblem, t_final: float, dt: float):
     half_pot, kin = _split_factors(problem, dt)
     states = [problem.psi0.values]
     for _ in range(n_steps):
-        states.append(half_pot * _row_ifft(kin * _row_fft(half_pot * states[-1])))
+        states.append(half_pot * np.fft.ifft(kin * np.fft.fft(half_pot * states[-1])))
     return dt, [ScalarField(problem.grid, psi) for psi in states]
 
 

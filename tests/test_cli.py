@@ -83,15 +83,6 @@ def test_run_names_no_simd_targets_where_numpy_found_none(runner, tmp_path, monk
     assert output_digests.environment() == f"# numpy {np.__version__} simd "
 
 
-def test_rerun_is_byte_identical(runner, tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    for out in (a, b):
-        result = runner.invoke(main, ["run", "ga-identities", "--out", str(out)])
-        assert result.exit_code == 0
-    assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
-    assert (a / "identity_residuals.csv").read_bytes() == (b / "identity_residuals.csv").read_bytes()
-
-
 def test_unknown_config_key_exits_two_and_names_it(runner, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"not_a_real_knob": 1}))

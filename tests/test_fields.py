@@ -15,8 +15,6 @@ from stochflow.fields import (
     _ifft,
     _laplacian,
     _norms,
-    _row_fft,
-    _row_ifft,
     _spectral_derivative,
     antiderivative,
     derivative,
@@ -260,23 +258,17 @@ def test_time_steps_land_on_the_final_time():
 @pytest.mark.parametrize("n", [128, 256, 512])  # the grids of born-harmonic, born-free and burgers
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_row_transforms_equal_numpy_fft_bit_for_bit(n, kind):
-    # the row transforms call numpy's private pocketfft gufuncs; a numpy release that
-    # changes them must fail here rather than move the stored summaries
+    # the Born and Burgers step loops call numpy's private pocketfft gufuncs; a numpy
+    # release that changes them must fail here rather than move the stored summaries
     rng = np.random.default_rng(n)
     for shape in [(n,), (2, n), (CHUNK_POINTS // n + 1, n)]:
         a = rng.standard_normal(shape)
         if kind == "complex":
             a = a + 1j * rng.standard_normal(shape)
         rows = a.size // n
-        for row, gufunc, fct, public in (
-            (_row_fft, _fft, 1.0, np.fft.fft), (_row_ifft, _ifft, 1 / n, np.fft.ifft)
-        ):
+        for gufunc, fct, public in ((_fft, 1.0, np.fft.fft), (_ifft, 1 / n, np.fft.ifft)):
             want = public(a)
-            got = row(a)
-            assert got.dtype == np.complex128 and got.shape == shape
-            assert (got == want).all()
-            # the gufunc the rows call, into rows in the middle of a larger buffer,
-            # which does not alias the input
+            # into rows in the middle of a larger buffer, which does not alias the input
             buf = np.full((3 * rows, n), np.nan, dtype=np.complex128)
             got = gufunc(a, fct, out=buf[rows : 2 * rows].reshape(shape))
             assert np.shares_memory(got, buf)

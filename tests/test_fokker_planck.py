@@ -50,7 +50,7 @@ def test_discrete_stationary_is_one_step_fixed_point():
     model = _sine_model()
     rho = discrete_stationary_density(model, grid)
     dt = cfl_timestep(model, grid)
-    out = solve_forward(model, rho, dt, dt=dt)
+    out = solve_forward(model, rho, dt)
     gap = np.max(np.abs(out.values.real - rho.values.real))
     assert gap / np.max(rho.values.real) < 1e-13
 
@@ -82,8 +82,8 @@ def test_backward_pure_diffusion_mirrors_forward():
     grid = GridSpec(dim=1, length=2 * np.pi, n=128)
     flat = DiffusionModel(drift=lambda y: 0.0 * y, b=1.0)
     rho0 = ScalarField(grid, 1 + 0.5 * np.cos(grid.axis))
-    fwd = solve_forward(flat, rho0, 0.3, dt=1e-3)
-    bwd = solve_backward(flat, rho0, 0.3, dt=1e-3)
+    fwd = solve_forward(flat, rho0, 0.3)
+    bwd = solve_backward(flat, rho0, 0.3)
     assert np.max(np.abs(fwd.values - bwd.values)) < 1e-13
 
 
@@ -93,7 +93,7 @@ def test_backward_fixed_point_at_stationarity():
     rho = discrete_stationary_density(_sine_model(c, b), grid)
     reversed_model = DiffusionModel(drift=lambda y: c * np.sin(y), b=b)
     dt = cfl_timestep(reversed_model, grid)
-    out = solve_backward(reversed_model, rho, 50 * dt, dt=dt)
+    out = solve_backward(reversed_model, rho, 50 * dt)
     gap = np.max(np.abs(out.values.real - rho.values.real))
     assert gap / np.max(rho.values.real) < 1e-12
 
@@ -116,7 +116,7 @@ def test_step_count_is_the_fewest_steps_no_longer_than_dt(monkeypatch):
     for solve in (solve_forward, solve_backward):
         for t_final, n_steps in ((100 * dt, 100), (100.5 * dt, 101), (100 * dt * (1 + 1e-9), 101)):
             steps.clear()
-            solve(model, rho, t_final, dt=dt)
+            solve(model, rho, t_final)
             assert len(steps) == n_steps, (solve.__name__, t_final / dt)
             assert max(steps) <= dt * (1 + 1e-12)
 

@@ -54,7 +54,7 @@ def test_harmonic_ground_state_phase():
 
 
 def test_evolve_equals_the_public_fft_formula_bit_for_bit():
-    # the step uses the row transforms; this ties it to numpy's public FFT directly
+    # the oracles copy this step; this ties it to the formula written out with numpy's FFT
     grid = GridSpec(dim=1, length=16.0, n=128)
     state = HarmonicState(b=1.0, omega=1.0, centre=8.0)
     psi0 = state.eigenfunction(grid.axis, 1) * np.exp(0.3j * grid.axis)

@@ -56,7 +56,7 @@ def test_duration_off_the_step_lands_on_t_final():
     assert window == (1, 2)
     windowed = simulate_forward(OU, 0.0, t_final, dt, 10, 0, window=window)
     assert np.array_equal(windowed.totals, ens.totals)
-    assert estimate_velocities(windowed, min_count=0).counts.sum() == 10
+    assert estimate_velocities(windowed, min_count=1).counts.sum() == 10
 
 
 # the endpoint laws are read from the oracle's paths, which are the ones
@@ -94,18 +94,26 @@ def test_velocity_estimates_stationary_ou():
     x0, window = ("gaussian", 0.0, np.sqrt(0.5)), _velocity_window(1.0, 5e-3, 20)
     ens = simulate_forward(OU, x0, 1.0, 5e-3, 20_000, 99, window=window)
     est = estimate_velocities(ens, min_count=400)
-    ok = (est.counts >= 400) & est.valid()
-    assert ok.sum() >= 5
-    stderr = 0.5 * (est.forward_stderr[ok] + est.backward_stderr[ok])
-    assert np.max(np.abs(est.osmotic[ok] - (-est.centers[ok])) / stderr) < 5
-    assert np.max(np.abs(est.current[ok]) / stderr) < 5
+    assert est.counts.size >= 5 and (est.counts >= 400).all()
+    stderr = 0.5 * (est.forward_stderr + est.backward_stderr)
+    assert np.max(np.abs(est.osmotic - (-est.centers)) / stderr) < 5
+    assert np.max(np.abs(est.current) / stderr) < 5
 
 
-def test_velocity_estimate_marks_thin_bins_invalid():
+def test_velocity_estimate_keeps_no_thin_bin():
     ens = simulate_forward(OU, 0.0, 0.1, 1e-2, 50, 3, window=(1, 10))
     est = estimate_velocities(ens, min_count=10_000)
-    assert not est.valid().any()
-    assert np.isnan(est.forward_drift).all()
+    for name in ("centers", "counts", "forward_drift", "backward_drift", "current", "osmotic",
+                 "forward_stderr", "backward_stderr"):
+        assert getattr(est, name).shape == (0,), name
+
+
+@pytest.mark.parametrize("min_count", [0, -3])
+def test_velocity_estimate_needs_a_bin_count_of_at_least_one(min_count):
+    # a bin of no position has no mean to estimate
+    ens = simulate_forward(OU, 0.0, 0.1, 1e-2, 50, 3, window=(1, 10))
+    with pytest.raises(ValueError, match=rf"min_count must be at least 1, got {min_count}"):
+        estimate_velocities(ens, min_count=min_count)
 
 
 def test_velocity_estimate_time_window_bounds():
@@ -248,12 +256,14 @@ def test_streaming_estimators_match_full_path_references(monkeypatch):
     scale = np.abs(bins).max(axis=1, keepdims=True)
     assert np.all(np.abs(ens.bins - bins) <= 1e-13 * scale)
 
-    est = estimate_velocities(ens, min_count=0)
+    est = estimate_velocities(ens, min_count=1)
+    full = bins[0] >= 1
+    counts, sums_f, _, sums_b, _ = bins[:, full]
     width = 2 * OU.b * np.sqrt(dt)
-    assert np.array_equal(est.centers, (first + 0.5 + np.arange(bins.shape[1])) * width)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        assert est.forward_drift == pytest.approx(bins[1] / bins[0], rel=1e-12, nan_ok=True)
-        assert est.backward_drift == pytest.approx(bins[3] / bins[0], rel=1e-12, nan_ok=True)
+    assert np.array_equal(est.centers, (first + 0.5 + np.flatnonzero(full)) * width)
+    assert np.array_equal(est.counts, counts)
+    assert est.forward_drift == pytest.approx(sums_f / counts, rel=1e-12)
+    assert est.backward_drift == pytest.approx(sums_b / counts, rel=1e-12)
 
     # the block sums add in another order than np.diff + sum
     want = _reference_action(paths, dt, OU.b)
@@ -274,15 +284,17 @@ def test_blocked_estimator_equals_reference_bit_for_bit(monkeypatch):
     assert ens.bin_first == first and np.array_equal(ens.bins, bins)
 
     est = estimate_velocities(ens, min_count=30)
-    counts, sums_f, sq_f, sums_b, sq_b = bins
-    thin = counts < 30
-    assert np.array_equal(est.counts, counts) and 0 < thin.sum() < thin.size
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for name, sums, squares in (("forward", sums_f, sq_f), ("backward", sums_b, sq_b)):
-            mean = np.where(thin, np.nan, sums / counts)
-            stderr = np.sqrt(np.maximum(squares / counts - mean**2, 0.0) / counts)
-            assert np.array_equal(getattr(est, name + "_drift"), mean, equal_nan=True)
-            assert np.array_equal(getattr(est, name + "_stderr"), stderr, equal_nan=True)
+    full = bins[0] >= 30
+    assert 0 < full.sum() < full.size
+    counts, sums_f, sq_f, sums_b, sq_b = bins[:, full]
+    assert np.array_equal(est.counts, counts)
+    width = 2 * OU.b * np.sqrt(dt)
+    assert np.array_equal(est.centers, (first + 0.5 + np.flatnonzero(full)) * width)
+    for name, sums, squares in (("forward", sums_f, sq_f), ("backward", sums_b, sq_b)):
+        mean = sums / counts
+        stderr = np.sqrt(np.maximum(squares / counts - mean**2, 0.0) / counts)
+        assert np.array_equal(getattr(est, name + "_drift"), mean)
+        assert np.array_equal(getattr(est, name + "_stderr"), stderr)
 
 
 def test_batched_sweep_equals_separate_runs_bit_for_bit():
@@ -323,6 +335,17 @@ def test_complex_path_sums_equal_the_row_sums_of_one_draw_bit_for_bit(monkeypatc
     monkeypatch.setattr(sde, "BLOCK_VALUES", 10 if shape[1] == 1 else 23)
     want = complex_increments(2.0, 0.5, 0.01, shape, 5).sum(axis=1)
     assert np.array_equal(complex_path_sums(2.0, 0.5, 0.01, *shape, 5), want)
+
+
+@pytest.mark.parametrize("draw, message", [
+    (lambda: complex_path_sums(1.0, 1.0, 0.01, 0, 5, 1), "n_paths must be at least 1, got 0"),
+    (lambda: complex_path_sums(1.0, 1.0, 0.01, 5, 0, 1), "values per path must be at least 1, got 0"),
+    (lambda: sample_complex_increments(1.0, 1.0, 0.01, 0, 1), "n_paths must be at least 1, got 0"),
+])
+def test_complex_draws_need_a_path_of_at_least_one_step(draw, message):
+    # the block runner checks the counts of every draw; no path or no step leaves no block
+    with pytest.raises(ValueError, match=message):
+        draw()
 
 
 @pytest.mark.parametrize("block_values", [2**16, 64, 1_000])
