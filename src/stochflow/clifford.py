@@ -12,6 +12,11 @@ matters here).  Blades are encoded as bitmasks (bit ``j`` set means
 ``e_{j+1}`` is a factor); the geometric product of blades is then an XOR
 of masks with a sign from counting transpositions.
 
+The :class:`Multivector` products are reached only by the unit tests and by
+the benchmark's tracer, which wraps them where ``stochflow.experiments``
+imports them; no experiment calls them.  They stay until the benchmark no
+longer traces them (ROADMAP item 18).
+
 The calculus on grids needs vector fields only (gradients, velocities), so
 a vector field is a plain complex array of its components, shaped
 ``(dim,) + grid.shape``; ``grad_wedge`` returns the three bivector
@@ -214,16 +219,13 @@ def _vector_norms(components, grid: GridSpec) -> Norms:
 def check_prop_identities(f: ScalarField, s: StretchSpec) -> dict[str, Norms]:
     r"""Discrete residuals of the stretched-gradient identities.
 
-    Four identities are evaluated on the test field ``f``:
+    Three identities are evaluated on the test field ``f``:
 
     ``time_commutation``
         :math:`[\partial_t, C(\nabla)] = 0` on the separable series
         ``f(x) cos(t)`` with a centred time difference.
     ``laplacian_commutation``
         :math:`[\nabla^2, C(\nabla)] f = 0`, componentwise.
-    ``directional_symmetry``
-        :math:`(C(\nabla)f \cdot \nabla) g = (\nabla f \cdot C(\nabla)) g`
-        for the auxiliary field ``g``, a third-of-period translate of ``f``.
     ``convective_gradient``
         :math:`(w \cdot \nabla) w = \tfrac12 \nabla (w \cdot w)` with
         ``w = C(\nabla) f``.
@@ -269,19 +271,7 @@ def check_prop_identities(f: ScalarField, s: StretchSpec) -> dict[str, Norms]:
     )
     del lap
 
-    # 3. directional-derivative symmetry on an auxiliary field
-    shifted = np.roll(f.values, grid.n // 3, axis=0)
-    lhs = np.zeros(grid.shape, dtype=np.complex128)
-    rhs = np.zeros(grid.shape, dtype=np.complex128)
-    for axis in range(grid.dim):
-        df = _spectral_derivative(f.values, grid, axis, 1)
-        dg = _spectral_derivative(shifted, grid, axis, 1)
-        lhs += (c[axis] * df) * dg
-        rhs += df * (c[axis] * dg)
-    r_sym = _norms(lhs - rhs, grid)
-    del shifted, lhs, rhs, df, dg
-
-    # 4. convective identity (w . grad) w = 1/2 grad(w . w)
+    # 3. convective identity (w . grad) w = 1/2 grad(w . w)
     w_sq = np.zeros(grid.shape, dtype=np.complex128)
     for comp in w:
         w_sq += comp * comp
@@ -297,7 +287,6 @@ def check_prop_identities(f: ScalarField, s: StretchSpec) -> dict[str, Norms]:
     return {
         "time_commutation": r_time,
         "laplacian_commutation": r_lap,
-        "directional_symmetry": r_sym,
         "convective_gradient": r_conv,
     }
 

@@ -28,14 +28,11 @@ from .born import BornReport, born_pipeline
 from .burgers import (
     BurgersProblem, heat_evolve_spectral, real_chain_residual, solve_burgers,
 )
-from .clifford import (
-    Multivector, StretchSpec, check_prop_identities, contraction, geometric_product, grad_wedge,
-    linearization_cancellation, scalar_product, wedge,
-)
+from .clifford import StretchSpec, check_prop_identities, grad_wedge, linearization_cancellation
 from .fields import GridSpec, ScalarField, field_from_function, integrate, time_steps
 from .fokker_planck import (
     cfl_timestep, complex_fp_residual, continuity_residual, discrete_stationary_density,
-    osmotic_constraint_residual, solve_backward, solve_forward,
+    osmotic_constraint_residual, solve_forward,
 )
 from .output import jsonable
 from .schrodinger import SchrodingerProblem, evolve
@@ -43,6 +40,10 @@ from .sde import (
     DiffusionModel, backward_drift_from_forward, complex_path_sums, discretized_action,
     estimate_diffusion, estimate_velocities, make_rng, sample_complex_increments, simulate_forward,
 )
+
+# unused names kept: bench/spans.py traces them as ``stochflow.experiments.<name>``
+from .clifford import contraction, geometric_product, scalar_product, wedge  # noqa: F401
+from .fokker_planck import solve_backward  # noqa: F401
 
 __all__ = ["EXPERIMENTS", "Check", "ExperimentSpec", "run_experiment"]
 
@@ -685,62 +686,19 @@ def _run_variational(p: dict, seed: int, run: _Run):
 
 @_experiment(
     "ga-identities",
-    defaults={"n": 24, "b": 1.0, "n_algebra_trials": 50},
-    describe="Multivector algebra, exact on integer coefficients, and the stretched-gradient "
-    "identities on trigonometric fields, with one documented way they fail.",
+    defaults={"n": 24, "b": 1.0},
+    describe="The stretched-gradient identities on trigonometric fields, with one documented "
+    "way they fail.",
     checks=(
-        Check("blade_relations_exact", "==", 0.0, "largest coefficient error, blade relations"),
-        Check("product_axioms_exact", "==", 0.0, "the same for associativity, distributivity"),
         Check("time_commutation", "<=", 1e-10, "sup [d_t, C(grad)] residual per valid stretch"),
         Check("laplacian_commutation", "<=", 1e-10, "sup [lap, C(grad)] residual, the same"),
-        Check("directional_symmetry", "<=", 1e-10, "sup directional-symmetry residual, the same"),
         Check("convective_gradient", "<=", 1e-10, "sup |(w.grad) w - grad(w.w)/2|, the same"),
         Check("convective_gradient_requires_irrotational", ">=", 1e-3,
               "the same residual for an invalid stretch/field: it must fail"),
-        Check("cancellation_identity", "<=", 1e-10, "sup cancellation residual, positive F"),
     ),
-    minimums={"b": (">", 0.0), "n_algebra_trials": (">=", 1)},  # b = 0: no stretch, nothing checked
+    minimums={"b": (">", 0.0)},  # b = 0: no stretch, nothing checked
 )
 def _run_ga_identities(p: dict, seed: int, run: _Run):
-    e1 = Multivector.basis("e1")
-    e2 = Multivector.basis("e2")
-    e12 = Multivector.basis("e12")
-    e23 = Multivector.basis("e23")
-    e123 = Multivector.basis("e123")
-
-    def exact_zero(m: Multivector) -> float:
-        return float(np.max(np.abs(m.coeffs)))
-
-    run.check("blade_relations_exact", max(
-        exact_zero(geometric_product(e1, e2) - e12),
-        exact_zero(geometric_product(e2, e1) + e12),
-        exact_zero(geometric_product(e1, e1) - Multivector.scalar(1.0)),
-        exact_zero(geometric_product(e123, e123) + Multivector.scalar(1.0)),
-        exact_zero(wedge(e1, e23) - e123),
-        exact_zero(wedge(e1, e12)),
-        # vector-bivector contraction: e1 . e12 = e2, e2 . e12 = -e1
-        exact_zero(contraction(e1, e12) - e2),
-        exact_zero(contraction(e2, e12) + e1),
-        abs(scalar_product(e12, e12) - (-1.0)),
-        abs(scalar_product(e1, e1) - 1.0),
-    ))
-
-    # associativity and distributivity, exact on small-integer coefficients
-    rng = make_rng(seed)
-    assoc_err = 0.0
-    for _ in range(p["n_algebra_trials"]):
-        a_mv, b_mv, c_mv = (
-            Multivector(rng.integers(-9, 10, size=8).astype(np.complex128)) for _ in range(3)
-        )
-        lhs = geometric_product(geometric_product(a_mv, b_mv), c_mv)
-        rhs = geometric_product(a_mv, geometric_product(b_mv, c_mv))
-        assoc_err = max(assoc_err, exact_zero(lhs - rhs))
-        dist = geometric_product(a_mv, b_mv + c_mv) - (
-            geometric_product(a_mv, b_mv) + geometric_product(a_mv, c_mv)
-        )
-        assoc_err = max(assoc_err, exact_zero(dist))
-    run.check("product_axioms_exact", assoc_err)
-
     # gradient identities on trigonometric-polynomial fields
     grid = GridSpec(dim=3, length=2 * np.pi, n=p["n"])
     b_scale = p["b"]
@@ -764,11 +722,8 @@ def _run_ga_identities(p: dict, seed: int, run: _Run):
     # the convective identity genuinely fails without irrotationality;
     # a nonzero residual here is the documented precondition at work
     run.check("convective_gradient_requires_irrotational", res_invalid["convective_gradient"].l_inf)
-    f_positive = ScalarField(grid, np.exp(0.25 * np.real(f_general.values)))
-    run.check("cancellation_identity", linearization_cancellation(f_positive, b_scale).l_inf)
 
     run.metric("invalid_combo_residual", res_invalid["convective_gradient"].l_inf)
-    run.metric("n_algebra_trials", p["n_algebra_trials"])
     rows = []
     for tag, res in (
         ("isotropic", res_iso),
@@ -789,13 +744,12 @@ def _run_ga_identities(p: dict, seed: int, run: _Run):
         "length_transient": 12.0, "n_transient": 512, "theta": 1.0,
         "t_transient": 1.0, "dt_residual": 1e-3,
     },
-    describe="Density transport: the discrete stationary state is a fixed point both ways, "
+    describe="Density transport: the discrete stationary state is a fixed point, "
     "a transient keeps its mass and tracks the closed form, and an analytic packet "
     "splits into its residuals.",
     checks=(
         Check("stationary_fixed_point_one_step", "<=", 1e-12, "relative change after one step"),
         Check("stationary_fixed_point_many_steps", "<=", 1e-10, "the same after n_fixed_steps"),
-        Check("backward_fixed_point", "<=", 1e-10, "the same, backward with the reversed drift"),
         Check("mass_conservation", "<=", 1e-8, "mass change over the transient run"),
         Check("transient_vs_analytic", "<=", 2e-2, "sup gap to the linear-drift closed form"),
         Check("discrete_vs_analytic_stationary", "<=", 1e-2, "sup gap of rho* to von Mises"),
@@ -830,12 +784,6 @@ def _run_fp_consistency(p: dict, seed: int, run: _Run):
     kappa = 2 * c / b**2
     rho_vm = np.exp(kappa * np.cos(x)) / (2 * np.pi * np.i0(kappa))
     disc_vs_analytic = float(np.max(np.abs(rho_star.values.real - rho_vm)))
-
-    # backward evolution: at stationarity the reversed drift is exactly -a,
-    # giving the identical discrete update
-    back = DiffusionModel(drift=lambda y: c * np.sin(y), b=b)
-    back_out = solve_backward(back, rho_star, p["n_fixed_steps"] * dt)
-    fixed_back = float(np.max(np.abs(back_out.values.real - rho_star.values.real))) / scale
 
     # osmotic construction of the backward drift from the analytic density
     rho_vm_field = ScalarField(grid, rho_vm)
@@ -879,7 +827,6 @@ def _run_fp_consistency(p: dict, seed: int, run: _Run):
 
     run.check("stationary_fixed_point_one_step", fixed_1)
     run.check("stationary_fixed_point_many_steps", fixed_n)
-    run.check("backward_fixed_point", fixed_back)
     run.check("mass_conservation", float(mass_drift))
     run.check("transient_vs_analytic", transient_err)
     run.check("discrete_vs_analytic_stationary", disc_vs_analytic)

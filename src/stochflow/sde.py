@@ -341,16 +341,16 @@ class ComplexIncrementStats:
 
 
 def _complex_blocks(b: float, bhat: float, dt: float, n_paths: int, m: int, seed: int, reduce):
-    """``reduce(paths, dz, spare)`` of each block of whole paths, in block order, where ``dz``
-    holds the ``m`` increments ``dZ = (b xi + i bhat xi_hat) sqrt(dt) / (sqrt(2) sigma)`` along
-    each path of the slice ``paths``, flat, and ``spare`` is complex scratch of its size.  A
-    block draws its real normals ``xi``, then its imaginary ones ``xi_hat``."""
+    """``reduce(dz, spare)`` of each block of whole paths, in block order, where ``dz`` holds
+    the ``m`` increments ``dZ = (b xi + i bhat xi_hat) sqrt(dt) / (sqrt(2) sigma)`` along each
+    path of the block, flat, and ``spare`` is complex scratch of its size.  A block draws its
+    real normals ``xi``, then its imaginary ones ``xi_hat``."""
     for name, value in (("noise amplitude b", b), ("noise amplitude bhat", bhat), ("dt", dt)):
         if not 0 < value < np.inf:
             raise ValueError(f"{name} must be positive and finite, got {value}")
     sigma = np.sqrt((b**2 + bhat**2) / 2)
 
-    def draw(start: int, n: int, rng, normals, dz):
+    def draw(_, n: int, rng, normals, dz):
         size = n * m
         real, imag, dz = normals[:size], normals[size : 2 * size], dz[:size]
         rng.standard_normal(out=real)
@@ -360,7 +360,7 @@ def _complex_blocks(b: float, bhat: float, dt: float, n_paths: int, m: int, seed
         dz *= np.sqrt(dt)
         dz /= np.sqrt(2) * sigma
         # the normals are spent: their buffer is the spare
-        return reduce(slice(start, start + n), dz, normals[: 2 * size].view(complex))
+        return reduce(dz, normals[: 2 * size].view(complex))
 
     def scratch(paths: int) -> tuple:
         return np.empty(2 * paths * m), np.empty(paths * m, complex)
@@ -373,7 +373,7 @@ def sample_complex_increments(
 ) -> ComplexIncrementStats:
     """Draw ``dZ`` increments and report the first two moments."""
 
-    def reduce(_, dz, prod) -> np.ndarray:
+    def reduce(dz, prod) -> np.ndarray:
         dz2 = np.multiply(dz, dz, out=prod).sum()
         dzdzbar = np.multiply(dz, np.conjugate(dz, out=prod), out=prod).sum()
         return np.array([dz.sum(), dz2, dzdzbar])
@@ -386,13 +386,11 @@ def sample_complex_increments(
 
 def complex_path_sums(b: float, bhat: float, dt: float, n_paths: int, n_steps: int, seed: int):
     """The sum of ``n_steps`` increments ``dZ`` along each of ``n_paths`` paths."""
-    sums = np.empty(n_paths, dtype=complex)
 
-    def reduce(paths: slice, dz, _) -> None:
-        dz.reshape(-1, n_steps).sum(axis=1, out=sums[paths])
+    def reduce(dz, _) -> np.ndarray:
+        return dz.reshape(-1, n_steps).sum(axis=1)
 
-    _complex_blocks(b, bhat, dt, n_paths, n_steps, seed, reduce)
-    return sums
+    return np.concatenate(_complex_blocks(b, bhat, dt, n_paths, n_steps, seed, reduce))
 
 
 # -- pathwise estimators ------------------------------------------------------

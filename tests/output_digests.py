@@ -17,11 +17,16 @@ Without ``OUT_DIR`` the files go to a temporary directory that is removed
 afterwards.  ``--check FILE`` compares the listing with ``FILE``, a listing
 saved earlier, and exits 1 naming each output whose sha256 differs or that
 one listing lacks; when one does and ``FILE`` names another environment, it
-names both.  The file name keeps pytest from collecting it.
+names both.  Under each ``summary.json`` that differs it lists the checks, params
+and metrics that the run adds, removes or changes against the stored summary
+``summaries/<name>.json`` beside ``FILE``, so that a change which moves outputs
+shows in one command that only what it names moved.  The file name keeps pytest
+from collecting it.
 """
 
 import argparse
 import hashlib
+import json
 import sys
 import tempfile
 from contextlib import nullcontext
@@ -79,6 +84,39 @@ def differences(got: list[str], want: list[str]) -> list[str]:
     ]
 
 
+def _entries(path: Path) -> dict:
+    """The checks, params and metrics of a stored summary, by ``check <name>``,
+    ``param <key>`` and ``metric <key>``; none for a missing file."""
+    summary = json.loads(path.read_text()) if path.exists() else {}
+    entries = {f"check {c['name']}": c for c in summary.get("checks", [])}
+    for part in ("param", "metric"):
+        entries.update({f"{part} {k}": v for k, v in summary.get(f"{part}s", {}).items()})
+    return entries
+
+
+def summary_moves(got: Path, want: Path) -> list[str]:
+    """One line per check, param or metric that summary ``got`` adds, removes or
+    changes against summary ``want``; a changed check names its fields that differ."""
+    got_by, want_by = _entries(got), _entries(want)
+    moves = []
+    for key in dict.fromkeys([*want_by, *got_by]):
+        if key not in got_by:
+            moves.append(f"removed {key}")
+        elif key not in want_by:
+            moves.append(f"added {key}")
+        elif got_by[key] != want_by[key]:
+            old, new = want_by[key], got_by[key]
+            if isinstance(old, dict) and isinstance(new, dict):
+                change = ", ".join(
+                    f"{f} {old.get(f)!r} -> {new.get(f)!r}"
+                    for f in dict.fromkeys([*old, *new]) if old.get(f) != new.get(f)
+                )
+            else:
+                change = f"{old!r} -> {new!r}"
+            moves.append(f"changed {key}: {change}")
+    return moves
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out_dir", nargs="?", type=Path, help="where to write the outputs")
@@ -87,13 +125,18 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     with nullcontext(args.out_dir) if args.out_dir else tempfile.TemporaryDirectory() as out:
         lines = [environment(), *digests(Path(out))]
-    print("\n".join(lines))
-    if args.check is None:
-        return 0
-    saved = args.check.read_text().splitlines()
-    changed = differences(lines, saved)
-    for line in changed:
-        print(f"differs: {line}", file=sys.stderr)
+        print("\n".join(lines))
+        if args.check is None:
+            return 0
+        saved = args.check.read_text().splitlines()
+        changed = differences(lines, saved)
+        for line in changed:
+            print(f"differs: {line}", file=sys.stderr)
+            name, filename = line.split(":")[0].split()
+            if filename == "summary.json":
+                stored = args.check.parent / "summaries" / f"{name}.json"
+                for move in summary_moves(Path(out) / name / filename, stored):
+                    print(f"  {move}", file=sys.stderr)
     saved_in = next((line for line in saved if line.startswith("#")), lines[0])
     if changed and saved_in != lines[0]:
         print(f"environment: {saved_in[2:]} -> {lines[0][2:]}", file=sys.stderr)

@@ -186,7 +186,6 @@ _MEANINGLESS = [
     ("fp-consistency", {"t_transient": 0.0}, "t_transient"),
     ("colehopf-3d", {"n_random": 0}, "n_random"),
     ("born-harmonic", {"method": "cn"}, "method"),
-    ("ga-identities", {"n_algebra_trials": 0}, "n_algebra_trials"),
     ("colehopf-1d", {"b": float("inf")}, "b"),
     ("colehopf-3d", {"b": float("inf")}, "b"),
     ("variational", {"t_final": float("inf")}, "t_final"),

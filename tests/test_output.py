@@ -77,6 +77,31 @@ def test_digest_listing_names_its_environment_and_check_names_both_when_an_outpu
         assert err.splitlines() == errors
 
 
+def test_digest_check_names_what_moved_in_a_summary_that_differs(tmp_path, monkeypatch, capsys):
+    import output_digests
+
+    # the run's summary against a stored one that holds one metric more and another value
+    name = "ga-identities"
+    monkeypatch.setattr(output_digests, "EXPERIMENTS", {name: output_digests.EXPERIMENTS[name]})
+    stored = json.loads((_FIXTURES / "summaries" / f"{name}.json").read_text())
+    stored["metrics"]["n_algebra_trials"] = 50
+    check = stored["checks"][0]
+    value, check["value"] = check["value"], 1.0
+    (tmp_path / "summaries").mkdir()
+    (tmp_path / "summaries" / f"{name}.json").write_text(json.dumps(stored))
+    saved = tmp_path / "digests.txt"
+    saved.write_text(f"{output_digests.environment()}\n{name} summary.json 00\n")
+    assert output_digests.main(["--check", str(saved)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith(f"differs: {name} summary.json: 00 -> ")
+    assert err[1:3] == [
+        f"  changed check {check['name']}: value 1.0 -> {value!r}",
+        "  removed metric n_algebra_trials",
+    ]
+    assert err[3].startswith(f"differs: {name} identity_residuals.csv: absent -> ")
+    assert len(err) == 4
+
+
 def test_digest_listing_holds_the_sha256_of_each_stored_summary():
     # both fixtures store the default summaries: a change that regenerates one
     # and not the other fails here, before any experiment runs

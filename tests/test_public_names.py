@@ -42,11 +42,18 @@ SRC = Path(stochflow.__file__).parent
 ALLOWED = {
     ("born", "madelung_wavefunction"): "README claim (Madelung round trip), awaiting an experiment check",
     ("born", "evolve_density_continuity"): "traced by bench/spans.py; oracle of the Born reference test",
+    ("clifford", "geometric_product"): "traced by bench/spans.py",
+    ("clifford", "scalar_product"): "traced by bench/spans.py",
+    ("clifford", "wedge"): "traced by bench/spans.py",
+    ("clifford", "contraction"): "traced by bench/spans.py",
+    ("fokker_planck", "solve_backward"): "traced by bench/spans.py",
 }
 
 #: public methods kept although nothing in the package loads them
 ALLOWED_METHODS = {
     ("fields", "ScalarField", "real_values"): "part of the kept ScalarField API",
+    ("clifford", "Multivector", "basis"): "builds the operands of the products bench/spans.py traces",
+    ("clifford", "Multivector", "scalar"): "builds the operands of the products bench/spans.py traces",
 }
 
 #: dataclass fields kept although nothing in the package reads them
