@@ -102,6 +102,40 @@ def test_digest_check_names_what_moved_in_a_summary_that_differs(tmp_path, monke
     assert len(err) == 4
 
 
+_STORED = {
+    "checks": [{"name": "a", "value": 1.0, "passed": True}, {"name": "b", "value": 2.0, "passed": True}],
+    "params": {"n": 8},
+    "metrics": {"m": 0.5},
+}
+
+
+@pytest.mark.parametrize("edit, moves", [
+    (lambda s: None, []),
+    (lambda s: s["checks"].append({"name": "c", "value": 3.0, "passed": True}), ["added check c"]),
+    (lambda s: s["checks"][1].update(value=2.5, passed=False),
+     ["changed check b: value 2.0 -> 2.5, passed True -> False"]),
+    (lambda s: s["params"].update(n=9, k=1), ["changed param n: 8 -> 9", "added param k"]),
+    (lambda s: s.pop("metrics"), ["removed metric m"]),
+], ids=["same", "check added", "check changed", "params moved", "metrics removed"])
+def test_summary_moves_name_each_check_param_and_metric_that_moved(tmp_path, edit, moves):
+    from output_digests import summary_moves
+
+    got = json.loads(json.dumps(_STORED))
+    edit(got)
+    (tmp_path / "got.json").write_text(json.dumps(got))
+    (tmp_path / "want.json").write_text(json.dumps(_STORED))
+    assert summary_moves(tmp_path / "got.json", tmp_path / "want.json") == moves
+
+
+def test_summary_moves_against_a_missing_stored_summary_add_everything(tmp_path):
+    from output_digests import summary_moves
+
+    (tmp_path / "got.json").write_text(json.dumps(_STORED))
+    assert summary_moves(tmp_path / "got.json", tmp_path / "absent.json") == [
+        "added check a", "added check b", "added param n", "added metric m",
+    ]
+
+
 def test_digest_listing_holds_the_sha256_of_each_stored_summary():
     # both fixtures store the default summaries: a change that regenerates one
     # and not the other fails here, before any experiment runs
