@@ -40,14 +40,9 @@ K = 64 that is under one call per step against the 13, while the scratch
 (0.85 MB at n = 128) stays within a 2 MB L2 cache.  Larger chunks only spend
 memory.
 
-Supporting pieces:
-
-* node-aware extraction of ``V`` with the fixed relative floor
-  ``NODE_FLOOR_REL`` on ``|F|`` (:func:`stochflow.fields.log_derivative`),
-  so near-zeros of ``F`` are masked instead of silently amplified;
-* the inverse (Madelung) construction ``F = sqrt(rho) exp(i theta)`` with
-  ``theta' = v / b^2``, including the winding number of a nonzero mean
-  velocity on the circle.
+The velocity ``V`` is extracted with the fixed relative floor
+``NODE_FLOOR_REL`` on ``|F|`` (:func:`stochflow.fields.log_derivative`), so
+near-zeros of ``F`` are masked instead of silently amplified.
 """
 
 from __future__ import annotations
@@ -64,7 +59,6 @@ from .fields import (
     _fft,
     _ifft,
     _spectral_derivative,
-    antiderivative,
     integrate,
     log_derivative,
     spectral_multiplier,
@@ -82,7 +76,6 @@ __all__ = [
     "VelocityDecomposition",
     "BornReport",
     "velocity_from_wavefunction",
-    "madelung_wavefunction",
     "evolve_density_continuity",
     "born_pipeline",
 ]
@@ -123,37 +116,6 @@ def velocity_from_wavefunction(psi: ScalarField, b: float) -> VelocityDecomposit
         current=ScalarField(grid, np.real(v)),
         osmotic=ScalarField(grid, -np.imag(v)),
     )
-
-
-def madelung_wavefunction(rho: ScalarField, current: ScalarField, b: float) -> ScalarField:
-    """Reassemble ``F = sqrt(rho) exp(i theta)`` from density and current velocity.
-
-    The phase gradient is ``theta' = v / b^2``.  On the circle the mean of
-    ``v`` must correspond to an integer winding number
-    ``m = mean(v) L / (2 pi b^2)``; the integer part is applied as the
-    exact Fourier mode ``exp(i 2 pi m x / L)`` and the fluctuating part is
-    integrated spectrally.
-    """
-    grid = rho.grid
-    if grid.dim != 1:
-        raise ValueError("the reconstruction is one-dimensional")
-    rho_vals = np.real(rho.values)
-    if rho_vals.min() < 0:
-        raise ValueError("density must be nonnegative")
-    v_vals = np.real(current.values)
-    v_mean = float(v_vals.mean())
-    winding = v_mean * grid.length / (2 * np.pi * b**2)
-    m = round(winding)
-    if abs(winding - m) > 1e-6:
-        raise ValueError(
-            f"mean velocity corresponds to non-integer winding {winding:.6f}; "
-            "no single-valued wave function exists on this circle"
-        )
-    fluct = ScalarField(grid, (v_vals - v_mean) / b**2)
-    theta = np.real(antiderivative(fluct, 0).values)
-    x = grid.axis
-    carrier = np.exp(1j * (2 * np.pi * m / grid.length) * x)
-    return ScalarField(grid, np.sqrt(rho_vals) * np.exp(1j * theta) * carrier)
 
 
 def _ab3_weights() -> tuple:
@@ -229,7 +191,6 @@ class BornReport:
     norm_drift: float
     min_coverage: float
     fp_forward: Norms
-    fp_conjugate: Norms
     continuity: Norms
     osmotic: Norms
     #: the largest ``theta = k_max |v| dt`` over the run, ``k_max`` the highest wavenumber below
@@ -269,7 +230,7 @@ def born_pipeline(
     a partial chunk are zero, so padded transport steps read no stale velocity,
     and no padded row is read.  Every step is compared against ``F F* / q``;
     non-finite states or densities raise ``ValueError``.  The complex
-    density-transport residuals are evaluated at the midpoint snapshot triple,
+    density-transport residual is evaluated at the midpoint snapshot triple,
     the only states kept beyond a chunk.
     """
     n_steps, dt = time_steps(t_final, dt)
@@ -379,8 +340,7 @@ def born_pipeline(
         mass_drift=mass_drift,
         norm_drift=norm_drift,
         min_coverage=min_coverage,
-        fp_forward=complex_fp_residual(*rho_tri, dec.complex_velocity, b, dt, variant="forward"),
-        fp_conjugate=complex_fp_residual(*rho_tri, dec.complex_velocity, b, dt, variant="conjugate"),
+        fp_forward=complex_fp_residual(*rho_tri, dec.complex_velocity, b, dt),
         continuity=continuity_residual(*rho_tri, dec.current, dt),
         osmotic=osmotic_constraint_residual(rho_tri[1], dec.osmotic, b),
         ab3_theta=float(np.abs(mult).max()) * v_max * dt,

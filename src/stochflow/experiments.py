@@ -154,7 +154,6 @@ def _discrepancy_csv(rep: BornReport) -> tuple[list[str], list[tuple]]:
         Check("transport_mass_drift", "<=", 1e-8, "largest change of the transported mass"),
         Check("wavefunction_norm_drift", "<=", 1e-8, "largest change of the wave-function norm"),
         Check("complex_transport_residual_forward", "<=", 1e-3, "sup complex transport residual"),
-        Check("complex_transport_residual_conjugate", "<=", 1e-3, "the same, conjugate variant"),
         Check("osmotic_constraint_residual", "<=", 1e-3, "sup |(u rho)' - (b^2/2) rho''|"),
         Check("node_coverage", ">=", 0.5, "precondition of velocity extraction, not a claim: "
               "least fraction of points off the nodes of F"),
@@ -177,7 +176,6 @@ def _run_born_free(p: dict, seed: int, run: _Run):
     run.check("transport_mass_drift", rep.mass_drift)
     run.check("wavefunction_norm_drift", rep.norm_drift)
     run.check("complex_transport_residual_forward", rep.fp_forward.l_inf)
-    run.check("complex_transport_residual_conjugate", rep.fp_conjugate.l_inf)
     run.check("osmotic_constraint_residual", rep.osmotic.l_inf)
     run.check("node_coverage", rep.min_coverage)
     run.metric("sup_density_error", rep.sup_density_error)
@@ -757,7 +755,6 @@ def _run_ga_identities(p: dict, seed: int, run: _Run):
         Check("packet_continuity_residual", "<=", 1e-5, "sup continuity residual, packet"),
         Check("packet_osmotic_residual", "<=", 1e-9, "sup osmotic-constraint residual, packet"),
         Check("packet_complex_residual_forward", "<=", 1e-3, "sup complex transport residual"),
-        Check("packet_complex_residual_conjugate", "<=", 1e-3, "the same, conjugate variant"),
         Check("continuity_time_order_ratio", ">=", 3.0, "continuity residual at dt / at dt/2"),
     ),
     # a negative drift amplitude mirrors the drift; zero leaves five checks nothing to compare
@@ -822,8 +819,7 @@ def _run_fp_consistency(p: dict, seed: int, run: _Run):
     cont_half = continuity_residual(*tri_half, v_mid, dtp / 2)
     order_ratio = cont.l_inf / max(cont_half.l_inf, 1e-300)
     osm = osmotic_constraint_residual(rho_mid, u_mid, b)
-    fp_f = complex_fp_residual(*tri, vc_mid, b, dtp, "forward")
-    fp_c = complex_fp_residual(*tri, vc_mid, b, dtp, "conjugate")
+    fp_f = complex_fp_residual(*tri, vc_mid, b, dtp)
 
     run.check("stationary_fixed_point_one_step", fixed_1)
     run.check("stationary_fixed_point_many_steps", fixed_n)
@@ -834,7 +830,6 @@ def _run_fp_consistency(p: dict, seed: int, run: _Run):
     run.check("packet_continuity_residual", cont.l_inf)
     run.check("packet_osmotic_residual", osm.l_inf)
     run.check("packet_complex_residual_forward", fp_f.l_inf)
-    run.check("packet_complex_residual_conjugate", fp_c.l_inf)
     run.check("continuity_time_order_ratio", float(order_ratio))
     run.metric("cfl_dt", dt)
     run.metric("kappa", kappa)

@@ -1,4 +1,4 @@
-"""Density transport: forward/backward Fokker-Planck and complex variants.
+"""Density transport: forward/backward Fokker-Planck and the complex density equation.
 
 The forward equation ``rho_t + (a rho)_x = (b^2/2) rho_xx`` of the diffusion
 ``dX = a(X) dt + b dW`` is integrated with a conservative finite-volume step
@@ -24,8 +24,10 @@ The complex-velocity density equations
 hold for ``rho = F F*`` with ``V = -i b^2 F_x / F``; their half-sum is the
 ordinary continuity equation in the current velocity ``v = Re V`` and
 their half-difference is the osmotic constraint
-``(u rho)_x = (b^2/2) rho_xx`` with ``u = -Im V``.  These are implemented
-as residual evaluators over density/velocity snapshots.
+``(u rho)_x = (b^2/2) rho_xx`` with ``u = -Im V``.  For a real ``rho`` the
+conjugate residual is the complex conjugate of the forward one, so only the
+forward equation is evaluated.  It, the continuity equation and the osmotic
+constraint are residual evaluators over density/velocity snapshots.
 """
 
 from __future__ import annotations
@@ -149,24 +151,18 @@ def complex_fp_residual(
     velocity: ScalarField,
     b: float,
     dt: float,
-    variant: str,
 ) -> Norms:
-    """Residual of the complex density equation on three consecutive snapshots.
+    """Residual of the forward complex density equation on three consecutive snapshots.
 
     ``rho_minus/center/plus`` are densities at ``t - dt, t, t + dt``;
-    ``velocity`` is the complex velocity at ``t`` (conjugated internally
-    for the conjugate variant).  The time derivative is the centred
-    difference, so the residual carries an O(dt^2) floor.
+    ``velocity`` is the complex velocity at ``t``.  The time derivative is
+    the centred difference, so the residual carries an O(dt^2) floor.
     """
-    if variant not in ("forward", "conjugate"):
-        raise ValueError("variant must be 'forward' or 'conjugate'")
     grid, rho = rho_center.grid, rho_center.values
     d_rho_dt = (rho_plus.values - rho_minus.values) / (2 * dt)
-    vel = velocity.values if variant == "forward" else np.conj(velocity.values)
-    transport = _spectral_derivative(vel * rho, grid, 0, 1)
+    transport = _spectral_derivative(velocity.values * rho, grid, 0, 1)
     diff = _spectral_derivative(b**2 * rho, grid, 0, 2)
-    sign = 1j / 2 if variant == "forward" else -1j / 2
-    return _norms(d_rho_dt + transport + sign * diff, grid)
+    return _norms(d_rho_dt + transport + 1j / 2 * diff, grid)
 
 
 def continuity_residual(

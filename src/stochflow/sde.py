@@ -160,15 +160,17 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _run_blocks(n_paths: int, per_path: int, seed: int, scratch: Callable, task) -> list:
+def _run_blocks(n_paths: int, per_path: int, seed: int, scratch: Callable, task,
+                counted: str = "n_paths") -> list:
     """``task(start, n, rng, *buffers)`` of every block, in block order.  Block ``j`` holds the
     ``n`` paths from path ``start``: at most ``BLOCK_VALUES // per_path`` paths of ``per_path``
     values, but at least one; ``rng`` is on the ``j``-th child of ``SeedSequence(seed)``.  The
     blocks run on the caller's thread and ``_cpu_count() - 1`` helpers, each thread with its
     ``buffers = scratch(paths of the largest block)`` allocated here, on the caller's thread.
     An error on one thread stops the others before their next block and is raised here, as
-    is a ValueError for fewer than one path or than one value per path."""
-    for name, count in (("n_paths", n_paths), ("values per path", per_path)):
+    is a ValueError for fewer than one path or than one value per path; the caller's name for
+    its count of paths is ``counted``."""
+    for name, count in ((counted, n_paths), ("values per path", per_path)):
         if count < 1:
             raise ValueError(f"{name} must be at least 1, got {count}")
     per_block = max(1, BLOCK_VALUES // per_path)
@@ -340,11 +342,13 @@ class ComplexIncrementStats:
     expected_dzdzbar: complex
 
 
-def _complex_blocks(b: float, bhat: float, dt: float, n_paths: int, m: int, seed: int, reduce):
+def _complex_blocks(b: float, bhat: float, dt: float, n_paths: int, m: int, seed: int, reduce,
+                    counted: str = "n_paths"):
     """``reduce(dz, spare)`` of each block of whole paths, in block order, where ``dz`` holds
     the ``m`` increments ``dZ = (b xi + i bhat xi_hat) sqrt(dt) / (sqrt(2) sigma)`` along each
     path of the block, flat, and ``spare`` is complex scratch of its size.  A block draws its
-    real normals ``xi``, then its imaginary ones ``xi_hat``."""
+    real normals ``xi``, then its imaginary ones ``xi_hat``; ``counted`` names ``n_paths`` in
+    the block runner's error."""
     for name, value in (("noise amplitude b", b), ("noise amplitude bhat", bhat), ("dt", dt)):
         if not 0 < value < np.inf:
             raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -365,7 +369,7 @@ def _complex_blocks(b: float, bhat: float, dt: float, n_paths: int, m: int, seed
     def scratch(paths: int) -> tuple:
         return np.empty(2 * paths * m), np.empty(paths * m, complex)
 
-    return _run_blocks(n_paths, m, seed, scratch, draw)
+    return _run_blocks(n_paths, m, seed, scratch, draw, counted)
 
 
 def sample_complex_increments(
@@ -378,7 +382,8 @@ def sample_complex_increments(
         dzdzbar = np.multiply(dz, np.conjugate(dz, out=prod), out=prod).sum()
         return np.array([dz.sum(), dz2, dzdzbar])
 
-    totals = sum(_complex_blocks(b, bhat, dt, n_samples, 1, seed, reduce))  # one-step paths
+    # one-step paths
+    totals = sum(_complex_blocks(b, bhat, dt, n_samples, 1, seed, reduce, "n_samples"))
     moments = [complex(total / n_samples) for total in totals]
     moments += [complex(dt * (b**2 - bhat**2) / (b**2 + bhat**2)), complex(dt)]  # the exact ones
     return ComplexIncrementStats(*moments)

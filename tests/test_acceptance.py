@@ -168,7 +168,6 @@ def test_criterion_08_density_equation_residual_structure():
             "packet_continuity_residual",
             "packet_osmotic_residual",
             "packet_complex_residual_forward",
-            "packet_complex_residual_conjugate",
             "continuity_time_order_ratio",
         ],
     )

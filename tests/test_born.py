@@ -1,5 +1,4 @@
-"""Quadratic-density pipeline: velocity extraction, phase reconstruction,
-and continuity-only transport."""
+"""Quadratic-density pipeline: velocity extraction and continuity-only transport."""
 
 import dataclasses
 
@@ -16,7 +15,6 @@ from stochflow.born import (
     BornReport,
     born_pipeline,
     evolve_density_continuity,
-    madelung_wavefunction,
     velocity_from_wavefunction,
 )
 from stochflow.experiments import EXPERIMENTS, run_experiment
@@ -50,30 +48,6 @@ def test_velocity_extraction_matches_analytic(packet_setup):
     assert np.max(np.abs(dec.osmotic.values[safe] - pk.osmotic_velocity(grid.axis, t)[safe])) < 1e-9
     # masked-out points carry zero velocity by policy
     assert np.all(dec.complex_velocity.values[~m] == 0)
-
-
-def test_madelung_roundtrip(packet_setup):
-    # at t = 0 the packet's current velocity is the constant b^2 k0, whose
-    # circulation is the exact integer winding k0 L / 2 pi = 4
-    grid, pk = packet_setup
-    x = grid.axis
-    rho = ScalarField(grid, pk.density(x, 0.0))
-    v = ScalarField(grid, pk.current_velocity(x, 0.0).astype(np.complex128))
-    rebuilt = madelung_wavefunction(rho, v, pk.b)
-    # density is reproduced exactly, the current velocity spectrally
-    assert np.max(np.abs(rebuilt.abs2().values - rho.values)) < 1e-13
-    dec = velocity_from_wavefunction(rebuilt, pk.b)
-    safe = np.abs(rebuilt.values) > 1e-6 * np.abs(rebuilt.values).max()
-    assert np.max(np.abs(dec.current.values[safe] - v.values[safe].real)) < 1e-8
-    assert dec.current.values[safe].mean() == pytest.approx(pk.b**2 * pk.k0, rel=1e-8)
-
-
-def test_madelung_rejects_fractional_winding(packet_setup):
-    grid, pk = packet_setup
-    rho = ScalarField(grid, np.full(grid.n, 1.0 / grid.length))
-    bad_v = ScalarField(grid, np.full(grid.n, 0.37))  # not a whole mode
-    with pytest.raises(ValueError):
-        madelung_wavefunction(rho, bad_v, 1.0)
 
 
 def test_continuity_transport_uniform_advection():
@@ -136,7 +110,6 @@ def test_born_pipeline_free_packet_small(packet_setup):
     assert rep.mass_drift < 1e-10
     assert rep.norm_drift < 1e-10
     assert rep.fp_forward.l_inf < 1e-3
-    assert rep.fp_conjugate.l_inf < 1e-3
     assert rep.osmotic.l_inf < 1e-3
     assert rep.min_coverage > 0.5
     # the discrepancy series starts at zero and stays bounded
@@ -186,10 +159,7 @@ def _reference_report(problem, t_final, dt):
         mass_drift=float(np.max(np.abs(mass - float(history[0].sum() * grid.dx)))),
         norm_drift=max(abs(norm - norms[0]) for norm in norms),
         min_coverage=min(float(node_mask(state).mean()) for state in states),
-        fp_forward=complex_fp_residual(*tri, dec.complex_velocity, problem.b, dt_eff, variant="forward"),
-        fp_conjugate=complex_fp_residual(
-            *tri, dec.complex_velocity, problem.b, dt_eff, variant="conjugate"
-        ),
+        fp_forward=complex_fp_residual(*tri, dec.complex_velocity, problem.b, dt_eff),
         continuity=continuity_residual(*tri, dec.current, dt_eff),
         osmotic=osmotic_constraint_residual(tri[1], dec.osmotic, problem.b),
         ab3_theta=float(np.abs(spectral_multiplier(grid)).max())

@@ -106,6 +106,15 @@ def test_threads_is_an_unknown_parameter(runner, tmp_path):
     assert "--threads" in result.output
 
 
+def _overrides_id(value):
+    """A config's id, each key with its value as compact JSON, so that a case keeps its id when
+    another is added or removed; other parameters keep pytest's ids."""
+    if not isinstance(value, dict):
+        return None
+    pairs = (f"{key}={json.dumps(v, separators=(',', ':'))}" for key, v in value.items())
+    return "-".join(pairs) or "defaults"
+
+
 @pytest.mark.parametrize(
     "experiment, overrides, key, expected",
     [
@@ -119,6 +128,7 @@ def test_threads_is_an_unknown_parameter(runner, tmp_path):
         ("complex-increments", {"pairs": [[1.0, "a"]]}, "pairs", "list of list of float"),
         ("complex-increments", {"pairs": [1.0]}, "pairs", "list of list of float"),
     ],
+    ids=_overrides_id,
 )
 def test_config_value_of_wrong_type_exits_two_and_names_it(
     runner, tmp_path, experiment, overrides, key, expected
@@ -136,6 +146,7 @@ def test_config_value_of_wrong_type_exits_two_and_names_it(
 @pytest.mark.parametrize(
     "overrides, key",
     [({"seed": "x"}, "seed"), ({"seed": True}, "seed"), ({"seed": 1.5}, "seed")],
+    ids=_overrides_id,
 )
 def test_config_seed_must_be_int(runner, tmp_path, overrides, key):
     cfg = tmp_path / "cfg.json"
@@ -156,6 +167,7 @@ def test_config_seed_must_be_int(runner, tmp_path, overrides, key):
         ("ga-identities", {"seed": -3}, [], "'seed'"),
         ("ga-identities", {}, ["--seed", "-1"], "'seed'"),
     ],
+    ids=_overrides_id,
 )
 def test_value_the_experiment_rejects_exits_two_and_names_it(
     runner, tmp_path, experiment, overrides, flags, key
@@ -170,7 +182,11 @@ def test_value_the_experiment_rejects_exits_two_and_names_it(
     assert key in result.output
 
 
-_MEANINGLESS = [
+def _case_id(experiment: str, overrides: dict) -> str:
+    return f"{experiment}-{_overrides_id(overrides)}"
+
+
+_MEANINGLESS = [pytest.param(e, o, k, id=_case_id(e, o)) for e, o, k in [
     ("born-harmonic", {"dt": 0.0}, "dt"),
     ("born-free", {"steps_per_point": 0}, "steps_per_point"),
     ("born-free", {"t_final": -1.0}, "t_final"),
@@ -210,7 +226,7 @@ _MEANINGLESS = [
     ("born-harmonic", {"b": 0.0}, "b"),
     ("sde-estimators", {"theta": 3000.0}, "theta"),
     ("sde-estimators", {"theta": 1e6}, "theta"),
-]
+]]
 
 
 @pytest.mark.parametrize("experiment, overrides, key", _MEANINGLESS)
@@ -233,7 +249,7 @@ def test_meaningless_value_exits_two_with_one_error_line(runner, tmp_path, exper
     assert lines[0].startswith("error: ") and repr(key) in lines[0]
 
 
-_BAD_VALUES = [
+_BAD_VALUES = [pytest.param(e, c, m, id=_case_id(e, json.loads(c))) for e, c, m in [
     ("complex-increments", '{"dt": 1e400}', "dt must be finite, got inf"),
     ("sde-estimators", '{"n_paths_short": 1}', "no bin reaches 500 paths with n_paths_short = 1"),
     ("born-free", '{"n": 9}', "n must be >= 16, got 9"),
@@ -246,7 +262,7 @@ _BAD_VALUES = [
     ("sde-estimators", '{"theta": 3000}', "Euler-Maruyama steps of dt = 0.001 are unstable for this drift"),
     ("complex-increments", '{"pairs": [[1.0, 1.0], [1.0000001, 1.0]], "n_samples": 1000}',
      "the run makes check 'mean_dz[b=1,bhat=1]' twice"),
-]
+]]
 
 
 @pytest.mark.parametrize("experiment, config, message", _BAD_VALUES)
@@ -268,7 +284,8 @@ def test_bad_value_exits_two_with_a_message_about_it(runner, tmp_path, experimen
 
 @pytest.mark.parametrize(
     "experiment, overrides",
-    [(e, o) for e, o, _ in _MEANINGLESS] + [(e, json.loads(c)) for e, c, _ in _BAD_VALUES],
+    [pytest.param(*case.values[:2], id=case.id) for case in _MEANINGLESS]
+    + [pytest.param(case.values[0], json.loads(case.values[1]), id=case.id) for case in _BAD_VALUES],
 )
 def test_cli_error_line_ends_with_the_library_error(runner, tmp_path, experiment, overrides):
     # one gate judges a configuration, so the CLI prints what the library raises
@@ -357,6 +374,7 @@ def test_non_finite_float_parameter_is_rejected_before_the_run(monkeypatch, expe
         ("born-free", {}, 1.5, "seed"),
         ("born-free", {}, True, "seed"),
     ],
+    ids=_overrides_id,
 )
 def test_library_path_rejects_what_the_cli_rejects(monkeypatch, experiment, overrides, seed, key):
     # the library once ran these, echoing the key or the seed into the summary,
@@ -369,7 +387,8 @@ def test_library_path_rejects_what_the_cli_rejects(monkeypatch, experiment, over
 
 
 @pytest.mark.parametrize(
-    "experiment, overrides", [("colehopf-1d", {"eps": 0.2}), ("ga-identities", {})]
+    "experiment, overrides", [("colehopf-1d", {"eps": 0.2}), ("ga-identities", {})],
+    ids=_overrides_id,
 )
 def test_partial_overrides_give_the_summary_of_the_full_dict(tmp_path, experiment, overrides):
     written = []

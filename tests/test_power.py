@@ -180,18 +180,14 @@ DEFECTS = {
     "born velocity x 1.1": (_scale_born_velocity(1.1), {
         "born-free": [
             "relative_density_discrepancy", "halving_resolution_error_ratio",
-            "complex_transport_residual_forward", "complex_transport_residual_conjugate",
-            "osmotic_constraint_residual",
+            "complex_transport_residual_forward", "osmotic_constraint_residual",
         ],
     }),
     "born transport first order (Euler)": (_euler_born_transport, {
         "born-free": ["halving_resolution_error_ratio"],
     }),
     "born extraction root flipped": (_flip_born_extraction_root, {
-        "born-free": [
-            "complex_transport_residual_forward", "complex_transport_residual_conjugate",
-            "osmotic_constraint_residual",
-        ],
+        "born-free": ["complex_transport_residual_forward", "osmotic_constraint_residual"],
         "born-harmonic": ["complex_transport_residual_forward", "osmotic_constraint_residual"],
     }),
     "split step loses 1e-9 a step": (_lossy_split_step, {
@@ -249,9 +245,7 @@ DEFECTS = {
     ),
     "complex transport residual b x 1.01": (
         _scale_argument(experiments, "complex_fp_residual", 4, 1.01),
-        {"fp-consistency": [
-            "packet_complex_residual_forward", "packet_complex_residual_conjugate",
-        ]},
+        {"fp-consistency": ["packet_complex_residual_forward"]},
     ),
 }
 

@@ -40,7 +40,6 @@ SRC = Path(stochflow.__file__).parent
 
 #: public names kept although nothing in the package loads them
 ALLOWED = {
-    ("born", "madelung_wavefunction"): "README claim (Madelung round trip), awaiting an experiment check",
     ("born", "evolve_density_continuity"): "traced by bench/spans.py; oracle of the Born reference test",
     ("clifford", "geometric_product"): "traced by bench/spans.py",
     ("clifford", "scalar_product"): "traced by bench/spans.py",

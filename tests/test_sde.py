@@ -342,8 +342,8 @@ def test_complex_path_sums_equal_the_row_sums_of_one_draw_bit_for_bit(monkeypatc
     (lambda: complex_path_sums(1.0, 1.0, 0.01, -1, 5, 1), "n_paths must be at least 1, got -1"),
     (lambda: complex_path_sums(1.0, 1.0, 0.01, 5, 0, 1), "values per path must be at least 1, got 0"),
     (lambda: complex_path_sums(1.0, 1.0, 0.01, 5, -1, 1), "values per path must be at least 1, got -1"),
-    (lambda: sample_complex_increments(1.0, 1.0, 0.01, 0, 1), "n_paths must be at least 1, got 0"),
-    (lambda: sample_complex_increments(1.0, 1.0, 0.01, -1, 1), "n_paths must be at least 1, got -1"),
+    (lambda: sample_complex_increments(1.0, 1.0, 0.01, 0, 1), "n_samples must be at least 1, got 0"),
+    (lambda: sample_complex_increments(1.0, 1.0, 0.01, -1, 1), "n_samples must be at least 1, got -1"),
 ])
 def test_complex_draws_need_a_path_of_at_least_one_step(draw, message):
     # the block runner checks the counts of every draw, before any buffer is sized by them;
