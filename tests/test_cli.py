@@ -265,6 +265,16 @@ _BAD_VALUES = [pytest.param(e, c, m, id=_case_id(e, json.loads(c))) for e, c, m 
 ]]
 
 
+def test_error_case_ids_are_unique_and_name_the_override():
+    # an id built from the experiment and its overrides stays with its case
+    # when another is added or removed, unlike a positional overrides<N> id
+    ids = [case.id for case in _MEANINGLESS + _BAD_VALUES]
+    assert len(set(ids)) == len(ids)
+    for case in _MEANINGLESS + _BAD_VALUES:
+        assert case.id.startswith(f"{case.values[0]}-")
+        assert "overrides" not in case.id
+
+
 @pytest.mark.parametrize("experiment, config, message", _BAD_VALUES)
 def test_bad_value_exits_two_with_a_message_about_it(runner, tmp_path, experiment, config, message):
     # these once gave nine NaN FAILs, a numpy reduction error, the least grid of

@@ -182,6 +182,21 @@ def test_complex_residual_variants_on_packet(packet_triple):
     assert complex_fp_residual(rm, rc, rp, vc, pk.b, dt).l_inf < 1e-3
 
 
+def test_complex_residual_flags_the_conjugate_velocity(packet_triple):
+    # the forward residual alone tells V from V*: with the flipped root the
+    # transport term loses the osmotic current that cancels the imaginary
+    # diffusion, so the residual is the whole diffusion term (b^2 rho)_xx
+    from stochflow.fields import derivative
+
+    grid, pk, rm, rc, rp, t, dt = packet_triple
+    vc = ScalarField(grid, pk.complex_velocity(grid.axis, t))
+    floor = complex_fp_residual(rm, rc, rp, vc, pk.b, dt).l_inf
+    flipped = complex_fp_residual(rm, rc, rp, ScalarField(grid, np.conj(vc.values)), pk.b, dt).l_inf
+    diffusion = np.max(np.abs(derivative(ScalarField(grid, pk.b**2 * rc.values), 0, order=2).values))
+    assert flipped > 1e5 * floor
+    assert abs(flipped - diffusion) <= floor
+
+
 def test_complex_residual_halves_recover_continuity(packet_triple):
     # averaging the forward and conjugate equations eliminates the
     # imaginary diffusion term and leaves continuity in v = Re V; the
