@@ -1,8 +1,10 @@
 """The quadratic-density pipeline: wave function -> velocities -> transported density.
 
 The central claim verified here: if ``F`` solves the wave equation and the
-complex velocity ``V = -i b^2 (grad F)/F = v - i u`` is read off from it,
-then the *real* density transported by the ordinary continuity equation
+complex velocity ``V = lam (grad F)/F = v - i u`` is read off from it, with
+``lam = -i b^2`` the root of the ``complex`` row of
+:data:`stochflow.burgers.VARIANTS`, then the *real* density transported by the
+ordinary continuity equation
 
     ``rho_t + (v rho)_x = 0``
 
@@ -26,8 +28,7 @@ evolution step's two-row FFT pair, so a step is two row-FFT gufunc and eleven
 ufunc calls and nothing else: no step converts a Python float, casts float to
 complex or views an array.  At n = 128 on a 2-core host the loop takes 12 us a
 step, the calls' fixed cost, and the whole pipeline 17 us (best of repeated
-in-process 4,000-step runs; 18 and 23 us with the two flux evaluations of
-Heun's method).  AB3 is stable on the imaginary axis while
+in-process 4,000-step runs).  AB3 is stable on the imaginary axis while
 ``theta = k_max |v| dt <= 0.72``, with ``k_max`` the highest wavenumber below
 Nyquist; Heun's amplification there is about ``1 + theta^4 / 8`` a step, so its
 top modes grow at any ``dt``.  The increment history starts as ``g_0`` three
@@ -40,7 +41,8 @@ K = 64 that is under one call per step against the 13, while the scratch
 (0.85 MB at n = 128) stays within a 2 MB L2 cache.  Larger chunks only spend
 memory.
 
-The velocity ``V`` is extracted with the fixed relative floor
+``V`` is the one velocity handed to the residuals of :mod:`stochflow.fokker_planck`,
+which read ``v`` and ``u`` from it.  It is extracted with the fixed relative floor
 ``NODE_FLOOR_REL`` on ``|F|`` (:func:`stochflow.fields.log_derivative`), so
 near-zeros of ``F`` are masked instead of silently amplified.
 """
@@ -53,6 +55,7 @@ from itertools import cycle
 import numpy as np
 from numpy import add as _add, multiply as _mul, subtract as _sub  # bound once for the step loops
 
+from .burgers import BurgersProblem
 from .fields import (
     Norms,
     ScalarField,
@@ -73,7 +76,6 @@ from .fokker_planck import (
 from .schrodinger import SchrodingerProblem, _split_factors, evolve  # noqa: F401
 
 __all__ = [
-    "VelocityDecomposition",
     "BornReport",
     "velocity_from_wavefunction",
     "evolve_density_continuity",
@@ -90,32 +92,14 @@ SERIES_ROWS = 512
 AB3 = (23.0, 16.0, 5.0)
 
 
-@dataclass(frozen=True)
-class VelocityDecomposition:
-    """Complex velocity of a wave function and its real/imaginary split.
-
-    At the points where ``|F|`` falls below the relative node floor all
-    velocities are zero (the transported flux ``v rho`` vanishes there
-    anyway, since ``rho = |F|^2``).
-    """
-
-    complex_velocity: ScalarField
-    current: ScalarField
-    osmotic: ScalarField
-
-
-def velocity_from_wavefunction(psi: ScalarField, b: float) -> VelocityDecomposition:
-    """Extract ``V = -i b^2 (grad psi)/psi``, masking the nodes of ``psi``
-    (:data:`~stochflow.fields.NODE_FLOOR_REL`)."""
+def velocity_from_wavefunction(psi: ScalarField, b: float) -> ScalarField:
+    """The complex velocity ``V = lam (grad psi)/psi``, ``lam`` the ``complex`` Burgers root, zero
+    where ``|psi|`` is below the node floor (:data:`~stochflow.fields.NODE_FLOOR_REL`): the
+    transported flux ``v rho`` vanishes there anyway."""
     grid = psi.grid
-    dpsi = _spectral_derivative(psi.values, grid, 0, 1)
-    v = log_derivative(psi.values.reshape(1, -1), dpsi.reshape(1, -1), -1j * b**2)[0]
-    v = v.reshape(grid.shape)
-    return VelocityDecomposition(
-        complex_velocity=ScalarField(grid, v),
-        current=ScalarField(grid, np.real(v)),
-        osmotic=ScalarField(grid, -np.imag(v)),
-    )
+    dpsi = _spectral_derivative(psi.values, grid, 0, 1).reshape(1, -1)
+    v = log_derivative(psi.values.reshape(1, -1), dpsi, BurgersProblem(b, "complex").lam)[0]
+    return ScalarField(grid, v.reshape(grid.shape))
 
 
 def _ab3_weights() -> tuple:
@@ -236,8 +220,9 @@ def born_pipeline(
     n_steps, dt = time_steps(t_final, dt)
     mid = n_steps // 2
     if mid == 0:
-        raise ValueError("need at least three stored snapshots for the residual checks")
+        raise ValueError(f"the midpoint residuals need at least 2 steps, got {n_steps}")
     grid, b = problem.grid, problem.b
+    lam = BurgersProblem(b, "complex").lam
     mult = spectral_multiplier(grid)
     gmult = mult * (dt / 12)  # g = (dt/12) (v rho)_x in one multiply
     half_pot, kin = _split_factors(problem, dt)
@@ -315,7 +300,7 @@ def born_pipeline(
             rows = m_new + 1 if i0 + m_new == n_steps else m_new
             states, spec = new[:rows], cwork[:rows]
             _mul(_fft(states, one, spec), mult, spec)
-            velocity, mask = log_derivative(states, _ifft(spec, inv_n, spec), -1j * b**2)
+            velocity, mask = log_derivative(states, _ifft(spec, inv_n, spec), lam)
             vels[:rows] = velocity.real
             vels[rows:] = 0  # padded transport steps then read no stale velocity
             min_coverage = min(min_coverage, float(mask.mean(axis=1).min()))
@@ -330,7 +315,7 @@ def born_pipeline(
     rho_tri = [
         ScalarField(grid, np.real(kept[k].abs2().values) / q0) for k in (mid - 1, mid, mid + 1)
     ]
-    dec = velocity_from_wavefunction(kept[mid], b)
+    velocity = velocity_from_wavefunction(kept[mid], b)
     return BornReport(
         t_final=dt * n_steps,
         dt=dt,
@@ -340,9 +325,9 @@ def born_pipeline(
         mass_drift=mass_drift,
         norm_drift=norm_drift,
         min_coverage=min_coverage,
-        fp_forward=complex_fp_residual(*rho_tri, dec.complex_velocity, b, dt),
-        continuity=continuity_residual(*rho_tri, dec.current, dt),
-        osmotic=osmotic_constraint_residual(rho_tri[1], dec.osmotic, b),
+        fp_forward=complex_fp_residual(*rho_tri, velocity, b, dt),
+        continuity=continuity_residual(*rho_tri, velocity, dt),
+        osmotic=osmotic_constraint_residual(rho_tri[1], velocity, b),
         ab3_theta=float(np.abs(mult).max()) * v_max * dt,
         discrepancy_series=np.column_stack([np.arange(0, n_steps + 1, stride) * dt, gaps]),
         final_profiles=np.stack([rho, target[-1]]),

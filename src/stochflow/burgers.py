@@ -59,7 +59,7 @@ __all__ = [
     "real_chain_residual",
 ]
 
-#: variant -> its viscosity ``nu`` in units of ``b^2``; see the module table
+#: variant -> its viscosity ``nu`` in units of ``b^2``, the one place of each root ``lam = -2 nu``
 VARIANTS = {"forward": -0.5, "reversed": +0.5, "complex": +0.5j, "complex-conjugate": -0.5j}
 
 

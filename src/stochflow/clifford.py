@@ -291,9 +291,7 @@ def check_prop_identities(f: ScalarField, s: StretchSpec) -> dict[str, Norms]:
     }
 
 
-def linearization_cancellation(
-    F: ScalarField, b: float, lam: complex | None = None
-) -> Norms:
+def linearization_cancellation(F: ScalarField, b: float, lam: complex) -> Norms:
     r"""Residual of the exact-linearization identity of the Cole-Hopf proof.
 
     Evaluates, with ``w = \nabla \log F`` and the isotropic stretch
@@ -304,11 +302,9 @@ def linearization_cancellation(
         \nabla (C(\nabla) \log F)^2 + i b^2\, C(\nabla) (\nabla \log F)^2
 
     term by term.  For ``lam`` solving :math:`\lambda^2 + i b^2 \lambda = 0`
-    (i.e. ``lam = -i b^2``) the two terms cancel identically and the
-    discrete residual sits at spectral round-off.
+    (i.e. ``lam = -i b^2``, the ``complex`` root of :data:`stochflow.burgers.VARIANTS`) the
+    two terms cancel identically and the discrete residual sits at spectral round-off.
     """
-    if lam is None:
-        lam = -1j * b**2
     grid = F.grid
     if np.abs(F.values).min() <= 0:
         raise ValueError("log F undefined: F has a zero node")

@@ -27,7 +27,8 @@ their half-difference is the osmotic constraint
 ``(u rho)_x = (b^2/2) rho_xx`` with ``u = -Im V``.  For a real ``rho`` the
 conjugate residual is the complex conjugate of the forward one, so only the
 forward equation is evaluated.  It, the continuity equation and the osmotic
-constraint are residual evaluators over density/velocity snapshots.
+constraint are residual evaluators over density snapshots, and all three take
+the complex velocity ``V``: the convention ``V = v - i u`` lives here alone.
 """
 
 from __future__ import annotations
@@ -169,21 +170,21 @@ def continuity_residual(
     rho_minus: ScalarField,
     rho_center: ScalarField,
     rho_plus: ScalarField,
-    current_velocity: ScalarField,
+    velocity: ScalarField,
     dt: float,
 ) -> Norms:
-    """Residual of ``rho_t + (v rho)_x = 0`` with a centred time difference."""
+    """Residual of ``rho_t + (v rho)_x = 0``, ``v = Re V`` of the complex velocity ``velocity``,
+    with a centred time difference."""
     grid = rho_center.grid
     d_rho_dt = (rho_plus.values - rho_minus.values) / (2 * dt)
-    transport = _spectral_derivative(current_velocity.values * rho_center.values, grid, 0, 1)
+    transport = _spectral_derivative(velocity.values.real * rho_center.values, grid, 0, 1)
     return _norms(d_rho_dt + transport, grid)
 
 
-def osmotic_constraint_residual(
-    rho: ScalarField, osmotic_velocity: ScalarField, b: float
-) -> Norms:
-    """Residual of the instantaneous constraint ``(u rho)_x = (b^2/2) rho_xx``."""
+def osmotic_constraint_residual(rho: ScalarField, velocity: ScalarField, b: float) -> Norms:
+    """Residual of the instantaneous constraint ``(u rho)_x = (b^2/2) rho_xx``, ``u = -Im V``
+    of the complex velocity ``velocity``."""
     grid = rho.grid
-    lhs = _spectral_derivative(osmotic_velocity.values * rho.values, grid, 0, 1)
+    lhs = _spectral_derivative(-velocity.values.imag * rho.values, grid, 0, 1)
     rhs = 0.5 * _spectral_derivative(b**2 * rho.values, grid, 0, 2)
     return _norms(lhs - rhs, grid)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import MB, node_mask, peak_bytes, split_step_states, wavefunction_norm
-from stochflow import born
+from stochflow import born, burgers
 from stochflow.analytic import FreePacket, HarmonicState
 from stochflow.born import (
     AB3,
@@ -38,16 +38,30 @@ def test_velocity_extraction_matches_analytic(packet_setup):
     grid, pk = packet_setup
     t = 0.4
     psi = ScalarField(grid, pk.psi(grid.axis, t))
-    dec = velocity_from_wavefunction(psi, pk.b)
+    velocity = velocity_from_wavefunction(psi, pk.b).values
     m = node_mask(psi)
     assert m.mean() > 0.5
     # compare away from the node floor, where the 1/|psi| amplification of
     # round-off in the spectral derivative is negligible
     safe = np.abs(psi.values) > 1e-4 * np.abs(psi.values).max()
-    assert np.max(np.abs(dec.current.values[safe] - pk.current_velocity(grid.axis, t)[safe])) < 1e-9
-    assert np.max(np.abs(dec.osmotic.values[safe] - pk.osmotic_velocity(grid.axis, t)[safe])) < 1e-9
+    assert np.max(np.abs(velocity.real[safe] - pk.current_velocity(grid.axis, t)[safe])) < 1e-9
+    assert np.max(np.abs(-velocity.imag[safe] - pk.osmotic_velocity(grid.axis, t)[safe])) < 1e-9
     # masked-out points carry zero velocity by policy
-    assert np.all(dec.complex_velocity.values[~m] == 0)
+    assert np.all(velocity[~m] == 0)
+
+
+@pytest.mark.parametrize("b", [1.0, 0.7])
+@pytest.mark.parametrize("root", ["table", "flipped"])
+def test_extraction_is_the_complex_burgers_substitution_bit_for_bit(monkeypatch, b, root):
+    # the Born side and the Burgers side read V off F by one formula with one root, the
+    # complex row of burgers.VARIANTS, so a change of that row reaches both
+    if root == "flipped":
+        monkeypatch.setitem(burgers.VARIANTS, "complex", -burgers.VARIANTS["complex"])
+    grid = GridSpec(dim=1, length=2 * np.pi, n=64)
+    x = grid.axis
+    psi = ScalarField(grid, (1 + 0.4 * np.cos(x)) * np.exp(1j * (np.sin(x) + 2 * x)))
+    want = burgers.BurgersProblem(b, "complex").velocity_component(psi, 0)
+    assert np.array_equal(velocity_from_wavefunction(psi, b).values, want)
 
 
 def test_continuity_transport_uniform_advection():
@@ -121,7 +135,7 @@ def test_born_pipeline_requires_enough_snapshots(packet_setup):
     grid, pk = packet_setup
     psi0 = ScalarField(grid, pk.psi(grid.axis, 0.0))
     prob = SchrodingerProblem(b=pk.b, psi0=psi0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least 2 steps, got 1$"):
         born_pipeline(prob, 1e-3, 1e-3)  # a single step cannot be analysed
 
 
@@ -132,8 +146,8 @@ def _reference_report(problem, t_final, dt):
     times = dt_eff * np.arange(len(states), dtype=float)
     grid = problem.grid
     q0 = float(np.real(integrate(states[0].abs2())))
-    decs = [velocity_from_wavefunction(state, problem.b) for state in states]
-    velocities = np.array([np.real(dec.current.values) for dec in decs])
+    complex_velocities = [velocity_from_wavefunction(state, problem.b) for state in states]
+    velocities = np.array([np.real(vc.values) for vc in complex_velocities])
     rho0 = ScalarField(grid, np.real(states[0].abs2().values) / q0)
     history = evolve_density_continuity(rho0, velocities, dt_eff)
     series = np.empty((len(states), 3))
@@ -147,7 +161,7 @@ def _reference_report(problem, t_final, dt):
     tri = [
         ScalarField(grid, np.real(states[k].abs2().values) / q0) for k in (mid - 1, mid, mid + 1)
     ]
-    dec = decs[mid]
+    vc = complex_velocities[mid]
     mass = history.sum(axis=1) * grid.dx
     norms = [wavefunction_norm(state) for state in states]
     return BornReport(
@@ -159,9 +173,9 @@ def _reference_report(problem, t_final, dt):
         mass_drift=float(np.max(np.abs(mass - float(history[0].sum() * grid.dx)))),
         norm_drift=max(abs(norm - norms[0]) for norm in norms),
         min_coverage=min(float(node_mask(state).mean()) for state in states),
-        fp_forward=complex_fp_residual(*tri, dec.complex_velocity, problem.b, dt_eff),
-        continuity=continuity_residual(*tri, dec.current, dt_eff),
-        osmotic=osmotic_constraint_residual(tri[1], dec.osmotic, problem.b),
+        fp_forward=complex_fp_residual(*tri, vc, problem.b, dt_eff),
+        continuity=continuity_residual(*tri, vc, dt_eff),
+        osmotic=osmotic_constraint_residual(tri[1], vc, problem.b),
         ab3_theta=float(np.abs(spectral_multiplier(grid)).max())
         * float(np.abs(velocities).max()) * dt_eff,
         discrepancy_series=series[:: max(1, len(states) // SERIES_ROWS)],

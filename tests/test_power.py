@@ -76,14 +76,9 @@ def _euler_born_transport(monkeypatch):
 
 
 def _flip_born_extraction_root(monkeypatch):
-    """The Born report reads its velocities off the wave function with the root ``+i b^2``."""
+    """The Born report reads its velocity off the wave function with the root ``+i b^2``."""
     extract = born.velocity_from_wavefunction
-
-    def flipped(psi, b):
-        dec = extract(psi, b)
-        return born.VelocityDecomposition(-dec.complex_velocity, -dec.current, -dec.osmotic)
-
-    monkeypatch.setattr(born, "velocity_from_wavefunction", flipped)
+    monkeypatch.setattr(born, "velocity_from_wavefunction", lambda psi, b: -extract(psi, b))
 
 
 def _lossy_split_step(monkeypatch):
@@ -149,14 +144,27 @@ def _scale_result(owner, name, factor):
     return inject
 
 
+#: the checks that read the root of the ``complex`` row of ``burgers.VARIANTS``; an
+#: isotropic stretch holds for either root, so ``ga-identities`` must still PASS
+_COMPLEX_ROOT_CHECKS = {
+    "born-free": [
+        "relative_density_discrepancy", "halving_resolution_error_ratio",
+        "complex_transport_residual_forward", "osmotic_constraint_residual",
+    ],
+    "born-harmonic": ["complex_transport_residual_forward", "osmotic_constraint_residual"],
+    "colehopf-1d": ["transform_route_vs_analytic", "direct_vs_transform_route"],
+    "ga-identities": [],
+}
+
 #: (defect, {experiment: the checks that FAIL with it, and only they})
 DEFECTS = {
     "complex root flipped": (_flip_complex_root, {
-        "colehopf-1d": ["transform_route_vs_analytic", "direct_vs_transform_route"],
-        "colehopf-3d": ["conjugate_symmetry"],
+        **_COMPLEX_ROOT_CHECKS,
+        "colehopf-3d": ["cancellation_worst_linf", "conjugate_symmetry"],
     }),
     "complex pair swapped": (_swap_complex_pair, {
-        "colehopf-1d": ["transform_route_vs_analytic", "direct_vs_transform_route"],
+        **_COMPLEX_ROOT_CHECKS,
+        "colehopf-3d": ["cancellation_worst_linf"],
     }),
     "direct viscosity x (1 + 1e-4)": (_scale_direct_viscosity(1 + 1e-4), {
         "burgers-direct-vs-ch": ["single_mode_direct_vs_analytic"],

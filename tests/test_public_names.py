@@ -63,7 +63,6 @@ ALLOWED_FIELDS: dict = {}
 ALLOWED_PARAMETERS = {
     ("burgers", "BurgersProblem", "potential"): "the forced equation maps to the wave equation "
     "with U; only test_burgers checks it, awaiting an experiment check",
-    ("clifford", "linearization_cancellation", "lam"): "the wrong-root negative control",
 }
 
 
