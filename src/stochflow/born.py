@@ -36,10 +36,12 @@ times (one extra FFT pair a run), so the first steps are Euler-like and the
 global order stays two.  Every chunk runs K steps: the transport before
 chunk 0's velocities and the evolution past the last state are padding, at
 most 2K - 1 steps a run, whose rows are never read.  A chunk's velocity
-extraction and comparison add a few dozen batched calls, whatever K is; at
-K = 64 that is under one call per step against the 13, while the scratch
-(0.85 MB at n = 128) stays within a 2 MB L2 cache.  Larger chunks only spend
-memory.
+extraction and comparison are a few dozen batched calls, whatever K is, but
+their work is per step: on a 2-core host they take about 30% of
+``born-harmonic`` (extraction 0.105-0.122 s and comparison 0.064-0.079 s of
+0.57-0.67 s), and the step loop most of the rest.  Chunks of 2^12 to 2^15
+points did not lower that cost per step; at K = 64 the scratch (0.85 MB at
+n = 128) stays within a 2 MB L2 cache.
 
 ``V`` is the one velocity handed to the residuals of :mod:`stochflow.fokker_planck`,
 which read ``v`` and ``u`` from it.  It is extracted with the fixed relative floor

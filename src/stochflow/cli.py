@@ -57,6 +57,8 @@ def _load_config(path: str | None) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         _fail_config(f"config file {path!r} is not valid JSON: {exc}")
+    except ValueError as exc:  # an integer literal past Python's digit limit for int()
+        _fail_config(f"config file {path!r} holds a number that cannot be read: {exc}")
     if not isinstance(data, dict):
         _fail_config(f"config file {path!r} must contain a JSON object")
     return data

@@ -19,15 +19,17 @@ longer traces them (ROADMAP item 18).
 
 The calculus on grids needs vector fields only (gradients, velocities), so
 a vector field is a plain complex array of its components, shaped
-``(dim,) + grid.shape``; ``grad_wedge`` returns the three bivector
-components of a derivative.  Coefficients are complex throughout: the
-vectorized Cole-Hopf transform stretches gradients by the imaginary
-constant ``-i b^2``.
+``(dim,) + grid.shape``; ``grad_wedge`` yields the three bivector
+components of a derivative one at a time.  The evaluators hand each residual
+component to the norms before the next one is made, so they hold a few
+``grid.shape`` fields, never a stack of residuals.  Coefficients are complex throughout: the vectorized Cole-Hopf
+transform stretches gradients by the imaginary constant ``-i b^2``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -162,21 +164,24 @@ def gradient(f: ScalarField) -> np.ndarray:
     return out
 
 
-def grad_wedge(grid: GridSpec, w: np.ndarray) -> np.ndarray:
+def grad_wedge(grid: GridSpec, w: np.ndarray) -> Iterator[np.ndarray]:
     r"""Wedge part :math:`\nabla \wedge w` of the derivative of a vector field.
 
-    ``w`` is a ``(dim,) + grid.shape`` component stack.  Returns the
-    ``e12, e13, e23`` coefficients, shaped ``(3,) + grid.shape``: the ``e_ij``
+    ``w`` is a ``(dim,) + grid.shape`` component stack.  Yields the ``e12, e13,
+    e23`` coefficients one at a time, each a ``grid.shape`` array: the ``e_ij``
     one is :math:`\partial_{x_i} w_j - \partial_{x_j} w_i` (zero for an axis
-    the grid lacks).  They vanish exactly when the field is irrotational.
+    the grid lacks).  They vanish exactly when the field is irrotational.  Each
+    blade is formed in its first derivative's buffer and dropped before the next
+    one is made, so a consumer that drops it too holds one blade at a time.
     """
-    out = np.zeros((3,) + grid.shape, dtype=np.complex128)
-    for blade, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
+    for i, j in ((0, 1), (0, 2), (1, 2)):
         if max(i, j) >= grid.dim:
+            yield np.zeros(grid.shape, dtype=np.complex128)
             continue
-        out[blade] = _spectral_derivative(w[j], grid, i, 1)
-        out[blade] -= _spectral_derivative(w[i], grid, j, 1)
-    return out
+        blade = _spectral_derivative(w[j], grid, i, 1)
+        blade -= _spectral_derivative(w[i], grid, j, 1)
+        yield blade
+        del blade
 
 
 @dataclass(frozen=True)
@@ -210,10 +215,15 @@ def stretched_gradient(f: ScalarField, s: StretchSpec) -> np.ndarray:
 
 def _vector_norms(components, grid: GridSpec) -> Norms:
     """The largest ``l_inf`` and the largest ``l2`` over the components of a
-    vector field, read one at a time from any iterable: a generator of them
-    holds one component at once."""
-    per_component = [_norms(comp, grid) for comp in components]
-    return Norms(max(n.l_inf for n in per_component), max(n.l2 for n in per_component))
+    vector field, read one at a time from any iterable: each is dropped before
+    the next is asked for, so a generator of them holds one component at once.
+    A NaN norm of any component is the result's."""
+    per_component = []
+    for comp in components:
+        per_component.append(_norms(comp, grid))
+        del comp
+    return Norms(float(np.max([n.l_inf for n in per_component])),
+                 float(np.max([n.l2 for n in per_component])))
 
 
 def check_prop_identities(f: ScalarField, s: StretchSpec) -> dict[str, Norms]:
@@ -318,11 +328,12 @@ def linearization_cancellation(F: ScalarField, b: float, lam: complex) -> Norms:
         stretched_sq += np.square(np.multiply(lam, g, out=g), out=g)
     del log_f, g
 
-    return _vector_norms(
-        (
-            _spectral_derivative(stretched_sq, grid, axis, 1)
-            + 1j * b**2 * lam * _spectral_derivative(plain_sq, grid, axis, 1)
-            for axis in range(grid.dim)
-        ),
-        grid,
-    )
+    c = 1j * b**2 * lam
+
+    def residual(axis: int) -> np.ndarray:
+        """Component ``axis``, formed in its first derivative's buffer."""
+        d1 = _spectral_derivative(stretched_sq, grid, axis, 1)
+        d2 = _spectral_derivative(plain_sq, grid, axis, 1)
+        return np.add(d1, np.multiply(c, d2, out=d2), out=d1)
+
+    return _vector_norms((residual(axis) for axis in range(grid.dim)), grid)

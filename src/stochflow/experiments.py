@@ -14,6 +14,7 @@ comparison, threshold and meaning, and the parameter minimums.
 from __future__ import annotations
 
 import json
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Callable
@@ -28,7 +29,9 @@ from .born import BornReport, born_pipeline
 from .burgers import (
     BurgersProblem, heat_evolve_spectral, real_chain_residual, solve_burgers,
 )
-from .clifford import StretchSpec, check_prop_identities, grad_wedge, linearization_cancellation
+from .clifford import (
+    StretchSpec, _vector_norms, check_prop_identities, grad_wedge, linearization_cancellation,
+)
 from .fields import GridSpec, ScalarField, field_from_function, integrate, time_steps
 from .fokker_planck import (
     cfl_timestep, complex_fp_residual, continuity_residual, discrete_stationary_density,
@@ -298,6 +301,7 @@ def _random_log_field(grid: GridSpec, rng, n_terms: int, amp: float, kmax: int) 
     """Smooth band-limited real field: a few random cosine modes."""
     coords = grid.coords()
     g = np.zeros(grid.shape)
+    arg = np.empty(grid.shape)  # the one n^3 buffer of every mode
     base = 2 * np.pi / grid.length
     for _ in range(n_terms):
         kvec = rng.integers(-kmax, kmax + 1, size=3)
@@ -305,8 +309,12 @@ def _random_log_field(grid: GridSpec, rng, n_terms: int, amp: float, kmax: int) 
             kvec[0] = 1
         phase = rng.uniform(0, 2 * np.pi)
         a = amp * rng.standard_normal() / n_terms
-        arg = base * sum(kvec[i] * coords[i] for i in range(3))
-        g += a * np.cos(arg + phase)
+        np.add(kvec[0] * coords[0] + kvec[1] * coords[1], kvec[2] * coords[2], out=arg)
+        arg *= base
+        arg += phase
+        np.cos(arg, out=arg)
+        arg *= a
+        g += arg
     return g
 
 
@@ -333,20 +341,17 @@ def _run_colehopf_3d(p: dict, seed: int, run: _Run):
     # separable positive F: the velocity components are single-axis ratios
     eps = (0.3, 0.25, 0.2)
     phases = (0.4, 1.1, 2.0)
-    factors = [1 + eps[i] * np.cos(xs[i] + phases[i]) for i in range(3)]
-    f_vals = factors[0] * factors[1] * factors[2]
-    F = ScalarField(grid, f_vals)
+    factors = [1 + eps[i] * np.cos(xs[i] + phases[i]) for i in range(3)]  # sparse axes
 
     bp = BurgersProblem(b=b, variant="complex")
-    vel = bp.to_velocity(F)
+    vel = bp.to_velocity(ScalarField(grid, factors[0] * factors[1] * factors[2]))
     sep_err = 0.0
     for i in range(3):
         expected = bp.lam * (-eps[i] * np.sin(xs[i] + phases[i])) / factors[i]
         sep_err = max(sep_err, float(np.max(np.abs(vel[i] - expected))))
     run.check("separable_velocity_error", sep_err)
 
-    del F, factors  # read; of the separable field only f_vals is kept, for the conjugate check
-    run.check("velocity_irrotationality", float(np.max(np.abs(grad_wedge(grid, vel)))))
+    run.check("velocity_irrotationality", _vector_norms(grad_wedge(grid, vel), grid).l_inf)
     del vel
 
     # cancellation identity on random smooth positive fields
@@ -355,8 +360,10 @@ def _run_colehopf_3d(p: dict, seed: int, run: _Run):
     cancel_rows = []
     for trial in range(p["n_random"]):
         g = _random_log_field(grid, rng, n_terms=8, amp=p["amp"], kmax=p["kmax"])
-        res = linearization_cancellation(ScalarField(grid, np.exp(g)), b, bp.lam)
-        del g  # before the next field is built
+        F = ScalarField(grid, np.exp(g, out=g))
+        del g  # before the cancellation call
+        res = linearization_cancellation(F, b, bp.lam)
+        del F  # before the next field is built
         worst_cancel = max(worst_cancel, res.l_inf)
         cancel_rows.append((trial, res.l_inf, res.l2))
     run.check("cancellation_worst_linf", worst_cancel)
@@ -365,12 +372,14 @@ def _run_colehopf_3d(p: dict, seed: int, run: _Run):
     bp_conj = BurgersProblem(b=b, variant="complex-conjugate")
 
     # conjugate symmetry, one component at a time: from F* the conjugate map mirrors V
-    f_complex = ScalarField(grid, f_vals * np.exp(0.3j * np.sin(xs[0])))
-    del xs, f_vals
+    f_complex = ScalarField(
+        grid, factors[0] * factors[1] * factors[2] * np.exp(0.3j * np.sin(xs[0]))
+    )
     f_conj = f_complex.conj()
     conj_err = 0.0
     for axis in range(3):
-        gap = np.conjugate(bp.velocity_component(f_complex, axis))
+        gap = bp.velocity_component(f_complex, axis)
+        np.conjugate(gap, out=gap)
         gap -= bp_conj.velocity_component(f_conj, axis)
         conj_err = max(conj_err, float(np.max(np.abs(gap))))
     run.check("conjugate_symmetry", conj_err)
@@ -849,6 +858,19 @@ def _matches(value, default) -> bool:
     return True
 
 
+def _finite(value, default) -> bool:
+    """Whether ``value``, which matches ``default``, is finite as a float wherever the
+    default holds a float, in a list too: an int too large for a float is not."""
+    if isinstance(default, list) and default:
+        return all(_finite(v, default[0]) for v in value)
+    if not isinstance(default, float):
+        return True
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _type_name(default) -> str:
     if isinstance(default, list) and default:
         return f"list of {_type_name(default[0])}"
@@ -863,7 +885,7 @@ def run_experiment(name: str, overrides: dict, seed: int) -> dict:
     ``stochflow run`` reject the same inputs with the same reason: before
     the runner starts, a ValueError naming the key refuses a seed that is
     not a non-negative int, an unknown key, a value not of its default's
-    type (:func:`_matches`), a non-finite float and a value past its
+    type (:func:`_matches`), a non-finite float (:func:`_finite`) and a value past its
     declared minimum.  Each check name is judged at its ``run.check`` call,
     which raises one for a name of no declared family (the text before any
     ``[``) or a name already made; a declared family that the run never
@@ -881,8 +903,9 @@ def run_experiment(name: str, overrides: dict, seed: int) -> dict:
         if not _matches(value, params[key]):
             got = json.dumps(value, default=repr)
             raise ValueError(f"{key!r} must be of type {_type_name(params[key])}, got {got}")
-        if isinstance(params[key], float) and not np.isfinite(value):
-            raise ValueError(f"{key} must be finite, got {value}")
+        if not _finite(value, params[key]):
+            shown = "an int too large for a float" if isinstance(value, int) else value
+            raise ValueError(f"{key} must be finite, got {shown}")
         params[key] = value
     for key, (comparison, bound) in spec.minimums.items():
         if not COMPARATORS[comparison](params[key], bound):

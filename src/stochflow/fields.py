@@ -242,7 +242,9 @@ def integrate(f: ScalarField) -> complex:
 
 def _norms(values: np.ndarray, grid: GridSpec) -> Norms:
     mag = np.abs(values)
-    return Norms(l_inf=float(mag.max()), l2=float(np.sqrt(np.sum(mag**2) * grid.cell_volume)))
+    l_inf = float(mag.max())
+    np.square(mag, out=mag)  # in the one buffer of magnitudes, once its max is read
+    return Norms(l_inf=l_inf, l2=float(np.sqrt(np.sum(mag) * grid.cell_volume)))
 
 
 def norms(f: ScalarField) -> Norms:

@@ -372,6 +372,50 @@ def test_non_finite_float_parameter_is_rejected_before_the_run(monkeypatch, expe
         run_experiment(experiment, dict(spec.defaults, **{key: value}), 1234)
 
 
+def _assert_config_error(runner, tmp_path, experiment, config_text, named):
+    """``stochflow run`` on ``config_text`` exits 2 with one error line naming ``named``,
+    and leaves no directory behind of those it made for its output."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config_text)
+    result = runner.invoke(
+        main, ["run", experiment, "--config", str(cfg), "--out", str(tmp_path / "o" / "p")]
+    )
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    (line,) = result.stderr.splitlines()
+    assert line.startswith("error: ") and named in line, line
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, key",
+    [
+        pytest.param(name, key, id=f"{name}-{key}")
+        for name, spec in EXPERIMENTS.items()
+        for key, default in spec.defaults.items()
+        if isinstance(default, float)
+    ],
+)
+def test_int_too_large_for_a_float_parameter_exits_two(runner, tmp_path, experiment, key):
+    # an int of 400 digits passes the type gate of a float parameter; numpy's finite
+    # check once raised a TypeError on it, a traceback that left the output directory
+    _assert_config_error(runner, tmp_path, experiment, json.dumps({key: 10**400}), repr(key))
+
+
+def test_int_too_large_for_a_float_in_a_list_parameter_exits_two(runner, tmp_path):
+    # once an OverflowError from the runner's arithmetic on the pair
+    config = json.dumps({"pairs": [[10**400, 1.0]], "n_samples": 1000})
+    _assert_config_error(runner, tmp_path, "complex-increments", config, "'pairs'")
+
+
+def test_integer_literal_past_the_digit_limit_exits_two(runner, tmp_path):
+    # json.loads raises a ValueError that is not a JSONDecodeError for an integer
+    # literal of more than 4,300 digits
+    config = '{"length": 1' + "0" * 5000 + "}"
+    _assert_config_error(runner, tmp_path, "born-free", config, str(tmp_path / "cfg.json"))
+
+
 @pytest.mark.parametrize(
     "experiment, overrides, seed, key",
     [
